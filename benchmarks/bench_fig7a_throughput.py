@@ -237,26 +237,37 @@ def _dense_equi_wall(probe_engine, repetitions=3, tuples=3000, keys=12):
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="the columnar engine requires NumPy")
-def test_columnar_dense_equi_wall_clock():
-    """The columnar engine runs the match-dense equi workload >=3x faster
-    wall-clock than the vectorized engine, end to end on the adaptive plane —
-    while remaining a bit-identical simulation (the full observable pin,
-    event plumbing included, runs per cell in
+def test_default_engine_keeps_up_with_columnar_on_dense_equi():
+    """On the match-dense equi workload the *default* probe engine is within
+    1.25x of the columnar engine's wall, same run, end to end on the adaptive
+    plane — both remaining the same bit-identical simulation (the full
+    observable pin, event plumbing included, runs per cell in
     tests/test_adaptive_conformance.py; here the deterministic counters
-    guard the measurement itself)."""
+    guard the measurement itself).
+
+    History of this cell: with one retained sample object per join result
+    the stdlib engine needed 1.37 s against columnar's 0.34 s and this gate
+    read "columnar >= 3x faster".  Since match groups feed the run-length
+    latency ledger (no per-result object on any engine) the same cell reads
+    default 0.21 s vs columnar 0.30 s: emission was what the columnar engine
+    vectorised, and the default engine no longer pays it.  The gate therefore
+    guards ROADMAP item 2 — the default plane is the fastest plane — instead
+    of a columnar advantage that no longer exists here.
+    """
+    default_engine = RunConfig().probe_engine
     _dense_equi_wall("columnar", repetitions=1)  # warm caches/imports
-    vector_wall, vector_result = _dense_equi_wall("vectorized")
+    default_wall, default_result = _dense_equi_wall(default_engine)
     columnar_wall, columnar_result = _dense_equi_wall("columnar")
     # Same simulation: deterministic counters must agree exactly.
-    assert columnar_result.output_count == vector_result.output_count
-    assert columnar_result.probe_work == vector_result.probe_work
-    assert columnar_result.execution_time == vector_result.execution_time
+    assert columnar_result.output_count == default_result.output_count
+    assert columnar_result.probe_work == default_result.probe_work
+    assert columnar_result.execution_time == default_result.execution_time
     assert columnar_result.output_count > 500_000, (
         "workload lost its match density; the gate would be measuring noise"
     )
-    assert vector_wall >= 3.0 * columnar_wall, (
-        f"expected >=3x wall-clock win on the dense workload, got vectorized "
-        f"{vector_wall:.3f}s vs columnar {columnar_wall:.3f}s"
+    assert default_wall <= 1.25 * columnar_wall, (
+        f"the default engine ({default_engine}) fell behind columnar on the "
+        f"dense workload: {default_wall:.3f}s vs {columnar_wall:.3f}s"
     )
 
 

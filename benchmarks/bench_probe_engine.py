@@ -9,11 +9,10 @@ trends are visible across PRs.
 
 A caveat on reading the columnar rows: this harness measures the *probe call
 alone* and discards the matches, which is exactly the slice where the
-columnar engine pays its array overhead without collecting its payoff (bulk
-match emission into the metrics plane and the cumsum cost commit).  Its rows
-are here for trend visibility and cross-engine agreement; the honest
-wall-clock gate is the end-to-end dense-equi run in
-``bench_fig7a_throughput.py::test_columnar_dense_equi_wall_clock``.
+columnar engine pays its array overhead without collecting its payoff (the
+cumsum cost commit).  Its rows are here for trend visibility and cross-engine
+agreement; the end-to-end comparison of the engines is the dense-equi run in
+``bench_fig7a_throughput.py::test_default_engine_keeps_up_with_columnar_on_dense_equi``.
 
 Run standalone for the table:
 
@@ -164,8 +163,8 @@ def test_probe_engine_microbench():
     # Columnar rows (when NumPy is present) are correctness-pinned inside
     # probe_microbench (work/match totals vs the scalar oracle); no speedup
     # floor here — probe-call-only timing structurally undersells the engine
-    # (see the module docstring), and its >=3x end-to-end gate lives in
-    # bench_fig7a_throughput.py::test_columnar_dense_equi_wall_clock.
+    # (see the module docstring); the end-to-end engine comparison lives in
+    # bench_fig7a_throughput.py::test_default_engine_keeps_up_with_columnar_on_dense_equi.
     if HAS_NUMPY:
         assert all("columnar_speedup" in row for row in rows)
 

@@ -41,8 +41,9 @@ def main() -> None:
     #      * "scalar": the per-member reference loop; the differential oracle
     #        the other engines are pinned against. Slowest, zero surprises.
     #      * "columnar": set-at-a-time NumPy kernels (needs the `columnar`
-    #        extra: pip install repro[columnar]). Biggest win on match-dense
-    #        workloads, where per-pair Python costs dominate.
+    #        extra: pip install repro[columnar]). No faster than the default
+    #        since no engine pays a Python object per join result any more
+    #        (ARCHITECTURE.md, "Output path").
     config = RunConfig(machines=16, seed=7, batching="adaptive")
     session = JoinSession(query, config=config)
 

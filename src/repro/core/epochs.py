@@ -33,6 +33,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.core.migration import MigrationPlan
+from repro.engine.metrics import MatchGroup
 from repro.engine.stream import StreamTuple
 from repro.joins.local import LocalJoiner
 
@@ -54,14 +55,18 @@ class TupleActions:
     """Everything a joiner task must do after the state machine handled a tuple.
 
     Attributes:
-        matches: output pairs, already oriented ``(left_tuple, right_tuple)``.
+        matches: the tuple's join results as one
+            :class:`~repro.engine.metrics.MatchGroup` (a columnar
+            ``MatchBlock`` on the columnar engine's batch path); the empty
+            tuple when it matched nothing.  ``len()`` is the result count,
+            iteration yields oriented ``(left_tuple, right_tuple)`` pairs.
         probe_work: number of index candidates inspected (for CPU accounting).
         stored: whether the incoming tuple was added to local state.
         migrate_to: ``(destination_machine, tuple)`` relocations this joiner
             must send because it is the designated sender.
     """
 
-    matches: list[tuple[StreamTuple, StreamTuple]] = field(default_factory=list)
+    matches: MatchGroup | tuple = ()
     probe_work: float = 0.0
     stored: bool = False
     migrate_to: list[tuple[int, StreamTuple]] = field(default_factory=list)
@@ -132,17 +137,29 @@ class EpochJoinerState:
     def _side(self, item: StreamTuple) -> str:
         return "R" if item.relation == self.left_relation else "S"
 
-    def _oriented(self, new_item: StreamTuple, stored_item: StreamTuple):
-        if new_item.relation == self.left_relation:
-            return new_item, stored_item
-        return stored_item, new_item
+    def _add_matches(
+        self, item: StreamTuple, actions: TupleActions, partners: list[StreamTuple]
+    ) -> None:
+        """Fold one probe's partners into ``item``'s match group.
+
+        ``partners`` must be a list the caller owns (probes return fresh
+        lists): the group keeps it, and a second protocol probe of the same
+        tuple extends it in place.
+        """
+        group = actions.matches
+        if group:
+            group.partners.extend(partners)
+        else:
+            actions.matches = MatchGroup(
+                item, item.relation == self.left_relation, partners
+            )
 
     def _join_store(self, item: StreamTuple, actions: TupleActions) -> None:
         """Normal-operation probe: everything stored is τ, probe it all."""
-        matches, work = self.store.probe(item)
+        partners, work = self.store.probe(item)
         actions.probe_work += work
-        if matches:
-            actions.matches.extend(self._oriented(item, match) for match in matches)
+        if partners:
+            self._add_matches(item, actions, partners)
 
     def _join_parts(
         self, item: StreamTuple, actions: TupleActions, select: tuple[str, ...]
@@ -156,7 +173,7 @@ class EpochJoinerState:
         """
         parts = self._parts
         assert parts is not None
-        matches: list[StreamTuple] = []
+        partners: list[StreamTuple] = []
         inspected = 0
         # The partitions share one predicate: resolve the probe side/key once
         # and use the keyed index entry points for all four.
@@ -168,12 +185,12 @@ class EpochJoinerState:
                 part_matches, part_inspected = part.keyed_raw_probe(is_left, key, record)
                 inspected += part_inspected
                 if part_matches:
-                    matches.extend(part_matches)
+                    partners.extend(part_matches)
             else:
                 inspected += part.keyed_candidate_count(is_left, key)
         actions.probe_work += float(max(inspected, 1))
-        if matches:
-            actions.matches.extend(self._oriented(item, match) for match in matches)
+        if partners:
+            self._add_matches(item, actions, partners)
 
     # -------------------------------------------------------------- counters
 
@@ -238,19 +255,20 @@ class EpochJoinerState:
         if self.phase is JoinerPhase.NORMAL:
             current = self.current_epoch
             if all(item.epoch == current for item in items):
-                oriented = self._oriented
+                left_relation = self.left_relation
                 results = []
                 for item, (matches, work) in zip(items, self.store.probe_batch(items)):
                     actions = TupleActions(probe_work=work, stored=True)
                     if matches:
                         if matches.__class__ is list:
-                            actions.matches = [
-                                oriented(item, match) for match in matches
-                            ]
-                        else:
-                            # Columnar MatchBlock: already carries the probing
-                            # item and its orientation — no per-pair tuples.
-                            actions.matches = matches
+                            # The engine's own fresh partner list: the group
+                            # takes it over as is.
+                            matches = MatchGroup(
+                                item, item.relation == left_relation, matches
+                            )
+                        # else a columnar MatchBlock, which already carries
+                        # the probing item and its orientation.
+                        actions.matches = matches
                     results.append(actions)
                 return results
         else:
@@ -278,7 +296,6 @@ class EpochJoinerState:
         drop_part = parts[_OLD_DROP]
         new_part = parts[_NEW]
         mu_part = parts[_MU]
-        oriented = self._oriented
         new_insert = new_part.insert
         results: list[TupleActions] = []
         append = results.append
@@ -304,9 +321,10 @@ class EpochJoinerState:
                 probe_work=work + (float(inspected2) if inspected2 > 0 else 1.0),
                 stored=True,
             )
-            if matches or keep_matches:
-                actions.matches = [oriented(item, match) for match in matches]
-                actions.matches.extend(oriented(item, match) for match in keep_matches)
+            if keep_matches:
+                matches.extend(keep_matches)
+            if matches:
+                actions.matches = MatchGroup(item, is_left, matches)
             new_insert(item)
             append(actions)
         return results

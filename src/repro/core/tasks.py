@@ -774,7 +774,6 @@ class JoinerTask(Task):
             return len(items)
         storage_factor = machine.storage_factor
         record_outputs = ctx.metrics.record_outputs
-        machine_id = self.machine_id
         boundaries = ctx.drain_boundaries
         probe_total = 0.0
         # Pure probe-and-store members never send, so the per-member charge
@@ -803,7 +802,7 @@ class JoinerTask(Task):
                     machine.peak_stored_size = stored
             end = now + cost
             if matches:
-                record_outputs(matches, end, machine_id)
+                record_outputs(matches, end)
             if actions.migrate_to:  # pragma: no cover - excluded by drain_key
                 raise RuntimeError(
                     f"joiner {self.name} drained a relocating tuple; "
@@ -868,11 +867,10 @@ class JoinerTask(Task):
         machine.received_size = float(np.cumsum(chain)[-1])
         ends_list = ends.tolist()
         record_outputs = ctx.metrics.record_outputs
-        machine_id = self.machine_id
         for actions, end in zip(actions_list, ends_list):
             matches = actions.matches
             if matches:
-                record_outputs(matches, end, machine_id)
+                record_outputs(matches, end)
         boundaries = ctx.drain_boundaries
         if boundaries is not None:
             boundaries.extend(ends_list)
@@ -1138,11 +1136,10 @@ class JoinerTask(Task):
         chain[0] = machine.received_size
         machine.received_size = float(np.cumsum(chain)[-1])
         record_outputs = ctx.metrics.record_outputs
-        machine_id = self.machine_id
         for actions, out_time in zip(actions_list, out_times.tolist()):
             matches = actions.matches
             if matches:
-                record_outputs(matches, out_time, machine_id)
+                record_outputs(matches, out_time)
         ctx.metrics.record_probe_work(float(works.sum()))
 
     def _apply(

@@ -24,7 +24,7 @@ from repro.engine.executor import (
     ThreadedSimulator,
 )
 from repro.engine.machine import CostModel, Machine
-from repro.engine.metrics import LatencySample, MetricsCollector
+from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Network, TrafficCategory
 from repro.engine.simulator import DeliveryRun, Simulator
 from repro.engine.stream import ArrivalSchedule, StreamTuple, interleave_streams
@@ -40,7 +40,6 @@ __all__ = [
     "DeliveryRun",
     "Executor",
     "FixedBatchController",
-    "LatencySample",
     "Machine",
     "Message",
     "MessageKind",

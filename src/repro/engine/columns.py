@@ -14,9 +14,9 @@ engine-level building blocks, kept free of any join/protocol knowledge:
   realloc leaves old buffers to the views that reference them),
 * :class:`MatchBlock` — the columnar match set of one probed tuple: the
   candidate run as parallel arrival-time / tuple-id arrays instead of a list
-  of ``(left, right)`` pairs.  ``MetricsCollector.record_outputs`` consumes
-  blocks with one vectorised latency kernel, replacing the per-pair
-  ``LatencySample`` loop — sample values are bit-identical (same float64
+  of partner tuples.  ``MetricsCollector.record_outputs`` feeds blocks into
+  the same latency ledger as the stdlib engines' ``MatchGroup``, with one
+  vectorised latency kernel — values are bit-identical (same float64
   ``max``/subtract per pair, applied elementwise).
 """
 
@@ -89,10 +89,11 @@ class MatchBlock:
     Carries the probing ``item``, its orientation (``item_is_left``: whether
     it is the R-side of every emitted pair) and the matched candidates as
     parallel ``arrivals``/``ids`` arrays — everything emission needs, with no
-    per-pair tuples materialised.  Duck-type compatible with the list-of-pairs
-    ``TupleActions.matches`` for the operations the joiner hot path performs
-    (``len`` for the match cost, truthiness for the emission guard); the
-    metrics collector dispatches on the type to run the bulk emission kernel.
+    per-pair tuples materialised.  Duck-type compatible with
+    :class:`~repro.engine.metrics.MatchGroup` for the operations the joiner
+    hot path performs (``len`` for the match cost, truthiness for the
+    emission guard); the metrics collector dispatches on the type to run the
+    bulk emission kernel.
     """
 
     __slots__ = ("item", "item_is_left", "arrivals", "ids", "count")
@@ -110,8 +111,8 @@ class MatchBlock:
     def __bool__(self) -> bool:
         return self.count > 0
 
-    def pairs(self, left=None, right=None):
-        """The matches as ``(left_id, right_id)`` tuple-id pairs (tests/debug)."""
+    def pairs(self) -> list[tuple[int, int]]:
+        """The matches as oriented ``(left_id, right_id)`` tuple-id pairs."""
         item_id = self.item.tuple_id
         ids = self.ids.tolist()
         if self.item_is_left:

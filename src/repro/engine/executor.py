@@ -551,6 +551,9 @@ class ThreadedSimulator(Simulator):
             record.count = task.handle_drained(
                 record.message, record.inbox, record.limit, record.key, ctx
             )
+            # Inbox pulls are machine-local, and so is the member count that
+            # mirrors them (see Simulator._execute_drained).
+            self._inbox_members[record.machine_id] -= record.count - 1
             machine = task.hosted_machine
             if ctx.charged > 0:  # defensive: close an unrotated run tail
                 machine.occupy(ctx.now, ctx.charged)
@@ -657,21 +660,18 @@ class ThreadedSimulator(Simulator):
             entry.index += 1
             if entry.index < entry.end:
                 inbox.appendleft(entry)
+        members = self._inbox_members
+        members[machine_id] -= 1
         limit = 0
         key = None
         if self._drain_controllers is not None:
             key = task.drain_key(message)
             if key is not None:
-                # Backlog estimate for the drain controller: the exact member
-                # count of the inbox, counting every member still inside a
-                # settled segment — identical to the unmerged plane's
-                # per-member inbox length.
-                backlog = 1 + len(inbox)
-                if merging:
-                    for pending_entry in inbox:
-                        if pending_entry.__class__ is not tuple:
-                            backlog += pending_entry.end - pending_entry.index - 1
-                sized = self._drain_controllers[machine_id].next_batch_size(backlog)
+                # Backlog estimate for the drain controller, as in the
+                # oracle's _tick: this member plus every member still queued.
+                sized = self._drain_controllers[machine_id].next_batch_size(
+                    1 + members[machine_id]
+                )
                 if sized > 1 and inbox:
                     limit = sized
                 else:

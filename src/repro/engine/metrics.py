@@ -7,25 +7,107 @@ The collector gathers everything the paper's evaluation reports:
 * a time series of the maximum per-machine stored size (the ILF of Fig. 6a),
 * migration events with their start/end times and traffic,
 * the ILF competitive-ratio series of Fig. 8c.
+
+Output path: joiners hand results over as one :class:`MatchGroup` per probing
+tuple (the columnar engine as one :class:`~repro.engine.columns.MatchBlock`),
+and the collector turns each group into :class:`LatencyLedger` entries —
+float64 array slots, never a Python object per join result.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 
 from repro.engine.columns import np
 from repro.engine.stream import StreamTuple
 
+_arrival_of = attrgetter("arrival_time")
 
-@dataclass(slots=True)
-class LatencySample:
-    """Latency of one output tuple."""
 
-    output_time: float
-    latency: float
-    machine_id: int
+class MatchGroup:
+    """Every join result one probing tuple produced, as one object.
+
+    ``partners`` are the stored tuples ``item`` matched; ``item_is_left``
+    says which side of each emitted pair ``item`` is.  The partner list is
+    the one the probe built and is *owned* by the group — never a live index
+    bucket — because the threaded executor journals ``record_outputs`` calls
+    and replays them at commit time, after later inserts.
+
+    ``len()`` / truthiness serve the per-result ``match_cost`` charge;
+    iteration yields the oriented ``(left, right)`` pairs lazily, so only
+    consumers that want pairs (``collect_outputs=True``, tests) pay for them.
+    """
+
+    __slots__ = ("item", "item_is_left", "partners")
+
+    def __init__(
+        self, item: StreamTuple, item_is_left: bool, partners: list[StreamTuple]
+    ) -> None:
+        self.item = item
+        self.item_is_left = item_is_left
+        self.partners = partners
+
+    def __len__(self) -> int:
+        return len(self.partners)
+
+    def __iter__(self):
+        item = self.item
+        if self.item_is_left:
+            return ((item, partner) for partner in self.partners)
+        return ((partner, item) for partner in self.partners)
+
+
+class LatencyLedger:
+    """Run-length store of every output latency of a run.
+
+    A result's latency is ``max(0, output_time - newer_arrival)``.  All
+    results of one group share the output time, and whenever no partner
+    arrived after the probing tuple they share the newer arrival too: the
+    whole group is then *one* ``(latency, count)`` run in the parallel
+    ``run_values`` / ``run_counts`` arrays.  Only groups with a partner newer
+    than the probing tuple spill one float64 per result into ``values``.
+    Nothing stored here is a Python object, so the ledger is invisible to
+    the garbage collector however many results a run produces.
+
+    Iteration yields the same multiset of float64 values as one sample per
+    result would (runs expanded lazily at C level), which is what keeps
+    :meth:`mean` bit-identical to per-result storage.
+    """
+
+    __slots__ = ("values", "run_values", "run_counts")
+
+    def __init__(self) -> None:
+        self.values = array("d")
+        self.run_values = array("d")
+        self.run_counts = array("q")
+
+    def __len__(self) -> int:
+        return len(self.values) + sum(self.run_counts)
+
+    def __iter__(self):
+        return chain(
+            self.values,
+            chain.from_iterable(map(repeat, self.run_values, self.run_counts)),
+        )
+
+    def mean(self) -> float:
+        """Mean latency (0 when empty), exactly rounded.
+
+        One *single* :func:`math.fsum` pass over every value: fsum returns
+        the correctly rounded sum of its input multiset, so the mean depends
+        neither on the order groups were recorded in (joiners on different
+        machines interleave differently across data planes and executors)
+        nor on how values are split between runs and singles.  A sum of
+        per-group partial sums would be neither.
+        """
+        count = len(self)
+        if not count:
+            return 0.0
+        return math.fsum(self) / count
 
 
 @dataclass
@@ -47,14 +129,16 @@ class MetricsCollector:
     collect_outputs: bool = False
     output_count: int = 0
     outputs: list[tuple[int, int]] = field(default_factory=list)
-    latencies: list[LatencySample] = field(default_factory=list)
+    #: Every output latency of the run (see :class:`LatencyLedger`).
+    latency_ledger: LatencyLedger = field(default_factory=LatencyLedger)
     ilf_series: list[tuple[float, float]] = field(default_factory=list)
     competitive_series: list[tuple[int, float]] = field(default_factory=list)
     ratio_series: list[tuple[int, float]] = field(default_factory=list)
     migrations: list[MigrationEvent] = field(default_factory=list)
     processed_inputs: int = 0
     finish_time: float = 0.0
-    progress_times: list[tuple[int, float]] = field(default_factory=list)
+    #: Virtual time at which the k-th input tuple was routed, at index k - 1.
+    progress_times: array = field(default_factory=lambda: array("d"))
     probe_work: float = 0.0
     #: Drained-run size → count (adaptive data plane only; empty otherwise).
     drain_histogram: dict[int, int] = field(default_factory=dict)
@@ -66,90 +150,71 @@ class MetricsCollector:
     #: settle loop is the hottest merged-wire path, so there is no
     #: ``record_*`` wrapper — keep any future writers consistent with it).
     wire_histogram: dict[int, int] = field(default_factory=dict)
-    #: Columnar emission storage: ``(output_time, machine_id, latency_array)``
-    #: per recorded :class:`~repro.engine.columns.MatchBlock`.  Latency values
-    #: are bit-identical to the scalar samples (same float64 max/subtract per
-    #: pair, applied elementwise); they are only *stored* in bulk.  Consumers
-    #: wanting flat samples use :meth:`latency_samples`.
-    latency_blocks: list[tuple[float, int, object]] = field(default_factory=list)
 
     # ------------------------------------------------------------ recording
 
     def record_output(
-        self,
-        left: StreamTuple,
-        right: StreamTuple,
-        output_time: float,
-        machine_id: int,
+        self, left: StreamTuple, right: StreamTuple, output_time: float
     ) -> None:
-        """Record one join result (called by joiner tasks via the context)."""
-        self.output_count += 1
-        if self.collect_outputs:
-            self.outputs.append((left.tuple_id, right.tuple_id))
-        newer_arrival = max(left.arrival_time, right.arrival_time)
-        self.latencies.append(
-            LatencySample(
-                output_time=output_time,
-                latency=max(0.0, output_time - newer_arrival),
-                machine_id=machine_id,
-            )
-        )
+        """Record one join result: a one-member :class:`MatchGroup`."""
+        self.record_outputs(MatchGroup(left, True, [right]), output_time)
 
-    def record_outputs(
-        self,
-        matches: list[tuple[StreamTuple, StreamTuple]],
-        output_time: float,
-        machine_id: int,
-    ) -> None:
-        """Record several join results sharing one emission instant.
+    def record_outputs(self, matches, output_time: float) -> None:
+        """Record the join results of one probing tuple, emitted at one instant.
 
-        Bulk path for the per-tuple match loop: identical samples to calling
-        :meth:`record_output` per pair, with the collector overhead paid once.
-
-        Columnar match sets (:class:`~repro.engine.columns.MatchBlock`) are
-        dispatched on type to the vectorised block kernel — call sites stay
-        oblivious to which engine produced the matches.
+        ``matches`` is a :class:`MatchGroup`, or a columnar
+        :class:`~repro.engine.columns.MatchBlock` (dispatched on type, so call
+        sites stay oblivious to which engine produced the matches).  Each
+        result's latency is ``max(0, output_time - max(left.arrival_time,
+        right.arrival_time))``; when no partner arrived after the probing
+        tuple — one C-level ``max`` over the partner arrivals decides — that
+        is the same float64 for the whole group and is stored as one ledger
+        run, otherwise one float64 per result is appended.
         """
-        if matches.__class__ is not list:
-            self._record_block(matches, output_time, machine_id)
+        if matches.__class__ is not MatchGroup:
+            self._record_block(matches, output_time)
             return
-        self.output_count += len(matches)
+        partners = matches.partners
+        self.output_count += len(partners)
         if self.collect_outputs:
             self.outputs.extend(
-                (left.tuple_id, right.tuple_id) for left, right in matches
+                [(left.tuple_id, right.tuple_id) for left, right in matches]
             )
-        append = self.latencies.append
-        for left, right in matches:
-            newer_arrival = max(left.arrival_time, right.arrival_time)
-            append(
-                LatencySample(
-                    output_time=output_time,
-                    latency=max(0.0, output_time - newer_arrival),
-                    machine_id=machine_id,
-                )
+        ledger = self.latency_ledger
+        arrival = matches.item.arrival_time
+        if max(map(_arrival_of, partners)) <= arrival:
+            ledger.run_values.append(max(0.0, output_time - arrival))
+            ledger.run_counts.append(len(partners))
+        else:
+            ledger.values.extend(
+                [
+                    max(0.0, output_time - (newer if newer > arrival else arrival))
+                    for newer in map(_arrival_of, partners)
+                ]
             )
 
-    def _record_block(self, block, output_time: float, machine_id: int) -> None:
-        """Record a columnar :class:`MatchBlock` with one latency kernel.
+    def _record_block(self, block, output_time: float) -> None:
+        """Record a columnar :class:`MatchBlock`: same ledger, NumPy kernel.
 
-        ``max(left.arrival_time, right.arrival_time)`` / subtract / clamp-at-0
-        per pair, run elementwise over the block's arrival column — each value
-        is the bit-identical float64 result of the scalar sample arithmetic.
-        The block's arrays are never mutated (they may be zero-copy snapshots
-        of live index columns); every kernel output is a fresh array.
+        The run test is one ``arrivals.max()``; the mixed-arrival path runs
+        ``max`` / subtract / clamp-at-0 elementwise over the block's arrival
+        column — each value the bit-identical float64 result of the per-pair
+        arithmetic — and copies the result buffer into the ledger.  The
+        block's arrays are never mutated (they may be zero-copy snapshots of
+        live index columns); every kernel output is a fresh array.
         """
         self.output_count += block.count
         if self.collect_outputs:
-            item_id = block.item.tuple_id
-            ids = block.ids.tolist()
-            if block.item_is_left:
-                self.outputs.extend((item_id, candidate) for candidate in ids)
-            else:
-                self.outputs.extend((candidate, item_id) for candidate in ids)
-        newer = np.maximum(block.arrivals, block.item.arrival_time)
-        latencies = output_time - newer
-        np.maximum(latencies, 0.0, out=latencies)
-        self.latency_blocks.append((output_time, machine_id, latencies))
+            self.outputs.extend(block.pairs())
+        ledger = self.latency_ledger
+        arrival = block.item.arrival_time
+        if block.arrivals.max() <= arrival:
+            ledger.run_values.append(max(0.0, output_time - arrival))
+            ledger.run_counts.append(block.count)
+        else:
+            latencies = output_time - np.maximum(block.arrivals, arrival)
+            np.maximum(latencies, 0.0, out=latencies)
+            ledger.values.frombytes(latencies.tobytes())
 
     def record_probe_work(self, amount: float) -> None:
         """Accumulate joiner probe work units (index candidates inspected,
@@ -164,7 +229,7 @@ class MetricsCollector:
     def record_input_processed(self, now: float) -> None:
         """Count an input tuple having been routed by a reshuffler."""
         self.processed_inputs += 1
-        self.progress_times.append((self.processed_inputs, now))
+        self.progress_times.append(now)
 
     def record_ilf(self, now: float, max_machine_ilf: float) -> None:
         """Append one point to the ILF-versus-time series (Fig. 6a)."""
@@ -211,8 +276,11 @@ class MetricsCollector:
         results stay small on large runs.
         """
         total = max(total_inputs, 1)
-        step = max(1, len(self.progress_times) // max_points)
-        return [(count / total, time) for count, time in self.progress_times[::step]]
+        times = self.progress_times
+        step = max(1, len(times) // max_points)
+        return [
+            ((index + 1) / total, times[index]) for index in range(0, len(times), step)
+        ]
 
     def ilf_fraction_series(self, total_inputs: int) -> list[tuple[float, float]]:
         """The ILF series re-indexed by fraction of input processed.
@@ -226,44 +294,9 @@ class MetricsCollector:
 
     # ------------------------------------------------------------ summaries
 
-    def latency_samples(self):
-        """Iterate every output latency as :class:`LatencySample`.
-
-        Flattens the bulk-stored columnar blocks into the scalar sample shape;
-        ordering is scalar samples first, then blocks in recording order.
-        """
-        yield from self.latencies
-        for output_time, machine_id, latencies in self.latency_blocks:
-            for latency in latencies.tolist():
-                yield LatencySample(
-                    output_time=output_time, latency=latency, machine_id=machine_id
-                )
-
     def average_latency(self) -> float:
-        """Mean output-tuple latency (0 when no output was produced).
-
-        Uses exact summation (:func:`math.fsum`) so the mean does not depend
-        on the order outputs were recorded in — joiners on different machines
-        interleave their emissions differently across data planes even when
-        every individual sample is bit-identical.  Scalar samples and columnar
-        block arrays feed one *single* fsum pass (a sum of per-group fsums
-        would not be exactly rounded, so it would not be order-independent).
-        """
-        blocks = self.latency_blocks
-        count = len(self.latencies)
-        if blocks:
-            count += sum(latencies.shape[0] for _, _, latencies in blocks)
-        if not count:
-            return 0.0
-        values = (sample.latency for sample in self.latencies)
-        if blocks:
-            values = itertools.chain(
-                values,
-                itertools.chain.from_iterable(
-                    latencies.tolist() for _, _, latencies in blocks
-                ),
-            )
-        return math.fsum(values) / count
+        """Mean output-tuple latency (0 when no output was produced)."""
+        return self.latency_ledger.mean()
 
     def throughput(self) -> float:
         """Input tuples processed per unit of virtual time."""

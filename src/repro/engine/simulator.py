@@ -240,6 +240,10 @@ class Simulator:
         ]
         self._started: set[str] = set()
         self._inboxes: list[deque] = [deque() for _ in range(num_machines)]
+        # Members queued per inbox — a settled segment counts every member it
+        # still holds — kept in step with every inbox mutation, so a tick
+        # sizes its drained run without walking the backlog.
+        self._inbox_members: list[int] = [0] * num_machines
         self._tick_scheduled: list[bool] = [False] * num_machines
         self._drain_controllers: list | None = None
         # In-flight control-plane (priority) delivery times per machine;
@@ -737,6 +741,8 @@ class Simulator:
             self._started.add(task.name)
             task.on_start(ctx)
         count = task.handle_drained(first, inbox, limit, key, ctx)
+        # The tick already took ``first``; the task pulled the other members.
+        self._inbox_members[machine_id] -= count - 1
         machine = task.hosted_machine
         if ctx.charged > 0:  # defensive: close a run whose tail was not rotated
             machine.occupy(ctx.now, ctx.charged)
@@ -796,6 +802,7 @@ class Simulator:
                 for index in range(entry.index, entry.end):
                     buffer.append(("d", entry.task, entry.messages[index]))
         inbox.clear()
+        self._inbox_members[machine_id] = 0
         # Suppress tick scheduling for the duration of the outage; the
         # restart pushes its own tick.
         self._tick_scheduled[machine_id] = True
@@ -830,6 +837,7 @@ class Simulator:
                     self._execute(task, message, max(time, machine.busy_until))
                 else:
                     inbox.append((task, message))
+                    self._inbox_members[machine_id] += 1
             buffer.clear()
         # _tick_scheduled stayed True through the outage; this tick settles
         # any wire traffic dated <= now and restarts the normal cycle.
@@ -1046,8 +1054,8 @@ class Simulator:
                     self._tick_scheduled[machine_id] = True
                     self._schedule_tick(machine_id, max(time, machine.busy_until))
                 return
-        inbox = self._inboxes[machine_id]
-        inbox.append((task, message))
+        self._inboxes[machine_id].append((task, message))
+        self._inbox_members[machine_id] += 1
         if not self._tick_scheduled[machine_id]:
             self._tick_scheduled[machine_id] = True
             self._schedule_tick(machine_id, max(time, machine.busy_until))
@@ -1085,11 +1093,13 @@ class Simulator:
         heappop = heapq.heappop
         heappush = heapq.heappush
         wire_histogram = self.metrics.wire_histogram
+        settled = 0
         while pending and pending[0][0] <= time:
             entry = heappop(pending)
             run = entry[2]
             if run is None:
                 inbox.append((entry[3], entry[4]))
+                settled += 1
                 continue
             times = run.times
             task = run.task
@@ -1118,6 +1128,7 @@ class Simulator:
                 inbox.append((task, run.messages[index]))
             else:
                 inbox.append(SettledSegment(task, run.messages, index, end))
+            settled += end - index
             if end < count:
                 run.start = end
                 heappush(pending, (times[end], run.ranks[end], run))
@@ -1127,6 +1138,7 @@ class Simulator:
                 run.start = end
                 run.closed = True
                 wire_histogram[count] = wire_histogram.get(count, 0) + 1
+        self._inbox_members[machine_id] += settled
 
     def _rearm_wire(self, machine_id: int) -> None:
         """Return the earliest pending wire delivery to the global heap.
@@ -1160,48 +1172,36 @@ class Simulator:
             return
         machine = self.machines[machine_id]
         start = max(time, machine.busy_until)
-        if self._drain_controllers is not None:
-            entry = inbox.popleft()
-            if entry.__class__ is tuple:
-                task, message = entry
-            else:
-                task = entry.task
-                message = entry.messages[entry.index]
-                entry.index += 1
-                if entry.index < entry.end:
-                    inbox.appendleft(entry)
-            key = task.drain_key(message)
-            if key is None:
-                self._execute(task, message, start)
-            else:
-                # Backlog estimate for the drain controller: the exact member
-                # count of the inbox, counting every member still inside a
-                # settled segment — identical to the unmerged plane's
-                # per-member inbox length.
-                backlog = 1 + len(inbox)
-                if merging:
-                    for pending_entry in inbox:
-                        if pending_entry.__class__ is not tuple:
-                            backlog += pending_entry.end - pending_entry.index - 1
-                limit = self._drain_controllers[machine_id].next_batch_size(backlog)
-                if limit > 1 and inbox:
-                    self._execute_drained(
-                        task, message, inbox, limit, key, start, time, machine_id
-                    )
-                else:
-                    self.metrics.record_drained_run(1)
-                    self._execute(task, message, start)
+        entry = inbox.popleft()
+        if entry.__class__ is tuple:
+            task, message = entry
         else:
-            entry = inbox.popleft()
-            if entry.__class__ is tuple:
-                task, message = entry
-            else:
-                task = entry.task
-                message = entry.messages[entry.index]
-                entry.index += 1
-                if entry.index < entry.end:
-                    inbox.appendleft(entry)
+            task = entry.task
+            message = entry.messages[entry.index]
+            entry.index += 1
+            if entry.index < entry.end:
+                inbox.appendleft(entry)
+        members = self._inbox_members
+        members[machine_id] -= 1
+        key = (
+            task.drain_key(message) if self._drain_controllers is not None else None
+        )
+        if key is None:
             self._execute(task, message, start)
+        else:
+            # Backlog estimate for the drain controller: this member plus
+            # every member still queued (inside settled segments too) —
+            # identical to the unmerged plane's per-member inbox length.
+            limit = self._drain_controllers[machine_id].next_batch_size(
+                1 + members[machine_id]
+            )
+            if limit > 1 and inbox:
+                self._execute_drained(
+                    task, message, inbox, limit, key, start, time, machine_id
+                )
+            else:
+                self.metrics.record_drained_run(1)
+                self._execute(task, message, start)
         if inbox:
             self._schedule_tick(machine_id, max(machine.busy_until, start))
         else:

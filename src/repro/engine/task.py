@@ -198,22 +198,17 @@ class Context:
             left: the R-side tuple of the match.
             right: the S-side tuple of the match.
         """
-        self._simulator.metrics.record_output(
-            left, right, self.now + self.charged, self._task.machine_id
-        )
+        self._simulator.metrics.record_output(left, right, self.now + self.charged)
 
-    def emit_outputs(self, matches: "list[tuple[StreamTuple, StreamTuple]]") -> None:
-        """Record a batch of join results emitted at the same instant.
+    def emit_outputs(self, matches) -> None:
+        """Record the join results of one handled tuple, emitted at one instant.
 
-        Bulk counterpart of :meth:`emit_output` for the match loop of one
-        handled tuple: every pair shares the output time ``now + charged``
-        (the per-pair ``match_cost`` is charged *before* emission either
-        way), so the recorded samples are identical to per-pair calls while
-        the collector bookkeeping is paid once per tuple.
+        ``matches`` is the tuple's :class:`~repro.engine.metrics.MatchGroup`
+        (or columnar ``MatchBlock``): every result shares the output time
+        ``now + charged`` — the per-result ``match_cost`` is charged *before*
+        emission — so one collector call per probing tuple records them all.
         """
-        self._simulator.metrics.record_outputs(
-            matches, self.now + self.charged, self._task.machine_id
-        )
+        self._simulator.metrics.record_outputs(matches, self.now + self.charged)
 
     def boundary(self) -> None:
         """Close the current member of a drained run (adaptive data plane).

@@ -33,7 +33,7 @@ from repro.testing import assert_run_equivalent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JoinSession, RunConfig
+from repro.api import JoinSession, RunConfig, crash_after_events
 from repro.core.baselines import StaticMidOperator
 from repro.core.epochs import JoinerPhase
 from repro.core.operator import AdaptiveJoinOperator
@@ -434,6 +434,43 @@ class TestDeliveryMergingConformance:
         )
         assert_run_equivalent(reference, merged, label="fixed-plane merge")
         assert merged.heap_events < reference.heap_events
+
+    @pytest.mark.parametrize("crashes", [(), (crash_after_events(3, 120),)])
+    def test_drain_controller_sees_the_exact_member_backlog(
+        self, queries, monkeypatch, crashes
+    ):
+        """The backlog a tick hands its drain controller is the inbox's exact
+        member count, members inside settled segments included.  The
+        simulator tracks it incrementally (no inbox walk per tick), so every
+        inbox mutation — settle, drained pulls, a crash clearing the inbox,
+        redelivery at restart — has to keep the count in step."""
+        current = {}
+        seen = {"ticks": 0, "segments": 0}
+        original_tick = Simulator._tick
+        original_size = AdaptiveBatchController.next_batch_size
+
+        def tick(self, machine_id, time):
+            current["inbox"] = self._inboxes[machine_id]
+            original_tick(self, machine_id, time)
+
+        def next_batch_size(self, backlog):
+            entries = [entry for entry in current["inbox"] if entry.__class__ is not tuple]
+            members = len(current["inbox"]) - len(entries)
+            members += sum(entry.end - entry.index for entry in entries)
+            assert backlog == 1 + members
+            seen["ticks"] += 1
+            seen["segments"] += len(entries)
+            return original_size(self, backlog)
+
+        monkeypatch.setattr(Simulator, "_tick", tick)
+        monkeypatch.setattr(AdaptiveBatchController, "next_batch_size", next_batch_size)
+        query = queries["equi"]
+        result = _run(
+            AdaptiveJoinOperator, query, _arrival_order(query),
+            batching="adaptive", fault_schedule=crashes,
+        )
+        assert result.faults_injected == len(crashes)
+        assert seen["ticks"] > 50 and seen["segments"] > 0
 
     def test_delivery_merging_validation(self):
         with pytest.raises(ValueError, match="delivery_merging"):

@@ -16,22 +16,22 @@ class TestOutputsAndLatency:
     def test_latency_uses_newer_input(self):
         metrics = MetricsCollector()
         left, right = _pair(1.0, 5.0)
-        metrics.record_output(left, right, output_time=7.0, machine_id=0)
+        metrics.record_output(left, right, output_time=7.0)
         assert metrics.output_count == 1
-        assert metrics.latencies[0].latency == pytest.approx(2.0)
+        assert list(metrics.latency_ledger) == [pytest.approx(2.0)]
 
     def test_latency_never_negative(self):
         metrics = MetricsCollector()
         left, right = _pair(10.0, 10.0)
-        metrics.record_output(left, right, output_time=9.0, machine_id=0)
-        assert metrics.latencies[0].latency == 0.0
+        metrics.record_output(left, right, output_time=9.0)
+        assert list(metrics.latency_ledger) == [0.0]
 
     def test_outputs_collected_only_when_requested(self):
         silent = MetricsCollector(collect_outputs=False)
         verbose = MetricsCollector(collect_outputs=True)
         left, right = _pair(0.0, 0.0)
-        silent.record_output(left, right, 1.0, 0)
-        verbose.record_output(left, right, 1.0, 0)
+        silent.record_output(left, right, 1.0)
+        verbose.record_output(left, right, 1.0)
         assert silent.outputs == []
         assert verbose.outputs == [(left.tuple_id, right.tuple_id)]
 
