@@ -374,8 +374,10 @@ class GridJoinOperator:
             faults_injected = recovery.faults_injected
             recovery_time = recovery.recovery_time
             tuples_replayed = recovery.tuples_replayed
-            checkpoint_overhead = float(recovery.store.bytes_written)
+            # close() flushes the still-buffered blocks first, so the byte
+            # count covers every journaled entry.
             recovery.store.close()
+            checkpoint_overhead = float(recovery.store.bytes_written)
         wire = getattr(simulator, "_wire", None)
         return RunResult(
             operator=self.operator_name,

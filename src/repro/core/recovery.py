@@ -5,9 +5,22 @@ The fault-tolerant plane has three moving parts:
 * **Journals** — thin per-task wrappers (:class:`JoinerJournal`,
   :class:`ReshufflerJournal`) that tasks call at every state mutation.  Each
   entry is one replayable delta in the run's
-  :class:`~repro.storage.checkpoint_store.CheckpointStore`; at epoch-aligned
-  safe points (joiners: NORMAL phase; reshufflers: between tuples) a full
-  snapshot truncates the delta log.
+  :class:`~repro.storage.checkpoint_store.CheckpointStore`, which buffers the
+  entry objects and writes them as pickled *blocks* (entries are never
+  mutated after they are logged, so pickling late is safe).  At epoch-aligned
+  safe points (joiners: NORMAL phase; reshufflers: between tuples) a snapshot
+  row is written.  Reshuffler snapshots (a few hundred bytes) are always
+  full.  A joiner's is an *extending* header — "previous snapshot ⊕ the
+  deltas since it", a few dozen bytes — whenever every delta since its
+  previous snapshot was a plain NORMAL-phase ``store.insert``; the store is
+  re-pickled in full only at the first safe point after the epoch protocol
+  rewrote it (a migration), which the paper's doubling argument (§4.2) makes
+  amortised-linear in the input.  The store keeps the newest two snapshot
+  rows with the full snapshots they extend and every block back to the older
+  base: one corrupt snapshot row is masked by the previous one (longer
+  replay), a torn tail block is truncated, and a corrupt block inside the
+  chain is never masked — it raises
+  :class:`~repro.storage.checkpoint_store.CheckpointCorruptionError`.
 * **Crash handling** — the simulator calls :meth:`RecoveryManager.on_crash`
   when a scheduled fault fires: the delta buffers are force-flushed (the
   on-disk journal is complete before recovery reads it) and the machine's
@@ -57,17 +70,31 @@ from __future__ import annotations
 from repro.core.epochs import EpochJoinerState, JoinerPhase
 from repro.core.mapping import Mapping
 from repro.core.migration import assignments_for
+from repro.storage.checkpoint_store import ExtendedSnapshot
 
 
 class JoinerJournal:
-    """Delta journal + snapshot policy for one joiner task."""
+    """Delta journal + snapshot policy for one joiner task.
+
+    The journal object outlives a restore (:meth:`RecoveryManager.on_restart`
+    replaces ``task.state``, not the task), so the bookkeeping below keeps
+    describing the durable log across a crash.
+    """
 
     def __init__(self, manager: "RecoveryManager", task_name: str) -> None:
         self.manager = manager
         self.task_name = task_name
+        #: Deltas logged since the previous snapshot (what ``store.log``
+        #: returned last), kept here so the per-handler snapshot check takes
+        #: no store lock.
+        self._since_snapshot = 0
+        #: True while every one of them was a ``"data"`` entry.
+        self._inserts_only = True
 
     def log(self, entry: tuple) -> None:
-        self.manager.store.log(self.task_name, entry)
+        self._since_snapshot = self.manager.store.log(self.task_name, entry)
+        if entry[0] != "data":
+            self._inserts_only = False
 
     def maybe_snapshot(self, task) -> None:
         """Snapshot at an epoch-aligned safe point once enough deltas piled up.
@@ -76,31 +103,39 @@ class JoinerJournal:
         tag partitions, the signal set, the plan) is transient and fully
         reproducible from the preceding NORMAL snapshot plus the signal/data
         deltas, so snapshots simply wait for the migration to finalize.
+
+        The snapshot *extends* the previous one when the deltas since it
+        alone reproduce the store: all of them ``"data"``, the joiner NORMAL
+        now (so it was NORMAL throughout — leaving and re-entering the phase
+        logs a signal and a finalize) and nothing buffered as an early
+        message (a NORMAL-phase data tuple is either buffered there or
+        inserted).  Anything else — a signal, µ tuple, end marker or finalize
+        since the previous snapshot — means the epoch protocol may have
+        rewritten the store, and the snapshot is a full one.
         """
         interval = self.manager.checkpoint_interval
-        if interval is None:
-            return
-        store = self.manager.store
-        if store.delta_count(self.task_name) < interval:
+        if interval is None or self._since_snapshot < interval:
             return
         state = task.state
         if state.phase is not JoinerPhase.NORMAL:
             return
-        left = state.left_relation
-        right = state.store.opposite(left)
-        store.snapshot(
-            self.task_name,
-            {
-                "epoch": state.current_epoch,
-                "relations": {
-                    left: list(state.store.stored(left)),
-                    right: list(state.store.stored(right)),
-                },
-                "ends": set(state._received_ends),
-                "early": list(state._early_messages),
-                "ends_sent_for": task._ends_sent_for,
-            },
-        )
+        snapshot = {
+            "epoch": state.current_epoch,
+            "ends": set(state._received_ends),
+            "early": list(state._early_messages),
+            "ends_sent_for": task._ends_sent_for,
+        }
+        extends = self._inserts_only and not state._early_messages
+        if not extends:
+            left = state.left_relation
+            right = state.store.opposite(left)
+            snapshot["relations"] = {
+                left: list(state.store.stored(left)),
+                right: list(state.store.stored(right)),
+            }
+        self.manager.store.snapshot(self.task_name, snapshot, extends=extends)
+        self._since_snapshot = 0
+        self._inserts_only = True
 
 
 class ReshufflerJournal:
@@ -267,7 +302,15 @@ class RecoveryManager:
         return restore_cost, replayed
 
     def _restore_joiner(self, task) -> tuple[int, int]:
-        """Snapshot + delta replay through the real protocol handlers."""
+        """Snapshot + delta replay through the real protocol handlers.
+
+        An extending snapshot chain is re-materialised without the handlers:
+        the deltas it folds are plain inserts (see
+        :meth:`JoinerJournal.maybe_snapshot`), so base and folded tuples are
+        bulk-loaded together, in the per-relation order the live store held
+        them, and counted as snapshot tuples — exactly what restoring a full
+        snapshot taken at the same point would have loaded.
+        """
         snapshot, deltas = self.store.load(task.name)
         old_state = task.state
         state = EpochJoinerState(
@@ -279,10 +322,19 @@ class RecoveryManager:
         snapshot_tuples = 0
         task._ends_sent_for = None
         if snapshot is not None:
-            state.current_epoch = snapshot["epoch"]
-            for relation, items in snapshot["relations"].items():
+            folded = ()
+            if isinstance(snapshot, ExtendedSnapshot):
+                base, snapshot, folded = snapshot
+                relations = {} if base is None else base["relations"]
+            else:
+                relations = snapshot["relations"]
+            stored = {relation: list(items) for relation, items in relations.items()}
+            for _kind, item in folded:
+                stored.setdefault(item.relation, []).append(item)
+            for relation, items in stored.items():
                 state.store.bulk_insert(relation, items)
                 snapshot_tuples += len(items)
+            state.current_epoch = snapshot["epoch"]
             state._received_ends = set(snapshot["ends"])
             state._early_messages = list(snapshot["early"])
             task._ends_sent_for = snapshot["ends_sent_for"]

@@ -13,13 +13,18 @@ This package provides the equivalent:
   behind the fault-tolerant join plane (see ``repro.core.recovery``).
 """
 
-from repro.storage.checkpoint_store import CheckpointCorruptionError, CheckpointStore
+from repro.storage.checkpoint_store import (
+    CheckpointCorruptionError,
+    CheckpointStore,
+    ExtendedSnapshot,
+)
 from repro.storage.memory_store import MemoryStore
 from repro.storage.spill_store import SpillStore
 
 __all__ = [
     "CheckpointCorruptionError",
     "CheckpointStore",
+    "ExtendedSnapshot",
     "MemoryStore",
     "SpillStore",
 ]

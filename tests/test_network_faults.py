@@ -557,11 +557,15 @@ def _corrupt(path, table, task, seq):
 
 
 class TestCheckpointIntegrity:
+    # The journal's rows are blocks — one per flushed buffer, keyed by the seq
+    # of its first entry — so these two flush after every entry to get one
+    # single-entry block per seq.
+
     def test_torn_delta_tail_is_truncated(self):
         store = CheckpointStore()
         for value in (1, 2, 3):
             store.log("j0", ("data", value))
-        store.flush()
+            store.flush()
         _corrupt(store.path, "deltas", "j0", seq=2)
         snapshot, deltas = store.load("j0")
         assert snapshot is None
@@ -572,7 +576,7 @@ class TestCheckpointIntegrity:
         store = CheckpointStore()
         for value in (1, 2, 3):
             store.log("j0", ("data", value))
-        store.flush()
+            store.flush()
         _corrupt(store.path, "deltas", "j0", seq=1)
         with pytest.raises(CheckpointCorruptionError, match="not a torn tail"):
             store.load("j0")
