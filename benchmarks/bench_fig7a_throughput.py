@@ -1,18 +1,11 @@
 """Fig. 7a — average operator throughput for every query and operator."""
 
-import random
 import time
 
-import pytest
 from conftest import run_report
 
-from repro.api import JoinSession, RunConfig
 from repro.bench.experiments import fig7a_throughput
 from repro.bench.harness import ExperimentConfig, build_query, run_single
-from repro.data.queries import JoinQuery
-from repro.engine.columns import HAS_NUMPY
-from repro.engine.stream import interleave_streams, make_tuples
-from repro.joins.predicates import EquiPredicate
 from repro.testing import assert_run_equivalent
 
 
@@ -180,95 +173,6 @@ def test_fig7a_delivery_merging_heap_events():
     # owns that axis) — a drop would mean lost work.
     assert merged.events_processed == unmerged.events_processed
     assert merged.wire_histogram, "merged run must report per-link run lengths"
-
-
-SEED_DENSE = 5
-
-
-def _dense_equi_wall(probe_engine, repetitions=3, tuples=3000, keys=12):
-    """Best-of-N wall-clock of a match-dense equi join on the adaptive plane.
-
-    The fig7a suite is output-sparse (wall-clock is dominated by routing,
-    migration protocol and simulator bookkeeping), so it cannot separate
-    probe *engines* — that is why the vectorized gate above measures plane
-    vs plane.  This workload is the opposite regime: ``tuples`` x ``tuples``
-    records over ``keys`` distinct keys means every probe walks a huge bucket
-    and emits hundreds of matches, putting candidate handling and match
-    emission — the axes the columnar engine vectorises — in charge of the
-    wall.  StaticMid keeps the run migration-free so the measured ratio is
-    the engine's, not the protocol's.
-    """
-    best = None
-    result = None
-    for _ in range(repetitions):
-        # Rebuild records and arrival order per run (identical draws from the
-        # fixed seeds) so no engine ever sees tuples another run touched.
-        rng = random.Random(11)
-        left = [{"k": rng.randrange(keys), "v": i} for i in range(tuples)]
-        right = [{"k": rng.randrange(keys), "v": i} for i in range(tuples)]
-        query = JoinQuery(
-            name="DENSE_EQ",
-            left_relation="R",
-            right_relation="S",
-            left_records=left,
-            right_records=right,
-            predicate=EquiPredicate("k", "k"),
-            description="match-dense equi join (dense buckets, huge output)",
-        )
-        order_rng = random.Random(SEED_DENSE)
-        order = interleave_streams(
-            make_tuples("R", left, order_rng, query.left_tuple_size),
-            make_tuples("S", right, order_rng, query.right_tuple_size),
-            order_rng,
-        )
-        session = JoinSession(
-            query,
-            operator="StaticMid",
-            config=RunConfig(
-                machines=16, seed=SEED_DENSE, batching="adaptive",
-                probe_engine=probe_engine,
-            ),
-        )
-        start = time.perf_counter()
-        result = session.run(arrival_order=order)
-        wall = time.perf_counter() - start
-        best = wall if best is None else min(best, wall)
-    return best, result
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="the columnar engine requires NumPy")
-def test_default_engine_keeps_up_with_columnar_on_dense_equi():
-    """On the match-dense equi workload the *default* probe engine is within
-    1.25x of the columnar engine's wall, same run, end to end on the adaptive
-    plane — both remaining the same bit-identical simulation (the full
-    observable pin, event plumbing included, runs per cell in
-    tests/test_adaptive_conformance.py; here the deterministic counters
-    guard the measurement itself).
-
-    History of this cell: with one retained sample object per join result
-    the stdlib engine needed 1.37 s against columnar's 0.34 s and this gate
-    read "columnar >= 3x faster".  Since match groups feed the run-length
-    latency ledger (no per-result object on any engine) the same cell reads
-    default 0.21 s vs columnar 0.30 s: emission was what the columnar engine
-    vectorised, and the default engine no longer pays it.  The gate therefore
-    guards ROADMAP item 2 — the default plane is the fastest plane — instead
-    of a columnar advantage that no longer exists here.
-    """
-    default_engine = RunConfig().probe_engine
-    _dense_equi_wall("columnar", repetitions=1)  # warm caches/imports
-    default_wall, default_result = _dense_equi_wall(default_engine)
-    columnar_wall, columnar_result = _dense_equi_wall("columnar")
-    # Same simulation: deterministic counters must agree exactly.
-    assert columnar_result.output_count == default_result.output_count
-    assert columnar_result.probe_work == default_result.probe_work
-    assert columnar_result.execution_time == default_result.execution_time
-    assert columnar_result.output_count > 500_000, (
-        "workload lost its match density; the gate would be measuring noise"
-    )
-    assert default_wall <= 1.25 * columnar_wall, (
-        f"the default engine ({default_engine}) fell behind columnar on the "
-        f"dense workload: {default_wall:.3f}s vs {columnar_wall:.3f}s"
-    )
 
 
 def test_fig7a_adaptive_reproduces_reference_figure():

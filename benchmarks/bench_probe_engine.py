@@ -1,18 +1,12 @@
 """Probe-engine micro-benchmarks: local join probe throughput by flavour.
 
 Measures :meth:`LocalJoiner.probe_batch` throughput (tuples probed+inserted
-per second) for the equi, band and composite-equi flavours, comparing the
-``vectorized`` engine against the ``scalar`` per-member reference path (the
-pre-vectorization probe semantics), plus — when NumPy is available — the
-``columnar`` engine.  The numbers feed the CI perf breadcrumb so probe-work
-trends are visible across PRs.
-
-A caveat on reading the columnar rows: this harness measures the *probe call
-alone* and discards the matches, which is exactly the slice where the
-columnar engine pays its array overhead without collecting its payoff (the
-cumsum cost commit).  Its rows are here for trend visibility and cross-engine
-agreement; the end-to-end comparison of the engines is the dense-equi run in
-``bench_fig7a_throughput.py::test_default_engine_keeps_up_with_columnar_on_dense_equi``.
+per second) for the equi, band (int keys: the window is the match set),
+float band (every window validated pair by pair) and composite-equi
+flavours, comparing the ``vectorized`` engine against the ``scalar``
+per-member reference path (the pre-vectorization probe semantics).  The
+numbers feed the CI perf breadcrumb so probe-work trends are visible across
+PRs.
 
 Run standalone for the table:
 
@@ -30,7 +24,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:  # pragma: no cover - direct-invocation convenience
     sys.path.insert(0, str(SRC))
 
-from repro.engine.columns import HAS_NUMPY  # noqa: E402
 from repro.engine.stream import StreamTuple  # noqa: E402
 from repro.joins.local import make_local_joiner  # noqa: E402
 from repro.joins.predicates import (  # noqa: E402
@@ -39,20 +32,21 @@ from repro.joins.predicates import (  # noqa: E402
     EquiPredicate,
 )
 
-FLAVOURS = ("equi", "band", "band_exact", "composite")
+FLAVOURS = ("equi", "band", "band_float", "composite")
 
 
 def _predicate(flavour):
     if flavour == "equi":
         return EquiPredicate("k", "k")
     if flavour == "band":
+        # Integer keys and width: the ordered-index window [key-width,
+        # key+width] exactly decides the condition, so the vectorized engine
+        # skips per-candidate re-validation.
         return BandPredicate("v", "v", width=40)
-    if flavour == "band_exact":
-        # The workload's band keys are integers, so the predicate may
-        # truthfully advertise range completeness: the ordered-index window
-        # [key-width, key+width] exactly decides the condition and the
-        # vectorized engine skips per-candidate re-validation.
-        return BandPredicate("v", "v", width=40, range_complete=True)
+    if flavour == "band_float":
+        # The same keys shifted by one half: same matches, every window
+        # validated pair by pair.
+        return BandPredicate("f", "f", width=40)
     return CompositePredicate(
         EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
     )
@@ -61,11 +55,11 @@ def _predicate(flavour):
 def _workload(stored, probes, keys, seed):
     rng = random.Random(seed)
     stored_items = [
-        StreamTuple(relation="S", record={"k": rng.randrange(keys), "v": i})
+        StreamTuple(relation="S", record={"k": rng.randrange(keys), "v": i, "f": i + 0.5})
         for i in range(stored)
     ]
     probe_items = [
-        StreamTuple(relation="R", record={"k": rng.randrange(keys), "v": i})
+        StreamTuple(relation="R", record={"k": rng.randrange(keys), "v": i, "f": i + 0.5})
         for i in range(probes)
     ]
     return stored_items, probe_items
@@ -124,16 +118,6 @@ def probe_microbench(
             "probe_work": work,
             "matches": matches,
         }
-        if HAS_NUMPY:
-            columnar_wall, columnar_totals = _measure(
-                "columnar", flavour, stored_items, probe_items, batch, repetitions
-            )
-            assert scalar_totals == columnar_totals, (
-                f"{flavour}: columnar disagrees with the scalar oracle: "
-                f"{scalar_totals} vs {columnar_totals}"
-            )
-            row["columnar_tuples_per_sec"] = round(probes / columnar_wall)
-            row["columnar_speedup"] = round(scalar_wall / columnar_wall, 2)
         rows.append(row)
     return rows
 
@@ -150,23 +134,16 @@ def test_probe_engine_microbench():
     assert by_flavour["equi"]["speedup"] >= 1.5, by_flavour["equi"]
     # Composite residuals still run, but only the residuals.
     assert by_flavour["composite"]["speedup"] >= 1.0, by_flavour["composite"]
-    # Default band probes validate every candidate (float band edges are not
-    # exact-key decidable); the batch path must at least not regress.
-    assert by_flavour["band"]["speedup"] >= 0.7, by_flavour["band"]
-    # A range-complete band predicate (integer keys, integer width) skips
-    # per-candidate re-validation like the equi fast path — the window IS the
-    # match set, so the win scales with candidate counts.
-    assert by_flavour["band_exact"]["speedup"] >= 1.5, by_flavour["band_exact"]
-    # Fast path or not, the matches and charged work must be identical.
-    assert by_flavour["band_exact"]["matches"] == by_flavour["band"]["matches"]
-    assert by_flavour["band_exact"]["probe_work"] == by_flavour["band"]["probe_work"]
-    # Columnar rows (when NumPy is present) are correctness-pinned inside
-    # probe_microbench (work/match totals vs the scalar oracle); no speedup
-    # floor here — probe-call-only timing structurally undersells the engine
-    # (see the module docstring); the end-to-end engine comparison lives in
-    # bench_fig7a_throughput.py::test_default_engine_keeps_up_with_columnar_on_dense_equi.
-    if HAS_NUMPY:
-        assert all("columnar_speedup" in row for row in rows)
+    # An integer band (integer keys, integer width) skips per-candidate
+    # re-validation like the equi fast path — the window IS the match set,
+    # so the win scales with candidate counts.
+    assert by_flavour["band"]["speedup"] >= 1.5, by_flavour["band"]
+    # Float keys validate every candidate; the batch path must at least not
+    # regress.
+    assert by_flavour["band_float"]["speedup"] >= 0.7, by_flavour["band_float"]
+    # Exact window or not, the matches and charged work must be identical.
+    assert by_flavour["band_float"]["matches"] == by_flavour["band"]["matches"]
+    assert by_flavour["band_float"]["probe_work"] == by_flavour["band"]["probe_work"]
 
 
 if __name__ == "__main__":

@@ -37,13 +37,12 @@ def main() -> None:
     #
     #    probe_engine picks how joiners evaluate the predicate — also purely
     #    a wall-clock choice, never a results choice:
-    #      * "vectorized" (default): batch-aware pure-stdlib kernels.
-    #      * "scalar": the per-member reference loop; the differential oracle
-    #        the other engines are pinned against. Slowest, zero surprises.
-    #      * "columnar": set-at-a-time NumPy kernels (needs the `columnar`
-    #        extra: pip install repro[columnar]). No faster than the default
-    #        since no engine pays a Python object per join result any more
-    #        (ARCHITECTURE.md, "Output path").
+    #      * "vectorized" (default): batch-aware pure-stdlib kernels that take
+    #        the index's word where it is exact — a hash bucket is the equi
+    #        match set, and so is a band window over integer keys.
+    #      * "scalar": the per-member reference loop that validates every
+    #        candidate pair; the differential oracle the default engine is
+    #        pinned against. Slowest, zero surprises.
     config = RunConfig(machines=16, seed=7, batching="adaptive")
     session = JoinSession(query, config=config)
 

@@ -31,7 +31,6 @@ import repro.engine.batching  # noqa: F401  (populates the batch-controller regi
 import repro.engine.executor  # noqa: F401  (populates the executor registry)
 import repro.joins.local  # noqa: F401  (populates the probe-engine registry)
 from repro.api.registry import LAYOUTS, batch_controllers, executors, probe_engines
-from repro.engine.columns import HAS_NUMPY, NUMPY_HINT
 from repro.engine.faults import (
     FaultSpec,
     normalize_fault_schedule,
@@ -292,12 +291,6 @@ class RunConfig:
             raise ValueError(
                 f"unknown probe engine {self.probe_engine!r}; registered choices: "
                 f"{', '.join(probe_engines.names())}"
-            )
-        engine_spec = probe_engines.get(self.probe_engine)
-        if getattr(engine_spec, "requires", None) == "numpy" and not HAS_NUMPY:
-            raise ValueError(
-                f"probe engine {self.probe_engine!r} unavailable: {NUMPY_HINT}; "
-                f"registered choices: {', '.join(probe_engines.names())}"
             )
         if self.batching not in batch_controllers:
             raise ValueError(

@@ -56,9 +56,8 @@ class TupleActions:
 
     Attributes:
         matches: the tuple's join results as one
-            :class:`~repro.engine.metrics.MatchGroup` (a columnar
-            ``MatchBlock`` on the columnar engine's batch path); the empty
-            tuple when it matched nothing.  ``len()`` is the result count,
+            :class:`~repro.engine.metrics.MatchGroup`; the empty tuple when it
+            matched nothing.  ``len()`` is the result count,
             iteration yields oriented ``(left_tuple, right_tuple)`` pairs.
         probe_work: number of index candidates inspected (for CPU accounting).
         stored: whether the incoming tuple was added to local state.
@@ -144,7 +143,8 @@ class EpochJoinerState:
 
         ``partners`` must be a list the caller owns (probes return fresh
         lists): the group keeps it, and a second protocol probe of the same
-        tuple extends it in place.
+        tuple extends it in place.  Such a group gathers partners across
+        partitions, so it carries no arrival bound.
         """
         group = actions.matches
         if group:
@@ -155,11 +155,18 @@ class EpochJoinerState:
             )
 
     def _join_store(self, item: StreamTuple, actions: TupleActions) -> None:
-        """Normal-operation probe: everything stored is τ, probe it all."""
+        """Normal-operation probe: everything stored is τ, probe it all.
+
+        The tuple's only probe, so its group is fresh and carries the
+        probed store's arrival bound.
+        """
         partners, work = self.store.probe(item)
         actions.probe_work += work
         if partners:
-            self._add_matches(item, actions, partners)
+            is_left = item.relation == self.left_relation
+            actions.matches = MatchGroup(
+                item, is_left, partners, self.store.arrival_bound(is_left)
+            )
 
     def _join_parts(
         self, item: StreamTuple, actions: TupleActions, select: tuple[str, ...]
@@ -256,19 +263,19 @@ class EpochJoinerState:
             current = self.current_epoch
             if all(item.epoch == current for item in items):
                 left_relation = self.left_relation
+                store = self.store
                 results = []
-                for item, (matches, work) in zip(items, self.store.probe_batch(items)):
+                for item, (matches, work) in zip(items, store.probe_batch(items)):
                     actions = TupleActions(probe_work=work, stored=True)
                     if matches:
-                        if matches.__class__ is list:
-                            # The engine's own fresh partner list: the group
-                            # takes it over as is.
-                            matches = MatchGroup(
-                                item, item.relation == left_relation, matches
-                            )
-                        # else a columnar MatchBlock, which already carries
-                        # the probing item and its orientation.
-                        actions.matches = matches
+                        # The engine's own fresh partner list: the group
+                        # takes it over as is.  The store's arrival bound is
+                        # read after the whole batch was stored; bounds only
+                        # grow, so it still bounds this member's partners.
+                        is_left = item.relation == left_relation
+                        actions.matches = MatchGroup(
+                            item, is_left, matches, store.arrival_bound(is_left)
+                        )
                     results.append(actions)
                 return results
         else:

@@ -17,7 +17,6 @@ from repro.core.decision import MigrationController
 from repro.core.epochs import EpochJoinerState, JoinerPhase, TupleActions
 from repro.core.mapping import GridPlacement, Mapping
 from repro.core.migration import MigrationPlan, plan_migration
-from repro.engine.columns import np
 from repro.engine.network import TrafficCategory
 from repro.engine.stream import StreamTuple, TupleBatch
 from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
@@ -611,9 +610,7 @@ class JoinerTask(Task):
         )
         self.migration_rate_factor = migration_rate_factor
         self.batch_size = max(1, batch_size)
-        engine_spec = probe_engines.get(probe_engine)
-        self.batch_aware = engine_spec.batch_aware
-        self.bulk_commit = engine_spec.bulk_commit
+        self.batch_aware = probe_engines.get(probe_engine).batch_aware
         self._ends_sent_for: int | None = None
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).
@@ -765,13 +762,6 @@ class JoinerTask(Task):
         # With an unbounded memory budget the storage factor is identically
         # 1.0 and never flags a spill, so the per-member call is hoisted.
         unbounded = cost_model.memory_capacity is None
-        if (
-            self.bulk_commit
-            and unbounded
-            and all(actions.stored for actions in actions_list)
-        ):
-            self._bulk_commit_drained(items, actions_list, ctx, machine)
-            return len(items)
         storage_factor = machine.storage_factor
         record_outputs = ctx.metrics.record_outputs
         boundaries = ctx.drain_boundaries
@@ -818,68 +808,6 @@ class JoinerTask(Task):
         if probe_total:
             ctx.metrics.record_probe_work(probe_total)
         return len(items)
-
-    def _bulk_commit_drained(self, items, actions_list, ctx: Context, machine) -> None:
-        """Vectorised cost/busy commit of one all-stored drained run.
-
-        Replaces the per-member Python accumulation of :meth:`handle_drained`
-        with ``np.cumsum`` chains.  Bit-identical by construction: every
-        scalar ``+=`` chain (member completion times, busy time, stored
-        sizes) is a strict left fold, which is exactly what
-        ``np.cumsum``/``np.add.accumulate`` computes over the same float64
-        values, and the per-member cost is assembled with the same additions
-        in the same order (``(receive + store) + work·probe + matches·match``
-        — the storage factor is identically 1.0 here, the caller checked the
-        memory budget is unbounded).
-        """
-        if any(actions.migrate_to for actions in actions_list):  # pragma: no cover
-            raise RuntimeError(
-                f"joiner {self.name} drained a relocating tuple; "
-                "drain_key must keep migrating paths per-tuple"
-            )
-        n = len(items)
-        cost_model = machine.cost_model
-        base = cost_model.receive_cost + cost_model.store_cost
-        works = np.fromiter(
-            (actions.probe_work for actions in actions_list), np.float64, n
-        )
-        costs = works * cost_model.probe_cost
-        costs += base
-        costs += (
-            np.fromiter((len(actions.matches) for actions in actions_list), np.float64, n)
-            * cost_model.match_cost
-        )
-        chain = np.empty(n + 1, dtype=np.float64)
-        chain[1:] = costs
-        chain[0] = ctx.now
-        ends = np.cumsum(chain)[1:]
-        chain[0] = machine.busy_time
-        machine.busy_time = float(np.cumsum(chain)[-1])
-        sizes = np.fromiter((item.size for item in items), np.float64, n)
-        chain[1:] = sizes
-        chain[0] = machine.stored_size
-        stored_chain = np.cumsum(chain)
-        machine.stored_size = float(stored_chain[-1])
-        machine.peak_stored_size = max(
-            machine.peak_stored_size, float(stored_chain[1:].max())
-        )
-        chain[0] = machine.received_size
-        machine.received_size = float(np.cumsum(chain)[-1])
-        ends_list = ends.tolist()
-        record_outputs = ctx.metrics.record_outputs
-        for actions, end in zip(actions_list, ends_list):
-            matches = actions.matches
-            if matches:
-                record_outputs(matches, end)
-        boundaries = ctx.drain_boundaries
-        if boundaries is not None:
-            boundaries.extend(ends_list)
-        machine.busy_until = ends_list[-1]
-        ctx.now = ends_list[-1]
-        ctx.charged = 0.0
-        # Probe work units are integer-valued, so the (pairwise) array sum is
-        # exact; the floor of one unit per member keeps it nonzero.
-        ctx.metrics.record_probe_work(float(works.sum()))
 
     def _handle_batch(self, message: Message, ctx: Context) -> None:
         """Process every member of a routed or migrated micro-batch.
@@ -1057,15 +985,6 @@ class JoinerTask(Task):
                 self._apply(actions, item, ctx, migrated=False, sink=sink)
             return
         cost_model = machine.cost_model
-        if (
-            self.bulk_commit
-            and cost_model.memory_capacity is None
-            and all(
-                actions.stored and not actions.migrate_to for actions in actions_list
-            )
-        ):
-            self._bulk_commit_batch(items, actions_list, ctx, machine)
-            return
         receive_cost = cost_model.receive_cost
         store_cost = cost_model.store_cost
         probe_cost = cost_model.probe_cost
@@ -1095,52 +1014,6 @@ class JoinerTask(Task):
                 self._send_migrations(actions.migrate_to, ctx, sink)
         if probe_total:
             ctx.metrics.record_probe_work(probe_total)
-
-    def _bulk_commit_batch(self, items, actions_list, ctx: Context, machine) -> None:
-        """Vectorised charge accumulation of one all-stored routed batch.
-
-        The :meth:`_apply_data_batch` member loop as ``np.cumsum`` chains,
-        bit-identical for the same reason as :meth:`_bulk_commit_drained`
-        (strict left folds over the same float64 values; storage factor
-        identically 1.0 — the caller checked the memory budget is unbounded
-        and that no member stores nothing or relocates).  Emission instants
-        are ``ctx.now + charged_i`` with ``charged_i`` walking the scalar
-        charge chain.
-        """
-        n = len(items)
-        cost_model = machine.cost_model
-        base = cost_model.receive_cost + cost_model.store_cost
-        works = np.fromiter(
-            (actions.probe_work for actions in actions_list), np.float64, n
-        )
-        costs = works * cost_model.probe_cost
-        costs += base
-        costs += (
-            np.fromiter((len(actions.matches) for actions in actions_list), np.float64, n)
-            * cost_model.match_cost
-        )
-        chain = np.empty(n + 1, dtype=np.float64)
-        chain[1:] = costs
-        chain[0] = ctx.charged
-        charged = np.cumsum(chain)[1:]
-        ctx.charged = float(charged[-1])
-        out_times = ctx.now + charged
-        sizes = np.fromiter((item.size for item in items), np.float64, n)
-        chain[1:] = sizes
-        chain[0] = machine.stored_size
-        stored_chain = np.cumsum(chain)
-        machine.stored_size = float(stored_chain[-1])
-        machine.peak_stored_size = max(
-            machine.peak_stored_size, float(stored_chain[1:].max())
-        )
-        chain[0] = machine.received_size
-        machine.received_size = float(np.cumsum(chain)[-1])
-        record_outputs = ctx.metrics.record_outputs
-        for actions, out_time in zip(actions_list, out_times.tolist()):
-            matches = actions.matches
-            if matches:
-                record_outputs(matches, out_time)
-        ctx.metrics.record_probe_work(float(works.sum()))
 
     def _apply(
         self,

@@ -1,7 +1,7 @@
 """The executor plane: strategy backends that run a registered topology.
 
 Every plane shipped before this module (batched, adaptive, wire-merged,
-columnar, fault-tolerant) executed on one single-threaded virtual-time
+fault-tolerant) executed on one single-threaded virtual-time
 :class:`~repro.engine.simulator.Simulator` — the system *modelled* a cluster
 but was not one.  The executor plane is the seam between those two worlds:
 

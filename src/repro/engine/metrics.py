@@ -9,9 +9,8 @@ The collector gathers everything the paper's evaluation reports:
 * the ILF competitive-ratio series of Fig. 8c.
 
 Output path: joiners hand results over as one :class:`MatchGroup` per probing
-tuple (the columnar engine as one :class:`~repro.engine.columns.MatchBlock`),
-and the collector turns each group into :class:`LatencyLedger` entries —
-float64 array slots, never a Python object per join result.
+tuple, and the collector turns each group into :class:`LatencyLedger`
+entries — float64 array slots, never a Python object per join result.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
 
-from repro.engine.columns import np
 from repro.engine.stream import StreamTuple
 
 _arrival_of = attrgetter("arrival_time")
@@ -37,19 +35,29 @@ class MatchGroup:
     bucket — because the threaded executor journals ``record_outputs`` calls
     and replays them at commit time, after later inserts.
 
+    ``bound`` is an upper bound on every partner's ``arrival_time``: the
+    probed store's ``newest_arrival`` (captured as a float, so a replayed
+    group keeps it) when all partners came from one probe of one store,
+    ``inf`` — no bound — for groups gathered across epoch partitions.
+
     ``len()`` / truthiness serve the per-result ``match_cost`` charge;
     iteration yields the oriented ``(left, right)`` pairs lazily, so only
     consumers that want pairs (``collect_outputs=True``, tests) pay for them.
     """
 
-    __slots__ = ("item", "item_is_left", "partners")
+    __slots__ = ("item", "item_is_left", "partners", "bound")
 
     def __init__(
-        self, item: StreamTuple, item_is_left: bool, partners: list[StreamTuple]
+        self,
+        item: StreamTuple,
+        item_is_left: bool,
+        partners: list[StreamTuple],
+        bound: float = math.inf,
     ) -> None:
         self.item = item
         self.item_is_left = item_is_left
         self.partners = partners
+        self.bound = bound
 
     def __len__(self) -> int:
         return len(self.partners)
@@ -159,21 +167,18 @@ class MetricsCollector:
         """Record one join result: a one-member :class:`MatchGroup`."""
         self.record_outputs(MatchGroup(left, True, [right]), output_time)
 
-    def record_outputs(self, matches, output_time: float) -> None:
+    def record_outputs(self, matches: MatchGroup, output_time: float) -> None:
         """Record the join results of one probing tuple, emitted at one instant.
 
-        ``matches`` is a :class:`MatchGroup`, or a columnar
-        :class:`~repro.engine.columns.MatchBlock` (dispatched on type, so call
-        sites stay oblivious to which engine produced the matches).  Each
-        result's latency is ``max(0, output_time - max(left.arrival_time,
-        right.arrival_time))``; when no partner arrived after the probing
-        tuple — one C-level ``max`` over the partner arrivals decides — that
-        is the same float64 for the whole group and is stored as one ledger
-        run, otherwise one float64 per result is appended.
+        Each result's latency is ``max(0, output_time - max(left.arrival_time,
+        right.arrival_time))``.  When no partner arrived after the probing
+        tuple that is the same float64 for the whole group, stored as one
+        ledger run; otherwise one float64 per result is appended.  The
+        group's ``bound`` settles the question without touching the partners
+        whenever it is no newer than the probing tuple (every group of a
+        saturated run); only the rest pay one C-level ``max`` over the
+        partner arrivals.
         """
-        if matches.__class__ is not MatchGroup:
-            self._record_block(matches, output_time)
-            return
         partners = matches.partners
         self.output_count += len(partners)
         if self.collect_outputs:
@@ -182,7 +187,7 @@ class MetricsCollector:
             )
         ledger = self.latency_ledger
         arrival = matches.item.arrival_time
-        if max(map(_arrival_of, partners)) <= arrival:
+        if matches.bound <= arrival or max(map(_arrival_of, partners)) <= arrival:
             ledger.run_values.append(max(0.0, output_time - arrival))
             ledger.run_counts.append(len(partners))
         else:
@@ -192,29 +197,6 @@ class MetricsCollector:
                     for newer in map(_arrival_of, partners)
                 ]
             )
-
-    def _record_block(self, block, output_time: float) -> None:
-        """Record a columnar :class:`MatchBlock`: same ledger, NumPy kernel.
-
-        The run test is one ``arrivals.max()``; the mixed-arrival path runs
-        ``max`` / subtract / clamp-at-0 elementwise over the block's arrival
-        column — each value the bit-identical float64 result of the per-pair
-        arithmetic — and copies the result buffer into the ledger.  The
-        block's arrays are never mutated (they may be zero-copy snapshots of
-        live index columns); every kernel output is a fresh array.
-        """
-        self.output_count += block.count
-        if self.collect_outputs:
-            self.outputs.extend(block.pairs())
-        ledger = self.latency_ledger
-        arrival = block.item.arrival_time
-        if block.arrivals.max() <= arrival:
-            ledger.run_values.append(max(0.0, output_time - arrival))
-            ledger.run_counts.append(block.count)
-        else:
-            latencies = output_time - np.maximum(block.arrivals, arrival)
-            np.maximum(latencies, 0.0, out=latencies)
-            ledger.values.frombytes(latencies.tobytes())
 
     def record_probe_work(self, amount: float) -> None:
         """Accumulate joiner probe work units (index candidates inspected,

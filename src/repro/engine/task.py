@@ -203,8 +203,8 @@ class Context:
     def emit_outputs(self, matches) -> None:
         """Record the join results of one handled tuple, emitted at one instant.
 
-        ``matches`` is the tuple's :class:`~repro.engine.metrics.MatchGroup`
-        (or columnar ``MatchBlock``): every result shares the output time
+        ``matches`` is the tuple's :class:`~repro.engine.metrics.MatchGroup`:
+        every result shares the output time
         ``now + charged`` — the per-result ``match_cost`` is charged *before*
         emission — so one collector call per probing tuple records them all.
         """

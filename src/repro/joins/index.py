@@ -20,18 +20,33 @@ batch of ranges against the ordered key list.  Probe results reference the
 stored candidate runs without copying hash buckets; callers must treat the
 returned lists as read-only snapshots that are valid until the next
 ``insert``/``remove``/``bulk_insert`` on the index.
+
+Two facts every index keeps up to date on insert, so callers can skip work
+the index already proves:
+
+* :attr:`JoinIndex.newest_arrival` — an upper bound on the ``arrival_time``
+  of every stored tuple.  A probe's partners are no newer than it, which
+  lets the metrics collector record a whole match group as one latency run
+  without scanning the partners (see ``MatchGroup.bound``).
+* :attr:`OrderedIndex.all_int_keys` — whether every key ever stored is an
+  ``int``.  Over int keys a band window ``[key - w, key + w]`` compares
+  exactly, so the window is the match set (see ``LocalJoiner._band_probe``).
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from collections import defaultdict
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.engine.stream import StreamTuple
 
 #: Shared empty probe result (read-only by convention, like live buckets).
 _NO_CANDIDATES: list[StreamTuple] = []
+
+_arrival_of = attrgetter("arrival_time")
 
 
 class JoinIndex:
@@ -45,6 +60,15 @@ class JoinIndex:
         self._key_func = key_func
         self._count = 0
         self._total_size = 0.0
+        #: Largest ``arrival_time`` any insert path ever stored.  ``remove``
+        #: never lowers it, so it always bounds every stored tuple's arrival.
+        self.newest_arrival = -math.inf
+
+    def _note_arrivals(self, items: list[StreamTuple]) -> None:
+        """Raise :attr:`newest_arrival` over a non-empty bulk of inserts."""
+        newest = max(map(_arrival_of, items))
+        if newest > self.newest_arrival:
+            self.newest_arrival = newest
 
     def __len__(self) -> int:
         return self._count
@@ -109,6 +133,8 @@ class HashIndex(JoinIndex):
         self._buckets[self._key_func(item)].append(item)
         self._count += 1
         self._total_size += item.size
+        if item.arrival_time > self.newest_arrival:
+            self.newest_arrival = item.arrival_time
 
     def remove(self, item: StreamTuple) -> bool:
         key = self._key_func(item)
@@ -160,6 +186,8 @@ class HashIndex(JoinIndex):
         self._buckets[key].append(item)
         self._count += 1
         self._total_size += item.size
+        if item.arrival_time > self.newest_arrival:
+            self.newest_arrival = item.arrival_time
 
     def probe_range(self, low: Any, high: Any) -> tuple[list[StreamTuple], int]:
         # A hash index cannot serve ranges efficiently; fall back to a scan.
@@ -190,14 +218,24 @@ class OrderedIndex(JoinIndex):
         super().__init__(key_func)
         self._keys: list[Any] = []
         self._values: list[StreamTuple] = []
+        #: Whether every key ever stored is exactly an ``int`` (``bool`` and
+        #: ``float`` clear it); once cleared it stays cleared.
+        self.all_int_keys = True
 
     def insert(self, item: StreamTuple) -> None:
-        key = self._key_func(item)
+        self.insert_keyed(self._key_func(item), item)
+
+    def insert_keyed(self, key: Any, item: StreamTuple) -> None:
+        """Insert ``item`` under an already-extracted ``key`` (batch hot path)."""
         position = bisect.bisect_right(self._keys, key)
         self._keys.insert(position, key)
         self._values.insert(position, item)
         self._count += 1
         self._total_size += item.size
+        if item.arrival_time > self.newest_arrival:
+            self.newest_arrival = item.arrival_time
+        if key.__class__ is not int:
+            self.all_int_keys = False
 
     def bulk_insert(self, items: Iterable[StreamTuple]) -> None:
         # One sorted merge instead of per-item O(n) list inserts.  Items
@@ -238,6 +276,10 @@ class OrderedIndex(JoinIndex):
             self._keys, self._values = merged_keys, merged_values
         self._count += len(incoming)
         self._total_size += sum(item.size for item in incoming)
+        self._note_arrivals(incoming)
+        self.all_int_keys = self.all_int_keys and all(
+            key.__class__ is int for key in new_keys
+        )
 
     def remove(self, item: StreamTuple) -> bool:
         key = self._key_func(item)
@@ -302,12 +344,17 @@ class ScanIndex(JoinIndex):
         self._items.append(item)
         self._count += 1
         self._total_size += item.size
+        if item.arrival_time > self.newest_arrival:
+            self.newest_arrival = item.arrival_time
 
     def bulk_insert(self, items: Iterable[StreamTuple]) -> None:
         incoming = list(items)
+        if not incoming:
+            return
         self._items.extend(incoming)
         self._count += len(incoming)
         self._total_size += sum(item.size for item in incoming)
+        self._note_arrivals(incoming)
 
     def remove(self, item: StreamTuple) -> bool:
         for index, existing in enumerate(self._items):
@@ -346,312 +393,3 @@ def make_index(kind: str, key_func: Callable[[StreamTuple], Any] | None) -> Join
             raise ValueError("band indexes require a key function")
         return OrderedIndex(key_func)
     return ScanIndex(key_func)
-
-
-# --------------------------------------------------------------------------
-# Columnar index variants (probe_engine="columnar").
-#
-# Each subclass keeps the parent's Python-object structures fully
-# authoritative — every inherited probe/count/remove/iterate path stays valid,
-# which is what the epoch protocol's keyed per-tuple probes run on — and
-# additionally maintains NumPy columns (arrival times, tuple ids, and for
-# ordered indexes an exact float64 mirror of the sorted key list) that the
-# set-at-a-time kernels in ``repro.joins.columnar`` slice instead of walking
-# candidate lists.
-#
-# Two maintenance disciplines, both chosen so the *insert* hot path pays
-# (almost) nothing:
-#
-# * hash buckets and scan stores are append-only, so their columns are built
-#   **lazily at probe time**: ``cols_for``/``cols`` extend the cached columns
-#   from the candidate list's unconverted tail in one bulk ``np.fromiter``.
-#   Only probed buckets ever pay for conversion, and the column buffers hand
-#   out stable zero-copy snapshots (appends never shift).
-# * the ordered (band) index keeps an **immutable mirror**: four parallel
-#   arrays replaced wholesale by ``sync()`` — one batched ``np.searchsorted``
-#   + ``np.insert`` merge of the keys inserted since the last sync.  Because
-#   the old arrays are never mutated, window slices handed out between syncs
-#   are stable zero-copy snapshots too.
-#
-# Mirrors are maintained *exactly or not at all*: the moment a key is not
-# exactly float64-representable (``float(key) != key``) the mirror is dropped
-# and the kernels fall back to the per-member bisect paths on the
-# authoritative Python lists — never to an approximate cut.
-# --------------------------------------------------------------------------
-
-from repro.engine.columns import HAS_NUMPY, Column, np  # noqa: E402
-
-if HAS_NUMPY:
-    _EMPTY_F64 = np.empty(0, dtype=np.float64)
-    _EMPTY_I64 = np.empty(0, dtype=np.int64)
-else:  # pragma: no cover - columnar indexes are unreachable without numpy
-    _EMPTY_F64 = None
-    _EMPTY_I64 = None
-
-
-class ColumnarHashIndex(HashIndex):
-    """Hash index with lazily-built per-bucket arrival/tuple-id columns.
-
-    Buckets stay plain append-only lists maintained by the parent (inserts
-    cost exactly what the vectorized engine pays).  The first exact-key probe
-    of a bucket converts it to a pair of parallel columns in one bulk pass;
-    later probes only convert the appended tail.  Column snapshots are
-    zero-copy and stable, so the equi fast path hands the whole candidate run
-    to the emission kernel without materialising per-pair tuples.
-    """
-
-    def __init__(self, key_func: Callable[[StreamTuple], Any]) -> None:
-        super().__init__(key_func)
-        self._cols: dict[Any, tuple[Column, Column]] = {}
-
-    def remove(self, item: StreamTuple) -> bool:
-        removed = super().remove(item)
-        if removed:
-            # Cold path: forget the bucket's columns; the next probe rebuilds
-            # them from the remaining members.  Snapshots handed out earlier
-            # keep referencing the old buffers.
-            self._cols.pop(self._key_func(item), None)
-        return removed
-
-    def cols_for(self, key: Any, bucket: list[StreamTuple]) -> tuple[Column, Column]:
-        """The (arrivals, tuple_ids) columns of ``key``'s bucket, synced.
-
-        ``bucket`` must be the index's own (non-empty) bucket for ``key``.
-        """
-        cols = self._cols.get(key)
-        if cols is None:
-            capacity = max(8, len(bucket))
-            cols = self._cols[key] = (
-                Column(np.float64, capacity),
-                Column(np.int64, capacity),
-            )
-        built = cols[0].n
-        missing = len(bucket) - built
-        if missing:
-            tail = bucket[built:] if built else bucket
-            cols[0].extend(
-                np.fromiter((member.arrival_time for member in tail), np.float64,
-                            count=missing)
-            )
-            cols[1].extend(
-                np.fromiter((member.tuple_id for member in tail), np.int64,
-                            count=missing)
-            )
-        return cols
-
-
-class ColumnarOrderedIndex(OrderedIndex):
-    """Ordered index with an immutable, exactly-synced float64 key mirror.
-
-    Four parallel arrays shadow the sorted ``_keys``/``_values`` lists as a
-    *multiset* (tie order may differ — band windows cut by key, so entries
-    with equal keys fall in or out of a window together): the float64 keys,
-    the member arrival times and tuple ids, and each member's position in the
-    append-only ``_log`` (recovering the :class:`StreamTuple` for residual
-    validation without a parallel object mirror).  ``sync()`` merges the
-    inserts since the last call with one batched searchsorted + ``np.insert``
-    per array and *replaces* the arrays, so previously handed-out window
-    slices stay stable zero-copy snapshots.
-
-    The mirror is exact or absent: a key that is not exactly float64-
-    representable permanently drops it (``columnar_ok`` False) until a bulk
-    rebuild proves the key list exact again.
-    """
-
-    def __init__(self, key_func: Callable[[StreamTuple], Any]) -> None:
-        super().__init__(key_func)
-        self._log: list[StreamTuple] = []
-        self._mkeys = _EMPTY_F64
-        self._marrivals = _EMPTY_F64
-        self._mids = _EMPTY_I64
-        self._mpositions = _EMPTY_I64
-        #: (float64 key, item, log position) per insert since the last sync.
-        self._delta: list[tuple[float, StreamTuple, int]] = []
-        self._rebuild_needed = False
-        self.columnar_ok = True
-        #: True while every stored key is a Python float — precondition for
-        #: validating band windows by vectorised key arithmetic (float keys
-        #: make the NumPy mask and the Python predicate the same float64 ops).
-        self.all_float_keys = True
-
-    def _disable(self) -> None:
-        self.columnar_ok = False
-        self._delta.clear()
-        self._log.clear()
-        self._mkeys = _EMPTY_F64
-        self._marrivals = _EMPTY_F64
-        self._mids = _EMPTY_I64
-        self._mpositions = _EMPTY_I64
-
-    def insert(self, item: StreamTuple) -> None:
-        # Parent insert inlined so the key is extracted once.
-        key = self._key_func(item)
-        position = bisect.bisect_right(self._keys, key)
-        self._keys.insert(position, key)
-        self._values.insert(position, item)
-        self._count += 1
-        self._total_size += item.size
-        if not self.columnar_ok:
-            return
-        if type(key) is float:
-            fkey = key
-        else:
-            self.all_float_keys = False
-            try:
-                fkey = float(key)
-            except (TypeError, ValueError):
-                self._disable()
-                return
-            if fkey != key:
-                self._disable()
-                return
-        self._delta.append((fkey, item, len(self._log)))
-        self._log.append(item)
-
-    def bulk_insert(self, items: Iterable[StreamTuple]) -> None:
-        super().bulk_insert(items)
-        self._rebuild_needed = True
-
-    def remove(self, item: StreamTuple) -> bool:
-        removed = super().remove(item)
-        if removed:
-            self._rebuild_needed = True
-        return removed
-
-    def sync(self) -> bool:
-        """Bring the mirror up to date; True when it is usable (exact)."""
-        if self._rebuild_needed:
-            return self._rebuild()
-        if not self.columnar_ok:
-            return False
-        delta = self._delta
-        if delta:
-            count = len(delta)
-            if count > 1:
-                delta.sort(key=_delta_key)
-            dkeys = np.fromiter((entry[0] for entry in delta), np.float64, count)
-            darrivals = np.fromiter(
-                (entry[1].arrival_time for entry in delta), np.float64, count
-            )
-            dids = np.fromiter((entry[1].tuple_id for entry in delta), np.int64, count)
-            dpositions = np.fromiter((entry[2] for entry in delta), np.int64, count)
-            slots = np.searchsorted(self._mkeys, dkeys, side="right")
-            self._mkeys = np.insert(self._mkeys, slots, dkeys)
-            self._marrivals = np.insert(self._marrivals, slots, darrivals)
-            self._mids = np.insert(self._mids, slots, dids)
-            self._mpositions = np.insert(self._mpositions, slots, dpositions)
-            delta.clear()
-        return True
-
-    def _rebuild(self) -> bool:
-        """Full mirror rebuild from the authoritative lists (bulk edits)."""
-        self._rebuild_needed = False
-        self._delta.clear()
-        keys = self._keys
-        try:
-            mkeys = np.array(keys, dtype=np.float64)
-        except (TypeError, ValueError):
-            self._disable()
-            return False
-        if mkeys.tolist() != keys:
-            self._disable()
-            return False
-        count = len(keys)
-        values = self._values
-        self.columnar_ok = True
-        self.all_float_keys = all(type(key) is float for key in keys)
-        self._mkeys = mkeys
-        self._marrivals = np.fromiter(
-            (value.arrival_time for value in values), np.float64, count
-        )
-        self._mids = np.fromiter((value.tuple_id for value in values), np.int64, count)
-        self._log = list(values)
-        self._mpositions = np.arange(count, dtype=np.int64)
-        return True
-
-    def window_cuts(self, lows: list, highs: list):
-        """Batched ``np.searchsorted`` range cuts over the synced mirror.
-
-        Returns ``(lo_indices, hi_indices)`` as Python int lists — identical
-        to per-member ``bisect_left``/``bisect_right`` against the mirrored
-        keys — or ``None`` when a bound is not exactly float64-representable,
-        in which case the caller bisects the authoritative lists per member.
-        """
-        try:
-            low_arr = np.array(lows, dtype=np.float64)
-            high_arr = np.array(highs, dtype=np.float64)
-        except (TypeError, ValueError):
-            return None
-        if low_arr.tolist() != lows or high_arr.tolist() != highs:
-            return None
-        mkeys = self._mkeys
-        return (
-            np.searchsorted(mkeys, low_arr, side="left").tolist(),
-            np.searchsorted(mkeys, high_arr, side="right").tolist(),
-        )
-
-
-def _delta_key(entry):
-    return entry[0]
-
-
-class ColumnarScanIndex(ScanIndex):
-    """Scan store with lazily-built arrival/tuple-id columns.
-
-    The storage list is one append-only candidate run, so the columns are a
-    prefix conversion of it: ``cols()`` extends them from the unconverted
-    tail and hands out stable zero-copy snapshots, exactly like a hash
-    bucket's columns.
-    """
-
-    def __init__(self, key_func: Callable[[StreamTuple], Any] | None = None) -> None:
-        super().__init__(key_func)
-        self._acol = Column(np.float64)
-        self._icol = Column(np.int64)
-
-    def remove(self, item: StreamTuple) -> bool:
-        removed = super().remove(item)
-        if removed:
-            # Cold path: restart the lazy prefix conversion from scratch.
-            self._acol = Column(np.float64, max(8, self._count))
-            self._icol = Column(np.int64, max(8, self._count))
-        return removed
-
-    def cols(self):
-        """The (arrivals, tuple_ids) snapshot views over the full store."""
-        items = self._items
-        acol = self._acol
-        built = acol.n
-        missing = len(items) - built
-        if missing:
-            tail = items[built:] if built else items
-            acol.extend(
-                np.fromiter((member.arrival_time for member in tail), np.float64,
-                            count=missing)
-            )
-            self._icol.extend(
-                np.fromiter((member.tuple_id for member in tail), np.int64,
-                            count=missing)
-            )
-        return acol.view(), self._icol.view()
-
-
-def make_columnar_index(
-    kind: str, key_func: Callable[[StreamTuple], Any] | None
-) -> JoinIndex:
-    """Build the columnar index matching a predicate ``kind``.
-
-    Requires NumPy (the caller — ``LocalJoiner``/``RunConfig`` — raises the
-    eager, choice-listing error before this is reached without it).
-    """
-    if not HAS_NUMPY:  # pragma: no cover - guarded upstream
-        raise RuntimeError("columnar indexes require NumPy")
-    if kind == "equi":
-        if key_func is None:
-            raise ValueError("equi indexes require a key function")
-        return ColumnarHashIndex(key_func)
-    if kind == "band":
-        if key_func is None:
-            raise ValueError("band indexes require a key function")
-        return ColumnarOrderedIndex(key_func)
-    return ColumnarScanIndex(key_func)

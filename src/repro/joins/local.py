@@ -19,13 +19,15 @@ probing the pre-batch index state in one grouped (hash) or sort-merge
 Probe engines are pluggable through the
 :data:`repro.api.registry.probe_engines` registry; two ship built in:
 
-* ``"vectorized"`` (default) — batch index passes, and the exact-key fast
-  path: candidates from an exact-key hash bucket already satisfy the primary
-  equality (the bucket key *is* the predicate), so only composite residuals
-  are re-validated per pair.  Band predicates advertising ``range_complete``
-  (integer-keyed / tolerance-safe bands — see
-  :class:`~repro.joins.predicates.BandPredicate`) get the range analogue:
-  ordered-window candidates skip the per-pair band re-validation.
+* ``"vectorized"`` (default) — batch index passes, and candidates the index
+  already decides: an exact-key hash bucket satisfies the primary equality
+  (the bucket key *is* the predicate), and a band window
+  ``[key - width, key + width]`` *is* the match set whenever both of its
+  edges compare exactly — an ``int`` probing key, an ``int`` width (or an
+  integral float one with ``|key| + |width| <= 2**53``) and an index whose
+  keys are all ``int`` (see :meth:`LocalJoiner._band_probe`).  Only
+  composite residuals are then validated per pair; every other band window
+  is validated pair by pair against the full predicate.
 * ``"scalar"`` — the per-member reference path that re-validates the full
   predicate on every candidate.  It defines the semantics ``probe_batch``
   must reproduce and serves as the differential-testing oracle and the
@@ -42,6 +44,7 @@ module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -51,7 +54,6 @@ from repro.api.registry import (
     register_predicate,
     register_probe_engine,
 )
-from repro.engine.columns import HAS_NUMPY, NUMPY_HINT
 from repro.engine.stream import StreamTuple
 from repro.joins.index import JoinIndex, make_index
 from repro.joins.predicates import (
@@ -60,6 +62,26 @@ from repro.joins.predicates import (
     JoinPredicate,
     ThetaPredicate,
 )
+
+#: Every integer of magnitude up to 2**53 is exactly a float64.
+_FLOAT_EXACT_INTS = 2**53
+
+
+def _exact_window_limit(width) -> float:
+    """Largest ``|key|`` of an ``int`` probing key whose band window is exact.
+
+    Python compares ints with floats exactly, so over an index of ``int``
+    keys the window ``[key - width, key + width]`` holds exactly the keys
+    with ``|k - key| <= width`` whenever both edges are computed without
+    rounding: always for an ``int`` width, and for an integral float width
+    while ``|key| + |width| <= 2**53``.  Any other width (fractional, not a
+    number, ``bool``) never gets an exact window: -1.
+    """
+    if width.__class__ is int:
+        return math.inf
+    if width.__class__ is float and width.is_integer():
+        return _FLOAT_EXACT_INTS - abs(int(width))
+    return -1
 
 
 @dataclass(frozen=True)
@@ -72,36 +94,18 @@ class ProbeEngine:
             batches through :meth:`EpochJoinerState.handle_data_batch` →
             :meth:`LocalJoiner.probe_batch` (False keeps per-member dispatch).
         exact_key_fast_path: whether candidates the index already decides —
-            exact-key hash buckets, and range windows of band predicates
-            advertising ``range_complete`` — may skip per-pair re-validation
-            of the primary predicate.
+            exact-key hash buckets, and exact integer band windows — skip
+            per-pair validation of the primary predicate.
         probe_batch: callable ``(joiner, items) -> [(matches, work), ...]``
             implementing the batch insert+probe pass; must reproduce the
             scalar reference semantics exactly (same matches, same charged
             work).
-        index_factory: optional ``(kind, key_func) -> JoinIndex`` override
-            used instead of :func:`repro.joins.index.make_index`; lets an
-            engine pair its kernels with matching index layouts (the columnar
-            engine's array-mirrored indexes).
-        requires: optional name of an extra this engine depends on (today
-            only ``"numpy"``).  The engine always *registers* — it appears in
-            the choice lists — but joiner/config construction raises an eager
-            error when the extra is missing.
-        bulk_commit: whether joiner tasks may replace the per-member Python
-            cost/busy accumulation of a batch with the vectorised
-            ``np.cumsum`` chain (``JoinerTask`` gates it further on the
-            conditions that make the chain provably bit-identical: unbounded
-            memory, every member stored, no relocations).  Only meaningful
-            with ``batch_aware`` and a NumPy-backed engine.
     """
 
     name: str
     batch_aware: bool
     exact_key_fast_path: bool
     probe_batch: Callable[["LocalJoiner", Sequence[StreamTuple]], list]
-    index_factory: Callable[[str, Callable | None], JoinIndex] | None = None
-    requires: str | None = None
-    bulk_commit: bool = False
 
 
 class LocalJoiner:
@@ -124,47 +128,37 @@ class LocalJoiner:
     ) -> None:
         # Registry lookup raises eagerly with the registered choices listed.
         self._engine_spec: ProbeEngine = probe_engines.get(engine)
-        if self._engine_spec.requires == "numpy" and not HAS_NUMPY:
-            raise ValueError(f"probe engine {engine!r} unavailable: {NUMPY_HINT}")
         self.predicate = predicate
         self.left_relation = left_relation
         self.right_relation = right_relation
         self.engine = engine
+        kind = predicate.kind
         self._indexes: dict[str, JoinIndex] = {
-            left_relation: self._build_index(side="left"),
-            right_relation: self._build_index(side="right"),
+            left_relation: make_index(kind, self._key_func(side="left")),
+            right_relation: make_index(kind, self._key_func(side="right")),
         }
         # The index objects are stable for the joiner's lifetime; direct
         # references serve the keyed probe fast paths.
         self._left_index = self._indexes[left_relation]
         self._right_index = self._indexes[right_relation]
-        kind = predicate.kind
         # Pre-resolved probe plumbing (avoids per-probe getattr chains).
         self._pred_left_key = predicate.left_key if kind in ("equi", "band") else None
         self._pred_right_key = predicate.right_key if kind in ("equi", "band") else None
         self._band_width = self._resolve_band_width() if kind == "band" else 0.0
-        self._exact_key = (
-            self._engine_spec.exact_key_fast_path and kind == "equi" and predicate.exact_key
-        )
-        # Band analogue of the exact-key fast path: the predicate asserts the
-        # range window exactly decides the primary condition (integer-keyed /
-        # tolerance-safe bands), so range candidates skip re-validation.  The
-        # scalar engine ignores the fast path — it stays the full-validation
-        # differential oracle.
-        self._range_complete = (
-            self._engine_spec.exact_key_fast_path
-            and kind == "band"
-            and predicate.range_complete
-        )
+        fast_path = self._engine_spec.exact_key_fast_path
+        self._exact_key = fast_path and kind == "equi" and predicate.exact_key
         # Per-candidate validation, resolved once: None means exact-key hash
-        # (or range-complete window) candidates need no validation at all;
-        # fast-path predicates with residuals validate only the residual
-        # part; everything else (and the scalar engine) runs the full
-        # predicate.
-        self._check = (
-            predicate.residual_check()
-            if self._exact_key or self._range_complete
-            else predicate.matches
+        # candidates need no validation at all; fast-path predicates with
+        # residuals validate only the residual part; everything else (and
+        # the scalar engine) runs the full predicate.
+        self._check = predicate.residual_check() if self._exact_key else predicate.matches
+        # The band analogue is decided per probe (see _band_probe): what an
+        # exact window still validates, and the largest |key| whose window
+        # is exact.  The scalar engine never takes it — it stays the
+        # full-validation differential oracle.
+        self._window_check = predicate.residual_check()
+        self._window_limit = (
+            _exact_window_limit(self._band_width) if fast_path and kind == "band" else -1
         )
 
     # ------------------------------------------------------------ index setup
@@ -181,12 +175,6 @@ class LocalJoiner:
         if side == "left":
             return lambda item: self.predicate.left_key(item.record)
         return lambda item: self.predicate.right_key(item.record)
-
-    def _build_index(self, side: str) -> JoinIndex:
-        factory = self._engine_spec.index_factory
-        if factory is not None:
-            return factory(self.predicate.kind, self._key_func(side))
-        return make_index(self.predicate.kind, self._key_func(side))
 
     def fresh(self) -> "LocalJoiner":
         """An empty joiner with the same predicate, relations and engine.
@@ -292,34 +280,12 @@ class LocalJoiner:
         """
         self._check_relation(item.relation)
         item_is_left = item.relation == self.left_relation
-        opposite_index = self._indexes[
-            self.right_relation if item_is_left else self.left_relation
-        ]
-        candidates, inspected = self._candidates(opposite_index, item, item_is_left)
-        if not candidates:
-            return [], inspected
-        check = self._check
-        if restrict is None:
-            if check is None:
-                # Exact-key fast path: the bucket is the match set.
-                return list(candidates), inspected
-            record = item.record
-            if item_is_left:
-                return [c for c in candidates if check(record, c.record)], inspected
-            return [c for c in candidates if check(c.record, record)], inspected
-        matches = []
         record = item.record
-        for candidate in candidates:
-            if not restrict(candidate):
-                continue
-            if check is not None:
-                if item_is_left:
-                    satisfied = check(record, candidate.record)
-                else:
-                    satisfied = check(candidate.record, record)
-                if not satisfied:
-                    continue
-            matches.append(candidate)
+        key_of = self._pred_left_key if item_is_left else self._pred_right_key
+        key = None if key_of is None else key_of(record)
+        matches, inspected = self._keyed_probe(item_is_left, key, record)
+        if restrict is not None and matches:
+            matches = [candidate for candidate in matches if restrict(candidate)]
         return matches, inspected
 
     # ------------------------------------------------------------ keyed probes
@@ -354,18 +320,60 @@ class LocalJoiner:
         if kind == "equi":
             candidates, inspected = opposite_index.probe(key)
         elif kind == "band":
-            width = self._band_width
-            candidates, inspected = opposite_index.probe_range(key - width, key + width)
+            return self._band_probe(opposite_index, key, record, item_is_left)
         else:
             candidates, inspected = opposite_index.probe(None)
         if not candidates:
             return [], inspected
         check = self._check
         if check is None:
+            # Exact-key fast path: the bucket is the match set (copied — a
+            # live bucket never leaves the index).
             return list(candidates), inspected
         if item_is_left:
             return [c for c in candidates if check(record, c.record)], inspected
         return [c for c in candidates if check(c.record, record)], inspected
+
+    #: The same function under a private name: :meth:`raw_probe` calls this
+    #: one, so a per-tuple probe stays a single call into the public probe
+    #: entry points rather than one nested in another.
+    _keyed_probe = keyed_raw_probe
+
+    def _band_probe(
+        self, opposite_index, key, record, item_is_left: bool
+    ) -> tuple[list[StreamTuple], int]:
+        """One band window probe: ``(matches, inspected)``.
+
+        The window slice is a fresh list.  When the window is exact — an
+        ``int`` probing key within ``_window_limit`` over an index whose keys
+        are all ``int`` (see :func:`_exact_window_limit`) — the slice *is*
+        the match set and only composite residuals run on it; any other
+        window is validated pair by pair against the full predicate.
+        """
+        width = self._band_width
+        candidates, inspected = opposite_index.probe_range(key - width, key + width)
+        if not candidates:
+            return candidates, inspected
+        if (
+            key.__class__ is int
+            and opposite_index.all_int_keys
+            and abs(key) <= self._window_limit
+        ):
+            check = self._window_check
+            if check is None:
+                return candidates, inspected
+        else:
+            check = self._check
+        if item_is_left:
+            return [c for c in candidates if check(record, c.record)], inspected
+        return [c for c in candidates if check(c.record, record)], inspected
+
+    def arrival_bound(self, item_is_left: bool) -> float:
+        """An upper bound on the arrival time of every tuple a probe by a
+        left (``item_is_left``) or right tuple can match: the opposite
+        index's :attr:`~repro.joins.index.JoinIndex.newest_arrival`."""
+        index = self._right_index if item_is_left else self._left_index
+        return index.newest_arrival
 
     def keyed_candidate_count(self, item_is_left: bool, key) -> int:
         """:meth:`candidate_count` with the probe inputs pre-resolved."""
@@ -388,27 +396,6 @@ class LocalJoiner:
         item_is_left, key = self.probe_plan(item)
         return self.keyed_candidate_count(item_is_left, key)
 
-    def _candidates(
-        self, opposite_index: JoinIndex, item: StreamTuple, item_is_left: bool
-    ) -> tuple[list[StreamTuple], int]:
-        kind = self.predicate.kind
-        if kind == "equi":
-            key = (
-                self._pred_left_key(item.record)
-                if item_is_left
-                else self._pred_right_key(item.record)
-            )
-            return opposite_index.probe(key)
-        if kind == "band":
-            key = (
-                self._pred_left_key(item.record)
-                if item_is_left
-                else self._pred_right_key(item.record)
-            )
-            width = self._band_width
-            return opposite_index.probe_range(key - width, key + width)
-        return opposite_index.probe(None)
-
     # ------------------------------------------------------------ batch probe
 
     def probe_batch(
@@ -422,7 +409,7 @@ class LocalJoiner:
         (intra-batch self-join semantics).  The vectorized engine runs one
         lean pass over the live indexes: zero-copy bucket walks with
         pre-extracted keys (hash), in-place band windows (ordered), and no
-        per-candidate validation when the exact-key fast path applies —
+        per-candidate validation where the index decides the match set —
         because the indexes are live, each member automatically sees every
         earlier member of the opposite relation.
 
@@ -488,36 +475,24 @@ class LocalJoiner:
         right_relation = self.right_relation
         left_key = self._pred_left_key
         right_key = self._pred_right_key
-        width = self._band_width
         left_index = self._indexes[left_relation]
         right_index = self._indexes[right_relation]
-        check = self._check
+        band_probe = self._band_probe
         results: list[tuple[list[StreamTuple], float]] = []
         append = results.append
         for item in items:
             record = item.record
             if item.relation == left_relation:
-                is_left = True
                 key = left_key(record)
-                candidates, inspected = right_index.probe_range(key - width, key + width)
+                matches, inspected = band_probe(right_index, key, record, True)
+                left_index.insert_keyed(key, item)
             else:
                 if item.relation != right_relation:
                     self._check_relation(item.relation)
-                is_left = False
                 key = right_key(record)
-                candidates, inspected = left_index.probe_range(key - width, key + width)
-            if candidates:
-                if check is None:
-                    # Range-complete fast path: the window is the match set.
-                    matches = list(candidates)
-                elif is_left:
-                    matches = [c for c in candidates if check(record, c.record)]
-                else:
-                    matches = [c for c in candidates if check(c.record, record)]
-                append((matches, float(max(inspected, 1))))
-            else:
-                append(([], 1.0))
-            (left_index if is_left else right_index).insert(item)
+                matches, inspected = band_probe(left_index, key, record, False)
+                right_index.insert_keyed(key, item)
+            append((matches, float(inspected) if inspected > 0 else 1.0))
         return results
 
     def _probe_batch_scan(
@@ -657,8 +632,3 @@ register_probe_engine(
 register_predicate("equi", SymmetricHashJoiner, EquiPredicate)
 register_predicate("band", SortedBandJoiner, BandPredicate)
 register_predicate("theta", NestedLoopJoiner, ThetaPredicate)
-
-# The columnar engine registers itself from its own module (it needs every
-# name above, so the import sits after them — a deliberately resolvable
-# circular import, same pattern as the registrations living at the bottom).
-from repro.joins import columnar as _columnar  # noqa: E402,F401

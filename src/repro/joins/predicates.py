@@ -15,9 +15,13 @@ A predicate therefore exposes three things:
 * key extractors for the indexed kinds,
 * ``exact_key`` / ``residual_matches`` — whether an exact-key hash probe
   already decides the primary condition, and the residual part (if any) that
-  still has to run per candidate pair.  The probe engine uses this to skip
-  re-validating equality for hash candidates (the bucket key *is* the
-  predicate) while still applying composite residual filters.
+  still has to run per candidate pair once the index decided the primary.
+  The probe engine uses this to skip re-validating equality for hash
+  candidates (the bucket key *is* the predicate) and the band condition for
+  exact integer band windows, while still applying composite residual
+  filters.  Whether a band window is exact depends on the keys and the
+  width, so the joiner decides it per probe (``LocalJoiner._band_probe``);
+  the predicate only states what is left once it is.
 """
 
 from __future__ import annotations
@@ -33,14 +37,6 @@ class JoinPredicate:
 
     #: one of "equi", "band", "theta"
     kind: str = "theta"
-
-    #: Whether an ordered-index range probe ``[key - width, key + width]``
-    #: fully decides the primary condition, so range candidates need no
-    #: per-pair re-validation (the range analogue of :attr:`exact_key`).
-    #: False by default: float band edges are not exactly decidable from
-    #: bisect bounds.  Integer-keyed / tolerance-safe band predicates opt in
-    #: (see :class:`BandPredicate`).
-    range_complete: bool = False
 
     @property
     def exact_key(self) -> bool:
@@ -58,9 +54,10 @@ class JoinPredicate:
         return True
 
     def residual_matches(self, left: Record, right: Record) -> bool:
-        """The part of the condition an exact-key probe does *not* guarantee.
+        """The part of the condition an index-decided probe does *not* guarantee.
 
-        Defaults to the full condition; exact-key predicates override it with
+        Defaults to the full condition; predicates whose primary condition an
+        index can decide (equi buckets, exact band windows) override it with
         their residual-only check (or a constant True).
         """
         return self.matches(left, right)
@@ -130,32 +127,24 @@ class EquiPredicate(JoinPredicate):
 class BandPredicate(JoinPredicate):
     """Band predicate ``|left[left_attr] - right[right_attr]| <= width``.
 
-    ``range_complete=True`` advertises that the ordered-index window
-    ``[key - width, key + width]`` *exactly* decides the condition, letting
-    the vectorized probe engine skip per-candidate re-validation (the band
-    analogue of the equi exact-key fast path).  That holds when window
-    membership and ``|l - r| <= width`` can never disagree under float
-    arithmetic — e.g. integer keys with an integer width (exact in floats up
-    to 2**53), or keys quantised coarsely enough that width-edge rounding
-    cannot flip a comparison.  It is an *assertion by the caller* about the
-    data; with arbitrary float keys leave it False (the default), where every
-    candidate is re-validated.
+    An ordered-index window ``[key - width, key + width]`` decides the
+    condition exactly when its edges compare without rounding — integer keys
+    with an integer (or small integral float) width; the joiner checks that
+    per probe and then needs no residual.  Any other window is validated
+    pair by pair with :meth:`matches`.
     """
 
     left_attr: str
     right_attr: str
     width: float = 1.0
-    range_complete: bool = False
     kind: str = field(default="band", init=False)
 
     @property
     def has_residual(self) -> bool:
-        return not self.range_complete
+        return False
 
     def residual_matches(self, left: Record, right: Record) -> bool:
-        if self.range_complete:
-            return True
-        return self.matches(left, right)
+        return True
 
     def matches(self, left: Record, right: Record) -> bool:
         return abs(left[self.left_attr] - right[self.right_attr]) <= self.width
@@ -216,7 +205,6 @@ class CompositePredicate(JoinPredicate):
 
     def __post_init__(self) -> None:
         self.kind = self.primary.kind
-        self.range_complete = self.primary.range_complete
 
     @property
     def exact_key(self) -> bool:

@@ -39,7 +39,6 @@ from repro.core.epochs import JoinerPhase
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
 from repro.engine.batching import AdaptiveBatchController
-from repro.engine.columns import HAS_NUMPY
 from repro.engine.simulator import Simulator
 from repro.engine.stream import (
     StreamTuple,
@@ -636,30 +635,27 @@ class TestDeliveryMergingInterleavings:
 
 
 # ---------------------------------------------------------------------------
-# Columnar probe engine: differential conformance vs the scalar oracle
+# Default probe engine: differential conformance vs the scalar oracle
 # ---------------------------------------------------------------------------
 
 
-needs_numpy = pytest.mark.skipif(
-    not HAS_NUMPY, reason="the columnar probe engine requires NumPy"
-)
-
-#: Data-plane configurations the scalar-vs-columnar cells run on.  Both sides
-#: of a cell share the plane, so the comparison may pin the event plumbing too.
+#: Data-plane configurations the scalar-vs-vectorized cells run on.  Both
+#: sides of a cell share the plane, so the comparison may pin the event
+#: plumbing too.
 ENGINE_PLANES = {
     "fixed": {"batch_size": 4},
     "adaptive": {"batching": "adaptive"},
 }
 
 
-@needs_numpy
-class TestColumnarEngineConformance:
-    """The columnar engine against the scalar differential oracle.
+class TestVectorizedEngineConformance:
+    """The default (vectorized) engine against the scalar differential oracle.
 
     These are *same-plane* pairs (unlike the plane-vs-plane suites above), so
     ``events=True`` additionally pins the global heap-event count and the
-    wire-merge histogram: the columnar kernels must change how member work is
-    computed, never what flows over the wire.
+    wire-merge histogram: index-decided candidates (exact-key buckets, exact
+    integer band windows) change how member work is computed, never what
+    flows over the wire.
     """
 
     @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
@@ -674,11 +670,9 @@ class TestColumnarEngineConformance:
         scalar = _run(
             OPERATORS[operator], query, order, probe_engine="scalar", **shared
         )
-        columnar = _run(
-            OPERATORS[operator], query, order, probe_engine="columnar", **shared
-        )
-        label = f"columnar/{predicate}/{operator}/{plane}"
-        assert_run_equivalent(scalar, columnar, events=True, label=label)
+        vectorized = _run(OPERATORS[operator], query, order, **shared)
+        label = f"vectorized/{predicate}/{operator}/{plane}"
+        assert_run_equivalent(scalar, vectorized, events=True, label=label)
         if operator == "migrating":
             assert scalar.migrations >= 1, f"{label}: scenario must migrate"
 
@@ -693,18 +687,19 @@ class TestColumnarEngineConformance:
             query, order, chunks,
             operator=kind, batching="adaptive", probe_engine="scalar",
         )
-        columnar = _stream_run(
-            query, order, chunks,
-            operator=kind, batching="adaptive", probe_engine="columnar",
+        vectorized = _stream_run(
+            query, order, chunks, operator=kind, batching="adaptive",
         )
-        label = f"columnar-stream/{predicate}/{operator}"
-        assert_run_equivalent(scalar, columnar, events=True, label=label)
+        label = f"vectorized-stream/{predicate}/{operator}"
+        assert_run_equivalent(scalar, vectorized, events=True, label=label)
 
 
 _HYP_PREDICATES = {
     "equi": lambda: EquiPredicate("k", "k"),
-    "band": lambda: BandPredicate("k", "k", width=2.0),
-    "band_exact": lambda: BandPredicate("k", "k", width=2.0, range_complete=True),
+    # Quarter-step float keys: every window is validated pair by pair.
+    "band_float": lambda: BandPredicate("k", "k", width=2.0),
+    # Int keys with an integral float width: every window is exact.
+    "band_int": lambda: BandPredicate("k", "k", width=2.0),
     "composite": lambda: CompositePredicate(
         EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
     ),
@@ -713,8 +708,9 @@ _HYP_PREDICATES = {
 _INT_RECORDS = st.fixed_dictionaries(
     {"k": st.integers(0, 9), "v": st.integers(0, 29)}
 )
-# Quarter-steps are exactly representable, so band windows stay exact while
-# the keys exercise the columnar float-key (vectorised band-mask) path.
+# Quarter-steps are exactly representable, so the scalar oracle's float
+# arithmetic is deterministic while the keys keep band windows off the exact
+# integer path.
 _FLOAT_RECORDS = st.fixed_dictionaries(
     {"k": st.integers(0, 40).map(lambda n: n / 4.0), "v": st.integers(0, 29)}
 )
@@ -723,20 +719,19 @@ _FLOAT_RECORDS = st.fixed_dictionaries(
 @st.composite
 def _random_workloads(draw):
     kind = draw(st.sampled_from(sorted(_HYP_PREDICATES)))
-    records = _FLOAT_RECORDS if kind == "band" else _INT_RECORDS
+    records = _FLOAT_RECORDS if kind == "band_float" else _INT_RECORDS
     left = draw(st.lists(records, min_size=4, max_size=36))
     right = draw(st.lists(records, min_size=4, max_size=48))
     seed = draw(st.integers(0, 1023))
     return kind, left, right, seed
 
 
-@needs_numpy
-class TestColumnarDifferentialProperties:
+class TestVectorizedDifferentialProperties:
     @given(workload=_random_workloads())
     @settings(max_examples=16, deadline=None)
     def test_random_workloads_match_scalar_oracle(self, workload):
         """For ANY workload (predicate kind, records, arrival interleaving)
-        the columnar engine reproduces the scalar oracle bit-for-bit, event
+        the default engine reproduces the scalar oracle bit-for-bit, event
         plumbing included."""
         kind, left, right, seed = workload
         query = JoinQuery(
@@ -746,17 +741,14 @@ class TestColumnarDifferentialProperties:
             left_records=left,
             right_records=right,
             predicate=_HYP_PREDICATES[kind](),
-            description="randomised columnar-vs-scalar differential workload",
+            description="randomised vectorized-vs-scalar differential workload",
         )
         order = _arrival_order(query, seed=seed)
         scalar = _run(
             AdaptiveJoinOperator, query, order,
             batching="adaptive", probe_engine="scalar",
         )
-        columnar = _run(
-            AdaptiveJoinOperator, query, order,
-            batching="adaptive", probe_engine="columnar",
-        )
+        vectorized = _run(AdaptiveJoinOperator, query, order, batching="adaptive")
         assert_run_equivalent(
-            scalar, columnar, events=True, label=f"hyp/{kind}/seed={seed}"
+            scalar, vectorized, events=True, label=f"hyp/{kind}/seed={seed}"
         )

@@ -8,6 +8,8 @@ Pins the contracts of ``repro.api``:
 * Override precedence is ``session default < config < call-site``.
 * Registries reject duplicate registrations and list choices on unknown
   names; registered third-party components flow through the session.
+* ``import repro`` loads no NumPy, and exactly two probe engines ship:
+  ``vectorized`` and its ``scalar`` oracle.
 * The legacy loose-kwargs constructor shim is gone: constructing an operator
   from loose keyword arguments without a config raises ``TypeError`` pointing
   at ``RunConfig``; ``make_operator`` routes through the validated config
@@ -16,10 +18,16 @@ Pins the contracts of ``repro.api``:
   the materialised path on EQ5 at ``batch_size ∈ {1, 64}``.
 """
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import (
     FaultSpec,
     JoinSession,
@@ -37,6 +45,7 @@ from repro.core.baselines import make_operator
 from repro.core.operator import AdaptiveJoinOperator, GridJoinOperator
 from repro.data.queries import make_query
 from repro.engine.stream import interleave_streams, make_tuples
+from repro.joins.local import ProbeEngine
 
 
 def _arrival_order(query, seed):
@@ -340,6 +349,29 @@ class TestRegistries:
     def test_unknown_operator_kind_through_session(self, eq5_query):
         with pytest.raises(ValueError, match="unknown operator"):
             JoinSession(eq5_query, machines=8).run(operator="Turbo")
+
+
+class TestImportHygiene:
+    """The library is pure stdlib: two probe engines, no NumPy in the process."""
+
+    def test_import_leaves_numpy_unloaded(self):
+        src = Path(repro.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c", "import repro, sys; print('numpy' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout.strip() == "False"
+
+    def test_exactly_two_probe_engines(self):
+        assert set(probe_engines.names()) == {"scalar", "vectorized"}
+        assert [field.name for field in dataclasses.fields(ProbeEngine)] == [
+            "name", "batch_aware", "exact_key_fast_path", "probe_batch",
+        ]
+        with pytest.raises(ValueError, match="scalar.*vectorized|vectorized.*scalar"):
+            RunConfig(probe_engine="columnar")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,412 @@
+"""Index-proven matches: exact integer band windows and the arrival bound.
+
+Two facts the indexes keep on insert let the default engine skip per-pair
+work without changing a single result:
+
+* **exact band windows** — over an index whose keys are all ``int``, an
+  ``int`` probing key's window ``[key - w, key + w]`` *is* the match set of
+  ``|l - r| <= w`` when ``w`` is an ``int``, or an integral float with
+  ``|key| + |w| <= 2**53``.  Differential Hypothesis tests pin the vectorized
+  engine against the scalar oracle (which validates every pair) on every key
+  space where that does and does not hold — small ints, ints near 2**53,
+  quarter-step floats, ints and floats in one index, ``bool`` — on the batch
+  path, the per-tuple path and the Δ/Δ'/µ partition probes of a migration;
+  a spy pins that the int-keyed run never calls ``BandPredicate.matches``.
+* **the arrival bound** — ``JoinIndex.newest_arrival`` bounds every stored
+  tuple's arrival on any insert/remove/absorb sequence, and a group whose
+  partner is newer than the probing tuple still spills per-result values
+  with the exact per-pair mean.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.api import JoinSession, RunConfig
+from repro.core.epochs import EpochJoinerState, JoinerPhase
+from repro.core.mapping import GridPlacement, Mapping
+from repro.core.migration import plan_migration
+from repro.data.queries import JoinQuery
+from repro.engine.metrics import MatchGroup, MetricsCollector
+from repro.engine.stream import StreamTuple, interleave_streams, make_tuples
+from repro.joins.local import make_local_joiner
+from repro.joins.predicates import (
+    BandPredicate,
+    CompositePredicate,
+    EquiPredicate,
+    ThetaPredicate,
+)
+
+# ---------------------------------------------------------------------------
+# (1) exact integer band windows: vectorized == scalar oracle
+# ---------------------------------------------------------------------------
+
+_QUARTERS = st.integers(-40, 40).map(lambda n: n / 4)
+
+#: Key spaces: where the window is exact, where it is not, and both at once.
+KEYS = {
+    "small_int": st.integers(-20, 20),
+    # Either side of the 2**53 edge, where an integral float width stops
+    # giving exact window edges.
+    "near_2_53": st.sampled_from([1, -1]).flatmap(
+        lambda sign: st.integers(2**53 - 4, 2**53 + 4).map(lambda k: sign * k)
+    ),
+    "quarter_float": _QUARTERS,
+    "mixed": st.one_of(st.integers(-10, 10), _QUARTERS),
+    # Floats 4 apart among ints 1 apart: float edges round, and an int
+    # probing key rounds inside the predicate's float subtraction.
+    "mixed_near_2_54": st.integers(2**54 - 12, 2**54 + 12).flatmap(
+        lambda k: st.sampled_from([k, float(k)])
+    ),
+    "bool": st.one_of(st.booleans(), st.integers(-2, 3)),
+}
+
+WIDTHS = {
+    "int": st.integers(0, 4),
+    "integral_float": st.integers(0, 4).map(float),
+    "fractional_float": st.sampled_from([0.25, 0.5, 1.75]),
+}
+
+
+@st.composite
+def band_cases(draw, min_size=0, max_size=40):
+    """A width and a stream of R/S tuples whose ``v`` keys share one space."""
+    keys = KEYS[draw(st.sampled_from(sorted(KEYS)))]
+    width = draw(WIDTHS[draw(st.sampled_from(sorted(WIDTHS)))])
+    spec = draw(
+        st.lists(
+            st.tuples(st.booleans(), keys, st.integers(0, 3)),
+            min_size=min_size,
+            max_size=max_size,
+        )
+    )
+    items = [
+        StreamTuple(relation="R" if is_left else "S", record={"v": key, "k": k})
+        for is_left, key, k in spec
+    ]
+    return width, items
+
+
+def _case(width, *stream):
+    """A fixed ``band_cases`` draw: ``(relation, key)`` pairs in arrival order."""
+    return width, [
+        StreamTuple(relation=relation, record={"v": key, "k": 0})
+        for relation, key in stream
+    ]
+
+
+#: Edges the random draws may miss: past ``2**53 - |w|`` an int key's float
+#: window edge rounds outward (the window holds a key 3 away at width 2.0);
+#: a float key stored among ints makes the predicate's subtraction round
+#: (``2**54 + 2`` becomes ``2**54``), so that index must validate; and a
+#: float probing key's edges round outward whatever the width.
+EDGE_CASES = (
+    _case(2.0, ("S", 2**53 - 2), ("R", 2**53 + 1)),
+    _case(2, ("S", float(2**54 + 4)), ("R", 2**54 + 2)),
+    _case(3, ("S", 2**54 + 4), ("R", float(2**54))),
+)
+
+
+def _predicate(width, composite):
+    band = BandPredicate("v", "v", width=width)
+    if composite:
+        return CompositePredicate(band, residuals=[lambda l, r: l["k"] != r["k"]])
+    return band
+
+
+def _engines(width, composite):
+    predicate = _predicate(width, composite)
+    return (
+        make_local_joiner(predicate, "R", "S", engine="scalar"),
+        make_local_joiner(predicate, "R", "S", engine="vectorized"),
+    )
+
+
+def _ids(matches):
+    return Counter(match.tuple_id for match in matches)
+
+
+def _pairs(actions):
+    return Counter((left.tuple_id, right.tuple_id) for left, right in actions.matches)
+
+
+class TestExactWindowsMatchTheOracle:
+    @given(case=band_cases(), composite=st.booleans(), batch_size=st.integers(1, 9))
+    @example(case=EDGE_CASES[0], composite=False, batch_size=2)
+    @example(case=EDGE_CASES[1], composite=False, batch_size=2)
+    @example(case=EDGE_CASES[2], composite=False, batch_size=2)
+    @settings(max_examples=200, deadline=None)
+    def test_probe_batch(self, case, composite, batch_size):
+        width, items = case
+        scalar, vector = _engines(width, composite)
+        expected = scalar.probe_batch(items)
+        got = []
+        for position in range(0, len(items), batch_size):
+            got.extend(vector.probe_batch(items[position:position + batch_size]))
+        assert len(got) == len(expected)
+        for (s_matches, s_work), (v_matches, v_work) in zip(expected, got):
+            assert _ids(v_matches) == _ids(s_matches)
+            assert v_work == s_work
+
+    @given(case=band_cases(), composite=st.booleans())
+    @example(case=EDGE_CASES[0], composite=True)
+    @example(case=EDGE_CASES[1], composite=True)
+    @example(case=EDGE_CASES[2], composite=True)
+    @settings(max_examples=200, deadline=None)
+    def test_per_tuple_raw_probe(self, case, composite):
+        width, items = case
+        scalar, vector = _engines(width, composite)
+        for item in items:
+            s_matches, s_inspected = scalar.raw_probe(item)
+            v_matches, v_inspected = vector.raw_probe(item)
+            assert _ids(v_matches) == _ids(s_matches)
+            assert v_inspected == s_inspected
+            scalar.insert(item)
+            vector.insert(item)
+
+    @given(
+        case=band_cases(min_size=24, max_size=60),
+        composite=st.booleans(),
+        salts=st.randoms(use_true_random=False),
+        steps=st.lists(st.sampled_from(["delta", "mu", "delta_prime", "batch"]),
+                       min_size=1, max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_migration_partition_probes(self, case, composite, salts, steps):
+        """The Δ, Δ' and µ paths probe the tag partitions through
+        ``keyed_raw_probe``; every action of a migrating joiner matches the
+        scalar oracle's, partition by partition."""
+        width, items = case
+        for item in items:
+            item.salt = salts.random()
+        plan = plan_migration(
+            GridPlacement(mapping=Mapping(2, 2)), GridPlacement(mapping=Mapping(1, 4))
+        )
+        states = [
+            EpochJoinerState(
+                machine_id=0,
+                store=make_local_joiner(_predicate(width, composite), "R", "S", engine=engine),
+                num_reshufflers=2,
+                left_relation="R",
+            )
+            for engine in ("scalar", "vectorized")
+        ]
+        tau, rest = items[: len(items) // 3], items[len(items) // 3:]
+        for state in states:
+            for item in tau:
+                state.handle_data(item)
+            state.handle_signal(1, plan, "reshuffler-0")
+            assert state.phase is JoinerPhase.MIGRATING
+        for step, item in zip(steps * len(rest), rest):
+            if step == "delta":
+                events = [state.handle_data(item) for state in states]
+            elif step == "mu":
+                events = [state.handle_migrated(item) for state in states]
+            else:
+                tagged = item.with_epoch(1)
+                if step == "delta_prime":
+                    events = [state.handle_data(tagged) for state in states]
+                else:
+                    events = [state.handle_data_batch([tagged])[0] for state in states]
+            expected, got = events
+            assert _pairs(got) == _pairs(expected), step
+            assert got.probe_work == expected.probe_work, step
+            assert [t.tuple_id for _, t in got.migrate_to] == [
+                t.tuple_id for _, t in expected.migrate_to
+            ]
+
+
+def _band_query(first_left_key=None):
+    """Dense and imbalanced (40 x 360 over 12 int keys, width 1): the Dynamic
+    operator migrates mid-stream, so Δ, Δ' and µ probes all run."""
+    rng = random.Random(17)
+    left = [{"k": rng.randrange(12)} for _ in range(40)]
+    right = [{"k": rng.randrange(12)} for _ in range(360)]
+    if first_left_key is not None:
+        left[0]["k"] = first_left_key
+    return JoinQuery(
+        name="INT_BAND",
+        left_relation="R",
+        right_relation="S",
+        left_records=left,
+        right_records=right,
+        predicate=BandPredicate("k", "k", width=1),
+    )
+
+
+def _order(query, seed=5):
+    rng = random.Random(seed)
+    left = make_tuples(query.left_relation, query.left_records, rng, query.left_tuple_size)
+    right = make_tuples(query.right_relation, query.right_records, rng, query.right_tuple_size)
+    return interleave_streams(left, right, rng)
+
+
+def _counted_run(monkeypatch, query, **knobs):
+    calls = Counter()
+    original = BandPredicate.matches
+
+    def counting(self, left, right):
+        calls["matches"] += 1
+        return original(self, left, right)
+
+    monkeypatch.setattr(BandPredicate, "matches", counting)
+    config = RunConfig(machines=8, seed=5, warmup_tuples=16, **knobs)
+    result = JoinSession(query, config=config).run(arrival_order=_order(query))
+    return result, calls["matches"]
+
+
+class TestWindowDecidesIntBands:
+    @pytest.mark.parametrize("batching", ["fixed", "adaptive"])
+    def test_int_keyed_run_never_validates_a_pair(self, monkeypatch, batching):
+        result, calls = _counted_run(monkeypatch, _band_query(), batching=batching)
+        assert result.migrations >= 1, "scenario must migrate"
+        assert result.output_count > 0
+        assert calls == 0
+
+    def test_one_float_key_brings_validation_back(self, monkeypatch):
+        int_result, _ = _counted_run(monkeypatch, _band_query(first_left_key=4))
+        result, calls = _counted_run(monkeypatch, _band_query(first_left_key=4.0))
+        assert calls > 0
+        assert result.output_count == int_result.output_count
+
+    def test_scalar_oracle_validates_every_candidate(self, monkeypatch):
+        result, calls = _counted_run(monkeypatch, _band_query(), probe_engine="scalar")
+        assert calls >= result.output_count > 0
+
+    def test_exactness_is_a_class_check(self):
+        """``bool`` and ``float`` keys clear the all-int flag for good."""
+        for key in (True, 2.0):
+            joiner = make_local_joiner(BandPredicate("v", "v", width=1), "R", "S")
+            index = joiner._right_index
+            joiner.insert(StreamTuple(relation="S", record={"v": 1}))
+            assert index.all_int_keys
+            joiner.insert(StreamTuple(relation="S", record={"v": key}))
+            assert not index.all_int_keys
+            doomed = StreamTuple(relation="S", record={"v": key})
+            joiner.insert(doomed)
+            joiner.remove(doomed)
+            joiner.bulk_insert("S", [StreamTuple(relation="S", record={"v": 3})])
+            assert not index.all_int_keys
+
+
+# ---------------------------------------------------------------------------
+# (2) the arrival bound
+# ---------------------------------------------------------------------------
+
+_JOINERS = {
+    "equi": lambda: make_local_joiner(EquiPredicate("v", "v"), "R", "S"),
+    "band": lambda: make_local_joiner(BandPredicate("v", "v", width=1), "R", "S"),
+    "theta": lambda: make_local_joiner(
+        ThetaPredicate(lambda l, r: l["v"] < r["v"]), "R", "S"
+    ),
+}
+
+_ARRIVALS = st.integers(0, 40).map(lambda n: n / 2)
+_TUPLES = st.tuples(st.sampled_from("RS"), st.integers(0, 5), _ARRIVALS)
+_OPS = st.one_of(
+    st.tuples(st.just("insert"), _TUPLES),
+    st.tuples(st.just("insert_keyed"), _TUPLES),
+    st.tuples(st.just("bulk_insert"), st.lists(_TUPLES, max_size=5)),
+    st.tuples(st.just("absorb"), st.lists(_TUPLES, max_size=5)),
+    st.tuples(st.just("remove"), st.integers(0, 50)),
+)
+
+
+def _tuple(spec):
+    relation, key, arrival = spec
+    return StreamTuple(relation=relation, record={"v": key}, arrival_time=arrival)
+
+
+class TestArrivalBound:
+    @given(kind=st.sampled_from(sorted(_JOINERS)), ops=st.lists(_OPS, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_bound_is_the_newest_arrival_ever_stored(self, kind, ops):
+        """Model: per relation, the largest arrival any insert path stored.
+        ``remove`` never lowers it, so it bounds whatever is still stored."""
+        joiner = _JOINERS[kind]()
+        indexes = {"R": joiner._left_index, "S": joiner._right_index}
+        newest = {"R": -math.inf, "S": -math.inf}
+        for op, arg in ops:
+            if op == "remove":
+                stored = list(joiner.stored("R")) + list(joiner.stored("S"))
+                if stored:
+                    assert joiner.remove(stored[arg % len(stored)])
+                continue
+            items = [_tuple(arg)] if op in ("insert", "insert_keyed") else [
+                _tuple(spec) for spec in arg
+            ]
+            for item in items:
+                newest[item.relation] = max(newest[item.relation], item.arrival_time)
+            if op == "insert":
+                joiner.insert(items[0])
+            elif op == "insert_keyed":
+                index = indexes[items[0].relation]
+                if hasattr(index, "insert_keyed"):
+                    index.insert_keyed(items[0].record["v"], items[0])
+                else:
+                    index.insert(items[0])
+            elif op == "bulk_insert":
+                for relation in "RS":
+                    joiner.bulk_insert(relation, [i for i in items if i.relation == relation])
+            else:
+                other = joiner.fresh()
+                for item in items:
+                    other.insert(item)
+                joiner.absorb(other)
+            for relation in "RS":
+                bound = indexes[relation].newest_arrival
+                assert bound == newest[relation]
+                stored = [item.arrival_time for item in joiner.stored(relation)]
+                assert not stored or bound >= max(stored)
+            assert joiner.arrival_bound(True) == newest["S"]
+            assert joiner.arrival_bound(False) == newest["R"]
+
+    def test_bounded_group_never_reads_its_partners(self):
+        """A group whose bound is no newer than the probing tuple is one
+        ledger run decided without touching a partner."""
+        item = StreamTuple(relation="R", record={}, arrival_time=3.0)
+        metrics = MetricsCollector()
+        metrics.record_outputs(MatchGroup(item, True, [object(), object()], 3.0), 5.5)
+        assert list(metrics.latency_ledger.run_values) == [2.5]
+        assert list(metrics.latency_ledger.run_counts) == [2]
+        assert len(metrics.latency_ledger.values) == 0
+
+    def test_newer_partner_still_spills_exact_values(self, monkeypatch):
+        """Paced out-of-order arrivals: a joiner stores a tuple that arrived
+        after one it probes next, so some store-bounded group has a newer
+        partner.  It must spill per-result values, and the run's mean must be
+        the single fsum of the per-pair formula."""
+        expected: list[float] = []
+        bounded_spills = Counter()
+        original = MetricsCollector.record_outputs
+
+        def spying(self, matches, output_time):
+            arrival = matches.item.arrival_time
+            newest = max(partner.arrival_time for partner in matches.partners)
+            if matches.bound != math.inf and newest > arrival:
+                bounded_spills["groups"] += 1
+            expected.extend(
+                max(0.0, output_time - max(arrival, partner.arrival_time))
+                for partner in matches.partners
+            )
+            original(self, matches, output_time)
+            spying.collector = self
+
+        monkeypatch.setattr(MetricsCollector, "record_outputs", spying)
+        query = _band_query()
+        config = RunConfig(
+            machines=8, seed=5, warmup_tuples=16, inter_arrival=0.001,
+            batching="adaptive",
+        )
+        result = JoinSession(query, config=config).run(arrival_order=_order(query))
+        assert bounded_spills["groups"] > 0, "no bounded group had a newer partner"
+        ledger = spying.collector.latency_ledger
+        assert len(ledger.values) > 0 and len(ledger.run_values) > 0
+        assert len(expected) == result.output_count
+        assert result.average_latency == math.fsum(expected) / len(expected)

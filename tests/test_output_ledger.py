@@ -3,11 +3,11 @@
 Pins the contract of ``MatchGroup`` / ``LatencyLedger`` / ``record_outputs``:
 
 * **unit** — every ledger path (whole-group run, mixed arrivals, clamp at 0,
-  a partner newer than the probing tuple, a one-member group, a columnar
-  block) stores exactly the float64 values of the per-pair formula, the mean
-  is their single ``math.fsum`` and does not depend on recording order, and
+  a partner newer than the probing tuple, a one-member group) stores exactly
+  the float64 values of the per-pair formula, the mean is their single
+  ``math.fsum`` and does not depend on recording order, and
   ``collect_outputs=True`` still yields oriented ``(left_id, right_id)`` pairs;
-* **differential** — the three probe engines on both data planes are the same
+* **differential** — both probe engines on both data planes are the same
   simulation (heap events included) with equal output multisets on migrating
   equi / band / composite joins whose Δ, Δ' and µ emission paths all fire,
   under a crash and on the threaded executor too;
@@ -27,13 +27,12 @@ import pytest
 from repro.api import JoinSession, RunConfig, crash_after_events
 from repro.core.epochs import EpochJoinerState
 from repro.data.queries import JoinQuery
-from repro.engine.columns import HAS_NUMPY, MatchBlock, np
 from repro.engine.metrics import LatencyLedger, MatchGroup, MetricsCollector
 from repro.engine.stream import StreamTuple, interleave_streams, make_tuples
 from repro.joins.predicates import BandPredicate, CompositePredicate, EquiPredicate
 from repro.testing import assert_run_equivalent
 
-ENGINES = ["scalar", "vectorized"] + (["columnar"] if HAS_NUMPY else [])
+ENGINES = ["scalar", "vectorized"]
 
 
 # ---------------------------------------------------------------------------
@@ -148,28 +147,28 @@ class TestLedgerUnit:
         assert metrics.outputs == [(l.tuple_id, r.tuple_id) for l, r in pairs]
         assert not MatchGroup(group.item, item_is_left, [])
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="MatchBlock requires NumPy")
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("item_is_left", [True, False])
-    def test_columnar_block_feeds_the_same_ledger(self, case, item_is_left):
+    def test_arrival_bound_feeds_the_same_ledger(self, case, item_is_left):
+        """A group carrying its store's arrival bound (here the tightest
+        one, its newest partner) records exactly what the partner scan
+        records: a run when the bound is no newer than the probing tuple,
+        the per-result values otherwise."""
         item_arrival, partner_arrivals, output_time = CASES[case]
         group = _group(item_arrival, partner_arrivals, item_is_left=item_is_left)
-        block = MatchBlock(
-            group.item,
-            item_is_left,
-            np.array(partner_arrivals, dtype=np.float64),
-            np.array([p.tuple_id for p in group.partners], dtype=np.int64),
+        bounded = MatchGroup(
+            group.item, item_is_left, group.partners, max(partner_arrivals)
         )
-        by_group = MetricsCollector(collect_outputs=True)
-        by_group.record_outputs(group, output_time)
-        by_block = MetricsCollector(collect_outputs=True)
-        by_block.record_outputs(block, output_time)
+        by_scan = MetricsCollector(collect_outputs=True)
+        by_scan.record_outputs(group, output_time)
+        by_bound = MetricsCollector(collect_outputs=True)
+        by_bound.record_outputs(bounded, output_time)
         for attribute in ("values", "run_values", "run_counts"):
-            assert getattr(by_block.latency_ledger, attribute) == getattr(
-                by_group.latency_ledger, attribute
+            assert getattr(by_bound.latency_ledger, attribute) == getattr(
+                by_scan.latency_ledger, attribute
             )
-        assert by_block.outputs == by_group.outputs
-        assert by_block.output_count == by_group.output_count
+        assert by_bound.outputs == by_scan.outputs
+        assert by_bound.output_count == by_scan.output_count
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,13 @@ def _predicate(name):
             BandPredicate("v", "v", width=3), residuals=[lambda l, r: l["k"] != r["k"]]
         )
     if name == "band-exact":
-        # The test workloads draw integer "v" values, so advertising range
-        # completeness is truthful; the vectorized engine then skips
-        # per-candidate re-validation while the scalar oracle still runs it.
-        return BandPredicate("v", "v", width=2, range_complete=True)
+        # Int keys with an integral float width: the window edges are exact,
+        # so the vectorized engine takes the window as the match set while
+        # the scalar oracle still validates every pair.
+        return BandPredicate("v", "v", width=2.0)
     if name == "composite-band-exact":
         return CompositePredicate(
-            BandPredicate("v", "v", width=3, range_complete=True),
+            BandPredicate("v", "v", width=3.0),
             residuals=[lambda l, r: l["k"] != r["k"]],
         )
     raise ValueError(name)
@@ -216,15 +216,15 @@ class TestPropertyBased:
     )
     @settings(max_examples=60, deadline=None)
     def test_range_complete_band_matches_scalar_oracle(self, spec, width, batch_size):
-        """For integer-keyed bands, the range-complete fast path (no
-        per-candidate re-validation) must be indistinguishable from the
-        scalar oracle, which always re-validates — for any workload, width
-        and batch partitioning."""
+        """For integer-keyed bands the window is the match set (no
+        per-candidate re-validation); that must be indistinguishable from
+        the scalar oracle, which always re-validates — for any workload,
+        width and batch partitioning."""
         items = [
             StreamTuple(relation="R" if is_left else "S", record={"v": v, "k": 0})
             for is_left, v in spec
         ]
-        predicate = BandPredicate("v", "v", width=width, range_complete=True)
+        predicate = BandPredicate("v", "v", width=width)
         scalar = make_local_joiner(predicate, "R", "S", engine="scalar")
         vector = make_local_joiner(predicate, "R", "S", engine="vectorized")
         scalar_results = scalar.probe_batch(items)
