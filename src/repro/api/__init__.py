@@ -28,12 +28,10 @@ from repro.api.registry import (
     PredicateKind,
     Registry,
     batch_controllers,
-    executors,
     operators,
     predicate_kinds,
     probe_engines,
     register_batch_controller,
-    register_executor,
     register_operator,
     register_predicate,
     register_probe_engine,
@@ -68,13 +66,11 @@ __all__ = [
     "delay",
     "drop",
     "duplicate",
-    "executors",
     "operators",
     "partition",
     "predicate_kinds",
     "probe_engines",
     "register_batch_controller",
-    "register_executor",
     "register_operator",
     "register_predicate",
     "register_probe_engine",

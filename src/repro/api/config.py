@@ -24,13 +24,12 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-# Importing the built-in engine/predicate/batching/executor registrations;
-# keeps validation meaningful even when repro.api.config is imported before
-# the rest of repro.
+# Importing the built-in engine/predicate/batching registrations; keeps
+# validation meaningful even when repro.api.config is imported before the
+# rest of repro.
 import repro.engine.batching  # noqa: F401  (populates the batch-controller registry)
-import repro.engine.executor  # noqa: F401  (populates the executor registry)
 import repro.joins.local  # noqa: F401  (populates the probe-engine registry)
-from repro.api.registry import LAYOUTS, batch_controllers, executors, probe_engines
+from repro.api.registry import LAYOUTS, batch_controllers, probe_engines
 from repro.engine.faults import (
     FaultSpec,
     normalize_fault_schedule,
@@ -71,19 +70,13 @@ class RunConfig:
             by ``batch_size``; ``"adaptive"`` keeps the wire per-tuple and
             coalesces backlog at the receiver — bit-identical results and
             virtual times to ``batch_size=1`` (pinned by the conformance
-            suite), with the event/wall-clock savings of batching.
+            suite), with the event/wall-clock savings of batching.  The
+            plane also picks the wire: ``"adaptive"`` runs on the merged
+            wire (per-channel ``DeliveryRun`` heap events, settled in exact
+            per-tuple order), the fixed plane on the unmerged reference wire.
         batch_max: largest run the adaptive controller may coalesce
             (``None`` = the controller's default, 64).  Rejected when
             ``batching="fixed"``.
-        delivery_merging: wire-level conservative delivery merging — data
-            messages on one (sender, destination) FIFO link merge into single
-            ``DeliveryRun`` heap events whose members settle into the
-            receiver's inbox in exact per-tuple ``(time, rank)`` order, so
-            results and virtual times are bit-identical to the unmerged wire
-            (pinned by the conformance suite).  ``None`` (default) enables it
-            for receiver-draining planes (``batching="adaptive"``) and leaves
-            the fixed/per-tuple planes unmerged; pass an explicit bool to
-            override either way.
         arrival_pattern: interleaving of the two input streams (pacing).
         inter_arrival: virtual-time gap between consecutive arrivals (pacing;
             0 = joiners fully utilised).
@@ -105,29 +98,6 @@ class RunConfig:
         max_retries: link-layer retry attempts (with doubling backoff) for
             traffic addressed to a crashed machine before the run fails with
             an unreachable-machine error.
-        executor: execution backend; must name a registered executor.
-            ``"simulated"`` (default) is the single-threaded virtual-time
-            simulator — the conformance oracle.  ``"threads"`` runs each
-            machine's handlers on a worker thread with shared-nothing
-            inbound queues behind the simulator's deterministic ``(time,
-            rank)`` merge order: outputs, migrations and every virtual-time
-            quantity are bit-identical to the oracle (pinned by
-            ``tests/test_executor_conformance.py``); only wall-clock-derived
-            stats differ.  Composes with ``fault_schedule`` and
-            ``checkpoint_interval``: faults are full barriers on the
-            dispatch frontier and the checkpoint journal accepts writes from
-            any worker thread.
-        num_workers: worker threads of a parallel executor; ``None`` (the
-            default) means one worker per machine.  Requests beyond the
-            machine count are clamped (a worker owns whole machines); the
-            count actually used is reported as ``RunResult.effective_workers``.
-            Rejected for non-parallel executors (the ``"simulated"`` backend
-            has no workers to size).
-        worker_timeout: seconds the coordinator of a parallel executor waits
-            on one worker handler (completion at commit, thread exit at
-            shutdown) before declaring the run wedged and raising; ``None``
-            (the default) uses the executor's generous built-in bound.
-            Rejected for non-parallel executors.
         network_faults: deterministic wire-level faults to inject — a
             sequence of :class:`~repro.engine.faults.NetworkFaultSpec`
             entries (build them with :func:`~repro.engine.faults.drop` /
@@ -160,16 +130,12 @@ class RunConfig:
     probe_engine: str = "vectorized"
     batching: str = "fixed"
     batch_max: int | None = None
-    delivery_merging: bool | None = None
     arrival_pattern: str = "uniform"
     inter_arrival: float = 0.0
     fault_schedule: tuple = ()
     checkpoint_interval: int | None = None
     ack_timeout: float = 5.0
     max_retries: int = 5
-    executor: str = "simulated"
-    num_workers: int | None = None
-    worker_timeout: float | None = None
     network_faults: tuple = ()
     retry_base: float = 0.5
     retry_max_attempts: int = 10
@@ -190,15 +156,11 @@ class RunConfig:
             ("probe_engine", self.probe_engine, str, False),
             ("batching", self.batching, str, False),
             ("batch_max", self.batch_max, int, True),
-            ("delivery_merging", self.delivery_merging, bool, True),
             ("arrival_pattern", self.arrival_pattern, str, False),
             ("inter_arrival", self.inter_arrival, (int, float), False),
             ("checkpoint_interval", self.checkpoint_interval, int, True),
             ("ack_timeout", self.ack_timeout, (int, float), False),
             ("max_retries", self.max_retries, int, False),
-            ("executor", self.executor, str, False),
-            ("num_workers", self.num_workers, int, True),
-            ("worker_timeout", self.worker_timeout, (int, float), True),
             ("retry_base", self.retry_base, (int, float), False),
             ("retry_max_attempts", self.retry_max_attempts, int, False),
         )
@@ -371,34 +333,6 @@ class RunConfig:
             raise ValueError(f"ack_timeout must be > 0, got {self.ack_timeout}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.executor not in executors:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; registered choices: "
-                f"{', '.join(executors.names())}"
-            )
-        executor_class = executors.get(self.executor)
-        if not getattr(executor_class, "parallel", False):
-            if self.num_workers is not None:
-                raise ValueError(
-                    f"num_workers is a parallel-executor knob; "
-                    f"executor={self.executor!r} runs single-threaded "
-                    '(use executor="threads" to size a worker fleet)'
-                )
-            if self.worker_timeout is not None:
-                raise ValueError(
-                    f"worker_timeout is a parallel-executor knob; "
-                    f"executor={self.executor!r} has no worker threads to "
-                    'bound (use executor="threads")'
-                )
-        else:
-            if self.num_workers is not None and self.num_workers < 1:
-                raise ValueError(
-                    f"num_workers must be >= 1 or None, got {self.num_workers}"
-                )
-            if self.worker_timeout is not None and self.worker_timeout <= 0:
-                raise ValueError(
-                    f"worker_timeout must be > 0 or None, got {self.worker_timeout}"
-                )
 
     # -------------------------------------------------------------- overrides
 

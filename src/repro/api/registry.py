@@ -98,10 +98,6 @@ predicate_kinds = Registry("predicate kind")
 #: subclass (``RunConfig.batching`` values: ``"fixed"``, ``"adaptive"``, ...).
 batch_controllers = Registry("batch controller")
 
-#: Executor backend name → :class:`repro.engine.executor.Executor` subclass
-#: (``RunConfig.executor`` values: ``"simulated"``, ``"threads"``, ...).
-executors = Registry("executor")
-
 
 class PredicateKind:
     """What the system needs to know about one predicate ``kind``.
@@ -153,14 +149,3 @@ def register_batch_controller(name: str, controller_class, *, replace: bool = Fa
     non-draining planes (the built-in ``"fixed"``) are only validated against.
     """
     return batch_controllers.register(name, controller_class, replace=replace)
-
-
-def register_executor(name: str, executor_class, *, replace: bool = False):
-    """Register an executor backend (see :class:`repro.engine.executor.Executor`).
-
-    The class must provide ``from_config(RunConfig) -> Executor`` and
-    ``build_simulator(...)``; backends advertising ``parallel=True``
-    additionally accept the ``RunConfig.num_workers`` knob (non-parallel
-    backends reject it at config validation).
-    """
-    return executors.register(name, executor_class, replace=replace)

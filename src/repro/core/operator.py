@@ -20,7 +20,7 @@ import random
 from typing import Sequence
 
 from repro.api.config import RunConfig
-from repro.api.registry import batch_controllers, executors, register_operator
+from repro.api.registry import batch_controllers, register_operator
 from repro.core.decision import MigrationController
 from repro.core.mapping import Mapping, is_power_of_two, optimal_mapping, square_mapping
 from repro.core.recovery import RecoveryManager
@@ -144,15 +144,6 @@ class GridJoinOperator:
                 DEFAULT_BATCH_SIZE if config.batch_size is None else int(config.batch_size)
             )
             self.batch_max = None
-        # Wire-level delivery merging defaults on for receiver-draining planes
-        # (it is what lets them match the fixed plane's wall-clock at
-        # reference semantics) and off for the fixed/per-tuple planes, whose
-        # per-tuple wire is itself the pinned reference.
-        self.delivery_merging = (
-            self._drains
-            if config.delivery_merging is None
-            else config.delivery_merging
-        )
         # The fault-tolerant plane: active when there are crashes to inject
         # or durable checkpointing was requested.  Fault-free runs with the
         # plane active stay bit-identical to the reference plane (journaling
@@ -160,12 +151,6 @@ class GridJoinOperator:
         self._fault_plane = (
             bool(config.fault_schedule) or config.checkpoint_interval is not None
         )
-        # The executor backend the run executes on.  "simulated" (default) is
-        # the virtual-time oracle; parallel backends ("threads") reproduce it
-        # bit-identically behind the same (time, rank) merge order and only
-        # add wall-clock-derived stats.  The class was validated by RunConfig.
-        self.executor_name = config.executor
-        self._executor = executors.get(config.executor).from_config(config)
 
     # ------------------------------------------------------------------ build
 
@@ -250,19 +235,16 @@ class GridJoinOperator:
     def build_execution(
         self, collect_outputs: bool = False, expected_inputs: int = 0
     ) -> tuple[Simulator, Topology]:
-        """A fresh execution substrate with the topology registered, no input fed.
+        """A fresh :class:`Simulator` with the topology registered, no input fed.
 
-        The substrate comes from the configured executor backend
-        (``config.executor``): the virtual-time :class:`Simulator` for
-        ``"simulated"``, a worker-thread-backed subclass for ``"threads"`` —
-        everything registered on it (topology, batching plane, merged wire,
-        fault plane) is executor-agnostic.  This is the half of :meth:`run`
-        the streaming session facade reuses:
+        The batching plane, the merged wire (adaptive plane only), the fault
+        plane and the unreliable wire are installed as configured.  This is
+        the half of :meth:`run` the streaming session facade reuses:
         :meth:`repro.api.session.JoinSession.push` feeds arrivals into the
         returned substrate incrementally and finally calls
         :meth:`collect_result` on it.
         """
-        simulator = self._executor.build_simulator(
+        simulator = Simulator(
             num_machines=self.machines,
             cost_model=self.cost_model,
             seed=self.seed,
@@ -274,7 +256,10 @@ class GridJoinOperator:
             simulator.install_batching(
                 [controller_class(**kwargs) for _ in range(self.machines)]
             )
-        if self.delivery_merging:
+            # The plane picks the wire: receiver-draining planes run on the
+            # merged wire (it is what lets them match the fixed plane's
+            # wall-clock at reference semantics); the fixed/per-tuple planes
+            # keep the unmerged wire, which is itself the pinned reference.
             simulator.enable_delivery_merging()
         topology = self._build_topology()
         tasks = self._build_tasks(topology, expected_inputs)
@@ -301,11 +286,6 @@ class GridJoinOperator:
                 )
             )
         return simulator, topology
-
-    #: Pre-executor-plane name of :meth:`build_execution`, kept as an alias
-    #: for external callers ("simulation" stopped being accurate the moment
-    #: a backend could run real worker threads).
-    build_simulation = build_execution
 
     def run(
         self,
@@ -402,10 +382,9 @@ class GridJoinOperator:
             batch_size=self.batch_size,
             batching=self.batching,
             batch_histogram=dict(metrics.drain_histogram) if self._drains else None,
-            delivery_merging=self.delivery_merging,
             heap_events=simulator.heap_events,
             wire_histogram=(
-                dict(metrics.wire_histogram) if self.delivery_merging else None
+                dict(metrics.wire_histogram) if self._drains else None
             ),
             migration_events=[
                 (
@@ -427,21 +406,7 @@ class GridJoinOperator:
             cardinality_series=list(metrics.competitive_series),
             progress_series=metrics.progress_fraction_series(expected_inputs),
             outputs=list(metrics.outputs) if metrics.collect_outputs else None,
-            executor=self.executor_name,
             wall_time=simulator.wall_time,
-            worker_wall=(
-                list(simulator.worker_wall)
-                if hasattr(simulator, "worker_wall")
-                else None
-            ),
-            worker_events=(
-                list(simulator.worker_events)
-                if hasattr(simulator, "worker_events")
-                else None
-            ),
-            effective_workers=getattr(simulator, "num_workers", None),
-            overlap_dispatches=getattr(simulator, "overlap_dispatches", 0),
-            peak_inflight=getattr(simulator, "peak_inflight", 0),
             faults_injected=faults_injected,
             recovery_time=recovery_time,
             tuples_replayed=tuples_replayed,

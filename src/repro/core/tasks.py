@@ -162,12 +162,6 @@ class ReshufflerTask(Task):
         self.buffering = False
         self._buffer: list[StreamTuple] = []
         self._seen = 0
-        # The controller samples run-wide state mid-handler (processed-input
-        # totals, cluster peak storage for the ILF series), so its handlers
-        # must see every prior handler's effects applied: parallel backends
-        # serialise them as barriers.  Plain reshufflers stay machine-local.
-        if controller is not None:
-            self.reads_global_state = True
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).
     #: Protocol-critical transitions are journaled as deltas so a restored

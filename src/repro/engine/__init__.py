@@ -17,12 +17,6 @@ from repro.engine.batching import (
     BatchController,
     FixedBatchController,
 )
-from repro.engine.executor import (
-    Executor,
-    SimulatedExecutor,
-    ThreadedExecutor,
-    ThreadedSimulator,
-)
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Network, TrafficCategory
@@ -38,19 +32,15 @@ __all__ = [
     "CostModel",
     "DataEnvelope",
     "DeliveryRun",
-    "Executor",
     "FixedBatchController",
     "Machine",
     "Message",
     "MessageKind",
     "MetricsCollector",
     "Network",
-    "SimulatedExecutor",
     "Simulator",
     "StreamTuple",
     "Task",
-    "ThreadedExecutor",
-    "ThreadedSimulator",
     "TrafficCategory",
     "interleave_streams",
 ]

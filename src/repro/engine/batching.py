@@ -28,10 +28,10 @@ are registered in :data:`repro.api.registry.batch_controllers` (names are the
 ``RunConfig.batching`` values) so new strategies plug in like probe engines.
 
 Receiver draining governs *handler invocations*; the orthogonal wire-level
-delivery merging (``RunConfig.delivery_merging``, default on for draining
-planes) collapses the per-message *heap events* of the per-tuple wire into
-per-channel ``DeliveryRun``s — see ``repro.engine.simulator`` and the
-"wire plane" section of ARCHITECTURE.md.
+delivery merging (installed for every draining plane) collapses the
+per-message *heap events* of the per-tuple wire into per-channel
+``DeliveryRun``s — see ``repro.engine.simulator`` and the "wire plane"
+section of ARCHITECTURE.md.
 """
 
 from __future__ import annotations

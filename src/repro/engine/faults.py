@@ -15,14 +15,6 @@ all.  A crashed machine loses its in-memory epoch stores and its inbox;
 traffic addressed to it is buffered and retried by the link layer (see
 ``Simulator``) rather than silently dropped.
 
-On the threaded executor the same model holds on the dispatch frontier:
-fault events are full barriers (every in-flight handler commits before the
-crash processes, so fail-stop-at-handler-boundaries is preserved verbatim),
-and an armed event-anchored trigger degrades the frontier to lock-step —
-the oracle checks the trigger after *every* heap event, so
-``events_processed`` must be exact at each pop.  Overlap resumes once the
-schedule drains.
-
 The module also defines the **network fault plane**: :class:`NetworkFaultSpec`
 entries carried on ``RunConfig.network_faults`` describe wire-level faults —
 dropping, duplicating, or delaying the nth original send on a directed link,

@@ -32,13 +32,12 @@ class MatchGroup:
     ``partners`` are the stored tuples ``item`` matched; ``item_is_left``
     says which side of each emitted pair ``item`` is.  The partner list is
     the one the probe built and is *owned* by the group — never a live index
-    bucket — because the threaded executor journals ``record_outputs`` calls
-    and replays them at commit time, after later inserts.
+    bucket, which later inserts would mutate.
 
     ``bound`` is an upper bound on every partner's ``arrival_time``: the
-    probed store's ``newest_arrival`` (captured as a float, so a replayed
-    group keeps it) when all partners came from one probe of one store,
-    ``inf`` — no bound — for groups gathered across epoch partitions.
+    probed store's ``newest_arrival`` (captured as a float) when all
+    partners came from one probe of one store, ``inf`` — no bound — for
+    groups gathered across epoch partitions.
 
     ``len()`` / truthiness serve the per-result ``match_cost`` charge;
     iteration yields the oriented ``(left, right)`` pairs lazily, so only
@@ -108,7 +107,7 @@ class LatencyLedger:
         One *single* :func:`math.fsum` pass over every value: fsum returns
         the correctly rounded sum of its input multiset, so the mean depends
         neither on the order groups were recorded in (joiners on different
-        machines interleave differently across data planes and executors)
+        machines interleave differently across data planes)
         nor on how values are split between runs and singles.  A sum of
         per-group partial sums would be neither.
         """

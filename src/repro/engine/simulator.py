@@ -78,9 +78,7 @@ _MACHINE_SPAN = 1 << 12  # > max machines + off-cluster sentinel
 # machine alive — and a per-simulator serial breaks remaining ties so heap
 # entries never compare the _FaultEvent payloads themselves.  The unreliable
 # wire's frame arrivals and retransmit timers ride the same band (offsets 3
-# and 4): they too land between handler events, and on the threaded executor
-# they inherit the fault plane's full-barrier treatment on the dispatch
-# frontier for free.
+# and 4): they too land between handler events.
 _FAULT_RANK_BASE = 1 << 63
 _FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "retry": 2, "frame": 3, "retransmit": 4}
 
@@ -191,10 +189,7 @@ class Simulator:
         cost_model: the CPU/network/storage cost model shared by all machines.
         seed: seed of the simulation's random sources.  Every machine gets
             its own stream, derived deterministically from
-            ``(seed, machine_id)`` — see :meth:`machine_rng` — so a parallel
-            backend can run handlers of different machines concurrently
-            without sharing RNG state (and without changing a single draw:
-            the simulated oracle uses the same derivation).
+            ``(seed, machine_id)`` — see :meth:`machine_rng`.
         collect_outputs: if True, the metrics collector retains every output
             pair (needed for correctness tests; disabled for large benchmark
             runs to bound memory).
@@ -232,9 +227,8 @@ class Simulator:
         self._schedule_rank = itertools.count()
         # Per-link FIFO sequence counters, owned by the *sender* machine
         # (index [sender_machine + 1], keyed by destination machine id): a
-        # machine's sends touch only its own counter dict, so handlers of
-        # different machines can post concurrently without sharing counter
-        # state.  The rank formula itself is unchanged.
+        # machine's sends touch only its own counter dict, so a send's rank
+        # depends only on its own link's traffic.
         self._link_rank: list[dict[int, int]] = [
             {} for _ in range(num_machines + 1)
         ]
@@ -278,8 +272,7 @@ class Simulator:
         self.events_processed = 0
         self.heap_events = 0
         # Cumulative real seconds spent inside run() — the only wall-clock
-        # quantity the virtual-time backend reports (executor backends add
-        # per-worker breakdowns on top).  Pure stats: never read by handlers.
+        # quantity the simulator reports.  Pure stats: never read by handlers.
         self.wall_time = 0.0
 
     def install_batching(self, controllers: list) -> None:
@@ -377,9 +370,8 @@ class Simulator:
         Derived deterministically from ``(seed, machine_id)``; off-cluster
         tasks (``machine_id < 0``) share one dedicated stream.  Handlers
         reach it through :attr:`repro.engine.task.Context.rng`, so a task's
-        draws are a pure function of its own machine's handler sequence —
-        the property that lets a parallel backend overlap handlers of
-        different machines without perturbing anyone's stream.
+        draws are a pure function of its own machine's handler sequence,
+        independent of how other machines' handlers interleave with it.
         """
         return self._machine_rngs[machine_id + 1 if machine_id >= 0 else 0]
 
@@ -521,24 +513,7 @@ class Simulator:
         ctx: Context,
     ) -> None:
         """Send a message from a task while it is processing (called via Context)."""
-        self._post_at(sender_task, destination, message, category, ctx.now + ctx.charged)
-
-    def _post_at(
-        self,
-        sender_task: Task,
-        destination: str,
-        message: Message,
-        category: TrafficCategory,
-        departure: float,
-    ) -> None:
-        """The body of :meth:`post` with the departure time made explicit.
-
-        A parallel backend buffers a concurrently-running handler's sends
-        (capturing ``ctx.now + ctx.charged`` at call time) and replays them
-        here at commit, so the network transfer, rank assignment and heap
-        push run through the identical code path — in oracle order — that a
-        live send would have taken.
-        """
+        departure = ctx.now + ctx.charged
         dest_task = self.tasks[destination]
         sender_machine = sender_task.machine_id
         dest_machine = dest_task.machine_id
@@ -593,19 +568,7 @@ class Simulator:
         with the per-send bookkeeping hoisted out of the loop.  Data plane
         only: single-tuple payloads, non-priority kinds.
         """
-        self._post_fanout_at(
-            sender_task, destinations, message, category, ctx.now + ctx.charged
-        )
-
-    def _post_fanout_at(
-        self,
-        sender_task: Task,
-        destinations,
-        message: Message,
-        category: TrafficCategory,
-        departure: float,
-    ) -> None:
-        """:meth:`post_fanout` with the departure explicit (commit replay)."""
+        departure = ctx.now + ctx.charged
         tasks = self.tasks
         transfer = self.network.transfer
         queue = self._queue

@@ -142,8 +142,7 @@ class Context:
         Streams are derived from ``(seed, machine_id)`` (see
         :meth:`repro.engine.simulator.Simulator.machine_rng`), so a task's
         draws depend only on its own machine's handler sequence — never on
-        how handler executions of *other* machines interleave, which is what
-        lets the threaded executor overlap handlers across workers.
+        how handler executions of *other* machines interleave.
         """
         return self._simulator.machine_rng(self._task.machine_id)
 
@@ -235,18 +234,7 @@ class Task:
         name: globally unique task name.
         machine_id: machine hosting the task (``-1`` for off-cluster tasks
             such as sources and collectors, which are not charged CPU time).
-        reads_global_state: class flag a task sets when its handlers read
-            cluster-wide state mid-handler (e.g. the migration controller
-            sampling ``ctx.cluster_peak_stored()`` and run-wide metrics).
-            Parallel backends treat such handlers as *barriers* — every
-            in-flight handler is committed before one runs, and it runs with
-            direct (unbuffered) simulator access — because the values it
-            reads depend on all prior handlers' effects being applied.
-            Machine-local handlers (the default) may overlap freely.
     """
-
-    #: See the class docstring; the conservative default is machine-local.
-    reads_global_state = False
 
     def __init__(self, name: str, machine_id: int = -1) -> None:
         self.name = name

@@ -38,16 +38,11 @@ crash time, before every :meth:`load` and at :meth:`close`, so the on-disk
 journal is always complete before recovery reads it and ``bytes_written``
 covers every journaled entry once the store is closed.
 
-Threading model: the threaded executor journals from its worker threads
-(handlers run machine-locally on the worker that owns the machine), so the
-store cannot be bound to the thread that created it.  Every thread gets its
-own SQLite connection on first use (``sqlite3`` connections are
-thread-bound by default), all configured identically — WAL readers and
-writers on the same file compose — and one store-wide lock serialises the
-buffer/counter bookkeeping and each database transaction.  The lock is
-coarse but uncontended in practice: the dispatch gate never lets two
-handlers of the same machine overlap, and cross-machine journal writes are
-short appends.
+Connection model: the simulator runs every handler on the thread that
+drives it, so the store opens one SQLite connection at construction and
+every journaling, snapshot and recovery call goes through it.  One
+store-wide lock serialises the buffer/counter bookkeeping and each database
+transaction.
 
 Journaling charges **zero virtual time** and touches neither the event heap
 nor the rng, so a fault-free run with checkpointing enabled is bit-identical
@@ -177,8 +172,8 @@ class _TaskJournal:
 class CheckpointStore:
     """Snapshot + delta journal for every task of one run.
 
-    Safe to call from any thread; see the module docstring for the
-    connection-per-thread model.
+    Owns one SQLite connection for its lifetime; see the module docstring
+    for the connection model.
 
     Args:
         path: SQLite database file.  ``None`` creates a temp file that is
@@ -197,9 +192,12 @@ class CheckpointStore:
         self.path = path
         self.flush_every = max(1, int(flush_every))
         self._lock = threading.Lock()
-        self._local = threading.local()
-        self._connections: list[sqlite3.Connection] = []
-        conn = self._connection()
+        # WAL plus a group-commit-friendly sync level; the busy timeout is a
+        # belt-and-braces guard (the store lock already serialises writes).
+        conn = self._conn = sqlite3.connect(path)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        conn.execute("PRAGMA busy_timeout=10000")
         for table in ("snapshots", "deltas"):
             conn.execute(
                 f"CREATE TABLE IF NOT EXISTS {table} ("
@@ -213,28 +211,6 @@ class CheckpointStore:
         self.delta_entries = 0
         self.snapshots_taken = 0
         self._closed = False
-
-    def _connection(self) -> sqlite3.Connection:
-        """The calling thread's connection, created and configured on first
-        use (WAL, group-commit-friendly sync level, and a busy timeout as a
-        belt-and-braces guard — the store lock already serialises writes).
-
-        Called with the store lock held (every journaling/recovery entry
-        point takes it), so it must not re-acquire it; the bare
-        ``list.append`` registration is atomic under the GIL either way.
-        """
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            # check_same_thread=False lets close() (and crash-path flushes)
-            # run from a thread other than the opener; every statement still
-            # executes under the store lock, never concurrently.
-            conn = sqlite3.connect(self.path, check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute("PRAGMA busy_timeout=10000")
-            self._local.conn = conn
-            self._connections.append(conn)
-        return conn
 
     # ------------------------------------------------------------- journaling
 
@@ -292,7 +268,7 @@ class CheckpointStore:
             del retained[:-2]
             keep = {row_seq for row_seq, _ in retained}
             keep.update(row_base for _, row_base in retained if row_base is not None)
-            conn = self._connection()
+            conn = self._conn
             conn.execute(
                 "INSERT OR REPLACE INTO snapshots (task, seq, payload, checksum)"
                 " VALUES (?, ?, ?, ?)",
@@ -340,7 +316,7 @@ class CheckpointStore:
             journal = self._journals.get(task)
             if journal is not None:
                 self._flush_task_locked(task, journal)
-            conn = self._connection()
+            conn = self._conn
             rows = {
                 seq: (payload, checksum)
                 for seq, payload, checksum in conn.execute(
@@ -419,7 +395,7 @@ class CheckpointStore:
         buffer = journal.buffer
         if buffer:
             payload = pickle.dumps(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-            conn = self._connection()
+            conn = self._conn
             conn.execute(
                 "INSERT INTO deltas (task, seq, payload, checksum)"
                 " VALUES (?, ?, ?, ?)",
@@ -439,13 +415,10 @@ class CheckpointStore:
             self._flush_all_locked()
 
     def close(self) -> None:
-        """Flush what is still buffered, close every thread's connection and
-        remove the backing temp file.
+        """Flush what is still buffered, close the connection and remove the
+        backing temp file.
 
         The final flush makes ``bytes_written`` cover every journaled entry.
-        Connections opened by worker threads are closed here from the
-        closing thread (they are opened with ``check_same_thread=False``);
-        by close time the worker fleet has been joined, so none is in use.
         """
         with self._lock:
             if self._closed:
@@ -454,12 +427,10 @@ class CheckpointStore:
             try:
                 self._flush_all_locked()
             finally:
-                for conn in self._connections:
-                    try:
-                        conn.close()
-                    except sqlite3.Error:  # pragma: no cover - best-effort close
-                        pass
-                self._connections = []
+                try:
+                    self._conn.close()
+                except sqlite3.Error:  # pragma: no cover - best-effort close
+                    pass
                 if self._owns_file:
                     for suffix in ("", "-wal", "-shm"):
                         try:

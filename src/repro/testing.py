@@ -1,11 +1,10 @@
 """Differential-testing helpers for operator runs.
 
 The repository leans on differential testing throughout: the scalar probe
-engine is the oracle for the vectorized one, the per-tuple data plane is the
-oracle for the adaptive one, and the simulated executor is the oracle for the
-threaded one.  :func:`assert_run_equivalent` is the shared assertion those
-suites (and third-party backends registered through :mod:`repro.api`) compare
-:class:`~repro.core.results.RunResult`\\ s with.
+engine is the oracle for the vectorized one, and the per-tuple data plane is
+the oracle for the adaptive one.  :func:`assert_run_equivalent` is the shared
+assertion those suites (and third-party components registered through
+:mod:`repro.api`) compare :class:`~repro.core.results.RunResult`\\ s with.
 """
 
 from __future__ import annotations
@@ -75,9 +74,9 @@ def assert_run_equivalent(
     work, peak ILF, the spill flag and the migration decision/completion
     times.  Use it when the two runs are meant to be *bit-identical*
     simulations (probe-engine pairs at one batch size, adaptive vs per-tuple
-    plane, threaded vs simulated executor); drop it when only the results
-    must agree (fixed-plane runs across batch sizes, where virtual-time
-    compression legitimately shifts the epoch edge).
+    plane); drop it when only the results must agree (fixed-plane runs
+    across batch sizes, where virtual-time compression legitimately shifts
+    the epoch edge).
 
     ``network=True`` pins the traffic volumes per category.
 
@@ -88,9 +87,10 @@ def assert_run_equivalent(
     changes both.
 
     ``ignore=`` names individual fields to skip, for comparisons that are
-    exact *except* for a known, bounded delta — e.g. a cross-executor suite
-    excluding wall-clock-adjacent fields while keeping everything else
-    strict.  Names must come from :data:`IGNORABLE_FIELDS`; unknown names
+    exact *except* for a known, bounded delta — e.g. fixed-plane runs across
+    batch sizes naming the timing and per-category volume fields while
+    keeping everything else strict.  Names must come from
+    :data:`IGNORABLE_FIELDS`; unknown names
     raise ``ValueError`` so a typo cannot silently weaken a suite, and the
     semantic baseline is not ignorable at all.  The coarse ``timing`` /
     ``network`` / ``events`` switches compose with ``ignore`` (each switch is

@@ -402,35 +402,46 @@ class TestDeliveryMergingConformance:
     """The merged wire must be invisible in every observable quantity."""
 
     @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
-    def test_merged_equals_unmerged_adaptive(self, queries, predicate):
+    def test_merged_adaptive_equals_per_tuple_oracle(self, queries, predicate):
         query = queries[predicate]
         order = _arrival_order(query)
-        merged = _run(AdaptiveJoinOperator, query, order, batching="adaptive")
-        unmerged = _run(
-            AdaptiveJoinOperator, query, order,
-            batching="adaptive", delivery_merging=False,
-        )
-        assert_run_equivalent(merged, unmerged, label=f"merge/{predicate}")
+        reference, merged = _run_pair(AdaptiveJoinOperator, query, order)
+        assert_run_equivalent(reference, merged, label=f"merge/{predicate}")
         # The merged wire must actually collapse heap traffic, not pass
         # trivially: under the bursty backlog the channel runs absorb the
-        # per-tuple deliveries (the tentpole's >=2x gate runs at benchmark
-        # scale in bench_fig7a_throughput.py).
-        assert merged.heap_events * 2 < unmerged.heap_events, (
-            merged.heap_events, unmerged.heap_events,
+        # per-tuple deliveries (the >=2x gate at benchmark scale lives in
+        # bench_fig7a_throughput.py).
+        assert merged.heap_events * 2 < reference.heap_events, (
+            merged.heap_events, reference.heap_events,
         )
-        assert merged.delivery_merging and not unmerged.delivery_merging
-        assert merged.wire_histogram and unmerged.wire_histogram is None
+        assert merged.wire_histogram and reference.wire_histogram is None
         assert max(merged.wire_histogram) > 8  # multi-member runs exist
 
-    def test_merging_on_the_per_tuple_fixed_plane(self, queries):
-        """The merge layer is plane-agnostic: enabled on the per-tuple fixed
+    def test_plane_picks_the_wire(self, queries):
+        """Draining planes run on the merged wire; the fixed plane keeps the
+        unmerged reference wire."""
+        query = queries["equi"]
+        planes = (({"batching": "adaptive"}, True), ({"batch_size": 1}, False))
+        for overrides, merged in planes:
+            operator = AdaptiveJoinOperator(query, config=_config(**overrides))
+            simulator, _ = operator.build_execution()
+            assert simulator._merge_wire is merged, overrides
+
+    def test_merging_on_the_per_tuple_fixed_plane(self, queries, monkeypatch):
+        """The merge layer is plane-agnostic: installed on the per-tuple fixed
         plane (no drain controllers at all) it must still be bit-identical."""
         query = queries["equi"]
         order = _arrival_order(query)
         reference = _run(StaticMidOperator, query, order, batch_size=1)
-        merged = _run(
-            StaticMidOperator, query, order, batch_size=1, delivery_merging=True
-        )
+        build = StaticMidOperator.build_execution
+
+        def build_merged(self, *args, **kwargs):
+            simulator, topology = build(self, *args, **kwargs)
+            simulator.enable_delivery_merging()
+            return simulator, topology
+
+        monkeypatch.setattr(StaticMidOperator, "build_execution", build_merged)
+        merged = _run(StaticMidOperator, query, order, batch_size=1)
         assert_run_equivalent(reference, merged, label="fixed-plane merge")
         assert merged.heap_events < reference.heap_events
 
@@ -470,31 +481,6 @@ class TestDeliveryMergingConformance:
         )
         assert result.faults_injected == len(crashes)
         assert seen["ticks"] > 50 and seen["segments"] > 0
-
-    def test_delivery_merging_validation(self):
-        with pytest.raises(ValueError, match="delivery_merging"):
-            RunConfig(delivery_merging="yes")
-        assert RunConfig(delivery_merging=True).delivery_merging is True
-        assert RunConfig(batching="adaptive").delivery_merging is None
-
-    def test_default_resolution_per_plane(self, queries):
-        query = queries["equi"]
-        adaptive = AdaptiveJoinOperator(query, config=_config(batching="adaptive"))
-        fixed = AdaptiveJoinOperator(query, config=_config(batch_size=1))
-        assert adaptive.delivery_merging is True  # draining planes default on
-        assert fixed.delivery_merging is False  # reference wire stays unmerged
-
-    @given(chunks=st.lists(st.integers(1, 60), min_size=1, max_size=30))
-    @settings(max_examples=10, deadline=None)
-    def test_any_chunking_merged_equals_unmerged(self, small_conformance, chunks):
-        """Streaming property: for ANY chunking, the merged and unmerged
-        adaptive planes produce identical run fingerprints."""
-        query, order = small_conformance
-        merged = _stream_run(query, order, chunks, batching="adaptive")
-        unmerged = _stream_run(
-            query, order, chunks, batching="adaptive", delivery_merging=False
-        )
-        assert_run_equivalent(merged, unmerged, label=f"merge-chunks={chunks[:6]}...")
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from repro.api import (
 )
 from repro.core.baselines import make_operator
 from repro.core.operator import AdaptiveJoinOperator, GridJoinOperator
+from repro.core.results import RunResult
 from repro.data.queries import make_query
 from repro.engine.stream import interleave_streams, make_tuples
 from repro.joins.local import ProbeEngine
@@ -253,62 +254,60 @@ class TestRecoveryKnobs:
         assert RunConfig.from_dict(config.to_dict()) == config
 
 
-class TestExecutorKnobs:
-    """Eager validation and serialisation of the executor configuration."""
+class TestRetiredKnobs:
+    """The execution-backend and wire switches are gone: one simulator, and
+    the batching plane picks the wire."""
 
-    def test_executor_json_round_trip(self):
-        config = RunConfig(machines=8, executor="threads", num_workers=3)
-        assert RunConfig.from_json(config.to_json()) == config
-        as_dict = config.to_dict()
-        assert as_dict["executor"] == "threads"
-        assert as_dict["num_workers"] == 3
-        assert RunConfig.from_dict(as_dict) == config
+    RETIRED_KEYS = [
+        ("executor", "simulated"),
+        ("num_workers", 4),
+        ("worker_timeout", 30.0),
+        ("delivery_merging", True),
+    ]
 
-    def test_default_executor_round_trips(self):
-        config = RunConfig(machines=8)
-        assert config.executor == "simulated"
-        assert config.num_workers is None
-        assert RunConfig.from_dict(config.to_dict()) == config
+    @pytest.mark.parametrize("key, value", RETIRED_KEYS)
+    def test_retired_key_rejected_by_name(self, key, value):
+        payload = {**RunConfig(machines=8).to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
+            RunConfig.from_dict(payload)
 
-    def test_unknown_executor_lists_registered_choices(self):
-        with pytest.raises(ValueError, match="simulated, threads"):
-            RunConfig(machines=8, executor="gpu")
+    @pytest.mark.parametrize("key, value", RETIRED_KEYS)
+    def test_retired_key_rejected_by_with_overrides(self, key, value):
+        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
+            RunConfig(machines=8).with_overrides(**{key: value})
+        with pytest.raises(TypeError, match=key):
+            RunConfig(machines=8, **{key: value})
 
-    def test_num_workers_rejected_on_simulated_backend(self):
-        with pytest.raises(ValueError, match="parallel-executor knob"):
-            RunConfig(machines=8, num_workers=4)
-
-    def test_faults_and_checkpointing_accepted_on_threaded_backend(self):
-        """Recovery is ported to the threaded frontier (the old eager
-        rejections are gone; conformance lives in
-        tests/test_threads_recovery.py)."""
-        config = RunConfig(
-            machines=8, executor="threads",
-            fault_schedule=[crash(0, 1.0)], checkpoint_interval=25,
-        )
-        assert config.fault_schedule[0].machine == 0
-        assert config.checkpoint_interval == 25
+    @pytest.mark.parametrize("key, value", RETIRED_KEYS)
+    def test_retired_key_rejected_at_call_site(self, eq5_query, key, value):
+        """Session construction and per-run overrides reach the same check —
+        a stale script fails loudly instead of running a different setup."""
+        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
+            JoinSession(eq5_query, machines=8, **{key: value})
+        session = JoinSession(eq5_query, config=RunConfig(machines=8))
+        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
+            session.operator(**{key: value})
 
     @pytest.mark.parametrize(
-        "overrides",
+        "name",
         [
-            {"executor": 7},
-            {"executor": None},
-            {"executor": "threads", "num_workers": 0},
-            {"executor": "threads", "num_workers": -2},
-            {"executor": "threads", "num_workers": 2.5},
+            "executor",
+            "worker_wall",
+            "worker_events",
+            "effective_workers",
+            "overlap_dispatches",
+            "peak_inflight",
+            "delivery_merging",
         ],
     )
-    def test_invalid_executor_values_rejected(self, overrides):
-        with pytest.raises((ValueError, TypeError)):
-            RunConfig(machines=8, **overrides)
+    def test_retired_result_field_absent(self, eq5_query, name):
+        assert name not in {f.name for f in dataclasses.fields(RunResult)}
+        result = JoinSession(eq5_query, config=RunConfig(machines=4)).run()
+        assert not hasattr(result, name)
+        assert name not in result.summary_row()
 
-    def test_threaded_executor_flows_through_session(self, eq5_query):
-        result = JoinSession(
-            eq5_query, config=RunConfig(machines=4, seed=3, executor="threads")
-        ).run()
-        assert result.executor == "threads"
-        assert len(result.worker_events) == 4
+    def test_field_count(self):
+        assert len(dataclasses.fields(RunConfig)) == 21
 
 
 # ---------------------------------------------------------------------------

@@ -667,16 +667,6 @@ class TestDifferentialRecovery:
             situation, (kind, plane, situation), **PLANES[plane],
         )
 
-    def test_threaded_executor_cell(self, monkeypatch, scenarios):
-        query, order = scenarios["equi"]
-        situation = "between_extending"
-        anchor = ANCHORS["adaptive"][SITUATIONS.index(situation)]
-        _assert_same_recovery(
-            monkeypatch, query, order, _twin(scenarios, "equi", "adaptive"), anchor,
-            situation, ("equi", "adaptive", situation),
-            executor="threads", **PLANES["adaptive"],
-        )
-
 
 class TestJoinerJournalPolicy:
     """When a joiner snapshot may extend, on a real joiner task driven by

@@ -7,8 +7,7 @@ Pins the unreliable-wire plane's contract:
   rejection of statically-provable overlapping crash windows.
 * **Masking** — under any drop/duplicate/delay/partition schedule the run
   terminates and its join output multiset equals the fault-free twin's, on
-  both data planes and both executors, including cells composed with
-  machine crashes.
+  both data planes, including cells composed with machine crashes.
 * **Clean-path bit-identity** — ``network_faults=()`` leaves every run
   bit-identical to a build without the wire plane (heap events included).
 * **Determinism** — the same fault schedule under the same seed reproduces
@@ -283,7 +282,7 @@ class TestCleanPathBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Conformance matrix: fault kinds x planes (simulated executor)
+# Conformance matrix: fault kinds x planes
 # ---------------------------------------------------------------------------
 
 class TestWireMasking:
@@ -410,39 +409,6 @@ class TestWireMasking:
 
 
 # ---------------------------------------------------------------------------
-# Threads executor cells
-# ---------------------------------------------------------------------------
-
-class TestThreadsExecutorCells:
-    @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_threads_faulty_run_matches_simulated(self, queries, plane):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        faults = MIXED_FAULTS + (
-            partition((0, 1), (4, 5), 8.0, 11.0),
-        )
-        oracle = _run(query, order, network_faults=faults, **PLANES[plane])
-        threaded = _run(
-            query, order, network_faults=faults, executor="threads", **PLANES[plane]
-        )
-        # The wire plane rides the fault rank band (full barriers on the
-        # dispatch frontier), so the threaded faulty run is bit-identical to
-        # the simulated one — counters included.
-        assert_run_equivalent(oracle, threaded, events=True, label=f"threads:{plane}")
-        assert threaded.wire_counters == oracle.wire_counters
-
-    def test_threads_faulty_run_matches_fault_free_twin(self, queries):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        twin = _run(query, order, batch_size=1)
-        faulty = _run(
-            query, order, network_faults=MIXED_FAULTS, executor="threads",
-            batch_size=1,
-        )
-        assert sorted(faulty.outputs) == sorted(twin.outputs)
-
-
-# ---------------------------------------------------------------------------
 # Composition with machine crashes (fault_schedule x network_faults)
 # ---------------------------------------------------------------------------
 
@@ -467,25 +433,6 @@ class TestCrashComposition:
         assert sorted(composed.outputs) == sorted(twin.outputs), plane
         assert composed.output_count == twin.output_count
         _assert_counters_reconcile(composed, f"crash-composed:{plane}")
-
-    def test_crash_composition_on_threads_executor(self, queries):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
-        composed = _run(
-            query,
-            order,
-            checkpoint_interval=50,
-            batch_size=1,
-            executor="threads",
-            fault_schedule=[
-                crash_after_events(3, max(1, twin.events_processed // 2))
-            ],
-            network_faults=MIXED_FAULTS,
-        )
-        assert composed.faults_injected == 1
-        assert sorted(composed.outputs) == sorted(twin.outputs)
-        _assert_counters_reconcile(composed, "crash-composed:threads")
 
     def test_retransmitted_then_crashed_messages_apply_once(self, queries):
         # Drops targeted at the crashing machine's links: retransmits land

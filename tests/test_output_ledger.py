@@ -10,7 +10,7 @@ Pins the contract of ``MatchGroup`` / ``LatencyLedger`` / ``record_outputs``:
 * **differential** — both probe engines on both data planes are the same
   simulation (heap events included) with equal output multisets on migrating
   equi / band / composite joins whose Δ, Δ' and µ emission paths all fire,
-  under a crash and on the threaded executor too;
+  and under a crash too;
 * **allocation** — a dense run holds O(probes) ledger entries, not
   O(outputs), and the collector keeps no Python object per join result.
 """
@@ -293,20 +293,6 @@ class TestEnginesAgreeOnEveryPlane:
                 **dict(knobs, probe_engine="scalar"),
             )
             assert_run_equivalent(oracle, crashed, events=True, label=f"crash/{engine}")
-
-    @pytest.mark.parametrize("kind", ["band", "composite"])
-    def test_threaded_executor_cell(self, kind):
-        """Workers journal ``record_outputs`` calls and the coordinator
-        replays them at commit, after later inserts: groups must own their
-        partner lists for this to stay bit-identical."""
-        query = _query(kind)
-        order = _arrival_order(query)
-        simulated = _run(query, order, **PLANES["adaptive"])
-        threaded = _run(
-            query, order, executor="threads", num_workers=4, **PLANES["adaptive"]
-        )
-        assert_run_equivalent(simulated, threaded, events=True, label=f"threads/{kind}")
-        assert Counter(threaded.outputs) == Counter(simulated.outputs)
 
 
 # ---------------------------------------------------------------------------
