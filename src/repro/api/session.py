@@ -37,7 +37,7 @@ from repro.api.config import RunConfig
 from repro.api.registry import operators
 from repro.core.mapping import Mapping
 from repro.engine.stream import StreamTuple, TupleBatch, make_tuples
-from repro.engine.task import DataEnvelope, Message, MessageKind
+from repro.engine.task import Message, MessageKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import GridJoinOperator
@@ -206,16 +206,11 @@ class _StreamingRun:
             if len(buffer) >= self.batch_size:
                 self._emit(destination, self._buffers.pop(destination), arrival_time)
         else:
-            # schedule_data merges consecutive same-destination ingest
-            # messages into DeliveryRuns when the simulator has wire-level
-            # delivery merging enabled (falls back to schedule() otherwise).
-            self.simulator.schedule_data(
-                arrival_time,
-                destination,
-                DataEnvelope(
-                    MessageKind.SOURCE, "__source__", item, 0, item.size
-                ),
-            )
+            # The tuple is its own message.  schedule_data merges consecutive
+            # same-destination ingest messages into DeliveryRuns when the
+            # simulator has wire-level delivery merging enabled (falls back to
+            # schedule() otherwise).
+            self.simulator.schedule_data(arrival_time, destination, item)
 
     def _emit(self, destination: str, members: list[StreamTuple], emit_time: float) -> None:
         batch = TupleBatch(items=members)
@@ -227,7 +222,7 @@ class _StreamingRun:
                 sender="__source__",
                 payload=batch,
                 size=batch.size,
-                meta={"inner": MessageKind.SOURCE},
+                meta={"inner": MessageKind.DATA},
             ),
         )
 

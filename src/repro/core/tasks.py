@@ -19,7 +19,7 @@ from repro.core.mapping import GridPlacement, Mapping
 from repro.core.migration import MigrationPlan, plan_migration
 from repro.engine.network import TrafficCategory
 from repro.engine.stream import StreamTuple, TupleBatch
-from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
+from repro.engine.task import Context, Message, MessageKind, Task
 from repro.joins.local import make_local_joiner
 from repro.joins.predicates import JoinPredicate
 
@@ -39,9 +39,9 @@ def _envelope(
     """Wrap grouped tuples for one destination: a plain per-tuple message for
     a singleton, a BATCH carrying a :class:`TupleBatch` otherwise."""
     if len(items) == 1:
-        if not meta:
-            # Meta-free singletons (routed DATA) ride the slim envelope.
-            return DataEnvelope(inner, sender, items[0], epoch, items[0].size)
+        if inner is MessageKind.DATA and not meta:
+            # A routed tuple is its own DATA message.
+            return items[0]
         return Message(
             kind=inner,
             sender=sender,
@@ -177,7 +177,7 @@ class ReshufflerTask(Task):
     def handle(self, message: Message, ctx: Context) -> None:
         if message.kind is MessageKind.BATCH:
             self._handle_source_batch(message, ctx)
-        elif message.kind is MessageKind.SOURCE:
+        elif message.kind is MessageKind.DATA:
             self._handle_source(message.payload, ctx)
         elif message.kind is MessageKind.MAPPING_CHANGE:
             self._handle_mapping_change(message, ctx)
@@ -191,9 +191,9 @@ class ReshufflerTask(Task):
             self._journal.maybe_snapshot(self)
 
     def _handle_source_batch(self, message: Message, ctx: Context) -> None:
-        if message.meta.get("inner") is not MessageKind.SOURCE:
+        if message.meta.get("inner") is not MessageKind.DATA:
             raise ValueError(
-                f"reshuffler {self.name} can only handle SOURCE batches, "
+                f"reshuffler {self.name} can only handle DATA batches, "
                 f"got inner kind {message.meta.get('inner')}"
             )
         routes: RouteGroups = {}
@@ -209,7 +209,8 @@ class ReshufflerTask(Task):
     # ---------------------------------------------------- adaptive data plane
 
     def drain_key(self, message: Message):
-        """SOURCE runs are drainable whenever the reshuffler is not buffering.
+        """Source-tuple (DATA) runs are drainable whenever the reshuffler is
+        not buffering.
 
         Static operators (``adaptive=False``) never change mappings, so their
         reshufflers drain source backlogs without any protocol interaction.
@@ -221,7 +222,7 @@ class ReshufflerTask(Task):
         can exist yet.  The blocking protocol's buffered-resume path charges
         CPU from a control handler and stays per-tuple.
         """
-        if message.kind is MessageKind.SOURCE and not self.blocking:
+        if message.kind is MessageKind.DATA and not self.blocking:
             return -1  # any non-None constant: all source tuples coalesce
         return None
 
@@ -256,7 +257,7 @@ class ReshufflerTask(Task):
         if horizon_fn is not None and not is_controller:
             horizon, horizon_fn = horizon_fn(), None
         dest_cache: dict = {}
-        source_kind = MessageKind.SOURCE
+        data_kind = MessageKind.DATA
         count = 0
         message = first
         while True:
@@ -287,18 +288,18 @@ class ReshufflerTask(Task):
             if horizon is not None and end >= horizon:
                 break
             head = inbox[0]
-            # Inline drain_key: same task + SOURCE kind is the whole key
+            # Inline drain_key: same task + DATA kind is the whole key
             # (blocking cannot flip inside a run — RESUME is control-plane).
             if head.__class__ is tuple:
                 task, message = head
-                if task is not self or message.kind is not source_kind:
+                if task is not self or message.kind is not data_kind:
                     break
                 inbox.popleft()
             else:
                 if head.task is not self:
                     break
                 message = head.messages[head.index]
-                if message.kind is not source_kind:
+                if message.kind is not data_kind:
                     break
                 head.index += 1
                 if head.index == head.end:
@@ -455,9 +456,10 @@ class ReshufflerTask(Task):
         routes: RouteGroups | None = None,
         dest_cache: dict | None = None,
     ) -> None:
-        # Tag with the current epoch; the common case (tag already current —
-        # epoch 0 before any migration) reuses the tuple object outright.
-        tagged = item if item.epoch == self.epoch else item.with_epoch(self.epoch)
+        # Tag with the current epoch in place: this is the tuple's single
+        # delivery to a reshuffler and it has not been fanned out yet, so no
+        # joiner (and no journal entry) can hold it.
+        item.epoch = self.epoch
         if dest_cache is not None:
             # Destination-grouped routing: the caller guarantees a fixed
             # mapping/epoch for its whole invocation, so each (side,
@@ -484,15 +486,11 @@ class ReshufflerTask(Task):
                 dest_cache[key] = cached
             if routes is not None:
                 for group in cached:
-                    group.append(tagged)
+                    group.append(item)
                 return
-            # One immutable DATA envelope shared by every destination of the
-            # fan-out: receivers never mutate messages, so replicating the
-            # envelope object per destination buys nothing.
-            message = DataEnvelope(
-                MessageKind.DATA, self.name, tagged, self.epoch, item.size
-            )
-            ctx.send_fanout(cached, message, category=TrafficCategory.ROUTING)
+            # The tuple is its own DATA message, shared by every destination
+            # of the fan-out (receivers never mutate messages).
+            ctx.send_fanout(cached, item, category=TrafficCategory.ROUTING)
             return
         placement = self.topology.placement(self.mapping)
         if is_left:
@@ -503,15 +501,12 @@ class ReshufflerTask(Task):
             destinations = placement.machines_for_col(col)
         if routes is not None:
             for machine_id in destinations:
-                routes.setdefault((machine_id, self.epoch), []).append(tagged)
+                routes.setdefault((machine_id, self.epoch), []).append(item)
             return
-        message = DataEnvelope(
-            MessageKind.DATA, self.name, tagged, self.epoch, item.size
-        )
         joiner_names = self.topology.joiner_names
         ctx.send_fanout(
             [joiner_names[machine_id] for machine_id in destinations],
-            message,
+            item,
             category=TrafficCategory.ROUTING,
         )
 
@@ -555,14 +550,12 @@ class HashReshufflerTask(ReshufflerTask):
             predicate.left_key(item.record) if is_left else predicate.right_key(item.record)
         )
         machine_id = hash(key) % self.topology.machines
-        tagged = item if item.epoch == self.epoch else item.with_epoch(self.epoch)
+        item.epoch = self.epoch  # in place, as in ReshufflerTask._route
         if routes is not None:
-            routes.setdefault((machine_id, self.epoch), []).append(tagged)
+            routes.setdefault((machine_id, self.epoch), []).append(item)
             return
         ctx.send(
-            self.topology.joiner(machine_id),
-            DataEnvelope(MessageKind.DATA, self.name, tagged, self.epoch, item.size),
-            category=TrafficCategory.ROUTING,
+            self.topology.joiner(machine_id), item, category=TrafficCategory.ROUTING
         )
 
 

@@ -22,7 +22,7 @@ from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Network, TrafficCategory
 from repro.engine.simulator import DeliveryRun, Simulator
 from repro.engine.stream import ArrivalSchedule, StreamTuple, interleave_streams
-from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
+from repro.engine.task import Context, Message, MessageKind, Task
 
 __all__ = [
     "AdaptiveBatchController",
@@ -30,7 +30,6 @@ __all__ = [
     "BatchController",
     "Context",
     "CostModel",
-    "DataEnvelope",
     "DeliveryRun",
     "FixedBatchController",
     "Machine",

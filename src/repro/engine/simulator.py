@@ -38,7 +38,7 @@ from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Network, TrafficCategory
 from repro.engine.stream import ArrivalSchedule, StreamTuple, TupleBatch
-from repro.engine.task import Context, DataEnvelope, Message, MessageKind, Task
+from repro.engine.task import Context, Message, MessageKind, Task
 
 #: Control-plane message kinds that are not queued behind the data backlog.
 PRIORITY_KINDS = frozenset(
@@ -159,8 +159,8 @@ class _FaultEvent:
 class _WireFrame:
     """One link-layer frame: a message instance in flight on the unreliable wire.
 
-    The reliable-delivery sublayer never mutates the wrapped message (data
-    envelopes are shared across fan-out destinations), so the per-link
+    The reliable-delivery sublayer never mutates the wrapped message (a
+    routed tuple is shared across fan-out destinations), so the per-link
     sequence number, original send rank and retransmit state live on this
     wrapper instead.  ``rank`` is the send-band rank the message was assigned
     at its original send — the receiver releases with it, so crashed-machine
@@ -411,10 +411,11 @@ class Simulator:
                 reshuffler each tuple is sent to (the paper routes incoming
                 tuples to a random reshuffler).
             batch_size: with ``batch_size=1`` (the legacy data plane) every
-                tuple becomes one SOURCE message; larger values coalesce up to
-                ``batch_size`` consecutive same-destination arrivals into one
-                BATCH message.  The picker is still called once per tuple in
-                arrival order, so routing decisions are identical either way.
+                tuple is sent as its own message; larger values coalesce up
+                to ``batch_size`` consecutive same-destination arrivals into
+                one BATCH message.  The picker is still called once per tuple
+                in arrival order, so routing decisions are identical either
+                way.
         """
         if batch_size > 1:
             for emit_time, destination, batch in schedule.batched_arrivals(
@@ -425,14 +426,13 @@ class Simulator:
                     sender="__source__",
                     payload=batch,
                     size=batch.size,
-                    meta={"inner": MessageKind.SOURCE},
+                    meta={"inner": MessageKind.DATA},
                 )
                 self.schedule_data(emit_time, destination, message)
             return
         tasks = self.tasks
         queue = self._queue
         schedule_rank = self._schedule_rank
-        source_kind = MessageKind.SOURCE
         if self._merge_wire:
             # Merged feed: one DeliveryRun per reshuffler covers the whole
             # schedule (members keep their exact arrival times/ranks).  The
@@ -447,24 +447,22 @@ class Simulator:
                 item.arrival_time = arrival_time
                 task = tasks[destination_picker(item)]
                 rank = next(schedule_rank)
-                envelope = DataEnvelope(source_kind, "__source__", item, 0, item.size)
                 run = channel_get(task)
                 if run is None or run.closed:
                     run = feed_channels[task] = DeliveryRun(
-                        task, [arrival_time], [rank], [envelope]
+                        task, [arrival_time], [rank], [item]
                     )
                     heappush(queue, (arrival_time, rank, run, _DELIVERY_RUN))
                 else:
                     run.times.append(arrival_time)
                     run.ranks.append(rank)
-                    run.messages.append(envelope)
+                    run.messages.append(item)
             return
         for arrival_time, item in schedule.arrivals():
             item.arrival_time = arrival_time
-            message = DataEnvelope(source_kind, "__source__", item, 0, item.size)
             heapq.heappush(
                 queue,
-                (arrival_time, next(schedule_rank), tasks[destination_picker(item)], message),
+                (arrival_time, next(schedule_rank), tasks[destination_picker(item)], item),
             )
 
     def schedule_data(self, time: float, destination: str, message) -> None:
@@ -598,7 +596,7 @@ class Simulator:
                     )
             return
         if self._merge_wire:
-            # One shared envelope, one open-channel append per destination;
+            # One shared message, one open-channel append per destination;
             # the per-link delivery times and ranks are computed exactly as
             # below.  The channel-append bookkeeping is inlined (this is the
             # hottest send path of the merged wire).

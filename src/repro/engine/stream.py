@@ -3,7 +3,17 @@
 A :class:`StreamTuple` is the unit of data flowing through the operator.  It
 carries the relation name, the record payload (a plain dict), a stable
 ``salt`` drawn uniformly in ``[0, 1)`` when the tuple enters the system, and
-bookkeeping fields (arrival time, epoch tag) filled in by the engine.
+two bookkeeping fields stamped in place by the engine: the feed (or a
+streaming session's ingest) stamps ``arrival_time``, and the reshuffler that
+routes the tuple stamps ``epoch``.
+
+On the data plane a tuple is its own message: it speaks the
+:class:`~repro.engine.task.Message` protocol (``kind`` DATA, no sender, an
+empty ``meta`` and ``payload`` returning itself), so the source hands the
+tuple object to a reshuffler and the reshuffler fans the same object out to
+its joiners.  The receiving task's role tells it which hop the tuple is on.
+A tuple object therefore enters a run once, and is alive exactly once in a
+parked backlog.
 
 The salt implements the paper's random, content-insensitive routing: under an
 ``(n, m)``-mapping an ``R`` tuple belongs to row partition ``floor(salt * n)``
@@ -15,17 +25,43 @@ makes the locality-aware migration of §4.2.1 possible.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import random
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 _tuple_ids = itertools.count()
 
 
+class MessageKind(enum.Enum):
+    """The kinds of messages exchanged by tasks."""
+
+    # Members are singletons; identity hashing keeps the hot per-message
+    # dict/set operations (priority checks, traffic counters) at C speed
+    # instead of going through Enum.__hash__.
+    __hash__ = object.__hash__
+
+    DATA = "data"                      # a stream tuple (source -> reshuffler -> joiner)
+    MIGRATION = "migration"            # a relocated tuple during migration
+    BATCH = "batch"                    # a TupleBatch; meta["inner"] is the member kind
+    MIGRATION_END = "migration_end"    # sender finished relocating state to receiver
+    MAPPING_CHANGE = "mapping_change"  # controller -> reshufflers: new mapping/epoch
+    EPOCH_SIGNAL = "epoch_signal"      # reshuffler -> joiners: epoch change notice
+    MIGRATION_ACK = "migration_ack"    # joiner -> controller: finished migration
+    RESUME = "resume"                  # controller -> reshufflers: unblock buffered input
+    FLUSH = "flush"                    # end-of-stream marker
+
+
+#: Shared read-only empty ``meta`` of every data-plane tuple message —
+#: data-plane handlers never read per-message meta.
+EMPTY_META: Any = MappingProxyType({})
+
+
 @dataclass(slots=True)
 class StreamTuple:
-    """A single tuple of one of the two input streams.
+    """A single tuple of one of the two input streams, and its own message.
 
     Attributes:
         relation: logical relation name, e.g. ``"R"`` or ``"LINEITEM_1"``.
@@ -33,10 +69,16 @@ class StreamTuple:
         salt: uniform random value in ``[0, 1)`` used for content-insensitive
             partition assignment; assigned once, never changed.
         size: size of the tuple in abstract storage units (the paper's
-            ``size_R`` / ``size_S``).
+            ``size_R`` / ``size_S``); also the message's network size.
         tuple_id: unique id, used for output verification in tests.
-        arrival_time: virtual time at which the tuple entered the operator.
-        epoch: epoch tag assigned by the reshuffler that routed it.
+        arrival_time: virtual time at which the tuple entered the operator,
+            stamped in place by the feed.
+        epoch: epoch tag, stamped in place by the reshuffler that routes the
+            tuple — while handling its single delivery, before the fan-out,
+            so no joiner ever holds a tuple whose tag can still change.
+
+    The message protocol (``kind``, ``sender``, ``meta``, ``payload``) is
+    plain class attributes: not fields, not slots, never pickled.
     """
 
     relation: str
@@ -47,23 +89,20 @@ class StreamTuple:
     arrival_time: float = 0.0
     epoch: int = 0
 
+    kind = MessageKind.DATA
+    sender = None
+    meta = EMPTY_META
+
+    @property
+    def payload(self) -> "StreamTuple":
+        """The message payload: the tuple itself."""
+        return self
+
     def partition(self, parts: int) -> int:
         """Partition index of this tuple when its relation is split ``parts`` ways."""
         index = int(self.salt * parts)
         # Guard against salt == 1.0 - epsilon rounding up at large ``parts``.
         return min(index, parts - 1)
-
-    def with_epoch(self, epoch: int) -> "StreamTuple":
-        """Return a shallow copy tagged with ``epoch`` (the record is shared)."""
-        return StreamTuple(
-            relation=self.relation,
-            record=self.record,
-            salt=self.salt,
-            size=self.size,
-            tuple_id=self.tuple_id,
-            arrival_time=self.arrival_time,
-            epoch=epoch,
-        )
 
 
 @dataclass(slots=True)

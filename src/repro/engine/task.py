@@ -14,46 +14,30 @@ task while it processes a message.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.network import TrafficCategory
-from repro.engine.stream import StreamTuple
+# MessageKind and EMPTY_META live next to StreamTuple (a tuple is its own
+# data message); re-exported here with the rest of the message vocabulary.
+from repro.engine.stream import EMPTY_META, MessageKind, StreamTuple  # noqa: F401
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.engine.simulator import Simulator
-
-
-class MessageKind(enum.Enum):
-    """The kinds of messages exchanged by tasks."""
-
-    # Members are singletons; identity hashing keeps the hot per-message
-    # dict/set operations (priority checks, traffic counters) at C speed
-    # instead of going through Enum.__hash__.
-    __hash__ = object.__hash__
-
-    DATA = "data"                      # a stream tuple routed to a joiner
-    SOURCE = "source"                  # a stream tuple arriving at a reshuffler
-    MIGRATION = "migration"            # a relocated tuple during migration
-    BATCH = "batch"                    # a TupleBatch; meta["inner"] is the member kind
-    MIGRATION_END = "migration_end"    # sender finished relocating state to receiver
-    MAPPING_CHANGE = "mapping_change"  # controller -> reshufflers: new mapping/epoch
-    EPOCH_SIGNAL = "epoch_signal"      # reshuffler -> joiners: epoch change notice
-    MIGRATION_ACK = "migration_ack"    # joiner -> controller: finished migration
-    RESUME = "resume"                  # controller -> reshufflers: unblock buffered input
-    FLUSH = "flush"                    # end-of-stream marker
 
 
 @dataclass(slots=True)
 class Message:
     """A message in flight between two tasks.
 
+    A single data tuple travels as the :class:`StreamTuple` itself (it speaks
+    this protocol through class attributes); :class:`Message` carries
+    everything else — batches, µ relocations and the control plane.
+
     Attributes:
         kind: message type.
         sender: name of the sending task.
-        payload: a :class:`StreamTuple` for data/migration messages, a
+        payload: a :class:`StreamTuple` for migration messages, a
             :class:`~repro.engine.stream.TupleBatch` for BATCH messages, or an
             arbitrary structure for control messages.
         epoch: epoch tag (meaningful for data, migration and control traffic).
@@ -70,42 +54,6 @@ class Message:
     epoch: int = 0
     size: float = 0.0
     meta: dict[str, Any] = field(default_factory=dict)
-
-
-#: Shared immutable empty meta of every :class:`DataEnvelope` — data-plane
-#: handlers never read per-message meta, so one read-only mapping serves all.
-_EMPTY_META: Any = MappingProxyType({})
-
-
-class DataEnvelope:
-    """Slim envelope for hot-path data messages (DATA / SOURCE wire traffic).
-
-    Duck-type compatible with :class:`Message` for everything the data plane
-    reads (``kind``, ``sender``, ``payload``, ``epoch``, ``size``, and a
-    read-only empty ``meta``), but without the dataclass machinery and —
-    crucially — without allocating a fresh ``meta`` dict per tuple: on the
-    per-tuple wire every input tuple becomes at least one envelope, so the
-    saved allocation is paid once per tuple per hop.  Control-plane and batch
-    messages (which do carry meta) keep using :class:`Message`.
-    """
-
-    __slots__ = ("kind", "sender", "payload", "epoch", "size")
-
-    meta = _EMPTY_META
-
-    def __init__(
-        self,
-        kind: MessageKind,
-        sender: str,
-        payload: Any,
-        epoch: int = 0,
-        size: float = 0.0,
-    ) -> None:
-        self.kind = kind
-        self.sender = sender
-        self.payload = payload
-        self.epoch = epoch
-        self.size = size
 
 
 class Context:

@@ -25,10 +25,11 @@ Row layout — two tables, both ``(task, seq, payload, checksum)``:
   the snapshot interval.
 
 Deferred pickling is sound because a logged entry is never mutated after
-:meth:`log` returns: a tuple's ``arrival_time`` is assigned at feed/ingest and
-its ``epoch`` only by ``with_epoch`` *copies*, both before any joiner sees
-it, so pickling at flush time yields the bytes pickling at log time would
-have (pinned in ``tests/test_checkpoint_journal.py``).
+:meth:`log` returns: a tuple's ``arrival_time`` is stamped in place at
+feed/ingest and its ``epoch`` in place by the reshuffler while it handles the
+tuple's single delivery, before the fan-out — both before any joiner sees
+(and journals) it — so pickling at flush time yields the bytes pickling at
+log time would have (pinned in ``tests/test_checkpoint_journal.py``).
 
 Durability model: the store lives in a WAL-mode SQLite file (a temp file by
 default, removed when the run closes the store).  Deltas are buffered in

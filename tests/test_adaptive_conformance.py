@@ -46,7 +46,7 @@ from repro.engine.stream import (
     interleave_streams,
     make_tuples,
 )
-from repro.engine.task import DataEnvelope, Message, MessageKind, Task
+from repro.engine.task import Message, MessageKind, Task
 from repro.joins.predicates import BandPredicate, CompositePredicate, EquiPredicate
 
 MACHINES = 8
@@ -203,11 +203,10 @@ def _stream_run(query, order, chunks, operator="Dynamic", **overrides):
     for chunk in chunks:
         if position >= len(order):
             break
-        items = [item.with_epoch(item.epoch) for item in order[position:position + chunk]]
-        session.push(items=items)
+        session.push(items=order[position:position + chunk])
         position += chunk
     if position < len(order):
-        session.push(items=[item.with_epoch(item.epoch) for item in order[position:]])
+        session.push(items=order[position:])
     return session.finish()
 
 
@@ -377,11 +376,10 @@ class TestDrainEligibility:
         operator = Dynamic(queries["equi"], config=_config(batching="adaptive"))
         simulator, topology = operator.build_execution()
         reshuffler = simulator.tasks[topology.reshuffler_names[1]]
-        source = Message(
-            kind=MessageKind.SOURCE, sender="__source__", payload=_data_message(0).payload
-        )
-        assert reshuffler.drain_key(source) is not None
-        assert reshuffler.drain_key(_data_message(0)) is None  # non-SOURCE
+        # A source tuple arrives as its own DATA message.
+        assert reshuffler.drain_key(_data_message(0).payload) is not None
+        for kind in (MessageKind.MAPPING_CHANGE, MessageKind.RESUME, MessageKind.BATCH):
+            assert reshuffler.drain_key(Message(kind=kind, sender="x")) is None
 
 
 @pytest.fixture(scope="module")
@@ -513,16 +511,7 @@ class _BursterTask(Task):
     def handle(self, message: Message, ctx) -> None:
         for destination, tag, charge in self.burst:
             ctx.charge(charge)
-            ctx.send(
-                destination,
-                DataEnvelope(
-                    MessageKind.DATA,
-                    self.name,
-                    StreamTuple(relation="R", record={"i": tag}),
-                    0,
-                    1.0,
-                ),
-            )
+            ctx.send(destination, StreamTuple(relation="R", record={"i": tag}))
 
 
 def _toy_trace(merging: bool, bursts, control_times):

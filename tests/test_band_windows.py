@@ -209,11 +209,11 @@ class TestExactWindowsMatchTheOracle:
             elif step == "mu":
                 events = [state.handle_migrated(item) for state in states]
             else:
-                tagged = item.with_epoch(1)
+                item.epoch = 1  # the reshuffler's in-place pending-epoch tag
                 if step == "delta_prime":
-                    events = [state.handle_data(tagged) for state in states]
+                    events = [state.handle_data(item) for state in states]
                 else:
-                    events = [state.handle_data_batch([tagged])[0] for state in states]
+                    events = [state.handle_data_batch([item])[0] for state in states]
             expected, got = events
             assert _pairs(got) == _pairs(expected), step
             assert got.probe_work == expected.probe_work, step

@@ -1,13 +1,20 @@
 """Tests for stream tuples, salts, interleavings and fluctuating orders."""
 
+import gc
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunConfig
+from repro.core.operator import AdaptiveJoinOperator
+from repro.engine.simulator import Simulator
 from repro.engine.stream import (
     ArrivalSchedule,
+    MessageKind,
     StreamTuple,
     assign_salts,
     fluctuating_order,
@@ -18,6 +25,60 @@ from repro.engine.stream import (
 
 def _tuples(relation, count, rng):
     return make_tuples(relation, [{"k": i} for i in range(count)], rng)
+
+
+def _live_stream_tuples():
+    gc.collect()
+    return [obj for obj in gc.get_objects() if type(obj) is StreamTuple]
+
+
+def test_one_object_per_input_tuple(monkeypatch, eq5_query):
+    """Sources send the tuple itself and reshufflers fan the same object out:
+    after a whole run — a migration included — every live StreamTuple is an
+    input, and the feed hands the reshufflers exactly the input objects."""
+    seen = {}
+    real_schedule_data = Simulator.schedule_data
+    real_run = Simulator.run
+
+    def schedule_data(self, time, destination, message):
+        seen["fed"].extend(message.payload)  # the fixed plane's source batches
+        return real_schedule_data(self, time, destination, message)
+
+    def run(self, *args, **kwargs):
+        finish = real_run(self, *args, **kwargs)
+        seen["live"] = _live_stream_tuples()  # while the run's state is alive
+        seen["simulator"] = self
+        return finish
+
+    monkeypatch.setattr(Simulator, "schedule_data", schedule_data)
+    monkeypatch.setattr(Simulator, "run", run)
+    for plane in ({"batching": "adaptive"}, {"batch_size": 64}):
+        seen.clear()
+        seen["fed"] = []
+        baseline = len(_live_stream_tuples())
+        rng = random.Random(5)
+        order = interleave_streams(
+            make_tuples(eq5_query.left_relation, eq5_query.left_records, rng),
+            make_tuples(eq5_query.right_relation, eq5_query.right_records, rng),
+            rng,
+        )
+        config = RunConfig(machines=8, seed=5, warmup_tuples=16, **plane)
+        result = AdaptiveJoinOperator(eq5_query, config=config).run(arrival_order=order)
+        assert result.migrations >= 1, plane
+        assert len(seen["live"]) - baseline == len(order), plane
+        inputs = {id(item) for item in order}
+        assert inputs <= {id(item) for item in seen["live"]}, plane
+        fed = seen["fed"]
+        if "batching" in plane:
+            # The merged feed: one DeliveryRun per reshuffler covers the schedule.
+            fed = [
+                message
+                for run in seen["simulator"]._open_channels[0].values()
+                for message in run.messages
+            ]
+        assert len(fed) == len(order), plane
+        assert {id(message) for message in fed} == inputs, plane
+        del order, result, fed  # free this run's tuples before the next baseline
 
 
 class TestStreamTuple:
@@ -41,12 +102,41 @@ class TestStreamTuple:
         for coarse, fine in zip(parts, parts[1:]):
             assert fine // 2 == coarse
 
-    def test_with_epoch_preserves_identity(self):
+    def test_reshuffler_tags_the_epoch_in_place(self, eq5_query):
+        """Routing stamps the reshuffler's epoch on the tuple object itself,
+        and every joiner of the fan-out receives that same object."""
+        operator = AdaptiveJoinOperator(eq5_query, config=RunConfig(machines=4, seed=1))
+        simulator, topology = operator.build_execution()
+        reshuffler = simulator.tasks[topology.reshuffler_names[0]]
+        reshuffler.epoch = 3  # as if a mapping change had landed
+        item = StreamTuple(
+            relation=eq5_query.left_relation, record=eq5_query.left_records[0], salt=0.3
+        )
+        tuple_id, record = item.tuple_id, item.record
+        simulator.schedule(0.0, reshuffler.name, item)
+        simulator.run()
+        assert (item.epoch, item.tuple_id) == (3, tuple_id)
+        assert item.record is record
+        # Joiners still in epoch 0 park a future-epoch tuple until the signal.
+        held = [
+            entry
+            for name in topology.joiner_names
+            for entry in simulator.tasks[name].state._early_messages
+        ]
+        assert len(held) == 2  # one grid row of the square 2 x 2 mapping
+        assert all(kind == "data" and member is item for kind, member in held)
+
+    def test_tuple_is_its_own_data_message(self):
         item = StreamTuple(relation="R", record={"a": 1}, salt=0.5)
-        tagged = item.with_epoch(3)
-        assert tagged.tuple_id == item.tuple_id
-        assert tagged.epoch == 3
-        assert tagged.record is item.record
+        assert item.kind is MessageKind.DATA
+        assert item.payload is item
+        assert item.sender is None
+        assert dict(item.meta) == {}
+        with pytest.raises(TypeError):
+            item.meta["inner"] = MessageKind.DATA  # shared and read-only
+        # The protocol is class attributes: no fields, no per-tuple storage.
+        assert "kind" not in {f.name for f in fields(StreamTuple)}
+        assert pickle.loads(pickle.dumps(item)) == item
 
     def test_tuple_ids_are_unique(self):
         items = [StreamTuple(relation="R", record={}) for _ in range(100)]

@@ -19,6 +19,9 @@ The suite pins that contract across:
   config reproduce the direct operator run.
 * **Streaming** — the same chunking reproduces itself, for any seed and
   plane (Hypothesis leg).
+* **Stamped orders** — tuples are stamped in place (arrival time, epoch), so
+  one order list pushed through consecutive sessions must reproduce a run
+  over pristine copies every time.
 * **Faults** — crashed runs (time- and event-anchored, with and without a
   durable journal) and unreliable-wire runs reproduce bit for bit and still
   recover the fault-free twin's output multiset.
@@ -30,6 +33,7 @@ ids come from a process-global counter).
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +273,65 @@ class TestStreamingReproducibility:
         first = _run(AdaptiveJoinOperator, query, order, **shared)
         second = _run(AdaptiveJoinOperator, query, order, **shared)
         assert_run_equivalent(first, second, events=True, label=f"seed={seed}/{plane}")
+
+
+# ---------------------------------------------------------------------------
+# Stamped orders: one order list through consecutive sessions
+# ---------------------------------------------------------------------------
+
+
+#: Session configurations the reuse cells cover; ``chunk`` pushes the order
+#: through the streaming facade in chunks of that size instead of run().
+REUSE_CELLS = {
+    "adaptive": {"batching": "adaptive"},
+    "fixed_64": {"batch_size": 64},
+    "per_tuple": {"batch_size": 1},
+    "faulty_stream": {
+        "batching": "adaptive",
+        "inter_arrival": 0.75,
+        "checkpoint_interval": 8,
+        "fault_schedule": (crash_after_events(3, 200),),
+        "network_faults": WIRE_FAULTS,
+        "chunk": 64,
+    },
+}
+
+
+def _session_run(query, order, overrides):
+    overrides = dict(overrides)
+    chunk = overrides.pop("chunk", None)
+    session = JoinSession(query, operator="Dynamic", config=_config(**overrides))
+    if chunk is None:
+        return session.run(arrival_order=order, collect_outputs=True)
+    session.open_stream(collect_outputs=True)
+    for start in range(0, len(order), chunk):
+        session.push(items=order[start:start + chunk])
+    return session.finish()
+
+
+class TestStampedOrderReuse:
+    @pytest.mark.parametrize("cell", sorted(REUSE_CELLS))
+    def test_consecutive_sessions_match_a_pristine_run(self, queries, cell):
+        """The feed stamps ``arrival_time`` and the reshuffler ``epoch`` on
+        the tuple objects themselves, so a second session over the same
+        order list starts from the first one's stamps.  Both sessions must
+        be bit-identical to a run over unstamped copies: every stamp is
+        overwritten before anything reads it."""
+        query = queries["equi"]
+        order = _arrival_order(query)
+        pristine = [replace(item) for item in order]  # same ids, never run
+        reference = _session_run(query, pristine, REUSE_CELLS[cell])
+        assert reference.migrations >= 1, cell
+        for session in ("first", "second"):
+            result = _session_run(query, order, REUSE_CELLS[cell])
+            assert_run_equivalent(
+                reference, result, events=True, label=f"reuse/{cell}/{session}"
+            )
+            assert result.wire_counters == reference.wire_counters
+        if cell == "faulty_stream":
+            assert reference.faults_injected == 1
+            assert reference.wire_counters["dropped"] > 0
+        assert any(item.epoch for item in order), "the migration must re-tag tuples"
 
 
 # ---------------------------------------------------------------------------
