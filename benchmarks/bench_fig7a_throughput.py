@@ -145,8 +145,11 @@ def test_fig7a_adaptive_dataplane_wall_clock():
 
 def test_fig7a_merged_wire_heap_events():
     """The adaptive plane, which runs on the merged wire, cuts heap events
-    >=2x against the per-tuple reference plane (``batch_size=1``, unmerged
-    wire) while staying a bit-identical simulation.
+    >=10x against the per-tuple reference plane (``batch_size=1``, unmerged
+    wire) while staying a bit-identical simulation: 923 vs 11,432 on this
+    cell, where the merged run's heap holds nothing but the ticks that run
+    its 923 handler invocations (the saturated input never leaves a machine
+    waiting for a wake-up).
 
     Heap events are deterministic counters, so this gate is noise-free.
     """
@@ -164,10 +167,11 @@ def test_fig7a_merged_wire_heap_events():
         results[label] = run_single("Dynamic", query, config)
     merged, unmerged = results["merged"], results["unmerged"]
     assert_run_equivalent(unmerged, merged, label="fig7a merged-vs-per-tuple")
-    assert merged.heap_events * 2 <= unmerged.heap_events, (
-        f"expected >=2x fewer heap events, got merged {merged.heap_events} "
+    assert merged.heap_events * 10 <= unmerged.heap_events, (
+        f"expected >=10x fewer heap events, got merged {merged.heap_events} "
         f"vs unmerged {unmerged.heap_events}"
     )
+    assert merged.heap_events == merged.events_processed
     # The cut comes from the wire, not only from receiver draining: merged
     # runs carry many deliveries per heap event, and the unmerged wire
     # reports no runs at all.

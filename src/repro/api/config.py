@@ -72,8 +72,9 @@ class RunConfig:
             virtual times to ``batch_size=1`` (pinned by the conformance
             suite), with the event/wall-clock savings of batching.  The
             plane also picks the wire: ``"adaptive"`` runs on the merged
-            wire (per-channel ``DeliveryRun`` heap events, settled in exact
-            per-tuple order), the fixed plane on the unmerged reference wire.
+            wire (per-channel runs parked on the receiver from send, settled
+            in exact per-tuple order; the heap holds only the ticks they
+            wake), the fixed plane on the unmerged reference wire.
         batch_max: largest run the adaptive controller may coalesce
             (``None`` = the controller's default, 64).  Rejected when
             ``batching="fixed"``.

@@ -207,9 +207,9 @@ class _StreamingRun:
                 self._emit(destination, self._buffers.pop(destination), arrival_time)
         else:
             # The tuple is its own message.  schedule_data merges consecutive
-            # same-destination ingest messages into DeliveryRuns when the
-            # simulator has wire-level delivery merging enabled (falls back to
-            # schedule() otherwise).
+            # same-destination ingest messages into the feed channel's run
+            # when the simulator has wire-level delivery merging enabled
+            # (falls back to schedule() otherwise).
             self.simulator.schedule_data(arrival_time, destination, item)
 
     def _emit(self, destination: str, members: list[StreamTuple], emit_time: float) -> None:

@@ -88,9 +88,7 @@ _PARTITIONS = (_OLD_KEEP, _OLD_DROP, _NEW, _MU)
 
 # Partition selections of the protocol's probes.
 _SEL_OLD = (_OLD_KEEP, _OLD_DROP)        # τ ∪ Δ
-_SEL_OLD_KEEP = (_OLD_KEEP,)             # Keep(τ ∪ Δ)
 _SEL_NEW = (_NEW,)                       # Δ'
-_SEL_NEW_MU = (_NEW, _MU)                # µ ∪ Δ'
 
 
 class EpochJoinerState:
@@ -243,7 +241,7 @@ class EpochJoinerState:
                 )
             return self._handle_delta(item, actions)
         if item.epoch == self.pending_epoch:
-            return self._handle_delta_prime(item, actions)
+            return self._delta_prime_batch([item])[0]
         raise ProtocolError(
             f"joiner {self.machine_id} received epoch {item.epoch} while migrating "
             f"from {self.current_epoch} to {self.pending_epoch}"
@@ -285,54 +283,31 @@ class EpochJoinerState:
         return [self.handle_data(item) for item in items]
 
     def _delta_prime_batch(self, items: list[StreamTuple]) -> list[TupleActions]:
-        """Batched Δ' handling: one loop, per-member semantics of
-        :meth:`_handle_delta_prime`.
+        """Δ' tuples — new-epoch data during a migration (Alg. 3 lines 12-14
+        and 24-26), in arrival order.
 
-        Each member runs the exact two protocol probes — ``µ ∪ Δ'`` then
-        ``Keep(τ ∪ Δ)``, each with the unselected partitions' candidate
-        counts folded in and floored at one work unit — and is inserted into
-        ``Δ'`` before the next member probes (intra-batch self-join
-        semantics), so matches, work and storage are bit-identical to the
-        per-tuple path.  Hoisted out of the member loop: the partition
-        lookups, the probe-side/key resolution (once per member instead of
-        once per partition visit) and the method dispatch.
+        A member's two protocol probes, ``µ ∪ Δ'`` then ``Keep(τ ∪ Δ)``,
+        inspect the same four partitions with nothing inserted in between —
+        each charges the candidate count of their union, floored at one — so
+        the member's work is twice that one count.  One
+        :meth:`LocalJoiner.probe_batch` pass therefore probes Δ', µ and Keep
+        (matches in that order), counts Drop, and inserts each member into
+        Δ' before the next one probes (intra-batch self-join semantics):
+        matches, work and storage are bit-identical to running the two
+        probes one after the other.
         """
         parts = self._parts
         assert parts is not None
-        keep_part = parts[_OLD_KEEP]
-        drop_part = parts[_OLD_DROP]
-        new_part = parts[_NEW]
-        mu_part = parts[_MU]
-        new_insert = new_part.insert
+        left_relation = self.left_relation
+        probed = parts[_NEW].probe_batch(
+            items, (parts[_MU], parts[_OLD_KEEP]), (parts[_OLD_DROP],)
+        )
         results: list[TupleActions] = []
         append = results.append
-        for item in items:
-            is_left, key = new_part.probe_plan(item)
-            record = item.record
-            # Probe 1 — µ ∪ Δ' (Alg. 3 lines 12-14): counts of old_keep and
-            # old_drop, probes of new and mu, in _PARTITIONS order.
-            inspected = keep_part.keyed_candidate_count(is_left, key)
-            inspected += drop_part.keyed_candidate_count(is_left, key)
-            matches, new_inspected = new_part.keyed_raw_probe(is_left, key, record)
-            mu_matches, mu_inspected = mu_part.keyed_raw_probe(is_left, key, record)
-            inspected += new_inspected + mu_inspected
-            if mu_matches:
-                matches.extend(mu_matches)
-            work = float(inspected) if inspected > 0 else 1.0
-            # Probe 2 — Keep(τ ∪ Δ) (Alg. 3 lines 24-26).
-            keep_matches, keep_inspected = keep_part.keyed_raw_probe(is_left, key, record)
-            inspected2 = keep_inspected + drop_part.keyed_candidate_count(is_left, key)
-            inspected2 += new_part.keyed_candidate_count(is_left, key)
-            inspected2 += mu_part.keyed_candidate_count(is_left, key)
-            actions = TupleActions(
-                probe_work=work + (float(inspected2) if inspected2 > 0 else 1.0),
-                stored=True,
-            )
-            if keep_matches:
-                matches.extend(keep_matches)
+        for item, (matches, work) in zip(items, probed):
+            actions = TupleActions(probe_work=work + work, stored=True)
             if matches:
-                actions.matches = MatchGroup(item, is_left, matches)
-            new_insert(item)
+                actions.matches = MatchGroup(item, item.relation == left_relation, matches)
             append(actions)
         return results
 
@@ -347,15 +322,6 @@ class EpochJoinerState:
             self._join_parts(item, actions, _SEL_NEW)
         destinations = self.plan.destinations_for(self.machine_id, self._side(item), item.salt)
         actions.migrate_to.extend((destination, item) for destination in destinations)
-        return actions
-
-    def _handle_delta_prime(self, item: StreamTuple, actions: TupleActions) -> TupleActions:
-        """New-epoch tuple during migration (Alg. 3 lines 12-14 and 24-26)."""
-        assert self._parts is not None
-        self._join_parts(item, actions, _SEL_NEW_MU)
-        self._join_parts(item, actions, _SEL_OLD_KEEP)
-        self._parts[_NEW].insert(item)
-        actions.stored = True
         return actions
 
     # ------------------------------------------------------- migration tuples

@@ -41,8 +41,9 @@ class RunResult:
             (None on the fixed plane) — the batch-size trace showing how the
             controller sized runs under the workload's backlog.
         heap_events: events popped from the simulator's global heap —
-            deliveries (or merged delivery runs), machine ticks, control
-            messages.  The quantity delivery merging collapses; contrast with
+            machine ticks (superseded wake-ups included), control messages,
+            deliveries of the unmerged wire, fault-plane events.  The
+            quantity delivery merging collapses; contrast with
             ``events_processed`` (handler invocations), which receiver
             draining collapses.
         wire_histogram: merged delivery-run length → count per FIFO link

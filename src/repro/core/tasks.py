@@ -162,6 +162,10 @@ class ReshufflerTask(Task):
         self.buffering = False
         self._buffer: list[StreamTuple] = []
         self._seen = 0
+        # (side, partition) -> wire channels of its fan-out, valid while
+        # ``_fanout_mapping`` is the mapping in force.
+        self._fanout: dict[tuple[bool, int], list] = {}
+        self._fanout_mapping: Mapping | None = None
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).
     #: Protocol-critical transitions are journaled as deltas so a restored
@@ -232,14 +236,12 @@ class ReshufflerTask(Task):
         Per-member semantics are identical to :meth:`_handle_source`: every
         member still sends its own per-tuple DATA messages at its own
         boundary-rotated departure time, keeping the wire identical to
-        per-tuple handling, and each (side, partition) resolves its
-        destinations once (the mapping cannot change inside a run — see
-        below).  On an adaptive operator the pull stops at the control-plane
-        drain horizon, re-checked before every member: a member may only be
-        coalesced if its start precedes every virtual time at which a
-        mapping change or migration ack could land on this machine, so the
-        mapping/epoch/in-flight state any member observes — and the point in
-        the stream where a control message takes effect — match the
+        per-tuple handling.  On an adaptive operator the pull stops at the
+        control-plane drain horizon, re-checked before every member: a member
+        may only be coalesced if its start precedes every virtual time at
+        which a mapping change or migration ack could land on this machine,
+        so the mapping/epoch/in-flight state any member observes — and the
+        point in the stream where a control message takes effect — match the
         per-tuple plane exactly.
         """
         machine = ctx.machine
@@ -256,7 +258,6 @@ class ReshufflerTask(Task):
         horizon = None
         if horizon_fn is not None and not is_controller:
             horizon, horizon_fn = horizon_fn(), None
-        dest_cache: dict = {}
         data_kind = MessageKind.DATA
         count = 0
         message = first
@@ -270,7 +271,7 @@ class ReshufflerTask(Task):
             record_input(ctx.now)
             if is_controller:
                 self._controller_duties(item, is_left, ctx)
-            route(item, is_left, ctx, None, dest_cache)
+            route(item, is_left, ctx)
             # Inline Context.boundary: commit the member's charge to the busy
             # chain with exactly the per-tuple occupy arithmetic.
             end = ctx.now + ctx.charged
@@ -460,55 +461,48 @@ class ReshufflerTask(Task):
         # delivery to a reshuffler and it has not been fanned out yet, so no
         # joiner (and no journal entry) can hold it.
         item.epoch = self.epoch
-        if dest_cache is not None:
-            # Destination-grouped routing: the caller guarantees a fixed
-            # mapping/epoch for its whole invocation, so each (side,
-            # partition) resolves its grid placement once.  With ``routes``
-            # the cache holds the per-destination route lists themselves
-            # (fixed-plane micro-batches); without it, the destination ids
-            # for per-tuple sends (adaptive-plane drained runs).
-            key = (is_left, item.partition(self.mapping.n if is_left else self.mapping.m))
-            cached = dest_cache.get(key)
-            if cached is None:
-                placement = self.topology.placement(self.mapping)
-                destinations = (
-                    placement.machines_for_row(key[1])
-                    if is_left
-                    else placement.machines_for_col(key[1])
+        mapping = self.mapping
+        key = (is_left, item.partition(mapping.n if is_left else mapping.m))
+        if routes is None:
+            # Per-tuple sends: the tuple is its own DATA message, shared by
+            # every destination of the fan-out (receivers never mutate
+            # messages).  Each (side, partition) resolves its grid placement
+            # into wire channels once for as long as the mapping is in force.
+            if self._fanout_mapping is not mapping:
+                self._fanout_mapping = mapping
+                self._fanout.clear()
+            channels = self._fanout.get(key)
+            if channels is None:
+                joiner = self.topology.joiner
+                channels = self._fanout[key] = ctx.channels(
+                    [joiner(machine_id) for machine_id in self._destinations(key)]
                 )
-                if routes is not None:
-                    cached = [
-                        routes.setdefault((machine_id, self.epoch), [])
-                        for machine_id in destinations
-                    ]
-                else:
-                    cached = [self.topology.joiner(m) for m in destinations]
-                dest_cache[key] = cached
-            if routes is not None:
-                for group in cached:
-                    group.append(item)
-                return
-            # The tuple is its own DATA message, shared by every destination
-            # of the fan-out (receivers never mutate messages).
-            ctx.send_fanout(cached, item, category=TrafficCategory.ROUTING)
+            ctx.send_fanout(channels, item, category=TrafficCategory.ROUTING)
             return
-        placement = self.topology.placement(self.mapping)
-        if is_left:
-            row = item.partition(self.mapping.n)
-            destinations = placement.machines_for_row(row)
-        else:
-            col = item.partition(self.mapping.m)
-            destinations = placement.machines_for_col(col)
-        if routes is not None:
-            for machine_id in destinations:
+        if dest_cache is None:
+            for machine_id in self._destinations(key):
                 routes.setdefault((machine_id, self.epoch), []).append(item)
             return
-        joiner_names = self.topology.joiner_names
-        ctx.send_fanout(
-            [joiner_names[machine_id] for machine_id in destinations],
-            item,
-            category=TrafficCategory.ROUTING,
-        )
+        # Destination-grouped micro-batches: the caller guarantees a fixed
+        # mapping/epoch for its whole invocation, so the cache holds each
+        # (side, partition)'s per-destination route lists themselves.
+        groups = dest_cache.get(key)
+        if groups is None:
+            groups = dest_cache[key] = [
+                routes.setdefault((machine_id, self.epoch), [])
+                for machine_id in self._destinations(key)
+            ]
+        for group in groups:
+            group.append(item)
+
+    def _destinations(self, key: tuple[bool, int]) -> tuple[int, ...]:
+        """Machines of the row (left side) or column (right side) partition
+        ``key`` under the current mapping."""
+        is_left, partition = key
+        placement = self.topology.placement(self.mapping)
+        if is_left:
+            return placement.machines_for_row(partition)
+        return placement.machines_for_col(partition)
 
     def _flush_routes(self, routes: RouteGroups, ctx: Context) -> None:
         """Send the per-(joiner, epoch) groups gathered from one micro-batch.

@@ -20,7 +20,7 @@ from repro.engine.batching import (
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Network, TrafficCategory
-from repro.engine.simulator import DeliveryRun, Simulator
+from repro.engine.simulator import Channel, Simulator
 from repro.engine.stream import ArrivalSchedule, StreamTuple, interleave_streams
 from repro.engine.task import Context, Message, MessageKind, Task
 
@@ -28,9 +28,9 @@ __all__ = [
     "AdaptiveBatchController",
     "ArrivalSchedule",
     "BatchController",
+    "Channel",
     "Context",
     "CostModel",
-    "DeliveryRun",
     "FixedBatchController",
     "Machine",
     "Message",

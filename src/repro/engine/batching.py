@@ -28,9 +28,10 @@ are registered in :data:`repro.api.registry.batch_controllers` (names are the
 ``RunConfig.batching`` values) so new strategies plug in like probe engines.
 
 Receiver draining governs *handler invocations*; the orthogonal wire-level
-delivery merging (installed for every draining plane) collapses the
-per-message *heap events* of the per-tuple wire into per-channel
-``DeliveryRun``s — see ``repro.engine.simulator`` and the "wire plane"
+delivery merging (installed for every draining plane) takes the per-message
+*heap events* of the per-tuple wire off the global heap altogether: each
+channel's run waits on the receiver's pending heap and only the ticks it
+wakes are heap events — see ``repro.engine.simulator`` and the "wire plane"
 section of ARCHITECTURE.md.
 """
 

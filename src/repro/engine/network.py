@@ -30,6 +30,51 @@ class TrafficCategory(enum.Enum):
     OUTPUT = "output"            # joiner -> collector results
 
 
+class Link:
+    """One directed link between two machines: the record every send on it touches.
+
+    Links from or to an off-cluster endpoint (machine ``-1``) exist too, for
+    their send sequence only: such traffic models ingest and egress, not the
+    cluster fabric, so it pays the plain latency without clamp or counters.
+
+    Attributes:
+        local: sender and receiver are the same machine.  Local messages
+            still pay the (small) local-delivery latency — Storm delivers
+            through queues either way — but no transfer cost, and they are
+            not counted in network volume.
+        last_delivery: the latest delivery time handed out so far (the FIFO
+            clamp, see :meth:`deliver`).
+        sequence: sends on the link so far; the simulator derives each
+            send's plane-invariant event rank from it.
+    """
+
+    __slots__ = ("local", "latency", "unit_cost", "last_delivery", "sequence")
+
+    def __init__(self, local: bool, cost_model: CostModel) -> None:
+        self.local = local
+        self.latency = cost_model.network_latency
+        self.unit_cost = 0.0 if local else cost_model.per_tuple_network_cost
+        self.last_delivery = 0.0
+        self.sequence = 0
+
+    def deliver(self, now: float, size: float) -> float:
+        """Delivery time of a message of ``size`` units departing at ``now``.
+
+        Latency plus the size-proportional transfer cost, clamped so the
+        link stays FIFO: a message never overtakes an earlier message on the
+        same link, which the epoch protocol of §4.3.1 relies on (epoch-change
+        signals must not be overtaken by tuples sent before them).  The clamp
+        is load-bearing for the merged wire too: a channel's delivery times
+        never decrease, so its open run's parallel arrays stay sorted for the
+        simulator's bisect-based settling.
+        """
+        delivery = now + self.latency + self.unit_cost * size
+        if delivery < self.last_delivery:
+            delivery = self.last_delivery
+        self.last_delivery = delivery
+        return delivery
+
+
 @dataclass
 class Network:
     """Cluster interconnect with per-category traffic counters.
@@ -53,7 +98,14 @@ class Network:
     volume: dict[TrafficCategory, float] = field(
         default_factory=lambda: defaultdict(float)
     )
-    _last_delivery: dict[tuple[int, int], float] = field(default_factory=dict)
+    _links: dict[tuple[int, int], Link] = field(default_factory=dict)
+
+    def link(self, sender: int, receiver: int) -> Link:
+        """The :class:`Link` record of ``sender -> receiver`` (created on first use)."""
+        link = self._links.get((sender, receiver))
+        if link is None:
+            link = self._links[(sender, receiver)] = Link(sender == receiver, self.cost_model)
+        return link
 
     def transfer(
         self,
@@ -64,32 +116,30 @@ class Network:
         now: float,
         units: int = 1,
     ) -> float:
-        """Record a message and return its delivery time.
+        """Record a message from ``sender`` to ``receiver`` and return its
+        delivery time (see :meth:`carry`)."""
+        return self.carry(self.link(sender, receiver), size, category, now, units)
 
-        Messages between tasks co-located on the same machine still pay the
-        (small) local-delivery latency — Storm delivers through queues either
-        way — but are not counted in network volume.  Each (sender, receiver)
-        link is FIFO: a message never overtakes an earlier message on the same
-        link, which the epoch protocol of §4.3.1 relies on (epoch-change
-        signals must not be overtaken by tuples sent before them).
+    def carry(
+        self,
+        link: Link,
+        size: float,
+        category: TrafficCategory,
+        now: float,
+        units: int = 1,
+    ) -> float:
+        """Record a message on ``link`` and return its delivery time.
+
+        A message between two machines counts once in ``messages``, its
+        ``units`` tuples in ``tuples`` and its ``size`` in ``volume`` of its
+        category; local messages are not counted.  The delivery time is
+        :meth:`Link.deliver`'s.
         """
-        local = sender == receiver
-        if not local:
+        if not link.local:
             self.messages[category] += 1
             self.tuples[category] += units
             self.volume[category] += size
-        latency = self.cost_model.network_latency
-        transfer_cost = 0.0 if local else self.cost_model.per_tuple_network_cost * size
-        delivery = now + latency + transfer_cost
-        link = (sender, receiver)
-        # NOTE: the monotone per-link clamp below is load-bearing beyond the
-        # epoch protocol — the wire-level delivery-merging layer
-        # (``Simulator.enable_delivery_merging``) relies on a channel's
-        # delivery times never decreasing so an open ``DeliveryRun``'s
-        # parallel arrays stay sorted for its bisect-based settling.
-        delivery = max(delivery, self._last_delivery.get(link, 0.0))
-        self._last_delivery[link] = delivery
-        return delivery
+        return link.deliver(now, size)
 
     def total_volume(self) -> float:
         """Total size units moved over the network (all categories)."""

@@ -13,7 +13,10 @@ priority queue of pending events.  Two kinds of events exist:
 * **machine ticks** — a machine becomes free and handles the next message in
   its inbox.  The handler's CPU charge extends the machine's busy time and
   any messages it sends are scheduled after the work completes plus network
-  latency/transfer time.
+  latency/transfer time.  Each machine has at most one valid tick at a time;
+  on the merged wire (see :meth:`Simulator.enable_delivery_merging`) inbox
+  traffic between machines never enters the global heap — only the ticks it
+  wakes do.
 
 This yields the two quantities the paper's evaluation is built on:
 
@@ -36,7 +39,7 @@ from typing import Iterable
 from repro.engine.faults import UnreachableLinkError
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
-from repro.engine.network import Network, TrafficCategory
+from repro.engine.network import Link, Network, TrafficCategory
 from repro.engine.stream import ArrivalSchedule, StreamTuple, TupleBatch
 from repro.engine.task import Context, Message, MessageKind, Task
 
@@ -46,7 +49,7 @@ PRIORITY_KINDS = frozenset(
 )
 
 #: Kinds the wire-level delivery-merging layer may coalesce into a
-#: :class:`DeliveryRun`: every inbox-bound kind, i.e. everything except the
+#: :class:`Channel`'s run: every inbox-bound kind, i.e. everything except the
 #: priority control plane (which executes at delivery rather than queueing).
 #: Merging is exact — a run's members settle into the receiving inbox in
 #: per-tuple ``(time, rank)`` order — so eligibility is purely about *where*
@@ -82,42 +85,53 @@ _MACHINE_SPAN = 1 << 12  # > max machines + off-cluster sentinel
 _FAULT_RANK_BASE = 1 << 63
 _FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "retry": 2, "frame": 3, "retransmit": 4}
 
-#: Heap marker distinguishing a DeliveryRun event from a plain delivery
-#: (``message`` slot) — identity-checked once per pop, like the tick's None.
-_DELIVERY_RUN = object()
 
+class Channel:
+    """One FIFO wire channel — (sender machine, destination task) — as one record.
 
-class DeliveryRun:
-    """A merged sequence of same-channel inbox deliveries — one heap event.
+    Everything a send on the channel touches: the destination ``task``, the
+    machine-to-machine :class:`~repro.engine.network.Link` it rides (FIFO
+    delivery clamp and send sequence, shared with the channels to the
+    destination machine's other tasks), the channel's send-rank base, and,
+    on the merged wire, its open delivery run: the parallel ``times`` /
+    ``ranks`` / ``messages`` arrays of the sends not yet settled into the
+    receiver's inbox, ``start`` being the cursor of the next unsettled one.
 
-    One run carries the open traffic of one wire channel: a (sender machine,
-    destination task) FIFO link.  It enters the global event heap once, keyed
-    by its *first* member's ``(delivery time, rank)``, and stays open — later
-    sends on the same channel (from subsequent handler invocations of the
-    sending machine) append to the parallel ``times``/``ranks``/``messages``
-    arrays, never creating another heap event.  Appends are always dated
-    beyond every settle bound the receiver has already passed (a send created
-    at virtual time ``T`` delivers no earlier than ``T`` plus the network
-    latency, and the link itself is FIFO), so the run's members still settle
-    into the receiving inbox in exact per-tuple ``(time, rank)`` order (see
-    ``Simulator._settle``).  ``start`` is the cursor of the next unsettled
-    member; when the receiver exhausts the run it is ``closed`` and the next
-    send on the channel arms a fresh one.
+    A run opens with the first send after the previous run was exhausted and
+    goes straight onto the receiving machine's pending heap, keyed by that
+    member's ``(delivery time, rank)``; later sends on the channel append to
+    the arrays without touching any heap.  Appends are always dated beyond
+    every settle bound the receiver has already passed (a send created at
+    virtual time ``T`` delivers no earlier than ``T`` plus the network
+    latency, and the link itself is FIFO), so the members still settle into
+    the inbox in exact per-tuple ``(time, rank)`` order (see
+    ``Simulator._settle``).  Once the receiver has settled the last member
+    the run closes (``open`` is False) and the next send opens a fresh one.
     """
 
-    __slots__ = ("task", "times", "ranks", "messages", "start", "closed")
+    __slots__ = ("task", "link", "rank_base", "times", "ranks", "messages", "start", "open")
 
-    def __init__(self, task: Task, times: list, ranks: list, messages: list) -> None:
+    def __init__(self, task: Task, link: Link, rank_base: int) -> None:
         self.task = task
-        self.times = times
-        self.ranks = ranks
-        self.messages = messages
+        self.link = link
+        self.rank_base = rank_base
+        self.times: list[float] = []
+        self.ranks: list[int] = []
+        self.messages: list = []
         self.start = 0
-        self.closed = False
+        self.open = False
+
+
+def _next_rank(channel: Channel) -> int:
+    """The plane-invariant rank of the next send on ``channel``'s link."""
+    link = channel.link
+    sequence = link.sequence
+    link.sequence = sequence + 1
+    return channel.rank_base + sequence
 
 
 class SettledSegment:
-    """A settled multi-member slice of a :class:`DeliveryRun` — one inbox entry.
+    """A settled multi-member slice of a :class:`Channel`'s run — one inbox entry.
 
     The settle pass used to append one ``(task, message)`` tuple per member;
     a segment instead hands the run's message list to the consumer with a
@@ -225,11 +239,11 @@ class Simulator:
         self.tasks: dict[str, Task] = {}
         self._queue: list[tuple] = []
         self._schedule_rank = itertools.count()
-        # Per-link FIFO sequence counters, owned by the *sender* machine
-        # (index [sender_machine + 1], keyed by destination machine id): a
-        # machine's sends touch only its own counter dict, so a send's rank
-        # depends only on its own link's traffic.
-        self._link_rank: list[dict[int, int]] = [
+        # Wire channels, owned by the *sender* machine (index [sender_machine
+        # + 1], slot 0 for off-cluster senders and the feed) and keyed by
+        # destination task.  A channel's link sequence is the sender's own,
+        # so a send's rank depends only on its own link's traffic.
+        self._channels: list[dict[Task, Channel]] = [
             {} for _ in range(num_machines + 1)
         ]
         self._started: set[str] = set()
@@ -238,20 +252,24 @@ class Simulator:
         # still holds — kept in step with every inbox mutation, so a tick
         # sizes its drained run without walking the backlog.
         self._inbox_members: list[int] = [0] * num_machines
-        self._tick_scheduled: list[bool] = [False] * num_machines
+        # Each machine has at most one valid tick: its time (None while the
+        # machine idles or is down) and, for a wake-up armed ahead of the
+        # pending delivery it waits for, that delivery's pending-heap entry
+        # (see _wake).  A tick entry popping at any other time is stale and
+        # does nothing.  ``_queued_ticks`` holds the times of each machine's
+        # tick entries still in the heap, so re-arming at one reuses it.
+        self._tick_at: list[float | None] = [None] * num_machines
+        self._wake_for: list[tuple | None] = [None] * num_machines
+        self._queued_ticks: list[set[float]] = [set() for _ in range(num_machines)]
         self._drain_controllers: list | None = None
         # In-flight control-plane (priority) delivery times per machine;
         # drained runs on the adaptive plane use them to stop before the
         # point where a control message would take effect (drain horizon).
         self._pending_priority: list[list[float]] = [[] for _ in range(num_machines)]
-        # Wire-level delivery merging (see enable_delivery_merging): the open
-        # channel runs, indexed [sender machine + 1] → {destination task:
-        # DeliveryRun}, and the per-machine heaps of delivered-but-unsettled
-        # run cursors / singles.
+        # Wire-level delivery merging (see enable_delivery_merging): the
+        # per-machine heaps of the channel runs and single deliveries
+        # addressed to the machine but not yet settled into its inbox.
         self._merge_wire = False
-        self._open_channels: list[dict[Task, DeliveryRun]] = [
-            {} for _ in range(num_machines + 1)
-        ]
         self._pending_wire: list[list] = [[] for _ in range(num_machines)]
         # Fault plane (install_faults): the recovery manager, the machines
         # currently down, their buffered-during-outage deliveries, and the
@@ -293,17 +311,19 @@ class Simulator:
     def enable_delivery_merging(self) -> None:
         """Enable wire-level delivery merging.
 
-        Inbox-bound messages (:data:`MERGEABLE_KINDS`) merge per FIFO channel
-        — (sender machine, destination task) — into :class:`DeliveryRun` heap
-        events: a channel's run is armed in the heap at its first member and
-        absorbs every later send on the channel until the receiver exhausts
-        it, instead of one heap event per message.  A run's members are
-        *settled* into the receiving machine's inbox strictly in per-tuple
-        ``(delivery time, rank)`` order — the per-machine pending heap
+        Inbox-bound messages (:data:`MERGEABLE_KINDS`) between machines merge
+        per FIFO :class:`Channel` — (sender machine, destination task) — into
+        runs that never enter the global event heap: a run goes onto the
+        receiving machine's pending heap at its first send and absorbs every
+        later send on the channel until the receiver exhausts it.  A run's
+        members are *settled* into the receiving machine's inbox strictly in
+        per-tuple ``(delivery time, rank)`` order — the pending heap
         interleaves runs, competing links and individual messages exactly as
-        the unmerged heap would — so every observable quantity stays
-        bit-identical to the unmerged wire while the global event heap
-        processes a fraction of the events.
+        the unmerged heap would — and the send that opens a run wakes the
+        receiver at exactly the tick time its delivery would have scheduled
+        (see :meth:`_wake`).  Every observable quantity stays bit-identical
+        to the unmerged wire while that traffic costs the global heap only
+        the ticks it wakes.
         """
         self._merge_wire = True
 
@@ -386,19 +406,99 @@ class Simulator:
             self._pending_priority[task.machine_id].append(time)
         heapq.heappush(self._queue, (time, next(self._schedule_rank), task, message))
 
-    def _send_rank(self, sender_machine: int, dest_machine: int) -> int:
-        """Plane-invariant rank of one task send (see the module comment)."""
-        links = self._link_rank[sender_machine + 1]
-        sequence = links.get(dest_machine, 0)
-        links[dest_machine] = sequence + 1
-        return (
-            _SEND_RANK_BASE
-            + ((sender_machine + 2) * _MACHINE_SPAN + dest_machine + 2) * _LINK_SPAN
-            + sequence
-        )
+    def _channel(self, sender_machine: int, task: Task) -> Channel:
+        """The channel ``sender_machine -> task`` (created on first use)."""
+        channels = self._channels[sender_machine + 1]
+        channel = channels.get(task)
+        if channel is None:
+            dest_machine = task.machine_id
+            channel = channels[task] = Channel(
+                task,
+                self.network.link(sender_machine, dest_machine),
+                _SEND_RANK_BASE
+                + ((sender_machine + 2) * _MACHINE_SPAN + dest_machine + 2) * _LINK_SPAN,
+            )
+        return channel
 
-    def _schedule_tick(self, machine_id: int, time: float) -> None:
-        heapq.heappush(self._queue, (time, _TICK_RANK_BASE + machine_id, machine_id, None))
+    def channels(self, sender_task: Task, destinations: Iterable[str]) -> list[Channel]:
+        """The channels from ``sender_task``'s machine to the named tasks.
+
+        Channels live as long as the simulator, so a sender may cache them —
+        the reshuffler's per-partition destination cache does — and hand them
+        to :meth:`post_fanout`.
+        """
+        tasks = self.tasks
+        sender_machine = sender_task.machine_id
+        return [self._channel(sender_machine, tasks[name]) for name in destinations]
+
+    def _arm(self, machine_id: int, at: float) -> None:
+        """Make ``at`` the machine's one valid tick, reusing a tick entry
+        already queued at that time."""
+        self._tick_at[machine_id] = at
+        queued = self._queued_ticks[machine_id]
+        if at not in queued:
+            queued.add(at)
+            heapq.heappush(self._queue, (at, _TICK_RANK_BASE + machine_id, machine_id, None))
+
+    def _wake(self, machine_id: int, entry: tuple) -> None:
+        """Wake ``machine_id`` for the pending-heap ``entry`` (a run, or the
+        earliest delivery left after a tick), which is not yet due.
+
+        ``entry`` leads with its ``(delivery time, rank)``.  On the
+        per-tuple wire that delivery schedules the
+        machine's tick at ``max(time, busy_until)`` when it pops, unless a
+        tick is scheduled by then — so the send arms that tick now, unless
+        the machine's valid tick already serves it: a tick for a non-empty
+        inbox, or a wake-up for an earlier pending delivery.  A wake-up for
+        a later delivery is superseded (no later than before; its entry goes
+        stale).  Until the delivery is due, ``busy_until`` can still rise
+        only through a priority handler, which re-computes the wake-up (see
+        :meth:`_deliver`).  A crashed machine gets no wake-up: its restart
+        arms its own tick.
+        """
+        if self._crashed_count and machine_id in self._crashed:
+            return
+        tick = self._tick_at[machine_id]
+        if tick is not None:
+            waiting = self._wake_for[machine_id]
+            if waiting is None or waiting < entry:
+                return
+        self._wake_for[machine_id] = entry
+        time = entry[0]
+        busy_until = self.machines[machine_id].busy_until
+        at = time if time >= busy_until else busy_until
+        if tick is None or at < tick:
+            self._arm(machine_id, at)
+
+    def _rest(self, machine_id: int) -> None:
+        """A tick left the inbox empty: wake the machine for its earliest
+        pending delivery, or let it idle."""
+        self._tick_at[machine_id] = None
+        pending = self._pending_wire[machine_id]
+        if pending:
+            self._wake(machine_id, pending[0])
+
+    def _open_run(self, channel: Channel, time: float, rank: int, message) -> None:
+        """Open ``channel``'s next run with its first member: straight onto
+        the receiver's pending heap, waking the receiver for it."""
+        channel.times = [time]
+        channel.ranks = [rank]
+        channel.messages = [message]
+        channel.start = 0
+        channel.open = True
+        machine_id = channel.task.machine_id
+        entry = (time, rank, channel)
+        heapq.heappush(self._pending_wire[machine_id], entry)
+        self._wake(machine_id, entry)
+
+    def _send_merged(self, channel: Channel, time: float, rank: int, message) -> None:
+        """Append one send to ``channel``'s open run, opening one if needed."""
+        if channel.open:
+            channel.times.append(time)
+            channel.ranks.append(rank)
+            channel.messages.append(message)
+        else:
+            self._open_run(channel, time, rank, message)
 
     def feed_schedule(
         self, schedule: ArrivalSchedule, destination_picker, batch_size: int = 1
@@ -434,29 +534,17 @@ class Simulator:
         queue = self._queue
         schedule_rank = self._schedule_rank
         if self._merge_wire:
-            # Merged feed: one DeliveryRun per reshuffler covers the whole
-            # schedule (members keep their exact arrival times/ranks).  The
-            # feed channels cannot have open runs mid-schedule interference
-            # (nothing settles before run()), so the runs are built with
-            # plain list appends and armed once per destination.
-            feed_channels = self._open_channels[0]
-            channel_get = feed_channels.get
-            heappush = heapq.heappush
-            queue = self._queue
+            # Merged feed: one run per reshuffler covers the whole schedule
+            # (members keep their exact arrival times/ranks), waking its
+            # reshuffler for the first member.
+            channel_get = self._channels[0].get
+            send_merged = self._send_merged
             for arrival_time, item in schedule.arrivals():
                 item.arrival_time = arrival_time
                 task = tasks[destination_picker(item)]
                 rank = next(schedule_rank)
-                run = channel_get(task)
-                if run is None or run.closed:
-                    run = feed_channels[task] = DeliveryRun(
-                        task, [arrival_time], [rank], [item]
-                    )
-                    heappush(queue, (arrival_time, rank, run, _DELIVERY_RUN))
-                else:
-                    run.times.append(arrival_time)
-                    run.ranks.append(rank)
-                    run.messages.append(item)
+                channel = channel_get(task) or self._channel(-1, task)
+                send_merged(channel, arrival_time, rank, item)
             return
         for arrival_time, item in schedule.arrivals():
             item.arrival_time = arrival_time
@@ -467,8 +555,8 @@ class Simulator:
 
     def schedule_data(self, time: float, destination: str, message) -> None:
         """Schedule a data-plane message, merging consecutive same-destination
-        sends into the feed channel's :class:`DeliveryRun` when delivery
-        merging is enabled (streaming ingestion, batched feeds).
+        sends into the feed channel's run when delivery merging is enabled
+        (streaming ingestion, batched feeds).
 
         Non-mergeable kinds and off-cluster destinations fall back to
         :meth:`schedule`.
@@ -483,24 +571,7 @@ class Simulator:
         ):
             self.schedule(time, destination, message)
             return
-        self._buffer_send(
-            self._open_channels[0], task, time, next(self._schedule_rank), message
-        )
-
-    def _buffer_send(
-        self, channels: dict, task: Task, time: float, rank: int, message
-    ) -> None:
-        """Append one send to its channel's open run, arming a fresh run
-        (= one heap event, keyed by this first member) when the channel has
-        none open."""
-        run = channels.get(task)
-        if run is None or run.closed:
-            run = channels[task] = DeliveryRun(task, [time], [rank], [message])
-            heapq.heappush(self._queue, (time, rank, run, _DELIVERY_RUN))
-        else:
-            run.times.append(time)
-            run.ranks.append(rank)
-            run.messages.append(message)
+        self._send_merged(self._channel(-1, task), time, next(self._schedule_rank), message)
 
     def post(
         self,
@@ -512,26 +583,27 @@ class Simulator:
     ) -> None:
         """Send a message from a task while it is processing (called via Context)."""
         departure = ctx.now + ctx.charged
-        dest_task = self.tasks[destination]
         sender_machine = sender_task.machine_id
+        channel = self._channel(sender_machine, self.tasks[destination])
+        dest_task = channel.task
         dest_machine = dest_task.machine_id
         if self._wire is not None and sender_machine >= 0 and dest_machine >= 0:
             # Unreliable wire installed: on-cluster sends become link-layer
             # frames (off-cluster endpoints — sources, collectors — keep the
             # ideal wire: they model ingest/egress, not the cluster fabric).
             units = len(message.payload) if isinstance(message.payload, TupleBatch) else 1
-            self._wire_send(sender_machine, dest_task, message, category, departure, units)
+            self._wire_send(sender_machine, channel, message, category, departure, units)
             return
         if sender_machine < 0 or dest_machine < 0:
-            delivery = departure + self.cost_model.network_latency
+            delivery = departure + channel.link.latency
         else:
             units = len(message.payload) if isinstance(message.payload, TupleBatch) else 1
-            delivery = self.network.transfer(
-                sender_machine, dest_machine, message.size, category, departure, units=units
+            delivery = self.network.carry(
+                channel.link, message.size, category, departure, units
             )
         if message.kind in PRIORITY_KINDS and dest_machine >= 0:
             self._pending_priority[dest_machine].append(delivery)
-        rank = self._send_rank(sender_machine, dest_machine)
+        rank = _next_rank(channel)
         # Off-cluster endpoints are excluded from merging (as in post_fanout):
         # their deliveries skip the link-FIFO clamp, so an open channel's key
         # arrays could lose the sortedness _settle's bisects rely on.
@@ -541,104 +613,80 @@ class Simulator:
             and dest_machine >= 0
             and message.kind in MERGEABLE_KINDS
         ):
-            self._buffer_send(
-                self._open_channels[sender_machine + 1],
-                dest_task,
-                delivery,
-                rank,
-                message,
-            )
+            self._send_merged(channel, delivery, rank, message)
             return
         heapq.heappush(self._queue, (delivery, rank, dest_task, message))
 
     def post_fanout(
         self,
         sender_task: Task,
-        destinations,
+        channels,
         message: Message,
         category: TrafficCategory,
         ctx: Context,
     ) -> None:
-        """Replicate one data message to several destinations (routing fan-out).
+        """Replicate one data message over several channels (routing fan-out).
 
-        Equivalent to calling :meth:`post` once per destination — the shared
-        departure time, sender machine and per-link transfers are identical —
-        with the per-send bookkeeping hoisted out of the loop.  Data plane
-        only: single-tuple payloads, non-priority kinds.
+        ``channels`` come from :meth:`channels`.  Equivalent to calling
+        :meth:`post` once per destination — the shared departure time,
+        sender machine and per-link transfers are identical, and the traffic
+        counters add up send by send in the same order — with the per-send
+        bookkeeping hoisted out of the loop.  Data plane only: single-tuple
+        payloads, non-priority kinds.
         """
         departure = ctx.now + ctx.charged
-        tasks = self.tasks
-        transfer = self.network.transfer
-        queue = self._queue
         sender_machine = sender_task.machine_id
-        link_rank = self._link_rank[sender_machine + 1]
-        size = message.size
-        latency = self.cost_model.network_latency
-        sender_base = _SEND_RANK_BASE + (sender_machine + 2) * _MACHINE_SPAN * _LINK_SPAN
+        queue = self._queue
         heappush = heapq.heappush
         if self._wire is not None:
             # Unreliable wire installed: each on-cluster replica becomes its
             # own link-layer frame (fan-out is data plane, single-tuple,
             # non-priority); off-cluster replicas keep the ideal wire.
-            for destination in destinations:
-                dest_task = tasks[destination]
-                dest_machine = dest_task.machine_id
-                if sender_machine < 0 or dest_machine < 0:
+            for channel in channels:
+                dest_task = channel.task
+                if sender_machine < 0 or dest_task.machine_id < 0:
                     heappush(queue, (
-                        departure + latency,
-                        self._send_rank(sender_machine, dest_machine),
+                        departure + channel.link.latency,
+                        _next_rank(channel),
                         dest_task,
                         message,
                     ))
                 else:
-                    self._wire_send(
-                        sender_machine, dest_task, message, category, departure, 1
-                    )
+                    self._wire_send(sender_machine, channel, message, category, departure, 1)
             return
-        if self._merge_wire:
-            # One shared message, one open-channel append per destination;
-            # the per-link delivery times and ranks are computed exactly as
-            # below.  The channel-append bookkeeping is inlined (this is the
-            # hottest send path of the merged wire).
-            channels = self._open_channels[sender_machine + 1]
-            channel_get = channels.get
-            for destination in destinations:
-                dest_task = tasks[destination]
-                dest_machine = dest_task.machine_id
-                if sender_machine < 0 or dest_machine < 0:
-                    heappush(queue, (
-                        departure + latency,
-                        self._send_rank(sender_machine, dest_machine),
-                        dest_task,
-                        message,
-                    ))
-                    continue
-                delivery = transfer(sender_machine, dest_machine, size, category, departure)
-                sequence = link_rank.get(dest_machine, 0)
-                link_rank[dest_machine] = sequence + 1
-                rank = sender_base + (dest_machine + 2) * _LINK_SPAN + sequence
-                run = channel_get(dest_task)
-                if run is None or run.closed:
-                    run = channels[dest_task] = DeliveryRun(
-                        dest_task, [delivery], [rank], [message]
-                    )
-                    heappush(queue, (delivery, rank, run, _DELIVERY_RUN))
-                else:
-                    run.times.append(delivery)
-                    run.ranks.append(rank)
-                    run.messages.append(message)
-            return
-        for destination in destinations:
-            dest_task = tasks[destination]
-            dest_machine = dest_task.machine_id
-            if sender_machine < 0 or dest_machine < 0:
-                delivery = departure + latency
+        merged = self._merge_wire
+        size = message.size
+        volume = self.network.volume
+        carried = volume.get(category, 0.0)
+        sent = 0
+        for channel in channels:
+            link = channel.link
+            sequence = link.sequence
+            link.sequence = sequence + 1
+            rank = channel.rank_base + sequence
+            dest_task = channel.task
+            if sender_machine < 0 or dest_task.machine_id < 0:
+                heappush(queue, (departure + link.latency, rank, dest_task, message))
+                continue
+            if not link.local:
+                sent += 1
+                carried += size
+            delivery = link.deliver(departure, size)
+            if not merged:
+                heappush(queue, (delivery, rank, dest_task, message))
+            elif channel.open:
+                # The hottest send path of the merged wire: the channel
+                # append of _send_merged, inlined.
+                channel.times.append(delivery)
+                channel.ranks.append(rank)
+                channel.messages.append(message)
             else:
-                delivery = transfer(sender_machine, dest_machine, size, category, departure)
-            sequence = link_rank.get(dest_machine, 0)
-            link_rank[dest_machine] = sequence + 1
-            rank = sender_base + (dest_machine + 2) * _LINK_SPAN + sequence
-            heappush(queue, (delivery, rank, dest_task, message))
+                self._open_run(channel, delivery, rank, message)
+        if sent:
+            network = self.network
+            network.messages[category] += sent
+            network.tuples[category] += sent
+            volume[category] = carried
 
     # ---------------------------------------------------------------- running
 
@@ -743,8 +791,8 @@ class Simulator:
 
         The inbox (including members inside settled segments) moves to the
         outage buffer for redelivery at restart; pending wire entries and open
-        channels stay put — the restart tick settles them — and work already
-        accepted (``busy_until``) counts as completed, per the
+        channel runs stay put — the restart tick settles them — and work
+        already accepted (``busy_until``) counts as completed, per the
         handler-boundary crash model.
         """
         if machine_id in self._crashed:
@@ -764,9 +812,10 @@ class Simulator:
                     buffer.append(("d", entry.task, entry.messages[index]))
         inbox.clear()
         self._inbox_members[machine_id] = 0
-        # Suppress tick scheduling for the duration of the outage; the
-        # restart pushes its own tick.
-        self._tick_scheduled[machine_id] = True
+        # No tick and no wake-up for the duration of the outage (tick entries
+        # still queued pop as stale); the restart arms the reviving tick.
+        self._tick_at[machine_id] = None
+        self._wake_for[machine_id] = None
         recovery = self._recovery
         recovery.on_crash(machine_id, time)
         delay = fault.restart_after
@@ -783,6 +832,10 @@ class Simulator:
         journal, redeliver the outage buffer, resume normal ticking."""
         self._crashed.discard(machine_id)
         self._crashed_count -= 1
+        # The reviving tick: it settles any wire traffic dated <= now and
+        # restarts the normal cycle (armed first, so sends of the handlers
+        # below find the machine's tick already scheduled).
+        self._arm(machine_id, time)
         machine = self.machines[machine_id]
         restore_cost, _replayed = self._recovery.on_restart(machine_id, time)
         if restore_cost > 0:
@@ -800,9 +853,6 @@ class Simulator:
                     inbox.append((task, message))
                     self._inbox_members[machine_id] += 1
             buffer.clear()
-        # _tick_scheduled stayed True through the outage; this tick settles
-        # any wire traffic dated <= now and restarts the normal cycle.
-        self._schedule_tick(machine_id, time)
 
     def _retry_machine(self, machine_id: int, time: float) -> None:
         """Link-layer retry timer for traffic addressed to a dead machine."""
@@ -811,8 +861,11 @@ class Simulator:
         attempts = self._retry_attempts.get(machine_id, 0) + 1
         self._retry_attempts[machine_id] = attempts
         recovery = self._recovery
+        # Traffic already due counts; the pending heap also holds runs sent
+        # ahead of their delivery time.
+        pending = self._pending_wire[machine_id]
         waiting = bool(self._outage.get(machine_id)) or bool(
-            self._pending_wire[machine_id]
+            pending and pending[0][0] <= time
         )
         if attempts > recovery.max_retries and waiting:
             raise RuntimeError(
@@ -830,7 +883,7 @@ class Simulator:
 
         Priority kinds wait in the outage buffer (redelivered first at
         restart); in-band kinds keep their exact ``(time, rank)`` position —
-        on the merged wire by joining the pending heap next to any parked
+        on the merged wire by joining the pending heap next to the channel
         runs, on the unmerged wire by outage-buffer order, which *is* global
         ``(time, rank)`` pop order.
         """
@@ -849,7 +902,7 @@ class Simulator:
     def _wire_send(
         self,
         sender_machine: int,
-        dest_task: Task,
+        channel: Channel,
         message: Message,
         category: TrafficCategory,
         departure: float,
@@ -866,19 +919,19 @@ class Simulator:
         the shared sequence number.
         """
         wire = self._wire
+        dest_task = channel.task
         dest_machine = dest_task.machine_id
         link = (sender_machine, dest_machine)
         seq, dropped, duplicated, delay_by = wire.on_send(link)
-        rank = self._send_rank(sender_machine, dest_machine)
+        rank = _next_rank(channel)
         frame = _WireFrame(link, seq, dest_task, message, category, rank, units)
         wire.frames_sent += 1
         if dropped or wire.partitioned(sender_machine, dest_machine, departure):
             wire.frames_dropped += 1
             self._wire_arm_retransmit(frame, departure)
             return
-        arrival = self.network.transfer(
-            sender_machine, dest_machine, message.size, category, departure, units=units
-        )
+        carry = self.network.carry
+        arrival = carry(channel.link, message.size, category, departure, units)
         # The per-send delay is added *after* the link's FIFO clamp, so later
         # sends can genuinely overtake the delayed frame on the wire; the
         # receiver's in-order sublayer restores release order.
@@ -886,9 +939,7 @@ class Simulator:
         if duplicated:
             wire.frames_sent += 1
             wire.frames_duplicated += 1
-            dup_arrival = self.network.transfer(
-                sender_machine, dest_machine, message.size, category, departure, units=units
-            )
+            dup_arrival = carry(channel.link, message.size, category, departure, units)
             # Same frame object = same sequence number: the copy that loses
             # the race (the fault serial orders the original first at equal
             # times) is discarded by the receiver's dedup.
@@ -977,7 +1028,12 @@ class Simulator:
 
         Priority-kind bookkeeping is done here (not at send) because only
         now is the effective delivery instant known; ``_deliver`` and
-        ``_divert_crashed`` remove the same ``time`` they always have.
+        ``_divert_crashed`` remove the same ``time`` they always have.  The
+        frame keeps its send rank, although its arrival event sits in the
+        fault band after every delivery dated ``time``: the two order alike
+        against the only runs a machine can wait for under the unreliable
+        wire — feed runs, whose ranks lie below the send band (on-cluster
+        sends are never merged there).
         """
         wire = self._wire
         wire.frames_applied += 1
@@ -992,51 +1048,49 @@ class Simulator:
             # Off-cluster tasks are handled at delivery time.
             self._execute(task, message, time)
             return
-        if self._crashed_count and machine.machine_id in self._crashed:
-            self._divert_crashed(task, message, time, rank, machine.machine_id)
+        machine_id = machine.machine_id
+        if self._crashed_count and machine_id in self._crashed:
+            self._divert_crashed(task, message, time, rank, machine_id)
             return
         if message.kind in PRIORITY_KINDS:
             # Control-plane messages skip the data backlog but still need the
             # CPU: they start once the machine finishes the handler it is
             # currently running — on the adaptive plane, the per-tuple-
             # equivalent boundary of the last drained run.
-            self._pending_priority[machine.machine_id].remove(time)
+            self._pending_priority[machine_id].remove(time)
             self._execute(task, message, machine.priority_start(time))
+            waiting = self._wake_for[machine_id]
+            if waiting is not None and (time, rank) < waiting:
+                # The delivery the machine's wake-up waits for is still to
+                # come, and on the per-tuple wire it schedules the tick
+                # against the busy_until this handler just raised.
+                busy_until = machine.busy_until
+                at = waiting[0] if waiting[0] >= busy_until else busy_until
+                if at != self._tick_at[machine_id]:
+                    self._arm(machine_id, at)
             return
-        machine_id = machine.machine_id
-        if self._merge_wire:
-            pending = self._pending_wire[machine_id]
-            if pending:
-                # Unsettled run members exist for this machine; enqueue the
-                # single behind/between them by its own (time, rank) key so
-                # the settle pass reproduces the per-tuple inbox order.
-                heapq.heappush(pending, (time, rank, None, task, message))
-                if not self._tick_scheduled[machine_id]:
-                    self._tick_scheduled[machine_id] = True
-                    self._schedule_tick(machine_id, max(time, machine.busy_until))
-                return
-        self._inboxes[machine_id].append((task, message))
-        self._inbox_members[machine_id] += 1
-        if not self._tick_scheduled[machine_id]:
-            self._tick_scheduled[machine_id] = True
-            self._schedule_tick(machine_id, max(time, machine.busy_until))
-
-    def _deliver_run(self, run: DeliveryRun, time: float) -> None:
-        """A :class:`DeliveryRun` popped: park it on the receiver's pending heap.
-
-        Members do not enter the inbox yet — they *settle* in exact
-        ``(time, rank)`` order when the machine next ticks — so the run pop is
-        O(1) regardless of length.  Tick scheduling mirrors what the first
-        member's individual delivery would have done.
-        """
-        machine = run.task.hosted_machine
-        machine_id = machine.machine_id
-        heapq.heappush(
-            self._pending_wire[machine_id], (time, run.ranks[run.start], run)
-        )
-        if not self._tick_scheduled[machine_id]:
-            self._tick_scheduled[machine_id] = True
-            self._schedule_tick(machine_id, max(time, machine.busy_until))
+        pending = self._pending_wire[machine_id]
+        if pending and pending[0] < (time, rank):
+            # Unsettled run members precede this single; enqueue it
+            # behind/between them by its own (time, rank) key so the settle
+            # pass reproduces the per-tuple inbox order.  (Everything already
+            # in the inbox precedes it, and pending deliveries after it
+            # settle after it, so otherwise it joins the inbox directly.)
+            heapq.heappush(pending, (time, rank, None, task, message))
+        else:
+            self._inboxes[machine_id].append((task, message))
+            self._inbox_members[machine_id] += 1
+        tick = self._tick_at[machine_id]
+        waiting = self._wake_for[machine_id]
+        if tick is not None and (waiting is None or waiting < (time, rank)):
+            return  # the tick was already scheduled when this delivery came
+        # The machine's first delivery since its inbox ran empty schedules
+        # its tick — earlier than a wake-up still waiting for a later one.
+        self._wake_for[machine_id] = None
+        busy_until = machine.busy_until
+        at = time if time >= busy_until else busy_until
+        if tick is None or at < tick:
+            self._arm(machine_id, at)
 
     def _settle(self, machine_id: int, time: float) -> None:
         """Move pending wire deliveries dated ``<= time`` into the inbox.
@@ -1057,14 +1111,14 @@ class Simulator:
         settled = 0
         while pending and pending[0][0] <= time:
             entry = heappop(pending)
-            run = entry[2]
-            if run is None:
+            channel = entry[2]
+            if channel is None:
                 inbox.append((entry[3], entry[4]))
                 settled += 1
                 continue
-            times = run.times
-            task = run.task
-            index = run.start
+            times = channel.times
+            task = channel.task
+            index = channel.start
             count = len(times)
             # Settle-bound cut: members dated <= the tick time.  Within a run
             # both times and ranks are strictly increasing, so the segment
@@ -1079,57 +1133,40 @@ class Simulator:
                     below = bisect_left(times, head_time, index, end)
                     ties_end = bisect_right(times, head_time, below, end)
                     end = (
-                        bisect_left(run.ranks, head[1], below, ties_end)
+                        bisect_left(channel.ranks, head[1], below, ties_end)
                         if ties_end > below
                         else below
                     )
             # The popped entry was the pending minimum and is inside the
             # bound, so at least one member always settles (progress).
             if end - index == 1:
-                inbox.append((task, run.messages[index]))
+                inbox.append((task, channel.messages[index]))
             else:
-                inbox.append(SettledSegment(task, run.messages, index, end))
+                inbox.append(SettledSegment(task, channel.messages, index, end))
             settled += end - index
+            channel.start = end
             if end < count:
-                run.start = end
-                heappush(pending, (times[end], run.ranks[end], run))
+                heappush(pending, (times[end], channel.ranks[end], channel))
             else:
-                # Exhausted: close the channel's run (the next send on the
-                # channel arms a fresh one) and record its final length.
-                run.start = end
-                run.closed = True
+                # Exhausted: close the run (the next send on the channel
+                # opens a fresh one) and record its final length.
+                channel.open = False
                 wire_histogram[count] = wire_histogram.get(count, 0) + 1
         self._inbox_members[machine_id] += settled
 
-    def _rearm_wire(self, machine_id: int) -> None:
-        """Return the earliest pending wire delivery to the global heap.
-
-        Reached when a tick leaves the inbox empty while future-dated members
-        remain pending: their runs already left the heap, so nothing else
-        would wake the machine.  The re-armed entry pops at its own key and
-        re-enters the normal delivery path (scheduling the wake-up tick at
-        ``max(time, busy_until)`` exactly as its individual delivery would).
-        """
-        entry = heapq.heappop(self._pending_wire[machine_id])
-        run = entry[2]
-        if run is None:
-            heapq.heappush(self._queue, (entry[0], entry[1], entry[3], entry[4]))
-        else:
-            heapq.heappush(self._queue, (entry[0], entry[1], run, _DELIVERY_RUN))
-
     def _tick(self, machine_id: int, time: float) -> None:
-        if self._crashed_count and machine_id in self._crashed:
-            # Stale tick popping during an outage: swallow it and leave
-            # _tick_scheduled True — the restart pushes the reviving tick.
+        self._queued_ticks[machine_id].discard(time)
+        if time != self._tick_at[machine_id]:
+            # Stale: superseded by another tick of the machine, or the
+            # machine went down after arming it.
             return
-        merging = self._merge_wire
-        if merging and self._pending_wire[machine_id]:
+        self._wake_for[machine_id] = None
+        pending = self._pending_wire[machine_id]
+        if pending and pending[0][0] <= time:
             self._settle(machine_id, time)
         inbox = self._inboxes[machine_id]
         if not inbox:
-            if merging and self._pending_wire[machine_id]:
-                self._rearm_wire(machine_id)
-            self._tick_scheduled[machine_id] = False
+            self._rest(machine_id)
             return
         machine = self.machines[machine_id]
         start = max(time, machine.busy_until)
@@ -1164,11 +1201,9 @@ class Simulator:
                 self.metrics.record_drained_run(1)
                 self._execute(task, message, start)
         if inbox:
-            self._schedule_tick(machine_id, max(machine.busy_until, start))
+            self._arm(machine_id, max(machine.busy_until, start))
         else:
-            if merging and self._pending_wire[machine_id]:
-                self._rearm_wire(machine_id)
-            self._tick_scheduled[machine_id] = False
+            self._rest(machine_id)
 
     def run(self, max_events: int | None = None) -> float:
         """Run until the event queue drains.  Returns the completion time.
@@ -1188,8 +1223,6 @@ class Simulator:
                     self.now = time
                 if message is None:
                     self._tick(target, time)
-                elif message is _DELIVERY_RUN:
-                    self._deliver_run(target, time)
                 elif message.__class__ is _FaultEvent:
                     self._process_fault(target, message, time)
                 else:

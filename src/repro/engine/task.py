@@ -122,18 +122,28 @@ class Context:
         """Send ``message`` to the task named ``destination``."""
         self._simulator.post(self._task, destination, message, category, self)
 
+    def channels(self, destinations) -> list:
+        """The wire channels from this task's machine to the task names in
+        ``destinations``, for :meth:`send_fanout`.
+
+        A channel lives as long as the simulation, so callers may cache the
+        list (see :meth:`repro.engine.simulator.Simulator.channels`).
+        """
+        return self._simulator.channels(self._task, destinations)
+
     def send_fanout(
         self,
-        destinations,
+        channels,
         message: Message,
         category: TrafficCategory = TrafficCategory.ROUTING,
     ) -> None:
-        """Send one data message to every task name in ``destinations``.
+        """Send one data message over every channel in ``channels`` (see
+        :meth:`channels`).
 
         Identical to calling :meth:`send` per destination (same departures,
         same per-link transfers, same delivery order); data plane only.
         """
-        self._simulator.post_fanout(self._task, destinations, message, category, self)
+        self._simulator.post_fanout(self._task, channels, message, category, self)
 
     def emit_output(self, left: StreamTuple, right: StreamTuple) -> None:
         """Record one join result tuple.

@@ -16,10 +16,11 @@ in exactly one place, :meth:`repro.joins.local.LocalJoiner.probe`.
 
 Batch-aware probing: :meth:`probe_batch` serves a whole micro-batch of keys
 with one grouped pass (hash) and :meth:`probe_range_batch` sort-merges a
-batch of ranges against the ordered key list.  Probe results reference the
-stored candidate runs without copying hash buckets; callers must treat the
-returned lists as read-only snapshots that are valid until the next
-``insert``/``remove``/``bulk_insert`` on the index.
+batch of ranges against the ordered key list.  Probe results are sequences
+the caller must treat as read-only snapshots, valid until the next
+``insert``/``remove``/``bulk_insert`` on the index.  A hash bucket holding
+one tuple is stored as the tuple itself and handed out as a fresh one-tuple
+sequence; a bucket holding several is a list, returned live (no copy).
 
 Two facts every index keeps up to date on insert, so callers can skip work
 the index already proves:
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import defaultdict
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -82,6 +82,13 @@ class JoinIndex:
         """Add ``item`` to the index."""
         raise NotImplementedError
 
+    def insert_keyed(self, key: Any, item: StreamTuple) -> None:
+        """Insert ``item`` under an already-extracted ``key`` (batch hot path).
+
+        Unkeyed indexes ignore the key.
+        """
+        self.insert(item)
+
     def bulk_insert(self, items: Iterable[StreamTuple]) -> None:
         """Insert many items at once (amortised faster than repeated insert)."""
         for item in items:
@@ -123,71 +130,95 @@ class JoinIndex:
 
 
 class HashIndex(JoinIndex):
-    """Hash index keyed by an extracted attribute (equi-join probes)."""
+    """Hash index keyed by an extracted attribute (equi-join probes).
+
+    Most buckets of a sparse join hold a single tuple, so a bucket is stored
+    compactly: ``_buckets`` maps a key to the tuple itself until a second
+    tuple arrives under that key, and to a list of them from then on (a list
+    bucket stays a list until its last tuple is removed).  Every accessor
+    handles both shapes; callers always receive a sequence.
+    """
 
     def __init__(self, key_func: Callable[[StreamTuple], Any]) -> None:
         super().__init__(key_func)
-        self._buckets: dict[Any, list[StreamTuple]] = defaultdict(list)
+        self._buckets: dict[Any, StreamTuple | list[StreamTuple]] = {}
 
     def insert(self, item: StreamTuple) -> None:
-        self._buckets[self._key_func(item)].append(item)
+        self.insert_keyed(self._key_func(item), item)
+
+    def insert_keyed(self, key: Any, item: StreamTuple) -> None:
+        buckets = self._buckets
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = item
+        elif bucket.__class__ is list:
+            bucket.append(item)
+        else:
+            buckets[key] = [bucket, item]
         self._count += 1
         self._total_size += item.size
         if item.arrival_time > self.newest_arrival:
             self.newest_arrival = item.arrival_time
+
+    def bulk_insert(self, items: Iterable[StreamTuple]) -> None:
+        key_func = self._key_func
+        insert_keyed = self.insert_keyed
+        for item in items:
+            insert_keyed(key_func(item), item)
 
     def remove(self, item: StreamTuple) -> bool:
         key = self._key_func(item)
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return False
-        for index, existing in enumerate(bucket):
-            if existing.tuple_id == item.tuple_id:
-                bucket.pop(index)
-                if not bucket:
-                    del self._buckets[key]
-                self._count -= 1
-                self._total_size -= item.size
-                return True
-        return False
-
-    def probe(self, key: Any) -> tuple[list[StreamTuple], int]:
-        # Returns the live bucket (no copy); read-only for callers, valid
-        # until the next mutation of this index.
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return _NO_CANDIDATES, 0
-        return bucket, len(bucket)
-
-    def probe_batch(self, keys: Sequence[Any]) -> list[tuple[list[StreamTuple], int]]:
-        # One bucket lookup per *distinct* key in the batch; repeated keys
-        # reuse the memoised bucket reference.
         buckets = self._buckets
-        memo: dict[Any, list[StreamTuple]] = {}
+        bucket = buckets.get(key)
+        if bucket is None:
+            return False
+        if bucket.__class__ is not list:
+            if bucket.tuple_id != item.tuple_id:
+                return False
+            del buckets[key]
+        else:
+            for index, existing in enumerate(bucket):
+                if existing.tuple_id == item.tuple_id:
+                    break
+            else:
+                return False
+            bucket.pop(index)
+            if not bucket:
+                del buckets[key]
+        self._count -= 1
+        self._total_size -= item.size
+        return True
+
+    def probe(self, key: Any) -> tuple[Sequence[StreamTuple], int]:
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return _NO_CANDIDATES, 0
+        if bucket.__class__ is list:
+            return bucket, len(bucket)
+        return (bucket,), 1
+
+    def probe_batch(self, keys: Sequence[Any]) -> list[tuple[Sequence[StreamTuple], int]]:
+        # One bucket lookup per *distinct* key in the batch; repeated keys
+        # reuse the memoised result.
+        memo: dict[Any, tuple[Sequence[StreamTuple], int]] = {}
         results = []
         for key in keys:
-            bucket = memo.get(key)
-            if bucket is None:
-                bucket = buckets.get(key, _NO_CANDIDATES)
-                memo[key] = bucket
-            results.append((bucket, len(bucket)))
+            result = memo.get(key)
+            if result is None:
+                result = memo[key] = self.probe(key)
+            results.append(result)
         return results
 
-    def bucket_for(self, key: Any) -> list[StreamTuple] | None:
-        """The live bucket for ``key`` (read-only), or None when empty.
+    def bucket_for(self, key: Any) -> Sequence[StreamTuple] | None:
+        """The bucket for ``key`` as a read-only sequence, or None when empty.
 
-        The zero-copy primitive behind the batch probe engine: callers walk
-        the bucket in place instead of receiving a copy.
+        The primitive behind the batch probe engine: callers walk a
+        multi-tuple bucket in place instead of receiving a copy.
         """
-        return self._buckets.get(key)
-
-    def insert_keyed(self, key: Any, item: StreamTuple) -> None:
-        """Insert ``item`` under an already-extracted ``key`` (batch hot path)."""
-        self._buckets[key].append(item)
-        self._count += 1
-        self._total_size += item.size
-        if item.arrival_time > self.newest_arrival:
-            self.newest_arrival = item.arrival_time
+        bucket = self._buckets.get(key)
+        if bucket is None or bucket.__class__ is list:
+            return bucket
+        return (bucket,)
 
     def probe_range(self, low: Any, high: Any) -> tuple[list[StreamTuple], int]:
         # A hash index cannot serve ranges efficiently; fall back to a scan.
@@ -196,14 +227,19 @@ class HashIndex(JoinIndex):
 
     def count_key(self, key: Any) -> int:
         bucket = self._buckets.get(key)
-        return len(bucket) if bucket else 0
+        if bucket is None:
+            return 0
+        return len(bucket) if bucket.__class__ is list else 1
 
     def count_range(self, low: Any, high: Any) -> int:
         return self._count
 
     def items(self) -> Iterator[StreamTuple]:
         for bucket in self._buckets.values():
-            yield from bucket
+            if bucket.__class__ is list:
+                yield from bucket
+            else:
+                yield bucket
 
 
 class OrderedIndex(JoinIndex):
@@ -226,7 +262,6 @@ class OrderedIndex(JoinIndex):
         self.insert_keyed(self._key_func(item), item)
 
     def insert_keyed(self, key: Any, item: StreamTuple) -> None:
-        """Insert ``item`` under an already-extracted ``key`` (batch hot path)."""
         position = bisect.bisect_right(self._keys, key)
         self._keys.insert(position, key)
         self._values.insert(position, item)

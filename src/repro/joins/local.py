@@ -399,7 +399,10 @@ class LocalJoiner:
     # ------------------------------------------------------------ batch probe
 
     def probe_batch(
-        self, items: Sequence[StreamTuple]
+        self,
+        items: Sequence[StreamTuple],
+        others: Sequence["LocalJoiner"] = (),
+        counted: Sequence["LocalJoiner"] = (),
     ) -> list[tuple[list[StreamTuple], float]]:
         """Symmetrically insert+probe a whole micro-batch.
 
@@ -413,19 +416,35 @@ class LocalJoiner:
         because the indexes are live, each member automatically sees every
         earlier member of the opposite relation.
 
+        ``others`` and ``counted`` spread the probed state over several
+        joiners sharing this one's predicate and relations (the epoch
+        protocol's tag partitions).  A member's candidates are then this
+        joiner's followed by each of ``others``' — matches concatenated in
+        that order — and every joiner in ``counted`` adds its candidate count
+        without being probed.  Members are still inserted into this joiner
+        only, and the work floor applies once, to the summed count.
+
         Returns:
             Per-member ``(matches, work_units)``, aligned with ``items``.
             Work accounting is identical to the per-member sequence: raw
             candidate counts (pre-batch + earlier intra-batch candidates),
             floored at 1 per member.
         """
-        return self._engine_spec.probe_batch(self, items)
+        if not others and not counted:
+            return self._engine_spec.probe_batch(self, items)
+        if self.predicate.kind == "equi":
+            return self._probe_batch_equi(items, others, counted)
+        return self._probe_batch_keyed(items, others, counted)
 
     def _probe_batch_equi(
-        self, items: Sequence[StreamTuple]
+        self,
+        items: Sequence[StreamTuple],
+        others: Sequence["LocalJoiner"] = (),
+        counted: Sequence["LocalJoiner"] = (),
     ) -> list[tuple[list[StreamTuple], float]]:
-        # One lean pass over the live hash buckets: probing the opposite
-        # bucket in place (zero-copy) and appending each member under its
+        # One lean pass over the live hash buckets: each member walks the
+        # opposite bucket of this joiner and of every joiner in ``others`` in
+        # place, counts those of ``counted``, and is then appended under its
         # already-extracted key.  Because the buckets are live, intra-batch
         # self-join semantics fall out for free — each member sees every
         # earlier member of the opposite relation.
@@ -433,8 +452,14 @@ class LocalJoiner:
         right_relation = self.right_relation
         left_key = self._pred_left_key
         right_key = self._pred_right_key
-        left_index = self._indexes[left_relation]
-        right_index = self._indexes[right_relation]
+        left_index = self._left_index
+        right_index = self._right_index
+        stores = (self, *others)
+        # A left member probes the right indexes, a right member the left.
+        left_probes = [store._right_index.bucket_for for store in stores]
+        right_probes = [store._left_index.bucket_for for store in stores]
+        left_counts = [store._right_index.count_key for store in counted]
+        right_counts = [store._left_index.count_key for store in counted]
         check = self._check
         results: list[tuple[list[StreamTuple], float]] = []
         append = results.append
@@ -443,24 +468,59 @@ class LocalJoiner:
             if item.relation == left_relation:
                 is_left = True
                 key = left_key(record)
-                bucket = right_index.bucket_for(key)
+                probes, counts, own = left_probes, left_counts, left_index
             else:
                 if item.relation != right_relation:
                     self._check_relation(item.relation)
                 is_left = False
                 key = right_key(record)
-                bucket = left_index.bucket_for(key)
-            if bucket:
-                if check is None:
-                    matches = list(bucket)
-                elif is_left:
-                    matches = [c for c in bucket if check(record, c.record)]
-                else:
-                    matches = [c for c in bucket if check(c.record, record)]
-                append((matches, float(len(bucket))))
-            else:
-                append(([], 1.0))
-            (left_index if is_left else right_index).insert_keyed(key, item)
+                probes, counts, own = right_probes, right_counts, right_index
+            matches: list[StreamTuple] = []
+            inspected = 0
+            for bucket_for in probes:
+                bucket = bucket_for(key)
+                if bucket:
+                    inspected += len(bucket)
+                    if check is None:
+                        matches += bucket
+                    elif is_left:
+                        matches += [c for c in bucket if check(record, c.record)]
+                    else:
+                        matches += [c for c in bucket if check(c.record, record)]
+            for count_key in counts:
+                inspected += count_key(key)
+            own.insert_keyed(key, item)
+            append((matches, float(inspected) if inspected > 0 else 1.0))
+        return results
+
+    def _probe_batch_keyed(
+        self,
+        items: Sequence[StreamTuple],
+        others: Sequence["LocalJoiner"],
+        counted: Sequence["LocalJoiner"],
+    ) -> list[tuple[list[StreamTuple], float]]:
+        # Band and theta stores: every member probes each store through the
+        # keyed probe body (band windows, scans), then is inserted here.
+        stores = (self, *others)
+        probe_plan = self.probe_plan
+        indexes = self._indexes
+        results: list[tuple[list[StreamTuple], float]] = []
+        append = results.append
+        for item in items:
+            self._check_relation(item.relation)
+            is_left, key = probe_plan(item)
+            record = item.record
+            matches: list[StreamTuple] = []
+            inspected = 0
+            for store in stores:
+                found, count = store._keyed_probe(is_left, key, record)
+                inspected += count
+                if found:
+                    matches += found
+            for store in counted:
+                inspected += store.keyed_candidate_count(is_left, key)
+            indexes[item.relation].insert_keyed(key, item)
+            append((matches, float(inspected) if inspected > 0 else 1.0))
         return results
 
     def _probe_batch_band(

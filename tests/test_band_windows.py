@@ -179,9 +179,9 @@ class TestExactWindowsMatchTheOracle:
     )
     @settings(max_examples=100, deadline=None)
     def test_migration_partition_probes(self, case, composite, salts, steps):
-        """The Δ, Δ' and µ paths probe the tag partitions through
-        ``keyed_raw_probe``; every action of a migrating joiner matches the
-        scalar oracle's, partition by partition."""
+        """The Δ, Δ' and µ paths probe the tag partitions through the keyed
+        probe body; every action of a migrating joiner matches the scalar
+        oracle's, partition by partition."""
         width, items = case
         for item in items:
             item.salt = salts.random()
@@ -293,6 +293,35 @@ class TestWindowDecidesIntBands:
             joiner.remove(doomed)
             joiner.bulk_insert("S", [StreamTuple(relation="S", record={"v": 3})])
             assert not index.all_int_keys
+
+
+#: A float pair at ulp distance from the band edge: ``|k - b| <= w`` holds in
+#: both orders, yet ``b`` lies outside ``k``'s rounded window
+#: ``[fl(k - w), fl(k + w)]`` and ``k`` outside ``b``'s.
+_EDGE_K = -3.1171955258389396e-07
+_EDGE_W = 5.137980173045545e-07
+_EDGE_B = 2.0207846472066054e-07
+
+
+class TestFloatBandEdge:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="float band windows are cut at rounded edges, not by the predicate",
+    )
+    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+    @pytest.mark.parametrize("stored", ["left", "right"])
+    def test_pair_at_the_window_edge_joins(self, engine, stored):
+        """Whichever side arrives second, both engines must return exactly
+        the pairs ``BandPredicate.matches`` accepts."""
+        predicate = BandPredicate("v", "v", width=_EDGE_W)
+        left = StreamTuple(relation="R", record={"v": _EDGE_K})
+        right = StreamTuple(relation="S", record={"v": _EDGE_B})
+        assert predicate.matches(left.record, right.record)
+        assert predicate.matches(right.record, left.record)
+        first, second = (left, right) if stored == "left" else (right, left)
+        joiner = make_local_joiner(predicate, "R", "S", engine=engine)
+        (_, _), (matches, _) = joiner.probe_batch([first, second])
+        assert [match.tuple_id for match in matches] == [first.tuple_id]
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.epochs import EpochJoinerState, JoinerPhase, ProtocolError
 from repro.core.mapping import GridPlacement, Mapping
 from repro.core.migration import plan_migration
 from repro.engine.stream import StreamTuple
 from repro.joins.local import make_local_joiner
-from repro.joins.predicates import EquiPredicate
+from repro.joins.predicates import BandPredicate, EquiPredicate
 
 
 def _make_cluster(mapping: Mapping, num_reshufflers: int | None = None):
@@ -215,3 +217,110 @@ class TestMigrationScenario:
         migrations, replayed = joiner.handle_signal(1, plan, "reshuffler-0")
         assert any(item.tuple_id == early.tuple_id for item, _ in replayed)
         assert joiner.stored_count() >= 1
+
+
+# ---------------------------------------------------------------------------
+# Δ' work: one union count, charged twice
+# ---------------------------------------------------------------------------
+
+_SPECS = st.lists(
+    st.tuples(st.sampled_from("RS"), st.integers(0, 5), st.floats(0.0, 0.999)),
+    max_size=14,
+)
+_PREDICATES = {
+    "equi": EquiPredicate("k", "k"),
+    "band": BandPredicate("k", "k", width=1),
+}
+
+
+def _tagged(specs, epoch):
+    return [
+        StreamTuple(relation=relation, record={"k": key}, salt=salt, epoch=epoch)
+        for relation, key, salt in specs
+    ]
+
+
+def _migrating_joiner(kind, engine, tau, delta, mu, delta_prime):
+    """Machine 0 mid-migration (2,2) -> (4,1), one of two signals received,
+    its four partitions filled from the given tuples."""
+    plan = plan_migration(
+        GridPlacement(mapping=Mapping(2, 2)), GridPlacement(mapping=Mapping(4, 1))
+    )
+    state = EpochJoinerState(
+        machine_id=0,
+        store=make_local_joiner(_PREDICATES[kind], "R", "S", engine=engine),
+        num_reshufflers=2,
+        left_relation="R",
+    )
+    for item in tau:
+        state.handle_data(item)
+    state.handle_signal(1, plan, "reshuffler-0")
+    for item in delta:
+        state.handle_data(item)
+    for item in mu:
+        state.handle_migrated(item)
+    for item in delta_prime:
+        state.handle_data(item)
+    assert state.phase is JoinerPhase.MIGRATING
+    return state
+
+
+def _two_probes(state, item):
+    """Alg. 3's two Δ' probes as the protocol states them: µ ∪ Δ' with the
+    other partitions' counts, then Keep(τ ∪ Δ) with the others' counts."""
+    parts = state._parts
+    keep, drop, new, mu = (parts[name] for name in ("old_keep", "old_drop", "new", "mu"))
+    is_left, key = new.probe_plan(item)
+    record = item.record
+    new_matches, new_count = new.keyed_raw_probe(is_left, key, record)
+    mu_matches, mu_count = mu.keyed_raw_probe(is_left, key, record)
+    first = (
+        keep.keyed_candidate_count(is_left, key)
+        + drop.keyed_candidate_count(is_left, key)
+        + new_count
+        + mu_count
+    )
+    keep_matches, keep_count = keep.keyed_raw_probe(is_left, key, record)
+    second = (
+        keep_count
+        + drop.keyed_candidate_count(is_left, key)
+        + new.keyed_candidate_count(is_left, key)
+        + mu.keyed_candidate_count(is_left, key)
+    )
+    partners = [t.tuple_id for t in (*new_matches, *mu_matches, *keep_matches)]
+    return first, second, partners
+
+
+def _partner_ids(actions):
+    return [t.tuple_id for t in actions.matches.partners] if actions.matches else []
+
+
+class TestDeltaPrimeUnionCount:
+    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+    @pytest.mark.parametrize("kind", sorted(_PREDICATES))
+    @given(tau=_SPECS, delta=_SPECS, mu=_SPECS, delta_prime=_SPECS, batch=_SPECS)
+    @settings(max_examples=40, deadline=None)
+    def test_both_probes_count_the_union(
+        self, kind, engine, tau, delta, mu, delta_prime, batch
+    ):
+        """Both Δ' probes inspect the same four partitions with nothing
+        inserted in between, so they count the same union: a member is
+        charged twice that count (floored at one), its partners are Δ', µ,
+        then Keep matches, and a whole batch equals the members one by one."""
+        tau, delta, mu = _tagged(tau, 0), _tagged(delta, 0), _tagged(mu, 0)
+        delta_prime, items = _tagged(delta_prime, 1), _tagged(batch, 1)
+        one_by_one = _migrating_joiner(kind, engine, tau, delta, mu, delta_prime)
+        batched = _migrating_joiner(kind, engine, tau, delta, mu, delta_prime)
+        expected = []
+        for item in items:
+            first, second, partners = _two_probes(one_by_one, item)
+            assert first == second
+            (actions,) = one_by_one.handle_data_batch([item])
+            assert actions.stored
+            assert actions.probe_work == 2.0 * max(first, 1)
+            assert _partner_ids(actions) == partners
+            expected.append((actions.probe_work, partners))
+        if items:
+            results = batched.handle_data_batch(items)
+            assert [(a.probe_work, _partner_ids(a)) for a in results] == expected
+        assert batched.stored_count() == one_by_one.stored_count()

@@ -320,19 +320,26 @@ class TestSenderOwnedRanks:
         assert (first, second) == ("from-0", "from-1")
 
     def test_link_counters_are_owned_by_the_sender(self):
-        sim = Simulator(num_machines=3)
-        sim.register(Recorder("sink", machine_id=2))
+        sim = Simulator(num_machines=4)
+        sink = sim.register(Recorder("sink", machine_id=2))
+        far = sim.register(Recorder("far", machine_id=3))
         sim.register(Forwarder("a", "sink", machine_id=0))
         sim.register(Forwarder("b", "sink", machine_id=1))
         for index in range(3):
             sim.schedule(float(index), "a", _data(index))
         sim.schedule(0.0, "b", _data("b"))
         sim.run()
-        # Index [sender + 1], keyed by destination machine: each sender
+        # One link record per (sender, destination machine): each sender
         # advances only its own per-link sequence.
-        assert sim._link_rank[1] == {2: 3}
-        assert sim._link_rank[2] == {2: 1}
-        assert sim._send_rank(0, 2) < sim._send_rank(1, 2) < sim._send_rank(1, 3)
+        assert sim.network.link(0, 2).sequence == 3
+        assert sim.network.link(1, 2).sequence == 1
+        assert sim._channel(0, sink).link is sim.network.link(0, 2)
+        # Ranks order by sender machine, then destination machine.
+        assert (
+            sim._channel(0, sink).rank_base
+            < sim._channel(1, sink).rank_base
+            < sim._channel(1, far).rank_base
+        )
 
 
 class TestRunLoop:

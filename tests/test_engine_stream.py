@@ -70,11 +70,11 @@ def test_one_object_per_input_tuple(monkeypatch, eq5_query):
         assert inputs <= {id(item) for item in seen["live"]}, plane
         fed = seen["fed"]
         if "batching" in plane:
-            # The merged feed: one DeliveryRun per reshuffler covers the schedule.
+            # The merged feed: one run per reshuffler channel covers the schedule.
             fed = [
                 message
-                for run in seen["simulator"]._open_channels[0].values()
-                for message in run.messages
+                for channel in seen["simulator"]._channels[0].values()
+                for message in channel.messages
             ]
         assert len(fed) == len(order), plane
         assert {id(message) for message in fed} == inputs, plane

@@ -1,5 +1,7 @@
 """Tests for the hash / ordered / scan join indexes."""
 
+from collections.abc import Sequence
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,13 +50,22 @@ class TestHashIndex:
         assert sorted(t.record["k"] for t in candidates) == [2, 3, 4]
         assert inspected == 10
 
-    def test_probe_returns_live_bucket_without_copy(self):
+    def test_probe_returns_multi_tuple_bucket_live(self):
+        """A bucket of several tuples is handed out live (no copy); a
+        one-tuple bucket is stored as the tuple and handed out as a sequence."""
         index = HashIndex(_key)
-        a = _tuple("R", k=1)
-        index.insert(a)
+        a, b, c = _tuple("R", k=1), _tuple("R", k=1), _tuple("R", k=2)
+        for item in (a, b, c):
+            index.insert(item)
         first, _ = index.probe(1)
         second, _ = index.probe(1)
         assert first is second  # the live bucket, not a fresh copy
+        assert index.bucket_for(1) is first
+        single, inspected = index.probe(2)
+        assert list(single) == [c] and inspected == 1
+        assert list(index.bucket_for(2)) == [c]
+        index.insert(d := _tuple("R", k=1))
+        assert [t.tuple_id for t in first] == [a.tuple_id, b.tuple_id, d.tuple_id]
 
     def test_probe_batch_groups_keys(self):
         index = HashIndex(_key)
@@ -76,6 +87,104 @@ class TestHashIndex:
         item = next(iter(index.items()))
         index.remove(item)
         assert index.total_size == 4.0
+
+
+_KEYS = st.integers(0, 4)
+_NEW_TUPLE = st.tuples(_KEYS, st.sampled_from([0.5, 1.0, 2.25]), st.integers(0, 50))
+_HASH_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _NEW_TUPLE),
+        st.tuples(st.just("insert_keyed"), _NEW_TUPLE),
+        st.tuples(st.just("bulk_insert"), st.lists(_NEW_TUPLE, max_size=4)),
+        st.tuples(st.just("remove"), st.integers(0, 40)),
+        st.tuples(st.just("remove_absent"), _KEYS),
+        st.tuples(st.just("probe_batch"), st.lists(_KEYS, max_size=5)),
+    ),
+    max_size=40,
+)
+
+
+def _ids(tuples):
+    return [t.tuple_id for t in tuples]
+
+
+class TestHashIndexModel:
+    @given(_HASH_OPS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_list_of_buckets(self, ops):
+        """The compact index (a lone tuple is its own bucket) behaves exactly
+        like plain lists of tuples per key, whatever the mutation sequence:
+        after every step each key's probe, bucket and count, the stored
+        items, ``len``, ``total_size`` and ``newest_arrival`` agree."""
+        index = HashIndex(_key)
+        model: dict[int, list[StreamTuple]] = {}
+        created: list[StreamTuple] = []
+        total_size = 0.0
+        newest = float("-inf")
+
+        def make(spec):
+            key, size, arrival = spec
+            item = StreamTuple(
+                relation="R", record={"k": key}, size=size, arrival_time=float(arrival)
+            )
+            created.append(item)
+            return item
+
+        def store(item):
+            nonlocal total_size, newest
+            model.setdefault(_key(item), []).append(item)
+            total_size += item.size
+            newest = max(newest, item.arrival_time)
+
+        for op, arg in ops:
+            if op == "insert":
+                item = make(arg)
+                index.insert(item)
+                store(item)
+            elif op == "insert_keyed":
+                item = make(arg)
+                index.insert_keyed(_key(item), item)
+                store(item)
+            elif op == "bulk_insert":
+                items = [make(spec) for spec in arg]
+                index.bulk_insert(items)
+                for item in items:
+                    store(item)
+            elif op in ("remove", "remove_absent"):
+                if op == "remove":
+                    if not created:
+                        continue
+                    item = created[arg % len(created)]
+                else:
+                    item = StreamTuple(relation="R", record={"k": arg})
+                bucket = model.get(_key(item), [])
+                present = any(t.tuple_id == item.tuple_id for t in bucket)
+                assert index.remove(item) is present
+                if present:
+                    bucket[:] = [t for t in bucket if t.tuple_id != item.tuple_id]
+                    if not bucket:
+                        del model[_key(item)]
+                    total_size -= item.size
+            else:
+                results = index.probe_batch(arg)
+                assert [(_ids(c), n) for c, n in results] == [
+                    (_ids(model.get(key, [])), len(model.get(key, []))) for key in arg
+                ]
+            for key in range(5):
+                expected = _ids(model.get(key, []))
+                candidates, inspected = index.probe(key)
+                assert isinstance(candidates, Sequence)
+                assert (_ids(candidates), inspected) == (expected, len(expected))
+                bucket = index.bucket_for(key)
+                if expected:
+                    assert isinstance(bucket, Sequence) and _ids(bucket) == expected
+                else:
+                    assert bucket is None
+                assert index.count_key(key) == len(expected)
+            assert _ids(index.items()) == [t.tuple_id for b in model.values() for t in b]
+            assert len(index) == sum(len(bucket) for bucket in model.values())
+            assert index.total_size == total_size
+            assert index.newest_arrival == newest
 
 
 class TestOrderedIndex:

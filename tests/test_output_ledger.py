@@ -244,8 +244,7 @@ def emission_paths(monkeypatch):
         monkeypatch.setattr(EpochJoinerState, name, wrapper)
 
     counting("_handle_delta", "delta")
-    counting("_handle_delta_prime", "delta_prime")
-    counting("_delta_prime_batch", "delta_prime")
+    counting("_delta_prime_batch", "delta_prime")  # per-tuple Δ' too
     counting("handle_migrated", "mu")
     return emitted
 

@@ -1,0 +1,238 @@
+"""Wake-up ticks of the merged wire: exact against the unmerged wire.
+
+On the merged wire a channel's run goes onto the receiving machine's pending
+heap when it is *sent*, and the send arms the receiver's tick for the
+delivery ahead of time (``Simulator._wake``); the global heap holds ticks,
+never deliveries between machines.  These tests pin the rules that keep
+every tick at the time the per-tuple wire gives it:
+
+* a saturated run pops exactly one heap event per handler invocation, and a
+  paced one stays within a few heap events per input tuple;
+* a priority handler that runs on a machine before its wake-up's delivery
+  re-computes the wake-up against the raised ``busy_until``;
+* a crashed machine gets no wake-up, and its restart keeps its own tick.
+
+Handled ticks are traced as ``(machine, tick time)`` and compared with the
+same plane on the unmerged wire (the reference for tick times); whole runs
+are compared with the ``batch_size=1`` oracle.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.api import RunConfig, crash
+from repro.core.operator import AdaptiveJoinOperator
+from repro.data.queries import make_query
+from repro.engine.machine import CostModel
+from repro.engine.simulator import PRIORITY_KINDS, Simulator
+from repro.engine.stream import StreamTuple, interleave_streams, make_tuples
+from repro.engine.task import Message, MessageKind, Task
+from repro.testing import assert_run_equivalent
+
+SEED = 5
+
+
+def _order(query):
+    rng = random.Random(SEED)
+    left = make_tuples(query.left_relation, query.left_records, rng, query.left_tuple_size)
+    right = make_tuples(query.right_relation, query.right_records, rng, query.right_tuple_size)
+    return interleave_streams(left, right, rng)
+
+
+def _run(query, order, **overrides):
+    config = RunConfig(seed=SEED, warmup_tuples=16, **overrides)
+    return AdaptiveJoinOperator(query, config=config).run(
+        arrival_order=order, collect_outputs=True
+    )
+
+
+@pytest.fixture()
+def traced(monkeypatch):
+    """Record every tick that handled a message as ``(machine, tick time)``,
+    and every priority delivery / crash that met a wake-up still ahead."""
+    trace = {"ticks": [], "priority": 0, "moved": 0, "crashed_waking": 0}
+    tick = Simulator._tick
+    deliver = Simulator._deliver
+    crash_machine = Simulator._crash_machine
+
+    def traced_tick(self, machine_id, time):
+        before = self.events_processed
+        tick(self, machine_id, time)
+        if self.events_processed != before:
+            trace["ticks"].append((machine_id, time))
+
+    def traced_deliver(self, task, message, time, rank=0):
+        machine_id = task.machine_id
+        ahead = (
+            message.kind in PRIORITY_KINDS
+            and machine_id >= 0
+            and machine_id not in self._crashed
+            and self._wake_for[machine_id] is not None
+            and (time, rank) < self._wake_for[machine_id]
+        )
+        armed = self._tick_at[machine_id] if ahead else None
+        deliver(self, task, message, time, rank)
+        if ahead:
+            trace["priority"] += 1
+            trace["moved"] += self._tick_at[machine_id] != armed
+
+    def traced_crash(self, machine_id, fault, time):
+        trace["crashed_waking"] += (
+            self._wake_for[machine_id] is not None
+            and self.machines[machine_id].busy_until <= time
+        )
+        crash_machine(self, machine_id, fault, time)
+
+    monkeypatch.setattr(Simulator, "_tick", traced_tick)
+    monkeypatch.setattr(Simulator, "_deliver", traced_deliver)
+    monkeypatch.setattr(Simulator, "_crash_machine", traced_crash)
+    return trace
+
+
+def _unmerged(monkeypatch):
+    """Keep the adaptive plane on the unmerged wire for the next run."""
+    monkeypatch.setattr(Simulator, "enable_delivery_merging", lambda self: None)
+
+
+class TestHeapEvents:
+    @pytest.mark.parametrize("name, machines", [("EQ5", 8), ("BNCI", 16), ("FLUCT_SYM", 16)])
+    def test_saturated_run_pops_one_heap_event_per_handler(
+        self, small_dataset, name, machines
+    ):
+        """With every input parked at t=0 no machine ever waits for a
+        delivery: the heap holds its ticks and nothing else."""
+        query = make_query(name, small_dataset)
+        result = _run(query, _order(query), machines=machines, batching="adaptive")
+        assert result.migrations >= 1
+        assert result.heap_events == result.events_processed
+
+    def test_paced_run_stays_within_five_heap_events_per_tuple(self, small_dataset):
+        """Paced and fluctuating, four migrations: the only heap events
+        beyond the handler invocations are superseded wake-ups."""
+        query = make_query("FLUCT_SYM", small_dataset)
+        order = _order(query)
+        result = _run(
+            query, order, machines=8, batching="adaptive", inter_arrival=1.0
+        )
+        assert result.migrations >= 3
+        assert result.heap_events <= 5.0 * len(order)
+        assert result.heap_events <= 1.1 * result.events_processed
+
+
+class TestWakeUpCells:
+    def test_priority_during_wake_up(self, small_dataset, traced, monkeypatch):
+        """Mapping changes land on reshufflers idling towards their next
+        arrival: the run equals the per-tuple oracle, and every handled tick
+        lands where the unmerged wire puts it."""
+        query = make_query("FLUCT_SYM", small_dataset)
+        order = _order(query)
+        knobs = dict(machines=8, inter_arrival=0.15)
+        oracle = _run(query, order, batch_size=1, **knobs)
+        traced["ticks"].clear()
+        merged = _run(query, order, batching="adaptive", **knobs)
+        assert traced["priority"] > 0, "no priority message met a pending wake-up"
+        merged_ticks = list(traced["ticks"])
+        assert_run_equivalent(oracle, merged, timing=True, label="priority/oracle")
+        _unmerged(monkeypatch)
+        traced["ticks"].clear()
+        unmerged = _run(query, order, batching="adaptive", **knobs)
+        assert merged_ticks == traced["ticks"]
+        assert merged.events_processed == unmerged.events_processed
+        assert merged.batch_histogram == unmerged.batch_histogram
+
+    @pytest.mark.parametrize("machine, share", [(0, 0.5), (3, 0.2), (4, 0.35)])
+    def test_crash_during_wake_up(self, small_dataset, traced, monkeypatch, machine, share):
+        """A machine crashes while idle, waiting for its next delivery, and
+        restarts later: no wake-up fires during the outage, and the restart's
+        own tick resumes the exact per-tuple schedule.  (Machine 0 hosts the
+        controller.)  The crash must find the machine idle: a machine busy
+        with a drained run has accepted more work than the per-tuple plane at
+        that instant, so only idle crashes compare across planes."""
+        query = make_query("EQ5", small_dataset)
+        order = _order(query)
+        knobs = dict(machines=8, inter_arrival=0.5, checkpoint_interval=50)
+        twin = _run(query, order, batching="adaptive", **knobs)
+        faults = [crash(machine, twin.execution_time * share, restart_after=6.0)]
+        oracle = _run(query, order, batch_size=1, fault_schedule=faults, **knobs)
+        traced["ticks"].clear()
+        merged = _run(query, order, batching="adaptive", fault_schedule=faults, **knobs)
+        assert merged.faults_injected == 1
+        assert traced["crashed_waking"] == 1, "the crash must land during a wake-up"
+        merged_ticks = list(traced["ticks"])
+        assert_run_equivalent(oracle, merged, timing=True, label="crash/oracle")
+        _unmerged(monkeypatch)
+        traced["ticks"].clear()
+        unmerged = _run(query, order, batching="adaptive", fault_schedule=faults, **knobs)
+        assert merged_ticks == traced["ticks"]
+        assert merged.events_processed == unmerged.events_processed
+
+
+class _Consumer(Task):
+    """Charges ``cost`` for every message, control messages included."""
+
+    def __init__(self, name, machine_id, cost, log):
+        super().__init__(name, machine_id)
+        self.cost = cost
+        self.log = log
+
+    def handle(self, message, ctx):
+        ctx.charge(self.cost)
+        self.log.append((message.kind.value, ctx.now))
+
+
+class _Sender(Task):
+    """Sends one DATA tuple to ``destination`` per kick."""
+
+    def __init__(self, name, machine_id, destination):
+        super().__init__(name, machine_id)
+        self.destination = destination
+
+    def handle(self, message, ctx):
+        ctx.send(self.destination, StreamTuple(relation="R", record={}))
+
+
+def _toy(merging, traced, extra, cost):
+    """One DATA send (delivered at 1.0) to an idle consumer charging ``cost``
+    per message, plus messages ``(time, kind)`` scheduled straight onto the
+    consumer (a priority kind executes on arrival, DATA joins the inbox)."""
+    simulator = Simulator(
+        num_machines=2, cost_model=CostModel(network_latency=1.0, per_tuple_network_cost=0.0)
+    )
+    if merging:
+        simulator.enable_delivery_merging()
+    log = []
+    simulator.register(_Consumer("consumer", 1, cost, log))
+    simulator.register(_Sender("sender", 0, "consumer"))
+    simulator.schedule(0.0, "sender", Message(kind=MessageKind.FLUSH, sender="test"))
+    for time, kind in extra:
+        simulator.schedule(time, "consumer", Message(kind=kind, sender="test"))
+    traced["ticks"].clear()
+    traced["moved"] = 0
+    simulator.run()
+    return log, list(traced["ticks"])
+
+
+_CONTROL = MessageKind.MAPPING_CHANGE
+_DATA = MessageKind.DATA
+
+
+@pytest.mark.parametrize(
+    "extra, cost, moved",
+    [
+        ([(0.5, _CONTROL)], 2.0, 1),   # busy past the delivery: wake-up moves to 2.5
+        ([(0.5, _CONTROL)], 0.25, 0),  # done before the delivery: stays at 1.0
+        ([(1.5, _CONTROL)], 2.0, 0),   # after the delivery: the tick was scheduled
+        ([(0.5, _DATA)], 0.25, 0),     # an earlier delivery wakes the machine at 0.5
+        # The single's tick leaves the machine waiting for 1.0 again, busy
+        # until 2.5; the control message then pushes that wake-up to 4.5.
+        ([(0.5, _DATA), (0.6, _CONTROL)], 2.0, 1),
+    ],
+)
+def test_wake_up_tick_times_match_the_unmerged_wire(traced, extra, cost, moved):
+    merged = _toy(True, traced, extra, cost)
+    assert traced["moved"] == moved
+    unmerged = _toy(False, traced, extra, cost)
+    assert merged == unmerged  # handler log and handled tick times
