@@ -46,13 +46,13 @@ def test_fig7a_batched_dataplane_efficiency():
     )
 
 
-def _fig7a_wall_clock(batch_size, probe_engine, repetitions=3, batching="fixed"):
+def _fig7a_wall_clock(batch_size, repetitions=3, batching="fixed"):
     """Best-of-N wall-clock of the four fig7a operators on EQ5/Z4."""
     best = None
     for _ in range(repetitions):
         config = ExperimentConfig(
             machines=16, scale=0.4, skew="Z4", seed=1, batch_size=batch_size,
-            batching=batching, operator_kwargs={"probe_engine": probe_engine},
+            batching=batching,
         )
         query = build_query("EQ5", config)
         start = time.perf_counter()
@@ -64,37 +64,20 @@ def _fig7a_wall_clock(batch_size, probe_engine, repetitions=3, batching="fixed")
     return best, outs
 
 
-def test_fig7a_vectorized_probe_wall_clock():
-    """The batched (batch_size=64) fig7a workload with the vectorized probe
-    engine runs >=1.5x faster wall-clock than the PR 1 baseline plane.
+def test_fig7a_batched_probe_wall_clock():
+    """The batched (batch_size=64) fig7a workload, whose joiners probe whole
+    batches, runs >=1.5x faster wall-clock than the per-tuple plane.
 
-    The per-tuple plane with per-member scalar probes is the in-tree stand-in
-    for the PR 1 reference; the batched scalar run isolates the probe-engine
-    contribution on top of transport batching.  (On the development machine
-    the batched+vectorized run also measured ~1.7x the recorded PR 1 *batched*
-    wall-clock; the CI breadcrumb tracks the absolute numbers across PRs.)
-
-    Note this end-to-end gate would pass on transport batching alone; the
-    probe-engine-specific >=1.5x gate is bench_probe_engine.py's equi
-    micro-bench, which CI runs in the same step — simulator bookkeeping
-    dominates the end-to-end wall, so the engine ratio is only robustly
-    assertable where probe work dominates.
+    Note this end-to-end gate would pass on transport batching alone:
+    simulator bookkeeping dominates the end-to-end wall, so probe-specific
+    gates live in bench_probe_engine.py, where probe work dominates.
     """
-    per_tuple_wall, per_tuple_outs = _fig7a_wall_clock(1, "scalar")
-    batched_scalar_wall, batched_scalar_outs = _fig7a_wall_clock(64, "scalar")
-    batched_vector_wall, batched_vector_outs = _fig7a_wall_clock(64, "vectorized")
-    # Identical results on every plane/engine combination.
-    assert per_tuple_outs == batched_scalar_outs == batched_vector_outs
-    assert per_tuple_wall >= 1.5 * batched_vector_wall, (
+    per_tuple_wall, per_tuple_outs = _fig7a_wall_clock(1)
+    batched_wall, batched_outs = _fig7a_wall_clock(64)
+    assert per_tuple_outs == batched_outs
+    assert per_tuple_wall >= 1.5 * batched_wall, (
         f"expected >=1.5x wall-clock win, got per-tuple {per_tuple_wall:.3f}s "
-        f"vs batched+vectorized {batched_vector_wall:.3f}s"
-    )
-    # The vectorized engine must not substantially regress the batched plane
-    # (generous margin: this runs as a CI gate on noisy shared runners; the
-    # breadcrumb tracks the actual ratio).
-    assert batched_vector_wall <= 1.3 * batched_scalar_wall, (
-        f"vectorized probes slower than per-member probes: "
-        f"{batched_vector_wall:.3f}s vs {batched_scalar_wall:.3f}s"
+        f"vs batched {batched_wall:.3f}s"
     )
 
 
@@ -119,18 +102,16 @@ def test_fig7a_adaptive_dataplane_wall_clock():
     The planes are measured interleaved (best-of-N each, after one untimed
     warm-up pass) so slow drift on shared runners biases none of them.
     """
-    _fig7a_wall_clock(1, "vectorized", repetitions=1)  # warm caches/imports
-    _fig7a_wall_clock(None, "vectorized", repetitions=1, batching="adaptive")
-    _fig7a_wall_clock(64, "vectorized", repetitions=1)
+    _fig7a_wall_clock(1, repetitions=1)  # warm caches/imports
+    _fig7a_wall_clock(None, repetitions=1, batching="adaptive")
+    _fig7a_wall_clock(64, repetitions=1)
     per_tuple_wall = adaptive_wall = fixed_wall = None
     for _ in range(5):
-        wall, per_tuple_outs = _fig7a_wall_clock(1, "vectorized", repetitions=1)
+        wall, per_tuple_outs = _fig7a_wall_clock(1, repetitions=1)
         per_tuple_wall = wall if per_tuple_wall is None else min(per_tuple_wall, wall)
-        wall, adaptive_outs = _fig7a_wall_clock(
-            None, "vectorized", repetitions=1, batching="adaptive"
-        )
+        wall, adaptive_outs = _fig7a_wall_clock(None, repetitions=1, batching="adaptive")
         adaptive_wall = wall if adaptive_wall is None else min(adaptive_wall, wall)
-        wall, fixed_outs = _fig7a_wall_clock(64, "vectorized", repetitions=1)
+        wall, fixed_outs = _fig7a_wall_clock(64, repetitions=1)
         fixed_wall = wall if fixed_wall is None else min(fixed_wall, wall)
     assert per_tuple_outs == adaptive_outs == fixed_outs
     assert per_tuple_wall >= 1.5 * adaptive_wall, (

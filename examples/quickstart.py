@@ -35,14 +35,10 @@ def main() -> None:
     #    times are bit-identical to the per-tuple plane — see
     #    tests/test_adaptive_conformance.py).
     #
-    #    probe_engine picks how joiners evaluate the predicate — also purely
-    #    a wall-clock choice, never a results choice:
-    #      * "vectorized" (default): batch-aware pure-stdlib kernels that take
-    #        the index's word where it is exact — a hash bucket is the equi
-    #        match set, and so is a band window over integer keys.
-    #      * "scalar": the per-member reference loop that validates every
-    #        candidate pair; the differential oracle the default engine is
-    #        pinned against. Slowest, zero surprises.
+    #    Joiners take the index's word for the match set: a hash bucket is
+    #    the equi match set, and a band's slice of the ordered index is cut
+    #    by the predicate's own |l - r| <= w at its edges, for int and float
+    #    keys alike — only composite residuals run per pair.
     config = RunConfig(machines=16, seed=7, batching="adaptive")
     session = JoinSession(query, config=config)
 

@@ -15,8 +15,8 @@ dataflow operator together with every substrate its evaluation depends on:
   figure of §5,
 * :mod:`repro.api`     — the public session API: typed
   :class:`~repro.api.RunConfig`, the :class:`~repro.api.JoinSession` facade
-  (materialised and streaming ingestion) and the operator/probe-engine/
-  predicate registries.
+  (materialised and streaming ingestion) and the operator/predicate/
+  batching registries.
 
 Quickstart::
 
@@ -37,7 +37,6 @@ from repro.api import (
     build_operator,
     register_operator,
     register_predicate,
-    register_probe_engine,
 )
 from repro.core import (
     AdaptiveJoinOperator,
@@ -92,7 +91,6 @@ __all__ = [
     "optimal_mapping",
     "register_operator",
     "register_predicate",
-    "register_probe_engine",
     "square_mapping",
     "__version__",
 ]

@@ -8,9 +8,9 @@ One coherent front door over the operator stack:
   incremental ``push()`` / ``finish()`` streaming mode with mid-run
   :class:`StreamSnapshot` observability.
 * :func:`build_operator` — registry-backed operator construction.
-* Registries — :func:`register_operator`, :func:`register_probe_engine`,
-  :func:`register_predicate`, :func:`register_batch_controller` let new
-  backends and scenarios plug in without touching core modules.
+* Registries — :func:`register_operator`, :func:`register_predicate`,
+  :func:`register_batch_controller` let new backends and scenarios plug in
+  without touching core modules.
 
 Quickstart::
 
@@ -30,11 +30,9 @@ from repro.api.registry import (
     batch_controllers,
     operators,
     predicate_kinds,
-    probe_engines,
     register_batch_controller,
     register_operator,
     register_predicate,
-    register_probe_engine,
 )
 from repro.api.session import JoinSession, StreamSnapshot, build_operator
 from repro.engine.faults import (
@@ -69,9 +67,7 @@ __all__ = [
     "operators",
     "partition",
     "predicate_kinds",
-    "probe_engines",
     "register_batch_controller",
     "register_operator",
     "register_predicate",
-    "register_probe_engine",
 ]

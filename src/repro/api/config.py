@@ -9,9 +9,9 @@ dataclass holding every operator/run knob, shared verbatim by the operator
 layer, the :class:`~repro.api.session.JoinSession` facade, the bench harness
 and the CLI (``--config file.json``).
 
-Validation happens at construction — an invalid ``probe_engine`` or
-``layout`` fails immediately with the registered choices listed, instead of
-deep inside ``LocalJoiner`` / ``GridPlacement`` construction mid-run.
+Validation happens at construction — an invalid ``batching`` or ``layout``
+fails immediately with the registered choices listed, instead of deep inside
+operator / ``GridPlacement`` construction mid-run.
 
 ``to_dict()`` / ``from_dict()`` round-trip exactly (pinned by tests), so a
 config can be serialised into CI breadcrumbs and fed back through the CLI.
@@ -24,12 +24,10 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-# Importing the built-in engine/predicate/batching registrations; keeps
-# validation meaningful even when repro.api.config is imported before the
-# rest of repro.
+# Importing the built-in batching registrations keeps validation meaningful
+# even when repro.api.config is imported before the rest of repro.
 import repro.engine.batching  # noqa: F401  (populates the batch-controller registry)
-import repro.joins.local  # noqa: F401  (populates the probe-engine registry)
-from repro.api.registry import LAYOUTS, batch_controllers, probe_engines
+from repro.api.registry import LAYOUTS, batch_controllers
 from repro.engine.faults import (
     FaultSpec,
     normalize_fault_schedule,
@@ -64,7 +62,6 @@ class RunConfig:
             default (64), ``1`` the per-tuple reference plane.  Fixed plane
             only — the adaptive plane sizes its runs dynamically and rejects
             an explicit ``batch_size``.
-        probe_engine: joiner probe engine; must name a registered engine.
         batching: batching plane; must name a registered batch controller.
             ``"fixed"`` (default) is the sender-side micro-batch plane sized
             by ``batch_size``; ``"adaptive"`` keeps the wire per-tuple and
@@ -128,7 +125,6 @@ class RunConfig:
     memory_capacity: float | None = None
     sample_every: int = 200
     batch_size: int | None = None
-    probe_engine: str = "vectorized"
     batching: str = "fixed"
     batch_max: int | None = None
     arrival_pattern: str = "uniform"
@@ -154,7 +150,6 @@ class RunConfig:
             ("memory_capacity", self.memory_capacity, (int, float), True),
             ("sample_every", self.sample_every, int, False),
             ("batch_size", self.batch_size, int, True),
-            ("probe_engine", self.probe_engine, str, False),
             ("batching", self.batching, str, False),
             ("batch_max", self.batch_max, int, True),
             ("arrival_pattern", self.arrival_pattern, str, False),
@@ -250,11 +245,6 @@ class RunConfig:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
-        if self.probe_engine not in probe_engines:
-            raise ValueError(
-                f"unknown probe engine {self.probe_engine!r}; registered choices: "
-                f"{', '.join(probe_engines.names())}"
-            )
         if self.batching not in batch_controllers:
             raise ValueError(
                 f"unknown batching {self.batching!r}; registered choices: "

@@ -5,14 +5,13 @@ through the code base:
 
 * **operators** — operator kind name → operator class (was the ``dict``
   switch inside :func:`repro.core.baselines.make_operator`),
-* **probe_engines** — engine name → probe-engine strategy (was the hardcoded
-  ``"vectorized" | "scalar"`` branch inside :mod:`repro.joins.local`),
 * **predicate_kinds** — predicate ``kind`` → local-join algorithm (was the
-  if/elif chain inside :func:`repro.joins.local.make_local_joiner`).
+  if/elif chain inside :func:`repro.joins.local.make_local_joiner`),
+* **batch_controllers** — batching plane name → controller class.
 
 The registries live in this dependency-free leaf module so that any layer can
 populate them at import time without cycles: :mod:`repro.joins.local`
-registers the built-in probe engines and predicate kinds,
+registers the built-in predicate kinds,
 :mod:`repro.core.baselines` / :mod:`repro.core.operator` register the
 built-in operators, and :mod:`repro.api` re-exports the ``register_*``
 helpers for third-party extensions.  New backends and scenarios land by
@@ -88,9 +87,6 @@ LAYOUTS = ("dyadic", "row_major")
 #: Operator kind → operator class (``Dynamic``, ``StaticMid``, ...).
 operators = Registry("operator")
 
-#: Probe-engine name → :class:`repro.joins.local.ProbeEngine` strategy.
-probe_engines = Registry("probe engine")
-
 #: Predicate ``kind`` → :class:`repro.api.registry.PredicateKind` spec.
 predicate_kinds = Registry("predicate kind")
 
@@ -104,9 +100,9 @@ class PredicateKind:
 
     Attributes:
         name: the kind string predicates advertise (``"equi"``, ``"band"``, ...).
-        joiner_factory: callable ``(predicate, left_relation, right_relation,
-            engine) -> LocalJoiner`` building the local join algorithm serving
-            this kind.
+        joiner_factory: callable ``(predicate, left_relation, right_relation)
+            -> LocalJoiner`` building the local join algorithm serving this
+            kind.
         predicate_class: optional canonical predicate class, for introspection
             and config-driven construction.
     """
@@ -126,11 +122,6 @@ def register_operator(name: str, operator_class, *, replace: bool = False):
     :class:`repro.core.operator.GridJoinOperator` to inherit it).
     """
     return operators.register(name, operator_class, replace=replace)
-
-
-def register_probe_engine(name: str, engine, *, replace: bool = False):
-    """Register a probe-engine strategy (see :class:`repro.joins.local.ProbeEngine`)."""
-    return probe_engines.register(name, engine, replace=replace)
 
 
 def register_predicate(

@@ -65,7 +65,7 @@ class GridJoinOperator:
             knob); the config's ``memory_capacity`` is applied to it.
         config: the :class:`~repro.api.config.RunConfig` holding every run
             knob (machines, seed, epsilon, warmup, layout, blocking, memory,
-            sampling, batch_size, probe_engine, pacing).
+            sampling, batch_size, batching, pacing).
         initial_mapping: mapping in force at start-up; defaults to the square
             ``(√J, √J)`` scheme.  Operator-kind specific, hence not a config
             field (StaticOpt derives it from the query).
@@ -73,7 +73,7 @@ class GridJoinOperator:
             specific (the ``Dynamic`` subclass turns it on).
         **knobs: :class:`RunConfig` field overrides (``seed=...``,
             ``batch_size=...``, ...).  Unknown names raise eagerly, as do
-            invalid values — e.g. an unregistered ``probe_engine`` or
+            invalid values — e.g. an unregistered ``batching`` or
             ``layout`` fails here with the registered choices listed, not
             deep inside joiner construction mid-run.
     """
@@ -105,7 +105,7 @@ class GridJoinOperator:
         if machines is not None:
             overrides["machines"] = machines
         # with_overrides re-validates every knob eagerly (unknown field names,
-        # unregistered probe engines/layouts, invalid batch sizes, ...).
+        # unregistered batching planes/layouts, invalid batch sizes, ...).
         config = config.with_overrides(**overrides)
         if not is_power_of_two(config.machines):
             raise ValueError(
@@ -128,7 +128,6 @@ class GridJoinOperator:
         self.layout = config.layout
         self.blocking = config.blocking
         self.sample_every = config.sample_every
-        self.probe_engine = config.probe_engine
         # The batching plane.  The adaptive plane keeps the wire per-tuple
         # (identical message flow and virtual times to batch_size=1) and
         # coalesces backlog at the receiving machines instead; the controller
@@ -210,7 +209,6 @@ class GridJoinOperator:
                     machine_id=machine_id,
                     topology=topology,
                     batch_size=self.batch_size,
-                    probe_engine=self.probe_engine,
                 )
             )
         return tasks

@@ -57,8 +57,8 @@ class RunResult:
         machine_busy: per-machine ``(busy_until, busy_time)`` — the per-task
             virtual times; bit-identical across the adaptive/per-tuple planes.
         probe_work: total joiner probe work units charged (index candidates
-            inspected, floored at one per probe) — exact across batch sizes
-            and probe engines, pinned by the batching-equivalence tests.
+            inspected, floored at one per probe) — exact between batch and
+            per-member handling, pinned by the batching-equivalence tests.
         ilf_series: (fraction of input processed, max per-machine ILF) samples.
         ratio_series: (tuples processed, ILF/ILF*) samples.
         cardinality_series: (tuples processed, |R|/|S|) samples.

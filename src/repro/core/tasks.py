@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.registry import probe_engines
 from repro.core.decision import MigrationController
 from repro.core.epochs import EpochJoinerState, JoinerPhase, TupleActions
 from repro.core.mapping import GridPlacement, Mapping
@@ -556,14 +555,8 @@ class HashReshufflerTask(ReshufflerTask):
 class JoinerTask(Task):
     """A joiner: local non-blocking join wrapped in the epoch protocol.
 
-    Args:
-        probe_engine: name of a registered probe engine.  Engines advertising
-            ``batch_aware`` (the built-in ``"vectorized"`` default) route DATA
-            batches through ``EpochJoinerState.handle_data_batch`` →
-            ``LocalJoiner.probe_batch``; others (the built-in ``"scalar"``
-            reference) keep the per-member dispatch with full per-candidate
-            predicate re-validation, used by differential tests and the
-            probe-engine benchmarks.
+    DATA batches and drained runs go through
+    ``EpochJoinerState.handle_data_batch`` → ``LocalJoiner.probe_batch``.
     """
 
     def __init__(
@@ -573,15 +566,11 @@ class JoinerTask(Task):
         topology: Topology,
         migration_rate_factor: float = 2.0,
         batch_size: int = 1,
-        probe_engine: str = "vectorized",
     ) -> None:
         super().__init__(name, machine_id)
         self.topology = topology
         store = make_local_joiner(
-            topology.predicate,
-            topology.left_relation,
-            topology.right_relation,
-            engine=probe_engine,
+            topology.predicate, topology.left_relation, topology.right_relation
         )
         self.state = EpochJoinerState(
             machine_id=machine_id,
@@ -591,7 +580,6 @@ class JoinerTask(Task):
         )
         self.migration_rate_factor = migration_rate_factor
         self.batch_size = max(1, batch_size)
-        self.batch_aware = probe_engines.get(probe_engine).batch_aware
         self._ends_sent_for: int | None = None
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).
@@ -796,29 +784,24 @@ class JoinerTask(Task):
         Members are handled in order within one simulator event; costs are
         charged per tuple, so outputs emitted by later members carry the
         cumulative charge of earlier ones (per-tuple cost attribution).  On
-        the batch-aware DATA path the bookkeeping is aggregated over the
-        whole batch (:meth:`_apply_data_batch`) — charged virtual times stay
-        bit-identical to the per-member path.  Relocations produced along the
+        the DATA path the bookkeeping is aggregated over the whole batch
+        (:meth:`_apply_data_batch`) — charged virtual times stay
+        bit-identical to per-member handling.  Relocations produced along the
         way are regrouped per destination and flushed as batches at the end
         of the invocation.
         """
         inner = message.meta.get("inner")
         sink: RouteGroups = {}
-        apply = self._apply
         journal = self._journal
         if inner is MessageKind.DATA:
             if journal is not None:
                 for item in message.payload:
                     journal.log(("data", item))
-            if self.batch_aware:
-                items = list(message.payload)
-                self._apply_data_batch(items, self.state.handle_data_batch(items), ctx, sink)
-            else:
-                handle_data = self.state.handle_data
-                for item in message.payload:
-                    apply(handle_data(item), item, ctx, migrated=False, sink=sink)
+            items = list(message.payload)
+            self._apply_data_batch(items, self.state.handle_data_batch(items), ctx, sink)
         elif inner is MessageKind.MIGRATION:
             handle_migrated = self.state.handle_migrated
+            apply = self._apply
             for item in message.payload:
                 if journal is not None:
                     journal.log(("mu", item))
@@ -953,7 +936,7 @@ class JoinerTask(Task):
         member's cost is computed with the same float arithmetic and added to
         the running charge in the same order, so outputs of later members
         still carry the cumulative charge of earlier ones and virtual times
-        are bit-identical (pinned by the scalar-engine equality assertions in
+        are bit-identical (pinned against a per-member twin in
         ``test_batching_equivalence.py``).  What is aggregated is the
         *bookkeeping overhead*: cost-model fields and machine methods are
         resolved once per batch instead of per member, and probe work is

@@ -25,7 +25,7 @@ Two batching planes exist:
 A :class:`BatchController` decides how many drainable messages one machine
 may coalesce per invocation, given its current inbox backlog.  Controllers
 are registered in :data:`repro.api.registry.batch_controllers` (names are the
-``RunConfig.batching`` values) so new strategies plug in like probe engines.
+``RunConfig.batching`` values) so new strategies plug in like operators.
 
 Receiver draining governs *handler invocations*; the orthogonal wire-level
 delivery merging (installed for every draining plane) takes the per-message

@@ -4,7 +4,7 @@ The paper's joiners use hashmaps for equi-joins and balanced binary trees for
 band joins (§5, "Operators").  This module provides the equivalent structures:
 
 * :class:`HashIndex` — exact-key probes,
-* :class:`OrderedIndex` — range probes over a sorted key list (``bisect``
+* :class:`OrderedIndex` — band probes over a sorted key list (``bisect``
   plays the role of the balanced tree),
 * :class:`ScanIndex` — fallback full scans for arbitrary theta predicates.
 
@@ -14,24 +14,22 @@ throughput, mirroring the real systems trade-off.  Indexes report the **raw**
 candidate count (possibly zero); the one-unit work floor per probe is applied
 in exactly one place, :meth:`repro.joins.local.LocalJoiner.probe`.
 
-Batch-aware probing: :meth:`probe_batch` serves a whole micro-batch of keys
-with one grouped pass (hash) and :meth:`probe_range_batch` sort-merges a
-batch of ranges against the ordered key list.  Probe results are sequences
-the caller must treat as read-only snapshots, valid until the next
-``insert``/``remove``/``bulk_insert`` on the index.  A hash bucket holding
-one tuple is stored as the tuple itself and handed out as a fresh one-tuple
-sequence; a bucket holding several is a list, returned live (no copy).
+Probe results are sequences the caller must treat as read-only snapshots,
+valid until the next ``insert``/``remove``/``bulk_insert`` on the index.  A
+hash bucket holding one tuple is stored as the tuple itself and handed out as
+a fresh one-tuple sequence; a bucket holding several is a list, returned live
+(no copy).
 
-Two facts every index keeps up to date on insert, so callers can skip work
+Two facts the indexes keep up to date on insert, so callers can skip work
 the index already proves:
 
 * :attr:`JoinIndex.newest_arrival` — an upper bound on the ``arrival_time``
   of every stored tuple.  A probe's partners are no newer than it, which
   lets the metrics collector record a whole match group as one latency run
   without scanning the partners (see ``MatchGroup.bound``).
-* :attr:`OrderedIndex.all_int_keys` — whether every key ever stored is an
-  ``int``.  Over int keys a band window ``[key - w, key + w]`` compares
-  exactly, so the window is the match set (see ``LocalJoiner._band_probe``).
+* :attr:`OrderedIndex.float_keys` — whether a ``float`` key was ever stored.
+  It flags the one corner where a band's match set need not be one slice of
+  the key list (see :meth:`OrderedIndex.band_bounds`).
 """
 
 from __future__ import annotations
@@ -47,6 +45,10 @@ from repro.engine.stream import StreamTuple
 _NO_CANDIDATES: list[StreamTuple] = []
 
 _arrival_of = attrgetter("arrival_time")
+
+#: Ints up to this magnitude, and differences of two of them, are exactly
+#: floats (see :meth:`OrderedIndex.band_bounds`).
+_EXACT_INTS = 2**52
 
 
 class JoinIndex:
@@ -102,26 +104,8 @@ class JoinIndex:
         """Return ``(candidates, candidates_inspected)`` for an exact key."""
         raise NotImplementedError
 
-    def probe_batch(self, keys: Sequence[Any]) -> list[tuple[list[StreamTuple], int]]:
-        """Exact-key probes for a whole batch; aligned with ``keys``."""
-        return [self.probe(key) for key in keys]
-
-    def probe_range(self, low: Any, high: Any) -> tuple[list[StreamTuple], int]:
-        """Return ``(candidates, candidates_inspected)`` for a key range."""
-        raise NotImplementedError
-
-    def probe_range_batch(
-        self, ranges: Sequence[tuple[Any, Any]]
-    ) -> list[tuple[list[StreamTuple], int]]:
-        """Range probes for a whole batch; aligned with ``ranges``."""
-        return [self.probe_range(low, high) for low, high in ranges]
-
     def count_key(self, key: Any) -> int:
         """Number of candidates an exact-key probe would inspect (no copy)."""
-        raise NotImplementedError
-
-    def count_range(self, low: Any, high: Any) -> int:
-        """Number of candidates a range probe would inspect (no copy)."""
         raise NotImplementedError
 
     def items(self) -> Iterator[StreamTuple]:
@@ -197,42 +181,22 @@ class HashIndex(JoinIndex):
             return bucket, len(bucket)
         return (bucket,), 1
 
-    def probe_batch(self, keys: Sequence[Any]) -> list[tuple[Sequence[StreamTuple], int]]:
-        # One bucket lookup per *distinct* key in the batch; repeated keys
-        # reuse the memoised result.
-        memo: dict[Any, tuple[Sequence[StreamTuple], int]] = {}
-        results = []
-        for key in keys:
-            result = memo.get(key)
-            if result is None:
-                result = memo[key] = self.probe(key)
-            results.append(result)
-        return results
-
     def bucket_for(self, key: Any) -> Sequence[StreamTuple] | None:
         """The bucket for ``key`` as a read-only sequence, or None when empty.
 
-        The primitive behind the batch probe engine: callers walk a
-        multi-tuple bucket in place instead of receiving a copy.
+        The primitive behind the batch probe: callers walk a multi-tuple
+        bucket in place instead of receiving a copy.
         """
         bucket = self._buckets.get(key)
         if bucket is None or bucket.__class__ is list:
             return bucket
         return (bucket,)
 
-    def probe_range(self, low: Any, high: Any) -> tuple[list[StreamTuple], int]:
-        # A hash index cannot serve ranges efficiently; fall back to a scan.
-        candidates = [item for item in self.items() if low <= self._key_func(item) <= high]
-        return candidates, self._count
-
     def count_key(self, key: Any) -> int:
         bucket = self._buckets.get(key)
         if bucket is None:
             return 0
         return len(bucket) if bucket.__class__ is list else 1
-
-    def count_range(self, low: Any, high: Any) -> int:
-        return self._count
 
     def items(self) -> Iterator[StreamTuple]:
         for bucket in self._buckets.values():
@@ -243,7 +207,7 @@ class HashIndex(JoinIndex):
 
 
 class OrderedIndex(JoinIndex):
-    """Sorted index supporting range probes (band joins).
+    """Sorted index supporting band probes (band joins).
 
     Keys are kept in a sorted list with parallel payload storage; ``bisect``
     provides logarithmic lookups, standing in for the balanced binary tree the
@@ -254,9 +218,8 @@ class OrderedIndex(JoinIndex):
         super().__init__(key_func)
         self._keys: list[Any] = []
         self._values: list[StreamTuple] = []
-        #: Whether every key ever stored is exactly an ``int`` (``bool`` and
-        #: ``float`` clear it); once cleared it stays cleared.
-        self.all_int_keys = True
+        #: Whether a ``float`` key was ever stored; once set it stays set.
+        self.float_keys = False
 
     def insert(self, item: StreamTuple) -> None:
         self.insert_keyed(self._key_func(item), item)
@@ -269,8 +232,8 @@ class OrderedIndex(JoinIndex):
         self._total_size += item.size
         if item.arrival_time > self.newest_arrival:
             self.newest_arrival = item.arrival_time
-        if key.__class__ is not int:
-            self.all_int_keys = False
+        if isinstance(key, float):
+            self.float_keys = True
 
     def bulk_insert(self, items: Iterable[StreamTuple]) -> None:
         # One sorted merge instead of per-item O(n) list inserts.  Items
@@ -312,9 +275,8 @@ class OrderedIndex(JoinIndex):
         self._count += len(incoming)
         self._total_size += sum(item.size for item in incoming)
         self._note_arrivals(incoming)
-        self.all_int_keys = self.all_int_keys and all(
-            key.__class__ is int for key in new_keys
-        )
+        if not self.float_keys:
+            self.float_keys = any(isinstance(key, float) for key in new_keys)
 
     def remove(self, item: StreamTuple) -> bool:
         key = self._key_func(item)
@@ -330,39 +292,73 @@ class OrderedIndex(JoinIndex):
         return False
 
     def probe(self, key: Any) -> tuple[list[StreamTuple], int]:
-        return self.probe_range(key, key)
+        return self.probe_band(key, 0)
 
-    def probe_range(self, low: Any, high: Any) -> tuple[list[StreamTuple], int]:
-        start = bisect.bisect_left(self._keys, low)
-        end = bisect.bisect_right(self._keys, high)
-        candidates = self._values[start:end]
-        return candidates, end - start
+    def band_bounds(self, key: Any, width: Any) -> tuple[int, int] | None:
+        """Slice bounds of exactly the stored keys ``b`` with
+        ``abs(key - b) <= width`` — the expression ``BandPredicate.matches``
+        evaluates — or None where that set need not be one slice.
 
-    def probe_range_batch(
-        self, ranges: Sequence[tuple[Any, Any]]
-    ) -> list[tuple[list[StreamTuple], int]]:
-        # Sort-merge: probing ranges in ascending-low order lets both cursors
-        # advance monotonically over the key list — each bisect searches only
-        # past the previous range's start (the ordered-index analogue of
-        # grouping a batch by hash key).
-        if len(ranges) <= 1:
-            return [self.probe_range(low, high) for low, high in ranges]
-        order = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
-        keys, values = self._keys, self._values
-        results: list[tuple[list[StreamTuple], int] | None] = [None] * len(ranges)
-        start = 0
-        for index in order:
-            low, high = ranges[index]
-            start = bisect.bisect_left(keys, low, lo=start)
-            end = bisect.bisect_right(keys, high, lo=start)
-            results[index] = (values[start:end], end - start)
-        return results  # type: ignore[return-value]
+        ``key - b`` is monotone in ``b`` (float subtraction is correctly
+        rounded, int subtraction exact), so the keys with ``key - b <= width``
+        are a suffix of the sorted list and those with ``key - b >= -width``
+        a prefix: the match set is the slice between.  Bisecting the rounded
+        window ``[key - width, key + width]`` lands next to both edges, and
+        each edge then moves by the expression itself — outward while it
+        holds, inward while it fails — which takes O(1) steps beyond equal
+        keys at the edge (0 on ints).
+
+        The exception is a non-float ``key`` over an index holding floats
+        once ``key`` or a stored key lies beyond ``±2**52``: Python subtracts
+        ints exactly but floats rounded, and past that magnitude the two
+        may disagree on the order of ``key - b``.  Returns None there; the
+        callers then test every stored key.
+        """
+        keys = self._keys
+        if (
+            self.float_keys
+            and key.__class__ is not float
+            and keys
+            and not (-_EXACT_INTS <= keys[0] and keys[-1] <= _EXACT_INTS
+                     and -_EXACT_INTS <= key <= _EXACT_INTS)
+        ):
+            return None
+        lo = bisect.bisect_left(keys, key - width)
+        hi = bisect.bisect_right(keys, key + width, lo)
+        end = len(keys)
+        while lo and key - keys[lo - 1] <= width:
+            lo -= 1
+        while lo < end and not key - keys[lo] <= width:
+            lo += 1
+        while hi < end and key - keys[hi] >= -width:
+            hi += 1
+        while hi > lo and not key - keys[hi - 1] >= -width:
+            hi -= 1
+        return lo, hi if hi > lo else lo
+
+    def probe_band(self, key: Any, width: Any) -> tuple[list[StreamTuple], int]:
+        """``(matches, count)`` of a band probe: the stored tuples whose key
+        ``b`` satisfies ``abs(key - b) <= width``, as a fresh list."""
+        bounds = self.band_bounds(key, width)
+        if bounds is None:
+            matches = [
+                value
+                for stored, value in zip(self._keys, self._values)
+                if abs(key - stored) <= width
+            ]
+            return matches, len(matches)
+        lo, hi = bounds
+        return self._values[lo:hi], hi - lo
+
+    def count_band(self, key: Any, width: Any) -> int:
+        """Number of stored keys a :meth:`probe_band` would return (no copy)."""
+        bounds = self.band_bounds(key, width)
+        if bounds is None:
+            return sum(1 for stored in self._keys if abs(key - stored) <= width)
+        return bounds[1] - bounds[0]
 
     def count_key(self, key: Any) -> int:
-        return self.count_range(key, key)
-
-    def count_range(self, low: Any, high: Any) -> int:
-        return bisect.bisect_right(self._keys, high) - bisect.bisect_left(self._keys, low)
+        return self.count_band(key, 0)
 
     def items(self) -> Iterator[StreamTuple]:
         return iter(list(self._values))
@@ -404,13 +400,7 @@ class ScanIndex(JoinIndex):
         # Live storage list (no copy); read-only for callers.
         return self._items, self._count
 
-    def probe_range(self, low: Any, high: Any) -> tuple[list[StreamTuple], int]:
-        return self._items, self._count
-
     def count_key(self, key: Any) -> int:
-        return self._count
-
-    def count_range(self, low: Any, high: Any) -> int:
         return self._count
 
     def items(self) -> Iterator[StreamTuple]:

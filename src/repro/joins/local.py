@@ -8,52 +8,31 @@ friends.  The operator is agnostic to which flavour runs locally (§3.2); the
 flavours differ only in the index structures they maintain and therefore in
 the CPU work a probe costs.
 
-``insert`` and ``probe`` return *work units* (number of candidates touched)
-so that the simulation engine can charge realistic, predicate-dependent CPU
-costs.  :meth:`LocalJoiner.probe_batch` is the batch-aware engine: it
-inserts+probes an entire micro-batch symmetrically — each member joins
-against everything stored before it, including earlier batch members — while
-probing the pre-batch index state in one grouped (hash) or sort-merge
-(ordered) pass.
+``insert`` and ``probe`` return *work units* so that the simulation engine
+can charge realistic, predicate-dependent CPU costs.
+:meth:`LocalJoiner.probe_batch` inserts+probes an entire micro-batch
+symmetrically — each member joins against everything stored before it,
+including earlier batch members — in one pass over the live indexes.
 
-Probe engines are pluggable through the
-:data:`repro.api.registry.probe_engines` registry; two ship built in:
+The index proves the primary condition of the indexed kinds: an equi probe's
+hash bucket holds exactly the tuples with an equal key, and a band probe's
+slice of the ordered key list holds exactly the keys ``b`` with
+``abs(key - b) <= width`` (:meth:`~repro.joins.index.OrderedIndex.band_bounds`).
+A probe's work is the size of that set — every stored tuple of the opposite
+relation for a theta scan — and only composite residuals still run per pair
+(theta: the whole predicate).  :func:`repro.testing.reference_probe` states
+the same contract by brute force.
 
-* ``"vectorized"`` (default) — batch index passes, and candidates the index
-  already decides: an exact-key hash bucket satisfies the primary equality
-  (the bucket key *is* the predicate), and a band window
-  ``[key - width, key + width]`` *is* the match set whenever both of its
-  edges compare exactly — an ``int`` probing key, an ``int`` width (or an
-  integral float one with ``|key| + |width| <= 2**53``) and an index whose
-  keys are all ``int`` (see :meth:`LocalJoiner._band_probe`).  Only
-  composite residuals are then validated per pair; every other band window
-  is validated pair by pair against the full predicate.
-* ``"scalar"`` — the per-member reference path that re-validates the full
-  predicate on every candidate.  It defines the semantics ``probe_batch``
-  must reproduce and serves as the differential-testing oracle and the
-  pre-vectorization benchmark baseline.
-
-Additional engines register via :func:`repro.api.register_probe_engine` with
-a :class:`ProbeEngine` strategy; unknown engine names fail eagerly at joiner
-(and, higher up, operator/config) construction with the registered choices
-listed.  Likewise, :func:`make_local_joiner` dispatches on the predicate
-``kind`` through the :data:`repro.api.registry.predicate_kinds` registry, so
-new predicate families plug in their local algorithms without touching this
-module.
+:func:`make_local_joiner` dispatches on the predicate ``kind`` through the
+:data:`repro.api.registry.predicate_kinds` registry, so new predicate
+families plug in their local algorithms without touching this module.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from repro.api.registry import (
-    predicate_kinds,
-    probe_engines,
-    register_predicate,
-    register_probe_engine,
-)
+from repro.api.registry import predicate_kinds, register_predicate
 from repro.engine.stream import StreamTuple
 from repro.joins.index import JoinIndex, make_index
 from repro.joins.predicates import (
@@ -63,50 +42,6 @@ from repro.joins.predicates import (
     ThetaPredicate,
 )
 
-#: Every integer of magnitude up to 2**53 is exactly a float64.
-_FLOAT_EXACT_INTS = 2**53
-
-
-def _exact_window_limit(width) -> float:
-    """Largest ``|key|`` of an ``int`` probing key whose band window is exact.
-
-    Python compares ints with floats exactly, so over an index of ``int``
-    keys the window ``[key - width, key + width]`` holds exactly the keys
-    with ``|k - key| <= width`` whenever both edges are computed without
-    rounding: always for an ``int`` width, and for an integral float width
-    while ``|key| + |width| <= 2**53``.  Any other width (fractional, not a
-    number, ``bool``) never gets an exact window: -1.
-    """
-    if width.__class__ is int:
-        return math.inf
-    if width.__class__ is float and width.is_integer():
-        return _FLOAT_EXACT_INTS - abs(int(width))
-    return -1
-
-
-@dataclass(frozen=True)
-class ProbeEngine:
-    """Strategy object describing one probe-engine flavour.
-
-    Attributes:
-        name: registry name of the engine.
-        batch_aware: whether joiner tasks should route NORMAL-phase DATA
-            batches through :meth:`EpochJoinerState.handle_data_batch` →
-            :meth:`LocalJoiner.probe_batch` (False keeps per-member dispatch).
-        exact_key_fast_path: whether candidates the index already decides —
-            exact-key hash buckets, and exact integer band windows — skip
-            per-pair validation of the primary predicate.
-        probe_batch: callable ``(joiner, items) -> [(matches, work), ...]``
-            implementing the batch insert+probe pass; must reproduce the
-            scalar reference semantics exactly (same matches, same charged
-            work).
-    """
-
-    name: str
-    batch_aware: bool
-    exact_key_fast_path: bool
-    probe_batch: Callable[["LocalJoiner", Sequence[StreamTuple]], list]
-
 
 class LocalJoiner:
     """Symmetric, index-backed local join over two relations.
@@ -115,8 +50,6 @@ class LocalJoiner:
         predicate: the join condition; its ``kind`` selects the index type.
         left_relation: relation name treated as the left/"R" side.
         right_relation: relation name treated as the right/"S" side.
-        engine: probe engine, ``"vectorized"`` (default) or ``"scalar"``
-            (full per-candidate re-validation; reference semantics).
     """
 
     def __init__(
@@ -124,14 +57,10 @@ class LocalJoiner:
         predicate: JoinPredicate,
         left_relation: str,
         right_relation: str,
-        engine: str = "vectorized",
     ) -> None:
-        # Registry lookup raises eagerly with the registered choices listed.
-        self._engine_spec: ProbeEngine = probe_engines.get(engine)
         self.predicate = predicate
         self.left_relation = left_relation
         self.right_relation = right_relation
-        self.engine = engine
         kind = predicate.kind
         self._indexes: dict[str, JoinIndex] = {
             left_relation: make_index(kind, self._key_func(side="left")),
@@ -145,21 +74,14 @@ class LocalJoiner:
         self._pred_left_key = predicate.left_key if kind in ("equi", "band") else None
         self._pred_right_key = predicate.right_key if kind in ("equi", "band") else None
         self._band_width = self._resolve_band_width() if kind == "band" else 0.0
-        fast_path = self._engine_spec.exact_key_fast_path
-        self._exact_key = fast_path and kind == "equi" and predicate.exact_key
-        # Per-candidate validation, resolved once: None means exact-key hash
-        # candidates need no validation at all; fast-path predicates with
-        # residuals validate only the residual part; everything else (and
-        # the scalar engine) runs the full predicate.
-        self._check = predicate.residual_check() if self._exact_key else predicate.matches
-        # The band analogue is decided per probe (see _band_probe): what an
-        # exact window still validates, and the largest |key| whose window
-        # is exact.  The scalar engine never takes it — it stays the
-        # full-validation differential oracle.
-        self._window_check = predicate.residual_check()
-        self._window_limit = (
-            _exact_window_limit(self._band_width) if fast_path and kind == "band" else -1
-        )
+        # What a probe still checks per candidate, resolved once: an
+        # exact-key hash bucket and a band slice decide the primary
+        # condition, leaving the composite residuals (None: nothing at all);
+        # a scan decides nothing.
+        if kind == "band" or (kind == "equi" and predicate.exact_key):
+            self._check = predicate.residual_check()
+        else:
+            self._check = predicate.matches
 
     # ------------------------------------------------------------ index setup
 
@@ -177,12 +99,11 @@ class LocalJoiner:
         return lambda item: self.predicate.right_key(item.record)
 
     def fresh(self) -> "LocalJoiner":
-        """An empty joiner with the same predicate, relations and engine.
+        """An empty joiner with the same predicate and relations.
 
         Used by the epoch protocol to build tag-partitioned sub-stores.
         """
-        return type(self)(self.predicate, self.left_relation, self.right_relation,
-                          engine=self.engine)
+        return type(self)(self.predicate, self.left_relation, self.right_relation)
 
     # ---------------------------------------------------------------- storage
 
@@ -316,20 +237,20 @@ class LocalJoiner:
     ) -> tuple[list[StreamTuple], int]:
         """:meth:`raw_probe` with the inputs of :meth:`probe_plan` pre-resolved."""
         opposite_index = self._right_index if item_is_left else self._left_index
-        kind = self.predicate.kind
-        if kind == "equi":
-            candidates, inspected = opposite_index.probe(key)
-        elif kind == "band":
-            return self._band_probe(opposite_index, key, record, item_is_left)
-        else:
-            candidates, inspected = opposite_index.probe(None)
-        if not candidates:
-            return [], inspected
         check = self._check
-        if check is None:
-            # Exact-key fast path: the bucket is the match set (copied — a
-            # live bucket never leaves the index).
-            return list(candidates), inspected
+        if self.predicate.kind == "band":
+            # A fresh list holding exactly the band's matches.
+            candidates, inspected = opposite_index.probe_band(key, self._band_width)
+            if check is None or not candidates:
+                return candidates, inspected
+        else:
+            # The key's hash bucket, or every stored tuple for a scan (key
+            # None) — both live sequences that never leave the index.
+            candidates, inspected = opposite_index.probe(key)
+            if not candidates:
+                return [], inspected
+            if check is None:
+                return list(candidates), inspected
         if item_is_left:
             return [c for c in candidates if check(record, c.record)], inspected
         return [c for c in candidates if check(c.record, record)], inspected
@@ -338,35 +259,6 @@ class LocalJoiner:
     #: one, so a per-tuple probe stays a single call into the public probe
     #: entry points rather than one nested in another.
     _keyed_probe = keyed_raw_probe
-
-    def _band_probe(
-        self, opposite_index, key, record, item_is_left: bool
-    ) -> tuple[list[StreamTuple], int]:
-        """One band window probe: ``(matches, inspected)``.
-
-        The window slice is a fresh list.  When the window is exact — an
-        ``int`` probing key within ``_window_limit`` over an index whose keys
-        are all ``int`` (see :func:`_exact_window_limit`) — the slice *is*
-        the match set and only composite residuals run on it; any other
-        window is validated pair by pair against the full predicate.
-        """
-        width = self._band_width
-        candidates, inspected = opposite_index.probe_range(key - width, key + width)
-        if not candidates:
-            return candidates, inspected
-        if (
-            key.__class__ is int
-            and opposite_index.all_int_keys
-            and abs(key) <= self._window_limit
-        ):
-            check = self._window_check
-            if check is None:
-                return candidates, inspected
-        else:
-            check = self._check
-        if item_is_left:
-            return [c for c in candidates if check(record, c.record)], inspected
-        return [c for c in candidates if check(c.record, record)], inspected
 
     def arrival_bound(self, item_is_left: bool) -> float:
         """An upper bound on the arrival time of every tuple a probe by a
@@ -382,8 +274,7 @@ class LocalJoiner:
         if kind == "equi":
             return opposite_index.count_key(key)
         if kind == "band":
-            width = self._band_width
-            return opposite_index.count_range(key - width, key + width)
+            return opposite_index.count_band(key, self._band_width)
         return len(opposite_index)
 
     def candidate_count(self, item: StreamTuple) -> int:
@@ -409,10 +300,9 @@ class LocalJoiner:
         Semantically equivalent to, for each member in order: ``probe(member)``
         then ``insert(member)`` — every member joins against everything stored
         before it, including earlier batch members of the opposite relation
-        (intra-batch self-join semantics).  The vectorized engine runs one
-        lean pass over the live indexes: zero-copy bucket walks with
-        pre-extracted keys (hash), in-place band windows (ordered), and no
-        per-candidate validation where the index decides the match set —
+        (intra-batch self-join semantics).  One lean pass over the live
+        indexes: zero-copy bucket walks with pre-extracted keys (hash) and
+        band slices and scans through the keyed probe body (ordered, scan);
         because the indexes are live, each member automatically sees every
         earlier member of the opposite relation.
 
@@ -430,8 +320,6 @@ class LocalJoiner:
             candidate counts (pre-batch + earlier intra-batch candidates),
             floored at 1 per member.
         """
-        if not others and not counted:
-            return self._engine_spec.probe_batch(self, items)
         if self.predicate.kind == "equi":
             return self._probe_batch_equi(items, others, counted)
         return self._probe_batch_keyed(items, others, counted)
@@ -439,8 +327,8 @@ class LocalJoiner:
     def _probe_batch_equi(
         self,
         items: Sequence[StreamTuple],
-        others: Sequence["LocalJoiner"] = (),
-        counted: Sequence["LocalJoiner"] = (),
+        others: Sequence["LocalJoiner"],
+        counted: Sequence["LocalJoiner"],
     ) -> list[tuple[list[StreamTuple], float]]:
         # One lean pass over the live hash buckets: each member walks the
         # opposite bucket of this joiner and of every joiner in ``others`` in
@@ -500,19 +388,27 @@ class LocalJoiner:
         counted: Sequence["LocalJoiner"],
     ) -> list[tuple[list[StreamTuple], float]]:
         # Band and theta stores: every member probes each store through the
-        # keyed probe body (band windows, scans), then is inserted here.
-        stores = (self, *others)
-        probe_plan = self.probe_plan
+        # keyed probe body (band slices, scans), then is inserted here.  The
+        # own probe returns a fresh list, so the others' matches extend it.
+        left_relation = self.left_relation
+        right_relation = self.right_relation
+        left_key = self._pred_left_key
+        right_key = self._pred_right_key
+        keyed_probe = self._keyed_probe
         indexes = self._indexes
         results: list[tuple[list[StreamTuple], float]] = []
         append = results.append
         for item in items:
-            self._check_relation(item.relation)
-            is_left, key = probe_plan(item)
             record = item.record
-            matches: list[StreamTuple] = []
-            inspected = 0
-            for store in stores:
+            if item.relation == left_relation:
+                is_left, key_of = True, left_key
+            else:
+                if item.relation != right_relation:
+                    self._check_relation(item.relation)
+                is_left, key_of = False, right_key
+            key = None if key_of is None else key_of(record)
+            matches, inspected = keyed_probe(is_left, key, record)
+            for store in others:
                 found, count = store._keyed_probe(is_left, key, record)
                 inspected += count
                 if found:
@@ -521,69 +417,6 @@ class LocalJoiner:
                 inspected += store.keyed_candidate_count(is_left, key)
             indexes[item.relation].insert_keyed(key, item)
             append((matches, float(inspected) if inspected > 0 else 1.0))
-        return results
-
-    def _probe_batch_band(
-        self, items: Sequence[StreamTuple]
-    ) -> list[tuple[list[StreamTuple], float]]:
-        # Lean pass over the live ordered indexes: each member bisects its
-        # band window out of the opposite key list and is then inserted, so
-        # later members see it — intra-batch semantics without side
-        # structures.  (probe_range_batch's sort-merge cursor serves callers
-        # probing a static snapshot; here the index mutates between probes.)
-        left_relation = self.left_relation
-        right_relation = self.right_relation
-        left_key = self._pred_left_key
-        right_key = self._pred_right_key
-        left_index = self._indexes[left_relation]
-        right_index = self._indexes[right_relation]
-        band_probe = self._band_probe
-        results: list[tuple[list[StreamTuple], float]] = []
-        append = results.append
-        for item in items:
-            record = item.record
-            if item.relation == left_relation:
-                key = left_key(record)
-                matches, inspected = band_probe(right_index, key, record, True)
-                left_index.insert_keyed(key, item)
-            else:
-                if item.relation != right_relation:
-                    self._check_relation(item.relation)
-                key = right_key(record)
-                matches, inspected = band_probe(left_index, key, record, False)
-                right_index.insert_keyed(key, item)
-            append((matches, float(inspected) if inspected > 0 else 1.0))
-        return results
-
-    def _probe_batch_scan(
-        self, items: Sequence[StreamTuple]
-    ) -> list[tuple[list[StreamTuple], float]]:
-        left_relation = self.left_relation
-        right_relation = self.right_relation
-        left_index = self._indexes[left_relation]
-        right_index = self._indexes[right_relation]
-        check = self._check
-        results: list[tuple[list[StreamTuple], float]] = []
-        append = results.append
-        for item in items:
-            record = item.record
-            if item.relation == left_relation:
-                is_left = True
-                candidates, inspected = right_index.probe(None)
-            else:
-                if item.relation != right_relation:
-                    self._check_relation(item.relation)
-                is_left = False
-                candidates, inspected = left_index.probe(None)
-            if candidates:
-                if is_left:
-                    matches = [c for c in candidates if check(record, c.record)]
-                else:
-                    matches = [c for c in candidates if check(c.record, record)]
-                append((matches, float(max(inspected, 1))))
-            else:
-                append(([], 1.0))
-            (left_index if is_left else right_index).insert(item)
         return results
 
     # -------------------------------------------------------------- reporting
@@ -597,15 +430,11 @@ class SymmetricHashJoiner(LocalJoiner):
     """Symmetric hash join (Wilschut & Apers); requires an equi predicate."""
 
     def __init__(
-        self,
-        predicate: JoinPredicate,
-        left_relation: str,
-        right_relation: str,
-        engine: str = "vectorized",
+        self, predicate: JoinPredicate, left_relation: str, right_relation: str
     ) -> None:
         if predicate.kind != "equi":
             raise ValueError("SymmetricHashJoiner requires an equi-join predicate")
-        super().__init__(predicate, left_relation, right_relation, engine=engine)
+        super().__init__(predicate, left_relation, right_relation)
 
 
 class SortedBandJoiner(LocalJoiner):
@@ -616,15 +445,11 @@ class SortedBandJoiner(LocalJoiner):
     """
 
     def __init__(
-        self,
-        predicate: JoinPredicate,
-        left_relation: str,
-        right_relation: str,
-        engine: str = "vectorized",
+        self, predicate: JoinPredicate, left_relation: str, right_relation: str
     ) -> None:
         if predicate.kind != "band":
             raise ValueError("SortedBandJoiner requires a band-join predicate")
-        super().__init__(predicate, left_relation, right_relation, engine=engine)
+        super().__init__(predicate, left_relation, right_relation)
 
 
 class NestedLoopJoiner(LocalJoiner):
@@ -632,63 +457,15 @@ class NestedLoopJoiner(LocalJoiner):
 
 
 def make_local_joiner(
-    predicate: JoinPredicate,
-    left_relation: str,
-    right_relation: str,
-    engine: str = "vectorized",
+    predicate: JoinPredicate, left_relation: str, right_relation: str
 ) -> LocalJoiner:
     """Build the local algorithm registered for the predicate's ``kind``."""
     spec = predicate_kinds.get(predicate.kind)
-    return spec.joiner_factory(predicate, left_relation, right_relation, engine=engine)
+    return spec.joiner_factory(predicate, left_relation, right_relation)
 
 
-# --------------------------------------------------------------------------
-# Built-in registrations (the registries are the single dispatch authority;
-# new engines/kinds plug in through repro.api.register_* without edits here).
-# --------------------------------------------------------------------------
-
-def _scalar_probe_batch(
-    joiner: LocalJoiner, items: Sequence[StreamTuple]
-) -> list[tuple[list[StreamTuple], float]]:
-    """Reference semantics: the exact per-member probe-then-insert sequence."""
-    results = []
-    for item in items:
-        results.append(joiner.probe(item))
-        joiner.insert(item)
-    return results
-
-
-def _vectorized_probe_batch(
-    joiner: LocalJoiner, items: Sequence[StreamTuple]
-) -> list[tuple[list[StreamTuple], float]]:
-    """One lean pass over the live indexes, dispatched on the predicate kind."""
-    kind = joiner.predicate.kind
-    if kind == "equi":
-        return joiner._probe_batch_equi(items)
-    if kind == "band":
-        return joiner._probe_batch_band(items)
-    return joiner._probe_batch_scan(items)
-
-
-register_probe_engine(
-    "vectorized",
-    ProbeEngine(
-        name="vectorized",
-        batch_aware=True,
-        exact_key_fast_path=True,
-        probe_batch=_vectorized_probe_batch,
-    ),
-)
-register_probe_engine(
-    "scalar",
-    ProbeEngine(
-        name="scalar",
-        batch_aware=False,
-        exact_key_fast_path=False,
-        probe_batch=_scalar_probe_batch,
-    ),
-)
-
+# Built-in registrations (the registry is the single dispatch authority; new
+# kinds plug in through repro.api.register_predicate without edits here).
 register_predicate("equi", SymmetricHashJoiner, EquiPredicate)
 register_predicate("band", SortedBandJoiner, BandPredicate)
 register_predicate("theta", NestedLoopJoiner, ThetaPredicate)

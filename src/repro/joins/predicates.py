@@ -16,12 +16,13 @@ A predicate therefore exposes three things:
 * ``exact_key`` / ``residual_matches`` — whether an exact-key hash probe
   already decides the primary condition, and the residual part (if any) that
   still has to run per candidate pair once the index decided the primary.
-  The probe engine uses this to skip re-validating equality for hash
+  The local joiner uses this to skip re-validating equality for hash
   candidates (the bucket key *is* the predicate) and the band condition for
-  exact integer band windows, while still applying composite residual
-  filters.  Whether a band window is exact depends on the keys and the
-  width, so the joiner decides it per probe (``LocalJoiner._band_probe``);
-  the predicate only states what is left once it is.
+  band slices (the ordered index cuts them by the predicate's own
+  expression), while still applying composite residual filters.
+
+The brute-force evaluation of a predicate over every pair lives in
+:mod:`repro.testing` (``reference_join``, ``reference_probe``).
 """
 
 from __future__ import annotations
@@ -127,11 +128,11 @@ class EquiPredicate(JoinPredicate):
 class BandPredicate(JoinPredicate):
     """Band predicate ``|left[left_attr] - right[right_attr]| <= width``.
 
-    An ordered-index window ``[key - width, key + width]`` decides the
-    condition exactly when its edges compare without rounding — integer keys
-    with an integer (or small integral float) width; the joiner checks that
-    per probe and then needs no residual.  Any other window is validated
-    pair by pair with :meth:`matches`.
+    An ordered index decides the condition for int and float keys alike: it
+    cuts the match set out of its sorted key list by evaluating this very
+    expression at the slice edges
+    (:meth:`~repro.joins.index.OrderedIndex.band_bounds`), so a band probe
+    needs no residual.
     """
 
     left_attr: str
@@ -259,21 +260,3 @@ class CompositePredicate(JoinPredicate):
         extra = f" AND {len(self.residuals)} residual(s)" if self.residuals else ""
         return self.primary.describe() + extra
 
-
-def cross_join_reference(
-    left_records: Sequence[Record],
-    right_records: Sequence[Record],
-    predicate: JoinPredicate,
-) -> list[tuple[int, int]]:
-    """Reference nested-loop evaluation over record *indexes*.
-
-    Used by tests to verify that every operator produces exactly the matching
-    pairs (result completeness, Definition 4.4) regardless of partitioning,
-    arrival order or migrations.
-    """
-    matches = []
-    for left_index, left in enumerate(left_records):
-        for right_index, right in enumerate(right_records):
-            if predicate.matches(left, right):
-                matches.append((left_index, right_index))
-    return matches

@@ -60,9 +60,8 @@ class RippleJoiner(LocalJoiner):
         left_relation: str,
         right_relation: str,
         block_size: int = 16,
-        engine: str = "vectorized",
     ) -> None:
-        super().__init__(predicate, left_relation, right_relation, engine=engine)
+        super().__init__(predicate, left_relation, right_relation)
         self.block_size = block_size
         self._matches_seen = 0
         self._pairs_examined = 0
@@ -77,7 +76,7 @@ class RippleJoiner(LocalJoiner):
     def probe_batch(self, items):
         # Route through probe() per member so the selectivity sample
         # (_matches_seen/_pairs_examined) keeps accumulating; the base
-        # class's vectorized paths probe the indexes directly and would
+        # class's batch paths probe the indexes directly and would
         # silently skip the running-estimate counters.
         results = []
         for item in items:
@@ -91,7 +90,6 @@ class RippleJoiner(LocalJoiner):
             self.left_relation,
             self.right_relation,
             block_size=self.block_size,
-            engine=self.engine,
         )
 
     def running_estimate(

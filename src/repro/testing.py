@@ -1,13 +1,89 @@
-"""Differential-testing helpers for operator runs.
+"""Reference evaluations and differential-testing helpers.
 
-The repository leans on differential testing throughout: the scalar probe
-engine is the oracle for the vectorized one, and the per-tuple data plane is
-the oracle for the adaptive one.  :func:`assert_run_equivalent` is the shared
-assertion those suites (and third-party components registered through
-:mod:`repro.api`) compare :class:`~repro.core.results.RunResult`\\ s with.
+Two kinds of oracle back the test suites:
+
+* **brute force** — :func:`reference_join` evaluates ``predicate.matches``
+  over every pair of two record lists (:func:`reference_outputs` maps it
+  onto a run's tuple ids), and :func:`reference_probe` states what one
+  local probe must return: its matches and its work, in closed form.  They share no code with the indexes they check.
+* **the per-tuple data plane** — :func:`assert_run_equivalent` compares
+  :class:`~repro.core.results.RunResult`\\ s, e.g. a batched or adaptive run
+  against its ``batch_size=1`` twin (and third-party components registered
+  through :mod:`repro.api` against the built-ins).
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from typing import Iterable, Sequence
+
+from repro.engine.stream import StreamTuple
+from repro.joins.predicates import JoinPredicate, Record
+
+
+def reference_join(
+    left_records: Sequence[Record],
+    right_records: Sequence[Record],
+    predicate: JoinPredicate,
+) -> list[tuple[int, int]]:
+    """Nested-loop evaluation: the ``(left index, right index)`` pairs whose
+    records satisfy ``predicate.matches``.
+
+    Used to verify that every operator produces exactly the matching pairs
+    (result completeness, Definition 4.4) regardless of partitioning,
+    arrival order or migrations.
+    """
+    return [
+        (left_index, right_index)
+        for left_index, left in enumerate(left_records)
+        for right_index, right in enumerate(right_records)
+        if predicate.matches(left, right)
+    ]
+
+
+def reference_outputs(query, order: Sequence[StreamTuple]) -> Counter:
+    """:func:`reference_join` of the tuples in ``order`` as the multiset of
+    ``(left_tuple_id, right_tuple_id)`` pairs a run's ``outputs`` must hold."""
+    left = [item for item in order if item.relation == query.left_relation]
+    right = [item for item in order if item.relation == query.right_relation]
+    return Counter(
+        (left[i].tuple_id, right[j].tuple_id)
+        for i, j in reference_join(
+            [item.record for item in left],
+            [item.record for item in right],
+            query.predicate,
+        )
+    )
+
+
+def reference_probe(
+    predicate: JoinPredicate,
+    stored: Iterable[StreamTuple],
+    item: StreamTuple,
+    *,
+    left_relation: str,
+) -> tuple[list[StreamTuple], float]:
+    """What probing ``item`` against ``stored`` must return: ``(matches, work)``.
+
+    ``matches`` are the stored tuples of the opposite relation satisfying
+    ``predicate.matches`` with ``item`` (in ``stored`` order); ``work``
+    counts those satisfying the *primary* condition — the hash bucket of an
+    equi join, the band of a band join, every opposite tuple of a theta
+    scan — floored at 1.  ``left_relation`` orients each pair.
+    """
+    item_is_left = item.relation == left_relation
+    primary = getattr(predicate, "primary", predicate)
+    matches = []
+    work = 0
+    for other in stored:
+        if other.relation == item.relation:
+            continue
+        left, right = (item, other) if item_is_left else (other, item)
+        if predicate.kind == "theta" or primary.matches(left.record, right.record):
+            work += 1
+        if predicate.matches(left.record, right.record):
+            matches.append(other)
+    return matches, float(max(work, 1))
 
 #: Timing fields the ``timing=False`` coarse switch skips as a group.
 TIMING_FIELDS = frozenset(
@@ -73,8 +149,8 @@ def assert_run_equivalent(
     execution time, average latency, per-machine busy chains, charged probe
     work, peak ILF, the spill flag and the migration decision/completion
     times.  Use it when the two runs are meant to be *bit-identical*
-    simulations (probe-engine pairs at one batch size, adaptive vs per-tuple
-    plane); drop it when only the results must agree (fixed-plane runs
+    simulations (adaptive vs per-tuple plane, a checkpointed run vs its
+    plain twin); drop it when only the results must agree (fixed-plane runs
     across batch sizes, where virtual-time compression legitimately shifts
     the epoch edge).
 
@@ -82,7 +158,7 @@ def assert_run_equivalent(
 
     ``events=True`` additionally pins the *event plumbing*: global heap
     events and the per-link wire-merge histogram.  Same-plane comparisons
-    only (e.g. probe-engine pairs on one data plane) — comparing across
+    only (e.g. two runs of one plane under different layers) — comparing across
     planes (merged vs unmerged wire, batched vs per-tuple) legitimately
     changes both.
 

@@ -4,12 +4,12 @@ Pins the contracts of ``repro.api``:
 
 * ``RunConfig`` round-trips exactly through ``to_dict``/``from_dict`` (and
   JSON), validates eagerly (unknown fields, bad values, unregistered
-  probe engines/layouts) and is immutable.
+  batching planes/layouts) and is immutable.
 * Override precedence is ``session default < config < call-site``.
 * Registries reject duplicate registrations and list choices on unknown
   names; registered third-party components flow through the session.
-* ``import repro`` loads no NumPy, and exactly two probe engines ship:
-  ``vectorized`` and its ``scalar`` oracle.
+* ``import repro`` loads no NumPy, and no probe-engine registry remains:
+  one probe engine, whose knob is retired with the backend knobs.
 * The legacy loose-kwargs constructor shim is gone: constructing an operator
   from loose keyword arguments without a config raises ``TypeError`` pointing
   at ``RunConfig``; ``make_operator`` routes through the validated config
@@ -19,6 +19,7 @@ Pins the contracts of ``repro.api``:
 """
 
 import dataclasses
+import importlib
 import os
 import random
 import subprocess
@@ -37,16 +38,13 @@ from repro.api import (
     build_operator,
     operators,
     predicate_kinds,
-    probe_engines,
     register_operator,
-    register_probe_engine,
 )
 from repro.core.baselines import make_operator
 from repro.core.operator import AdaptiveJoinOperator, GridJoinOperator
 from repro.core.results import RunResult
 from repro.data.queries import make_query
 from repro.engine.stream import interleave_streams, make_tuples
-from repro.joins.local import ProbeEngine
 
 
 def _arrival_order(query, seed):
@@ -74,7 +72,6 @@ class TestRunConfig:
             memory_capacity=123.0,
             sample_every=50,
             batch_size=16,
-            probe_engine="scalar",
             arrival_pattern="s_first",
             inter_arrival=0.25,
         )
@@ -118,10 +115,6 @@ class TestRunConfig:
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ValueError):
             RunConfig(**overrides)
-
-    def test_unregistered_probe_engine_lists_choices(self):
-        with pytest.raises(ValueError, match="scalar.*vectorized|vectorized.*scalar"):
-            RunConfig(probe_engine="simd")
 
     def test_unknown_layout_lists_choices(self):
         with pytest.raises(ValueError, match="dyadic"):
@@ -255,14 +248,15 @@ class TestRecoveryKnobs:
 
 
 class TestRetiredKnobs:
-    """The execution-backend and wire switches are gone: one simulator, and
-    the batching plane picks the wire."""
+    """The execution-backend, wire and probe-engine switches are gone: one
+    simulator, the batching plane picks the wire, and one probe engine."""
 
     RETIRED_KEYS = [
         ("executor", "simulated"),
         ("num_workers", 4),
         ("worker_timeout", 30.0),
         ("delivery_merging", True),
+        ("probe_engine", "scalar"),
     ]
 
     @pytest.mark.parametrize("key, value", RETIRED_KEYS)
@@ -307,7 +301,7 @@ class TestRetiredKnobs:
         assert name not in result.summary_row()
 
     def test_field_count(self):
-        assert len(dataclasses.fields(RunConfig)) == 21
+        assert len(dataclasses.fields(RunConfig)) == 20
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +311,15 @@ class TestRetiredKnobs:
 class TestRegistries:
     def test_builtins_registered(self):
         assert set(operators.names()) >= {"Dynamic", "Grid", "SHJ", "StaticMid", "StaticOpt"}
-        assert set(probe_engines.names()) >= {"scalar", "vectorized"}
         assert set(predicate_kinds.names()) >= {"band", "equi", "theta"}
 
     def test_duplicate_name_rejected(self):
         with pytest.raises(ValueError, match="already registered"):
             register_operator("Dynamic", AdaptiveJoinOperator)
-        with pytest.raises(ValueError, match="already registered"):
-            register_probe_engine("vectorized", object())
 
     def test_unknown_name_lists_choices(self):
         with pytest.raises(ValueError, match="unknown operator 'Turbo'.*Dynamic"):
             operators.get("Turbo")
-        with pytest.raises(ValueError, match="unknown probe engine"):
-            probe_engines.get("gpu")
         with pytest.raises(ValueError, match="unknown predicate kind"):
             predicate_kinds.get("similarity")
 
@@ -351,7 +340,7 @@ class TestRegistries:
 
 
 class TestImportHygiene:
-    """The library is pure stdlib: two probe engines, no NumPy in the process."""
+    """The library is pure stdlib: one probe engine, no NumPy in the process."""
 
     def test_import_leaves_numpy_unloaded(self):
         src = Path(repro.__file__).resolve().parents[1]
@@ -364,13 +353,12 @@ class TestImportHygiene:
         )
         assert probe.stdout.strip() == "False"
 
-    def test_exactly_two_probe_engines(self):
-        assert set(probe_engines.names()) == {"scalar", "vectorized"}
-        assert [field.name for field in dataclasses.fields(ProbeEngine)] == [
-            "name", "batch_aware", "exact_key_fast_path", "probe_batch",
-        ]
-        with pytest.raises(ValueError, match="scalar.*vectorized|vectorized.*scalar"):
-            RunConfig(probe_engine="columnar")
+    @pytest.mark.parametrize("module", ["repro", "repro.api", "repro.joins.local"])
+    def test_no_probe_engine_registry(self, module):
+        namespace = importlib.import_module(module)
+        for name in ("probe_engines", "register_probe_engine", "ProbeEngine"):
+            assert not hasattr(namespace, name), f"{module}.{name}"
+            assert name not in getattr(namespace, "__all__", ())
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +366,9 @@ class TestImportHygiene:
 # ---------------------------------------------------------------------------
 
 class TestEagerValidation:
-    def test_invalid_probe_engine_fails_at_construction(self, eq5_query):
-        with pytest.raises(ValueError, match="probe engine.*simd|simd.*probe engine"):
-            GridJoinOperator(eq5_query, config=RunConfig(machines=8, probe_engine="simd"))
+    def test_invalid_batching_fails_at_construction(self, eq5_query):
+        with pytest.raises(ValueError, match="batching.*simd"):
+            GridJoinOperator(eq5_query, config=RunConfig(machines=8), batching="simd")
 
     def test_invalid_layout_fails_at_construction(self, eq5_query):
         with pytest.raises(ValueError, match="dyadic"):

@@ -20,6 +20,7 @@ from repro.core.migration import plan_migration
 from repro.engine.stream import StreamTuple
 from repro.joins.local import make_local_joiner
 from repro.joins.predicates import BandPredicate, EquiPredicate
+from repro.testing import reference_probe
 
 
 def _make_cluster(mapping: Mapping, num_reshufflers: int | None = None):
@@ -233,14 +234,21 @@ _PREDICATES = {
 }
 
 
-def _tagged(specs, epoch):
+#: Key spaces: ints, and thirds — inexact floats whose differences round
+#: onto either side of the band edge.
+_KEYS = {"int": lambda key: key, "thirds": lambda key: key / 3}
+
+
+def _tagged(specs, epoch, keys):
     return [
-        StreamTuple(relation=relation, record={"k": key}, salt=salt, epoch=epoch)
+        StreamTuple(
+            relation=relation, record={"k": _KEYS[keys](key)}, salt=salt, epoch=epoch
+        )
         for relation, key, salt in specs
     ]
 
 
-def _migrating_joiner(kind, engine, tau, delta, mu, delta_prime):
+def _migrating_joiner(kind, tau, delta, mu, delta_prime):
     """Machine 0 mid-migration (2,2) -> (4,1), one of two signals received,
     its four partitions filled from the given tuples."""
     plan = plan_migration(
@@ -248,7 +256,7 @@ def _migrating_joiner(kind, engine, tau, delta, mu, delta_prime):
     )
     state = EpochJoinerState(
         machine_id=0,
-        store=make_local_joiner(_PREDICATES[kind], "R", "S", engine=engine),
+        store=make_local_joiner(_PREDICATES[kind], "R", "S"),
         num_reshufflers=2,
         left_relation="R",
     )
@@ -296,30 +304,35 @@ def _partner_ids(actions):
 
 
 class TestDeltaPrimeUnionCount:
-    @pytest.mark.parametrize("engine", ["vectorized", "scalar"])
+    @pytest.mark.parametrize("keys", sorted(_KEYS))
     @pytest.mark.parametrize("kind", sorted(_PREDICATES))
     @given(tau=_SPECS, delta=_SPECS, mu=_SPECS, delta_prime=_SPECS, batch=_SPECS)
     @settings(max_examples=40, deadline=None)
     def test_both_probes_count_the_union(
-        self, kind, engine, tau, delta, mu, delta_prime, batch
+        self, kind, keys, tau, delta, mu, delta_prime, batch
     ):
         """Both Δ' probes inspect the same four partitions with nothing
-        inserted in between, so they count the same union: a member is
+        inserted in between, so they count the same union — the closed-form
+        count of :func:`reference_probe` over everything stored: a member is
         charged twice that count (floored at one), its partners are Δ', µ,
         then Keep matches, and a whole batch equals the members one by one."""
-        tau, delta, mu = _tagged(tau, 0), _tagged(delta, 0), _tagged(mu, 0)
-        delta_prime, items = _tagged(delta_prime, 1), _tagged(batch, 1)
-        one_by_one = _migrating_joiner(kind, engine, tau, delta, mu, delta_prime)
-        batched = _migrating_joiner(kind, engine, tau, delta, mu, delta_prime)
+        tau, delta, mu = (_tagged(specs, 0, keys) for specs in (tau, delta, mu))
+        delta_prime, items = _tagged(delta_prime, 1, keys), _tagged(batch, 1, keys)
+        one_by_one = _migrating_joiner(kind, tau, delta, mu, delta_prime)
+        batched = _migrating_joiner(kind, tau, delta, mu, delta_prime)
+        stored = [*tau, *delta, *mu, *delta_prime]
         expected = []
         for item in items:
             first, second, partners = _two_probes(one_by_one, item)
             assert first == second
+            _, work = reference_probe(_PREDICATES[kind], stored, item, left_relation="R")
+            assert max(first, 1) == work
             (actions,) = one_by_one.handle_data_batch([item])
             assert actions.stored
             assert actions.probe_work == 2.0 * max(first, 1)
             assert _partner_ids(actions) == partners
             expected.append((actions.probe_work, partners))
+            stored.append(item)
         if items:
             results = batched.handle_data_batch(items)
             assert [(a.probe_work, _partner_ids(a)) for a in results] == expected

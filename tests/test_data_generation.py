@@ -141,15 +141,15 @@ class TestQueries:
 
     def test_bci_is_more_selective_than_bnci_in_output_rate(self, small_dataset):
         """BCI (shipdate band) produces far more output per input pair than BNCI."""
-        from repro.joins.predicates import cross_join_reference
+        from repro.testing import reference_join
 
         bci = make_query("BCI", small_dataset)
         bnci = make_query("BNCI", small_dataset)
         bci_matches = len(
-            cross_join_reference(bci.left_records, bci.right_records, bci.predicate)
+            reference_join(bci.left_records, bci.right_records, bci.predicate)
         )
         bnci_matches = len(
-            cross_join_reference(bnci.left_records, bnci.right_records, bnci.predicate)
+            reference_join(bnci.left_records, bnci.right_records, bnci.predicate)
         )
         bci_rate = bci_matches / max(1, len(bci.left_records) * len(bci.right_records))
         bnci_rate = bnci_matches / max(1, len(bnci.left_records) * len(bnci.right_records))

@@ -42,14 +42,6 @@ class TestHashIndex:
         candidates, inspected = index.probe(42)
         assert candidates == [] and inspected == 0
 
-    def test_range_probe_falls_back_to_scan(self):
-        index = HashIndex(_key)
-        for value in range(10):
-            index.insert(_tuple("R", k=value))
-        candidates, inspected = index.probe_range(2, 4)
-        assert sorted(t.record["k"] for t in candidates) == [2, 3, 4]
-        assert inspected == 10
-
     def test_probe_returns_multi_tuple_bucket_live(self):
         """A bucket of several tuples is handed out live (no copy); a
         one-tuple bucket is stored as the tuple and handed out as a sequence."""
@@ -66,16 +58,6 @@ class TestHashIndex:
         assert list(index.bucket_for(2)) == [c]
         index.insert(d := _tuple("R", k=1))
         assert [t.tuple_id for t in first] == [a.tuple_id, b.tuple_id, d.tuple_id]
-
-    def test_probe_batch_groups_keys(self):
-        index = HashIndex(_key)
-        items = [_tuple("R", k=value % 3) for value in range(9)]
-        for item in items:
-            index.insert(item)
-        results = index.probe_batch([0, 1, 0, 7])
-        assert [inspected for _c, inspected in results] == [3, 3, 3, 0]
-        assert results[0][0] is results[2][0]  # repeated key reuses the bucket
-        assert results[3][0] == []
 
     def test_count_key_and_total_size(self):
         index = HashIndex(_key)
@@ -98,7 +80,6 @@ _HASH_OPS = st.lists(
         st.tuples(st.just("bulk_insert"), st.lists(_NEW_TUPLE, max_size=4)),
         st.tuples(st.just("remove"), st.integers(0, 40)),
         st.tuples(st.just("remove_absent"), _KEYS),
-        st.tuples(st.just("probe_batch"), st.lists(_KEYS, max_size=5)),
     ),
     max_size=40,
 )
@@ -150,7 +131,7 @@ class TestHashIndexModel:
                 index.bulk_insert(items)
                 for item in items:
                     store(item)
-            elif op in ("remove", "remove_absent"):
+            else:
                 if op == "remove":
                     if not created:
                         continue
@@ -165,11 +146,6 @@ class TestHashIndexModel:
                     if not bucket:
                         del model[_key(item)]
                     total_size -= item.size
-            else:
-                results = index.probe_batch(arg)
-                assert [(_ids(c), n) for c, n in results] == [
-                    (_ids(model.get(key, [])), len(model.get(key, []))) for key in arg
-                ]
             for key in range(5):
                 expected = _ids(model.get(key, []))
                 candidates, inspected = index.probe(key)
@@ -188,11 +164,11 @@ class TestHashIndexModel:
 
 
 class TestOrderedIndex:
-    def test_range_probe(self):
+    def test_band_probe(self):
         index = OrderedIndex(_key)
         for value in [5, 1, 9, 3, 7]:
             index.insert(_tuple("R", k=value))
-        candidates, _ = index.probe_range(3, 7)
+        candidates, _ = index.probe_band(5, 2)
         assert sorted(t.record["k"] for t in candidates) == [3, 5, 7]
 
     def test_exact_probe_and_duplicates(self):
@@ -212,27 +188,14 @@ class TestOrderedIndex:
         remaining = list(index.items())
         assert [t.tuple_id for t in remaining] == [b.tuple_id]
 
-    @given(st.lists(st.integers(-100, 100), min_size=0, max_size=60),
-           st.integers(-100, 100), st.integers(0, 20))
-    @settings(max_examples=100)
-    def test_range_probe_matches_naive_filter(self, keys, low, width):
-        high = low + width
-        index = OrderedIndex(_key)
-        items = [_tuple("R", k=value) for value in keys]
-        for item in items:
-            index.insert(item)
-        candidates, _ = index.probe_range(low, high)
-        expected = sorted(t.tuple_id for t in items if low <= t.record["k"] <= high)
-        assert sorted(t.tuple_id for t in candidates) == expected
-
-    def test_probe_range_reports_raw_candidate_count(self):
+    def test_probe_band_reports_raw_candidate_count(self):
         # The one-unit work floor lives in LocalJoiner.probe, not here.
         index = OrderedIndex(_key)
         index.insert(_tuple("R", k=10))
-        candidates, inspected = index.probe_range(1, 2)
+        candidates, inspected = index.probe_band(1.5, 0.5)
         assert candidates == [] and inspected == 0
-        assert index.count_range(1, 2) == 0
-        assert index.count_range(9, 11) == 1
+        assert index.count_band(1.5, 0.5) == 0
+        assert index.count_band(10, 1) == index.count_key(10) == 1
 
     @given(st.lists(st.integers(-50, 50), min_size=0, max_size=40),
            st.lists(st.integers(-50, 50), min_size=0, max_size=40))
@@ -250,24 +213,20 @@ class TestOrderedIndex:
         assert len(bulk) == len(sequential)
         assert [_key(t) for t in bulk.items()] == [_key(t) for t in sequential.items()]
         assert bulk.total_size == sequential.total_size
-        low, high = -10, 10
-        assert bulk.count_range(low, high) == sequential.count_range(low, high)
+        assert bulk.count_band(0, 10) == sequential.count_band(0, 10)
 
-    @given(st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
-                    min_size=0, max_size=25))
-    @settings(max_examples=60)
-    def test_probe_range_batch_matches_single_probes(self, range_specs):
+    @given(st.lists(st.integers(-30, 30), min_size=0, max_size=40),
+           st.integers(-35, 35), st.integers(-2, 8))
+    @settings(max_examples=100)
+    def test_band_probe_matches_naive_filter(self, keys, key, width):
         index = OrderedIndex(_key)
-        for value in range(-20, 21, 3):
-            index.insert(_tuple("R", k=value))
-        ranges = [(min(a, b), max(a, b)) for a, b in range_specs]
-        batched = index.probe_range_batch(ranges)
-        for (low, high), (candidates, inspected) in zip(ranges, batched):
-            single_candidates, single_inspected = index.probe_range(low, high)
-            assert [t.tuple_id for t in candidates] == [
-                t.tuple_id for t in single_candidates
-            ]
-            assert inspected == single_inspected
+        items = [_tuple("R", k=value) for value in keys]
+        for item in items:
+            index.insert(item)
+        candidates, inspected = index.probe_band(key, width)
+        expected = [t.tuple_id for t in items if abs(key - t.record["k"]) <= width]
+        assert sorted(t.tuple_id for t in candidates) == sorted(expected)
+        assert inspected == index.count_band(key, width) == len(expected)
 
 
 class TestScanIndex:
@@ -278,8 +237,6 @@ class TestScanIndex:
             index.insert(item)
         candidates, inspected = index.probe(None)
         assert len(candidates) == 5 and inspected == 5
-        candidates, _ = index.probe_range(0, 2)
-        assert len(candidates) == 5
 
     def test_remove(self):
         index = ScanIndex()

@@ -17,8 +17,8 @@ from repro.joins.predicates import (
     BandPredicate,
     EquiPredicate,
     ThetaPredicate,
-    cross_join_reference,
 )
+from repro.testing import reference_join
 
 
 def _stream(relation, records):
@@ -160,6 +160,6 @@ class TestPropertyBased:
         matched = _run_symmetric(joiner, left, right, rng)
         assert matched == _reference_pairs(left, right, predicate)
         expected_count = len(
-            cross_join_reference([t.record for t in left], [t.record for t in right], predicate)
+            reference_join([t.record for t in left], [t.record for t in right], predicate)
         )
         assert len(matched) == expected_count

@@ -1,4 +1,4 @@
-"""Tests for join predicates and the reference cross-join evaluator."""
+"""Tests for join predicates and the brute-force references of repro.testing."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +10,9 @@ from repro.joins.predicates import (
     EquiPredicate,
     NotEqualPredicate,
     ThetaPredicate,
-    cross_join_reference,
 )
+from repro.engine.stream import StreamTuple
+from repro.testing import reference_join, reference_probe
 
 
 class TestEquiPredicate:
@@ -118,15 +119,55 @@ class TestExactKeyContract:
         assert not check({"k": 1, "v": 1}, {"k": 1, "w": 9})
 
 
-class TestCrossJoinReference:
+class TestReferenceJoin:
     def test_counts_matching_pairs(self):
         left = [{"k": 1}, {"k": 2}]
         right = [{"k": 2}, {"k": 2}, {"k": 3}]
-        matches = cross_join_reference(left, right, EquiPredicate("k", "k"))
+        matches = reference_join(left, right, EquiPredicate("k", "k"))
         assert matches == [(1, 0), (1, 1)]
 
     def test_cross_product_upper_bound(self):
         left = [{"k": i} for i in range(4)]
         right = [{"k": i} for i in range(5)]
         always = ThetaPredicate(lambda l, r: True)
-        assert len(cross_join_reference(left, right, always)) == 20
+        assert len(reference_join(left, right, always)) == 20
+
+
+class TestReferenceProbe:
+    """The closed-form probe oracle: matches by ``predicate.matches``, work
+    by the primary condition, floored at 1."""
+
+    def _stored(self):
+        return [
+            StreamTuple(relation=relation, record={"k": k, "v": v})
+            for relation, k, v in (
+                ("S", 1, 0), ("S", 1, 1), ("S", 2, 0), ("S", 4, 1), ("R", 1, 0),
+            )
+        ]
+
+    def test_work_counts_the_primary_condition(self):
+        item = StreamTuple(relation="R", record={"k": 1, "v": 0})
+        composite = CompositePredicate(
+            BandPredicate("k", "k", width=1), residuals=[lambda l, r: l["v"] == r["v"]]
+        )
+        matches, work = reference_probe(composite, self._stored(), item, left_relation="R")
+        assert [m.record for m in matches] == [{"k": 1, "v": 0}, {"k": 2, "v": 0}]
+        assert work == 3.0  # the band holds three S tuples; the R tuple is no partner
+        _, work = reference_probe(
+            EquiPredicate("k", "k"), self._stored(), item, left_relation="R"
+        )
+        assert work == 2.0
+        _, work = reference_probe(
+            ThetaPredicate(lambda l, r: False), self._stored(), item, left_relation="R"
+        )
+        assert work == 4.0
+
+    def test_orients_pairs_and_floors_work(self):
+        item = StreamTuple(relation="S", record={"k": 9, "v": 0})
+        later = ThetaPredicate(lambda l, r: l["k"] < r["k"])
+        matches, _ = reference_probe(later, self._stored(), item, left_relation="R")
+        assert [m.record for m in matches] == [{"k": 1, "v": 0}]
+        _, work = reference_probe(
+            EquiPredicate("k", "k"), self._stored(), item, left_relation="R"
+        )
+        assert work == 1.0

@@ -20,11 +20,11 @@ from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import make_query
 from repro.data.tpch import generate_dataset
 from repro.engine.stream import fluctuating_order, make_tuples
-from repro.joins.predicates import cross_join_reference
+from repro.testing import reference_join
 
 
 def _reference_count(query):
-    return len(cross_join_reference(query.left_records, query.right_records, query.predicate))
+    return len(reference_join(query.left_records, query.right_records, query.predicate))
 
 
 def _assert_correct(result, query):

@@ -7,10 +7,10 @@ Pins the contract of ``MatchGroup`` / ``LatencyLedger`` / ``record_outputs``:
   the float64 values of the per-pair formula, the mean is their single
   ``math.fsum`` and does not depend on recording order, and
   ``collect_outputs=True`` still yields oriented ``(left_id, right_id)`` pairs;
-* **differential** — both probe engines on both data planes are the same
-  simulation (heap events included) with equal output multisets on migrating
-  equi / band / composite joins whose Δ, Δ' and µ emission paths all fire,
-  and under a crash too;
+* **differential** — both data planes are the same simulation with output
+  multisets equal to the brute-force join on migrating equi / band /
+  composite joins whose Δ, Δ' and µ emission paths all fire, and under a
+  crash too;
 * **allocation** — a dense run holds O(probes) ledger entries, not
   O(outputs), and the collector keeps no Python object per join result.
 """
@@ -30,9 +30,7 @@ from repro.data.queries import JoinQuery
 from repro.engine.metrics import LatencyLedger, MatchGroup, MetricsCollector
 from repro.engine.stream import StreamTuple, interleave_streams, make_tuples
 from repro.joins.predicates import BandPredicate, CompositePredicate, EquiPredicate
-from repro.testing import assert_run_equivalent
-
-ENGINES = ["scalar", "vectorized"]
+from repro.testing import assert_run_equivalent, reference_outputs
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +170,7 @@ class TestLedgerUnit:
 
 
 # ---------------------------------------------------------------------------
-# (b) differential: engines x planes on migrating joins, all emission paths
+# (b) differential: planes x the reference on migrating joins, all emission paths
 # ---------------------------------------------------------------------------
 
 MACHINES = 8
@@ -249,49 +247,38 @@ def emission_paths(monkeypatch):
     return emitted
 
 
-class TestEnginesAgreeOnEveryPlane:
+class TestPlanesAgreeWithTheReference:
     @pytest.mark.parametrize("kind", sorted(PREDICATES))
     def test_same_simulation_same_outputs(self, kind, emission_paths):
         query = _query(kind)
         order = _arrival_order(query)
-        oracle = _run(query, order, probe_engine="scalar", **PLANES["per_tuple"])
+        oracle = _run(query, order, **PLANES["per_tuple"])
         assert oracle.migrations >= 1, f"{kind}: scenario must migrate"
         assert oracle.output_count > len(order), f"{kind}: scenario must be dense"
         for path in ("delta", "delta_prime", "mu"):
             assert emission_paths[path] > 0, f"{kind}: no result left the {path} path"
-        multiset = Counter(oracle.outputs)
-        for plane, knobs in PLANES.items():
-            reference = _run(query, order, probe_engine="scalar", **knobs)
-            # Plane vs plane: heap events legitimately differ, the rest may not.
-            assert_run_equivalent(oracle, reference, label=f"{kind}/{plane}")
-            for engine in ENGINES[1:]:
-                result = _run(query, order, probe_engine=engine, **knobs)
-                label = f"{kind}/{plane}/{engine}"
-                assert_run_equivalent(reference, result, events=True, label=label)
-                assert Counter(result.outputs) == multiset, label
+        multiset = reference_outputs(query, order)
+        assert Counter(oracle.outputs) == multiset, kind
+        adaptive = _run(query, order, **PLANES["adaptive"])
+        # Plane vs plane: heap events legitimately differ, the rest may not.
+        assert_run_equivalent(oracle, adaptive, label=f"{kind}/adaptive")
+        assert Counter(adaptive.outputs) == multiset, f"{kind}/adaptive"
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_crash_recovery_cell(self, engine):
+    @pytest.mark.parametrize("kind", sorted(PREDICATES))
+    def test_crash_recovery_cell(self, kind):
         """A crashed machine's replay re-runs the probes but must not emit
-        twice: the recovered output multiset is the fault-free twin's, and
-        the crashed run is the same simulation on every engine."""
-        query = _query("equi")
+        twice: the recovered output multiset is the fault-free twin's, which
+        is the brute-force join."""
+        query = _query(kind)
         order = _arrival_order(query)
-        knobs = dict(PLANES["adaptive"], probe_engine=engine)
+        knobs = PLANES["adaptive"]
         twin = _run(query, order, **knobs)
         crashed = _run(
             query, order, fault_schedule=(crash_after_events(3, 150),), **knobs
         )
         assert crashed.faults_injected == 1 and crashed.tuples_replayed > 0
         assert Counter(crashed.outputs) == Counter(twin.outputs)
-        if engine != "scalar":
-            oracle = _run(
-                query,
-                order,
-                fault_schedule=(crash_after_events(3, 150),),
-                **dict(knobs, probe_engine="scalar"),
-            )
-            assert_run_equivalent(oracle, crashed, events=True, label=f"crash/{engine}")
+        assert Counter(twin.outputs) == reference_outputs(query, order)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +302,8 @@ def _dense_query(per_side=320) -> JoinQuery:
     )
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_dense_run_keeps_no_object_per_result(engine, monkeypatch):
+@pytest.mark.parametrize("plane", ["fixed", "adaptive"])
+def test_dense_run_keeps_no_object_per_result(plane, monkeypatch):
     query = _dense_query()
     order = _arrival_order(query)
     seen = {"groups": 0}
@@ -332,10 +319,9 @@ def test_dense_run_keeps_no_object_per_result(engine, monkeypatch):
         query,
         config=RunConfig(
             machines=4,
-            batching="adaptive",
+            batching=plane,
             inter_arrival=0.0,
             warmup_tuples=len(order),
-            probe_engine=engine,
         ),
     )
     gc.collect()

@@ -1,17 +1,19 @@
-"""Differential tests for the batch-aware probe engine.
+"""Differential tests for the batch probe against the brute-force reference.
 
-The ``scalar`` probe engine defines the reference semantics: per-member
-``probe`` (full per-candidate predicate re-validation) followed by ``insert``.
-The ``vectorized`` engine must produce, per member, exactly the same matches
-and the same charged work units across every predicate kind — including
-intra-batch self-join pairs — and the epoch state machine must charge exactly
-the same probe work when probing tag-partitioned stores mid-migration.
+:func:`repro.testing.reference_probe` states what probing a tuple must
+return: the stored opposite tuples satisfying ``predicate.matches``, and as
+work the number satisfying its primary condition, floored at 1.
+``LocalJoiner.probe_batch`` must produce, per member, exactly those matches
+and that work across every predicate kind — including intra-batch self-join
+pairs, for any batch partitioning — and the epoch state machine must charge
+exactly the same probe work when probing tag-partitioned stores
+mid-migration.
 """
 
 import random
+from collections import Counter
 
 import pytest
-from repro.testing import assert_run_equivalent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,8 +28,8 @@ from repro.joins.predicates import (
     EquiPredicate,
     NotEqualPredicate,
     ThetaPredicate,
-    cross_join_reference,
 )
+from repro.testing import reference_join, reference_probe
 
 
 def _predicate(name):
@@ -47,14 +49,13 @@ def _predicate(name):
         return CompositePredicate(
             BandPredicate("v", "v", width=3), residuals=[lambda l, r: l["k"] != r["k"]]
         )
-    if name == "band-exact":
-        # Int keys with an integral float width: the window edges are exact,
-        # so the vectorized engine takes the window as the match set while
-        # the scalar oracle still validates every pair.
-        return BandPredicate("v", "v", width=2.0)
-    if name == "composite-band-exact":
+    if name == "band-float":
+        # Tenths are inexact floats: differences round onto either side of
+        # the band edge.
+        return BandPredicate("f", "f", width=0.3)
+    if name == "composite-band-float":
         return CompositePredicate(
-            BandPredicate("v", "v", width=3.0),
+            BandPredicate("f", "f", width=0.3),
             residuals=[lambda l, r: l["k"] != r["k"]],
         )
     raise ValueError(name)
@@ -67,8 +68,8 @@ PREDICATE_NAMES = [
     "notequal",
     "composite-equi",
     "composite-band",
-    "band-exact",
-    "composite-band-exact",
+    "band-float",
+    "composite-band-float",
 ]
 
 
@@ -76,7 +77,11 @@ def _mixed_stream(rng, count, keys=5, values=12):
     return [
         StreamTuple(
             relation=rng.choice(("R", "S")),
-            record={"k": rng.randrange(keys), "v": rng.randrange(values)},
+            record={
+                "k": rng.randrange(keys),
+                "v": rng.randrange(values),
+                "f": rng.randrange(values) / 10,
+            },
         )
         for _ in range(count)
     ]
@@ -86,6 +91,10 @@ def _pair_ids(item, matches, left_relation="R"):
     if item.relation == left_relation:
         return {(item.tuple_id, m.tuple_id) for m in matches}
     return {(m.tuple_id, item.tuple_id) for m in matches}
+
+
+def _ids(matches):
+    return Counter(match.tuple_id for match in matches)
 
 
 def _drive(joiner, items, batch_sizes, rng):
@@ -100,30 +109,36 @@ def _drive(joiner, items, batch_sizes, rng):
     return per_member
 
 
+def _assert_reference(predicate, per_member):
+    """Each member's ``(matches, work)`` is ``reference_probe`` over every
+    tuple before it in the stream."""
+    stored = []
+    for item, (matches, work) in per_member:
+        want_matches, want_work = reference_probe(
+            predicate, stored, item, left_relation="R"
+        )
+        assert _ids(matches) == _ids(want_matches), f"tuple {item.tuple_id}"
+        assert work == want_work, f"work diverged on tuple {item.tuple_id}"
+        stored.append(item)
+
+
 class TestProbeBatchDifferential:
     @pytest.mark.parametrize("name", PREDICATE_NAMES)
-    def test_matches_and_work_equal_scalar_reference(self, name):
+    def test_matches_and_work_equal_reference_probe(self, name):
         rng = random.Random(hash(name) % 65536)
         items = _mixed_stream(rng, 200)
-        scalar = make_local_joiner(_predicate(name), "R", "S", engine="scalar")
-        vector = make_local_joiner(_predicate(name), "R", "S", engine="vectorized")
-        batch_rng = random.Random(11)
-        scalar_out = _drive(scalar, items, (1, 3, 7, 16), batch_rng)
-        batch_rng = random.Random(11)
-        vector_out = _drive(vector, items, (1, 3, 7, 16), batch_rng)
-        for (s_item, (s_matches, s_work)), (v_item, (v_matches, v_work)) in zip(
-            scalar_out, vector_out
-        ):
-            assert s_item is v_item
-            assert _pair_ids(s_item, s_matches) == _pair_ids(v_item, v_matches)
-            assert s_work == v_work, f"work diverged for {name} on tuple {s_item.tuple_id}"
+        predicate = _predicate(name)
+        joiner = make_local_joiner(predicate, "R", "S")
+        _assert_reference(
+            predicate, _drive(joiner, items, (1, 3, 7, 16), random.Random(11))
+        )
 
     @pytest.mark.parametrize("name", PREDICATE_NAMES)
-    def test_probe_batch_output_matches_cross_join_reference(self, name):
+    def test_probe_batch_output_matches_reference_join(self, name):
         rng = random.Random(hash(name) % 1024 + 1)
         items = _mixed_stream(rng, 150)
         predicate = _predicate(name)
-        joiner = make_local_joiner(predicate, "R", "S", engine="vectorized")
+        joiner = make_local_joiner(predicate, "R", "S")
         produced = set()
         for item, (matches, _work) in _drive(joiner, items, (4, 8, 13), random.Random(2)):
             produced |= _pair_ids(item, matches)
@@ -131,7 +146,7 @@ class TestProbeBatchDifferential:
         right = [t for t in items if t.relation == "S"]
         expected = {
             (left[li].tuple_id, right[ri].tuple_id)
-            for li, ri in cross_join_reference(
+            for li, ri in reference_join(
                 [t.record for t in left], [t.record for t in right], predicate
             )
         }
@@ -155,6 +170,13 @@ class TestProbeBatchDifferential:
             joiner.probe_batch([StreamTuple(relation="T", record={"k": 1, "v": 0})])
 
 
+def _batched(joiner, items, batch_size):
+    results = []
+    for pos in range(0, len(items), batch_size):
+        results.extend(joiner.probe_batch(items[pos:pos + batch_size]))
+    return list(zip(items, results))
+
+
 class TestPropertyBased:
     @given(
         st.lists(
@@ -166,23 +188,14 @@ class TestPropertyBased:
     )
     @settings(max_examples=60, deadline=None)
     def test_equi_batches_invariant(self, spec, batch_size):
-        """Any batch partitioning yields the scalar per-member results."""
+        """Any batch partitioning yields the reference per-member results."""
         items = [
             StreamTuple(relation="R" if is_left else "S", record={"k": k, "v": v})
             for is_left, k, v in spec
         ]
-        scalar = make_local_joiner(EquiPredicate("k", "k"), "R", "S", engine="scalar")
-        vector = make_local_joiner(EquiPredicate("k", "k"), "R", "S", engine="vectorized")
-        scalar_results = scalar.probe_batch(items)  # one batch == full sequence
-        vector_results = []
-        for pos in range(0, len(items), batch_size):
-            vector_results.extend(vector.probe_batch(items[pos:pos + batch_size]))
-        assert len(scalar_results) == len(vector_results)
-        for item, (s_matches, s_work), (v_matches, v_work) in zip(
-            items, scalar_results, vector_results
-        ):
-            assert _pair_ids(item, s_matches) == _pair_ids(item, v_matches)
-            assert s_work == v_work
+        predicate = EquiPredicate("k", "k")
+        joiner = make_local_joiner(predicate, "R", "S")
+        _assert_reference(predicate, _batched(joiner, items, batch_size))
 
     @given(
         st.lists(
@@ -197,15 +210,8 @@ class TestPropertyBased:
             for is_left, v in spec
         ]
         predicate = BandPredicate("v", "v", width=width)
-        scalar = make_local_joiner(predicate, "R", "S", engine="scalar")
-        vector = make_local_joiner(predicate, "R", "S", engine="vectorized")
-        scalar_results = scalar.probe_batch(items)
-        vector_results = vector.probe_batch(items)
-        for item, (s_matches, s_work), (v_matches, v_work) in zip(
-            items, scalar_results, vector_results
-        ):
-            assert _pair_ids(item, s_matches) == _pair_ids(item, v_matches)
-            assert s_work == v_work
+        joiner = make_local_joiner(predicate, "R", "S")
+        _assert_reference(predicate, _batched(joiner, items, len(items) or 1))
 
     @given(
         st.lists(
@@ -215,70 +221,17 @@ class TestPropertyBased:
         st.integers(1, 9),
     )
     @settings(max_examples=60, deadline=None)
-    def test_range_complete_band_matches_scalar_oracle(self, spec, width, batch_size):
-        """For integer-keyed bands the window is the match set (no
-        per-candidate re-validation); that must be indistinguishable from
-        the scalar oracle, which always re-validates — for any workload,
-        width and batch partitioning."""
+    def test_band_slice_is_the_match_set(self, spec, width, batch_size):
+        """The band slice is taken as the match set (no per-candidate
+        validation); that must be indistinguishable from brute force — for
+        any workload, width and batch partitioning."""
         items = [
             StreamTuple(relation="R" if is_left else "S", record={"v": v, "k": 0})
             for is_left, v in spec
         ]
         predicate = BandPredicate("v", "v", width=width)
-        scalar = make_local_joiner(predicate, "R", "S", engine="scalar")
-        vector = make_local_joiner(predicate, "R", "S", engine="vectorized")
-        scalar_results = scalar.probe_batch(items)
-        vector_results = []
-        for pos in range(0, len(items), batch_size):
-            vector_results.extend(vector.probe_batch(items[pos:pos + batch_size]))
-        for item, (s_matches, s_work), (v_matches, v_work) in zip(
-            items, scalar_results, vector_results
-        ):
-            assert _pair_ids(item, s_matches) == _pair_ids(item, v_matches)
-            assert s_work == v_work
-
-
-class TestEngineRunEquivalence:
-    """Run-level scalar-vs-vectorized pin through the shared helper.
-
-    The scalar engine is the differential-testing oracle: on any full
-    operator run it must produce a bit-identical simulation — outputs,
-    migration sequence and timing, per-machine busy chains, probe work,
-    latency and network volumes (``assert_run_equivalent`` with full
-    strictness).  The per-batch/per-batch-size sweep lives in
-    ``test_batching_equivalence.py``; this pins the engines on both data
-    planes at operator defaults.
-    """
-
-    @pytest.mark.parametrize("query_name", ["EQ5", "BNCI"])
-    @pytest.mark.parametrize("batching", ["fixed", "adaptive"])
-    def test_scalar_oracle_is_bit_identical(self, small_dataset, query_name, batching):
-        from repro.api import JoinSession, RunConfig
-        from repro.data.queries import make_query
-        from repro.engine.stream import interleave_streams, make_tuples
-
-        query = make_query(query_name, small_dataset)
-        rng = random.Random(5)
-        left = make_tuples(
-            query.left_relation, query.left_records, rng, query.left_tuple_size
-        )
-        right = make_tuples(
-            query.right_relation, query.right_records, rng, query.right_tuple_size
-        )
-        order = interleave_streams(left, right, rng)
-        results = {}
-        for engine in ("scalar", "vectorized"):
-            config = RunConfig(
-                machines=8, seed=5, warmup_tuples=16, probe_engine=engine,
-                batching=batching,
-            )
-            results[engine] = JoinSession(query, config=config).run(
-                arrival_order=order, collect_outputs=True
-            )
-        assert_run_equivalent(
-            results["scalar"], results["vectorized"],
-            label=f"{query_name}/{batching}",
-        )
+        joiner = make_local_joiner(predicate, "R", "S")
+        _assert_reference(predicate, _batched(joiner, items, batch_size))
 
 
 def _shadow_candidate_count(stored_by_tag, item):
