@@ -21,38 +21,12 @@ def test_fig7a_throughput(benchmark):
     assert by_key[("BNCI", "Dynamic")] > by_key[("BNCI", "StaticMid")]
 
 
-def test_fig7a_batched_dataplane_efficiency():
-    """The operator-default batched data plane runs the fig7a workload with
-    >=5x fewer simulator events than the per-tuple plane, at identical output
-    counts per operator."""
-    totals = {}
-    outputs = {}
-    for batch_size in (1, None):  # None = operator default (batched)
-        config = ExperimentConfig(
-            machines=16, scale=0.4, skew="Z4", seed=1, batch_size=batch_size
-        )
-        query = build_query("EQ5", config)
-        events = 0
-        outs = {}
-        for kind in ("SHJ", "StaticMid", "Dynamic", "StaticOpt"):
-            result = run_single(kind, query, config)
-            events += result.events_processed
-            outs[kind] = result.output_count
-        totals[batch_size] = events
-        outputs[batch_size] = outs
-    assert outputs[1] == outputs[None]
-    assert totals[1] >= 5 * totals[None], (
-        f"expected >=5x fewer events, got {totals[1]} vs {totals[None]}"
-    )
-
-
-def _fig7a_wall_clock(batch_size, repetitions=3, batching="fixed"):
+def _fig7a_wall_clock(batching="adaptive", repetitions=3):
     """Best-of-N wall-clock of the four fig7a operators on EQ5/Z4."""
     best = None
     for _ in range(repetitions):
         config = ExperimentConfig(
-            machines=16, scale=0.4, skew="Z4", seed=1, batch_size=batch_size,
-            batching=batching,
+            machines=16, scale=0.4, skew="Z4", seed=1, batching=batching
         )
         query = build_query("EQ5", config)
         start = time.perf_counter()
@@ -64,70 +38,35 @@ def _fig7a_wall_clock(batch_size, repetitions=3, batching="fixed"):
     return best, outs
 
 
-def test_fig7a_batched_probe_wall_clock():
-    """The batched (batch_size=64) fig7a workload, whose joiners probe whole
-    batches, runs >=1.5x faster wall-clock than the per-tuple plane.
-
-    Note this end-to-end gate would pass on transport batching alone:
-    simulator bookkeeping dominates the end-to-end wall, so probe-specific
-    gates live in bench_probe_engine.py, where probe work dominates.
-    """
-    per_tuple_wall, per_tuple_outs = _fig7a_wall_clock(1)
-    batched_wall, batched_outs = _fig7a_wall_clock(64)
-    assert per_tuple_outs == batched_outs
-    assert per_tuple_wall >= 1.5 * batched_wall, (
-        f"expected >=1.5x wall-clock win, got per-tuple {per_tuple_wall:.3f}s "
-        f"vs batched {batched_wall:.3f}s"
-    )
-
-
 def test_fig7a_adaptive_dataplane_wall_clock():
-    """The adaptive plane runs the fig7a workload >=1.5x faster wall-clock
-    than the pinned per-tuple reference — at *reference semantics*: unlike
-    the fixed batched plane, the results are not merely equal output counts
-    but bit-identical simulations (virtual times, migrations, latencies;
-    pinned cell by cell in tests/test_adaptive_conformance.py).
-
-    With wire-level delivery merging (this plane's default) the adaptive
-    plane must additionally reach *parity with the fixed plane* — the
-    sender-side batcher that trades virtual-time exactness for speed — within
-    a noise band: the fixed plane's remaining edge is bounded, so "fastest
-    plane" and "reference semantics" are no longer a trade-off.  (On the
-    development machine the suite measures per-tuple 0.24s / adaptive 0.15s /
-    fixed 0.14s — adaptive ~1.6x the reference and within ~10% of fixed, vs
-    the ~1.5x/~1.7x split recorded by the previous release: the merged
-    adaptive plane is ~1.7x the wall of its unmerged predecessor.  The CI
-    breadcrumb tracks the absolute walls across releases.)
+    """The default (adaptive) plane runs the fig7a workload >=1.5x faster
+    wall-clock than the pinned per-tuple reference — at *reference
+    semantics*: the results are bit-identical simulations (virtual times,
+    migrations, latencies; pinned cell by cell in
+    tests/test_adaptive_conformance.py), not merely equal output counts.
 
     The planes are measured interleaved (best-of-N each, after one untimed
-    warm-up pass) so slow drift on shared runners biases none of them.
+    warm-up pass) so slow drift on shared runners biases neither of them.
     """
-    _fig7a_wall_clock(1, repetitions=1)  # warm caches/imports
-    _fig7a_wall_clock(None, repetitions=1, batching="adaptive")
-    _fig7a_wall_clock(64, repetitions=1)
-    per_tuple_wall = adaptive_wall = fixed_wall = None
+    _fig7a_wall_clock("per_tuple", repetitions=1)  # warm caches/imports
+    _fig7a_wall_clock("adaptive", repetitions=1)
+    per_tuple_wall = adaptive_wall = None
     for _ in range(5):
-        wall, per_tuple_outs = _fig7a_wall_clock(1, repetitions=1)
+        wall, per_tuple_outs = _fig7a_wall_clock("per_tuple", repetitions=1)
         per_tuple_wall = wall if per_tuple_wall is None else min(per_tuple_wall, wall)
-        wall, adaptive_outs = _fig7a_wall_clock(None, repetitions=1, batching="adaptive")
+        wall, adaptive_outs = _fig7a_wall_clock("adaptive", repetitions=1)
         adaptive_wall = wall if adaptive_wall is None else min(adaptive_wall, wall)
-        wall, fixed_outs = _fig7a_wall_clock(64, repetitions=1)
-        fixed_wall = wall if fixed_wall is None else min(fixed_wall, wall)
-    assert per_tuple_outs == adaptive_outs == fixed_outs
+    assert per_tuple_outs == adaptive_outs
     assert per_tuple_wall >= 1.5 * adaptive_wall, (
         f"expected >=1.5x wall-clock win at reference semantics, got per-tuple "
         f"{per_tuple_wall:.3f}s vs adaptive {adaptive_wall:.3f}s"
     )
-    assert adaptive_wall <= 1.25 * fixed_wall, (
-        f"adaptive plane lost parity with the fixed plane: adaptive "
-        f"{adaptive_wall:.3f}s vs fixed {fixed_wall:.3f}s"
-    )
 
 
 def test_fig7a_merged_wire_heap_events():
-    """The adaptive plane, which runs on the merged wire, cuts heap events
-    >=10x against the per-tuple reference plane (``batch_size=1``, unmerged
-    wire) while staying a bit-identical simulation: 923 vs 11,432 on this
+    """The default (adaptive) plane, which runs on the merged wire, cuts heap
+    events >=10x against the per-tuple reference plane (unmerged wire) while
+    staying a bit-identical simulation: 923 vs 11,432 on this
     cell, where the merged run's heap holds nothing but the ticks that run
     its 923 handler invocations (the saturated input never leaves a machine
     waiting for a wake-up).
@@ -135,11 +74,10 @@ def test_fig7a_merged_wire_heap_events():
     Heap events are deterministic counters, so this gate is noise-free.
     """
     results = {}
-    for label, plane in (
-        ("merged", {"batch_size": None, "batching": "adaptive"}),
-        ("unmerged", {"batch_size": 1}),
-    ):
-        config = ExperimentConfig(machines=16, scale=0.4, skew="Z4", seed=1, **plane)
+    for label, batching in (("merged", "adaptive"), ("unmerged", "per_tuple")):
+        config = ExperimentConfig(
+            machines=16, scale=0.4, skew="Z4", seed=1, batching=batching
+        )
         # Rebuilding the query per run re-draws identical datasets (same
         # seed); outputs are compared by count + timing here — id-level
         # output equality runs on shared arrival orders in
@@ -163,9 +101,9 @@ def test_fig7a_merged_wire_heap_events():
 
 
 def test_fig7a_adaptive_reproduces_reference_figure():
-    """fig7a on the adaptive plane is the *same figure* as the per-tuple
-    reference — every reported number matches exactly, which is what finally
-    lets the paper-figure drivers run batched."""
-    reference = fig7a_throughput(scale=0.2, machines=8, seed=1)
-    adaptive = fig7a_throughput(scale=0.2, machines=8, seed=1, batching="adaptive")
+    """fig7a on the default (adaptive) plane is the *same figure* as the
+    per-tuple reference — every reported number matches exactly, which is
+    what lets the paper-figure drivers run batched."""
+    reference = fig7a_throughput(scale=0.2, machines=8, seed=1, batching="per_tuple")
+    adaptive = fig7a_throughput(scale=0.2, machines=8, seed=1)
     assert adaptive.rows == reference.rows

@@ -29,17 +29,17 @@ def main() -> None:
     print()
 
     # 2. One config, one session; the operator kind is a per-run choice.
-    #    batching="adaptive" runs the batched data plane at reference
-    #    semantics: flipping this one line changes wall-clock and simulator
-    #    event counts, but not a single reported number (results and virtual
-    #    times are bit-identical to the per-tuple plane — see
+    #    The default data plane drains inbox backlogs in batches at
+    #    reference semantics: batching="per_tuple" would change wall-clock
+    #    and simulator event counts, but not a single reported number
+    #    (results and virtual times are bit-identical — see
     #    tests/test_adaptive_conformance.py).
     #
     #    Joiners take the index's word for the match set: a hash bucket is
     #    the equi match set, and a band's slice of the ordered index is cut
     #    by the predicate's own |l - r| <= w at its edges, for int and float
     #    keys alike — only composite residuals run per pair.
-    config = RunConfig(machines=16, seed=7, batching="adaptive")
+    config = RunConfig(machines=16, seed=7)
     session = JoinSession(query, config=config)
 
     header = f"{'operator':<12} {'exec time':>10} {'throughput':>11} {'max ILF':>9} {'storage':>9} {'migrations':>11} {'mapping':>9}"

@@ -15,8 +15,8 @@ dataflow operator together with every substrate its evaluation depends on:
   figure of §5,
 * :mod:`repro.api`     — the public session API: typed
   :class:`~repro.api.RunConfig`, the :class:`~repro.api.JoinSession` facade
-  (materialised and streaming ingestion) and the operator/predicate/
-  batching registries.
+  (materialised and streaming ingestion) and the operator/predicate
+  registries.
 
 Quickstart::
 

@@ -8,9 +8,8 @@ One coherent front door over the operator stack:
   incremental ``push()`` / ``finish()`` streaming mode with mid-run
   :class:`StreamSnapshot` observability.
 * :func:`build_operator` — registry-backed operator construction.
-* Registries — :func:`register_operator`, :func:`register_predicate`,
-  :func:`register_batch_controller` let new backends and scenarios plug in
-  without touching core modules.
+* Registries — :func:`register_operator` and :func:`register_predicate` let
+  new operators and predicate kinds plug in without touching core modules.
 
 Quickstart::
 
@@ -23,14 +22,12 @@ Quickstart::
     final = session.finish()
 """
 
-from repro.api.config import ARRIVAL_PATTERNS, RunConfig
+from repro.api.config import ARRIVAL_PATTERNS, BATCHING_PLANES, RunConfig
 from repro.api.registry import (
     PredicateKind,
     Registry,
-    batch_controllers,
     operators,
     predicate_kinds,
-    register_batch_controller,
     register_operator,
     register_predicate,
 )
@@ -49,6 +46,7 @@ from repro.engine.faults import (
 
 __all__ = [
     "ARRIVAL_PATTERNS",
+    "BATCHING_PLANES",
     "FaultSpec",
     "JoinSession",
     "NetworkFaultSpec",
@@ -57,7 +55,6 @@ __all__ = [
     "RunConfig",
     "StreamSnapshot",
     "UnreachableLinkError",
-    "batch_controllers",
     "build_operator",
     "crash",
     "crash_after_events",
@@ -67,7 +64,6 @@ __all__ = [
     "operators",
     "partition",
     "predicate_kinds",
-    "register_batch_controller",
     "register_operator",
     "register_predicate",
 ]

@@ -10,7 +10,7 @@ layer, the :class:`~repro.api.session.JoinSession` facade, the bench harness
 and the CLI (``--config file.json``).
 
 Validation happens at construction — an invalid ``batching`` or ``layout``
-fails immediately with the registered choices listed, instead of deep inside
+fails immediately with the valid choices listed, instead of deep inside
 operator / ``GridPlacement`` construction mid-run.
 
 ``to_dict()`` / ``from_dict()`` round-trip exactly (pinned by tests), so a
@@ -24,10 +24,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-# Importing the built-in batching registrations keeps validation meaningful
-# even when repro.api.config is imported before the rest of repro.
-import repro.engine.batching  # noqa: F401  (populates the batch-controller registry)
-from repro.api.registry import LAYOUTS, batch_controllers
+from repro.api.registry import LAYOUTS
 from repro.engine.faults import (
     FaultSpec,
     normalize_fault_schedule,
@@ -38,15 +35,18 @@ from repro.engine.faults import (
 #: (see :func:`repro.engine.stream.interleave_streams`).
 ARRIVAL_PATTERNS = ("uniform", "alternate", "r_first", "s_first")
 
+#: Data planes (see :mod:`repro.engine.batching`): ``"adaptive"`` coalesces
+#: backlog at the receiver, ``"per_tuple"`` handles every message on its own.
+BATCHING_PLANES = ("adaptive", "per_tuple")
+
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
     """Every knob of one operator run, validated eagerly, immutable.
 
-    Field defaults are the *operator's* tuned defaults (e.g. ``batch_size=None``
-    selects the batched data plane's ``DEFAULT_BATCH_SIZE``); layers that need
-    different reference semantics (the paper-figure drivers pin
-    ``batch_size=1``) say so explicitly instead of re-declaring defaults.
+    Field defaults are the *operator's* tuned defaults; a layer that needs
+    something else (the blocking ablation pins ``batching="per_tuple"``) says
+    so explicitly instead of re-declaring defaults.
 
     Attributes:
         machines: number of joiners J (the operator requires a power of two).
@@ -58,23 +58,18 @@ class RunConfig:
         blocking: model the blocking actuation protocol instead of Alg. 3.
         memory_capacity: per-machine storage budget; ``None`` = unbounded.
         sample_every: controller sampling period for ILF/ratio time series.
-        batch_size: data-plane micro-batch size; ``None`` selects the tuned
-            default (64), ``1`` the per-tuple reference plane.  Fixed plane
-            only — the adaptive plane sizes its runs dynamically and rejects
-            an explicit ``batch_size``.
-        batching: batching plane; must name a registered batch controller.
-            ``"fixed"`` (default) is the sender-side micro-batch plane sized
-            by ``batch_size``; ``"adaptive"`` keeps the wire per-tuple and
-            coalesces backlog at the receiver — bit-identical results and
-            virtual times to ``batch_size=1`` (pinned by the conformance
-            suite), with the event/wall-clock savings of batching.  The
-            plane also picks the wire: ``"adaptive"`` runs on the merged
+        batching: data plane, one of :data:`BATCHING_PLANES`.
+            ``"adaptive"`` (default) keeps the wire per-tuple and coalesces
+            backlog at the receiver, up to
+            :data:`~repro.engine.batching.DEFAULT_BATCH_MAX` messages per
+            handler invocation — bit-identical results and virtual times to
+            ``"per_tuple"`` (pinned by the conformance suite), with the
+            event/wall-clock savings of batching.  It runs on the merged
             wire (per-channel runs parked on the receiver from send, settled
             in exact per-tuple order; the heap holds only the ticks they
-            wake), the fixed plane on the unmerged reference wire.
-        batch_max: largest run the adaptive controller may coalesce
-            (``None`` = the controller's default, 64).  Rejected when
-            ``batching="fixed"``.
+            wake).  ``"per_tuple"`` handles every message on its own on the
+            unmerged wire: the reference plane, and the only one the
+            blocking protocol runs on.
         arrival_pattern: interleaving of the two input streams (pacing).
         inter_arrival: virtual-time gap between consecutive arrivals (pacing;
             0 = joiners fully utilised).
@@ -124,9 +119,7 @@ class RunConfig:
     blocking: bool = False
     memory_capacity: float | None = None
     sample_every: int = 200
-    batch_size: int | None = None
-    batching: str = "fixed"
-    batch_max: int | None = None
+    batching: str = "adaptive"
     arrival_pattern: str = "uniform"
     inter_arrival: float = 0.0
     fault_schedule: tuple = ()
@@ -149,9 +142,7 @@ class RunConfig:
             ("blocking", self.blocking, bool, False),
             ("memory_capacity", self.memory_capacity, (int, float), True),
             ("sample_every", self.sample_every, int, False),
-            ("batch_size", self.batch_size, int, True),
             ("batching", self.batching, str, False),
-            ("batch_max", self.batch_max, int, True),
             ("arrival_pattern", self.arrival_pattern, str, False),
             ("inter_arrival", self.inter_arrival, (int, float), False),
             ("checkpoint_interval", self.checkpoint_interval, int, True),
@@ -243,37 +234,19 @@ class RunConfig:
             )
         if self.sample_every < 1:
             raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1 or None, got {self.batch_size}")
-        if self.batching not in batch_controllers:
+        if self.batching not in BATCHING_PLANES:
             raise ValueError(
-                f"unknown batching {self.batching!r}; registered choices: "
-                f"{', '.join(batch_controllers.names())}"
+                f"unknown batching {self.batching!r}; "
+                f"choices: {', '.join(BATCHING_PLANES)}"
             )
-        controller_class = batch_controllers.get(self.batching)
-        if not getattr(controller_class, "drains", False):
-            if self.batch_max is not None:
-                raise ValueError(
-                    f"batch_max is an adaptive-controller parameter; "
-                    f"batching={self.batching!r} sizes batches statically via "
-                    "batch_size"
-                )
-        else:
-            if self.batch_size is not None:
-                raise ValueError(
-                    f"batch_size applies to the fixed plane only; "
-                    f"batching={self.batching!r} sizes its runs dynamically "
-                    "(cap them with batch_max instead)"
-                )
-            if self.batch_max is not None and self.batch_max < 1:
-                raise ValueError(f"batch_max must be >= 1 or None, got {self.batch_max}")
-            if self.blocking:
-                raise ValueError(
-                    "adaptive batching requires the non-blocking migration "
-                    "protocol (blocking=False): the blocking protocol's "
-                    "buffered-resume control messages charge CPU time, which "
-                    "a coalesced run cannot reproduce per-tuple-exactly"
-                )
+        if self.blocking and self.batching == "adaptive":
+            raise ValueError(
+                "adaptive batching requires the non-blocking migration "
+                "protocol (blocking=False): the blocking protocol's "
+                "buffered-resume control messages charge CPU time, which "
+                "a coalesced run cannot reproduce per-tuple-exactly; use "
+                'batching="per_tuple" with blocking=True'
+            )
         if self.arrival_pattern not in ARRIVAL_PATTERNS:
             raise ValueError(
                 f"unknown arrival_pattern {self.arrival_pattern!r}; "

@@ -1,13 +1,12 @@
 """Pluggable component registries of the public API.
 
-Three registries replace the string-switches that used to be scattered
+Two registries replace the string-switches that used to be scattered
 through the code base:
 
 * **operators** — operator kind name → operator class (was the ``dict``
   switch inside :func:`repro.core.baselines.make_operator`),
 * **predicate_kinds** — predicate ``kind`` → local-join algorithm (was the
-  if/elif chain inside :func:`repro.joins.local.make_local_joiner`),
-* **batch_controllers** — batching plane name → controller class.
+  if/elif chain inside :func:`repro.joins.local.make_local_joiner`).
 
 The registries live in this dependency-free leaf module so that any layer can
 populate them at import time without cycles: :mod:`repro.joins.local`
@@ -90,10 +89,6 @@ operators = Registry("operator")
 #: Predicate ``kind`` → :class:`repro.api.registry.PredicateKind` spec.
 predicate_kinds = Registry("predicate kind")
 
-#: Batching plane name → :class:`repro.engine.batching.BatchController`
-#: subclass (``RunConfig.batching`` values: ``"fixed"``, ``"adaptive"``, ...).
-batch_controllers = Registry("batch controller")
-
 
 class PredicateKind:
     """What the system needs to know about one predicate ``kind``.
@@ -131,12 +126,3 @@ def register_predicate(
     spec = PredicateKind(name, joiner_factory, predicate_class)
     return predicate_kinds.register(name, spec, replace=replace)
 
-
-def register_batch_controller(name: str, controller_class, *, replace: bool = False):
-    """Register a batching plane (see :class:`repro.engine.batching.BatchController`).
-
-    The class is instantiated once per machine and per run with
-    ``controller_class(batch_max=...)`` when it advertises ``drains=True``;
-    non-draining planes (the built-in ``"fixed"``) are only validated against.
-    """
-    return batch_controllers.register(name, controller_class, replace=replace)

@@ -14,7 +14,8 @@ The output is the same plain-text report the corresponding benchmark prints.
 ``perf-breadcrumb.json``): its ``machines`` / ``seed`` become the drivers'
 defaults, overridable by the explicit ``--machines`` / ``--seed`` flags.
 The figure drivers pin their remaining knobs themselves (they regenerate the
-paper's evaluation, e.g. ``batch_size=1`` reference semantics), so any other
+paper's evaluation, e.g. the blocking ablation's ``batching="per_tuple"``
+row), so any other
 non-default field in the file is reported as ignored; to run an arbitrary
 config programmatically, use :class:`repro.api.JoinSession` directly.
 """
@@ -40,7 +41,6 @@ DRIVERS: dict[str, Callable[..., experiments.ExperimentReport]] = {
     "fig7cd": experiments.fig7cd_mapping_sweep,
     "fig8ab": experiments.fig8ab_weak_scaling,
     "fig8cd": experiments.fig8cd_fluctuations,
-    "batching": experiments.dataplane_batching,
     "ablation-epsilon": experiments.ablation_epsilon,
     "ablation-migration": experiments.ablation_migration_strategy,
     "ablation-blocking": experiments.ablation_blocking,

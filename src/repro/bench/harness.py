@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.api import JoinSession, RunConfig, batch_controllers
+from repro.api import JoinSession, RunConfig
 from repro.api.session import OPERATOR_ONLY_KWARGS
 from repro.core.results import RunResult
 from repro.data.queries import JoinQuery, make_query
@@ -34,19 +34,11 @@ class ExperimentConfig:
             finite values reproduce the disk-spill behaviour of Table 2.
         cost_model: optional cost-model override.
         inter_arrival: source pacing (0 = joiners fully utilised).
-        batch_size: fixed-plane micro-batch size.  Defaults to 1 — the
-            figure/table drivers regenerate the paper's evaluation, whose
-            reference semantics are per-tuple (fixed batching shifts the
-            epoch edge by up to batch_size tuples per reshuffler, which moves
-            marginal virtual-time comparisons at benchmark scales).  Pass
-            ``None`` for the operator's tuned batched default, or an explicit
-            size.  Ignored (forced to None) when ``batching="adaptive"``.
-        batching: batching plane.  ``"adaptive"`` lets figure drivers run
-            batched *at reference semantics*: results and virtual times are
-            bit-identical to ``batch_size=1`` (pinned by
+        batching: data plane.  The default ``"adaptive"`` runs the figure
+            drivers batched *at reference semantics*: results and virtual
+            times are bit-identical to ``"per_tuple"`` (pinned by
             ``tests/test_adaptive_conformance.py``), only wall-clock and
-            simulator-event counts change.
-        batch_max: adaptive-plane run-size cap (``None`` = controller default).
+            simulator-event counts differ.
         operator_kwargs: extra :class:`RunConfig` field overrides (and the
             operator-specific ``adaptive`` / ``initial_mapping``) applied to
             every run under this config — e.g. ``{"checkpoint_interval": 8}``.
@@ -59,9 +51,7 @@ class ExperimentConfig:
     memory_capacity: float | None = None
     cost_model: CostModel | None = None
     inter_arrival: float = 0.0
-    batch_size: int | None = 1
-    batching: str = "fixed"
-    batch_max: int | None = None
+    batching: str = "adaptive"
     operator_kwargs: dict = field(default_factory=dict)
 
     def run_config(self) -> RunConfig:
@@ -71,20 +61,12 @@ class ExperimentConfig:
         operator-specific extras (``adaptive``, ``initial_mapping``) are left
         to :meth:`session`'s call-site overrides.
         """
-        # Classify the plane by the registered controller's contract (not by
-        # name): only draining planes reject batch_size / accept batch_max.
-        controller_class = batch_controllers.get(self.batching)
-        drains = bool(getattr(controller_class, "drains", False))
         config = RunConfig(
             machines=self.machines,
             seed=self.seed,
             memory_capacity=self.memory_capacity,
             inter_arrival=self.inter_arrival,
-            # The adaptive plane sizes its runs dynamically; batch_size is a
-            # fixed-plane knob (RunConfig rejects the combination).
-            batch_size=None if drains else self.batch_size,
             batching=self.batching,
-            batch_max=self.batch_max if drains else None,
         )
         config_overrides = {
             key: value
@@ -151,9 +133,7 @@ def run_matrix(
             memory_capacity=config.memory_capacity,
             cost_model=config.cost_model,
             inter_arrival=config.inter_arrival,
-            batch_size=config.batch_size,
             batching=config.batching,
-            batch_max=config.batch_max,
             operator_kwargs=dict(config.operator_kwargs),
         )
         for query_name in query_names:

@@ -20,24 +20,19 @@ import random
 from typing import Sequence
 
 from repro.api.config import RunConfig
-from repro.api.registry import batch_controllers, register_operator
+from repro.api.registry import register_operator
 from repro.core.decision import MigrationController
 from repro.core.mapping import Mapping, is_power_of_two, optimal_mapping, square_mapping
 from repro.core.recovery import RecoveryManager
 from repro.core.results import RunResult
 from repro.core.tasks import HashReshufflerTask, JoinerTask, ReshufflerTask, Topology
 from repro.data.queries import JoinQuery
+from repro.engine.batching import AdaptiveBatchController
 from repro.engine.machine import CostModel
 from repro.engine.network import ReliableWire
 from repro.engine.simulator import Simulator
 from repro.engine.stream import ArrivalSchedule, StreamTuple, interleave_streams, make_tuples
 from repro.storage.checkpoint_store import CheckpointStore
-
-#: Default micro-batch size of the batched data plane.  Chosen so that scale-up
-#: runs are dominated by operator logic rather than per-event simulator
-#: overhead, while batches stay small relative to the per-joiner input share.
-#: ``batch_size=1`` selects the legacy per-tuple message path.
-DEFAULT_BATCH_SIZE = 64
 
 
 class GridJoinOperator:
@@ -65,16 +60,16 @@ class GridJoinOperator:
             knob); the config's ``memory_capacity`` is applied to it.
         config: the :class:`~repro.api.config.RunConfig` holding every run
             knob (machines, seed, epsilon, warmup, layout, blocking, memory,
-            sampling, batch_size, batching, pacing).
+            sampling, batching, pacing, faults).
         initial_mapping: mapping in force at start-up; defaults to the square
             ``(√J, √J)`` scheme.  Operator-kind specific, hence not a config
             field (StaticOpt derives it from the query).
         adaptive: whether the controller may trigger migrations; operator-kind
             specific (the ``Dynamic`` subclass turns it on).
         **knobs: :class:`RunConfig` field overrides (``seed=...``,
-            ``batch_size=...``, ...).  Unknown names raise eagerly, as do
-            invalid values — e.g. an unregistered ``batching`` or
-            ``layout`` fails here with the registered choices listed, not
+            ``batching=...``, ...).  Unknown names raise eagerly, as do
+            invalid values — e.g. an unknown ``batching`` or ``layout``
+            fails here with the valid choices listed, not
             deep inside joiner construction mid-run.
     """
 
@@ -105,7 +100,7 @@ class GridJoinOperator:
         if machines is not None:
             overrides["machines"] = machines
         # with_overrides re-validates every knob eagerly (unknown field names,
-        # unregistered batching planes/layouts, invalid batch sizes, ...).
+        # unknown batching planes/layouts, invalid values, ...).
         config = config.with_overrides(**overrides)
         if not is_power_of_two(config.machines):
             raise ValueError(
@@ -128,21 +123,11 @@ class GridJoinOperator:
         self.layout = config.layout
         self.blocking = config.blocking
         self.sample_every = config.sample_every
-        # The batching plane.  The adaptive plane keeps the wire per-tuple
-        # (identical message flow and virtual times to batch_size=1) and
-        # coalesces backlog at the receiving machines instead; the controller
-        # class was validated by RunConfig, instances are built per run.
+        # The data plane.  The adaptive plane keeps the wire per-tuple
+        # (identical message flow and virtual times to "per_tuple") and
+        # coalesces backlog at the receiving machines instead.
         self.batching = config.batching
-        self._batch_controller_class = batch_controllers.get(config.batching)
-        self._drains = bool(getattr(self._batch_controller_class, "drains", False))
-        if self._drains:
-            self.batch_size = 1
-            self.batch_max = config.batch_max
-        else:
-            self.batch_size = (
-                DEFAULT_BATCH_SIZE if config.batch_size is None else int(config.batch_size)
-            )
-            self.batch_max = None
+        self._drains = config.batching == "adaptive"
         # The fault-tolerant plane: active when there are crashes to inject
         # or durable checkpointing was requested.  Fault-free runs with the
         # plane active stay bit-identical to the reference plane (journaling
@@ -200,7 +185,6 @@ class GridJoinOperator:
                     blocking=self.blocking,
                     sample_every=self.sample_every,
                     expected_inputs=expected_inputs,
-                    batch_size=self.batch_size,
                 )
             )
             tasks.append(
@@ -208,7 +192,6 @@ class GridJoinOperator:
                     name=topology.joiner_names[machine_id],
                     machine_id=machine_id,
                     topology=topology,
-                    batch_size=self.batch_size,
                 )
             )
         return tasks
@@ -235,9 +218,9 @@ class GridJoinOperator:
     ) -> tuple[Simulator, Topology]:
         """A fresh :class:`Simulator` with the topology registered, no input fed.
 
-        The batching plane, the merged wire (adaptive plane only), the fault
-        plane and the unreliable wire are installed as configured.  This is
-        the half of :meth:`run` the streaming session facade reuses:
+        The drain controllers and the merged wire (adaptive plane only),
+        the fault plane and the unreliable wire are installed as configured.
+        This is the half of :meth:`run` the streaming session facade reuses:
         :meth:`repro.api.session.JoinSession.push` feeds arrivals into the
         returned substrate incrementally and finally calls
         :meth:`collect_result` on it.
@@ -249,15 +232,12 @@ class GridJoinOperator:
             collect_outputs=collect_outputs,
         )
         if self._drains:
-            controller_class = self._batch_controller_class
-            kwargs = {} if self.batch_max is None else {"batch_max": self.batch_max}
             simulator.install_batching(
-                [controller_class(**kwargs) for _ in range(self.machines)]
+                [AdaptiveBatchController() for _ in range(self.machines)]
             )
-            # The plane picks the wire: receiver-draining planes run on the
-            # merged wire (it is what lets them match the fixed plane's
-            # wall-clock at reference semantics); the fixed/per-tuple planes
-            # keep the unmerged wire, which is itself the pinned reference.
+            # The plane picks the wire: the adaptive plane runs on the merged
+            # wire; the per-tuple plane keeps the unmerged wire, which is
+            # itself the pinned reference.
             simulator.enable_delivery_merging()
         topology = self._build_topology()
         tasks = self._build_tasks(topology, expected_inputs)
@@ -330,7 +310,6 @@ class GridJoinOperator:
         simulator.feed_schedule(
             schedule,
             destination_picker=lambda _item: rng.choice(reshuffler_names),
-            batch_size=self.batch_size,
         )
         simulator.run(max_events=max_events)
         return self.collect_result(simulator, topology, expected_inputs)
@@ -377,7 +356,6 @@ class GridJoinOperator:
             max_competitive_ratio=metrics.max_competitive_ratio(),
             final_mapping=final_mapping,
             events_processed=simulator.events_processed,
-            batch_size=self.batch_size,
             batching=self.batching,
             batch_histogram=dict(metrics.drain_histogram) if self._drains else None,
             heap_events=simulator.heap_events,

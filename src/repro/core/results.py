@@ -34,12 +34,11 @@ class RunResult:
         max_competitive_ratio: largest observed ILF/ILF* ratio (Fig. 8c).
         final_mapping: the (n, m) mapping in force when the run ended.
         events_processed: simulator handler invocations during the run — the
-            data-plane overhead a larger batch size amortises away.
-        batch_size: micro-batch size the run used (1 = per-tuple data plane).
-        batching: batching plane the run used ("fixed" or "adaptive").
+            data-plane overhead receiver draining amortises away.
+        batching: data plane the run used ("adaptive" or "per_tuple").
         batch_histogram: drained-run size → count on the adaptive plane
-            (None on the fixed plane) — the batch-size trace showing how the
-            controller sized runs under the workload's backlog.
+            (None on the per-tuple plane) — the batch-size trace showing how
+            the controller sized runs under the workload's backlog.
         heap_events: events popped from the simulator's global heap —
             machine ticks (superseded wake-ups included), control messages,
             deliveries of the unmerged wire, fault-plane events.  The
@@ -47,7 +46,7 @@ class RunResult:
             ``events_processed`` (handler invocations), which receiver
             draining collapses.
         wire_histogram: merged delivery-run length → count per FIFO link
-            (None on the fixed plane, whose wire is unmerged) — localises
+            (None on the per-tuple plane, whose wire is unmerged) — localises
             coalescing changes to the wire (this) versus the receiver
             (``batch_histogram``).
         migration_events: the full migration sequence as
@@ -58,7 +57,7 @@ class RunResult:
             virtual times; bit-identical across the adaptive/per-tuple planes.
         probe_work: total joiner probe work units charged (index candidates
             inspected, floored at one per probe) — exact between batch and
-            per-member handling, pinned by the batching-equivalence tests.
+            per-member handling, pinned by the adaptive conformance suite.
         ilf_series: (fraction of input processed, max per-machine ILF) samples.
         ratio_series: (tuples processed, ILF/ILF*) samples.
         cardinality_series: (tuples processed, |R|/|S|) samples.
@@ -114,8 +113,7 @@ class RunResult:
     max_competitive_ratio: float
     final_mapping: Mapping
     events_processed: int = 0
-    batch_size: int = 1
-    batching: str = "fixed"
+    batching: str = "adaptive"
     batch_histogram: dict[int, int] | None = None
     heap_events: int = 0
     wire_histogram: dict[int, int] | None = None

@@ -17,51 +17,10 @@ from repro.core.epochs import EpochJoinerState, JoinerPhase, TupleActions
 from repro.core.mapping import GridPlacement, Mapping
 from repro.core.migration import MigrationPlan, plan_migration
 from repro.engine.network import TrafficCategory
-from repro.engine.stream import StreamTuple, TupleBatch
+from repro.engine.stream import StreamTuple
 from repro.engine.task import Context, Message, MessageKind, Task
 from repro.joins.local import make_local_joiner
 from repro.joins.predicates import JoinPredicate
-
-#: Per-destination send groups accumulated while one handler invocation
-#: processes a micro-batch.  Reshufflers key groups by (machine, epoch) so a
-#: batch is split at the epoch edge; joiner migration groups key by machine.
-RouteGroups = dict[tuple[int, int], list[StreamTuple]]
-
-
-def _envelope(
-    items: list[StreamTuple],
-    inner: MessageKind,
-    sender: str,
-    epoch: int = 0,
-    meta: dict | None = None,
-) -> Message:
-    """Wrap grouped tuples for one destination: a plain per-tuple message for
-    a singleton, a BATCH carrying a :class:`TupleBatch` otherwise."""
-    if len(items) == 1:
-        if inner is MessageKind.DATA and not meta:
-            # A routed tuple is its own DATA message.
-            return items[0]
-        return Message(
-            kind=inner,
-            sender=sender,
-            payload=items[0],
-            epoch=epoch,
-            size=items[0].size,
-            meta=dict(meta),
-        )
-    batch = TupleBatch(items=items)
-    full_meta = {"inner": inner}
-    if meta:
-        full_meta.update(meta)
-    return Message(
-        kind=MessageKind.BATCH,
-        sender=sender,
-        payload=batch,
-        epoch=epoch,
-        size=batch.size,
-        meta=full_meta,
-    )
-
 
 @dataclass
 class Topology:
@@ -128,8 +87,6 @@ class ReshufflerTask(Task):
         sample_every: record ILF / ratio samples every this many tuples seen
             by this task (controller only).
         expected_inputs: total number of input tuples (for progress metrics).
-        batch_size: size of the micro-batches of the batched data plane;
-            ``1`` selects the legacy per-tuple message path.
     """
 
     def __init__(
@@ -143,7 +100,6 @@ class ReshufflerTask(Task):
         blocking: bool = False,
         sample_every: int = 200,
         expected_inputs: int = 0,
-        batch_size: int = 1,
     ) -> None:
         super().__init__(name, machine_id)
         self.topology = topology
@@ -153,7 +109,6 @@ class ReshufflerTask(Task):
         self.blocking = blocking
         self.sample_every = max(1, sample_every)
         self.expected_inputs = expected_inputs
-        self.batch_size = max(1, batch_size)
 
         self.epoch = 0
         self.migration_in_flight = False
@@ -178,9 +133,7 @@ class ReshufflerTask(Task):
         return self.controller is not None
 
     def handle(self, message: Message, ctx: Context) -> None:
-        if message.kind is MessageKind.BATCH:
-            self._handle_source_batch(message, ctx)
-        elif message.kind is MessageKind.DATA:
+        if message.kind is MessageKind.DATA:
             self._handle_source(message.payload, ctx)
         elif message.kind is MessageKind.MAPPING_CHANGE:
             self._handle_mapping_change(message, ctx)
@@ -192,22 +145,6 @@ class ReshufflerTask(Task):
             raise ValueError(f"reshuffler {self.name} cannot handle {message.kind}")
         if self._journal is not None:
             self._journal.maybe_snapshot(self)
-
-    def _handle_source_batch(self, message: Message, ctx: Context) -> None:
-        if message.meta.get("inner") is not MessageKind.DATA:
-            raise ValueError(
-                f"reshuffler {self.name} can only handle DATA batches, "
-                f"got inner kind {message.meta.get('inner')}"
-            )
-        routes: RouteGroups = {}
-        # Destination-grouped emission: the mapping and epoch are fixed for
-        # the whole invocation, so each (side, partition) resolves its grid
-        # placement and per-destination route lists once; subsequent members
-        # of the same partition append straight into those lists.
-        dest_cache: dict = {}
-        for item in message.payload:
-            self._handle_source(item, ctx, routes, dest_cache)
-        self._flush_routes(routes, ctx)
 
     # ---------------------------------------------------- adaptive data plane
 
@@ -308,26 +245,14 @@ class ReshufflerTask(Task):
             self._journal.maybe_snapshot(self)
         return count
 
-    def _handle_source(
-        self,
-        item: StreamTuple,
-        ctx: Context,
-        routes: RouteGroups | None = None,
-        dest_cache: dict | None = None,
-    ) -> None:
+    def _handle_source(self, item: StreamTuple, ctx: Context) -> None:
         ctx.charge(ctx.machine.cost_model.reshuffle_cost if ctx.machine else 0.0)
         if self.blocking and self.buffering:
             self._buffer.append(item)
             return
-        self._process_tuple(item, ctx, routes, dest_cache)
+        self._process_tuple(item, ctx)
 
-    def _process_tuple(
-        self,
-        item: StreamTuple,
-        ctx: Context,
-        routes: RouteGroups | None = None,
-        dest_cache: dict | None = None,
-    ) -> None:
+    def _process_tuple(self, item: StreamTuple, ctx: Context) -> None:
         is_left = item.relation == self.topology.left_relation
         self._seen += 1
         ctx.metrics.record_input_processed(ctx.now)
@@ -335,7 +260,7 @@ class ReshufflerTask(Task):
         if self.is_controller:
             self._controller_duties(item, is_left, ctx)
 
-        self._route(item, is_left, ctx, routes, dest_cache)
+        self._route(item, is_left, ctx)
 
     def _controller_duties(self, item: StreamTuple, is_left: bool, ctx: Context) -> None:
         assert self.controller is not None
@@ -438,61 +363,33 @@ class ReshufflerTask(Task):
     def _handle_resume(self, ctx: Context) -> None:
         self.buffering = False
         pending, self._buffer = self._buffer, []
-        routes: RouteGroups | None = {} if self.batch_size > 1 else None
-        dest_cache: dict | None = {} if routes is not None else None
         for item in pending:
             ctx.charge(ctx.machine.cost_model.reshuffle_cost if ctx.machine else 0.0)
-            self._process_tuple(item, ctx, routes, dest_cache)
-        if routes is not None:
-            self._flush_routes(routes, ctx)
+            self._process_tuple(item, ctx)
 
     # ---------------------------------------------------------------- routing
 
-    def _route(
-        self,
-        item: StreamTuple,
-        is_left: bool,
-        ctx: Context,
-        routes: RouteGroups | None = None,
-        dest_cache: dict | None = None,
-    ) -> None:
+    def _route(self, item: StreamTuple, is_left: bool, ctx: Context) -> None:
         # Tag with the current epoch in place: this is the tuple's single
         # delivery to a reshuffler and it has not been fanned out yet, so no
         # joiner (and no journal entry) can hold it.
         item.epoch = self.epoch
         mapping = self.mapping
         key = (is_left, item.partition(mapping.n if is_left else mapping.m))
-        if routes is None:
-            # Per-tuple sends: the tuple is its own DATA message, shared by
-            # every destination of the fan-out (receivers never mutate
-            # messages).  Each (side, partition) resolves its grid placement
-            # into wire channels once for as long as the mapping is in force.
-            if self._fanout_mapping is not mapping:
-                self._fanout_mapping = mapping
-                self._fanout.clear()
-            channels = self._fanout.get(key)
-            if channels is None:
-                joiner = self.topology.joiner
-                channels = self._fanout[key] = ctx.channels(
-                    [joiner(machine_id) for machine_id in self._destinations(key)]
-                )
-            ctx.send_fanout(channels, item, category=TrafficCategory.ROUTING)
-            return
-        if dest_cache is None:
-            for machine_id in self._destinations(key):
-                routes.setdefault((machine_id, self.epoch), []).append(item)
-            return
-        # Destination-grouped micro-batches: the caller guarantees a fixed
-        # mapping/epoch for its whole invocation, so the cache holds each
-        # (side, partition)'s per-destination route lists themselves.
-        groups = dest_cache.get(key)
-        if groups is None:
-            groups = dest_cache[key] = [
-                routes.setdefault((machine_id, self.epoch), [])
-                for machine_id in self._destinations(key)
-            ]
-        for group in groups:
-            group.append(item)
+        # The tuple is its own DATA message, shared by every destination of
+        # the fan-out (receivers never mutate messages).  Each (side,
+        # partition) resolves its grid placement into wire channels once for
+        # as long as the mapping is in force.
+        if self._fanout_mapping is not mapping:
+            self._fanout_mapping = mapping
+            self._fanout.clear()
+        channels = self._fanout.get(key)
+        if channels is None:
+            joiner = self.topology.joiner
+            channels = self._fanout[key] = ctx.channels(
+                [joiner(machine_id) for machine_id in self._destinations(key)]
+            )
+        ctx.send_fanout(channels, item, category=TrafficCategory.ROUTING)
 
     def _destinations(self, key: tuple[bool, int]) -> tuple[int, ...]:
         """Machines of the row (left side) or column (right side) partition
@@ -502,20 +399,6 @@ class ReshufflerTask(Task):
         if is_left:
             return placement.machines_for_row(partition)
         return placement.machines_for_col(partition)
-
-    def _flush_routes(self, routes: RouteGroups, ctx: Context) -> None:
-        """Send the per-(joiner, epoch) groups gathered from one micro-batch.
-
-        Grouping by epoch as well as destination means a mapping change
-        arriving mid-stream splits batches at the epoch edge, so every BATCH
-        message carries a single, exact epoch tag for the protocol.
-        """
-        for (machine_id, epoch), items in routes.items():
-            ctx.send(
-                self.topology.joiner(machine_id),
-                _envelope(items, MessageKind.DATA, self.name, epoch=epoch),
-                category=TrafficCategory.ROUTING,
-            )
 
 
 class HashReshufflerTask(ReshufflerTask):
@@ -528,14 +411,7 @@ class HashReshufflerTask(ReshufflerTask):
     is skewed.
     """
 
-    def _route(
-        self,
-        item: StreamTuple,
-        is_left: bool,
-        ctx: Context,
-        routes: RouteGroups | None = None,
-        dest_cache: dict | None = None,
-    ) -> None:
+    def _route(self, item: StreamTuple, is_left: bool, ctx: Context) -> None:
         predicate = self.topology.predicate
         if predicate.kind != "equi":
             raise ValueError("the SHJ operator only supports equi-join predicates")
@@ -544,9 +420,6 @@ class HashReshufflerTask(ReshufflerTask):
         )
         machine_id = hash(key) % self.topology.machines
         item.epoch = self.epoch  # in place, as in ReshufflerTask._route
-        if routes is not None:
-            routes.setdefault((machine_id, self.epoch), []).append(item)
-            return
         ctx.send(
             self.topology.joiner(machine_id), item, category=TrafficCategory.ROUTING
         )
@@ -555,7 +428,7 @@ class HashReshufflerTask(ReshufflerTask):
 class JoinerTask(Task):
     """A joiner: local non-blocking join wrapped in the epoch protocol.
 
-    DATA batches and drained runs go through
+    Drained runs of data tuples go through
     ``EpochJoinerState.handle_data_batch`` → ``LocalJoiner.probe_batch``.
     """
 
@@ -565,7 +438,6 @@ class JoinerTask(Task):
         machine_id: int,
         topology: Topology,
         migration_rate_factor: float = 2.0,
-        batch_size: int = 1,
     ) -> None:
         super().__init__(name, machine_id)
         self.topology = topology
@@ -579,7 +451,6 @@ class JoinerTask(Task):
             left_relation=topology.left_relation,
         )
         self.migration_rate_factor = migration_rate_factor
-        self.batch_size = max(1, batch_size)
         self._ends_sent_for: int | None = None
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).
@@ -595,9 +466,7 @@ class JoinerTask(Task):
 
     def handle(self, message: Message, ctx: Context) -> None:
         journal = self._journal
-        if message.kind is MessageKind.BATCH:
-            self._handle_batch(message, ctx)
-        elif message.kind is MessageKind.DATA:
+        if message.kind is MessageKind.DATA:
             if journal is not None:
                 journal.log(("data", message.payload))
             actions = self.state.handle_data(message.payload)
@@ -778,41 +647,6 @@ class JoinerTask(Task):
             ctx.metrics.record_probe_work(probe_total)
         return len(items)
 
-    def _handle_batch(self, message: Message, ctx: Context) -> None:
-        """Process every member of a routed or migrated micro-batch.
-
-        Members are handled in order within one simulator event; costs are
-        charged per tuple, so outputs emitted by later members carry the
-        cumulative charge of earlier ones (per-tuple cost attribution).  On
-        the DATA path the bookkeeping is aggregated over the whole batch
-        (:meth:`_apply_data_batch`) — charged virtual times stay
-        bit-identical to per-member handling.  Relocations produced along the
-        way are regrouped per destination and flushed as batches at the end
-        of the invocation.
-        """
-        inner = message.meta.get("inner")
-        sink: RouteGroups = {}
-        journal = self._journal
-        if inner is MessageKind.DATA:
-            if journal is not None:
-                for item in message.payload:
-                    journal.log(("data", item))
-            items = list(message.payload)
-            self._apply_data_batch(items, self.state.handle_data_batch(items), ctx, sink)
-        elif inner is MessageKind.MIGRATION:
-            handle_migrated = self.state.handle_migrated
-            apply = self._apply
-            for item in message.payload:
-                if journal is not None:
-                    journal.log(("mu", item))
-                apply(handle_migrated(item), item, ctx, migrated=True, sink=sink)
-        else:
-            raise ValueError(
-                f"joiner {self.name} can only handle DATA or MIGRATION batches, "
-                f"got inner kind {inner}"
-            )
-        self._flush_migrations(sink, ctx)
-
     def _handle_signal(self, message: Message, ctx: Context) -> None:
         epoch = message.meta["epoch"]
         new_mapping = Mapping(*message.meta["new_mapping"])
@@ -832,14 +666,11 @@ class JoinerTask(Task):
             )
         migrations, replayed = self.state.handle_signal(epoch, plan, reshuffler=message.sender)
         ctx.charge(0.01)
-        sink: RouteGroups | None = {} if self.batch_size > 1 else None
-        self._send_migrations(migrations, ctx, sink)
+        # Relocations leave before any MIGRATION_END below: link FIFO then
+        # guarantees receivers see every migrated tuple before the marker.
+        self._send_migrations(migrations, ctx)
         for replayed_item, actions in replayed:
-            self._apply(actions, replayed_item, ctx, migrated=False, charge_receive=False, sink=sink)
-        if sink is not None:
-            # Flush relocations before any MIGRATION_END below: link FIFO then
-            # guarantees receivers see every migrated tuple before the marker.
-            self._flush_migrations(sink, ctx)
+            self._apply(actions, replayed_item, ctx, migrated=False, charge_receive=False)
         if self.state.phase is JoinerPhase.DRAINED and self._ends_sent_for != epoch:
             self._ends_sent_for = epoch
             if self._journal is not None:
@@ -882,18 +713,12 @@ class JoinerTask(Task):
     # -------------------------------------------------------------- internals
 
     def _send_migrations(
-        self,
-        migrations: list[tuple[int, StreamTuple]],
-        ctx: Context,
-        sink: RouteGroups | None = None,
+        self, migrations: list[tuple[int, StreamTuple]], ctx: Context
     ) -> None:
         cost_model = ctx.machine.cost_model if ctx.machine else None
         for destination, item in migrations:
             if cost_model is not None:
                 ctx.charge(cost_model.reshuffle_cost)
-            if sink is not None:
-                sink.setdefault((destination, 0), []).append(item)
-                continue
             ctx.send(
                 self.topology.joiner(destination),
                 Message(
@@ -906,79 +731,6 @@ class JoinerTask(Task):
                 category=TrafficCategory.MIGRATION,
             )
 
-    def _flush_migrations(self, sink: RouteGroups, ctx: Context) -> None:
-        """Send relocations gathered during one handler invocation, batched
-        per destination joiner (the epoch component of the key is unused —
-        µ tuples are interpreted via the receiver's migration plan)."""
-        for (destination, _epoch), items in sink.items():
-            ctx.send(
-                self.topology.joiner(destination),
-                _envelope(
-                    items,
-                    MessageKind.MIGRATION,
-                    self.name,
-                    meta={"sender_machine": self.machine_id},
-                ),
-                category=TrafficCategory.MIGRATION,
-            )
-
-    def _apply_data_batch(
-        self,
-        items: list[StreamTuple],
-        actions_list: list[TupleActions],
-        ctx: Context,
-        sink: RouteGroups | None,
-    ) -> None:
-        """Apply one micro-batch of routed-data actions with aggregated bookkeeping.
-
-        Semantically identical to calling :meth:`_apply` per member
-        (``migrated=False``): per-member cost attribution is preserved — each
-        member's cost is computed with the same float arithmetic and added to
-        the running charge in the same order, so outputs of later members
-        still carry the cumulative charge of earlier ones and virtual times
-        are bit-identical (pinned against a per-member twin in
-        ``test_batching_equivalence.py``).  What is aggregated is the
-        *bookkeeping overhead*: cost-model fields and machine methods are
-        resolved once per batch instead of per member, and probe work is
-        recorded in one metrics call (probe-work units are integer-valued, so
-        the deferred sum is exact).
-        """
-        machine = ctx.machine
-        if machine is None:
-            for item, actions in zip(items, actions_list):
-                self._apply(actions, item, ctx, migrated=False, sink=sink)
-            return
-        cost_model = machine.cost_model
-        receive_cost = cost_model.receive_cost
-        store_cost = cost_model.store_cost
-        probe_cost = cost_model.probe_cost
-        match_cost = cost_model.match_cost
-        storage_factor = machine.storage_factor
-        add_stored = machine.add_stored
-        emit_outputs = ctx.emit_outputs
-        probe_total = 0.0
-        for item, actions in zip(items, actions_list):
-            work = actions.probe_work
-            probe_total += work
-            # Same per-member arithmetic and accumulation order as _apply.
-            factor = storage_factor()
-            cost = 0.0
-            cost += receive_cost
-            if actions.stored:
-                cost += store_cost * factor
-            cost += work * probe_cost * factor
-            matches = actions.matches
-            cost += len(matches) * match_cost
-            ctx.charged += cost
-            if actions.stored:
-                add_stored(item.size)
-            if matches:
-                emit_outputs(matches)
-            if actions.migrate_to:
-                self._send_migrations(actions.migrate_to, ctx, sink)
-        if probe_total:
-            ctx.metrics.record_probe_work(probe_total)
-
     def _apply(
         self,
         actions: TupleActions,
@@ -986,7 +738,6 @@ class JoinerTask(Task):
         ctx: Context,
         migrated: bool,
         charge_receive: bool = True,
-        sink: RouteGroups | None = None,
     ) -> None:
         machine = ctx.machine
         cost_model = machine.cost_model if machine else None
@@ -1010,4 +761,4 @@ class JoinerTask(Task):
         if actions.matches:
             ctx.emit_outputs(actions.matches)
         if actions.migrate_to:
-            self._send_migrations(actions.migrate_to, ctx, sink)
+            self._send_migrations(actions.migrate_to, ctx)

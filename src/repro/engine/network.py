@@ -81,18 +81,13 @@ class Network:
 
     Attributes:
         cost_model: supplies latency and per-size transfer costs.
-        messages: number of messages sent per category.  A micro-batch counts
-            as one message — the messages/tuples gap is the batching win.
-        tuples: number of logical tuples carried per category (batch members
-            are counted individually).
+        messages: number of messages sent per category (every data message
+            is one tuple).
         volume: total size units transferred per category.
     """
 
     cost_model: CostModel
     messages: dict[TrafficCategory, int] = field(
-        default_factory=lambda: defaultdict(int)
-    )
-    tuples: dict[TrafficCategory, int] = field(
         default_factory=lambda: defaultdict(int)
     )
     volume: dict[TrafficCategory, float] = field(
@@ -114,30 +109,22 @@ class Network:
         size: float,
         category: TrafficCategory,
         now: float,
-        units: int = 1,
     ) -> float:
         """Record a message from ``sender`` to ``receiver`` and return its
         delivery time (see :meth:`carry`)."""
-        return self.carry(self.link(sender, receiver), size, category, now, units)
+        return self.carry(self.link(sender, receiver), size, category, now)
 
     def carry(
-        self,
-        link: Link,
-        size: float,
-        category: TrafficCategory,
-        now: float,
-        units: int = 1,
+        self, link: Link, size: float, category: TrafficCategory, now: float
     ) -> float:
         """Record a message on ``link`` and return its delivery time.
 
-        A message between two machines counts once in ``messages``, its
-        ``units`` tuples in ``tuples`` and its ``size`` in ``volume`` of its
-        category; local messages are not counted.  The delivery time is
-        :meth:`Link.deliver`'s.
+        A message between two machines counts once in ``messages`` and its
+        ``size`` in ``volume`` of its category; local messages are not
+        counted.  The delivery time is :meth:`Link.deliver`'s.
         """
         if not link.local:
             self.messages[category] += 1
-            self.tuples[category] += units
             self.volume[category] += size
         return link.deliver(now, size)
 

@@ -40,7 +40,7 @@ from repro.engine.faults import UnreachableLinkError
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Link, Network, TrafficCategory
-from repro.engine.stream import ArrivalSchedule, StreamTuple, TupleBatch
+from repro.engine.stream import ArrivalSchedule, StreamTuple
 from repro.engine.task import Context, Message, MessageKind, Task
 
 #: Control-plane message kinds that are not queued behind the data backlog.
@@ -182,16 +182,15 @@ class _WireFrame:
     would have.
     """
 
-    __slots__ = ("link", "seq", "task", "message", "category", "rank", "units", "attempts")
+    __slots__ = ("link", "seq", "task", "message", "category", "rank", "attempts")
 
-    def __init__(self, link, seq, task, message, category, rank, units) -> None:
+    def __init__(self, link, seq, task, message, category, rank) -> None:
         self.link = link
         self.seq = seq
         self.task = task
         self.message = message
         self.category = category
         self.rank = rank
-        self.units = units
         self.attempts = 0
 
 
@@ -299,7 +298,7 @@ class Simulator:
         Each controller sizes the runs of drainable inbox messages (see
         :meth:`repro.engine.task.Task.drain_key`) its machine may coalesce
         per tick.  Without this call every message is handled individually —
-        the fixed/per-tuple planes.
+        the per-tuple plane.
         """
         if len(controllers) != len(self.machines):
             raise ValueError(
@@ -500,36 +499,16 @@ class Simulator:
         else:
             self._open_run(channel, time, rank, message)
 
-    def feed_schedule(
-        self, schedule: ArrivalSchedule, destination_picker, batch_size: int = 1
-    ) -> None:
-        """Feed an arrival schedule into the topology.
+    def feed_schedule(self, schedule: ArrivalSchedule, destination_picker) -> None:
+        """Feed an arrival schedule into the topology, one message per tuple.
 
         Args:
             schedule: the interleaved input streams.
             destination_picker: callable ``tuple -> task name`` choosing the
                 reshuffler each tuple is sent to (the paper routes incoming
-                tuples to a random reshuffler).
-            batch_size: with ``batch_size=1`` (the legacy data plane) every
-                tuple is sent as its own message; larger values coalesce up
-                to ``batch_size`` consecutive same-destination arrivals into
-                one BATCH message.  The picker is still called once per tuple
-                in arrival order, so routing decisions are identical either
-                way.
+                tuples to a random reshuffler); called once per tuple in
+                arrival order.
         """
-        if batch_size > 1:
-            for emit_time, destination, batch in schedule.batched_arrivals(
-                batch_size, destination_picker
-            ):
-                message = Message(
-                    kind=MessageKind.BATCH,
-                    sender="__source__",
-                    payload=batch,
-                    size=batch.size,
-                    meta={"inner": MessageKind.DATA},
-                )
-                self.schedule_data(emit_time, destination, message)
-            return
         tasks = self.tasks
         queue = self._queue
         schedule_rank = self._schedule_rank
@@ -556,7 +535,7 @@ class Simulator:
     def schedule_data(self, time: float, destination: str, message) -> None:
         """Schedule a data-plane message, merging consecutive same-destination
         sends into the feed channel's run when delivery merging is enabled
-        (streaming ingestion, batched feeds).
+        (streaming ingestion).
 
         Non-mergeable kinds and off-cluster destinations fall back to
         :meth:`schedule`.
@@ -591,16 +570,12 @@ class Simulator:
             # Unreliable wire installed: on-cluster sends become link-layer
             # frames (off-cluster endpoints — sources, collectors — keep the
             # ideal wire: they model ingest/egress, not the cluster fabric).
-            units = len(message.payload) if isinstance(message.payload, TupleBatch) else 1
-            self._wire_send(sender_machine, channel, message, category, departure, units)
+            self._wire_send(sender_machine, channel, message, category, departure)
             return
         if sender_machine < 0 or dest_machine < 0:
             delivery = departure + channel.link.latency
         else:
-            units = len(message.payload) if isinstance(message.payload, TupleBatch) else 1
-            delivery = self.network.carry(
-                channel.link, message.size, category, departure, units
-            )
+            delivery = self.network.carry(channel.link, message.size, category, departure)
         if message.kind in PRIORITY_KINDS and dest_machine >= 0:
             self._pending_priority[dest_machine].append(delivery)
         rank = _next_rank(channel)
@@ -631,8 +606,8 @@ class Simulator:
         :meth:`post` once per destination — the shared departure time,
         sender machine and per-link transfers are identical, and the traffic
         counters add up send by send in the same order — with the per-send
-        bookkeeping hoisted out of the loop.  Data plane only: single-tuple
-        payloads, non-priority kinds.
+        bookkeeping hoisted out of the loop.  Data plane only: non-priority
+        kinds.
         """
         departure = ctx.now + ctx.charged
         sender_machine = sender_task.machine_id
@@ -640,8 +615,8 @@ class Simulator:
         heappush = heapq.heappush
         if self._wire is not None:
             # Unreliable wire installed: each on-cluster replica becomes its
-            # own link-layer frame (fan-out is data plane, single-tuple,
-            # non-priority); off-cluster replicas keep the ideal wire.
+            # own link-layer frame (fan-out is data plane, non-priority);
+            # off-cluster replicas keep the ideal wire.
             for channel in channels:
                 dest_task = channel.task
                 if sender_machine < 0 or dest_task.machine_id < 0:
@@ -652,7 +627,7 @@ class Simulator:
                         message,
                     ))
                 else:
-                    self._wire_send(sender_machine, channel, message, category, departure, 1)
+                    self._wire_send(sender_machine, channel, message, category, departure)
             return
         merged = self._merge_wire
         size = message.size
@@ -683,9 +658,7 @@ class Simulator:
             else:
                 self._open_run(channel, delivery, rank, message)
         if sent:
-            network = self.network
-            network.messages[category] += sent
-            network.tuples[category] += sent
+            self.network.messages[category] += sent
             volume[category] = carried
 
     # ---------------------------------------------------------------- running
@@ -906,7 +879,6 @@ class Simulator:
         message: Message,
         category: TrafficCategory,
         departure: float,
-        units: int,
     ) -> None:
         """Frame one on-cluster send and push it through the fault schedule.
 
@@ -924,14 +896,14 @@ class Simulator:
         link = (sender_machine, dest_machine)
         seq, dropped, duplicated, delay_by = wire.on_send(link)
         rank = _next_rank(channel)
-        frame = _WireFrame(link, seq, dest_task, message, category, rank, units)
+        frame = _WireFrame(link, seq, dest_task, message, category, rank)
         wire.frames_sent += 1
         if dropped or wire.partitioned(sender_machine, dest_machine, departure):
             wire.frames_dropped += 1
             self._wire_arm_retransmit(frame, departure)
             return
         carry = self.network.carry
-        arrival = carry(channel.link, message.size, category, departure, units)
+        arrival = carry(channel.link, message.size, category, departure)
         # The per-send delay is added *after* the link's FIFO clamp, so later
         # sends can genuinely overtake the delayed frame on the wire; the
         # receiver's in-order sublayer restores release order.
@@ -939,7 +911,7 @@ class Simulator:
         if duplicated:
             wire.frames_sent += 1
             wire.frames_duplicated += 1
-            dup_arrival = carry(channel.link, message.size, category, departure, units)
+            dup_arrival = carry(channel.link, message.size, category, departure)
             # Same frame object = same sequence number: the copy that loses
             # the race (the fault serial orders the original first at equal
             # times) is discarded by the receiver's dedup.
@@ -982,7 +954,7 @@ class Simulator:
             self._wire_arm_retransmit(frame, time)
             return
         arrival = self.network.transfer(
-            link[0], link[1], frame.message.size, frame.category, time, units=frame.units
+            link[0], link[1], frame.message.size, frame.category, time
         )
         self._schedule_fault(arrival, "frame", link[1], frame)
 

@@ -32,20 +32,17 @@ class Message:
 
     A single data tuple travels as the :class:`StreamTuple` itself (it speaks
     this protocol through class attributes); :class:`Message` carries
-    everything else — batches, µ relocations and the control plane.
+    everything else — µ relocations and the control plane.
 
     Attributes:
         kind: message type.
         sender: name of the sending task.
-        payload: a :class:`StreamTuple` for migration messages, a
-            :class:`~repro.engine.stream.TupleBatch` for BATCH messages, or an
+        payload: a :class:`StreamTuple` for migration messages, or an
             arbitrary structure for control messages.
         epoch: epoch tag (meaningful for data, migration and control traffic).
-        size: size units used for network accounting.  For BATCH messages this
-            is the sum of the member sizes, so volume accounting stays exact.
+        size: size units used for network accounting.
         meta: extra key/value context (e.g. the new mapping of a
-            MAPPING_CHANGE message, or ``"inner"`` — the per-member
-            :class:`MessageKind` — of a BATCH message).
+            MAPPING_CHANGE message).
     """
 
     kind: MessageKind

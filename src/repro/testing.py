@@ -7,8 +7,8 @@ Two kinds of oracle back the test suites:
   onto a run's tuple ids), and :func:`reference_probe` states what one
   local probe must return: its matches and its work, in closed form.  They share no code with the indexes they check.
 * **the per-tuple data plane** — :func:`assert_run_equivalent` compares
-  :class:`~repro.core.results.RunResult`\\ s, e.g. a batched or adaptive run
-  against its ``batch_size=1`` twin (and third-party components registered
+  :class:`~repro.core.results.RunResult`\\ s, e.g. an adaptive run against
+  its ``batching="per_tuple"`` twin (and third-party components registered
   through :mod:`repro.api` against the built-ins).
 """
 
@@ -150,22 +150,22 @@ def assert_run_equivalent(
     work, peak ILF, the spill flag and the migration decision/completion
     times.  Use it when the two runs are meant to be *bit-identical*
     simulations (adaptive vs per-tuple plane, a checkpointed run vs its
-    plain twin); drop it when only the results must agree (fixed-plane runs
-    across batch sizes, where virtual-time compression legitimately shifts
-    the epoch edge).
+    plain twin); drop it when only the results must agree (e.g. a chunked
+    streaming run against its materialised twin, whose drains between
+    pushes legitimately shift virtual-time micro-timing).
 
     ``network=True`` pins the traffic volumes per category.
 
     ``events=True`` additionally pins the *event plumbing*: global heap
     events and the per-link wire-merge histogram.  Same-plane comparisons
     only (e.g. two runs of one plane under different layers) — comparing across
-    planes (merged vs unmerged wire, batched vs per-tuple) legitimately
+    planes (merged vs unmerged wire, adaptive vs per-tuple) legitimately
     changes both.
 
     ``ignore=`` names individual fields to skip, for comparisons that are
-    exact *except* for a known, bounded delta — e.g. fixed-plane runs across
-    batch sizes naming the timing and per-category volume fields while
-    keeping everything else strict.  Names must come from
+    exact *except* for a known, bounded delta — e.g. a faulty run against its
+    fault-free twin naming the reliable-wire counters while keeping
+    everything else strict.  Names must come from
     :data:`IGNORABLE_FIELDS`; unknown names
     raise ``ValueError`` so a typo cannot silently weaken a suite, and the
     semantic baseline is not ignorable at all.  The coarse ``timing`` /

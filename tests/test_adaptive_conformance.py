@@ -1,9 +1,9 @@
 """Differential conformance suite for the adaptive data plane.
 
-The adaptive plane (``batching="adaptive"``) keeps the wire per-tuple and
-coalesces backlog at the receiving machines, so its contract is much stronger
-than the fixed plane's: every run must be **bit-identical** to the
-``batch_size=1`` reference plane — join output, migration sequence with its
+The adaptive plane (``batching="adaptive"``, the default) keeps the wire
+per-tuple and coalesces backlog at the receiving machines, so its contract is
+that every run must be **bit-identical** to the
+``batching="per_tuple"`` reference plane — join output, migration sequence with its
 decision/completion times, final mapping, per-machine busy chains, execution
 time, average latency, charged probe work and network volumes — while
 processing the workload in fewer, larger simulator events.
@@ -30,12 +30,7 @@ import random
 from collections import Counter
 
 import pytest
-from repro.testing import (
-    NETWORK_FIELDS,
-    TIMING_FIELDS,
-    assert_run_equivalent,
-    reference_outputs,
-)
+from repro.testing import assert_run_equivalent, reference_outputs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,6 +38,7 @@ from repro.api import JoinSession, RunConfig, crash_after_events
 from repro.core.baselines import StaticMidOperator
 from repro.core.epochs import JoinerPhase
 from repro.core.operator import AdaptiveJoinOperator
+from repro.core.tasks import JoinerTask, ReshufflerTask
 from repro.data.queries import JoinQuery, make_query
 from repro.engine.batching import AdaptiveBatchController
 from repro.engine.simulator import Simulator
@@ -118,7 +114,7 @@ def _run(operator_class, query, order, **overrides):
 
 
 def _run_pair(operator_class, query, order, **shared):
-    reference = _run(operator_class, query, order, batch_size=1, **shared)
+    reference = _run(operator_class, query, order, batching="per_tuple", **shared)
     adaptive = _run(operator_class, query, order, batching="adaptive", **shared)
     return reference, adaptive
 
@@ -178,24 +174,115 @@ class TestMaterialisedConformance:
         assert Counter(reference.outputs) == expected
         assert Counter(adaptive.outputs) == expected
 
-    def test_batch_max_caps_runs(self, queries):
+    def test_batch_max_caps_runs(self, queries, monkeypatch):
+        monkeypatch.setattr(AdaptiveBatchController, "cap", 7)
         query = queries["equi"]
         order = _arrival_order(query)
-        reference = _run(StaticMidOperator, query, order, batch_size=1)
-        adaptive = _run(StaticMidOperator, query, order, batching="adaptive", batch_max=7)
-        assert_run_equivalent(reference, adaptive, label="batch_max=7")
-        assert max(adaptive.batch_histogram) <= 7
+        reference, adaptive = _run_pair(StaticMidOperator, query, order)
+        assert_run_equivalent(reference, adaptive, label="cap=7")
+        assert max(adaptive.batch_histogram) == 7
 
     def test_result_records_plane_metadata(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
         reference, adaptive = _run_pair(StaticMidOperator, query, order)
-        assert reference.batching == "fixed"
+        assert reference.batching == "per_tuple"
         assert reference.batch_histogram is None
         assert adaptive.batching == "adaptive"
-        assert adaptive.batch_size == 1  # per-tuple wire
         drained = sum(size * count for size, count in adaptive.batch_histogram.items())
         assert drained > 0
+
+    def test_default_plane_is_the_reference(self, queries):
+        """A ``RunConfig()``-default run of a migrating EQ5 query is the
+        per-tuple reference run: the default plane is the adaptive one."""
+        query = queries["equi"]
+        order = _arrival_order(query)
+        reference = _run(AdaptiveJoinOperator, query, order, batching="per_tuple")
+        default = _run(AdaptiveJoinOperator, query, order)
+        assert reference.migrations >= 1
+        assert default.batching == "adaptive"
+        assert_run_equivalent(reference, default, label="default-vs-per_tuple")
+
+
+# ---------------------------------------------------------------------------
+# Batched drain handlers vs per-member handling
+# ---------------------------------------------------------------------------
+
+
+def _per_member_twin(monkeypatch, task_class, operator_class, query, order, **overrides):
+    """The run again, with ``task_class`` handling every drained run member by
+    member through the base :meth:`Task.handle_drained` loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(task_class, "handle_drained", Task.handle_drained)
+        return _run(operator_class, query, order, **overrides)
+
+
+class TestDrainedRunsMatchPerMemberHandling:
+    """The hand-inlined drain handlers are wall-clock optimisations only.
+
+    ``JoinerTask.handle_drained`` probes a DATA run through one grouped index
+    pass and commits each member's cost with inlined ``_apply`` arithmetic;
+    ``ReshufflerTask.handle_drained`` routes a run with hoisted lookups and an
+    inlined charge commit.  A twin run whose tasks hand every drained member
+    to ``handle`` one at a time (same runs, same boundaries) must be an
+    identical simulation, events included — any drift in cost order, storage
+    factors, output timestamps or probe-work accounting shows up here.
+    """
+
+    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("operator", sorted(OPERATORS))
+    def test_joiner_runs_match_per_member_handling(
+        self, queries, predicate, operator, monkeypatch
+    ):
+        query = queries[predicate]
+        order = _arrival_order(query)
+        batched = _run(OPERATORS[operator], query, order)
+        twin = _per_member_twin(monkeypatch, JoinerTask, OPERATORS[operator], query, order)
+        label = f"joiner-twin/{predicate}/{operator}"
+        assert batched.probe_work > 0, label
+        assert max(batched.batch_histogram) > 8, f"{label}: runs must coalesce"
+        assert_run_equivalent(twin, batched, events=True, label=label)
+
+    def test_spilling_joiner_runs_match_per_member_handling(self, queries, monkeypatch):
+        """Under a finite memory budget every member's storage factor moves
+        with the stored size, so the inlined per-member storage accounting
+        must track ``Machine.add_stored`` exactly."""
+        query = queries["equi"]
+        order = _arrival_order(query)
+        batched = _run(AdaptiveJoinOperator, query, order, memory_capacity=30.0)
+        twin = _per_member_twin(
+            monkeypatch, JoinerTask, AdaptiveJoinOperator, query, order,
+            memory_capacity=30.0,
+        )
+        assert batched.spilled, "scenario must exercise the spill path"
+        assert_run_equivalent(twin, batched, events=True, label="joiner-twin/spill")
+
+    def test_skewed_joiner_runs_match_per_member_handling(
+        self, skewed_dataset, monkeypatch
+    ):
+        query = make_query("EQ5", skewed_dataset)
+        order = _arrival_order(query)
+        batched = _run(AdaptiveJoinOperator, query, order)
+        twin = _per_member_twin(monkeypatch, JoinerTask, AdaptiveJoinOperator, query, order)
+        assert batched.migrations >= 1, "scenario must migrate"
+        assert_run_equivalent(twin, batched, events=True, label="joiner-twin/skew")
+
+    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    def test_static_reshuffler_runs_match_per_member_routing(
+        self, queries, predicate, monkeypatch
+    ):
+        """A static operator's reshufflers drain without a control-plane
+        horizon, so the base loop pulls exactly the runs the hoisted routing
+        loop pulls."""
+        query = queries[predicate]
+        order = _arrival_order(query)
+        batched = _run(StaticMidOperator, query, order)
+        twin = _per_member_twin(
+            monkeypatch, ReshufflerTask, StaticMidOperator, query, order
+        )
+        assert_run_equivalent(
+            twin, batched, events=True, label=f"reshuffler-twin/{predicate}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +322,7 @@ class TestStreamingConformance:
         query = queries[predicate]
         order = _arrival_order(query)
         chunks = _chunking(chunk_seed, len(order))
-        reference = _stream_run(query, order, chunks, batch_size=1)
+        reference = _stream_run(query, order, chunks, batching="per_tuple")
         adaptive = _stream_run(query, order, chunks, batching="adaptive")
         label = f"stream/{predicate}/chunking-{chunk_seed}"
         assert_run_equivalent(reference, adaptive, label=label)
@@ -259,7 +346,7 @@ class TestStreamingConformance:
         """Cross-push property: for ANY chunking, streaming adaptive is
         bit-identical to streaming per-tuple under the same chunking."""
         query, order = small_conformance
-        reference = _stream_run(query, order, chunks, batch_size=1)
+        reference = _stream_run(query, order, chunks, batching="per_tuple")
         adaptive = _stream_run(query, order, chunks, batching="adaptive")
         assert_run_equivalent(reference, adaptive, label=f"chunks={chunks[:6]}...")
 
@@ -273,21 +360,22 @@ def small_conformance(small_dataset):
 
 
 # ---------------------------------------------------------------------------
-# BatchController invariants (Hypothesis)
+# AdaptiveBatchController invariants (Hypothesis)
 # ---------------------------------------------------------------------------
 
 
 class TestAdaptiveControllerProperties:
     @given(
         backlogs=st.lists(st.integers(0, 500), min_size=1, max_size=200),
-        batch_max=st.integers(1, 128),
+        cap=st.integers(1, 128),
     )
     @settings(max_examples=100, deadline=None)
-    def test_sizes_always_within_bounds(self, backlogs, batch_max):
-        controller = AdaptiveBatchController(batch_max=batch_max)
+    def test_sizes_always_within_bounds(self, backlogs, cap):
+        controller = AdaptiveBatchController()
+        controller.cap = cap
         for backlog in backlogs:
             size = controller.next_batch_size(backlog)
-            assert 1 <= size <= batch_max
+            assert 1 <= size <= cap
             assert size <= max(backlog, 1)
 
     @given(backlogs=st.lists(st.integers(0, 500), min_size=0, max_size=50))
@@ -301,20 +389,17 @@ class TestAdaptiveControllerProperties:
         assert controller.next_batch_size(1) == 1
 
     @given(
-        batch_max=st.integers(1, 128),
+        cap=st.integers(1, 128),
         rounds=st.integers(1, 64),
     )
     @settings(max_examples=50, deadline=None)
-    def test_monotone_growth_under_sustained_backlog(self, batch_max, rounds):
-        controller = AdaptiveBatchController(batch_max=batch_max)
-        sizes = [controller.next_batch_size(10 * batch_max) for _ in range(rounds)]
+    def test_monotone_growth_under_sustained_backlog(self, cap, rounds):
+        controller = AdaptiveBatchController()
+        controller.cap = cap
+        sizes = [controller.next_batch_size(10 * cap) for _ in range(rounds)]
         assert sizes == sorted(sizes), "sizes must be non-decreasing under backlog"
         if rounds >= 8:  # the doubling ramp reaches any cap <= 128 in 8 rounds
-            assert sizes[-1] == batch_max
-
-    def test_invalid_batch_max_rejected(self):
-        with pytest.raises(ValueError):
-            AdaptiveBatchController(batch_max=0)
+            assert sizes[-1] == cap
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +432,7 @@ class TestDrainEligibility:
         """Kinds whose handling sends messages or gates protocol transitions
         stay per-tuple; µ (MIGRATION) relocations are pure probe-and-store
         and drain under their dedicated key (never mixing with DATA runs)."""
-        for kind in (
-            MessageKind.EPOCH_SIGNAL,
-            MessageKind.MIGRATION_END,
-            MessageKind.BATCH,
-        ):
+        for kind in (MessageKind.EPOCH_SIGNAL, MessageKind.MIGRATION_END):
             message = Message(kind=kind, sender="x", payload=_data_message(0).payload)
             assert normal_joiner.drain_key(message) is None
         mu = Message(
@@ -385,7 +466,7 @@ class TestDrainEligibility:
         reshuffler = simulator.tasks[topology.reshuffler_names[1]]
         # A source tuple arrives as its own DATA message.
         assert reshuffler.drain_key(_data_message(0).payload) is not None
-        for kind in (MessageKind.MAPPING_CHANGE, MessageKind.RESUME, MessageKind.BATCH):
+        for kind in (MessageKind.MAPPING_CHANGE, MessageKind.RESUME):
             assert reshuffler.drain_key(Message(kind=kind, sender="x")) is None
 
 
@@ -423,21 +504,21 @@ class TestDeliveryMergingConformance:
         assert max(merged.wire_histogram) > 8  # multi-member runs exist
 
     def test_plane_picks_the_wire(self, queries):
-        """Draining planes run on the merged wire; the fixed plane keeps the
-        unmerged reference wire."""
+        """The adaptive plane runs on the merged wire; the per-tuple plane
+        keeps the unmerged reference wire."""
         query = queries["equi"]
-        planes = (({"batching": "adaptive"}, True), ({"batch_size": 1}, False))
+        planes = (({"batching": "adaptive"}, True), ({"batching": "per_tuple"}, False))
         for overrides, merged in planes:
             operator = AdaptiveJoinOperator(query, config=_config(**overrides))
             simulator, _ = operator.build_execution()
             assert simulator._merge_wire is merged, overrides
 
-    def test_merging_on_the_per_tuple_fixed_plane(self, queries, monkeypatch):
-        """The merge layer is plane-agnostic: installed on the per-tuple fixed
+    def test_merging_on_the_per_tuple_plane(self, queries, monkeypatch):
+        """The merge layer is plane-agnostic: installed on the per-tuple
         plane (no drain controllers at all) it must still be bit-identical."""
         query = queries["equi"]
         order = _arrival_order(query)
-        reference = _run(StaticMidOperator, query, order, batch_size=1)
+        reference = _run(StaticMidOperator, query, order, batching="per_tuple")
         build = StaticMidOperator.build_execution
 
         def build_merged(self, *args, **kwargs):
@@ -446,8 +527,8 @@ class TestDeliveryMergingConformance:
             return simulator, topology
 
         monkeypatch.setattr(StaticMidOperator, "build_execution", build_merged)
-        merged = _run(StaticMidOperator, query, order, batch_size=1)
-        assert_run_equivalent(reference, merged, label="fixed-plane merge")
+        merged = _run(StaticMidOperator, query, order, batching="per_tuple")
+        assert_run_equivalent(reference, merged, label="per-tuple-plane merge")
         assert merged.heap_events < reference.heap_events
 
     @pytest.mark.parametrize("crashes", [(), (crash_after_events(3, 120),)])
@@ -621,30 +702,34 @@ class TestDeliveryMergingInterleavings:
 # ---------------------------------------------------------------------------
 
 
-#: Data-plane configurations the reference cells run on; each is also pinned
-#: against the ``batch_size=1`` plane (bit-identical for adaptive, the same
-#: join for fixed batches, whose virtual times compress).
-PLANES = {
-    "fixed": {"batch_size": 4},
-    "adaptive": {"batching": "adaptive"},
-}
-
-
 class TestRunsMatchTheReference:
-    """Every plane, predicate and operator against the brute-force join."""
+    """Every predicate and operator against the brute-force join."""
 
     @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
     @pytest.mark.parametrize("operator", sorted(OPERATORS))
-    @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_materialised_matches_reference(self, queries, predicate, operator, plane):
+    def test_materialised_matches_reference(self, queries, predicate, operator):
         query = queries[predicate]
         order = _arrival_order(query)
-        result = _run(OPERATORS[operator], query, order, **PLANES[plane])
-        label = f"{predicate}/{operator}/{plane}"
+        result = _run(OPERATORS[operator], query, order)
+        label = f"{predicate}/{operator}"
         assert Counter(result.outputs) == reference_outputs(query, order), label
-        oracle = _run(OPERATORS[operator], query, order, batch_size=1)
-        ignore = () if plane == "adaptive" else TIMING_FIELDS | NETWORK_FIELDS
-        assert_run_equivalent(oracle, result, ignore=ignore, label=label)
+        oracle = _run(OPERATORS[operator], query, order, batching="per_tuple")
+        assert_run_equivalent(oracle, result, label=label)
+        if operator == "migrating":
+            assert result.migrations >= 1, f"{label}: scenario must migrate"
+
+    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("operator", sorted(OPERATORS))
+    def test_fluctuating_matches_reference(self, queries, predicate, operator):
+        """The §5.4 fluctuation pattern (cardinality-ratio swings) against the
+        brute-force join, on the default plane and the per-tuple oracle."""
+        query = queries[predicate]
+        order = _arrival_order(query, fluctuating=True)
+        result = _run(OPERATORS[operator], query, order)
+        label = f"fluct/{predicate}/{operator}"
+        assert Counter(result.outputs) == reference_outputs(query, order), label
+        oracle = _run(OPERATORS[operator], query, order, batching="per_tuple")
+        assert_run_equivalent(oracle, result, label=label)
         if operator == "migrating":
             assert result.migrations >= 1, f"{label}: scenario must migrate"
 

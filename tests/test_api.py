@@ -3,19 +3,20 @@
 Pins the contracts of ``repro.api``:
 
 * ``RunConfig`` round-trips exactly through ``to_dict``/``from_dict`` (and
-  JSON), validates eagerly (unknown fields, bad values, unregistered
-  batching planes/layouts) and is immutable.
+  JSON), validates eagerly (unknown fields, bad values, unknown batching
+  planes/layouts) and is immutable; ``batching`` defaults to ``"adaptive"``.
 * Override precedence is ``session default < config < call-site``.
 * Registries reject duplicate registrations and list choices on unknown
   names; registered third-party components flow through the session.
-* ``import repro`` loads no NumPy, and no probe-engine registry remains:
-  one probe engine, whose knob is retired with the backend knobs.
+* ``import repro`` loads no NumPy, and neither a probe-engine nor a
+  batch-controller registry remains: one probe engine and one batched data
+  plane, whose knobs are retired with the backend knobs.
 * The legacy loose-kwargs constructor shim is gone: constructing an operator
   from loose keyword arguments without a config raises ``TypeError`` pointing
   at ``RunConfig``; ``make_operator`` routes through the validated config
   path and stays bit-identical to the session path.
 * The streaming ``push()`` ingestion yields identical final join results to
-  the materialised path on EQ5 at ``batch_size ∈ {1, 64}``.
+  the materialised path on EQ5 on both data planes.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ import pytest
 
 import repro
 from repro.api import (
+    BATCHING_PLANES,
     FaultSpec,
     JoinSession,
     RunConfig,
@@ -71,14 +73,14 @@ class TestRunConfig:
             blocking=True,
             memory_capacity=123.0,
             sample_every=50,
-            batch_size=16,
+            batching="per_tuple",
             arrival_pattern="s_first",
             inter_arrival=0.25,
         )
         assert RunConfig.from_dict(config.to_dict()) == config
 
     def test_json_round_trip(self):
-        config = RunConfig(machines=4, batch_size=None, memory_capacity=None)
+        config = RunConfig(machines=4, batching="per_tuple", memory_capacity=None)
         assert RunConfig.from_json(config.to_json()) == config
 
     def test_defaults_round_trip(self):
@@ -87,8 +89,8 @@ class TestRunConfig:
 
     def test_with_overrides_returns_new_validated_config(self):
         config = RunConfig(machines=8)
-        updated = config.with_overrides(seed=9, batch_size=2)
-        assert (updated.machines, updated.seed, updated.batch_size) == (8, 9, 2)
+        updated = config.with_overrides(seed=9, batching="per_tuple")
+        assert (updated.machines, updated.seed, updated.batching) == (8, 9, "per_tuple")
         assert config.seed == 0  # original untouched (frozen)
         assert config.with_overrides() is config
 
@@ -104,7 +106,6 @@ class TestRunConfig:
             {"machines": 0},
             {"machines": "sixteen"},
             {"epsilon": 0.0},
-            {"batch_size": 0},
             {"sample_every": 0},
             {"inter_arrival": -1.0},
             {"memory_capacity": -5.0},
@@ -126,58 +127,37 @@ class TestRunConfig:
 
 
 class TestBatchingKnobs:
-    """Error paths and serialisation of the batching-plane configuration."""
+    """Error paths and serialisation of the data-plane configuration."""
 
-    def test_unknown_batching_lists_registered_choices(self):
-        with pytest.raises(ValueError, match="adaptive.*fixed|fixed.*adaptive"):
-            RunConfig(batching="turbo")
+    def test_adaptive_is_the_default(self):
+        assert RunConfig().batching == "adaptive"
+        assert BATCHING_PLANES == ("adaptive", "per_tuple")
 
-    def test_batch_max_rejected_on_fixed_plane(self):
-        with pytest.raises(ValueError, match="batch_max.*adaptive|adaptive.*batch_max"):
-            RunConfig(batching="fixed", batch_max=32)
-        with pytest.raises(ValueError):
-            RunConfig(batch_max=32)  # batching defaults to "fixed"
-
-    def test_batch_size_rejected_on_adaptive_plane(self):
-        with pytest.raises(ValueError, match="batch_size.*fixed plane"):
-            RunConfig(batching="adaptive", batch_size=64)
+    @pytest.mark.parametrize("name", ["turbo", "fixed"])
+    def test_unknown_batching_lists_choices(self, name):
+        with pytest.raises(ValueError, match="choices: adaptive, per_tuple"):
+            RunConfig(batching=name)
 
     def test_blocking_rejected_on_adaptive_plane(self):
-        with pytest.raises(ValueError, match="non-blocking"):
-            RunConfig(batching="adaptive", blocking=True)
+        with pytest.raises(ValueError, match='non-blocking.*batching="per_tuple"'):
+            RunConfig(blocking=True)
+        assert RunConfig(blocking=True, batching="per_tuple").blocking
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            {"batching": 7},
-            {"batching": "adaptive", "batch_max": 0},
-            {"batching": "adaptive", "batch_max": -3},
-            {"batch_max": 1.5, "batching": "adaptive"},
-        ],
-    )
-    def test_invalid_batching_values_rejected(self, overrides):
+    def test_non_string_batching_rejected(self):
         with pytest.raises(ValueError):
-            RunConfig(**overrides)
+            RunConfig(batching=7)
 
-    def test_adaptive_knobs_json_round_trip(self):
-        config = RunConfig(machines=8, batching="adaptive", batch_max=32)
+    def test_batching_json_round_trip(self):
+        config = RunConfig(machines=8, batching="per_tuple")
         assert RunConfig.from_json(config.to_json()) == config
-        as_dict = config.to_dict()
-        assert as_dict["batching"] == "adaptive"
-        assert as_dict["batch_max"] == 32
-        assert RunConfig.from_dict(as_dict) == config
+        assert config.to_dict()["batching"] == "per_tuple"
 
-    def test_adaptive_eagerly_validated_at_operator_construction(self, eq5_query):
-        from repro.core.operator import GridJoinOperator
-
-        with pytest.raises(ValueError, match="registered choices"):
+    def test_unknown_batching_fails_at_operator_construction(self, eq5_query):
+        with pytest.raises(ValueError, match="choices"):
             GridJoinOperator(eq5_query, config=RunConfig(), batching="turbo")
 
-    def test_adaptive_flows_through_session(self, eq5_query):
-        session = JoinSession(
-            eq5_query, config=RunConfig(machines=8, seed=3, batching="adaptive")
-        )
-        result = session.run()
+    def test_default_plane_flows_through_session(self, eq5_query):
+        result = JoinSession(eq5_query, config=RunConfig(machines=8, seed=3)).run()
         assert result.batching == "adaptive"
         assert result.batch_histogram
         assert result.output_count > 0
@@ -216,7 +196,12 @@ class TestRecoveryKnobs:
 
     def test_faults_rejected_on_blocking_protocol(self):
         with pytest.raises(ValueError, match="non-blocking"):
-            RunConfig(machines=8, blocking=True, fault_schedule=[crash(0, 1.0)])
+            RunConfig(
+                machines=8,
+                blocking=True,
+                batching="per_tuple",
+                fault_schedule=[crash(0, 1.0)],
+            )
 
     @pytest.mark.parametrize(
         "overrides",
@@ -248,8 +233,9 @@ class TestRecoveryKnobs:
 
 
 class TestRetiredKnobs:
-    """The execution-backend, wire and probe-engine switches are gone: one
-    simulator, the batching plane picks the wire, and one probe engine."""
+    """The execution-backend, wire, probe-engine and fixed-plane switches are
+    gone: one simulator, the data plane picks the wire, one probe engine, and
+    the adaptive plane sizes its own runs."""
 
     RETIRED_KEYS = [
         ("executor", "simulated"),
@@ -257,6 +243,8 @@ class TestRetiredKnobs:
         ("worker_timeout", 30.0),
         ("delivery_merging", True),
         ("probe_engine", "scalar"),
+        ("batch_size", 64),
+        ("batch_max", 32),
     ]
 
     @pytest.mark.parametrize("key, value", RETIRED_KEYS)
@@ -292,6 +280,7 @@ class TestRetiredKnobs:
             "overlap_dispatches",
             "peak_inflight",
             "delivery_merging",
+            "batch_size",
         ],
     )
     def test_retired_result_field_absent(self, eq5_query, name):
@@ -300,8 +289,9 @@ class TestRetiredKnobs:
         assert not hasattr(result, name)
         assert name not in result.summary_row()
 
-    def test_field_count(self):
-        assert len(dataclasses.fields(RunConfig)) == 20
+    def test_field_counts(self):
+        assert len(dataclasses.fields(RunConfig)) == 18
+        assert len(dataclasses.fields(RunResult)) == 42
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +330,8 @@ class TestRegistries:
 
 
 class TestImportHygiene:
-    """The library is pure stdlib: one probe engine, no NumPy in the process."""
+    """The library is pure stdlib: one probe engine, one batched data plane,
+    no NumPy in the process."""
 
     def test_import_leaves_numpy_unloaded(self):
         src = Path(repro.__file__).resolve().parents[1]
@@ -360,6 +351,27 @@ class TestImportHygiene:
             assert not hasattr(namespace, name), f"{module}.{name}"
             assert name not in getattr(namespace, "__all__", ())
 
+    @pytest.mark.parametrize(
+        "module, names",
+        [
+            ("repro", ("batch_controllers", "register_batch_controller")),
+            ("repro.api", ("batch_controllers", "register_batch_controller")),
+            ("repro.api.registry", ("batch_controllers", "register_batch_controller")),
+            ("repro.engine", ("BatchController", "FixedBatchController", "TupleBatch")),
+            ("repro.engine.batching", ("BatchController", "FixedBatchController")),
+            ("repro.engine.stream", ("TupleBatch",)),
+        ],
+    )
+    def test_no_fixed_plane(self, module, names):
+        namespace = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(namespace, name), f"{module}.{name}"
+            assert name not in getattr(namespace, "__all__", ())
+
+    def test_no_batch_message_kind(self):
+        from repro.engine.task import MessageKind
+
+        assert "BATCH" not in MessageKind.__members__
 
 # ---------------------------------------------------------------------------
 # Eager validation at operator construction (was: deep inside LocalJoiner)
@@ -395,9 +407,9 @@ class TestOverridePrecedence:
 
     def test_call_site_beats_session_default(self, eq5_query):
         session = JoinSession(eq5_query, config=RunConfig(machines=8, seed=1))
-        operator = session.operator(seed=7, batch_size=4)
+        operator = session.operator(seed=7, batching="per_tuple")
         assert operator.seed == 7
-        assert operator.batch_size == 4
+        assert operator.batching == "per_tuple"
         assert operator.machines == 8  # untouched session default
 
     def test_per_run_config_replaces_session_default(self, eq5_query):
@@ -442,10 +454,10 @@ class TestLegacyRemoval:
         # documented API (call-site beats config) — only the config-less
         # loose path was removed.
         operator = AdaptiveJoinOperator(
-            eq5_query, config=RunConfig(machines=8, seed=1), seed=7, batch_size=4
+            eq5_query, config=RunConfig(machines=8, seed=1), seed=7, batching="per_tuple"
         )
         assert operator.seed == 7
-        assert operator.batch_size == 4
+        assert operator.batching == "per_tuple"
 
     def test_make_operator_routes_through_config_path(self, eq5_query):
         # make_operator survives as a registry front door over RunConfig; it
@@ -472,19 +484,18 @@ class TestLegacyRemoval:
 # ---------------------------------------------------------------------------
 
 class TestStreamingIngestion:
-    @pytest.mark.parametrize("batch_size", [1, 64])
-    def test_eq5_streaming_matches_materialised(self, small_dataset, batch_size):
-        """Acceptance pin: identical final join results on EQ5 at batch 1/64.
+    @pytest.mark.parametrize("batching", ["per_tuple", "adaptive"])
+    def test_eq5_streaming_matches_materialised(self, small_dataset, batching):
+        """Acceptance pin: identical final join results on EQ5 on both planes.
 
-        The streaming batcher keeps partial per-destination buffers alive
-        across pushes, so batch boundaries match the materialised schedule
-        exactly; chunked simulation drains do shift virtual-time micro-timing
-        (the same class of effect as batching itself), so wall/virtual times
-        are not compared — results, migrations and the final mapping are.
+        Streaming ingest routes every tuple as the materialised feed does;
+        chunked simulation drains do shift virtual-time micro-timing, so
+        wall/virtual times are not compared — results, migrations and the
+        final mapping are.
         """
         query = make_query("EQ5", small_dataset)
         order = _arrival_order(query, seed=5)
-        config = RunConfig(machines=8, seed=5, warmup_tuples=16.0, batch_size=batch_size)
+        config = RunConfig(machines=8, seed=5, warmup_tuples=16.0, batching=batching)
 
         materialised = JoinSession(query, config=config).run(
             arrival_order=order, collect_outputs=True
@@ -492,7 +503,7 @@ class TestStreamingIngestion:
 
         session = JoinSession(query, config=config)
         session.open_stream(collect_outputs=True)
-        chunk = 97  # deliberately not a divisor of the batch size
+        chunk = 97  # deliberately not a divisor of the run cap
         for start in range(0, len(order), chunk):
             session.push(items=order[start:start + chunk])
         streamed = session.finish()
@@ -505,7 +516,7 @@ class TestStreamingIngestion:
 
     def test_push_raw_records_and_snapshots(self, small_dataset):
         query = make_query("EQ5", small_dataset)
-        session = JoinSession(query, machines=8, seed=3, batch_size=4)
+        session = JoinSession(query, machines=8, seed=3)
         half_left = len(query.left_records) // 2
         half_right = len(query.right_records) // 2
 
@@ -529,7 +540,7 @@ class TestStreamingIngestion:
         assert result.output_count == reference.output_count
 
     def test_streaming_lifecycle_errors(self, eq5_query):
-        session = JoinSession(eq5_query, machines=8, seed=3, batch_size=4)
+        session = JoinSession(eq5_query, machines=8, seed=3)
         with pytest.raises(RuntimeError, match="no streaming run"):
             session.finish()
         with pytest.raises(RuntimeError, match="no streaming run"):
@@ -548,7 +559,7 @@ class TestStreamingIngestion:
         session.finish()
 
     def test_push_rejects_wrong_relation(self, eq5_query, bnci_query):
-        session = JoinSession(eq5_query, machines=8, batch_size=4)
+        session = JoinSession(eq5_query, machines=8)
         order = _arrival_order(eq5_query, seed=5)
         right_tuple = next(t for t in order if t.relation == eq5_query.right_relation)
         with pytest.raises(ValueError, match="relation"):

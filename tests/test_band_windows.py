@@ -347,7 +347,7 @@ def _counted_run(monkeypatch, query, **knobs):
 
 
 class TestWindowDecidesBands:
-    @pytest.mark.parametrize("batching", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("batching", ["per_tuple", "adaptive"])
     def test_int_keyed_run_never_validates_a_pair(self, monkeypatch, batching):
         result, calls = _counted_run(monkeypatch, _band_query(), batching=batching)
         assert result.migrations >= 1, "scenario must migrate"

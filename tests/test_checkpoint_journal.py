@@ -459,8 +459,7 @@ JOINER = f"joiner-{CRASHED}"
 INTERVAL = 25
 
 PLANES = {
-    "per_tuple": {"batch_size": 1},
-    "fixed64": {"batch_size": 64},
+    "per_tuple": {"batching": "per_tuple"},
     "adaptive": {"batching": "adaptive"},
 }
 
@@ -469,7 +468,6 @@ PLANES = {
 SITUATIONS = ("before_first_snapshot", "between_extending", "during_migration", "after_migration")
 ANCHORS = {
     "per_tuple": (200, 1150, 1700, 1895),
-    "fixed64": (8, 26, 120, 203),
     "adaptive": (200, 950, 1400, 1470),
 }
 
@@ -480,10 +478,6 @@ PARENT = {
     ("equi", "adaptive", "between_extending"): (11, 41.25),
     ("equi", "adaptive", "during_migration"): (29, 67.25),
     ("equi", "adaptive", "after_migration"): (1, 51.25),
-    ("equi", "fixed64", "before_first_snapshot"): (14, 15.5),
-    ("equi", "fixed64", "between_extending"): (18, 35.0),
-    ("equi", "fixed64", "during_migration"): (42, 71.0),
-    ("equi", "fixed64", "after_migration"): (10, 58.0),
     ("equi", "per_tuple", "before_first_snapshot"): (17, 17.75),
     ("equi", "per_tuple", "between_extending"): (11, 41.25),
     ("equi", "per_tuple", "during_migration"): (33, 70.25),
@@ -492,10 +486,6 @@ PARENT = {
     ("band", "adaptive", "between_extending"): (10, 41.0),
     ("band", "adaptive", "during_migration"): (32, 70.0),
     ("band", "adaptive", "after_migration"): (3, 53.25),
-    ("band", "fixed64", "before_first_snapshot"): (14, 15.5),
-    ("band", "fixed64", "between_extending"): (18, 35.0),
-    ("band", "fixed64", "during_migration"): (42, 71.0),
-    ("band", "fixed64", "after_migration"): (0, 63.0),
     ("band", "per_tuple", "before_first_snapshot"): (17, 17.75),
     ("band", "per_tuple", "between_extending"): (10, 41.0),
     ("band", "per_tuple", "during_migration"): (32, 70.0),

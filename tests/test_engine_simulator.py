@@ -15,7 +15,6 @@ from repro.engine.simulator import Simulator
 from repro.engine.stream import (
     ArrivalSchedule,
     StreamTuple,
-    TupleBatch,
     interleave_streams,
     make_tuples,
 )
@@ -190,61 +189,28 @@ class TestPriorityStart:
         assert task.log[0][0] == pytest.approx(3.0)
 
 
-class TestBatchedFeed:
-    def _items(self, count):
-        return [StreamTuple(relation="R", record={"i": i}, size=2.0) for i in range(count)]
-
-    def test_batched_feed_coalesces_per_destination(self):
+class TestFeed:
+    def test_feed_sends_one_message_per_tuple(self):
         sim = Simulator(num_machines=1)
         task = sim.register(Recorder("r", machine_id=0))
-        items = self._items(10)
-        schedule = ArrivalSchedule(items=items, inter_arrival=1.0)
-        sim.feed_schedule(schedule, destination_picker=lambda item: "r", batch_size=4)
+        items = [StreamTuple(relation="R", record={"i": i}, size=2.0) for i in range(3)]
+        sim.feed_schedule(ArrivalSchedule(items=items), destination_picker=lambda item: "r")
         sim.run()
-        # 10 arrivals -> batches of 4, 4 and a flushed partial of 2.
-        sizes = [len(payload) for _, payload in task.log]
-        assert sizes == [4, 4, 2]
-        for _, payload in task.log:
-            assert isinstance(payload, TupleBatch)
-        # Per-member arrival stamps survive coalescing.
-        assert [item.arrival_time for item in items] == [float(i) for i in range(10)]
+        assert [payload for _, payload in task.log] == items
 
-    def test_batch_emitted_at_newest_member_arrival(self):
-        sim = Simulator(num_machines=1)
-        task = sim.register(Recorder("r", machine_id=0))
-        schedule = ArrivalSchedule(items=self._items(4), inter_arrival=2.0)
-        sim.feed_schedule(schedule, destination_picker=lambda item: "r", batch_size=4)
-        sim.run()
-        assert task.log[0][0] == pytest.approx(6.0)
-
-    def test_batch_size_one_is_per_tuple(self):
-        sim = Simulator(num_machines=1)
-        task = sim.register(Recorder("r", machine_id=0))
-        schedule = ArrivalSchedule(items=self._items(3))
-        sim.feed_schedule(schedule, destination_picker=lambda item: "r", batch_size=1)
-        sim.run()
-        assert len(task.log) == 3
-        assert all(isinstance(payload, StreamTuple) for _, payload in task.log)
-
-    def test_batch_network_accounting_is_exact(self):
-        """A batch transfer counts one message, len(batch) tuples and the
-        summed member size as volume."""
+    def test_data_message_accounting_is_exact(self):
+        """A data transfer between machines counts one message and its size
+        as volume; every data message is one tuple, so there is no separate
+        tuple counter."""
         sim = Simulator(num_machines=2)
         sim.register(Recorder("sink", machine_id=1))
-        forwarder = sim.register(Forwarder("hop", "sink", machine_id=0))
-        batch = TupleBatch(items=self._items(5))
-        message = Message(
-            kind=MessageKind.BATCH,
-            sender="test",
-            payload=batch,
-            size=batch.size,
-            meta={"inner": MessageKind.DATA},
-        )
-        sim.schedule(0.0, "hop", message)
+        sim.register(Forwarder("hop", "sink", machine_id=0))
+        item = StreamTuple(relation="R", record={"i": 0}, size=2.5)
+        sim.schedule(0.0, "hop", _data(item, size=item.size))
         sim.run()
         assert sim.network.messages[TrafficCategory.ROUTING] == 1
-        assert sim.network.tuples[TrafficCategory.ROUTING] == 5
-        assert sim.network.volume[TrafficCategory.ROUTING] == pytest.approx(10.0)
+        assert sim.network.volume[TrafficCategory.ROUTING] == pytest.approx(2.5)
+        assert not hasattr(sim.network, "tuples")
 
 
 class Drawer(Task):
@@ -423,11 +389,20 @@ class TestIgnoreParameter:
 
     def test_coarse_switches_are_field_group_shorthand(self, operator_scenario):
         """timing=False is exactly ignore=TIMING_FIELDS."""
-        oracle = _operator_run(StaticMidOperator, operator_scenario, batch_size=1)
-        batched = _operator_run(StaticMidOperator, operator_scenario, batch_size=32)
-        assert_run_equivalent(oracle, batched, timing=False, network=False, label="coarse")
+        oracle = _operator_run(StaticMidOperator, operator_scenario)
+        skewed = dataclasses.replace(
+            oracle,
+            execution_time=oracle.execution_time + 1.0,
+            average_latency=oracle.average_latency + 1.0,
+            probe_work=oracle.probe_work + 1.0,
+            routing_volume=oracle.routing_volume + 1.0,
+            total_network_volume=oracle.total_network_volume + 1.0,
+        )
+        with pytest.raises(AssertionError):
+            assert_run_equivalent(oracle, skewed, label="strict")
+        assert_run_equivalent(oracle, skewed, timing=False, network=False, label="coarse")
         assert_run_equivalent(
-            oracle, batched,
+            oracle, skewed,
             ignore=TIMING_FIELDS | {"routing_volume", "migration_volume",
                                     "total_network_volume"},
             label="explicit",

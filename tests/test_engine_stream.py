@@ -37,12 +37,7 @@ def test_one_object_per_input_tuple(monkeypatch, eq5_query):
     after a whole run — a migration included — every live StreamTuple is an
     input, and the feed hands the reshufflers exactly the input objects."""
     seen = {}
-    real_schedule_data = Simulator.schedule_data
     real_run = Simulator.run
-
-    def schedule_data(self, time, destination, message):
-        seen["fed"].extend(message.payload)  # the fixed plane's source batches
-        return real_schedule_data(self, time, destination, message)
 
     def run(self, *args, **kwargs):
         finish = real_run(self, *args, **kwargs)
@@ -50,35 +45,28 @@ def test_one_object_per_input_tuple(monkeypatch, eq5_query):
         seen["simulator"] = self
         return finish
 
-    monkeypatch.setattr(Simulator, "schedule_data", schedule_data)
     monkeypatch.setattr(Simulator, "run", run)
-    for plane in ({"batching": "adaptive"}, {"batch_size": 64}):
-        seen.clear()
-        seen["fed"] = []
-        baseline = len(_live_stream_tuples())
-        rng = random.Random(5)
-        order = interleave_streams(
-            make_tuples(eq5_query.left_relation, eq5_query.left_records, rng),
-            make_tuples(eq5_query.right_relation, eq5_query.right_records, rng),
-            rng,
-        )
-        config = RunConfig(machines=8, seed=5, warmup_tuples=16, **plane)
-        result = AdaptiveJoinOperator(eq5_query, config=config).run(arrival_order=order)
-        assert result.migrations >= 1, plane
-        assert len(seen["live"]) - baseline == len(order), plane
-        inputs = {id(item) for item in order}
-        assert inputs <= {id(item) for item in seen["live"]}, plane
-        fed = seen["fed"]
-        if "batching" in plane:
-            # The merged feed: one run per reshuffler channel covers the schedule.
-            fed = [
-                message
-                for channel in seen["simulator"]._channels[0].values()
-                for message in channel.messages
-            ]
-        assert len(fed) == len(order), plane
-        assert {id(message) for message in fed} == inputs, plane
-        del order, result, fed  # free this run's tuples before the next baseline
+    baseline = len(_live_stream_tuples())
+    rng = random.Random(5)
+    order = interleave_streams(
+        make_tuples(eq5_query.left_relation, eq5_query.left_records, rng),
+        make_tuples(eq5_query.right_relation, eq5_query.right_records, rng),
+        rng,
+    )
+    config = RunConfig(machines=8, seed=5, warmup_tuples=16)
+    result = AdaptiveJoinOperator(eq5_query, config=config).run(arrival_order=order)
+    assert result.migrations >= 1
+    assert len(seen["live"]) - baseline == len(order)
+    inputs = {id(item) for item in order}
+    assert inputs <= {id(item) for item in seen["live"]}
+    # The merged feed: one run per reshuffler channel covers the schedule.
+    fed = [
+        message
+        for channel in seen["simulator"]._channels[0].values()
+        for message in channel.messages
+    ]
+    assert len(fed) == len(order)
+    assert {id(message) for message in fed} == inputs
 
 
 class TestStreamTuple:

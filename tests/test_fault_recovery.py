@@ -90,7 +90,7 @@ def _run(query, order, operator_class=AdaptiveJoinOperator, **overrides):
 # processes ~1380 events on the small EQ5 workload, the adaptive plane ~253,
 # so each plane gets an anchor that reliably lands mid-run.
 PLANES = {
-    "per_tuple": {"batch_size": 1, "_crash_events": 500},
+    "per_tuple": {"batching": "per_tuple", "_crash_events": 500},
     "adaptive": {"batching": "adaptive", "_crash_events": 200},
 }
 
@@ -244,12 +244,12 @@ class TestCrashRecovery:
     def test_virtual_time_anchored_crash(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _run(query, order, checkpoint_interval=50, batching="per_tuple")
         crashed = _run(
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash(3, twin.execution_time * 0.4)],
         )
         assert crashed.faults_injected == 1
@@ -259,12 +259,12 @@ class TestCrashRecovery:
     def test_controller_machine_crash(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _run(query, order, checkpoint_interval=50, batching="per_tuple")
         crashed = _run(
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash(0, twin.execution_time * 0.4)],
         )
         assert crashed.faults_injected == 1
@@ -275,14 +275,14 @@ class TestCrashRecovery:
         order = _arrival_order(query)
         twin = _run(
             query, order, operator_class=StaticMidOperator,
-            checkpoint_interval=50, batch_size=1,
+            checkpoint_interval=50, batching="per_tuple",
         )
         crashed = _run(
             query,
             order,
             operator_class=StaticMidOperator,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 500)],
         )
         assert crashed.faults_injected == 1
@@ -293,11 +293,11 @@ class TestCrashRecovery:
         # implicit empty snapshot.
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, batch_size=1)
+        twin = _run(query, order, batching="per_tuple")
         crashed = _run(
             query,
             order,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 500)],
         )
         assert crashed.faults_injected == 1
@@ -308,7 +308,7 @@ class TestCrashRecovery:
         order = _arrival_order(query)
         kwargs = dict(
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 500)],
         )
         first = _run(query, order, **kwargs)
@@ -321,12 +321,12 @@ class TestCrashRecovery:
     def test_explicit_restart_after(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _run(query, order, checkpoint_interval=50, batching="per_tuple")
         crashed = _run(
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 500, restart_after=2.0)],
         )
         assert crashed.faults_injected == 1
@@ -335,12 +335,12 @@ class TestCrashRecovery:
     def test_multiple_crashes_on_distinct_machines(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _run(query, order, checkpoint_interval=50, batching="per_tuple")
         crashed = _run(
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[crash_after_events(3, 400), crash_after_events(5, 800)],
         )
         assert crashed.faults_injected == 2
@@ -359,7 +359,7 @@ class TestFaultErrorPaths:
             _run(
                 query,
                 order,
-                batch_size=1,
+                batching="per_tuple",
                 checkpoint_interval=50,
                 fault_schedule=[
                     crash_after_events(3, 500, restart_after=1e9),
@@ -376,7 +376,7 @@ class TestFaultErrorPaths:
             _run(
                 query,
                 order,
-                batch_size=1,
+                batching="per_tuple",
                 checkpoint_interval=50,
                 fault_schedule=[crash_after_events(3, 500, restart_after=1e9)],
                 max_retries=1,

@@ -80,7 +80,7 @@ def _run(query, order, **overrides):
 
 
 PLANES = {
-    "per_tuple": {"batch_size": 1},
+    "per_tuple": {"batching": "per_tuple"},
     "adaptive": {"batching": "adaptive"},
 }
 
@@ -226,7 +226,7 @@ class TestConfigValidation:
 
     def test_network_faults_require_non_blocking(self):
         with pytest.raises(ValueError, match="non-blocking"):
-            _config(blocking=True, network_faults=[drop((0, 1), 1)])
+            _config(blocking=True, batching="per_tuple", network_faults=[drop((0, 1), 1)])
 
     def test_json_round_trip(self):
         config = _config(
@@ -366,7 +366,7 @@ class TestWireMasking:
     def test_faulty_run_is_deterministic(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        kwargs = dict(network_faults=MIXED_FAULTS, batch_size=1)
+        kwargs = dict(network_faults=MIXED_FAULTS, batching="per_tuple")
         first = _run(query, order, **kwargs)
         second = _run(query, order, **kwargs)
         # events=True + network=True: heap events, wire histograms and every
@@ -379,7 +379,7 @@ class TestWireMasking:
         query = queries["equi"]
         order = _arrival_order(query)
         faulty = _run(
-            query, order, network_faults=[drop((0, 1), 1)], batch_size=1
+            query, order, network_faults=[drop((0, 1), 1)], batching="per_tuple"
         )
         assert faulty.retransmit_histogram == {1: 1}
 
@@ -387,7 +387,7 @@ class TestWireMasking:
         # Manual plumbing mirror of operator.run, to inspect the wire state.
         query = queries["equi"]
         order = _arrival_order(query)
-        config = _config(network_faults=MIXED_FAULTS, batch_size=1)
+        config = _config(network_faults=MIXED_FAULTS, batching="per_tuple")
         operator = AdaptiveJoinOperator(query, config=config)
         rng = random.Random(config.seed)
         simulator, topology = operator.build_execution(
@@ -396,7 +396,6 @@ class TestWireMasking:
         simulator.feed_schedule(
             ArrivalSchedule(items=list(order), inter_arrival=0.0),
             destination_picker=lambda _item: rng.choice(topology.reshuffler_names),
-            batch_size=operator.batch_size,
         )
         simulator.run()
         wire = simulator._wire
@@ -440,7 +439,7 @@ class TestCrashComposition:
         # redelivery must compose to exactly-once application.
         query = queries["equi"]
         order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batch_size=1)
+        twin = _run(query, order, checkpoint_interval=50, batching="per_tuple")
         faults = tuple(
             drop((sender, 3), nth)
             for sender in (0, 1, 2, 4)
@@ -450,7 +449,7 @@ class TestCrashComposition:
             query,
             order,
             checkpoint_interval=50,
-            batch_size=1,
+            batching="per_tuple",
             fault_schedule=[
                 crash_after_events(3, max(1, twin.events_processed // 2))
             ],
@@ -474,7 +473,7 @@ class TestUnreachableLink:
             _run(
                 query,
                 order,
-                batch_size=1,
+                batching="per_tuple",
                 network_faults=[
                     partition((0, 1, 2, 3), (4, 5, 6, 7), 0.0, 1e12)
                 ],
@@ -586,7 +585,7 @@ def _twin(queries, kind):
     if kind not in _TWIN_CACHE:
         query = queries[kind]
         order = _arrival_order(query)
-        _TWIN_CACHE[kind] = (order, _run(query, order, batch_size=1))
+        _TWIN_CACHE[kind] = (order, _run(query, order, batching="per_tuple"))
     return _TWIN_CACHE[kind]
 
 
@@ -616,7 +615,7 @@ class TestRandomScheduleProperty:
     def test_random_schedule_masks_to_twin_output(self, queries, faults, kind):
         query = queries[kind]
         order, twin = _twin(queries, kind)
-        faulty = _run(query, order, network_faults=faults, batch_size=1)
+        faulty = _run(query, order, network_faults=faults, batching="per_tuple")
         assert sorted(faulty.outputs) == sorted(twin.outputs), kind
         assert faulty.output_count == twin.output_count
         _assert_counters_reconcile(faulty, f"property:{kind}")

@@ -121,5 +121,5 @@ class TestCompetitiveRatio:
     def test_blocking_actuation_is_not_faster(self, midsize_dataset):
         query = make_query("EQ5", midsize_dataset)
         non_blocking = AdaptiveJoinOperator(query, config=RunConfig(machines=16, seed=2)).run()
-        blocking = AdaptiveJoinOperator(query, config=RunConfig(machines=16, seed=2, blocking=True)).run()
+        blocking = AdaptiveJoinOperator(query, config=RunConfig(machines=16, seed=2, blocking=True, batching="per_tuple")).run()
         assert non_blocking.execution_time <= blocking.execution_time * 1.1

@@ -82,7 +82,9 @@ class TestOperatorOutputs:
 
     def test_blocking_actuation_is_also_correct(self, small_dataset):
         query = make_query("EQ5", small_dataset)
-        operator = AdaptiveJoinOperator(query, config=RunConfig(machines=8, seed=2, blocking=True, warmup_tuples=16))
+        operator = AdaptiveJoinOperator(query, config=RunConfig(
+            machines=8, seed=2, blocking=True, batching="per_tuple", warmup_tuples=16
+        ))
         result = operator.run(collect_outputs=True)
         _assert_correct(result, query)
 

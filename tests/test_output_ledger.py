@@ -177,7 +177,7 @@ MACHINES = 8
 SEED = 5
 
 PLANES = {
-    "per_tuple": {"batch_size": 1},
+    "per_tuple": {"batching": "per_tuple"},
     "adaptive": {"batching": "adaptive"},
 }
 
@@ -302,7 +302,7 @@ def _dense_query(per_side=320) -> JoinQuery:
     )
 
 
-@pytest.mark.parametrize("plane", ["fixed", "adaptive"])
+@pytest.mark.parametrize("plane", ["per_tuple", "adaptive"])
 def test_dense_run_keeps_no_object_per_result(plane, monkeypatch):
     query = _dense_query()
     order = _arrival_order(query)

@@ -11,7 +11,7 @@ The suite pins that contract across:
 
 * **Reruns** — the scenario matrix predicate kind (equi / band /
   composite-residual) x operator (migrating Dynamic / static) x data plane
-  (per-tuple / fixed batches / adaptive draining), each run twice from fresh
+  (per-tuple / adaptive draining, bursty and paced), each run twice from fresh
   operators and compared with ``events=True``, nothing ignored.
 * **No leaked state** — a different scenario run in between leaves the
   rerun unchanged (no process-global cache may feed back into a result).
@@ -68,9 +68,11 @@ OPERATORS = {
 SESSION_NAMES = {"migrating": "Dynamic", "static": "StaticMid"}
 
 PLANES = {
-    "per_tuple": {"batch_size": 1},
-    "fixed": {"batch_size": 16},
+    "per_tuple": {"batching": "per_tuple"},
     "adaptive": {"batching": "adaptive"},
+    # Spaced arrivals: the drain controller collapses towards single-member
+    # runs and the feed's arrival times, not the backlog, shape every run.
+    "adaptive_paced": {"batching": "adaptive", "inter_arrival": 0.15},
 }
 
 #: Planes the fault cells cross, with the event anchor of a mid-run crash on
@@ -284,8 +286,8 @@ class TestStreamingReproducibility:
 #: through the streaming facade in chunks of that size instead of run().
 REUSE_CELLS = {
     "adaptive": {"batching": "adaptive"},
-    "fixed_64": {"batch_size": 64},
-    "per_tuple": {"batch_size": 1},
+    "per_tuple": {"batching": "per_tuple"},
+    "paced": {"batching": "adaptive", "inter_arrival": 0.15},
     "faulty_stream": {
         "batching": "adaptive",
         "inter_arrival": 0.75,

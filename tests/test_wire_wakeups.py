@@ -14,7 +14,7 @@ every tick at the time the per-tuple wire gives it:
 
 Handled ticks are traced as ``(machine, tick time)`` and compared with the
 same plane on the unmerged wire (the reference for tick times); whole runs
-are compared with the ``batch_size=1`` oracle.
+are compared with the ``batching="per_tuple"`` oracle.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class TestWakeUpCells:
         query = make_query("FLUCT_SYM", small_dataset)
         order = _order(query)
         knobs = dict(machines=8, inter_arrival=0.15)
-        oracle = _run(query, order, batch_size=1, **knobs)
+        oracle = _run(query, order, batching="per_tuple", **knobs)
         traced["ticks"].clear()
         merged = _run(query, order, batching="adaptive", **knobs)
         assert traced["priority"] > 0, "no priority message met a pending wake-up"
@@ -156,7 +156,7 @@ class TestWakeUpCells:
         knobs = dict(machines=8, inter_arrival=0.5, checkpoint_interval=50)
         twin = _run(query, order, batching="adaptive", **knobs)
         faults = [crash(machine, twin.execution_time * share, restart_after=6.0)]
-        oracle = _run(query, order, batch_size=1, fault_schedule=faults, **knobs)
+        oracle = _run(query, order, batching="per_tuple", fault_schedule=faults, **knobs)
         traced["ticks"].clear()
         merged = _run(query, order, batching="adaptive", fault_schedule=faults, **knobs)
         assert merged.faults_injected == 1
