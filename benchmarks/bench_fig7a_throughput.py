@@ -1,12 +1,11 @@
 """Fig. 7a — average operator throughput for every query and operator."""
 
-import time
-
 from conftest import run_report
 
+import repro.core.operator as operator_module
 from repro.bench.experiments import fig7a_throughput
 from repro.bench.harness import ExperimentConfig, build_query, run_single
-from repro.testing import assert_run_equivalent
+from repro.testing import UnmergedWireSimulator, assert_run_equivalent
 
 
 def test_fig7a_throughput(benchmark):
@@ -21,60 +20,21 @@ def test_fig7a_throughput(benchmark):
     assert by_key[("BNCI", "Dynamic")] > by_key[("BNCI", "StaticMid")]
 
 
-def _fig7a_wall_clock(batching="adaptive", repetitions=3):
-    """Best-of-N wall-clock of the four fig7a operators on EQ5/Z4."""
-    best = None
-    for _ in range(repetitions):
-        config = ExperimentConfig(
-            machines=16, scale=0.4, skew="Z4", seed=1, batching=batching
-        )
-        query = build_query("EQ5", config)
-        start = time.perf_counter()
-        outs = {}
-        for kind in ("SHJ", "StaticMid", "Dynamic", "StaticOpt"):
-            outs[kind] = run_single(kind, query, config).output_count
-        wall = time.perf_counter() - start
-        best = wall if best is None else min(best, wall)
-    return best, outs
-
-
-def test_fig7a_adaptive_dataplane_wall_clock():
-    """The default (adaptive) plane runs the fig7a workload >=1.5x faster
-    wall-clock than the pinned per-tuple reference — at *reference
-    semantics*: the results are bit-identical simulations (virtual times,
-    migrations, latencies; pinned cell by cell in
-    tests/test_adaptive_conformance.py), not merely equal output counts.
-
-    The planes are measured interleaved (best-of-N each, after one untimed
-    warm-up pass) so slow drift on shared runners biases neither of them.
-    """
-    _fig7a_wall_clock("per_tuple", repetitions=1)  # warm caches/imports
-    _fig7a_wall_clock("adaptive", repetitions=1)
-    per_tuple_wall = adaptive_wall = None
-    for _ in range(5):
-        wall, per_tuple_outs = _fig7a_wall_clock("per_tuple", repetitions=1)
-        per_tuple_wall = wall if per_tuple_wall is None else min(per_tuple_wall, wall)
-        wall, adaptive_outs = _fig7a_wall_clock("adaptive", repetitions=1)
-        adaptive_wall = wall if adaptive_wall is None else min(adaptive_wall, wall)
-    assert per_tuple_outs == adaptive_outs
-    assert per_tuple_wall >= 1.5 * adaptive_wall, (
-        f"expected >=1.5x wall-clock win at reference semantics, got per-tuple "
-        f"{per_tuple_wall:.3f}s vs adaptive {adaptive_wall:.3f}s"
-    )
-
-
-def test_fig7a_merged_wire_heap_events():
-    """The default (adaptive) plane, which runs on the merged wire, cuts heap
-    events >=10x against the per-tuple reference plane (unmerged wire) while
-    staying a bit-identical simulation: 923 vs 11,432 on this
-    cell, where the merged run's heap holds nothing but the ticks that run
-    its 923 handler invocations (the saturated input never leaves a machine
-    waiting for a wake-up).
+def test_fig7a_merged_wire_heap_events(monkeypatch):
+    """The default (adaptive) plane cuts heap events >=10x against the
+    per-tuple reference on the unmerged wire
+    (:class:`repro.testing.UnmergedWireSimulator`) while staying a
+    bit-identical simulation: 923 vs 11,432 on this cell, where the merged
+    run's heap holds nothing but the ticks that run its 923 handler
+    invocations (the saturated input never leaves a machine waiting for a
+    wake-up).
 
     Heap events are deterministic counters, so this gate is noise-free.
     """
     results = {}
     for label, batching in (("merged", "adaptive"), ("unmerged", "per_tuple")):
+        if label == "unmerged":
+            monkeypatch.setattr(operator_module, "Simulator", UnmergedWireSimulator)
         config = ExperimentConfig(
             machines=16, scale=0.4, skew="Z4", seed=1, batching=batching
         )
@@ -90,11 +50,10 @@ def test_fig7a_merged_wire_heap_events():
         f"expected >=10x fewer heap events, got merged {merged.heap_events} "
         f"vs unmerged {unmerged.heap_events}"
     )
+    assert unmerged.heap_events == 11_432
     assert merged.heap_events == merged.events_processed
     # The cut comes from the wire, not only from receiver draining: merged
-    # runs carry many deliveries per heap event, and the unmerged wire
-    # reports no runs at all.
-    assert unmerged.wire_histogram is None
+    # runs carry many deliveries per heap event.
     assert merged.wire_histogram and max(merged.wire_histogram) > 8, (
         "merged run must report multi-member per-link runs"
     )

@@ -8,7 +8,7 @@ dataflow operator together with every substrate its evaluation depends on:
 * :mod:`repro.engine`  — a deterministic discrete-event simulation of a
   shared-nothing cluster (the Storm/Squall stand-in),
 * :mod:`repro.joins`   — local non-blocking join algorithms and predicates,
-* :mod:`repro.storage` — in-memory + spill stores (the BerkeleyDB stand-in),
+* :mod:`repro.storage` — the durable checkpoint store of the fault plane,
 * :mod:`repro.data`    — TPC-H-like generation with Zipf skew and the
   evaluation queries,
 * :mod:`repro.bench`   — the experiment harness regenerating every table and

@@ -64,12 +64,12 @@ class RunConfig:
             :data:`~repro.engine.batching.DEFAULT_BATCH_MAX` messages per
             handler invocation — bit-identical results and virtual times to
             ``"per_tuple"`` (pinned by the conformance suite), with the
-            event/wall-clock savings of batching.  It runs on the merged
-            wire (per-channel runs parked on the receiver from send, settled
-            in exact per-tuple order; the heap holds only the ticks they
-            wake).  ``"per_tuple"`` handles every message on its own on the
-            unmerged wire: the reference plane, and the only one the
-            blocking protocol runs on.
+            event/wall-clock savings of batching.  ``"per_tuple"`` handles
+            every message on its own: the reference plane, and the only one
+            the blocking protocol runs on.  Both planes run on the same wire
+            (per-channel runs parked on the receiver from send, settled in
+            exact per-delivery order; the heap holds only the ticks they
+            wake).
         arrival_pattern: interleaving of the two input streams (pacing).
         inter_arrival: virtual-time gap between consecutive arrivals (pacing;
             0 = joiners fully utilised).

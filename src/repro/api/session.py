@@ -193,9 +193,7 @@ class _StreamingRun:
         self._pushed += 1
         destination = self._route_rng.choice(self.topology.reshuffler_names)
         # The tuple is its own message.  schedule_data merges consecutive
-        # same-destination ingest messages into the feed channel's run when
-        # the simulator has wire-level delivery merging enabled (falls back
-        # to schedule() otherwise).
+        # same-destination ingest messages into the feed channel's run.
         self.simulator.schedule_data(arrival_time, destination, item)
 
     # ----------------------------------------------------------- observation

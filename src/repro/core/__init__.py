@@ -4,8 +4,8 @@ The sub-modules map one-to-one onto the paper's sections:
 
 * :mod:`repro.core.join_matrix` / :mod:`repro.core.mapping` — §3 (join-matrix
   model, grid-layout partitioning, input-load factor).
-* :mod:`repro.core.statistics` — §4.1 (decentralised statistics, Alg. 1).
-* :mod:`repro.core.decision` — §4.2.1 (migration decision, Alg. 2, Thm 4.1/4.2).
+* :mod:`repro.core.decision` — §4.1 (decentralised statistics, Alg. 1) and
+  §4.2.1 (migration decision, Alg. 2, Thm 4.1/4.2).
 * :mod:`repro.core.migration` — §4.2.1 (locality-aware migration, Fig. 3).
 * :mod:`repro.core.groups` / :mod:`repro.core.elasticity` — §4.2.2
   (general J, elasticity, Fig. 4/5).
@@ -45,11 +45,9 @@ from repro.core.operator import (
     theoretical_optimal_mapping,
 )
 from repro.core.results import RunResult
-from repro.core.statistics import CardinalityEstimator
 
 __all__ = [
     "AdaptiveJoinOperator",
-    "CardinalityEstimator",
     "EpochJoinerState",
     "ExpansionPolicy",
     "GridJoinOperator",

@@ -218,8 +218,8 @@ class GridJoinOperator:
     ) -> tuple[Simulator, Topology]:
         """A fresh :class:`Simulator` with the topology registered, no input fed.
 
-        The drain controllers and the merged wire (adaptive plane only),
-        the fault plane and the unreliable wire are installed as configured.
+        The drain controllers (adaptive plane only), the fault plane and the
+        unreliable wire are installed as configured.
         This is the half of :meth:`run` the streaming session facade reuses:
         :meth:`repro.api.session.JoinSession.push` feeds arrivals into the
         returned substrate incrementally and finally calls
@@ -235,10 +235,6 @@ class GridJoinOperator:
             simulator.install_batching(
                 [AdaptiveBatchController() for _ in range(self.machines)]
             )
-            # The plane picks the wire: the adaptive plane runs on the merged
-            # wire; the per-tuple plane keeps the unmerged wire, which is
-            # itself the pinned reference.
-            simulator.enable_delivery_merging()
         topology = self._build_topology()
         tasks = self._build_tasks(topology, expected_inputs)
         simulator.register_all(tasks)
@@ -359,9 +355,7 @@ class GridJoinOperator:
             batching=self.batching,
             batch_histogram=dict(metrics.drain_histogram) if self._drains else None,
             heap_events=simulator.heap_events,
-            wire_histogram=(
-                dict(metrics.wire_histogram) if self._drains else None
-            ),
+            wire_histogram=dict(metrics.wire_histogram),
             migration_events=[
                 (
                     event.epoch,

@@ -41,14 +41,12 @@ class RunResult:
             the controller sized runs under the workload's backlog.
         heap_events: events popped from the simulator's global heap —
             machine ticks (superseded wake-ups included), control messages,
-            deliveries of the unmerged wire, fault-plane events.  The
-            quantity delivery merging collapses; contrast with
-            ``events_processed`` (handler invocations), which receiver
-            draining collapses.
-        wire_histogram: merged delivery-run length → count per FIFO link
-            (None on the per-tuple plane, whose wire is unmerged) — localises
-            coalescing changes to the wire (this) versus the receiver
-            (``batch_histogram``).
+            off-cluster deliveries, fault-plane events.  The quantity the
+            merged wire collapses; contrast with ``events_processed``
+            (handler invocations), which receiver draining collapses.
+        wire_histogram: merged delivery-run length → count per FIFO link,
+            on both planes — localises coalescing changes to the wire (this)
+            versus the receiver (``batch_histogram``).
         migration_events: the full migration sequence as
             ``(epoch, old_mapping, new_mapping, decided_at, completed_at)``
             tuples — pinned identical across data planes by the adaptive

@@ -17,12 +17,10 @@ around epoch edges the drain key changes and the run is force-flushed.
 An :class:`AdaptiveBatchController` per machine decides how many drainable
 messages it may coalesce per invocation, given its current inbox backlog.
 
-Receiver draining governs *handler invocations*; the orthogonal wire-level
-delivery merging (installed with it) takes the per-message *heap events* of
-the per-tuple wire off the global heap altogether: each channel's run waits
-on the receiver's pending heap and only the ticks it wakes are heap events —
-see ``repro.engine.simulator`` and the "wire plane" section of
-ARCHITECTURE.md.
+Receiver draining governs *handler invocations*; the wire, the same on both
+planes, governs *heap events*: each channel's run waits on the receiver's
+pending heap and only the ticks it wakes are heap events — see
+``repro.engine.simulator`` and the "wire plane" section of ARCHITECTURE.md.
 """
 
 from __future__ import annotations

@@ -149,8 +149,8 @@ class MetricsCollector:
     probe_work: float = 0.0
     #: Drained-run size → count (adaptive data plane only; empty otherwise).
     drain_histogram: dict[int, int] = field(default_factory=dict)
-    #: Per-link merged delivery-run length → count (wire-level delivery
-    #: merging only; empty otherwise).  Complements drain_histogram: this one
+    #: Per-link merged delivery-run length → count.  Complements
+    #: drain_histogram: this one
     #: localises coalescing wins/regressions to the *wire* (sender-side run
     #: lengths per FIFO link) versus the *receiver* (drained-run sizes).
     #: Written inline by ``Simulator._settle`` when a run is exhausted (the

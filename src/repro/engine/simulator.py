@@ -13,10 +13,17 @@ priority queue of pending events.  Two kinds of events exist:
 * **machine ticks** — a machine becomes free and handles the next message in
   its inbox.  The handler's CPU charge extends the machine's busy time and
   any messages it sends are scheduled after the work completes plus network
-  latency/transfer time.  Each machine has at most one valid tick at a time;
-  on the merged wire (see :meth:`Simulator.enable_delivery_merging`) inbox
-  traffic between machines never enters the global heap — only the ticks it
-  wakes do.
+  latency/transfer time.  Each machine has at most one valid tick at a time.
+
+Inbox-bound traffic between machines never enters the global heap: sends on
+one FIFO :class:`Channel` merge into a run on the receiving machine's pending
+heap, whose members settle into the inbox in exact per-delivery ``(time,
+rank)`` order, and the send that opens a run wakes the receiver at exactly
+the tick time its own delivery would have scheduled (``Simulator._wake``).
+The global heap holds ticks, priority control messages, off-cluster traffic
+and fault-plane events.  :class:`repro.testing.UnmergedWireSimulator` keeps
+the one-heap-event-per-delivery wire as the reference the tests pin this
+against.
 
 This yields the two quantities the paper's evaluation is built on:
 
@@ -47,14 +54,6 @@ from repro.engine.task import Context, Message, MessageKind, Task
 PRIORITY_KINDS = frozenset(
     {MessageKind.MAPPING_CHANGE, MessageKind.MIGRATION_ACK, MessageKind.RESUME}
 )
-
-#: Kinds the wire-level delivery-merging layer may coalesce into a
-#: :class:`Channel`'s run: every inbox-bound kind, i.e. everything except the
-#: priority control plane (which executes at delivery rather than queueing).
-#: Merging is exact — a run's members settle into the receiving inbox in
-#: per-tuple ``(time, rank)`` order — so eligibility is purely about *where*
-#: a delivery lands, not what it carries.
-MERGEABLE_KINDS = frozenset(MessageKind) - PRIORITY_KINDS
 
 # Pending events are plain ``(time, rank, target, message)`` tuples so the
 # heap compares at C speed.  A delivery carries the destination Task and its
@@ -92,8 +91,8 @@ class Channel:
     Everything a send on the channel touches: the destination ``task``, the
     machine-to-machine :class:`~repro.engine.network.Link` it rides (FIFO
     delivery clamp and send sequence, shared with the channels to the
-    destination machine's other tasks), the channel's send-rank base, and,
-    on the merged wire, its open delivery run: the parallel ``times`` /
+    destination machine's other tasks), the channel's send-rank base, and
+    its open delivery run: the parallel ``times`` /
     ``ranks`` / ``messages`` arrays of the sends not yet settled into the
     receiver's inbox, ``start`` being the cursor of the next unsettled one.
 
@@ -265,10 +264,8 @@ class Simulator:
         # drained runs on the adaptive plane use them to stop before the
         # point where a control message would take effect (drain horizon).
         self._pending_priority: list[list[float]] = [[] for _ in range(num_machines)]
-        # Wire-level delivery merging (see enable_delivery_merging): the
-        # per-machine heaps of the channel runs and single deliveries
+        # The per-machine heaps of the channel runs and single deliveries
         # addressed to the machine but not yet settled into its inbox.
-        self._merge_wire = False
         self._pending_wire: list[list] = [[] for _ in range(num_machines)]
         # Fault plane (install_faults): the recovery manager, the machines
         # currently down, their buffered-during-outage deliveries, and the
@@ -306,25 +303,6 @@ class Simulator:
                 f"for {len(self.machines)} machines"
             )
         self._drain_controllers = list(controllers)
-
-    def enable_delivery_merging(self) -> None:
-        """Enable wire-level delivery merging.
-
-        Inbox-bound messages (:data:`MERGEABLE_KINDS`) between machines merge
-        per FIFO :class:`Channel` — (sender machine, destination task) — into
-        runs that never enter the global event heap: a run goes onto the
-        receiving machine's pending heap at its first send and absorbs every
-        later send on the channel until the receiver exhausts it.  A run's
-        members are *settled* into the receiving machine's inbox strictly in
-        per-tuple ``(delivery time, rank)`` order — the pending heap
-        interleaves runs, competing links and individual messages exactly as
-        the unmerged heap would — and the send that opens a run wakes the
-        receiver at exactly the tick time its delivery would have scheduled
-        (see :meth:`_wake`).  Every observable quantity stays bit-identical
-        to the unmerged wire while that traffic costs the global heap only
-        the ticks it wakes.
-        """
-        self._merge_wire = True
 
     def install_faults(self, recovery) -> None:
         """Attach the fault-tolerant plane: a recovery manager plus the
@@ -444,7 +422,7 @@ class Simulator:
         earliest delivery left after a tick), which is not yet due.
 
         ``entry`` leads with its ``(delivery time, rank)``.  On the
-        per-tuple wire that delivery schedules the
+        unmerged reference wire that delivery schedules the
         machine's tick at ``max(time, busy_until)`` when it pops, unless a
         tick is scheduled by then — so the send arms that tick now, unless
         the machine's valid tick already serves it: a tick for a non-empty
@@ -502,6 +480,10 @@ class Simulator:
     def feed_schedule(self, schedule: ArrivalSchedule, destination_picker) -> None:
         """Feed an arrival schedule into the topology, one message per tuple.
 
+        One feed run per reshuffler covers the whole schedule (members keep
+        their exact arrival times and ranks), waking its reshuffler for the
+        first member.
+
         Args:
             schedule: the interleaved input streams.
             destination_picker: callable ``tuple -> task name`` choosing the
@@ -510,44 +492,27 @@ class Simulator:
                 arrival order.
         """
         tasks = self.tasks
-        queue = self._queue
         schedule_rank = self._schedule_rank
-        if self._merge_wire:
-            # Merged feed: one run per reshuffler covers the whole schedule
-            # (members keep their exact arrival times/ranks), waking its
-            # reshuffler for the first member.
-            channel_get = self._channels[0].get
-            send_merged = self._send_merged
-            for arrival_time, item in schedule.arrivals():
-                item.arrival_time = arrival_time
-                task = tasks[destination_picker(item)]
-                rank = next(schedule_rank)
-                channel = channel_get(task) or self._channel(-1, task)
-                send_merged(channel, arrival_time, rank, item)
-            return
+        channel_get = self._channels[0].get
+        send_merged = self._send_merged
         for arrival_time, item in schedule.arrivals():
             item.arrival_time = arrival_time
-            heapq.heappush(
-                queue,
-                (arrival_time, next(schedule_rank), tasks[destination_picker(item)], item),
-            )
+            task = tasks[destination_picker(item)]
+            rank = next(schedule_rank)
+            channel = channel_get(task) or self._channel(-1, task)
+            send_merged(channel, arrival_time, rank, item)
 
     def schedule_data(self, time: float, destination: str, message) -> None:
-        """Schedule a data-plane message, merging consecutive same-destination
-        sends into the feed channel's run when delivery merging is enabled
+        """Schedule a data-plane message onto the feed channel's run
         (streaming ingestion).
 
-        Non-mergeable kinds and off-cluster destinations fall back to
+        Priority kinds and off-cluster destinations fall back to
         :meth:`schedule`.
         """
         task = self.tasks.get(destination)
         if task is None:
             raise KeyError(f"unknown task: {destination}")
-        if (
-            not self._merge_wire
-            or task.hosted_machine is None
-            or message.kind not in MERGEABLE_KINDS
-        ):
+        if task.hosted_machine is None or message.kind in PRIORITY_KINDS:
             self.schedule(time, destination, message)
             return
         self._send_merged(self._channel(-1, task), time, next(self._schedule_rank), message)
@@ -576,20 +541,17 @@ class Simulator:
             delivery = departure + channel.link.latency
         else:
             delivery = self.network.carry(channel.link, message.size, category, departure)
-        if message.kind in PRIORITY_KINDS and dest_machine >= 0:
-            self._pending_priority[dest_machine].append(delivery)
         rank = _next_rank(channel)
-        # Off-cluster endpoints are excluded from merging (as in post_fanout):
-        # their deliveries skip the link-FIFO clamp, so an open channel's key
-        # arrays could lose the sortedness _settle's bisects rely on.
-        if (
-            self._merge_wire
-            and sender_machine >= 0
-            and dest_machine >= 0
-            and message.kind in MERGEABLE_KINDS
-        ):
+        if message.kind in PRIORITY_KINDS:
+            if dest_machine >= 0:
+                self._pending_priority[dest_machine].append(delivery)
+        elif sender_machine >= 0 and dest_machine >= 0:
             self._send_merged(channel, delivery, rank, message)
             return
+        # Priority kinds execute at delivery rather than queueing, and
+        # off-cluster endpoints skip the link-FIFO clamp (as in post_fanout),
+        # so an open channel's key arrays could lose the sortedness _settle's
+        # bisects rely on: both go onto the global heap.
         heapq.heappush(self._queue, (delivery, rank, dest_task, message))
 
     def post_fanout(
@@ -629,7 +591,6 @@ class Simulator:
                 else:
                     self._wire_send(sender_machine, channel, message, category, departure)
             return
-        merged = self._merge_wire
         size = message.size
         volume = self.network.volume
         carried = volume.get(category, 0.0)
@@ -647,11 +608,9 @@ class Simulator:
                 sent += 1
                 carried += size
             delivery = link.deliver(departure, size)
-            if not merged:
-                heappush(queue, (delivery, rank, dest_task, message))
-            elif channel.open:
-                # The hottest send path of the merged wire: the channel
-                # append of _send_merged, inlined.
+            if channel.open:
+                # The hottest send path: the channel append of _send_merged,
+                # inlined.
                 channel.times.append(delivery)
                 channel.ranks.append(rank)
                 channel.messages.append(message)
@@ -855,20 +814,17 @@ class Simulator:
         """Buffer a delivery addressed to a crashed machine.
 
         Priority kinds wait in the outage buffer (redelivered first at
-        restart); in-band kinds keep their exact ``(time, rank)`` position —
-        on the merged wire by joining the pending heap next to the channel
-        runs, on the unmerged wire by outage-buffer order, which *is* global
-        ``(time, rank)`` pop order.
+        restart); in-band kinds keep their exact ``(time, rank)`` position by
+        joining the pending heap next to the channel runs, which the
+        restart's tick settles.
         """
         if message.kind in PRIORITY_KINDS:
             self._pending_priority[machine_id].remove(time)
             self._outage[machine_id].append(("p", task, message))
-        elif self._merge_wire:
+        else:
             heapq.heappush(
                 self._pending_wire[machine_id], (time, rank, None, task, message)
             )
-        else:
-            self._outage[machine_id].append(("d", task, message))
 
     # -------------------------------------------------------- unreliable wire
 
@@ -1034,7 +990,7 @@ class Simulator:
             waiting = self._wake_for[machine_id]
             if waiting is not None and (time, rank) < waiting:
                 # The delivery the machine's wake-up waits for is still to
-                # come, and on the per-tuple wire it schedules the tick
+                # come, and on the unmerged wire it schedules the tick
                 # against the busy_until this handler just raised.
                 busy_until = machine.busy_until
                 at = waiting[0] if waiting[0] >= busy_until else busy_until
@@ -1067,7 +1023,7 @@ class Simulator:
     def _settle(self, machine_id: int, time: float) -> None:
         """Move pending wire deliveries dated ``<= time`` into the inbox.
 
-        Called at the start of a tick popped at ``time``: on the per-tuple
+        Called at the start of a tick popped at ``time``: on the unmerged
         wire, exactly the deliveries with ``(delivery, rank) < (time,
         tick rank)`` would have been appended before this tick — and message
         ranks are always below the tick band, so the bound reduces to the
@@ -1161,7 +1117,7 @@ class Simulator:
         else:
             # Backlog estimate for the drain controller: this member plus
             # every member still queued (inside settled segments too) —
-            # identical to the unmerged plane's per-member inbox length.
+            # identical to the unmerged wire's per-member inbox length.
             limit = self._drain_controllers[machine_id].next_batch_size(
                 1 + members[machine_id]
             )

@@ -9,9 +9,7 @@ provides three such flavours built on top of a common index layer:
 
 * :class:`SymmetricHashJoiner` — hash indexes on the join key (equi-joins),
 * :class:`SortedBandJoiner` — ordered indexes with range probes (band joins),
-* :class:`NestedLoopJoiner` — full scans (arbitrary theta predicates),
-* :class:`RippleJoiner` — block ripple join producing early results and
-  running aggregate estimates.
+* :class:`NestedLoopJoiner` — full scans (arbitrary theta predicates).
 
 Predicates (:mod:`repro.joins.predicates`) describe the join condition and
 advertise which index kind can serve them.
@@ -32,7 +30,6 @@ from repro.joins.predicates import (
     JoinPredicate,
     ThetaPredicate,
 )
-from repro.joins.ripple import RippleJoiner
 
 __all__ = [
     "BandPredicate",
@@ -43,7 +40,6 @@ __all__ = [
     "LocalJoiner",
     "NestedLoopJoiner",
     "OrderedIndex",
-    "RippleJoiner",
     "ScanIndex",
     "SortedBandJoiner",
     "SymmetricHashJoiner",

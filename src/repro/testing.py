@@ -1,6 +1,6 @@
 """Reference evaluations and differential-testing helpers.
 
-Two kinds of oracle back the test suites:
+Three kinds of oracle back the test suites:
 
 * **brute force** — :func:`reference_join` evaluates ``predicate.matches``
   over every pair of two record lists (:func:`reference_outputs` maps it
@@ -10,15 +10,36 @@ Two kinds of oracle back the test suites:
   :class:`~repro.core.results.RunResult`\\ s, e.g. an adaptive run against
   its ``batching="per_tuple"`` twin (and third-party components registered
   through :mod:`repro.api` against the built-ins).
+* **the unmerged wire** — :class:`UnmergedWireSimulator` delivers every
+  send through the global heap as its own event, the timing reference the
+  production wire's channel runs and wake-ups must reproduce.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from typing import Iterable, Sequence
 
+from repro.engine.simulator import Simulator
 from repro.engine.stream import StreamTuple
 from repro.joins.predicates import JoinPredicate, Record
+
+
+class UnmergedWireSimulator(Simulator):
+    """A :class:`~repro.engine.simulator.Simulator` whose wire never merges.
+
+    Each send that would open or extend a channel run goes onto the global
+    heap as its own ``(time, rank, task, message)`` delivery instead, and
+    the channel never opens, so every inbox-bound delivery is one heap event
+    that appends to the inbox when it pops.  Tests install it with
+    ``monkeypatch.setattr(repro.core.operator, "Simulator",
+    UnmergedWireSimulator)`` for operator runs, or construct it directly
+    for toy topologies.
+    """
+
+    def _open_run(self, channel, time, rank, message) -> None:
+        heapq.heappush(self._queue, (time, rank, channel.task, message))
 
 
 def reference_join(
@@ -159,8 +180,8 @@ def assert_run_equivalent(
     ``events=True`` additionally pins the *event plumbing*: global heap
     events and the per-link wire-merge histogram.  Same-plane comparisons
     only (e.g. two runs of one plane under different layers) — comparing across
-    planes (merged vs unmerged wire, adaptive vs per-tuple) legitimately
-    changes both.
+    planes (adaptive vs per-tuple) or wires (against
+    :class:`UnmergedWireSimulator`) legitimately changes both.
 
     ``ignore=`` names individual fields to skip, for comparisons that are
     exact *except* for a known, bounded delta — e.g. a faulty run against its

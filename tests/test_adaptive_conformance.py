@@ -30,16 +30,18 @@ import random
 from collections import Counter
 
 import pytest
-from repro.testing import assert_run_equivalent, reference_outputs
+from repro.testing import UnmergedWireSimulator, assert_run_equivalent, reference_outputs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import JoinSession, RunConfig, crash_after_events
+import repro.core.operator as operator_module
+from repro.api import JoinSession, RunConfig, crash_after_events, drop
 from repro.core.baselines import StaticMidOperator
 from repro.core.epochs import JoinerPhase
 from repro.core.operator import AdaptiveJoinOperator
 from repro.core.tasks import JoinerTask, ReshufflerTask
 from repro.data.queries import JoinQuery, make_query
+from repro.data.tpch import generate_dataset
 from repro.engine.batching import AdaptiveBatchController
 from repro.engine.simulator import Simulator
 from repro.engine.stream import (
@@ -483,53 +485,98 @@ def normal_joiner(queries):
 # Wire-level delivery merging: exactness of the merged wire
 # ---------------------------------------------------------------------------
 
+#: Per-tuple FLUCT_SYM cells (scale 0.4, J=16, seed 1, fluctuation k=4) as
+#: RunConfig overrides, with the ``(execution_time, heap_events,
+#: events_processed)`` each read on the unmerged wire when it was still the
+#: per-tuple plane's own.
+_FLUCT_CELLS = {
+    "plain": {},
+    "blocking": {"blocking": True},
+    "crash": {
+        "fault_schedule": (crash_after_events(5, 4000),),
+        "checkpoint_interval": 100,
+    },
+    "lossy": {
+        "network_faults": tuple(drop((i, (3 * i + 1) % 16), 2 + i) for i in range(9))
+    },
+}
+_UNMERGED_LITERALS = {
+    "plain": (1206.7099999999898, 29888, 14960),
+    "blocking": (1432.2099999999884, 35296, 17696),
+    "crash": (1264.779999999989, 29891, 14960),
+    "lossy": (1206.7599999999898, 29913, 14968),
+}
+
+
+@pytest.fixture(scope="module")
+def fluct_run():
+    query = make_query("FLUCT_SYM", generate_dataset(scale=0.4, skew="Z0", seed=1))
+    rng = random.Random(1)
+    left = make_tuples(query.left_relation, query.left_records, rng, query.left_tuple_size)
+    right = make_tuples(
+        query.right_relation, query.right_records, rng, query.right_tuple_size
+    )
+    warmup = max(64, (len(left) + len(right)) // 100)
+    order = fluctuating_order(left, right, fluctuation_factor=4, warmup=warmup)
+
+    def run(cell):
+        config = RunConfig(
+            machines=16, seed=1, warmup_tuples=float(warmup), batching="per_tuple",
+            **_FLUCT_CELLS[cell],
+        )
+        result = AdaptiveJoinOperator(query, config=config).run(
+            arrival_order=order, collect_outputs=True
+        )
+        assert result.faults_injected == (cell == "crash")
+        assert result.messages_dropped == (9 if cell == "lossy" else 0)
+        return result
+
+    return run
+
 
 class TestDeliveryMergingConformance:
     """The merged wire must be invisible in every observable quantity."""
 
     @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
-    def test_merged_adaptive_equals_per_tuple_oracle(self, queries, predicate):
+    def test_merged_adaptive_equals_per_tuple_oracle(
+        self, queries, predicate, monkeypatch
+    ):
+        """The default plane against the full reference: per-tuple handling
+        on the unmerged wire."""
         query = queries[predicate]
         order = _arrival_order(query)
-        reference, merged = _run_pair(AdaptiveJoinOperator, query, order)
+        merged = _run(AdaptiveJoinOperator, query, order, batching="adaptive")
+        monkeypatch.setattr(operator_module, "Simulator", UnmergedWireSimulator)
+        reference = _run(AdaptiveJoinOperator, query, order, batching="per_tuple")
         assert_run_equivalent(reference, merged, label=f"merge/{predicate}")
         # The merged wire must actually collapse heap traffic, not pass
         # trivially: under the bursty backlog the channel runs absorb the
-        # per-tuple deliveries (the >=2x gate at benchmark scale lives in
+        # per-tuple deliveries (the >=10x gate at benchmark scale lives in
         # bench_fig7a_throughput.py).
         assert merged.heap_events * 2 < reference.heap_events, (
             merged.heap_events, reference.heap_events,
         )
-        assert merged.wire_histogram and reference.wire_histogram is None
+        assert merged.wire_histogram and not reference.wire_histogram
         assert max(merged.wire_histogram) > 8  # multi-member runs exist
 
-    def test_plane_picks_the_wire(self, queries):
-        """The adaptive plane runs on the merged wire; the per-tuple plane
-        keeps the unmerged reference wire."""
-        query = queries["equi"]
-        planes = (({"batching": "adaptive"}, True), ({"batching": "per_tuple"}, False))
-        for overrides, merged in planes:
-            operator = AdaptiveJoinOperator(query, config=_config(**overrides))
-            simulator, _ = operator.build_execution()
-            assert simulator._merge_wire is merged, overrides
-
-    def test_merging_on_the_per_tuple_plane(self, queries, monkeypatch):
-        """The merge layer is plane-agnostic: installed on the per-tuple
-        plane (no drain controllers at all) it must still be bit-identical."""
-        query = queries["equi"]
-        order = _arrival_order(query)
-        reference = _run(StaticMidOperator, query, order, batching="per_tuple")
-        build = StaticMidOperator.build_execution
-
-        def build_merged(self, *args, **kwargs):
-            simulator, topology = build(self, *args, **kwargs)
-            simulator.enable_delivery_merging()
-            return simulator, topology
-
-        monkeypatch.setattr(StaticMidOperator, "build_execution", build_merged)
-        merged = _run(StaticMidOperator, query, order, batching="per_tuple")
-        assert_run_equivalent(reference, merged, label="per-tuple-plane merge")
-        assert merged.heap_events < reference.heap_events
+    @pytest.mark.parametrize("cell", sorted(_UNMERGED_LITERALS))
+    def test_per_tuple_plane_against_the_unmerged_wire(
+        self, fluct_run, monkeypatch, cell
+    ):
+        """The per-tuple plane is the merged wire without drain controllers:
+        bit-identical to the same plane on the unmerged reference wire, which
+        reproduces the ``(execution_time, heap_events, events_processed)``
+        recorded when the unmerged wire was still the engine's own."""
+        production = fluct_run(cell)
+        monkeypatch.setattr(operator_module, "Simulator", UnmergedWireSimulator)
+        reference = fluct_run(cell)
+        assert_run_equivalent(reference, production, timing=True, label=cell)
+        assert production.events_processed == reference.events_processed
+        assert (
+            reference.execution_time, reference.heap_events, reference.events_processed
+        ) == _UNMERGED_LITERALS[cell]
+        assert production.heap_events < reference.heap_events
+        assert production.wire_histogram and not reference.wire_histogram
 
     @pytest.mark.parametrize("crashes", [(), (crash_after_events(3, 120),)])
     def test_drain_controller_sees_the_exact_member_backlog(
@@ -602,12 +649,10 @@ class _BursterTask(Task):
             ctx.send(destination, StreamTuple(relation="R", record={"i": tag}))
 
 
-def _toy_trace(merging: bool, bursts, control_times):
+def _toy_trace(simulator_class, bursts, control_times):
     """Drive competing DATA bursts + priority control messages; return the
     consumer-side handling trace and final machine busy states."""
-    simulator = Simulator(num_machines=4, seed=0)
-    if merging:
-        simulator.enable_delivery_merging()
+    simulator = simulator_class(num_machines=4, seed=0)
     log: list = []
     consumer = _RecorderTask("consumer", machine_id=1, log=log, cost=0.3)
     simulator.register(consumer)
@@ -664,9 +709,11 @@ class TestDeliveryMergingInterleavings:
         bursts = [(kick / 4.0, burst) for kick, burst in bursts]
         control_times = [t / 4.0 for t in control_times]
         merged_log, merged_busy, merged_events = _toy_trace(
-            True, bursts, control_times
+            Simulator, bursts, control_times
         )
-        plain_log, plain_busy, plain_events = _toy_trace(False, bursts, control_times)
+        plain_log, plain_busy, plain_events = _toy_trace(
+            UnmergedWireSimulator, bursts, control_times
+        )
         assert merged_log == plain_log
         assert merged_busy == plain_busy
         assert merged_events <= plain_events
@@ -676,10 +723,8 @@ class TestDeliveryMergingInterleavings:
         clamp, so they must not join open channel runs (whose key arrays must
         stay sorted) — and must in particular never collide with the feed
         channel bucket.  The trace must still be exactly per-tuple."""
-        def run(merging):
-            simulator = Simulator(num_machines=2, seed=0)
-            if merging:
-                simulator.enable_delivery_merging()
+        def run(simulator_class):
+            simulator = simulator_class(num_machines=2, seed=0)
             log: list = []
             consumer = _RecorderTask("consumer", machine_id=0, log=log, cost=0.2)
             off_cluster = _BursterTask(
@@ -694,7 +739,7 @@ class TestDeliveryMergingInterleavings:
             )
             simulator.run()
             return log
-        assert run(True) == run(False)
+        assert run(Simulator) == run(UnmergedWireSimulator)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ Pins the contracts of ``repro.api``:
   the materialised path on EQ5 on both data planes.
 """
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -372,6 +373,128 @@ class TestImportHygiene:
         from repro.engine.task import MessageKind
 
         assert "BATCH" not in MessageKind.__members__
+
+    def test_one_wire(self):
+        """Both planes run on the merged wire: the simulator picks no wire."""
+        from repro.engine import simulator as simulator_module
+        from repro.engine.simulator import Simulator
+
+        for name in ("_merge_wire", "enable_delivery_merging"):
+            assert not hasattr(Simulator, name), name
+            assert not hasattr(Simulator(num_machines=2), name), name
+        assert not hasattr(simulator_module, "MERGEABLE_KINDS")
+
+    def test_reference_wire_is_test_only(self):
+        """No src module imports the unmerged reference wire (or the
+        ``repro.testing`` module defining it)."""
+        graph = _module_graph()
+        importers = {
+            name
+            for name in graph
+            for module, names in _imports(graph, name)
+            if module == "repro.testing" or "UnmergedWireSimulator" in (names or ())
+        }
+        assert importers == set()
+        assert "UnmergedWireSimulator" in vars(importlib.import_module("repro.testing"))
+
+    def test_every_module_is_reached(self):
+        """Walking imports from the entry packages reaches every src module
+        except those still waiting to be wired into a run (or cut)."""
+        graph = _module_graph()
+        reached = _reachable(graph, roots=("repro.api", "repro.bench", "repro.testing"))
+        unreached = {
+            name for name, (_, is_package) in graph.items()
+            if not is_package and name not in reached
+        }
+        assert unreached - PENDING_MODULES == set(), "modules no run reaches"
+        assert PENDING_MODULES - unreached == set(), (
+            "reached now: take them out of PENDING_MODULES"
+        )
+
+
+#: Modules no entry point imports yet.  They are to be wired into runs
+#: (elasticity, groups) or turned into paper-claim rows (join_matrix).
+PENDING_MODULES = frozenset(
+    {"repro.core.elasticity", "repro.core.groups", "repro.core.join_matrix"}
+)
+
+
+def _module_graph() -> dict:
+    """Every module under ``src/repro``: name -> (parsed source, is package)."""
+    src = Path(repro.__file__).resolve().parent
+    graph = {}
+    for path in src.rglob("*.py"):
+        parts = path.relative_to(src.parent).with_suffix("").parts
+        is_package = parts[-1] == "__init__"
+        name = ".".join(parts[:-1] if is_package else parts)
+        graph[name] = (ast.parse(path.read_text()), is_package)
+    return graph
+
+
+def _imports(graph, name):
+    """``(module, imported names or None)`` for every import statement of
+    ``name``, function-level ones included (src uses absolute imports only)."""
+    for node in ast.walk(graph[name][0]):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module, [alias.name for alias in node.names]
+
+
+def _resolve(graph, module, names):
+    """The defining modules an import of ``names`` from ``module`` reaches.
+
+    A name taken from a package resolves to its submodule, or through the
+    package's own re-export to the module defining it; the package's other
+    re-exports are not followed.
+    """
+    if module not in graph:
+        return set()  # stdlib or third party
+    if not graph[module][1] or names is None:
+        return {module}
+    targets = {module}
+    for name in names:
+        if f"{module}.{name}" in graph:
+            targets.add(f"{module}.{name}")
+            continue
+        for source, exported in _imports(graph, module):
+            if exported and name in exported:
+                targets |= _resolve(graph, source, [name])
+    return targets
+
+
+def _registers_components(tree) -> bool:
+    """Whether a module registers a built-in at import (a top-level
+    ``register_*(...)`` call), which runs look up through the registries."""
+    return any(
+        isinstance(node, ast.Expr)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id.startswith("register_")
+        for node in tree.body
+    )
+
+
+def _reachable(graph, roots) -> set:
+    """Modules reached from ``roots``.  Every module of a root package is a
+    root, and so is every module registering a built-in component; other
+    packages' ``__init__`` re-exports are not followed."""
+    root_names = {
+        name for name, (tree, _) in graph.items()
+        if any(name == root or name.startswith(root + ".") for root in roots)
+        or _registers_components(tree)
+    }
+    reached, frontier = set(root_names), list(root_names)
+    while frontier:
+        name = frontier.pop()
+        if graph[name][1] and name not in root_names:
+            continue
+        for module, names in _imports(graph, name):
+            for target in _resolve(graph, module, names) - reached:
+                reached.add(target)
+                frontier.append(target)
+    return reached
 
 # ---------------------------------------------------------------------------
 # Eager validation at operator construction (was: deep inside LocalJoiner)

@@ -1,5 +1,7 @@
 """Tests for the migration-decision algorithm (Alg. 2) and its guarantees."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,54 @@ class TestThreshold:
         assert decision is not None and decision.migrate
         assert decision.new_mapping == optimal_mapping(16, 500, 4500)
         assert controller.migrations_triggered == 1
+
+
+class TestScaledObservation:
+    """Algorithm 1: a reshuffler sees a 1/J random sample of the input and
+    scales every arrival by J, so its controller estimates global totals."""
+
+    def test_scaled_increments_estimate_totals(self):
+        controller = MigrationController(machines=16)
+        for _ in range(10):
+            controller.observe(True, 16)
+        for _ in range(40):
+            controller.observe(False, 16)
+        assert controller.total_r == 160
+        assert controller.total_s == 640
+        assert controller.total == 800
+
+    def test_exact_mode_counts_one_per_tuple(self):
+        controller = MigrationController(machines=16)
+        controller.observe(True)
+        controller.observe(False)
+        controller.observe(False)
+        assert (controller.total_r, controller.total_s) == (1, 2)
+
+    def test_scaled_estimate_is_close_for_random_routing(self):
+        """Every one of J controllers fed a random 1/J share of the input,
+        scaled by J, estimates both cardinalities within a few percent."""
+        rng = random.Random(0)
+        machines = 16
+        controllers = [MigrationController(machines=machines) for _ in range(machines)]
+        total_r, total_s = 8000, 24000
+        for is_left, total in ((True, total_r), (False, total_s)):
+            for _ in range(total):
+                controllers[rng.randrange(machines)].observe(is_left, machines)
+        for controller in controllers:
+            assert controller.total_r == pytest.approx(total_r, rel=0.15)
+            assert controller.total_s == pytest.approx(total_s, rel=0.15)
+
+    def test_check_commits_the_totals(self):
+        """A decision moves the deltas into the committed counts without
+        changing the estimated totals."""
+        controller = MigrationController(machines=16)
+        controller.observe(True, 48)
+        controller.observe(False, 80)
+        decision = controller.check(Mapping(4, 4))
+        assert (decision.committed_r, decision.committed_s) == (48, 80)
+        assert (controller.total_r, controller.total_s) == (48, 80)
+        assert (controller.delta_r, controller.delta_s) == (0, 0)
+        assert controller.decisions == 1
 
 
 class TestCompetitiveRatioInvariant:

@@ -58,6 +58,53 @@ class TestMachine:
         machine.add_stored(1e9)
         assert machine.storage_factor() == 1.0
 
+    def test_exactly_full_machine_is_still_in_memory(self):
+        machine = Machine(machine_id=0, cost_model=CostModel(memory_capacity=4.0))
+        machine.add_stored(4.0)
+        assert not machine.is_over_memory
+        assert machine.storage_factor() == 1.0
+        machine.add_stored(0.5)
+        assert machine.is_over_memory
+
+    def test_spill_penalty_is_the_cost_models(self):
+        machine = Machine(
+            machine_id=0, cost_model=CostModel(memory_capacity=2.0, spill_penalty=7.0)
+        )
+        machine.add_stored(3.0)
+        assert machine.storage_factor() == 7.0
+
+    def test_removal_can_unspill(self):
+        """Discarding state (a migration moving tuples away, a finalize
+        dropping an epoch) brings a machine back under budget; ``spilled``
+        keeps recording that it overflowed once."""
+        machine = Machine(machine_id=0, cost_model=CostModel(memory_capacity=2.0))
+        machine.add_stored(3.0)
+        assert machine.storage_factor() > 1.0
+        machine.remove_stored(1.5)
+        assert machine.storage_factor() == 1.0
+        assert machine.spilled
+
+    def test_accounting_never_drifts_under_interleaving(self):
+        """Incremental stored/peak/received accounting equals a closed-form
+        recompute after every step of an interleaved add/remove sequence."""
+        machine = Machine(machine_id=0, cost_model=CostModel(memory_capacity=5.0))
+        live, received, peak = [], 0.0, 0.0
+        steps = [("add", 1.5)] * 6 + [("remove", 1.5)] * 3 + [("add", 2.0)] * 2
+        steps += [("remove", 2.0), ("remove", 1.5), ("add", 0.5)]
+        for action, size in steps:
+            if action == "add":
+                machine.add_stored(size)
+                live.append(size)
+                received += size
+            else:
+                machine.remove_stored(size)
+                live.remove(size)
+            peak = max(peak, sum(live))
+            assert machine.stored_size == pytest.approx(sum(live))
+            assert machine.peak_stored_size == pytest.approx(peak)
+            assert machine.received_size == pytest.approx(received)
+            assert machine.is_over_memory == (sum(live) > 5.0)
+
     def test_reset_clock(self):
         machine = Machine(machine_id=0, cost_model=CostModel())
         machine.occupy(0.0, 3.0)

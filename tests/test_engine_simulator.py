@@ -19,7 +19,12 @@ from repro.engine.stream import (
     make_tuples,
 )
 from repro.engine.task import Context, Message, MessageKind, Task
-from repro.testing import IGNORABLE_FIELDS, TIMING_FIELDS, assert_run_equivalent
+from repro.testing import (
+    IGNORABLE_FIELDS,
+    TIMING_FIELDS,
+    UnmergedWireSimulator,
+    assert_run_equivalent,
+)
 
 
 class Recorder(Task):
@@ -211,6 +216,51 @@ class TestFeed:
         assert sim.network.messages[TrafficCategory.ROUTING] == 1
         assert sim.network.volume[TrafficCategory.ROUTING] == pytest.approx(2.5)
         assert not hasattr(sim.network, "tuples")
+
+
+def _burst(simulator_class, count=10):
+    """``count`` tuples handed at t=0 to a free forwarder on machine 0, all
+    sent on one channel to a sink on machine 1 charging 1.0 per message."""
+    sim = simulator_class(
+        num_machines=2, cost_model=CostModel(network_latency=1.0, per_tuple_network_cost=0.0)
+    )
+    sink = sim.register(Recorder("sink", machine_id=1, cost=1.0))
+    sim.register(Forwarder("hop", "sink", machine_id=0))
+    for index in range(count):
+        sim.schedule(0.0, "hop", _data(index))
+    finish = sim.run()
+    return sim, sink.log, finish
+
+
+class TestReferenceWire:
+    """:class:`repro.testing.UnmergedWireSimulator` against the production wire."""
+
+    def test_is_the_simulator_with_one_override(self):
+        assert issubclass(UnmergedWireSimulator, Simulator)
+        overrides = {name for name in vars(UnmergedWireSimulator) if not name.startswith("__")}
+        assert overrides == {"_open_run"}
+
+    def test_both_wires_deliver_the_same_trace(self):
+        merged, merged_log, merged_finish = _burst(Simulator)
+        reference, reference_log, reference_finish = _burst(UnmergedWireSimulator)
+        assert merged_log == reference_log
+        assert [payload for _, payload in merged_log] == list(range(10))
+        assert merged_finish == reference_finish == pytest.approx(11.0)
+        assert merged.events_processed == reference.events_processed
+
+    def test_production_wire_absorbs_the_burst_in_one_run(self):
+        merged, _, _ = _burst(Simulator)
+        assert merged.metrics.wire_histogram == {10: 1}
+
+    def test_reference_pushes_every_send_onto_the_heap(self):
+        """The reference never opens a channel: each of the burst's sends
+        pops from the global heap as its own delivery."""
+        merged, _, _ = _burst(Simulator)
+        reference, _, _ = _burst(UnmergedWireSimulator)
+        assert reference.metrics.wire_histogram == {}
+        channel = reference.channels(reference.tasks["hop"], ["sink"])[0]
+        assert not channel.open and channel.messages == []
+        assert reference.heap_events - merged.heap_events == 10
 
 
 class Drawer(Task):

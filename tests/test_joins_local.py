@@ -143,6 +143,37 @@ class TestFactory:
         )
 
 
+_PREDICATES = {
+    "equi": EquiPredicate("v", "v"),
+    "band": BandPredicate("v", "v", width=2),
+    "theta": ThetaPredicate(lambda l, r: l["v"] < r["v"], name="l.v < r.v"),
+}
+
+
+class TestRemoval:
+    @pytest.mark.parametrize("name", sorted(_PREDICATES))
+    def test_removed_tuples_never_match_again(self, name, rng):
+        """Tuples a migration moves away leave the local join: later probes
+        produce exactly the join with the tuples still stored."""
+        predicate = _PREDICATES[name]
+        joiner = make_local_joiner(predicate, "R", "S")
+        stored = _stream("S", [{"v": rng.randint(0, 12)} for _ in range(30)])
+        for item in stored:
+            joiner.insert(item)
+        removed = stored[::3]
+        for item in removed:
+            assert joiner.remove(item)
+            assert not joiner.remove(item)
+        kept = [item for item in stored if item not in removed]
+        assert joiner.count("S") == len(kept)
+        probes = _stream("R", [{"v": rng.randint(0, 12)} for _ in range(20)])
+        matched = set()
+        for item in probes:
+            matches, _ = joiner.probe(item)
+            matched.update((item.tuple_id, other.tuple_id) for other in matches)
+        assert matched == _reference_pairs(probes, kept, predicate)
+
+
 class TestPropertyBased:
     @given(
         st.lists(st.integers(0, 8), min_size=0, max_size=30),

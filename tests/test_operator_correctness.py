@@ -19,7 +19,7 @@ from repro.core.baselines import (
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import make_query
 from repro.data.tpch import generate_dataset
-from repro.engine.stream import fluctuating_order, make_tuples
+from repro.engine.stream import fluctuating_order, interleave_streams, make_tuples
 from repro.testing import reference_join
 
 
@@ -100,6 +100,31 @@ class TestOperatorOutputs:
         result = operator.run(collect_outputs=True)
         _assert_correct(result, query)
         assert result.spilled
+
+    def test_unbounded_memory_never_spills(self, skewed_dataset):
+        query = make_query("EQ5", skewed_dataset)
+        operator = AdaptiveJoinOperator(query, config=RunConfig(machines=8, seed=2))
+        assert not operator.run().spilled
+
+    def test_spill_penalty_slows_the_run_but_keeps_its_outputs(self, skewed_dataset):
+        """Spilled state costs time (the BerkeleyDB slowdown of §5), never
+        results."""
+        query = make_query("EQ5", skewed_dataset)
+        rng = random.Random(2)
+        order = interleave_streams(
+            make_tuples(query.left_relation, query.left_records, rng),
+            make_tuples(query.right_relation, query.right_records, rng),
+            rng,
+        )
+        runs = {
+            capacity: AdaptiveJoinOperator(
+                query, config=RunConfig(machines=8, seed=2, memory_capacity=capacity)
+            ).run(arrival_order=order, collect_outputs=True)
+            for capacity in (None, 20.0)
+        }
+        assert runs[20.0].spilled and not runs[None].spilled
+        assert sorted(runs[20.0].outputs) == sorted(runs[None].outputs)
+        assert runs[20.0].execution_time > runs[None].execution_time
 
     def test_epsilon_variants_are_correct(self, small_dataset):
         query = make_query("EQ7", small_dataset)

@@ -4,7 +4,7 @@ On the merged wire a channel's run goes onto the receiving machine's pending
 heap when it is *sent*, and the send arms the receiver's tick for the
 delivery ahead of time (``Simulator._wake``); the global heap holds ticks,
 never deliveries between machines.  These tests pin the rules that keep
-every tick at the time the per-tuple wire gives it:
+every tick at the time the unmerged wire gives it:
 
 * a saturated run pops exactly one heap event per handler invocation, and a
   paced one stays within a few heap events per input tuple;
@@ -13,8 +13,9 @@ every tick at the time the per-tuple wire gives it:
 * a crashed machine gets no wake-up, and its restart keeps its own tick.
 
 Handled ticks are traced as ``(machine, tick time)`` and compared with the
-same plane on the unmerged wire (the reference for tick times); whole runs
-are compared with the ``batching="per_tuple"`` oracle.
+same plane on :class:`repro.testing.UnmergedWireSimulator` (the reference
+for tick times); whole runs are compared with the ``batching="per_tuple"``
+oracle.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import random
 
 import pytest
 
+import repro.core.operator as operator_module
 from repro.api import RunConfig, crash
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import make_query
@@ -30,7 +32,7 @@ from repro.engine.machine import CostModel
 from repro.engine.simulator import PRIORITY_KINDS, Simulator
 from repro.engine.stream import StreamTuple, interleave_streams, make_tuples
 from repro.engine.task import Message, MessageKind, Task
-from repro.testing import assert_run_equivalent
+from repro.testing import UnmergedWireSimulator, assert_run_equivalent
 
 SEED = 5
 
@@ -92,9 +94,14 @@ def traced(monkeypatch):
     return trace
 
 
+def _reset(traced):
+    """Count ticks and wake-ups from the next run on only."""
+    traced.update(ticks=[], priority=0, moved=0, crashed_waking=0)
+
+
 def _unmerged(monkeypatch):
-    """Keep the adaptive plane on the unmerged wire for the next run."""
-    monkeypatch.setattr(Simulator, "enable_delivery_merging", lambda self: None)
+    """Run the next operator runs on the unmerged reference wire."""
+    monkeypatch.setattr(operator_module, "Simulator", UnmergedWireSimulator)
 
 
 class TestHeapEvents:
@@ -131,7 +138,7 @@ class TestWakeUpCells:
         order = _order(query)
         knobs = dict(machines=8, inter_arrival=0.15)
         oracle = _run(query, order, batching="per_tuple", **knobs)
-        traced["ticks"].clear()
+        _reset(traced)
         merged = _run(query, order, batching="adaptive", **knobs)
         assert traced["priority"] > 0, "no priority message met a pending wake-up"
         merged_ticks = list(traced["ticks"])
@@ -157,7 +164,7 @@ class TestWakeUpCells:
         twin = _run(query, order, batching="adaptive", **knobs)
         faults = [crash(machine, twin.execution_time * share, restart_after=6.0)]
         oracle = _run(query, order, batching="per_tuple", fault_schedule=faults, **knobs)
-        traced["ticks"].clear()
+        _reset(traced)
         merged = _run(query, order, batching="adaptive", fault_schedule=faults, **knobs)
         assert merged.faults_injected == 1
         assert traced["crashed_waking"] == 1, "the crash must land during a wake-up"
@@ -194,15 +201,13 @@ class _Sender(Task):
         ctx.send(self.destination, StreamTuple(relation="R", record={}))
 
 
-def _toy(merging, traced, extra, cost):
+def _toy(simulator_class, traced, extra, cost):
     """One DATA send (delivered at 1.0) to an idle consumer charging ``cost``
     per message, plus messages ``(time, kind)`` scheduled straight onto the
     consumer (a priority kind executes on arrival, DATA joins the inbox)."""
-    simulator = Simulator(
+    simulator = simulator_class(
         num_machines=2, cost_model=CostModel(network_latency=1.0, per_tuple_network_cost=0.0)
     )
-    if merging:
-        simulator.enable_delivery_merging()
     log = []
     simulator.register(_Consumer("consumer", 1, cost, log))
     simulator.register(_Sender("sender", 0, "consumer"))
@@ -232,7 +237,7 @@ _DATA = MessageKind.DATA
     ],
 )
 def test_wake_up_tick_times_match_the_unmerged_wire(traced, extra, cost, moved):
-    merged = _toy(True, traced, extra, cost)
+    merged = _toy(Simulator, traced, extra, cost)
     assert traced["moved"] == moved
-    unmerged = _toy(False, traced, extra, cost)
+    unmerged = _toy(UnmergedWireSimulator, traced, extra, cost)
     assert merged == unmerged  # handler log and handled tick times
