@@ -34,7 +34,9 @@ from repro.api.registry import (
 from repro.api.session import JoinSession, StreamSnapshot, build_operator
 from repro.engine.faults import (
     FaultSpec,
+    MachineUnreachableError,
     NetworkFaultSpec,
+    OverlappingFaultError,
     UnreachableLinkError,
     crash,
     crash_after_events,
@@ -49,7 +51,9 @@ __all__ = [
     "BATCHING_PLANES",
     "FaultSpec",
     "JoinSession",
+    "MachineUnreachableError",
     "NetworkFaultSpec",
+    "OverlappingFaultError",
     "PredicateKind",
     "Registry",
     "RunConfig",

@@ -50,6 +50,11 @@ class JoinerPhase(enum.Enum):
     DRAINED = "drained"      # all reshuffler signals received; HandleTuple2
 
 
+# Bound once for the batch hot path (an Enum member lookup is a metaclass
+# attribute access on CPython 3.11).
+_NORMAL = JoinerPhase.NORMAL
+
+
 @dataclass(slots=True)
 class TupleActions:
     """Everything a joiner task must do after the state machine handled a tuple.
@@ -241,50 +246,64 @@ class EpochJoinerState:
                 )
             return self._handle_delta(item, actions)
         if item.epoch == self.pending_epoch:
-            return self._delta_prime_batch([item])[0]
+            ((matches, work),) = self._delta_prime_batch([item])
+            return TupleActions(matches, work, stored=True)
         raise ProtocolError(
             f"joiner {self.machine_id} received epoch {item.epoch} while migrating "
             f"from {self.current_epoch} to {self.pending_epoch}"
         )
 
-    def handle_data_batch(self, items: list[StreamTuple]) -> list[TupleActions]:
-        """Batched HandleTuple1 for one single-epoch run of routed data tuples.
+    def handle_current(self, item: StreamTuple) -> tuple[MatchGroup | tuple, float]:
+        """HandleTuple1's degenerate NORMAL path for one current-epoch tuple.
 
-        On the hot NORMAL path the whole batch is inserted+probed through
-        :meth:`LocalJoiner.probe_batch` — one grouped index pass with correct
-        intra-batch self-join semantics and per-member work accounting
-        identical to the per-tuple path.  Any other phase (or an epoch
-        mismatch, e.g. a batch buffered across a migration edge) falls back
-        to the per-tuple handler, which implements the full protocol.
+        Everything stored is τ: one :meth:`LocalJoiner.probe_insert` joins
+        the tuple with all of it and stores it as τ.  Returns the tuple's
+        ``(matches, probe_work)``, pinned identical to :meth:`handle_data`'s
+        probe-then-insert.  The caller guarantees the phase and the epoch
+        (the joiner's drain key does).
         """
-        if self.phase is JoinerPhase.NORMAL:
+        store = self.store
+        partners, work = store.probe_insert(item)
+        if not partners:
+            return (), work
+        # The engine's own fresh partner list: the group takes it over as
+        # is, with the probed store's arrival bound.
+        is_left = item.relation == self.left_relation
+        return MatchGroup(item, is_left, partners, store.arrival_bound(is_left)), work
+
+    def handle_data_batch(
+        self, items: list[StreamTuple]
+    ) -> list[tuple[MatchGroup | tuple, float]]:
+        """HandleTuple1 for one drainable run of routed data tuples.
+
+        A drainable run is single-epoch: current-epoch tuples in the NORMAL
+        phase, or Δ' tuples (the pending epoch) during a migration.  Each
+        member probes the live store and is stored before the next, so
+        intra-batch self-join semantics and per-member work are identical to
+        per-tuple :meth:`handle_data`.  Every member is stored and relocates
+        nothing, so its actions come back as ``(matches, probe_work)``;
+        any other run raises :class:`ProtocolError` (old-epoch Δ tuples
+        relocate state and go through :meth:`handle_data` one by one).
+        """
+        if self.phase is _NORMAL:
             current = self.current_epoch
             if all(item.epoch == current for item in items):
-                left_relation = self.left_relation
-                store = self.store
-                results = []
-                for item, (matches, work) in zip(items, store.probe_batch(items)):
-                    actions = TupleActions(probe_work=work, stored=True)
-                    if matches:
-                        # The engine's own fresh partner list: the group
-                        # takes it over as is.  The store's arrival bound is
-                        # read after the whole batch was stored; bounds only
-                        # grow, so it still bounds this member's partners.
-                        is_left = item.relation == left_relation
-                        actions.matches = MatchGroup(
-                            item, is_left, matches, store.arrival_bound(is_left)
-                        )
-                    results.append(actions)
-                return results
+                handle_current = self.handle_current
+                return [handle_current(item) for item in items]
         else:
             pending = self.pending_epoch
-            if pending is not None and all(item.epoch == pending for item in items):
+            if all(item.epoch == pending for item in items):
                 return self._delta_prime_batch(items)
-        return [self.handle_data(item) for item in items]
+        raise ProtocolError(
+            f"joiner {self.machine_id} in phase {self.phase.value} cannot batch a run "
+            f"tagged with epochs {sorted({item.epoch for item in items})}"
+        )
 
-    def _delta_prime_batch(self, items: list[StreamTuple]) -> list[TupleActions]:
+    def _delta_prime_batch(
+        self, items: list[StreamTuple]
+    ) -> list[tuple[MatchGroup | tuple, float]]:
         """Δ' tuples — new-epoch data during a migration (Alg. 3 lines 12-14
-        and 24-26), in arrival order.
+        and 24-26), in arrival order; per member ``(matches, probe_work)``.
 
         A member's two protocol probes, ``µ ∪ Δ'`` then ``Keep(τ ∪ Δ)``,
         inspect the same four partitions with nothing inserted in between —
@@ -302,14 +321,11 @@ class EpochJoinerState:
         probed = parts[_NEW].probe_batch(
             items, (parts[_MU], parts[_OLD_KEEP]), (parts[_OLD_DROP],)
         )
-        results: list[TupleActions] = []
-        append = results.append
-        for item, (matches, work) in zip(items, probed):
-            actions = TupleActions(probe_work=work + work, stored=True)
-            if matches:
-                actions.matches = MatchGroup(item, item.relation == left_relation, matches)
-            append(actions)
-        return results
+        return [
+            (MatchGroup(item, item.relation == left_relation, matches) if matches else (),
+             work + work)
+            for item, (matches, work) in zip(items, probed)
+        ]
 
     def _handle_delta(self, item: StreamTuple, actions: TupleActions) -> TupleActions:
         """Old-epoch tuple during migration (Alg. 3 lines 15-20)."""

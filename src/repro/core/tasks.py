@@ -22,6 +22,14 @@ from repro.engine.task import Context, Message, MessageKind, Task
 from repro.joins.local import make_local_joiner
 from repro.joins.predicates import JoinPredicate
 
+# The enum members the per-message drain paths test, bound once: on CPython
+# 3.11 every ``MessageKind.DATA``-style lookup is a metaclass attribute access
+# costing as much as a small function call.
+_DATA = MessageKind.DATA
+_MIGRATION = MessageKind.MIGRATION
+_NORMAL = JoinerPhase.NORMAL
+
+
 @dataclass
 class Topology:
     """Shared, static description of the operator's topology.
@@ -162,7 +170,7 @@ class ReshufflerTask(Task):
         can exist yet.  The blocking protocol's buffered-resume path charges
         CPU from a control handler and stays per-tuple.
         """
-        if message.kind is MessageKind.DATA and not self.blocking:
+        if message.kind is _DATA and not self.blocking:
             return -1  # any non-None constant: all source tuples coalesce
         return None
 
@@ -194,7 +202,7 @@ class ReshufflerTask(Task):
         horizon = None
         if horizon_fn is not None and not is_controller:
             horizon, horizon_fn = horizon_fn(), None
-        data_kind = MessageKind.DATA
+        data_kind = _DATA
         count = 0
         message = first
         while True:
@@ -429,7 +437,9 @@ class JoinerTask(Task):
     """A joiner: local non-blocking join wrapped in the epoch protocol.
 
     Drained runs of data tuples go through
-    ``EpochJoinerState.handle_data_batch`` → ``LocalJoiner.probe_batch``.
+    ``EpochJoinerState.handle_data_batch`` (a NORMAL-phase run of one
+    straight through ``EpochJoinerState.handle_current``) →
+    ``LocalJoiner.probe_insert`` per member.
     """
 
     def __init__(
@@ -519,16 +529,16 @@ class JoinerTask(Task):
         a dedicated key and therefore never mix with DATA runs.
         """
         kind = message.kind
-        if kind is MessageKind.DATA:
+        if kind is _DATA:
             state = self.state
             epoch = message.payload.epoch
-            if state.phase is JoinerPhase.NORMAL:
+            if state.phase is _NORMAL:
                 if epoch == state.current_epoch:
                     return epoch
             elif epoch == state.pending_epoch:
                 return epoch
             return None
-        if kind is MessageKind.MIGRATION:
+        if kind is _MIGRATION:
             return self._MU_DRAIN_KEY
         return None
 
@@ -536,14 +546,19 @@ class JoinerTask(Task):
         """Probe-and-store one drained run of pure same-epoch data tuples.
 
         The run is pulled off the inbox head up front (batch probes need the
-        member list), its actions come from
-        :meth:`EpochJoinerState.handle_data_batch` (one grouped index pass;
-        per-member matches and work pinned identical to per-tuple
-        ``handle_data``), and every member's cost is charged with the exact
-        `_apply` arithmetic before :meth:`Context.boundary` commits it to
-        the busy chain — so output timestamps and machine times are
-        bit-identical to per-tuple delivery.  Probe work is integer-valued,
-        so the single deferred metrics record is exact.
+        member list), its per-member ``(matches, probe_work)`` come from
+        :meth:`EpochJoinerState.handle_data_batch` (pinned identical to
+        per-tuple ``handle_data``; every member is stored and relocates
+        nothing), and every member's cost is charged with the exact `_apply`
+        arithmetic before :meth:`Context.boundary` commits it to the busy
+        chain — so output timestamps and machine times are bit-identical to
+        per-tuple delivery.  Probe work is integer-valued, so the single
+        deferred metrics record is exact.
+
+        A run of one (``limit`` 1: a paced machine's usual tick, see
+        ``Simulator._tick``) pulls nothing, and in the NORMAL phase its one
+        member goes straight to :meth:`EpochJoinerState.handle_current` —
+        one ``probe_insert`` — before the same charge loop.
         """
         if key is self._MU_DRAIN_KEY:
             # µ runs: per-member handling through the base-class loop —
@@ -551,7 +566,7 @@ class JoinerTask(Task):
             # member), saving only simulator events.
             return Task.handle_drained(self, first, inbox, limit, key, ctx)
         items = [first.payload]
-        data_kind = MessageKind.DATA
+        data_kind = _DATA
         while len(items) < limit and inbox:
             head = inbox[0]
             # Inline drain_key: the phase cannot change inside one
@@ -581,17 +596,17 @@ class JoinerTask(Task):
         if journal is not None:
             for item in items:
                 journal.log(("data", item))
-        actions_list = self.state.handle_data_batch(items)
+        state = self.state
+        if len(items) == 1 and state.phase is _NORMAL:
+            # The drain key is the current epoch in the NORMAL phase.
+            probed = (state.handle_current(items[0]),)
+        else:
+            probed = state.handle_data_batch(items)
         if journal is not None:
             # The joiner state is fully mutated at this point (the remaining
             # work is cost accounting), so this is a valid snapshot point.
             journal.maybe_snapshot(self)
         machine = ctx.machine
-        if machine is None:  # pragma: no cover - joiners are always hosted
-            for item, actions in zip(items, actions_list):
-                self._apply(actions, item, ctx, migrated=False)
-                ctx.boundary()
-            return len(items)
         cost_model = machine.cost_model
         receive_cost = cost_model.receive_cost
         store_cost = cost_model.store_cost
@@ -610,32 +625,24 @@ class JoinerTask(Task):
         # chain with exactly the per-tuple float arithmetic (member start ==
         # busy_until, end = start + member cost).
         now = ctx.now
-        for item, actions in zip(items, actions_list):
-            work = actions.probe_work
+        for item, (matches, work) in zip(items, probed):
             probe_total += work
-            # Same arithmetic and accumulation order as _apply.
+            # Same arithmetic and accumulation order as _apply for a stored
+            # tuple (every drained member is stored).
             factor = 1.0 if unbounded else storage_factor()
             cost = 0.0
             cost += receive_cost
-            if actions.stored:
-                cost += store_cost * factor
+            cost += store_cost * factor
             cost += work * probe_cost * factor
-            matches = actions.matches
             cost += len(matches) * match_cost
-            if actions.stored:
-                size = item.size
-                machine.stored_size = stored = machine.stored_size + size
-                machine.received_size += size
-                if stored > machine.peak_stored_size:
-                    machine.peak_stored_size = stored
+            size = item.size
+            machine.stored_size = stored = machine.stored_size + size
+            machine.received_size += size
+            if stored > machine.peak_stored_size:
+                machine.peak_stored_size = stored
             end = now + cost
             if matches:
                 record_outputs(matches, end)
-            if actions.migrate_to:  # pragma: no cover - excluded by drain_key
-                raise RuntimeError(
-                    f"joiner {self.name} drained a relocating tuple; "
-                    "drain_key must keep migrating paths per-tuple"
-                )
             machine.busy_until = end
             machine.busy_time += cost
             now = end

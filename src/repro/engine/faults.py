@@ -145,6 +145,44 @@ class UnreachableLinkError(RuntimeError):
         )
 
 
+class OverlappingFaultError(RuntimeError):
+    """A crash hit a machine that was still down from an earlier crash.
+
+    The crash schedule may only fail a machine again after its restart;
+    overlapping outages are a schedule error, never silently merged.
+
+    Attributes:
+        machine: the machine the second crash targeted.
+        time: the virtual time of that crash.
+    """
+
+    def __init__(self, machine: int, time: float) -> None:
+        self.machine = machine
+        self.time = time
+        super().__init__(
+            f"machine {machine} crashed while already down at virtual time "
+            f"{time} (overlapping faults in the schedule)"
+        )
+
+
+class MachineUnreachableError(RuntimeError):
+    """Traffic waited for a crashed machine past the link-layer retry budget.
+
+    Raised when a machine stays down through ``max_retries`` exponentially
+    backed-off retries while deliveries addressed to it are due, so a
+    faulty run always terminates with a named error instead of hanging.
+
+    Attributes:
+        machine: the machine that never came back in time.
+        retries: the retry budget that was exhausted.
+    """
+
+    def __init__(self, machine: int, retries: int) -> None:
+        self.machine = machine
+        self.retries = retries
+        super().__init__(f"machine {machine} unreachable after {retries} retries")
+
+
 _NETWORK_FAULT_KINDS = ("drop", "duplicate", "delay", "partition")
 _NETWORK_FAULT_FIELDS = (
     "kind", "link", "nth", "by",

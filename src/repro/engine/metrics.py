@@ -153,9 +153,10 @@ class MetricsCollector:
     #: drain_histogram: this one
     #: localises coalescing wins/regressions to the *wire* (sender-side run
     #: lengths per FIFO link) versus the *receiver* (drained-run sizes).
-    #: Written inline by ``Simulator._settle`` when a run is exhausted (the
-    #: settle loop is the hottest merged-wire path, so there is no
-    #: ``record_*`` wrapper — keep any future writers consistent with it).
+    #: Written inline by ``Simulator._settle`` and by ``Simulator._tick``'s
+    #: lone-member path when a run is exhausted (the hottest merged-wire
+    #: paths, so there is no ``record_*`` wrapper — keep any future writers
+    #: consistent with them).
     wire_histogram: dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------ recording
@@ -203,7 +204,9 @@ class MetricsCollector:
         self.probe_work += amount
 
     def record_drained_run(self, size: int) -> None:
-        """Count one drain-eligible run of ``size`` coalesced messages."""
+        """Count one drain-eligible run of ``size`` coalesced messages.
+
+        ``Simulator._tick`` writes the count of a run of one inline."""
         histogram = self.drain_histogram
         histogram[size] = histogram.get(size, 0) + 1
 

@@ -20,10 +20,14 @@ one FIFO :class:`Channel` merge into a run on the receiving machine's pending
 heap, whose members settle into the inbox in exact per-delivery ``(time,
 rank)`` order, and the send that opens a run wakes the receiver at exactly
 the tick time its own delivery would have scheduled (``Simulator._wake``).
-The global heap holds ticks, priority control messages, off-cluster traffic
-and fault-plane events.  :class:`repro.testing.UnmergedWireSimulator` keeps
-the one-heap-event-per-delivery wire as the reference the tests pin this
-against.
+A tick that finds its inbox empty and exactly one pending member due skips
+the settle pass and hands that member straight to its handler: it is the
+pending minimum, the next delivery in ``(time, rank)`` order, so the handler
+sees exactly what the settle-then-pop sequence would have given it (see
+``Simulator._tick``).  The global heap holds ticks, priority control
+messages, off-cluster traffic and fault-plane events.
+:class:`repro.testing.UnmergedWireSimulator` keeps the
+one-heap-event-per-delivery wire as the reference the tests pin this against.
 
 This yields the two quantities the paper's evaluation is built on:
 
@@ -37,13 +41,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 import time as _time
 from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Iterable
 
-from repro.engine.faults import UnreachableLinkError
+from repro.engine.faults import (
+    MachineUnreachableError,
+    OverlappingFaultError,
+    UnreachableLinkError,
+)
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Link, Network, TrafficCategory
@@ -244,7 +253,10 @@ class Simulator:
         self._channels: list[dict[Task, Channel]] = [
             {} for _ in range(num_machines + 1)
         ]
-        self._started: set[str] = set()
+        # One handler Context per task, reused by every handler of the task
+        # (no handler keeps its context past returning); a task without one
+        # has not started yet (see _context).
+        self._contexts: dict[Task, Context] = {}
         self._inboxes: list[deque] = [deque() for _ in range(num_machines)]
         # Members queued per inbox — a settled segment counts every member it
         # still holds — kept in step with every inbox mutation, so a tick
@@ -622,12 +634,25 @@ class Simulator:
 
     # ---------------------------------------------------------------- running
 
+    def _context(self, task: Task, start: float) -> Context:
+        """``task``'s handler context, reset to logical time ``start``.
+
+        One context per task serves all of its handlers (handlers never run
+        nested, and none keeps its context); the first one also runs the
+        task's :meth:`~repro.engine.task.Task.on_start` hook.
+        """
+        ctx = self._contexts.get(task)
+        if ctx is None:
+            ctx = self._contexts[task] = Context(self, task, start)
+            task.on_start(ctx)
+        else:
+            ctx.now = start
+            ctx.charged = 0.0
+        return ctx
+
     def _execute(self, task: Task, message: Message, start: float) -> None:
         """Run one handler at logical time ``start`` and account its work."""
-        ctx = Context(self, task, start)
-        if task.name not in self._started:
-            self._started.add(task.name)
-            task.on_start(ctx)
+        ctx = self._context(task, start)
         task.handle(message, ctx)
         machine = task.hosted_machine
         if machine is not None and ctx.charged > 0:
@@ -675,20 +700,18 @@ class Simulator:
         slotted them.  Tasks that must re-check the control-plane horizon
         between members (adaptive reshufflers) simply stop pulling.
         """
-        ctx = Context(self, task, start)
-        ctx.drain_boundaries = []
+        ctx = self._context(task, start)
+        boundaries = ctx.drain_boundaries = []
         ctx.drain_horizon = lambda: self._drain_horizon(machine_id, event_time)
-        if task.name not in self._started:
-            self._started.add(task.name)
-            task.on_start(ctx)
         count = task.handle_drained(first, inbox, limit, key, ctx)
+        ctx.drain_boundaries = ctx.drain_horizon = None
         # The tick already took ``first``; the task pulled the other members.
         self._inbox_members[machine_id] -= count - 1
         machine = task.hosted_machine
         if ctx.charged > 0:  # defensive: close a run whose tail was not rotated
             machine.occupy(ctx.now, ctx.charged)
-            ctx.drain_boundaries.append(machine.busy_until)
-        machine.record_drain_window(start, ctx.drain_boundaries)
+            boundaries.append(machine.busy_until)
+        machine.record_drain_window(start, boundaries)
         self.metrics.record_drained_run(count)
         self.events_processed += 1
 
@@ -728,10 +751,7 @@ class Simulator:
         handler-boundary crash model.
         """
         if machine_id in self._crashed:
-            raise RuntimeError(
-                f"machine {machine_id} crashed while already down "
-                "(overlapping faults in the schedule)"
-            )
+            raise OverlappingFaultError(machine_id, time)
         self._crashed.add(machine_id)
         self._crashed_count += 1
         buffer = self._outage.setdefault(machine_id, [])
@@ -800,10 +820,7 @@ class Simulator:
             pending and pending[0][0] <= time
         )
         if attempts > recovery.max_retries and waiting:
-            raise RuntimeError(
-                f"machine {machine_id} unreachable after "
-                f"{recovery.max_retries} retries"
-            )
+            raise MachineUnreachableError(machine_id, recovery.max_retries)
         self._schedule_fault(
             time + recovery.ack_timeout * (2 ** attempts), "retry", machine_id
         )
@@ -1083,55 +1100,122 @@ class Simulator:
         self._inbox_members[machine_id] += settled
 
     def _tick(self, machine_id: int, time: float) -> None:
-        self._queued_ticks[machine_id].discard(time)
+        queued = self._queued_ticks[machine_id]
+        queued.discard(time)
         if time != self._tick_at[machine_id]:
             # Stale: superseded by another tick of the machine, or the
             # machine went down after arming it.
             return
         self._wake_for[machine_id] = None
         pending = self._pending_wire[machine_id]
-        if pending and pending[0][0] <= time:
-            self._settle(machine_id, time)
         inbox = self._inboxes[machine_id]
-        if not inbox:
-            self._rest(machine_id)
-            return
-        machine = self.machines[machine_id]
-        start = max(time, machine.busy_until)
-        entry = inbox.popleft()
-        if entry.__class__ is tuple:
-            task, message = entry
-        else:
-            task = entry.task
-            message = entry.messages[entry.index]
-            entry.index += 1
-            if entry.index < entry.end:
-                inbox.appendleft(entry)
         members = self._inbox_members
-        members[machine_id] -= 1
-        key = (
-            task.drain_key(message) if self._drain_controllers is not None else None
-        )
+        task = None
+        if pending and pending[0][0] <= time:
+            # The lone member: with the inbox empty and no second pending
+            # member due (neither the head run's next one nor the heap
+            # root's children), the pending minimum is the one delivery the
+            # settle pass would append, so the tick takes it straight off
+            # the pending heap — exactly the member the unmerged wire hands
+            # this tick, in (time, rank) order.
+            size = len(pending)
+            if not (
+                inbox
+                or (size > 1 and pending[1][0] <= time)
+                or (size > 2 and pending[2][0] <= time)
+            ):
+                head = pending[0]
+                channel = head[2]
+                if channel is None:
+                    heapq.heappop(pending)
+                    task, message = head[3], head[4]
+                else:
+                    times = channel.times
+                    index = channel.start
+                    end = index + 1
+                    count = len(times)
+                    if end == count or times[end] > time:
+                        task = channel.task
+                        message = channel.messages[index]
+                        channel.start = end
+                        if end < count:
+                            heapq.heapreplace(
+                                pending, (times[end], channel.ranks[end], channel)
+                            )
+                        else:
+                            # Exhausted: close the run, as _settle does.
+                            heapq.heappop(pending)
+                            channel.open = False
+                            histogram = self.metrics.wire_histogram
+                            histogram[count] = histogram.get(count, 0) + 1
+            if task is None:
+                self._settle(machine_id, time)
+        if task is None:
+            if not inbox:
+                self._rest(machine_id)
+                return
+            entry = inbox.popleft()
+            if entry.__class__ is tuple:
+                task, message = entry
+            else:
+                task = entry.task
+                message = entry.messages[entry.index]
+                entry.index += 1
+                if entry.index < entry.end:
+                    inbox.appendleft(entry)
+            members[machine_id] -= 1
+        machine = self.machines[machine_id]
+        busy_until = machine.busy_until
+        start = time if time >= busy_until else busy_until
+        controllers = self._drain_controllers
+        key = task.drain_key(message) if controllers is not None else None
         if key is None:
             self._execute(task, message, start)
         else:
             # Backlog estimate for the drain controller: this member plus
             # every member still queued (inside settled segments too) —
             # identical to the unmerged wire's per-member inbox length.
-            limit = self._drain_controllers[machine_id].next_batch_size(
-                1 + members[machine_id]
-            )
+            limit = controllers[machine_id].next_batch_size(1 + members[machine_id])
             if limit > 1 and inbox:
                 self._execute_drained(
                     task, message, inbox, limit, key, start, time, machine_id
                 )
             else:
-                self.metrics.record_drained_run(1)
-                self._execute(task, message, start)
+                # A run of one, a paced machine's usual tick: the task's
+                # drained handler takes it (at limit 1 it pulls nothing)
+                # and, like a single handler, leaves no drain window.  The
+                # histogram count is record_drained_run(1), inlined like
+                # _settle's wire_histogram write: this is the hottest tick.
+                histogram = self.metrics.drain_histogram
+                histogram[1] = histogram.get(1, 0) + 1
+                ctx = self._contexts.get(task)
+                if ctx is None:
+                    ctx = self._context(task, start)
+                else:  # _context's reset, inlined
+                    ctx.now = start
+                    ctx.charged = 0.0
+                task.handle_drained(message, inbox, 1, key, ctx)
+                machine.drain_boundaries = None
+                self.events_processed += 1
+        busy_until = machine.busy_until
         if inbox:
-            self._arm(machine_id, max(machine.busy_until, start))
+            at = busy_until if busy_until >= start else start
+        elif pending:
+            # _rest, inlined: wake the machine for its earliest pending
+            # delivery (a ticking machine is up, and its inbox just ran dry).
+            entry = pending[0]
+            self._wake_for[machine_id] = entry
+            at = entry[0]
+            if busy_until > at:
+                at = busy_until
         else:
-            self._rest(machine_id)
+            self._tick_at[machine_id] = None
+            return
+        # _arm, inlined.
+        self._tick_at[machine_id] = at
+        if at not in queued:
+            queued.add(at)
+            heapq.heappush(self._queue, (at, _TICK_RANK_BASE + machine_id, machine_id, None))
 
     def run(self, max_events: int | None = None) -> float:
         """Run until the event queue drains.  Returns the completion time.
@@ -1140,33 +1224,43 @@ class Simulator:
         busiest machine's final ``busy_until``.
         """
         queue = self._queue
+        heappop = heapq.heappop
+        tick = self._tick
         heap_events = self.heap_events
+        now = self.now
         after_faults = self._after_event_faults
+        limit = math.inf if max_events is None else max_events + 1
+        # The one per-event check: the event count at which the next
+        # event-anchored crash fires or the max_events guard trips.
+        watch = min(after_faults[0][0], limit) if after_faults else limit
         wall_start = _time.perf_counter()
         try:
             while queue:
-                time, rank, target, message = heapq.heappop(queue)
+                time, rank, target, message = heappop(queue)
                 heap_events += 1
-                if time > self.now:
-                    self.now = time
+                if time > now:
+                    now = time
                 if message is None:
-                    self._tick(target, time)
+                    tick(target, time)
                 elif message.__class__ is _FaultEvent:
                     self._process_fault(target, message, time)
                 else:
                     self._deliver(target, message, time, rank)
-                if after_faults and self.events_processed >= after_faults[0][0]:
+                if self.events_processed >= watch:
                     while after_faults and self.events_processed >= after_faults[0][0]:
                         fault = after_faults.pop(0)[1]
-                        self._crash_machine(fault.machine, fault, self.now)
-                if max_events is not None and self.events_processed > max_events:
-                    raise RuntimeError(
-                        f"simulation exceeded {max_events} events; possible signalling loop"
-                    )
+                        self._crash_machine(fault.machine, fault, now)
+                    if self.events_processed >= limit:
+                        raise RuntimeError(
+                            f"simulation exceeded {max_events} events; "
+                            "possible signalling loop"
+                        )
+                    watch = min(after_faults[0][0], limit) if after_faults else limit
         finally:
-            # Written back even when a handler raises, so the counter stays
+            # Written back even when a handler raises, so the counters stay
             # consistent with events_processed on error paths.
             self.heap_events = heap_events
+            self.now = now
             self.wall_time += _time.perf_counter() - wall_start
         finish = self.now
         for machine in self.machines:

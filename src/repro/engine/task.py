@@ -61,11 +61,18 @@ class Context:
     metrics collector.
     """
 
-    __slots__ = ("_simulator", "_task", "now", "charged", "drain_boundaries", "drain_horizon")
+    __slots__ = (
+        "_simulator", "_task", "metrics", "machine", "now", "charged",
+        "drain_boundaries", "drain_horizon",
+    )
 
     def __init__(self, simulator: "Simulator", task: "Task", now: float) -> None:
         self._simulator = simulator
         self._task = task
+        #: The run-wide :class:`repro.engine.metrics.MetricsCollector`.
+        self.metrics = simulator.metrics
+        #: The machine hosting the current task (None for off-cluster tasks).
+        self.machine = task.hosted_machine
         self.now = now
         self.charged = 0.0
         # Member-completion times of a drained run (adaptive data plane);
@@ -74,11 +81,6 @@ class Context:
         # Zero-argument callable returning the current control-plane drain
         # horizon (see Simulator._drain_horizon); set for drained runs only.
         self.drain_horizon = None
-
-    @property
-    def metrics(self):
-        """The run-wide :class:`repro.engine.metrics.MetricsCollector`."""
-        return self._simulator.metrics
 
     @property
     def rng(self):
@@ -90,11 +92,6 @@ class Context:
         how handler executions of *other* machines interleave.
         """
         return self._simulator.machine_rng(self._task.machine_id)
-
-    @property
-    def machine(self):
-        """The machine hosting the current task (None for off-cluster tasks)."""
-        return self._task.hosted_machine
 
     def cluster_peak_stored(self) -> float:
         """Largest peak per-machine stored size observed so far (measured ILF)."""
@@ -152,7 +149,7 @@ class Context:
             left: the R-side tuple of the match.
             right: the S-side tuple of the match.
         """
-        self._simulator.metrics.record_output(left, right, self.now + self.charged)
+        self.metrics.record_output(left, right, self.now + self.charged)
 
     def emit_outputs(self, matches) -> None:
         """Record the join results of one handled tuple, emitted at one instant.
@@ -162,7 +159,7 @@ class Context:
         ``now + charged`` — the per-result ``match_cost`` is charged *before*
         emission — so one collector call per probing tuple records them all.
         """
-        self._simulator.metrics.record_outputs(matches, self.now + self.charged)
+        self.metrics.record_outputs(matches, self.now + self.charged)
 
     def boundary(self) -> None:
         """Close the current member of a drained run (adaptive data plane).
@@ -175,8 +172,7 @@ class Context:
         message scheduling (see :meth:`repro.engine.machine.Machine.priority_start`).
         """
         if self.charged > 0:
-            machine = self._task.hosted_machine
-            self.now = machine.occupy(self.now, self.charged)
+            self.now = self.machine.occupy(self.now, self.charged)
             self.charged = 0.0
         if self.drain_boundaries is not None:
             self.drain_boundaries.append(self.now)

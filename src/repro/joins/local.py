@@ -10,9 +10,10 @@ the CPU work a probe costs.
 
 ``insert`` and ``probe`` return *work units* so that the simulation engine
 can charge realistic, predicate-dependent CPU costs.
-:meth:`LocalJoiner.probe_batch` inserts+probes an entire micro-batch
-symmetrically — each member joins against everything stored before it,
-including earlier batch members — in one pass over the live indexes.
+:meth:`LocalJoiner.probe_insert` probes then stores one tuple with its key
+resolved once, and :meth:`LocalJoiner.probe_batch` runs it over a whole
+micro-batch — each member joins against everything stored before it,
+including earlier batch members.
 
 The index proves the primary condition of the indexed kinds: an equi probe's
 hash bucket holds exactly the tuples with an equal key, and a band probe's
@@ -73,7 +74,8 @@ class LocalJoiner:
         # Pre-resolved probe plumbing (avoids per-probe getattr chains).
         self._pred_left_key = predicate.left_key if kind in ("equi", "band") else None
         self._pred_right_key = predicate.right_key if kind in ("equi", "band") else None
-        self._band_width = self._resolve_band_width() if kind == "band" else 0.0
+        self._band = kind == "band"
+        self._band_width = self._resolve_band_width() if self._band else 0.0
         # What a probe still checks per candidate, resolved once: an
         # exact-key hash bucket and a band slice decide the primary
         # condition, leaving the composite residuals (None: nothing at all);
@@ -238,7 +240,7 @@ class LocalJoiner:
         """:meth:`raw_probe` with the inputs of :meth:`probe_plan` pre-resolved."""
         opposite_index = self._right_index if item_is_left else self._left_index
         check = self._check
-        if self.predicate.kind == "band":
+        if self._band:
             # A fresh list holding exactly the band's matches.
             candidates, inspected = opposite_index.probe_band(key, self._band_width)
             if check is None or not candidates:
@@ -289,6 +291,46 @@ class LocalJoiner:
 
     # ------------------------------------------------------------ batch probe
 
+    def probe_insert(
+        self,
+        item: StreamTuple,
+        others: Sequence["LocalJoiner"] = (),
+        counted: Sequence["LocalJoiner"] = (),
+    ) -> tuple[list[StreamTuple], float]:
+        """Probe ``item``, then store it: one member of :meth:`probe_batch`.
+
+        Equal to :meth:`probe` followed by :meth:`insert` — ``(matches,
+        work_units)``, the work floored at 1 — with the probe side and key
+        resolved once for both.  ``others`` and ``counted`` spread the
+        probed state over several joiners sharing this one's predicate and
+        relations (the epoch protocol's tag partitions): the candidates are
+        this joiner's followed by each of ``others``' — matches concatenated
+        in that order — every joiner in ``counted`` adds its candidate count
+        without being probed, and the floor applies once, to the summed
+        count.  ``item`` is stored in this joiner only.
+        """
+        record = item.record
+        relation = item.relation
+        if relation == self.left_relation:
+            is_left, key_of = True, self._pred_left_key
+        else:
+            if relation != self.right_relation:
+                self._check_relation(relation)
+            is_left, key_of = False, self._pred_right_key
+        key = None if key_of is None else key_of(record)
+        # The keyed probe body returns a fresh list, so others' matches
+        # extend it in place.
+        matches, inspected = self._keyed_probe(is_left, key, record)
+        for store in others:
+            found, count = store._keyed_probe(is_left, key, record)
+            inspected += count
+            if found:
+                matches += found
+        for store in counted:
+            inspected += store.keyed_candidate_count(is_left, key)
+        (self._left_index if is_left else self._right_index).insert_keyed(key, item)
+        return matches, float(inspected) if inspected > 0 else 1.0
+
     def probe_batch(
         self,
         items: Sequence[StreamTuple],
@@ -297,22 +339,11 @@ class LocalJoiner:
     ) -> list[tuple[list[StreamTuple], float]]:
         """Symmetrically insert+probe a whole micro-batch.
 
-        Semantically equivalent to, for each member in order: ``probe(member)``
-        then ``insert(member)`` — every member joins against everything stored
-        before it, including earlier batch members of the opposite relation
-        (intra-batch self-join semantics).  One lean pass over the live
-        indexes: zero-copy bucket walks with pre-extracted keys (hash) and
-        band slices and scans through the keyed probe body (ordered, scan);
-        because the indexes are live, each member automatically sees every
-        earlier member of the opposite relation.
-
-        ``others`` and ``counted`` spread the probed state over several
-        joiners sharing this one's predicate and relations (the epoch
-        protocol's tag partitions).  A member's candidates are then this
-        joiner's followed by each of ``others``' — matches concatenated in
-        that order — and every joiner in ``counted`` adds its candidate count
-        without being probed.  Members are still inserted into this joiner
-        only, and the work floor applies once, to the summed count.
+        :meth:`probe_insert` for each member in order — every member joins
+        against everything stored before it, including earlier batch members
+        of the opposite relation (intra-batch self-join semantics), because
+        each one probes the live indexes and is stored before the next.
+        ``others`` and ``counted`` are passed to every member.
 
         Returns:
             Per-member ``(matches, work_units)``, aligned with ``items``.
@@ -320,104 +351,8 @@ class LocalJoiner:
             candidate counts (pre-batch + earlier intra-batch candidates),
             floored at 1 per member.
         """
-        if self.predicate.kind == "equi":
-            return self._probe_batch_equi(items, others, counted)
-        return self._probe_batch_keyed(items, others, counted)
-
-    def _probe_batch_equi(
-        self,
-        items: Sequence[StreamTuple],
-        others: Sequence["LocalJoiner"],
-        counted: Sequence["LocalJoiner"],
-    ) -> list[tuple[list[StreamTuple], float]]:
-        # One lean pass over the live hash buckets: each member walks the
-        # opposite bucket of this joiner and of every joiner in ``others`` in
-        # place, counts those of ``counted``, and is then appended under its
-        # already-extracted key.  Because the buckets are live, intra-batch
-        # self-join semantics fall out for free — each member sees every
-        # earlier member of the opposite relation.
-        left_relation = self.left_relation
-        right_relation = self.right_relation
-        left_key = self._pred_left_key
-        right_key = self._pred_right_key
-        left_index = self._left_index
-        right_index = self._right_index
-        stores = (self, *others)
-        # A left member probes the right indexes, a right member the left.
-        left_probes = [store._right_index.bucket_for for store in stores]
-        right_probes = [store._left_index.bucket_for for store in stores]
-        left_counts = [store._right_index.count_key for store in counted]
-        right_counts = [store._left_index.count_key for store in counted]
-        check = self._check
-        results: list[tuple[list[StreamTuple], float]] = []
-        append = results.append
-        for item in items:
-            record = item.record
-            if item.relation == left_relation:
-                is_left = True
-                key = left_key(record)
-                probes, counts, own = left_probes, left_counts, left_index
-            else:
-                if item.relation != right_relation:
-                    self._check_relation(item.relation)
-                is_left = False
-                key = right_key(record)
-                probes, counts, own = right_probes, right_counts, right_index
-            matches: list[StreamTuple] = []
-            inspected = 0
-            for bucket_for in probes:
-                bucket = bucket_for(key)
-                if bucket:
-                    inspected += len(bucket)
-                    if check is None:
-                        matches += bucket
-                    elif is_left:
-                        matches += [c for c in bucket if check(record, c.record)]
-                    else:
-                        matches += [c for c in bucket if check(c.record, record)]
-            for count_key in counts:
-                inspected += count_key(key)
-            own.insert_keyed(key, item)
-            append((matches, float(inspected) if inspected > 0 else 1.0))
-        return results
-
-    def _probe_batch_keyed(
-        self,
-        items: Sequence[StreamTuple],
-        others: Sequence["LocalJoiner"],
-        counted: Sequence["LocalJoiner"],
-    ) -> list[tuple[list[StreamTuple], float]]:
-        # Band and theta stores: every member probes each store through the
-        # keyed probe body (band slices, scans), then is inserted here.  The
-        # own probe returns a fresh list, so the others' matches extend it.
-        left_relation = self.left_relation
-        right_relation = self.right_relation
-        left_key = self._pred_left_key
-        right_key = self._pred_right_key
-        keyed_probe = self._keyed_probe
-        indexes = self._indexes
-        results: list[tuple[list[StreamTuple], float]] = []
-        append = results.append
-        for item in items:
-            record = item.record
-            if item.relation == left_relation:
-                is_left, key_of = True, left_key
-            else:
-                if item.relation != right_relation:
-                    self._check_relation(item.relation)
-                is_left, key_of = False, right_key
-            key = None if key_of is None else key_of(record)
-            matches, inspected = keyed_probe(is_left, key, record)
-            for store in others:
-                found, count = store._keyed_probe(is_left, key, record)
-                inspected += count
-                if found:
-                    matches += found
-            for store in counted:
-                inspected += store.keyed_candidate_count(is_left, key)
-            indexes[item.relation].insert_keyed(key, item)
-            append((matches, float(inspected) if inspected > 0 else 1.0))
-        return results
+        probe_insert = self.probe_insert
+        return [probe_insert(item, others, counted) for item in items]
 
     # -------------------------------------------------------------- reporting
 
@@ -435,6 +370,45 @@ class SymmetricHashJoiner(LocalJoiner):
         if predicate.kind != "equi":
             raise ValueError("SymmetricHashJoiner requires an equi-join predicate")
         super().__init__(predicate, left_relation, right_relation)
+
+
+    def probe_insert(
+        self,
+        item: StreamTuple,
+        others: Sequence[LocalJoiner] = (),
+        counted: Sequence[LocalJoiner] = (),
+    ) -> tuple[list[StreamTuple], float]:
+        """:meth:`LocalJoiner.probe_insert` over hash buckets: the opposite
+        bucket of this joiner and of each of ``others`` is walked in place
+        (no probe call or candidate copy per joiner), and each of
+        ``counted`` adds its bucket's size."""
+        record = item.record
+        relation = item.relation
+        if relation == self.left_relation:
+            is_left = True
+            key = self._pred_left_key(record)
+        else:
+            if relation != self.right_relation:
+                self._check_relation(relation)
+            is_left = False
+            key = self._pred_right_key(record)
+        check = self._check
+        matches: list[StreamTuple] = []
+        inspected = 0
+        for store in (self, *others) if others else (self,):
+            bucket = (store._right_index if is_left else store._left_index).bucket_for(key)
+            if bucket:
+                inspected += len(bucket)
+                if check is None:
+                    matches += bucket
+                elif is_left:
+                    matches += [c for c in bucket if check(record, c.record)]
+                else:
+                    matches += [c for c in bucket if check(c.record, record)]
+        for store in counted:
+            inspected += (store._right_index if is_left else store._left_index).count_key(key)
+        (self._left_index if is_left else self._right_index).insert_keyed(key, item)
+        return matches, float(inspected) if inspected > 0 else 1.0
 
 
 class SortedBandJoiner(LocalJoiner):

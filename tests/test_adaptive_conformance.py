@@ -353,6 +353,98 @@ class TestStreamingConformance:
         assert_run_equivalent(reference, adaptive, label=f"chunks={chunks[:6]}...")
 
 
+# ---------------------------------------------------------------------------
+# Lone-member ticks: paced cells where a tick hands its one due member
+# straight from the pending heap to the handler
+# ---------------------------------------------------------------------------
+
+#: Arrivals two time units apart: without a spill every run on this workload
+#: is a run of one (the batch histogram holds only 1s), so both planes
+#: process the same events and an event-anchored crash lands at the same
+#: point on both.
+LONE_PACING = 2.0
+
+#: ``(predicate, RunConfig overrides)`` of the paced cells.
+_LONE_MEMBER_CELLS = {
+    "spill": ("equi", {"memory_capacity": 30.0}),
+    "journaled-crash": (
+        "equi",
+        {"fault_schedule": (crash_after_events(5, 600),), "checkpoint_interval": 50},
+    ),
+    "nine-dropped-frames": (
+        "equi",
+        {
+            "network_faults": tuple(
+                drop((i % MACHINES, (3 * i + 1) % MACHINES), 2 + i) for i in range(9)
+            )
+        },
+    ),
+    "band": ("band", {}),
+}
+
+
+@pytest.fixture()
+def settle_passes(monkeypatch):
+    """Count the simulator's settle passes (ticks that did not take a lone
+    member straight off the pending heap)."""
+    passes = []
+    settle = Simulator._settle
+
+    def counting_settle(self, machine_id, time):
+        passes.append(machine_id)
+        settle(self, machine_id, time)
+
+    monkeypatch.setattr(Simulator, "_settle", counting_settle)
+    return passes
+
+
+class TestLoneMemberConformance:
+    @pytest.mark.parametrize("cell", sorted(_LONE_MEMBER_CELLS))
+    def test_paced_cell_bit_identical_to_per_tuple_plane(
+        self, queries, settle_passes, cell
+    ):
+        predicate, overrides = _LONE_MEMBER_CELLS[cell]
+        query = queries[predicate]
+        order = _arrival_order(query)
+        reference = _run(
+            AdaptiveJoinOperator, query, order, batching="per_tuple",
+            inter_arrival=LONE_PACING, **overrides,
+        )
+        settle_passes.clear()
+        adaptive = _run(
+            AdaptiveJoinOperator, query, order, batching="adaptive",
+            inter_arrival=LONE_PACING, **overrides,
+        )
+        assert_run_equivalent(reference, adaptive, timing=True, label=cell)
+        assert len(settle_passes) * 5 <= adaptive.events_processed, cell
+        assert adaptive.migrations >= 1, cell
+        if cell == "spill":
+            assert adaptive.spilled
+        elif cell == "journaled-crash":
+            assert set(adaptive.batch_histogram) == {1}
+            assert adaptive.faults_injected == 1 and adaptive.tuples_replayed > 0
+        elif cell == "nine-dropped-frames":
+            assert adaptive.messages_dropped == 9
+
+    @pytest.mark.parametrize("chunk_seed", [3, 99])
+    def test_paced_streaming_bit_identical_to_per_tuple_plane(
+        self, queries, settle_passes, chunk_seed
+    ):
+        query = queries["equi"]
+        order = _arrival_order(query)
+        chunks = _chunking(chunk_seed, len(order))
+        reference = _stream_run(
+            query, order, chunks, batching="per_tuple", inter_arrival=LONE_PACING
+        )
+        settle_passes.clear()
+        adaptive = _stream_run(
+            query, order, chunks, batching="adaptive", inter_arrival=LONE_PACING
+        )
+        label = f"lone/stream/chunking-{chunk_seed}"
+        assert_run_equivalent(reference, adaptive, timing=True, label=label)
+        assert len(settle_passes) * 5 <= adaptive.events_processed, label
+
+
 @pytest.fixture(scope="module")
 def small_conformance(small_dataset):
     """A reduced workload for the Hypothesis chunking property (speed)."""

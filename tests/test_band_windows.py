@@ -255,16 +255,17 @@ class TestBandWindowsMatchTheReference:
             else:
                 selected, probes = stored("new", "mu", "old_keep"), 2
                 item.epoch = 1  # the reshuffler's in-place pending-epoch tag
-                if step == "delta_prime":
-                    actions = state.handle_data(item)
-                else:
-                    actions = state.handle_data_batch([item])[0]
+                actions = state.handle_data(item) if step == "delta_prime" else None
+            if actions is None:
+                ((matches, probe_work),) = state.handle_data_batch([item])
+            else:
+                matches, probe_work = actions.matches, actions.probe_work
             want, _ = _reference(predicate, selected, item)
             assert Counter(
-                other.tuple_id for pair in actions.matches for other in pair
+                other.tuple_id for pair in matches for other in pair
                 if other is not item
             ) == _ids(want), step
-            assert actions.probe_work == probes * work, step
+            assert probe_work == probes * work, step
 
 
 class TestBandBounds:

@@ -299,8 +299,8 @@ def _two_probes(state, item):
     return first, second, partners
 
 
-def _partner_ids(actions):
-    return [t.tuple_id for t in actions.matches.partners] if actions.matches else []
+def _partner_ids(matches):
+    return [t.tuple_id for t in matches.partners] if matches else []
 
 
 class TestDeltaPrimeUnionCount:
@@ -327,13 +327,14 @@ class TestDeltaPrimeUnionCount:
             assert first == second
             _, work = reference_probe(_PREDICATES[kind], stored, item, left_relation="R")
             assert max(first, 1) == work
-            (actions,) = one_by_one.handle_data_batch([item])
-            assert actions.stored
-            assert actions.probe_work == 2.0 * max(first, 1)
-            assert _partner_ids(actions) == partners
-            expected.append((actions.probe_work, partners))
+            before = one_by_one.stored_count()
+            ((matches, work),) = one_by_one.handle_data_batch([item])
+            assert one_by_one.stored_count() == before + 1
+            assert work == 2.0 * max(first, 1)
+            assert _partner_ids(matches) == partners
+            expected.append((work, partners))
             stored.append(item)
         if items:
             results = batched.handle_data_batch(items)
-            assert [(a.probe_work, _partner_ids(a)) for a in results] == expected
+            assert [(work, _partner_ids(matches)) for matches, work in results] == expected
         assert batched.stored_count() == one_by_one.stored_count()

@@ -29,7 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunConfig, crash, crash_after_events
+from repro.api import (
+    MachineUnreachableError,
+    OverlappingFaultError,
+    RunConfig,
+    crash,
+    crash_after_events,
+)
 from repro.core.baselines import StaticMidOperator
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
@@ -382,6 +388,47 @@ class TestFaultErrorPaths:
                 max_retries=1,
                 ack_timeout=1.0,
             )
+
+
+    def test_overlapping_fault_error_names_machine_and_time(self, queries):
+        query = queries["equi"]
+        with pytest.raises(OverlappingFaultError) as caught:
+            _run(
+                query,
+                _arrival_order(query),
+                batching="per_tuple",
+                checkpoint_interval=50,
+                fault_schedule=[
+                    crash_after_events(3, 500, restart_after=1e9),
+                    crash_after_events(3, 501),
+                ],
+                max_retries=50,
+                ack_timeout=1e8,
+            )
+        error = caught.value
+        assert isinstance(error, RuntimeError)
+        assert error.machine == 3
+        assert error.time > 0.0
+        assert f"machine 3 crashed while already down at virtual time {error.time}" in str(
+            error
+        )
+
+    def test_machine_unreachable_error_names_machine_and_retries(self, queries):
+        query = queries["equi"]
+        with pytest.raises(MachineUnreachableError) as caught:
+            _run(
+                query,
+                _arrival_order(query),
+                batching="per_tuple",
+                checkpoint_interval=50,
+                fault_schedule=[crash_after_events(3, 500, restart_after=1e9)],
+                max_retries=2,
+                ack_timeout=1.0,
+            )
+        error = caught.value
+        assert isinstance(error, RuntimeError)
+        assert (error.machine, error.retries) == (3, 2)
+        assert str(error) == "machine 3 unreachable after 2 retries"
 
 
 # ---------------------------------------------------------------------------

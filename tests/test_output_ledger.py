@@ -235,8 +235,10 @@ def emission_paths(monkeypatch):
 
         def wrapper(self, *args):
             outcome = original(self, *args)
-            actions_list = outcome if isinstance(outcome, list) else [outcome]
-            emitted[path] += sum(len(actions.matches) for actions in actions_list)
+            if isinstance(outcome, list):  # a batch: (matches, work) per member
+                emitted[path] += sum(len(matches) for matches, _work in outcome)
+            else:
+                emitted[path] += len(outcome.matches)
             return outcome
 
         monkeypatch.setattr(EpochJoinerState, name, wrapper)

@@ -170,6 +170,79 @@ class TestProbeBatchDifferential:
             joiner.probe_batch([StreamTuple(relation="T", record={"k": 1, "v": 0})])
 
 
+def _stored_ids(joiner):
+    return {relation: [t.tuple_id for t in joiner.stored(relation)] for relation in "RS"}
+
+
+_RECORDS = st.lists(
+    st.tuples(
+        st.sampled_from("RS"), st.integers(0, 4), st.integers(0, 11), st.integers(0, 11)
+    ),
+    max_size=40,
+)
+
+
+class TestProbeInsertDifferential:
+    """``probe_insert`` — one member's probe-then-store, the body every batch
+    member and every lone drained member runs — against a one-member batch
+    and against the brute-force reference."""
+
+    @given(name=st.sampled_from(PREDICATE_NAMES), records=_RECORDS)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_one_member_batch_and_reference(self, name, records):
+        predicate = _predicate(name)
+        single = make_local_joiner(predicate, "R", "S")
+        batched = make_local_joiner(predicate, "R", "S")
+        history = []
+        for relation, k, v, tenths in records:
+            item = StreamTuple(
+                relation=relation, record={"k": k, "v": v, "f": tenths / 10}
+            )
+            matches, work = single.probe_insert(item)
+            ((batch_matches, batch_work),) = batched.probe_batch([item])
+            want_matches, want_work = reference_probe(
+                predicate, history, item, left_relation="R"
+            )
+            assert _ids(matches) == _ids(batch_matches) == _ids(want_matches)
+            assert work == batch_work == want_work
+            history.append(item)
+            assert _stored_ids(single) == _stored_ids(batched)
+        assert single.total_count() == len(history)
+
+    @given(
+        name=st.sampled_from(PREDICATE_NAMES),
+        records=_RECORDS,
+        spread=st.lists(st.integers(0, 2), min_size=40, max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_spread_state_equals_union_reference(self, name, records, spread):
+        """Stored state spread over this joiner, ``others`` and ``counted``
+        (the epoch protocol's partitions): matches come from this joiner and
+        ``others``, the work counts all three, and only this joiner stores
+        the member — exactly a union store probed for the first two and
+        counted for the third."""
+        predicate = _predicate(name)
+        own, other, counted = (make_local_joiner(predicate, "R", "S") for _ in range(3))
+        probed, everything = [], []
+        for (relation, k, v, tenths), where in zip(records, spread):
+            item = StreamTuple(
+                relation=relation, record={"k": k, "v": v, "f": tenths / 10}
+            )
+            if where:
+                (other if where == 1 else counted).insert(item)
+                everything.append(item)
+                if where == 1:
+                    probed.append(item)
+                continue
+            matches, work = own.probe_insert(item, (other,), (counted,))
+            want_matches, _ = reference_probe(predicate, probed, item, left_relation="R")
+            _, want_work = reference_probe(predicate, everything, item, left_relation="R")
+            assert _ids(matches) == _ids(want_matches)
+            assert work == want_work
+            probed.append(item)
+            everything.append(item)
+
+
 def _batched(joiner, items, batch_size):
     results = []
     for pos in range(0, len(items), batch_size):
@@ -363,12 +436,13 @@ class TestMidMigrationTagPartitions:
         ]
         batched_actions = state_a.handle_data_batch(batch)
         singly_actions = [state_b.handle_data(item) for item in batch]
-        for got, want in zip(batched_actions, singly_actions):
-            assert got.probe_work == want.probe_work
-            got_pairs = {(l.tuple_id, r.tuple_id) for l, r in got.matches}
+        assert state_a.stored_count() == state_b.stored_count()
+        for (got_matches, got_work), want in zip(batched_actions, singly_actions):
+            assert want.stored and not want.migrate_to
+            assert got_work == want.probe_work
+            got_pairs = {(l.tuple_id, r.tuple_id) for l, r in got_matches}
             want_pairs = {(l.tuple_id, r.tuple_id) for l, r in want.matches}
             assert got_pairs == want_pairs
-            assert got.stored == want.stored
 
     def test_finalize_merges_partitions_and_discards_drops(self):
         rng = random.Random(31)

@@ -129,6 +129,29 @@ class TestHeapEvents:
         assert result.heap_events <= 1.1 * result.events_processed
 
 
+    def test_lone_member_ticks_skip_the_settle_pass(self, small_dataset, monkeypatch):
+        """Paced, one arrival per time unit: most ticks find the inbox empty
+        and exactly one pending member due, and take it straight off the
+        pending heap — the settle pass runs for at most a fifth of the
+        handler calls (nearly every one on a wire that settles each tick)."""
+        settles = []
+        settle = Simulator._settle
+
+        def counting_settle(self, machine_id, time):
+            settles.append(machine_id)
+            settle(self, machine_id, time)
+
+        monkeypatch.setattr(Simulator, "_settle", counting_settle)
+        query = make_query("EQ5", small_dataset)
+        result = _run(
+            query, _order(query), machines=16, batching="adaptive", inter_arrival=1.0
+        )
+        assert result.events_processed > 1000
+        assert len(settles) <= 0.2 * result.events_processed, (
+            len(settles), result.events_processed,
+        )
+
+
 class TestWakeUpCells:
     def test_priority_during_wake_up(self, small_dataset, traced, monkeypatch):
         """Mapping changes land on reshufflers idling towards their next
