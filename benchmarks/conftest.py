@@ -1,27 +1,11 @@
-"""Benchmark harness configuration.
-
-Every benchmark regenerates one table or figure of the paper's evaluation by
-calling the corresponding driver in :mod:`repro.bench.experiments` exactly
-once (``benchmark.pedantic(rounds=1)``) — the interesting output is the
-experiment report, not the wall-clock time of the driver itself.  The rows of
-each report are attached to ``benchmark.extra_info`` and printed, so
-``pytest benchmarks/ --benchmark-only -s`` shows the regenerated tables.
+"""Benchmark configuration: run the files under ``benchmarks/`` without
+installing the package (they are named explicitly, e.g.
+``pytest benchmarks/bench_claims.py``; bare ``pytest`` does not collect them).
 """
 
 import sys
 from pathlib import Path
 
-# Allow running the benchmarks without installing the package.
 SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
-
-
-def run_report(benchmark, driver, **kwargs):
-    """Run ``driver`` once under pytest-benchmark and surface its report."""
-    report = benchmark.pedantic(lambda: driver(**kwargs), rounds=1, iterations=1)
-    benchmark.extra_info["experiment"] = report.name
-    benchmark.extra_info["rows"] = report.rows
-    print()
-    print(report.text)
-    return report

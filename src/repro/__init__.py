@@ -11,8 +11,8 @@ dataflow operator together with every substrate its evaluation depends on:
 * :mod:`repro.storage` — the durable checkpoint store of the fault plane,
 * :mod:`repro.data`    — TPC-H-like generation with Zipf skew and the
   evaluation queries,
-* :mod:`repro.bench`   — the experiment harness regenerating every table and
-  figure of §5,
+* :mod:`repro.bench`   — the paper scoreboard: one table of the claims of
+  §3-§5, the sweeps that measure them, and the CLI that prints it,
 * :mod:`repro.api`     — the public session API: typed
   :class:`~repro.api.RunConfig`, the :class:`~repro.api.JoinSession` facade
   (materialised and streaming ingestion) and the operator/predicate

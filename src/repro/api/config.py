@@ -1,13 +1,11 @@
 """The typed run configuration — single source of truth for every run knob.
 
-Historically every entry point wired the operator up differently:
-``GridJoinOperator.__init__`` took ~14 loose keyword arguments, the bench
-layer's ``ExperimentConfig`` re-declared an overlapping subset with different
-defaults, and benchmarks/examples hand-rolled the plumbing in between.
-:class:`RunConfig` replaces all of that: one frozen, eagerly validated
-dataclass holding every operator/run knob, shared verbatim by the operator
-layer, the :class:`~repro.api.session.JoinSession` facade, the bench harness
-and the CLI (``--config file.json``).
+:class:`RunConfig` is one frozen, eagerly validated dataclass holding every
+operator/run knob, shared verbatim by the operator layer, the
+:class:`~repro.api.session.JoinSession` facade, the paper scoreboard's sweeps
+(:mod:`repro.bench.claims`, which build their sessions from it directly) and
+the CLI (``--config file.json``).  There is no second config object: dataset
+knobs (scale, skew) belong to the workload, not to the run.
 
 Validation happens at construction — an invalid ``batching`` or ``layout``
 fails immediately with the valid choices listed, instead of deep inside

@@ -1,24 +1,9 @@
-"""Experiment harness: regenerates every table and figure of the paper's §5.
+"""The paper scoreboard: which of the paper's claims this repository reproduces.
 
-:mod:`repro.bench.harness` runs operators on workloads and collects
-:class:`~repro.core.results.RunResult` rows; :mod:`repro.bench.experiments`
-contains one driver per table/figure; :mod:`repro.bench.report` renders the
-rows in the same layout the paper uses (rows of Table 2, series of each
-figure).
-
-The drivers are deliberately parameterised by ``scale`` and ``machines`` so
-that the shapes can be validated quickly in CI (small scale) and more
-faithfully offline (larger scale); the pytest-benchmark files under
-``benchmarks/`` call them with small defaults.
+:mod:`repro.bench.claims` holds one table of claims — figure or theorem,
+sweep, metric, paper value, bound — and the sweeps that measure them through
+:class:`repro.api.JoinSession`; :mod:`repro.bench.cli` prints the table as a
+scoreboard (``python -m repro.bench all``).  ``benchmarks/bench_claims.py``
+asserts every row at the calibrated base point, and the tier-1 suite runs the
+whole scoreboard at smoke scale.
 """
-
-from repro.bench.harness import ExperimentConfig, run_matrix, run_single
-from repro.bench.report import format_series, format_table
-
-__all__ = [
-    "ExperimentConfig",
-    "format_series",
-    "format_table",
-    "run_matrix",
-    "run_single",
-]

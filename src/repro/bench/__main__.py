@@ -1,4 +1,4 @@
-"""``python -m repro.bench`` — run the experiment drivers from the command line."""
+"""``python -m repro.bench`` — print the paper scoreboard from the command line."""
 
 from repro.bench.cli import main
 

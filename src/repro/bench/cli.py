@@ -1,77 +1,71 @@
-"""Command-line entry point for the experiment drivers.
+"""Command-line view of the paper scoreboard.
 
-Run any table/figure of the paper's evaluation directly, without pytest::
+    python -m repro.bench all
+    python -m repro.bench fig6b fig8cd --scale 0.2 --machines 8
+    python -m repro.bench table2 --config run-config.json
 
-    python -m repro.bench table2 --scale 0.5 --machines 16
-    python -m repro.bench fig6a fig6d --scale 0.4
-    python -m repro.bench all --scale 0.25 --machines 8
-    python -m repro.bench fig7a --config run-config.json
-
-The output is the same plain-text report the corresponding benchmark prints.
+Each figure or theorem name prints its rows of
+:data:`repro.bench.claims.CLAIMS` — claim, paper value, measured value, bound
+and verdict — and ``all`` prints the whole scoreboard.  ``--scale``,
+``--machines`` and ``--seed`` set the base point every sweep derives its own
+point from; the defaults are the base point the bounds are calibrated at.
 
 ``--config`` loads a serialised :class:`repro.api.RunConfig` (the format
 :meth:`RunConfig.to_dict` emits, e.g. a ``run_config`` block of a CI
-``perf-breadcrumb.json``): its ``machines`` / ``seed`` become the drivers'
-defaults, overridable by the explicit ``--machines`` / ``--seed`` flags.
-The figure drivers pin their remaining knobs themselves (they regenerate the
-paper's evaluation, e.g. the blocking ablation's ``batching="per_tuple"``
-row), so any other
-non-default field in the file is reported as ignored; to run an arbitrary
-config programmatically, use :class:`repro.api.JoinSession` directly.
+``perf-breadcrumb.json``): its ``machines`` / ``seed`` become the base
+point's, overridable by the explicit ``--machines`` / ``--seed`` flags.  The
+sweeps pin their remaining knobs themselves (they regenerate the paper's
+evaluation, e.g. the blocking ablation's ``batching="per_tuple"`` run), so
+any other non-default field in the file is reported as ignored; to run an
+arbitrary config, use :class:`repro.api.JoinSession` directly.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
-from typing import Callable
+from typing import Mapping, Sequence
 
 from repro.api import RunConfig
-from repro.bench import experiments
-
-#: Experiment name -> driver function.
-DRIVERS: dict[str, Callable[..., experiments.ExperimentReport]] = {
-    "table2": experiments.table2_skew_resilience,
-    "fig6a": experiments.fig6a_ilf_growth,
-    "fig6b": experiments.fig6b_final_ilf,
-    "fig6c": experiments.fig6c_execution_progress,
-    "fig6d": experiments.fig6d_total_execution_time,
-    "fig7a": experiments.fig7a_throughput,
-    "fig7b": experiments.fig7b_latency,
-    "fig7cd": experiments.fig7cd_mapping_sweep,
-    "fig8ab": experiments.fig8ab_weak_scaling,
-    "fig8cd": experiments.fig8cd_fluctuations,
-    "ablation-epsilon": experiments.ablation_epsilon,
-    "ablation-migration": experiments.ablation_migration_strategy,
-    "ablation-blocking": experiments.ablation_blocking,
-    "recovery": experiments.recovery_sweep,
-    "lossy-wire": experiments.lossy_wire_sweep,
-}
+from repro.bench.claims import BASE, CLAIMS, FIGURES, Scoreboard
 
 
-def _supported_kwargs(driver: Callable, candidate_kwargs: dict) -> dict:
-    """Keep only the keyword arguments the driver actually accepts."""
-    parameters = inspect.signature(driver).parameters
-    return {key: value for key, value in candidate_kwargs.items() if key in parameters}
+def format_table(rows: Sequence[Mapping[str, object]], title: str | None = None) -> str:
+    """Render ``rows`` (dicts sharing the first row's keys) as an aligned
+    plain-text table."""
+    if not rows:
+        return f"{title}\n(no rows)" if title else "(no rows)"
+    columns = list(rows[0])
+    widths = {
+        column: max(len(str(column)), *(len(str(row.get(column, ""))) for row in rows))
+        for column in columns
+    }
+    lines = [title] if title else []
+    lines.append(" | ".join(str(column).ljust(widths[column]) for column in columns))
+    lines.append("-+-".join("-" * widths[column] for column in columns))
+    for row in rows:
+        lines.append(
+            " | ".join(str(row.get(column, "")).ljust(widths[column]) for column in columns)
+        )
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate tables/figures of 'Scalable and Adaptive Online Joins' (VLDB 2014).",
+        description="The scoreboard of 'Scalable and Adaptive Online Joins' (VLDB 2014).",
     )
     parser.add_argument(
-        "experiments",
+        "figures",
         nargs="+",
-        metavar="EXPERIMENT",
-        help=f"experiments to run: {', '.join(sorted(DRIVERS))}, or 'all'",
+        metavar="FIGURE",
+        help=f"figures or theorems to check: {', '.join(FIGURES)}, or 'all'",
     )
-    parser.add_argument("--scale", type=float, default=0.4, help="dataset scale factor")
+    parser.add_argument("--scale", type=float, default=BASE[0], help="base dataset scale")
     parser.add_argument(
-        "--machines", type=int, default=None, help="number of joiners (power of two)"
+        "--machines", type=int, default=None, help="base number of joiners (power of two)"
     )
-    parser.add_argument("--seed", type=int, default=None, help="random seed")
+    parser.add_argument("--seed", type=int, default=None, help="base random seed")
     parser.add_argument(
         "--config",
         metavar="FILE.json",
@@ -81,19 +75,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv: list[str] | None = None) -> list[experiments.ExperimentReport]:
-    """Parse ``argv``, run the requested experiments and print their reports."""
+def run(argv: list[str] | None = None) -> list[dict]:
+    """Parse ``argv``, measure the requested claims and print their rows."""
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    names = list(args.experiments)
-    if "all" in names:
-        names = sorted(DRIVERS)
-    unknown = [name for name in names if name not in DRIVERS]
+    names = set(FIGURES) if "all" in args.figures else set(args.figures)
+    unknown = sorted(names - set(FIGURES))
     if unknown:
-        parser.error(f"unknown experiment(s): {', '.join(unknown)}")
+        parser.error(f"unknown figure(s): {', '.join(unknown)}")
 
-    base = RunConfig(machines=16, seed=1)
+    base = RunConfig(machines=BASE[1], seed=BASE[2])
     if args.config is not None:
         try:
             base = RunConfig.from_file(args.config)
@@ -106,28 +98,19 @@ def run(argv: list[str] | None = None) -> list[experiments.ExperimentReport]:
         }
         if ignored:
             print(
-                "note: the figure drivers pin their own run knobs; ignoring "
+                "note: the claims table pins its own run knobs; ignoring "
                 f"non-default --config field(s): {', '.join(sorted(ignored))}"
             )
     machines = args.machines if args.machines is not None else base.machines
     seed = args.seed if args.seed is not None else base.seed
-    shared = {"scale": args.scale, "machines": machines, "seed": seed}
-    reports = []
-    for name in names:
-        driver = DRIVERS[name]
-        if name == "fig8ab":
-            # weak scaling is parameterised by its base configuration
-            kwargs = _supported_kwargs(
-                driver,
-                {"base_scale": args.scale / 2, "base_machines": max(4, machines // 2), "seed": seed},
-            )
-        else:
-            kwargs = _supported_kwargs(driver, shared)
-        report = driver(**kwargs)
-        print(report.text)
-        print()
-        reports.append(report)
-    return reports
+    rows = Scoreboard(args.scale, machines, seed).rows(
+        claim for claim in CLAIMS if claim.figure in names
+    )
+    title = f"Paper scoreboard at scale {args.scale:g}, {machines} machines, seed {seed}"
+    if (args.scale, machines, seed) != BASE:
+        title += " (bounds are calibrated at scale {:g}, {} machines, seed {})".format(*BASE)
+    print(format_table(rows, title=title))
+    return rows
 
 
 def main() -> None:  # pragma: no cover - thin wrapper

@@ -412,11 +412,8 @@ class TestImportHygiene:
         )
 
 
-#: Modules no entry point imports yet.  They are to be wired into runs
-#: (elasticity, groups) or turned into paper-claim rows (join_matrix).
-PENDING_MODULES = frozenset(
-    {"repro.core.elasticity", "repro.core.groups", "repro.core.join_matrix"}
-)
+#: Modules no entry point imports yet.  They are to be wired into runs.
+PENDING_MODULES = frozenset({"repro.core.elasticity", "repro.core.groups"})
 
 
 def _module_graph() -> dict:

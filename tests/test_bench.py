@@ -1,105 +1,99 @@
-"""Smoke tests for the benchmark harness and every experiment driver."""
+"""The paper scoreboard at smoke scale: every claim row measures, every sweep
+runs once per point, and a sweep measures the same alone as in the table."""
+
+import contextlib
+import dataclasses
+import io
+import itertools
+import math
 
 import pytest
 
-from repro.bench.experiments import (
-    ablation_blocking,
-    ablation_epsilon,
-    ablation_migration_strategy,
-    fig6a_ilf_growth,
-    fig6b_final_ilf,
-    fig6c_execution_progress,
-    fig6d_total_execution_time,
-    fig7a_throughput,
-    fig7b_latency,
-    fig7cd_mapping_sweep,
-    fig8ab_weak_scaling,
-    fig8cd_fluctuations,
-    table2_skew_resilience,
-)
-from repro.bench.harness import ExperimentConfig, build_query, run_matrix, run_single
-from repro.bench.report import format_series, format_table
+from repro.bench.claims import CLAIMS, FIGURES, SWEEPS, Claim, Scoreboard
+from repro.bench.cli import run
+from repro.engine import stream
 
-SMALL = dict(scale=0.15, machines=4, seed=2)
+SMOKE = (0.15, 4, 2)
 
 
-class TestHarness:
-    def test_run_single_and_matrix(self):
-        config = ExperimentConfig(machines=4, scale=0.15, skew="Z0", seed=2)
-        query = build_query("EQ5", config)
-        result = run_single("Dynamic", query, config)
-        assert result.machines == 4 and result.output_count > 0
+@pytest.fixture(scope="module")
+def smoke():
+    """``python -m repro.bench all`` at smoke scale, each sweep's runs counted."""
+    calls = []
 
-        results = run_matrix(["Dynamic", "SHJ"], ["EQ5", "BNCI"], config)
-        # SHJ is skipped for the band join
-        assert len(results) == 3
-        assert {r.operator for r in results} == {"Dynamic", "SHJ"}
+    def counted(sweep, name):
+        def run_sweep(*point):
+            calls.append((name, *point))
+            return sweep.run(*point)
+        return dataclasses.replace(sweep, run=run_sweep)
 
-    def test_run_matrix_multiple_skews_labels_queries(self):
-        config = ExperimentConfig(machines=4, scale=0.15, seed=2)
-        results = run_matrix(["Dynamic"], ["EQ5"], config, skews=["Z0", "Z4"])
-        assert {r.query for r in results} == {"EQ5@Z0", "EQ5@Z4"}
-
-
-class TestReport:
-    def test_format_table(self):
-        rows = [{"a": 1, "b": "x"}, {"a": 22, "b": "yyy"}]
-        text = format_table(rows, title="T")
-        assert "T" in text and "22" in text and "yyy" in text
-        assert format_table([], title="T").startswith("T")
-
-    def test_format_series_downsamples(self):
-        series = {"s": [(float(i), float(i * i)) for i in range(100)]}
-        text = format_series(series, max_points=5)
-        assert "s:" in text
-        assert text.count("(") <= 8
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        for name, sweep in SWEEPS.items():
+            patch.setitem(SWEEPS, name, counted(sweep, name))
+        rows = run(["all", "--scale", "0.15", "--machines", "4", "--seed", "2"])
+    return rows, calls, out.getvalue()
 
 
-class TestExperimentDrivers:
-    def test_table2(self):
-        report = table2_skew_resilience(skews=["Z0", "Z4"], queries=["EQ5"], **SMALL)
-        assert len(report.rows) == 2
-        assert "EQ5/Dynamic" in report.rows[0]
-        assert "Table 2" in report.text
+@pytest.mark.parametrize("index", range(len(CLAIMS)), ids=lambda i: CLAIMS[i].claim)
+def test_every_claim_measures_at_smoke_scale(smoke, index):
+    rows, _, _ = smoke
+    row = rows[index]
+    assert (row["figure"], row["claim"]) == (CLAIMS[index].figure, CLAIMS[index].claim)
+    assert math.isfinite(float(row["measured"]))
+    assert row["verdict"] in ("reproduced", "not reproduced", "FAIL")
 
-    def test_fig6a_and_6c(self):
-        report = fig6a_ilf_growth(**SMALL)
-        assert {row["operator"] for row in report.rows} == {"SHJ", "StaticMid", "Dynamic", "StaticOpt"}
-        assert report.series
-        progress = fig6c_execution_progress(**SMALL)
-        assert progress.series["Dynamic"]
 
-    def test_fig6b_6d_7a_7b(self):
-        queries = ["EQ5", "BNCI"]
-        for driver in (fig6b_final_ilf, fig6d_total_execution_time, fig7a_throughput, fig7b_latency):
-            report = driver(queries=queries, **SMALL)
-            assert {row["query"] for row in report.rows} == set(queries)
-            assert report.text
+def test_all_prints_the_scoreboard(smoke):
+    _, _, out = smoke
+    header = out.splitlines()[1]
+    for column in ("figure", "claim", "paper", "measured", "bound", "verdict"):
+        assert column in header
+    assert "scale 0.15, 4 machines, seed 2" in out
+    assert all(claim.claim in out for claim in CLAIMS)
 
-    def test_fig7cd_sweep(self):
-        report = fig7cd_mapping_sweep(**SMALL)
-        labels = {row["optimal_mapping"] for row in report.rows}
-        assert "(1,4)" in labels and "(2,2)" in labels
 
-    def test_fig8ab_weak_scaling(self):
-        report = fig8ab_weak_scaling(base_scale=0.1, base_machines=4, steps=2, queries=("EQ5",))
-        configs = {row["config"] for row in report.rows}
-        assert len(configs) == 2
-        out_of_core = fig8ab_weak_scaling(
-            base_scale=0.1, base_machines=4, steps=1, queries=("EQ5",), out_of_core=True
-        )
-        assert out_of_core.rows[0]["mode"] == "out-of-core"
+def test_each_sweep_runs_once_per_point(smoke):
+    _, calls, _ = smoke
+    board = Scoreboard(*SMOKE)
+    assert sorted(calls) == sorted({board.key(claim) for claim in CLAIMS})
 
-    def test_fig8cd_fluctuations(self):
-        report = fig8cd_fluctuations(scale=0.15, machines=4, seed=2, fluctuation_factors=(4,))
-        assert report.rows[0]["fluctuation_k"] == 4
-        assert report.rows[0]["theoretical_bound"] == pytest.approx(1.25)
-        assert "k=4" in report.series
 
-    def test_ablations(self):
-        epsilon_report = ablation_epsilon(scale=0.15, machines=4, seed=2, epsilons=(0.5, 1.0))
-        assert len(epsilon_report.rows) == 2
-        migration_report = ablation_migration_strategy(scale=0.15, machines=4, seed=2)
-        assert {row["layout"] for row in migration_report.rows} == {"dyadic", "row_major"}
-        blocking_report = ablation_blocking(scale=0.15, machines=4, seed=2)
-        assert {row["actuation"] for row in blocking_report.rows} == {"blocking", "non-blocking"}
+def test_a_sweep_measures_the_same_alone_as_after_the_table(smoke, monkeypatch):
+    """Tuple ids come from a process-wide counter, and the recovery sweep's
+    checkpoint bytes grow with their pickled width: no row may see it."""
+    rows, _, _ = smoke
+    monkeypatch.setattr(stream, "_tuple_ids", itertools.count(2**40))
+    for sweep in ("recovery", "recovery-paced", "fluctuations", "mapping"):
+        board = Scoreboard(*SMOKE)
+        for index, claim in enumerate(CLAIMS):
+            if claim.sweep == sweep:
+                assert f"{board.measure(claim):.4g}" == rows[index]["measured"], claim.claim
+
+
+def test_7c_and_7d_do_not_share_a_sweep():
+    board = Scoreboard()
+    c7, d7 = (next(c for c in CLAIMS if c.claim.startswith(p)) for p in ("7c", "7d"))
+    assert board.key(c7) == ("mapping", 0.4, 16, 1)
+    assert board.key(d7) == ("mapping-reseeded", 0.4, 16, 2)
+    assert SWEEPS[c7.sweep].run is SWEEPS[d7.sweep].run
+
+
+def test_base_point_reproduces_the_calibrated_settings():
+    board = Scoreboard()
+    points = {claim.sweep: board.key(claim)[1:] for claim in CLAIMS}
+    assert points["paced"] == (0.3, 16, 1)
+    assert points["scaling"] == (0.2, 8, 1)
+    assert points["fluctuations-reseeded"] == (0.4, 16, 3)
+    assert points["recovery-paced"] == (1.0, 4, 1)
+    assert points["lossy"] == (0.3, 8, 1)
+
+
+def test_verdicts():
+    claim = Claim("thm", "ratio", "geometry", lambda runs: 0.0, bound=2.0, paper=1.25)
+    assert [claim.verdict(v) for v in (1.0, 1.5, 2.5)] == [
+        "reproduced", "not reproduced", "FAIL",
+    ]
+    floor = dataclasses.replace(claim, at_least=True, bound=1.0, paper=None)
+    assert [floor.verdict(v) for v in (0.5, 1.0)] == ["FAIL", "reproduced"]
+    assert FIGURES == tuple(sorted({c.figure for c in CLAIMS}))

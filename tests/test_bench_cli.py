@@ -1,43 +1,53 @@
-"""Tests for the ``python -m repro.bench`` command-line entry point."""
+"""Tests for ``python -m repro.bench``, the command-line view of the scoreboard."""
 
 import pytest
 
-from repro.bench.cli import DRIVERS, build_parser, run
+from repro.api import RunConfig
+from repro.bench.cli import build_parser, format_table, run
+
+#: The experiment names the CLI has always accepted.
+LEGACY_NAMES = (
+    "table2", "fig6a", "fig6b", "fig6c", "fig6d", "fig7a", "fig7b", "fig7cd",
+    "fig8ab", "fig8cd", "ablation-epsilon", "ablation-migration",
+    "ablation-blocking", "recovery", "lossy-wire",
+)
 
 
 class TestCli:
-    def test_every_documented_experiment_has_a_driver(self):
-        for name in ("table2", "fig6a", "fig6b", "fig6c", "fig6d", "fig7a", "fig7b",
-                     "fig7cd", "fig8ab", "fig8cd"):
-            assert name in DRIVERS
+    def test_every_legacy_name_is_a_figure(self):
+        args = build_parser().parse_args(list(LEGACY_NAMES))
+        assert args.figures == list(LEGACY_NAMES)
+        rows = run(["thm3.1", "thm3.2"])
+        assert {row["figure"] for row in rows} == {"thm3.1", "thm3.2"}
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["fig6a"])
-        assert args.experiments == ["fig6a"]
-        # machines/seed resolve at run time: RunConfig defaults unless a
+        assert args.scale == 0.4
+        # machines/seed resolve at run time: the base point unless a
         # --config file or an explicit flag supplies them.
-        assert args.machines is None
-        assert args.seed is None
-        assert args.config is None
+        assert args.machines is None and args.seed is None and args.config is None
+
+    def test_figure_prints_its_rows(self, capsys):
+        rows = run(["ablation-blocking", "--scale", "0.15", "--machines", "4"])
+        assert [row["figure"] for row in rows] == ["ablation-blocking"]
+        out = capsys.readouterr().out
+        assert "non-blocking / blocking time" in out and "4 machines, seed 1" in out
 
     def test_config_file_feeds_machines_and_seed(self, tmp_path, capsys):
-        from repro.api import RunConfig
-
         path = tmp_path / "run-config.json"
         path.write_text(RunConfig(machines=4, seed=2).to_json())
-        reports = run(["fig6d", "--scale", "0.15", "--config", str(path)])
-        assert len(reports) == 1
+        run(["thm3.2", "--config", str(path)])
         out = capsys.readouterr().out
-        assert "Fig. 6d" in out
+        assert "4 machines, seed 2" in out
         assert "ignoring" not in out  # machines/seed only: nothing to report
+        run(["thm3.2", "--config", str(path), "--machines", "8"])
+        assert "8 machines, seed 2" in capsys.readouterr().out
 
     def test_config_file_reports_ignored_fields(self, tmp_path, capsys):
-        from repro.api import RunConfig
-
         path = tmp_path / "run-config.json"
         config = RunConfig(machines=4, seed=2, batching="per_tuple", epsilon=0.5)
         path.write_text(config.to_json())
-        run(["fig6d", "--scale", "0.15", "--config", str(path)])
+        run(["thm3.2", "--config", str(path)])
         out = capsys.readouterr().out
         assert "ignoring" in out and "batching" in out and "epsilon" in out
 
@@ -47,19 +57,11 @@ class TestCli:
         with pytest.raises(SystemExit):
             run(["fig6d", "--config", str(path)])
 
-    def test_run_single_experiment(self, capsys):
-        reports = run(["fig6d", "--scale", "0.15", "--machines", "4", "--seed", "2"])
-        assert len(reports) == 1
-        assert reports[0].name == "fig6d"
-        captured = capsys.readouterr()
-        assert "Fig. 6d" in captured.out
-
-    def test_run_multiple_experiments(self, capsys):
-        reports = run(
-            ["ablation-epsilon", "ablation-blocking", "--scale", "0.15", "--machines", "4"]
-        )
-        assert {report.name for report in reports} == {"ablation_epsilon", "ablation_blocking"}
-
-    def test_unknown_experiment_errors(self):
+    def test_unknown_figure_errors(self):
         with pytest.raises(SystemExit):
             run(["fig99", "--scale", "0.1"])
+
+    def test_format_table(self):
+        text = format_table([{"a": 1, "b": "x"}, {"a": 22, "b": "yyy"}], title="T")
+        assert text.splitlines()[0] == "T" and "22" in text and "yyy" in text
+        assert format_table([], title="T").startswith("T")
