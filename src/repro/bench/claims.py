@@ -27,10 +27,9 @@ and ``reproduced`` otherwise.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
 from repro.api import JoinSession, RunConfig, crash_after_events, drop
@@ -116,17 +115,7 @@ def _resize_left(query: JoinQuery, target: int, seed: int) -> JoinQuery:
     records = [dict(record) for record in source[:target]]
     while len(records) < target:
         records.append(dict(rng.choice(source)))
-    return JoinQuery(
-        name=query.name,
-        left_relation=query.left_relation,
-        right_relation=query.right_relation,
-        left_records=records,
-        right_records=query.right_records,
-        predicate=query.predicate,
-        left_tuple_size=query.left_tuple_size,
-        right_tuple_size=query.right_tuple_size,
-        description=query.description,
-    )
+    return replace(query, left_records=records)
 
 
 def _mapping_runs(scale, machines, seed):
@@ -555,11 +544,9 @@ class Scoreboard:
     def runs(self, claim: Claim) -> Any:
         key = self.key(claim)
         if key not in self._runs:
-            # Tuple ids come from one process-wide counter, and a checkpoint's
-            # pickled size depends on their width: restarting the counter
-            # makes a sweep measure the same alone as after other sweeps.
-            stream._tuple_ids = itertools.count()
-            self._runs[key] = SWEEPS[claim.sweep].run(*key[1:])
+            # A sweep measures the same alone as after other sweeps.
+            with stream.fresh_tuple_ids():
+                self._runs[key] = SWEEPS[claim.sweep].run(*key[1:])
         return self._runs[key]
 
     def measure(self, claim: Claim) -> float:

@@ -25,6 +25,7 @@ makes the locality-aware migration of §4.2.1 possible.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import random
@@ -33,6 +34,24 @@ from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Sequence
 
 _tuple_ids = itertools.count()
+
+
+@contextlib.contextmanager
+def fresh_tuple_ids() -> Iterator[None]:
+    """Number the tuples made inside the block from 0, then resume the
+    process-wide counter.
+
+    A run's figures must not depend on what ran before it in the process
+    (a checkpoint's pickled size grows with the width of its tuple ids).  Ids
+    made inside the block are unique among themselves, not against tuples
+    made outside it, so runs in the block must not mix in earlier tuples.
+    """
+    global _tuple_ids
+    saved, _tuple_ids = _tuple_ids, itertools.count()
+    try:
+        yield
+    finally:
+        _tuple_ids = saved
 
 
 class MessageKind(enum.Enum):

@@ -69,6 +69,7 @@ def test_a_sweep_measures_the_same_alone_as_after_the_table(smoke, monkeypatch):
         for index, claim in enumerate(CLAIMS):
             if claim.sweep == sweep:
                 assert f"{board.measure(claim):.4g}" == rows[index]["measured"], claim.claim
+    assert next(stream._tuple_ids) == 2**40  # the sweeps left the counter alone
 
 
 def test_7c_and_7d_do_not_share_a_sweep():

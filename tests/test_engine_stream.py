@@ -17,6 +17,7 @@ from repro.engine.stream import (
     MessageKind,
     StreamTuple,
     assign_salts,
+    fresh_tuple_ids,
     fluctuating_order,
     interleave_streams,
     make_tuples,
@@ -129,6 +130,13 @@ class TestStreamTuple:
     def test_tuple_ids_are_unique(self):
         items = [StreamTuple(relation="R", record={}) for _ in range(100)]
         assert len({item.tuple_id for item in items}) == 100
+
+    def test_fresh_tuple_ids_restart_then_resume(self):
+        before = StreamTuple(relation="R", record={}).tuple_id
+        with fresh_tuple_ids():
+            inside = [StreamTuple(relation="R", record={}).tuple_id for _ in range(3)]
+        assert inside == [0, 1, 2]
+        assert StreamTuple(relation="R", record={}).tuple_id == before + 1
 
 
 class TestInterleaving:
