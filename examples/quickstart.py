@@ -9,7 +9,7 @@ pushing the input in chunks through the same session facade.
 
 Everything goes through :mod:`repro.api`: one validated
 :class:`~repro.api.RunConfig` carries every knob, and one
-:class:`~repro.api.JoinSession` runs any registered operator kind.
+:class:`~repro.api.JoinSession` runs every operator kind.
 
 Run with::
 

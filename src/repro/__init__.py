@@ -15,8 +15,8 @@ dataflow operator together with every substrate its evaluation depends on:
   §3-§5, the sweeps that measure them, and the CLI that prints it,
 * :mod:`repro.api`     — the public session API: typed
   :class:`~repro.api.RunConfig`, the :class:`~repro.api.JoinSession` facade
-  (materialised and streaming ingestion) and the operator/predicate
-  registries.
+  (materialised and streaming ingestion) and
+  :func:`~repro.api.build_operator`.
 
 Quickstart::
 
@@ -35,8 +35,6 @@ from repro.api import (
     RunConfig,
     StreamSnapshot,
     build_operator,
-    register_operator,
-    register_predicate,
 )
 from repro.core import (
     AdaptiveJoinOperator,
@@ -48,7 +46,6 @@ from repro.core import (
     StaticMidOperator,
     StaticOptOperator,
     SymmetricHashOperator,
-    make_operator,
     optimal_mapping,
     square_mapping,
 )
@@ -86,11 +83,8 @@ __all__ = [
     "TpchDataset",
     "build_operator",
     "generate_dataset",
-    "make_operator",
     "make_query",
     "optimal_mapping",
-    "register_operator",
-    "register_predicate",
     "square_mapping",
     "__version__",
 ]

@@ -3,13 +3,12 @@
 One coherent front door over the operator stack:
 
 * :class:`RunConfig` — frozen, validated, serialisable configuration; the
-  single source of truth for every operator/run knob.
+  13 knobs of a run.
 * :class:`JoinSession` — the facade: materialised ``run()`` plus the
   incremental ``push()`` / ``finish()`` streaming mode with mid-run
   :class:`StreamSnapshot` observability.
-* :func:`build_operator` — registry-backed operator construction.
-* Registries — :func:`register_operator` and :func:`register_predicate` let
-  new operators and predicate kinds plug in without touching core modules.
+* :func:`build_operator` — the one way to build an operator:
+  ``build_operator(kind, query, config)``.
 
 Quickstart::
 
@@ -23,14 +22,6 @@ Quickstart::
 """
 
 from repro.api.config import ARRIVAL_PATTERNS, BATCHING_PLANES, RunConfig
-from repro.api.registry import (
-    PredicateKind,
-    Registry,
-    operators,
-    predicate_kinds,
-    register_operator,
-    register_predicate,
-)
 from repro.api.session import JoinSession, StreamSnapshot, build_operator
 from repro.engine.faults import (
     FaultSpec,
@@ -54,8 +45,6 @@ __all__ = [
     "MachineUnreachableError",
     "NetworkFaultSpec",
     "OverlappingFaultError",
-    "PredicateKind",
-    "Registry",
     "RunConfig",
     "StreamSnapshot",
     "UnreachableLinkError",
@@ -65,9 +54,5 @@ __all__ = [
     "delay",
     "drop",
     "duplicate",
-    "operators",
     "partition",
-    "predicate_kinds",
-    "register_operator",
-    "register_predicate",
 ]

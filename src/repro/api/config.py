@@ -1,18 +1,19 @@
-"""The typed run configuration — single source of truth for every run knob.
+"""The typed run configuration: the 13 knobs of one run.
 
-:class:`RunConfig` is one frozen, eagerly validated dataclass holding every
-operator/run knob, shared verbatim by the operator layer, the
-:class:`~repro.api.session.JoinSession` facade, the paper scoreboard's sweeps
-(:mod:`repro.bench.claims`, which build their sessions from it directly) and
-the CLI (``--config file.json``).  There is no second config object: dataset
-knobs (scale, skew) belong to the workload, not to the run.
+:class:`RunConfig` is one frozen, eagerly validated dataclass, shared
+verbatim by the operator layer, the :class:`~repro.api.session.JoinSession`
+facade, the paper scoreboard's sweeps (:mod:`repro.bench.claims`) and the
+CLI (``--config file.json``).  Dataset knobs (scale, skew) belong to the
+workload, not to the run.  Timing constants no run varies — failure
+detection and retry budgets (:mod:`repro.engine.faults`), the ILF sampling
+period (:mod:`repro.core.tasks`) — are module constants, not fields.
 
 Validation happens at construction — an invalid ``batching`` or ``layout``
 fails immediately with the valid choices listed, instead of deep inside
 operator / ``GridPlacement`` construction mid-run.
 
 ``to_dict()`` / ``from_dict()`` round-trip exactly (pinned by tests), so a
-config can be serialised into CI breadcrumbs and fed back through the CLI.
+config can be saved as JSON and fed back through the CLI.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api.registry import LAYOUTS
+from repro.api.layouts import LAYOUTS
 from repro.engine.faults import (
+    ACK_TIMEOUT,
     FaultSpec,
     normalize_fault_schedule,
     normalize_network_faults,
@@ -40,7 +42,7 @@ BATCHING_PLANES = ("adaptive", "per_tuple")
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
-    """Every knob of one operator run, validated eagerly, immutable.
+    """The knobs of one operator run, validated eagerly, immutable.
 
     Field defaults are the *operator's* tuned defaults; a layer that needs
     something else (the blocking ablation pins ``batching="per_tuple"``) says
@@ -55,7 +57,6 @@ class RunConfig:
         layout: machine-to-cell layout, ``"dyadic"`` or ``"row_major"``.
         blocking: model the blocking actuation protocol instead of Alg. 3.
         memory_capacity: per-machine storage budget; ``None`` = unbounded.
-        sample_every: controller sampling period for ILF/ratio time series.
         batching: data plane, one of :data:`BATCHING_PLANES`.
             ``"adaptive"`` (default) keeps the wire per-tuple and coalesces
             backlog at the receiver, up to
@@ -83,12 +84,6 @@ class RunConfig:
             recovery replays the full journal.  Fault-free runs with an
             interval set stay bit-identical to the reference plane (pinned by
             the conformance suite).
-        ack_timeout: virtual time after a crash at which the coordinator
-            detects the failure (the default restart instant) and the link
-            layer first retries buffered traffic to the dead machine.
-        max_retries: link-layer retry attempts (with doubling backoff) for
-            traffic addressed to a crashed machine before the run fails with
-            an unreachable-machine error.
         network_faults: deterministic wire-level faults to inject — a
             sequence of :class:`~repro.engine.faults.NetworkFaultSpec`
             entries (build them with :func:`~repro.engine.faults.drop` /
@@ -102,11 +97,6 @@ class RunConfig:
             timers) that masks the faults: the run's final output multiset is
             identical to the fault-free twin's.  Requires the non-blocking
             protocol (``blocking=False``); composes with ``fault_schedule``.
-        retry_base: virtual-time backoff of the reliable wire's first
-            retransmit of a lost frame; subsequent attempts double it.
-        retry_max_attempts: retransmissions of one frame the reliable wire
-            spends before declaring the link dead with
-            :class:`~repro.engine.faults.UnreachableLinkError` (never a hang).
     """
 
     machines: int = 16
@@ -116,17 +106,12 @@ class RunConfig:
     layout: str = "dyadic"
     blocking: bool = False
     memory_capacity: float | None = None
-    sample_every: int = 200
     batching: str = "adaptive"
     arrival_pattern: str = "uniform"
     inter_arrival: float = 0.0
     fault_schedule: tuple = ()
     checkpoint_interval: int | None = None
-    ack_timeout: float = 5.0
-    max_retries: int = 5
     network_faults: tuple = ()
-    retry_base: float = 0.5
-    retry_max_attempts: int = 10
 
     # ------------------------------------------------------------- validation
 
@@ -139,15 +124,10 @@ class RunConfig:
             ("layout", self.layout, str, False),
             ("blocking", self.blocking, bool, False),
             ("memory_capacity", self.memory_capacity, (int, float), True),
-            ("sample_every", self.sample_every, int, False),
             ("batching", self.batching, str, False),
             ("arrival_pattern", self.arrival_pattern, str, False),
             ("inter_arrival", self.inter_arrival, (int, float), False),
             ("checkpoint_interval", self.checkpoint_interval, int, True),
-            ("ack_timeout", self.ack_timeout, (int, float), False),
-            ("max_retries", self.max_retries, int, False),
-            ("retry_base", self.retry_base, (int, float), False),
-            ("retry_max_attempts", self.retry_max_attempts, int, False),
         )
         for name, value, types, optional in expectations:
             if optional and value is None:
@@ -167,7 +147,7 @@ class RunConfig:
 
         A machine must be back up before its next crash fires.  For
         time-anchored faults the outage window is known at construction —
-        ``[at_time, at_time + (restart_after or ack_timeout))`` — so two
+        ``[at_time, at_time + (restart_after or ACK_TIMEOUT))`` — so two
         overlapping windows on one machine can be rejected here, listing the
         conflicting specs, instead of deep in the simulator mid-run.  Two
         event-anchored faults with the *same* anchor provably collide too
@@ -198,7 +178,7 @@ class RunConfig:
                 restart = earlier.at_time + (
                     earlier.restart_after
                     if earlier.restart_after is not None
-                    else self.ack_timeout
+                    else ACK_TIMEOUT
                 )
                 if later.at_time < restart:
                     raise ValueError(
@@ -230,8 +210,6 @@ class RunConfig:
             raise ValueError(
                 f"memory_capacity must be positive or None, got {self.memory_capacity}"
             )
-        if self.sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.batching not in BATCHING_PLANES:
             raise ValueError(
                 f"unknown batching {self.batching!r}; "
@@ -274,12 +252,6 @@ class RunConfig:
                 "network fault injection requires the non-blocking migration "
                 "protocol (blocking=False), like fault_schedule"
             )
-        if self.retry_base <= 0:
-            raise ValueError(f"retry_base must be > 0, got {self.retry_base}")
-        if self.retry_max_attempts < 1:
-            raise ValueError(
-                f"retry_max_attempts must be >= 1, got {self.retry_max_attempts}"
-            )
         if self.fault_schedule and self.blocking:
             raise ValueError(
                 "fault injection requires the non-blocking migration protocol "
@@ -291,10 +263,6 @@ class RunConfig:
             raise ValueError(
                 f"checkpoint_interval must be >= 1 or None, got {self.checkpoint_interval}"
             )
-        if self.ack_timeout <= 0:
-            raise ValueError(f"ack_timeout must be > 0, got {self.ack_timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
     # -------------------------------------------------------------- overrides
 
@@ -334,7 +302,7 @@ class RunConfig:
         return cls(**data)
 
     def to_json(self) -> str:
-        """The config as a JSON object string (CI breadcrumbs, ``--config``)."""
+        """The config as a JSON object string (the CLI's ``--config``)."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod

@@ -21,12 +21,9 @@ modes of the system:
 
 Override precedence is ``session default < per-run config < call-site``: the
 session's config is the default, a ``config=`` passed to a run method
-replaces it wholesale, and keyword overrides are applied last.
-
-Operators are constructed exclusively through the
-:data:`~repro.api.registry.operators` registry, so session code never
-switches on kind strings and registered third-party operators work
-transparently.
+replaces it wholesale, and keyword overrides are applied last.  The
+operator itself is built by :func:`build_operator`, the one way to build
+one.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.api.config import RunConfig
-from repro.api.registry import operators
 from repro.core.mapping import Mapping
 from repro.engine.stream import StreamTuple, make_tuples
 
@@ -44,38 +40,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import GridJoinOperator
     from repro.core.results import RunResult
     from repro.data.queries import JoinQuery
-    from repro.engine.machine import CostModel
 
 
-#: Operator-specific constructor arguments that are not :class:`RunConfig`
-#: fields (they depend on the operator kind / workload, not the run).
-OPERATOR_ONLY_KWARGS = ("adaptive", "initial_mapping")
+def build_operator(kind: str, query: "JoinQuery", config: RunConfig) -> "GridJoinOperator":
+    """Construct the operator of ``kind`` (``"Dynamic"``, ``"StaticMid"``, ...).
 
-
-def build_operator(
-    kind: str,
-    query: "JoinQuery",
-    config: RunConfig | None = None,
-    *,
-    cost_model: "CostModel | None" = None,
-    **overrides: Any,
-) -> "GridJoinOperator":
-    """Construct a registered operator from a :class:`RunConfig`.
-
-    This is the registry-backed replacement for the old
-    ``repro.core.baselines.make_operator`` string-switch: ``kind`` is looked
-    up in the :data:`~repro.api.registry.operators` registry (unknown kinds
-    fail with the registered choices listed) and keyword ``overrides`` are
-    applied on top of ``config``.  The operator-specific ``adaptive`` /
-    ``initial_mapping`` arguments pass through to the operator class; all
-    other overrides must name :class:`RunConfig` fields.
+    Unknown kinds fail with the choices listed.
     """
-    operator_class = operators.get(kind)
-    extras = {
-        key: overrides.pop(key) for key in OPERATOR_ONLY_KWARGS if key in overrides
-    }
-    effective = (config or RunConfig()).with_overrides(**overrides)
-    return operator_class(query, config=effective, cost_model=cost_model, **extras)
+    # Imported at call time: core imports repro.api.config, so a module-level
+    # import would be a cycle.
+    from repro.core.baselines import OPERATORS
+
+    operator_class = OPERATORS.get(kind)
+    if operator_class is None:
+        raise ValueError(
+            f"unknown operator {kind!r}; choices: {', '.join(sorted(OPERATORS))}"
+        )
+    return operator_class(query, config)
 
 
 @dataclass(frozen=True)
@@ -233,10 +214,9 @@ class JoinSession:
     Args:
         query: optional default workload, used when a run method is not given
             one explicitly (and as the schema of the streaming mode).
-        operator: default operator kind (a name registered in
-            :data:`repro.api.registry.operators`).
+        operator: default operator kind (a key of
+            :data:`repro.core.baselines.OPERATORS`).
         config: the session's default :class:`RunConfig`.
-        cost_model: optional cost-model override shared by all runs.
         **defaults: keyword overrides applied to ``config`` (constructor
             call-site beats the config object, mirroring run-time precedence).
 
@@ -256,12 +236,10 @@ class JoinSession:
         *,
         operator: str = "Dynamic",
         config: RunConfig | None = None,
-        cost_model: "CostModel | None" = None,
         **defaults: Any,
     ) -> None:
         self.query = query
         self.operator_kind = operator
-        self.cost_model = cost_model
         self.config = (config or RunConfig()).with_overrides(**defaults)
         self._stream: _StreamingRun | None = None
         self._stream_finished = False
@@ -283,15 +261,11 @@ class JoinSession:
         **overrides: Any,
     ) -> "GridJoinOperator":
         """Construct (without running) an operator under this session's config."""
-        # build_operator splits off the operator-only kwargs itself; resolve
-        # the base config here and pass everything through.
         base = self.config if config is None else config
         return build_operator(
             kind or self.operator_kind,
             self._resolve_query(query),
-            base,
-            cost_model=self.cost_model,
-            **overrides,
+            base.with_overrides(**overrides),
         )
 
     # ------------------------------------------------------ materialised mode

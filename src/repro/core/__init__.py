@@ -18,7 +18,6 @@ from repro.core.baselines import (
     StaticMidOperator,
     StaticOptOperator,
     SymmetricHashOperator,
-    make_operator,
 )
 from repro.core.decision import (
     MigrationController,
@@ -68,7 +67,6 @@ __all__ = [
     "competitive_ratio_bound",
     "generalized_ratio_bound",
     "ilf_lower_bound",
-    "make_operator",
     "mapping_spectrum",
     "optimal_mapping",
     "plan_expansion",

@@ -9,20 +9,19 @@
   on the join key, applicable to equi-joins only, efficient without skew but
   crippled by skewed key distributions.
 
-Every operator class registers itself in the
-:data:`repro.api.registry.operators` registry (``Dynamic`` and ``Grid``
-register in :mod:`repro.core.operator`); the public way to construct by kind
-name is :func:`repro.api.build_operator`.  :func:`make_operator` survives as
-a registry front door that routes every knob through a validated
-:class:`~repro.api.config.RunConfig` (the loose-kwargs constructor shim it
-used to feed was removed after its deprecation release).
+:data:`OPERATORS` names every operator kind; :func:`repro.api.build_operator`
+looks kinds up there.
 """
 
 from __future__ import annotations
 
-from repro.api.registry import register_operator
-from repro.core.mapping import square_mapping
-from repro.core.operator import GridJoinOperator, theoretical_optimal_mapping
+from repro.api.config import RunConfig
+from repro.core.mapping import Mapping
+from repro.core.operator import (
+    AdaptiveJoinOperator,
+    GridJoinOperator,
+    theoretical_optimal_mapping,
+)
 from repro.core.tasks import HashReshufflerTask, ReshufflerTask
 from repro.data.queries import JoinQuery
 
@@ -32,24 +31,14 @@ class StaticMidOperator(GridJoinOperator):
 
     operator_name = "StaticMid"
 
-    def __init__(self, query: JoinQuery, machines: int | None = None, **kwargs) -> None:
-        kwargs.setdefault("adaptive", False)
-        # The square mapping is the base default; nothing extra to derive.
-        super().__init__(query, machines, **kwargs)
-
 
 class StaticOptOperator(GridJoinOperator):
     """Static operator with the omniscient optimal mapping (oracle baseline)."""
 
     operator_name = "StaticOpt"
 
-    def __init__(self, query: JoinQuery, machines: int | None = None, **kwargs) -> None:
-        kwargs.setdefault("adaptive", False)
-        explicit_mapping = kwargs.pop("initial_mapping", None)
-        super().__init__(query, machines, initial_mapping=explicit_mapping, **kwargs)
-        if explicit_mapping is None:
-            # Derived after super() resolved the machine count from the config.
-            self.initial_mapping = theoretical_optimal_mapping(query, self.machines)
+    def _initial_mapping(self) -> Mapping:
+        return theoretical_optimal_mapping(self.query, self.machines)
 
 
 class SymmetricHashOperator(GridJoinOperator):
@@ -57,34 +46,26 @@ class SymmetricHashOperator(GridJoinOperator):
 
     operator_name = "SHJ"
 
-    def __init__(self, query: JoinQuery, machines: int | None = None, **kwargs) -> None:
+    def __init__(self, query: JoinQuery, config: RunConfig) -> None:
         if query.predicate.kind != "equi":
             raise ValueError(
                 f"the SHJ operator supports only equi-join predicates; "
                 f"{query.name} uses {query.predicate.describe()}"
             )
-        kwargs.setdefault("adaptive", False)
-        super().__init__(query, machines, **kwargs)
+        super().__init__(query, config)
 
     def _reshuffler_class(self) -> type[ReshufflerTask]:
         return HashReshufflerTask
 
 
-register_operator("StaticMid", StaticMidOperator)
-register_operator("StaticOpt", StaticOptOperator)
-register_operator("SHJ", SymmetricHashOperator)
-
-
-def make_operator(kind: str, query: JoinQuery, machines: int | None = None, **kwargs):
-    """Registry front door mirroring :func:`repro.api.build_operator`.
-
-    The historical loose-kwargs *constructor* shim was removed after its
-    deprecation release; this helper now routes every knob through a
-    validated :class:`~repro.api.config.RunConfig` (``machines`` and keyword
-    overrides are config overrides; ``config=`` may be passed explicitly).
-    """
-    from repro.api.session import build_operator
-
-    if machines is not None:
-        kwargs["machines"] = machines
-    return build_operator(kind, query, kwargs.pop("config", None), **kwargs)
+#: Operator kind → operator class.
+OPERATORS: dict[str, type[GridJoinOperator]] = {
+    operator.operator_name: operator
+    for operator in (
+        GridJoinOperator,
+        AdaptiveJoinOperator,
+        StaticMidOperator,
+        StaticOptOperator,
+        SymmetricHashOperator,
+    )
+}

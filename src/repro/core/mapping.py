@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-# The accepted machine-to-cell layouts live in the dependency-free registry
-# leaf so RunConfig validation and GridPlacement share one authority;
-# re-exported here because layouts are conceptually a mapping-layer concern.
-from repro.api.registry import LAYOUTS  # noqa: F401
+# The accepted machine-to-cell layouts live in a dependency-free leaf so
+# RunConfig validation and GridPlacement share one authority.
+from repro.api.layouts import LAYOUTS
 
 
 def is_power_of_two(value: int) -> bool:

@@ -20,12 +20,11 @@ import random
 from typing import Sequence
 
 from repro.api.config import RunConfig
-from repro.api.registry import register_operator
 from repro.core.decision import MigrationController
 from repro.core.mapping import Mapping, is_power_of_two, optimal_mapping, square_mapping
 from repro.core.recovery import RecoveryManager
 from repro.core.results import RunResult
-from repro.core.tasks import HashReshufflerTask, JoinerTask, ReshufflerTask, Topology
+from repro.core.tasks import JoinerTask, ReshufflerTask, Topology
 from repro.data.queries import JoinQuery
 from repro.engine.batching import AdaptiveBatchController
 from repro.engine.machine import CostModel
@@ -38,70 +37,27 @@ from repro.storage.checkpoint_store import CheckpointStore
 class GridJoinOperator:
     """Base class: a parallel join operator over a grid-partitioned cluster.
 
-    The canonical construction is config-based (the :mod:`repro.api` way)::
+    Built from a workload and a run configuration, the one way::
 
-        GridJoinOperator(query, config=RunConfig(machines=16, seed=7))
+        GridJoinOperator(query, RunConfig(machines=16, seed=7))
 
-    Every run knob lives on the :class:`~repro.api.config.RunConfig`; keyword
-    overrides passed alongside ``config`` are applied on top of it (call-site
-    beats config).  The pre-``repro.api`` loose-kwargs construction —
-    ``GridJoinOperator(query, 16, seed=7, ...)`` without a ``config`` —
-    completed its one-release :class:`DeprecationWarning` period and now
-    raises :class:`TypeError` pointing at the config path.
+    Each kind fixes at class level whether its controller may migrate
+    (:attr:`adaptive`) and the mapping it starts from
+    (:meth:`_initial_mapping`); every run knob lives on the config.
 
     Args:
         query: the workload (two materialised input streams + predicate).
-        machines: number of joiners J; must be a power of two (the paper's
-            experiments use 16–128; arbitrary J is handled analytically by
-            :mod:`repro.core.groups`).  Overrides ``config.machines``.
-        cost_model: CPU/network/storage cost model; defaults to
-            :class:`~repro.engine.machine.CostModel`'s defaults.  Not part of
-            :class:`RunConfig` (it is an object graph, not a serialisable
-            knob); the config's ``memory_capacity`` is applied to it.
-        config: the :class:`~repro.api.config.RunConfig` holding every run
-            knob (machines, seed, epsilon, warmup, layout, blocking, memory,
-            sampling, batching, pacing, faults).
-        initial_mapping: mapping in force at start-up; defaults to the square
-            ``(√J, √J)`` scheme.  Operator-kind specific, hence not a config
-            field (StaticOpt derives it from the query).
-        adaptive: whether the controller may trigger migrations; operator-kind
-            specific (the ``Dynamic`` subclass turns it on).
-        **knobs: :class:`RunConfig` field overrides (``seed=...``,
-            ``batching=...``, ...).  Unknown names raise eagerly, as do
-            invalid values — e.g. an unknown ``batching`` or ``layout``
-            fails here with the valid choices listed, not
-            deep inside joiner construction mid-run.
+        config: the :class:`~repro.api.config.RunConfig` of the run.  Its
+            ``machines`` must be a power of two (the paper's experiments use
+            16–128; arbitrary J is handled analytically by
+            :mod:`repro.core.groups`).
     """
 
     operator_name = "Grid"
+    #: Whether the controller may trigger migrations (``Dynamic`` only).
+    adaptive = False
 
-    def __init__(
-        self,
-        query: JoinQuery,
-        machines: int | None = None,
-        cost_model: CostModel | None = None,
-        *,
-        config: RunConfig | None = None,
-        initial_mapping: Mapping | None = None,
-        adaptive: bool = False,
-        **knobs,
-    ) -> None:
-        if config is None:
-            if machines is not None or knobs:
-                raise TypeError(
-                    f"constructing {type(self).__name__} from loose keyword "
-                    "arguments was removed after its deprecation release; "
-                    "pass config=RunConfig(...) — optionally with keyword "
-                    "overrides on top — or use repro.api.build_operator / "
-                    "JoinSession (see repro.api)"
-                )
-            config = RunConfig()
-        overrides = dict(knobs)
-        if machines is not None:
-            overrides["machines"] = machines
-        # with_overrides re-validates every knob eagerly (unknown field names,
-        # unknown batching planes/layouts, invalid values, ...).
-        config = config.with_overrides(**overrides)
+    def __init__(self, query: JoinQuery, config: RunConfig) -> None:
         if not is_power_of_two(config.machines):
             raise ValueError(
                 f"this operator implementation requires a power-of-two number of joiners, "
@@ -110,10 +66,9 @@ class GridJoinOperator:
         self.config = config
         self.query = query
         self.machines = config.machines
-        self.cost_model = (cost_model or CostModel()).with_memory(config.memory_capacity)
+        self.cost_model = CostModel(memory_capacity=config.memory_capacity)
         self.seed = config.seed
-        self.initial_mapping = initial_mapping or square_mapping(config.machines)
-        self.adaptive = adaptive
+        self.initial_mapping = self._initial_mapping()
         self.epsilon = config.epsilon
         self.warmup_tuples = (
             config.warmup_tuples
@@ -122,11 +77,9 @@ class GridJoinOperator:
         )
         self.layout = config.layout
         self.blocking = config.blocking
-        self.sample_every = config.sample_every
         # The data plane.  The adaptive plane keeps the wire per-tuple
         # (identical message flow and virtual times to "per_tuple") and
         # coalesces backlog at the receiving machines instead.
-        self.batching = config.batching
         self._drains = config.batching == "adaptive"
         # The fault-tolerant plane: active when there are crashes to inject
         # or durable checkpointing was requested.  Fault-free runs with the
@@ -135,6 +88,10 @@ class GridJoinOperator:
         self._fault_plane = (
             bool(config.fault_schedule) or config.checkpoint_interval is not None
         )
+
+    def _initial_mapping(self) -> Mapping:
+        """The mapping in force at start-up: the square ``(√J, √J)`` scheme."""
+        return square_mapping(self.machines)
 
     # ------------------------------------------------------------------ build
 
@@ -183,7 +140,6 @@ class GridJoinOperator:
                     controller=controller,
                     adaptive=self.adaptive,
                     blocking=self.blocking,
-                    sample_every=self.sample_every,
                     expected_inputs=expected_inputs,
                 )
             )
@@ -245,54 +201,41 @@ class GridJoinOperator:
                 store=CheckpointStore(),
                 schedule=self.config.fault_schedule,
                 checkpoint_interval=self.config.checkpoint_interval,
-                ack_timeout=self.config.ack_timeout,
-                max_retries=self.config.max_retries,
                 initial_mapping=self.initial_mapping,
             )
             manager.attach_journals(simulator)
             simulator.install_faults(manager)
         if self.config.network_faults:
-            simulator.install_network_faults(
-                ReliableWire(
-                    faults=self.config.network_faults,
-                    retry_base=self.config.retry_base,
-                    retry_max_attempts=self.config.retry_max_attempts,
-                )
-            )
+            simulator.install_network_faults(ReliableWire(self.config.network_faults))
         return simulator, topology
 
     def run(
         self,
-        arrival_pattern: str | None = None,
-        inter_arrival: float | None = None,
         arrival_order: Sequence[StreamTuple] | None = None,
         collect_outputs: bool = False,
         max_events: int | None = None,
     ) -> RunResult:
         """Execute the operator on the workload inside a fresh simulation.
 
+        The config's ``arrival_pattern`` interleaves the two input streams
+        and its ``inter_arrival`` paces them.
+
         Args:
-            arrival_pattern: interleaving of the two input streams ("uniform",
-                "alternate", "r_first", "s_first"); defaults to the config's
-                pacing; ignored when an explicit ``arrival_order`` is supplied.
-            inter_arrival: virtual-time gap between consecutive arrivals;
-                defaults to the config's pacing.
             arrival_order: explicit arrival sequence (used by the fluctuation
-                experiment of §5.4); must contain exactly the query's tuples.
+                experiment of §5.4), replacing the config's interleaving;
+                must contain exactly the query's tuples.
             collect_outputs: retain every output pair for verification.
             max_events: optional safety bound on simulation events.
 
         Returns:
             A :class:`RunResult` with every measured quantity.
         """
-        if arrival_pattern is None:
-            arrival_pattern = self.config.arrival_pattern
-        if inter_arrival is None:
-            inter_arrival = self.config.inter_arrival
         rng = random.Random(self.seed)
         if arrival_order is None:
             left, right = self.prepare_tuples(rng)
-            order = interleave_streams(left, right, rng, pattern=arrival_pattern)
+            order = interleave_streams(
+                left, right, rng, pattern=self.config.arrival_pattern
+            )
         else:
             order = list(arrival_order)
         expected_inputs = len(order)
@@ -302,7 +245,7 @@ class GridJoinOperator:
         )
 
         reshuffler_names = topology.reshuffler_names
-        schedule = ArrivalSchedule(items=order, inter_arrival=inter_arrival)
+        schedule = ArrivalSchedule(items=order, inter_arrival=self.config.inter_arrival)
         simulator.feed_schedule(
             schedule,
             destination_picker=lambda _item: rng.choice(reshuffler_names),
@@ -352,7 +295,6 @@ class GridJoinOperator:
             max_competitive_ratio=metrics.max_competitive_ratio(),
             final_mapping=final_mapping,
             events_processed=simulator.events_processed,
-            batching=self.batching,
             batch_histogram=dict(metrics.drain_histogram) if self._drains else None,
             heap_events=simulator.heap_events,
             wire_histogram=dict(metrics.wire_histogram),
@@ -381,12 +323,6 @@ class GridJoinOperator:
             recovery_time=recovery_time,
             tuples_replayed=tuples_replayed,
             checkpoint_overhead=checkpoint_overhead,
-            messages_dropped=wire.frames_dropped if wire is not None else 0,
-            messages_duplicated=wire.frames_duplicated if wire is not None else 0,
-            messages_retransmitted=(
-                wire.frames_retransmitted if wire is not None else 0
-            ),
-            messages_reordered=wire.frames_reordered if wire is not None else 0,
             retransmit_histogram=(
                 dict(wire.retransmit_histogram) if wire is not None else None
             ),
@@ -398,10 +334,7 @@ class AdaptiveJoinOperator(GridJoinOperator):
     """The paper's adaptive operator ("Dynamic" in the evaluation)."""
 
     operator_name = "Dynamic"
-
-    def __init__(self, query: JoinQuery, machines: int | None = None, **kwargs) -> None:
-        kwargs.setdefault("adaptive", True)
-        super().__init__(query, machines, **kwargs)
+    adaptive = True
 
 
 def theoretical_optimal_mapping(query: JoinQuery, machines: int) -> Mapping:
@@ -414,7 +347,3 @@ def theoretical_optimal_mapping(query: JoinQuery, machines: int) -> Mapping:
         query.left_tuple_size,
         query.right_tuple_size,
     )
-
-
-register_operator("Grid", GridJoinOperator)
-register_operator("Dynamic", AdaptiveJoinOperator)

@@ -197,7 +197,6 @@ class RecoveryManager:
         store: the run's durable checkpoint store.
         schedule: the normalized fault schedule to inject.
         checkpoint_interval: deltas between snapshots (None = journal only).
-        ack_timeout / max_retries: link-layer failure-detection knobs.
         initial_mapping: the (n, m) scheme in force at start-up — the restore
             baseline for a reshuffler that never reached a snapshot.
     """
@@ -209,8 +208,6 @@ class RecoveryManager:
         store,
         schedule,
         checkpoint_interval,
-        ack_timeout,
-        max_retries,
         initial_mapping,
     ) -> None:
         self.simulator = simulator
@@ -218,8 +215,6 @@ class RecoveryManager:
         self.store = store
         self.schedule = tuple(schedule)
         self.checkpoint_interval = checkpoint_interval
-        self.ack_timeout = ack_timeout
-        self.max_retries = max_retries
         self.initial_mapping = (initial_mapping.n, initial_mapping.m)
 
         self.faults_injected = 0

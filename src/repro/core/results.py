@@ -35,10 +35,10 @@ class RunResult:
         final_mapping: the (n, m) mapping in force when the run ended.
         events_processed: simulator handler invocations during the run — the
             data-plane overhead receiver draining amortises away.
-        batching: data plane the run used ("adaptive" or "per_tuple").
         batch_histogram: drained-run size → count on the adaptive plane
-            (None on the per-tuple plane) — the batch-size trace showing how
-            the controller sized runs under the workload's backlog.
+            (None on the per-tuple plane, so it also says which plane ran) —
+            the batch-size trace showing how the controller sized runs under
+            the workload's backlog.
         heap_events: events popped from the simulator's global heap —
             machine ticks (superseded wake-ups included), control messages,
             off-cluster deliveries, fault-plane events.  The quantity the
@@ -71,25 +71,22 @@ class RunResult:
             during restores (the delta-log length recovery paid for).
         checkpoint_overhead: bytes written to the durable checkpoint store
             (snapshots + delta journal) over the run.
-        messages_dropped: link-layer frames the unreliable wire lost (drop
-            specs, partition windows, and lost retransmit attempts).  0 with
-            ``network_faults=()`` — all four counters and both dicts below
-            come from the reliable-delivery sublayer, installed only when a
-            network fault schedule is present.
-        messages_duplicated: frames the wire delivered twice (the copies are
-            discarded by receiver-side dedup).
-        messages_retransmitted: retransmit attempts the reliable-delivery
-            sublayer sent for lost frames.
-        messages_reordered: frames that arrived ahead of a gap and waited in
-            the receiver's in-order release buffer.
         retransmit_histogram: attempt number → count of retransmits sent on
             that attempt (the backoff depth profile), next to
             ``wire_histogram``; None without network faults.
-        wire_counters: the full reliable-wire counter set as a plain dict
-            (sent/delivered/dropped/duplicated/retransmitted/reordered/
-            deduped/applied), reconciling as ``sent == delivered + dropped``
-            and ``applied == delivered - deduped``; None without network
-            faults.
+        wire_counters: the reliable-wire counters as a plain dict; None
+            without network faults (the reliable-delivery sublayer is
+            installed only when a network fault schedule is present).
+            ``sent``: frame instances put on the wire; ``delivered``: those
+            that arrived; ``dropped``: those the unreliable wire lost (drop
+            specs, partition windows, lost retransmit attempts);
+            ``duplicated``: frames the wire delivered twice;
+            ``retransmitted``: retransmit attempts sent for lost frames;
+            ``reordered``: frames that arrived ahead of a gap and waited in
+            the receiver's in-order release buffer; ``deduped``: duplicate
+            arrivals discarded; ``applied``: frames released to the task
+            layer.  They reconcile as ``sent == delivered + dropped`` and
+            ``applied == delivered - deduped``.
     """
 
     operator: str
@@ -111,7 +108,6 @@ class RunResult:
     max_competitive_ratio: float
     final_mapping: Mapping
     events_processed: int = 0
-    batching: str = "adaptive"
     batch_histogram: dict[int, int] | None = None
     heap_events: int = 0
     wire_histogram: dict[int, int] | None = None
@@ -128,10 +124,6 @@ class RunResult:
     recovery_time: float = 0.0
     tuples_replayed: int = 0
     checkpoint_overhead: float = 0.0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_retransmitted: int = 0
-    messages_reordered: int = 0
     retransmit_histogram: dict[int, int] | None = None
     wire_counters: dict[str, int] | None = None
 

@@ -29,6 +29,9 @@ _DATA = MessageKind.DATA
 _MIGRATION = MessageKind.MIGRATION
 _NORMAL = JoinerPhase.NORMAL
 
+#: The controller records an ILF sample every this many of its own tuples.
+SAMPLE_EVERY = 200
+
 
 @dataclass
 class Topology:
@@ -92,8 +95,6 @@ class ReshufflerTask(Task):
         adaptive: when False the mapping never changes (static operators).
         blocking: when True, models the blocking actuation protocol the paper
             argues against (§4.3): input is buffered while a migration runs.
-        sample_every: record ILF / ratio samples every this many tuples seen
-            by this task (controller only).
         expected_inputs: total number of input tuples (for progress metrics).
     """
 
@@ -106,7 +107,6 @@ class ReshufflerTask(Task):
         controller: MigrationController | None = None,
         adaptive: bool = True,
         blocking: bool = False,
-        sample_every: int = 200,
         expected_inputs: int = 0,
     ) -> None:
         super().__init__(name, machine_id)
@@ -115,7 +115,6 @@ class ReshufflerTask(Task):
         self.controller = controller
         self.adaptive = adaptive
         self.blocking = blocking
-        self.sample_every = max(1, sample_every)
         self.expected_inputs = expected_inputs
 
         self.epoch = 0
@@ -275,7 +274,7 @@ class ReshufflerTask(Task):
         # Scaled increment (Alg. 1 lines 3/5): this task sees ~1/J of the input.
         self.controller.observe(is_left, increment=float(self.topology.machines))
 
-        if self._seen % self.sample_every == 0:
+        if self._seen % SAMPLE_EVERY == 0:
             # x coordinate: global count of tuples processed so far, converted
             # to a fraction of the input stream by the result collector.
             ctx.metrics.record_ilf(float(ctx.metrics.processed_inputs), ctx.cluster_peak_stored())

@@ -32,6 +32,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Virtual time after a crash at which the coordinator detects the failure:
+#: the default restart instant, and the first link-layer retry of traffic
+#: buffered for the dead machine.
+ACK_TIMEOUT = 5.0
+
+#: Link-layer retries of traffic due at a crashed machine (the first
+#: ``ACK_TIMEOUT`` after the crash, each later wait twice the one before)
+#: before the run fails with :class:`MachineUnreachableError`.
+OUTAGE_RETRIES = 5
+
+#: Virtual-time backoff of the reliable wire's first retransmit of a lost
+#: frame; each later attempt doubles it.
+RETRANSMIT_BASE = 0.5
+
+#: Retransmissions of one frame before the reliable wire declares the link
+#: dead with :class:`UnreachableLinkError` (never a hang).
+RETRANSMIT_ATTEMPTS = 10
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -48,7 +66,7 @@ class FaultSpec:
         restart_after: delay, in virtual time after the crash, before a blank
             replacement machine comes up and recovery starts.  ``None`` means
             the replacement appears when the coordinator detects the failure,
-            i.e. after one ack timeout (``RunConfig.ack_timeout``).
+            i.e. after :data:`ACK_TIMEOUT`.
     """
 
     machine: int
@@ -126,7 +144,7 @@ class UnreachableLinkError(RuntimeError):
     """A link stayed lossy past the retransmit budget.
 
     Raised by the reliable-delivery sublayer when a frame has been
-    retransmitted ``retry_max_attempts`` times without getting through
+    retransmitted :data:`RETRANSMIT_ATTEMPTS` times without getting through
     (e.g. a partition window longer than the exponential-backoff budget).
     Surfacing a named error — instead of retrying forever — is what
     guarantees every faulty run terminates.
@@ -168,9 +186,10 @@ class OverlappingFaultError(RuntimeError):
 class MachineUnreachableError(RuntimeError):
     """Traffic waited for a crashed machine past the link-layer retry budget.
 
-    Raised when a machine stays down through ``max_retries`` exponentially
-    backed-off retries while deliveries addressed to it are due, so a
-    faulty run always terminates with a named error instead of hanging.
+    Raised when a machine stays down through :data:`OUTAGE_RETRIES`
+    exponentially backed-off retries while deliveries addressed to it are
+    due, so a faulty run always terminates with a named error instead of
+    hanging.
 
     Attributes:
         machine: the machine that never came back in time.

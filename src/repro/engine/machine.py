@@ -59,21 +59,6 @@ class CostModel:
     network_latency: float = 0.25
     per_tuple_network_cost: float = 0.01
 
-    def with_memory(self, capacity: float | None) -> "CostModel":
-        """Return a copy of this cost model with a different memory capacity."""
-        return CostModel(
-            receive_cost=self.receive_cost,
-            store_cost=self.store_cost,
-            probe_cost=self.probe_cost,
-            match_cost=self.match_cost,
-            migration_cost=self.migration_cost,
-            reshuffle_cost=self.reshuffle_cost,
-            memory_capacity=capacity,
-            spill_penalty=self.spill_penalty,
-            network_latency=self.network_latency,
-            per_tuple_network_cost=self.per_tuple_network_cost,
-        )
-
 
 @dataclass
 class Machine:

@@ -255,12 +255,14 @@ class MetricsCollector:
     ) -> list[tuple[float, float]]:
         """The progress series as (fraction of input processed, virtual time).
 
-        The raw ``progress_times`` series has one point per input tuple;
-        it is downsampled to at most ~``max_points`` evenly spaced points so
+        The raw ``progress_times`` series has one point per input tuple, in
+        handling order, which differs between the data planes; sorted, the
+        k-th point is the time by which k inputs were processed, the same on
+        both planes.  It is downsampled to at most ~``max_points`` evenly spaced points so
         results stay small on large runs.
         """
         total = max(total_inputs, 1)
-        times = self.progress_times
+        times = sorted(self.progress_times)
         step = max(1, len(times) // max_points)
         return [
             ((index + 1) / total, times[index]) for index in range(0, len(times), step)
@@ -269,7 +271,7 @@ class MetricsCollector:
     def ilf_fraction_series(self, total_inputs: int) -> list[tuple[float, float]]:
         """The ILF series re-indexed by fraction of input processed.
 
-        The controller samples every ``sample_every`` of *its own* tuples and
+        The controller samples every ``SAMPLE_EVERY`` of *its own* tuples and
         stores the global processed count as the x coordinate, so this only
         rescales x to a fraction (clamped at 1.0 for late samples).
         """

@@ -175,9 +175,7 @@ class ReliableWire:
     buffering — or discarded as a duplicate).
     """
 
-    def __init__(self, faults, retry_base: float, retry_max_attempts: int) -> None:
-        self.retry_base = retry_base
-        self.retry_max_attempts = retry_max_attempts
+    def __init__(self, faults) -> None:
         # (link, nth) -> [specs]: per-send faults, looked up on each send.
         self._actions: dict[tuple, list] = {}
         # (frozenset_a, frozenset_b, from_time, until_time) partition windows.

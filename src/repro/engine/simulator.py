@@ -49,6 +49,10 @@ from collections import deque
 from typing import Iterable
 
 from repro.engine.faults import (
+    ACK_TIMEOUT,
+    OUTAGE_RETRIES,
+    RETRANSMIT_ATTEMPTS,
+    RETRANSMIT_BASE,
     MachineUnreachableError,
     OverlappingFaultError,
     UnreachableLinkError,
@@ -768,16 +772,15 @@ class Simulator:
         # still queued pop as stale); the restart arms the reviving tick.
         self._tick_at[machine_id] = None
         self._wake_for[machine_id] = None
-        recovery = self._recovery
-        recovery.on_crash(machine_id, time)
+        self._recovery.on_crash(machine_id, time)
         delay = fault.restart_after
         if delay is None:
             # Coordinator detects the failure at the ack timeout and brings
             # up the blank replacement immediately.
-            delay = recovery.ack_timeout
+            delay = ACK_TIMEOUT
         self._schedule_fault(time + delay, "restart", machine_id)
         self._retry_attempts[machine_id] = 0
-        self._schedule_fault(time + recovery.ack_timeout, "retry", machine_id)
+        self._schedule_fault(time + ACK_TIMEOUT, "retry", machine_id)
 
     def _restart_machine(self, machine_id: int, time: float) -> None:
         """Blank replacement up: restore from the checkpoint store, replay the
@@ -812,18 +815,15 @@ class Simulator:
             return  # machine came back; the timer dissolves
         attempts = self._retry_attempts.get(machine_id, 0) + 1
         self._retry_attempts[machine_id] = attempts
-        recovery = self._recovery
         # Traffic already due counts; the pending heap also holds runs sent
         # ahead of their delivery time.
         pending = self._pending_wire[machine_id]
         waiting = bool(self._outage.get(machine_id)) or bool(
             pending and pending[0][0] <= time
         )
-        if attempts > recovery.max_retries and waiting:
-            raise MachineUnreachableError(machine_id, recovery.max_retries)
-        self._schedule_fault(
-            time + recovery.ack_timeout * (2 ** attempts), "retry", machine_id
-        )
+        if attempts > OUTAGE_RETRIES and waiting:
+            raise MachineUnreachableError(machine_id, OUTAGE_RETRIES)
+        self._schedule_fault(time + ACK_TIMEOUT * (2 ** attempts), "retry", machine_id)
 
     def _divert_crashed(
         self, task: Task, message: Message, time: float, rank: int, machine_id: int
@@ -893,18 +893,17 @@ class Simulator:
     def _wire_arm_retransmit(self, frame: _WireFrame, now: float) -> None:
         """Arm the sender's retransmit timer for a lost frame.
 
-        Exponential backoff from ``retry_base``; once ``retry_max_attempts``
-        transmissions have been lost the link is declared dead with a named
-        error — the faulty run terminates either way, never hangs.  Timers
-        are armed only for frames known lost (a deterministic-simulation
-        shortcut: behaviourally equivalent to per-frame ack timeouts without
-        modelling the ack traffic).
+        Exponential backoff from ``RETRANSMIT_BASE``; once
+        ``RETRANSMIT_ATTEMPTS`` transmissions have been lost the link is
+        declared dead with a named error — the faulty run terminates either
+        way, never hangs.  Timers are armed only for frames known lost (a
+        deterministic-simulation shortcut: behaviourally equivalent to
+        per-frame ack timeouts without modelling the ack traffic).
         """
-        wire = self._wire
-        if frame.attempts >= wire.retry_max_attempts:
+        if frame.attempts >= RETRANSMIT_ATTEMPTS:
             raise UnreachableLinkError(frame.link, frame.attempts)
         frame.attempts += 1
-        backoff = wire.retry_base * (2 ** (frame.attempts - 1))
+        backoff = RETRANSMIT_BASE * (2 ** (frame.attempts - 1))
         self._schedule_fault(now + backoff, "retransmit", frame.link[1], frame)
 
     def _wire_retransmit(self, frame: _WireFrame, time: float) -> None:

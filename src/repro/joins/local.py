@@ -24,24 +24,17 @@ relation for a theta scan — and only composite residuals still run per pair
 (theta: the whole predicate).  :func:`repro.testing.reference_probe` states
 the same contract by brute force.
 
-:func:`make_local_joiner` dispatches on the predicate ``kind`` through the
-:data:`repro.api.registry.predicate_kinds` registry, so new predicate
-families plug in their local algorithms without touching this module.
+:func:`make_local_joiner` looks the predicate ``kind`` up in
+:data:`JOINERS`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator, Sequence
 
-from repro.api.registry import predicate_kinds, register_predicate
 from repro.engine.stream import StreamTuple
 from repro.joins.index import JoinIndex, make_index
-from repro.joins.predicates import (
-    BandPredicate,
-    EquiPredicate,
-    JoinPredicate,
-    ThetaPredicate,
-)
+from repro.joins.predicates import JoinPredicate
 
 
 class LocalJoiner:
@@ -430,16 +423,22 @@ class NestedLoopJoiner(LocalJoiner):
     """Block-nested-loop local join; handles arbitrary theta predicates."""
 
 
+#: Predicate ``kind`` → the local join algorithm serving it.
+JOINERS: dict[str, type[LocalJoiner]] = {
+    "equi": SymmetricHashJoiner,
+    "band": SortedBandJoiner,
+    "theta": NestedLoopJoiner,
+}
+
+
 def make_local_joiner(
     predicate: JoinPredicate, left_relation: str, right_relation: str
 ) -> LocalJoiner:
-    """Build the local algorithm registered for the predicate's ``kind``."""
-    spec = predicate_kinds.get(predicate.kind)
-    return spec.joiner_factory(predicate, left_relation, right_relation)
-
-
-# Built-in registrations (the registry is the single dispatch authority; new
-# kinds plug in through repro.api.register_predicate without edits here).
-register_predicate("equi", SymmetricHashJoiner, EquiPredicate)
-register_predicate("band", SortedBandJoiner, BandPredicate)
-register_predicate("theta", NestedLoopJoiner, ThetaPredicate)
+    """Build the local algorithm serving the predicate's ``kind``."""
+    joiner_class = JOINERS.get(predicate.kind)
+    if joiner_class is None:
+        raise ValueError(
+            f"unknown predicate kind {predicate.kind!r}; "
+            f"choices: {', '.join(sorted(JOINERS))}"
+        )
+    return joiner_class(predicate, left_relation, right_relation)

@@ -8,8 +8,7 @@ Three kinds of oracle back the test suites:
   local probe must return: its matches and its work, in closed form.  They share no code with the indexes they check.
 * **the per-tuple data plane** — :func:`assert_run_equivalent` compares
   :class:`~repro.core.results.RunResult`\\ s, e.g. an adaptive run against
-  its ``batching="per_tuple"`` twin (and third-party components registered
-  through :mod:`repro.api` against the built-ins).
+  its ``batching="per_tuple"`` twin.
 * **the unmerged wire** — :class:`UnmergedWireSimulator` delivers every
   send through the global heap as its own event, the timing reference the
   production wire's channel runs and wake-ups must reproduce.
@@ -123,8 +122,8 @@ TIMING_FIELDS = frozenset(
 EVENT_FIELDS = frozenset({"heap_events", "wire_histogram"})
 
 #: Traffic fields the ``network=False`` coarse switch skips as a group.
-#: Includes the reliable-wire degradation counters: two runs under the same
-#: network fault schedule must lose/retransmit/reorder identically (they are
+#: Includes the reliable-wire counters: two runs under the same network
+#: fault schedule must lose/retransmit/reorder identically (they are
 #: deterministic), while a faulty run compared against its fault-free twin
 #: skips them along with the volumes the retransmits inflate.
 NETWORK_FIELDS = frozenset(
@@ -132,10 +131,6 @@ NETWORK_FIELDS = frozenset(
         "routing_volume",
         "migration_volume",
         "total_network_volume",
-        "messages_dropped",
-        "messages_duplicated",
-        "messages_retransmitted",
-        "messages_reordered",
         "retransmit_histogram",
         "wire_counters",
     }
@@ -275,30 +270,6 @@ def assert_run_equivalent(
         result_a.total_network_volume,
         result_b.total_network_volume,
         "total network volume",
-    )
-    check(
-        "messages_dropped",
-        result_a.messages_dropped,
-        result_b.messages_dropped,
-        "messages_dropped",
-    )
-    check(
-        "messages_duplicated",
-        result_a.messages_duplicated,
-        result_b.messages_duplicated,
-        "messages_duplicated",
-    )
-    check(
-        "messages_retransmitted",
-        result_a.messages_retransmitted,
-        result_b.messages_retransmitted,
-        "messages_retransmitted",
-    )
-    check(
-        "messages_reordered",
-        result_a.messages_reordered,
-        result_b.messages_reordered,
-        "messages_reordered",
     )
     check(
         "retransmit_histogram",

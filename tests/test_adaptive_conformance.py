@@ -188,9 +188,7 @@ class TestMaterialisedConformance:
         query = queries["equi"]
         order = _arrival_order(query)
         reference, adaptive = _run_pair(StaticMidOperator, query, order)
-        assert reference.batching == "per_tuple"
         assert reference.batch_histogram is None
-        assert adaptive.batching == "adaptive"
         drained = sum(size * count for size, count in adaptive.batch_histogram.items())
         assert drained > 0
 
@@ -202,7 +200,7 @@ class TestMaterialisedConformance:
         reference = _run(AdaptiveJoinOperator, query, order, batching="per_tuple")
         default = _run(AdaptiveJoinOperator, query, order)
         assert reference.migrations >= 1
-        assert default.batching == "adaptive"
+        assert default.batch_histogram is not None
         assert_run_equivalent(reference, default, label="default-vs-per_tuple")
 
 
@@ -424,7 +422,7 @@ class TestLoneMemberConformance:
             assert set(adaptive.batch_histogram) == {1}
             assert adaptive.faults_injected == 1 and adaptive.tuples_replayed > 0
         elif cell == "nine-dropped-frames":
-            assert adaptive.messages_dropped == 9
+            assert adaptive.wire_counters["dropped"] == 9
 
     @pytest.mark.parametrize("chunk_seed", [3, 99])
     def test_paced_streaming_bit_identical_to_per_tuple_plane(
@@ -620,7 +618,7 @@ def fluct_run():
             arrival_order=order, collect_outputs=True
         )
         assert result.faults_injected == (cell == "crash")
-        assert result.messages_dropped == (9 if cell == "lossy" else 0)
+        assert (result.wire_counters or {}).get("dropped", 0) == (9 if cell == "lossy" else 0)
         return result
 
     return run

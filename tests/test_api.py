@@ -1,4 +1,4 @@
-"""The public session API: RunConfig, registries, JoinSession, migration shim.
+"""The public session API: RunConfig, operator kinds, JoinSession.
 
 Pins the contracts of ``repro.api``:
 
@@ -6,15 +6,12 @@ Pins the contracts of ``repro.api``:
   JSON), validates eagerly (unknown fields, bad values, unknown batching
   planes/layouts) and is immutable; ``batching`` defaults to ``"adaptive"``.
 * Override precedence is ``session default < config < call-site``.
-* Registries reject duplicate registrations and list choices on unknown
-  names; registered third-party components flow through the session.
+* Unknown operator and predicate kinds fail with the choices listed.
 * ``import repro`` loads no NumPy, and neither a probe-engine nor a
   batch-controller registry remains: one probe engine and one batched data
   plane, whose knobs are retired with the backend knobs.
-* The legacy loose-kwargs constructor shim is gone: constructing an operator
-  from loose keyword arguments without a config raises ``TypeError`` pointing
-  at ``RunConfig``; ``make_operator`` routes through the validated config
-  path and stays bit-identical to the session path.
+* An operator is built from ``(query, config)`` only: loose keyword
+  arguments raise ``TypeError``.
 * The streaming ``push()`` ingestion yields identical final join results to
   the materialised path on EQ5 on both data planes.
 """
@@ -27,6 +24,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,15 +37,13 @@ from repro.api import (
     crash,
     crash_after_events,
     build_operator,
-    operators,
-    predicate_kinds,
-    register_operator,
 )
-from repro.core.baselines import make_operator
+from repro.core.baselines import OPERATORS
 from repro.core.operator import AdaptiveJoinOperator, GridJoinOperator
 from repro.core.results import RunResult
 from repro.data.queries import make_query
 from repro.engine.stream import interleave_streams, make_tuples
+from repro.joins.local import JOINERS, make_local_joiner
 
 
 def _arrival_order(query, seed):
@@ -73,7 +69,6 @@ class TestRunConfig:
             layout="row_major",
             blocking=True,
             memory_capacity=123.0,
-            sample_every=50,
             batching="per_tuple",
             arrival_pattern="s_first",
             inter_arrival=0.25,
@@ -107,7 +102,6 @@ class TestRunConfig:
             {"machines": 0},
             {"machines": "sixteen"},
             {"epsilon": 0.0},
-            {"sample_every": 0},
             {"inter_arrival": -1.0},
             {"memory_capacity": -5.0},
             {"arrival_pattern": "sorted"},
@@ -155,11 +149,10 @@ class TestBatchingKnobs:
 
     def test_unknown_batching_fails_at_operator_construction(self, eq5_query):
         with pytest.raises(ValueError, match="choices"):
-            GridJoinOperator(eq5_query, config=RunConfig(), batching="turbo")
+            JoinSession(eq5_query).operator(batching="turbo")
 
     def test_default_plane_flows_through_session(self, eq5_query):
         result = JoinSession(eq5_query, config=RunConfig(machines=8, seed=3)).run()
-        assert result.batching == "adaptive"
         assert result.batch_histogram
         assert result.output_count > 0
 
@@ -175,8 +168,6 @@ class TestRecoveryKnobs:
                 crash_after_events(1, 400, restart_after=2.0),
             ],
             checkpoint_interval=50,
-            ack_timeout=2.5,
-            max_retries=3,
         )
         assert RunConfig.from_json(config.to_json()) == config
         as_dict = config.to_dict()
@@ -217,10 +208,6 @@ class TestRecoveryKnobs:
             {"checkpoint_interval": 0},
             {"checkpoint_interval": -5},
             {"checkpoint_interval": 2.5},
-            {"ack_timeout": 0.0},
-            {"ack_timeout": -1.0},
-            {"max_retries": -1},
-            {"max_retries": 1.5},
         ],
     )
     def test_invalid_recovery_values_rejected(self, overrides):
@@ -236,7 +223,8 @@ class TestRecoveryKnobs:
 class TestRetiredKnobs:
     """The execution-backend, wire, probe-engine and fixed-plane switches are
     gone: one simulator, the data plane picks the wire, one probe engine, and
-    the adaptive plane sizes its own runs."""
+    the adaptive plane sizes its own runs.  The retry budgets and the ILF
+    sampling period are module constants."""
 
     RETIRED_KEYS = [
         ("executor", "simulated"),
@@ -246,6 +234,11 @@ class TestRetiredKnobs:
         ("probe_engine", "scalar"),
         ("batch_size", 64),
         ("batch_max", 32),
+        ("sample_every", 200),
+        ("ack_timeout", 5.0),
+        ("max_retries", 5),
+        ("retry_base", 0.5),
+        ("retry_max_attempts", 10),
     ]
 
     @pytest.mark.parametrize("key, value", RETIRED_KEYS)
@@ -282,6 +275,11 @@ class TestRetiredKnobs:
             "peak_inflight",
             "delivery_merging",
             "batch_size",
+            "batching",
+            "messages_dropped",
+            "messages_duplicated",
+            "messages_retransmitted",
+            "messages_reordered",
         ],
     )
     def test_retired_result_field_absent(self, eq5_query, name):
@@ -291,39 +289,24 @@ class TestRetiredKnobs:
         assert name not in result.summary_row()
 
     def test_field_counts(self):
-        assert len(dataclasses.fields(RunConfig)) == 18
-        assert len(dataclasses.fields(RunResult)) == 42
+        assert len(dataclasses.fields(RunConfig)) == 13
+        assert len(dataclasses.fields(RunResult)) == 37
 
 
 # ---------------------------------------------------------------------------
-# Registries
+# Operator and predicate kinds
 # ---------------------------------------------------------------------------
 
 class TestRegistries:
     def test_builtins_registered(self):
-        assert set(operators.names()) >= {"Dynamic", "Grid", "SHJ", "StaticMid", "StaticOpt"}
-        assert set(predicate_kinds.names()) >= {"band", "equi", "theta"}
+        assert set(OPERATORS) == {"Dynamic", "Grid", "SHJ", "StaticMid", "StaticOpt"}
+        assert set(JOINERS) == {"band", "equi", "theta"}
 
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_operator("Dynamic", AdaptiveJoinOperator)
-
-    def test_unknown_name_lists_choices(self):
+    def test_unknown_name_lists_choices(self, eq5_query):
         with pytest.raises(ValueError, match="unknown operator 'Turbo'.*Dynamic"):
-            operators.get("Turbo")
-        with pytest.raises(ValueError, match="unknown predicate kind"):
-            predicate_kinds.get("similarity")
-
-    def test_registered_operator_flows_through_session(self, eq5_query):
-        class QuietDynamic(AdaptiveJoinOperator):
-            operator_name = "QuietDynamic"
-
-        register_operator("QuietDynamic", QuietDynamic)
-        try:
-            result = JoinSession(eq5_query, machines=8).run(operator="QuietDynamic")
-            assert result.operator == "QuietDynamic"
-        finally:
-            operators.unregister("QuietDynamic")
+            build_operator("Turbo", eq5_query, RunConfig())
+        with pytest.raises(ValueError, match="unknown predicate kind 'similarity'.*band"):
+            make_local_joiner(SimpleNamespace(kind="similarity"), "R", "S")
 
     def test_unknown_operator_kind_through_session(self, eq5_query):
         with pytest.raises(ValueError, match="unknown operator"):
@@ -357,7 +340,7 @@ class TestImportHygiene:
         [
             ("repro", ("batch_controllers", "register_batch_controller")),
             ("repro.api", ("batch_controllers", "register_batch_controller")),
-            ("repro.api.registry", ("batch_controllers", "register_batch_controller")),
+            ("repro.api.layouts", ("batch_controllers", "register_batch_controller")),
             ("repro.engine", ("BatchController", "FixedBatchController", "TupleBatch")),
             ("repro.engine.batching", ("BatchController", "FixedBatchController")),
             ("repro.engine.stream", ("TupleBatch",)),
@@ -461,26 +444,12 @@ def _resolve(graph, module, names):
     return targets
 
 
-def _registers_components(tree) -> bool:
-    """Whether a module registers a built-in at import (a top-level
-    ``register_*(...)`` call), which runs look up through the registries."""
-    return any(
-        isinstance(node, ast.Expr)
-        and isinstance(node.value, ast.Call)
-        and isinstance(node.value.func, ast.Name)
-        and node.value.func.id.startswith("register_")
-        for node in tree.body
-    )
-
-
 def _reachable(graph, roots) -> set:
     """Modules reached from ``roots``.  Every module of a root package is a
-    root, and so is every module registering a built-in component; other
-    packages' ``__init__`` re-exports are not followed."""
+    root; other packages' ``__init__`` re-exports are not followed."""
     root_names = {
-        name for name, (tree, _) in graph.items()
+        name for name in graph
         if any(name == root or name.startswith(root + ".") for root in roots)
-        or _registers_components(tree)
     }
     reached, frontier = set(root_names), list(root_names)
     while frontier:
@@ -500,15 +469,15 @@ def _reachable(graph, roots) -> set:
 class TestEagerValidation:
     def test_invalid_batching_fails_at_construction(self, eq5_query):
         with pytest.raises(ValueError, match="batching.*simd"):
-            GridJoinOperator(eq5_query, config=RunConfig(machines=8), batching="simd")
+            JoinSession(eq5_query, machines=8).operator(batching="simd")
 
     def test_invalid_layout_fails_at_construction(self, eq5_query):
         with pytest.raises(ValueError, match="dyadic"):
-            GridJoinOperator(eq5_query, config=RunConfig(machines=8), layout="diagonal")
+            JoinSession(eq5_query, machines=8).operator(layout="diagonal")
 
     def test_unknown_knob_fails_at_construction(self, eq5_query):
         with pytest.raises(ValueError, match="unknown RunConfig field"):
-            GridJoinOperator(eq5_query, config=RunConfig(machines=8), warmup_tuple=3)
+            JoinSession(eq5_query, machines=8).operator(warmup_tuple=3)
 
     def test_non_power_of_two_machines_rejected(self, eq5_query):
         with pytest.raises(ValueError, match="power-of-two"):
@@ -529,7 +498,7 @@ class TestOverridePrecedence:
         session = JoinSession(eq5_query, config=RunConfig(machines=8, seed=1))
         operator = session.operator(seed=7, batching="per_tuple")
         assert operator.seed == 7
-        assert operator.batching == "per_tuple"
+        assert operator.config.batching == "per_tuple"
         assert operator.machines == 8  # untouched session default
 
     def test_per_run_config_replaces_session_default(self, eq5_query):
@@ -539,59 +508,22 @@ class TestOverridePrecedence:
         assert operator.machines == 4
         assert operator.seed == 9
 
-    def test_operator_specific_kwargs_pass_through(self, eq5_query):
-        session = JoinSession(eq5_query, machines=8)
-        operator = session.operator(kind="Grid", adaptive=True)
-        assert operator.adaptive is True
-
 
 # ---------------------------------------------------------------------------
-# Legacy loose-kwargs constructor shim: removed after its deprecation release
+# One way to build an operator: (query, config), no loose keyword arguments
 # ---------------------------------------------------------------------------
 
 class TestLegacyRemoval:
-    def _compare(self, legacy, modern):
-        assert legacy.outputs is not None and modern.outputs is not None
-        assert sorted(legacy.outputs) == sorted(modern.outputs)
-        assert legacy.output_count == modern.output_count
-        assert legacy.execution_time == modern.execution_time
-        assert legacy.probe_work == modern.probe_work
-        assert legacy.migrations == modern.migrations
-        assert legacy.final_mapping == modern.final_mapping
-        assert legacy.max_ilf == modern.max_ilf
-        assert legacy.total_network_volume == modern.total_network_volume
-
     def test_loose_kwargs_construction_raises(self, eq5_query):
-        with pytest.raises(TypeError, match="RunConfig"):
-            AdaptiveJoinOperator(eq5_query, 8, seed=5, warmup_tuples=16)
-        with pytest.raises(TypeError, match="RunConfig"):
-            GridJoinOperator(eq5_query, seed=5)
-        with pytest.raises(TypeError, match="RunConfig"):
-            GridJoinOperator(eq5_query, 8)
-
-    def test_config_with_overrides_still_supported(self, eq5_query):
-        # Call-site overrides on top of an explicit config remain the
-        # documented API (call-site beats config) — only the config-less
-        # loose path was removed.
-        operator = AdaptiveJoinOperator(
-            eq5_query, config=RunConfig(machines=8, seed=1), seed=7, batching="per_tuple"
-        )
-        assert operator.seed == 7
-        assert operator.batching == "per_tuple"
-
-    def test_make_operator_routes_through_config_path(self, eq5_query):
-        # make_operator survives as a registry front door over RunConfig; it
-        # must stay bit-identical to the session path and validate eagerly.
-        order = _arrival_order(eq5_query, seed=5)
-        legacy = make_operator("StaticMid", eq5_query, 8, seed=5).run(
-            arrival_order=order, collect_outputs=True
-        )
-        modern = JoinSession(eq5_query, machines=8, seed=5).run(
-            operator="StaticMid", arrival_order=order, collect_outputs=True
-        )
-        self._compare(legacy, modern)
-        with pytest.raises(ValueError, match="unknown RunConfig field"):
-            make_operator("StaticMid", eq5_query, 8, warmup_tuple=3)
+        config = RunConfig(machines=8)
+        with pytest.raises(TypeError):
+            AdaptiveJoinOperator(eq5_query, config, seed=5)
+        with pytest.raises(TypeError):
+            GridJoinOperator(eq5_query, config, cost_model=None)
+        with pytest.raises(TypeError):
+            GridJoinOperator(eq5_query, config, adaptive=True)
+        with pytest.raises(ValueError, match="unknown RunConfig field.*cost_model"):
+            JoinSession(eq5_query, cost_model=None)
 
     def test_config_path_does_not_warn(self, eq5_query, recwarn):
         build_operator("StaticMid", eq5_query, RunConfig(machines=8, seed=5))

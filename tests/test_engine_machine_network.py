@@ -7,13 +7,6 @@ from repro.engine.network import Network, TrafficCategory
 
 
 class TestCostModel:
-    def test_with_memory_overrides_only_capacity(self):
-        base = CostModel()
-        limited = base.with_memory(100.0)
-        assert limited.memory_capacity == 100.0
-        assert limited.receive_cost == base.receive_cost
-        assert base.memory_capacity is None
-
     def test_defaults_are_positive(self):
         model = CostModel()
         assert model.receive_cost > 0

@@ -39,7 +39,7 @@ from repro.api import (
 from repro.core.baselines import StaticMidOperator
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
-from repro.engine.faults import FaultSpec, normalize_fault_schedule
+from repro.engine.faults import OUTAGE_RETRIES, FaultSpec, normalize_fault_schedule
 from repro.engine.stream import interleave_streams, make_tuples
 from repro.joins.predicates import CompositePredicate, EquiPredicate
 from repro.storage import CheckpointStore
@@ -216,6 +216,7 @@ class TestCheckpointingBitIdentity:
         assert_run_equivalent(
             reference, checkpointed, events=True, label=f"checkpointing:{plane}"
         )
+        assert checkpointed.events_processed == reference.events_processed
         assert checkpointed.faults_injected == 0
         assert checkpointed.recovery_time == 0.0
         assert checkpointed.checkpoint_overhead > 0.0
@@ -371,23 +372,20 @@ class TestFaultErrorPaths:
                     crash_after_events(3, 500, restart_after=1e9),
                     crash_after_events(3, 501),
                 ],
-                max_retries=50,
-                ack_timeout=1e8,
             )
 
     def test_retry_exhaustion_raises_unreachable(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
-        with pytest.raises(RuntimeError, match="unreachable"):
+        with pytest.raises(RuntimeError, match="unreachable") as caught:
             _run(
                 query,
                 order,
                 batching="per_tuple",
                 checkpoint_interval=50,
                 fault_schedule=[crash_after_events(3, 500, restart_after=1e9)],
-                max_retries=1,
-                ack_timeout=1.0,
             )
+        assert caught.value.retries == OUTAGE_RETRIES
 
 
     def test_overlapping_fault_error_names_machine_and_time(self, queries):
@@ -402,8 +400,6 @@ class TestFaultErrorPaths:
                     crash_after_events(3, 500, restart_after=1e9),
                     crash_after_events(3, 501),
                 ],
-                max_retries=50,
-                ack_timeout=1e8,
             )
         error = caught.value
         assert isinstance(error, RuntimeError)
@@ -422,13 +418,11 @@ class TestFaultErrorPaths:
                 batching="per_tuple",
                 checkpoint_interval=50,
                 fault_schedule=[crash_after_events(3, 500, restart_after=1e9)],
-                max_retries=2,
-                ack_timeout=1.0,
             )
         error = caught.value
         assert isinstance(error, RuntimeError)
-        assert (error.machine, error.retries) == (3, 2)
-        assert str(error) == "machine 3 unreachable after 2 retries"
+        assert (error.machine, error.retries) == (3, OUTAGE_RETRIES)
+        assert str(error) == f"machine 3 unreachable after {OUTAGE_RETRIES} retries"
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.api import (
 )
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import make_query
-from repro.engine.faults import normalize_network_faults
+from repro.engine.faults import RETRANSMIT_ATTEMPTS, normalize_network_faults
 from repro.engine.stream import ArrivalSchedule, interleave_streams, make_tuples
 from repro.storage import CheckpointCorruptionError, CheckpointStore
 from repro.testing import assert_run_equivalent
@@ -218,12 +218,6 @@ class TestConfigValidation:
                 network_faults=[partition((0,), (MACHINES + 3,), 0.0, 1.0)]
             )
 
-    def test_retry_knobs_validated(self):
-        with pytest.raises(ValueError, match="retry_base"):
-            _config(retry_base=0.0)
-        with pytest.raises(ValueError, match="retry_max_attempts"):
-            _config(retry_max_attempts=0)
-
     def test_network_faults_require_non_blocking(self):
         with pytest.raises(ValueError, match="non-blocking"):
             _config(blocking=True, batching="per_tuple", network_faults=[drop((0, 1), 1)])
@@ -231,8 +225,6 @@ class TestConfigValidation:
     def test_json_round_trip(self):
         config = _config(
             network_faults=list(MIXED_FAULTS) + [partition((0, 1), (4, 5), 5.0, 9.0)],
-            retry_base=0.25,
-            retry_max_attempts=6,
         )
         assert RunConfig.from_json(config.to_json()) == config
 
@@ -241,9 +233,9 @@ class TestConfigValidation:
             _config(
                 fault_schedule=[crash(3, 10.0, restart_after=5.0), crash(3, 12.0)]
             )
-        # The default restart instant is the ack timeout.
+        # The default restart instant is ACK_TIMEOUT (5.0) after the crash.
         with pytest.raises(ValueError, match="overlapping fault_schedule"):
-            _config(ack_timeout=5.0, fault_schedule=[crash(3, 10.0), crash(3, 12.0)])
+            _config(fault_schedule=[crash(3, 10.0), crash(3, 12.0)])
 
     def test_identical_event_anchors_rejected_eagerly(self):
         with pytest.raises(ValueError, match="same event anchor"):
@@ -278,7 +270,6 @@ class TestCleanPathBitIdentity:
         assert_run_equivalent(reference, gated, events=True, label=f"clean:{plane}")
         assert gated.wire_counters is None
         assert gated.retransmit_histogram is None
-        assert gated.messages_dropped == 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +289,8 @@ class TestWireMasking:
             network_faults=[drop((0, 1), 1), drop((0, 1), 2), drop((4, 2), 3)],
             **PLANES[plane],
         )
-        assert faulty.messages_dropped > 0, f"{kind}/{plane}: no drop fired"
-        assert faulty.messages_retransmitted > 0
+        assert faulty.wire_counters["dropped"] > 0, f"{kind}/{plane}: no drop fired"
+        assert faulty.wire_counters["retransmitted"] > 0
         assert sorted(faulty.outputs) == sorted(twin.outputs), f"{kind}/{plane}"
         assert faulty.output_count == twin.output_count
         _assert_counters_reconcile(faulty, f"drop:{kind}/{plane}")
@@ -315,8 +306,8 @@ class TestWireMasking:
             network_faults=[duplicate((1, 4), 1), duplicate((1, 4), 2)],
             **PLANES[plane],
         )
-        assert faulty.messages_duplicated > 0, f"{plane}: no duplicate fired"
-        assert faulty.wire_counters["deduped"] >= faulty.messages_duplicated
+        assert faulty.wire_counters["duplicated"] > 0, f"{plane}: no duplicate fired"
+        assert faulty.wire_counters["deduped"] >= faulty.wire_counters["duplicated"]
         assert sorted(faulty.outputs) == sorted(twin.outputs), plane
         _assert_counters_reconcile(faulty, f"duplicate:{plane}")
 
@@ -331,7 +322,7 @@ class TestWireMasking:
             network_faults=[delay((0, 1), 1, by=6.0), delay((2, 5), 2, by=8.0)],
             **PLANES[plane],
         )
-        assert faulty.messages_reordered > 0, f"{plane}: delay never reordered"
+        assert faulty.wire_counters["reordered"] > 0, f"{plane}: delay never reordered"
         assert sorted(faulty.outputs) == sorted(twin.outputs), plane
         _assert_counters_reconcile(faulty, f"delay:{plane}")
 
@@ -349,8 +340,8 @@ class TestWireMasking:
             ],
             **PLANES[plane],
         )
-        assert faulty.messages_dropped > 0, f"{plane}: partition saw no traffic"
-        assert faulty.messages_retransmitted > 0
+        assert faulty.wire_counters["dropped"] > 0, f"{plane}: partition saw no traffic"
+        assert faulty.wire_counters["retransmitted"] > 0
         assert sorted(faulty.outputs) == sorted(twin.outputs), plane
         _assert_counters_reconcile(faulty, f"partition:{plane}")
 
@@ -477,10 +468,8 @@ class TestUnreachableLink:
                 network_faults=[
                     partition((0, 1, 2, 3), (4, 5, 6, 7), 0.0, 1e12)
                 ],
-                retry_base=0.1,
-                retry_max_attempts=3,
             )
-        assert info.value.attempts == 3
+        assert info.value.attempts == RETRANSMIT_ATTEMPTS
         sender, receiver = info.value.link
         assert (sender < 4) != (receiver < 4)  # the dead link crosses the cut
 

@@ -9,12 +9,11 @@ import random
 
 import pytest
 
-from repro.api import RunConfig
+from repro.api import RunConfig, build_operator
 from repro.core.baselines import (
     StaticMidOperator,
     StaticOptOperator,
     SymmetricHashOperator,
-    make_operator,
 )
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import make_query
@@ -37,14 +36,14 @@ class TestOperatorOutputs:
     @pytest.mark.parametrize("operator_kind", ["Dynamic", "StaticMid", "StaticOpt", "SHJ"])
     def test_equi_join_under_skew(self, skewed_dataset, operator_kind):
         query = make_query("EQ5", skewed_dataset)
-        operator = make_operator(operator_kind, query, 8, seed=3)
+        operator = build_operator(operator_kind, query, RunConfig(machines=8, seed=3))
         result = operator.run(collect_outputs=True)
         _assert_correct(result, query)
 
     @pytest.mark.parametrize("operator_kind", ["Dynamic", "StaticMid", "StaticOpt"])
     def test_band_join(self, small_dataset, operator_kind):
         query = make_query("BNCI", small_dataset)
-        operator = make_operator(operator_kind, query, 8, seed=3)
+        operator = build_operator(operator_kind, query, RunConfig(machines=8, seed=3))
         result = operator.run(collect_outputs=True)
         _assert_correct(result, query)
 
@@ -66,8 +65,8 @@ class TestOperatorOutputs:
     @pytest.mark.parametrize("pattern", ["uniform", "r_first", "s_first", "alternate"])
     def test_arrival_order_does_not_affect_output(self, small_dataset, pattern):
         query = make_query("EQ7", small_dataset)
-        operator = AdaptiveJoinOperator(query, config=RunConfig(machines=8, seed=5, warmup_tuples=16))
-        result = operator.run(arrival_pattern=pattern, collect_outputs=True)
+        config = RunConfig(machines=8, seed=5, warmup_tuples=16, arrival_pattern=pattern)
+        result = AdaptiveJoinOperator(query, config=config).run(collect_outputs=True)
         _assert_correct(result, query)
 
     def test_correct_under_fluctuating_arrivals_with_migrations(self, small_dataset):
