@@ -5,8 +5,8 @@ per second) for the equi, band (int keys), float band (the same keys shifted
 by one half) and composite-equi flavours.  Every flavour's matches and
 charged work are checked against :func:`repro.testing.reference_probe`
 summed over the stream, and the float band must keep pace with the int band
-in the same run: both take the edge-corrected slice as the match set.  The
-numbers feed the CI perf breadcrumb so probe trends are visible across PRs.
+in the same run: both take the edge-corrected slice as the match set.  CI
+runs the regression assertions as its probe checks.
 
 Run standalone for the table:
 

@@ -2,24 +2,21 @@
 
 :class:`RunConfig` is one frozen, eagerly validated dataclass, shared
 verbatim by the operator layer, the :class:`~repro.api.session.JoinSession`
-facade, the paper scoreboard's sweeps (:mod:`repro.bench.claims`) and the
-CLI (``--config file.json``).  Dataset knobs (scale, skew) belong to the
-workload, not to the run.  Timing constants no run varies — failure
-detection and retry budgets (:mod:`repro.engine.faults`), the ILF sampling
-period (:mod:`repro.core.tasks`) — are module constants, not fields.
+facade and the paper scoreboard's sweeps (:mod:`repro.bench.claims`).  It is
+built in code — ``RunConfig(...)`` or ``with_overrides(...)`` — and has no
+file form.  Dataset knobs (scale, skew) belong to the workload, not to the
+run.  Timing constants no run varies — failure detection and retry budgets
+(:mod:`repro.engine.faults`), the ILF sampling period
+(:mod:`repro.core.tasks`) — are module constants, not fields.
 
 Validation happens at construction — an invalid ``batching`` or ``layout``
 fails immediately with the valid choices listed, instead of deep inside
 operator / ``GridPlacement`` construction mid-run.
-
-``to_dict()`` / ``from_dict()`` round-trip exactly (pinned by tests), so a
-config can be saved as JSON and fed back through the CLI.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -75,9 +72,9 @@ class RunConfig:
         fault_schedule: deterministic machine crashes to inject — a sequence
             of :class:`~repro.engine.faults.FaultSpec` entries (build them
             with :func:`~repro.engine.faults.crash` /
-            :func:`~repro.engine.faults.crash_after_events`); plain dicts are
-            accepted for the JSON round trip.  Empty (default) = no faults.
-            Requires the non-blocking protocol (``blocking=False``).
+            :func:`~repro.engine.faults.crash_after_events`).  Empty
+            (default) = no faults.  Requires the non-blocking protocol
+            (``blocking=False``).
         checkpoint_interval: journal deltas a task may accumulate before its
             next epoch-aligned durable snapshot; ``None`` (default) disables
             checkpointing unless a fault schedule is present, in which case
@@ -89,14 +86,14 @@ class RunConfig:
             entries (build them with :func:`~repro.engine.faults.drop` /
             :func:`~repro.engine.faults.duplicate` /
             :func:`~repro.engine.faults.delay` /
-            :func:`~repro.engine.faults.partition`); plain dicts are accepted
-            for the JSON round trip.  Empty (default) = the ideal wire, with
-            every run bit-identical to a build without the wire plane.  A
-            non-empty schedule installs the reliable-delivery sublayer
-            (per-link sequence numbers, dedup, in-order release, retransmit
-            timers) that masks the faults: the run's final output multiset is
-            identical to the fault-free twin's.  Requires the non-blocking
-            protocol (``blocking=False``); composes with ``fault_schedule``.
+            :func:`~repro.engine.faults.partition`).  Empty (default) = the
+            ideal wire, with every run bit-identical to a build without the
+            wire plane.  A non-empty schedule installs the reliable-delivery
+            sublayer (per-link sequence numbers, dedup, in-order release,
+            retransmit timers) that masks the faults: the run's final output
+            multiset is identical to the fault-free twin's.  Requires the
+            non-blocking protocol (``blocking=False``); composes with
+            ``fault_schedule``.
     """
 
     machines: int = 16
@@ -231,8 +228,6 @@ class RunConfig:
         if self.inter_arrival < 0:
             raise ValueError(f"inter_arrival must be >= 0, got {self.inter_arrival}")
         for fault in self.fault_schedule:
-            if not isinstance(fault, FaultSpec):  # normalize_fault_schedule guarantees
-                raise ValueError(f"fault_schedule entry is not a FaultSpec: {fault!r}")
             if fault.machine >= self.machines:
                 raise ValueError(
                     f"fault_schedule machine {fault.machine} out of range; "
@@ -286,32 +281,3 @@ class RunConfig:
                 f"unknown RunConfig field(s): {', '.join(unknown)}; "
                 f"accepted: {', '.join(sorted(fields))}"
             )
-
-    # ---------------------------------------------------------- serialisation
-
-    def to_dict(self) -> dict[str, Any]:
-        """A JSON-safe dict such that ``RunConfig.from_dict(c.to_dict()) == c``."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunConfig":
-        """Rebuild a config from :meth:`to_dict` output (validates keys/values)."""
-        if not isinstance(data, dict):
-            raise ValueError(f"RunConfig.from_dict expects a dict, got {type(data).__name__}")
-        cls._check_keys(data)
-        return cls(**data)
-
-    def to_json(self) -> str:
-        """The config as a JSON object string (the CLI's ``--config``)."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        """Parse a JSON object string produced by :meth:`to_json`."""
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        """Load a config from a JSON file (the CLI's ``--config file.json``)."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))

@@ -1,23 +1,17 @@
 """Command-line view of the paper scoreboard.
 
     python -m repro.bench all
-    python -m repro.bench fig6b fig8cd --scale 0.2 --machines 8
-    python -m repro.bench table2 --config run-config.json
+    python -m repro.bench fig6b fig8cd --scale 0.2 --machines 8 --seed 3
 
 Each figure or theorem name prints its rows of
 :data:`repro.bench.claims.CLAIMS` — claim, paper value, measured value, bound
 and verdict — and ``all`` prints the whole scoreboard.  ``--scale``,
 ``--machines`` and ``--seed`` set the base point every sweep derives its own
 point from; the defaults are the base point the bounds are calibrated at.
-
-``--config`` loads a serialised :class:`repro.api.RunConfig` (the format
-:meth:`RunConfig.to_dict` emits, e.g. a ``run_config`` block of a CI
-``perf-breadcrumb.json``): its ``machines`` / ``seed`` become the base
-point's, overridable by the explicit ``--machines`` / ``--seed`` flags.  The
-sweeps pin their remaining knobs themselves (they regenerate the paper's
-evaluation, e.g. the blocking ablation's ``batching="per_tuple"`` run), so
-any other non-default field in the file is reported as ignored; to run an
-arbitrary config, use :class:`repro.api.JoinSession` directly.
+The sweeps pin their remaining knobs themselves (they regenerate the paper's
+evaluation, e.g. the blocking ablation's ``batching="per_tuple"`` run); to
+run an arbitrary :class:`repro.api.RunConfig`, use
+:class:`repro.api.JoinSession` directly.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from __future__ import annotations
 import argparse
 from typing import Mapping, Sequence
 
-from repro.api import RunConfig
 from repro.bench.claims import BASE, CLAIMS, FIGURES, Scoreboard
 
 
@@ -63,15 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scale", type=float, default=BASE[0], help="base dataset scale")
     parser.add_argument(
-        "--machines", type=int, default=None, help="base number of joiners (power of two)"
+        "--machines", type=int, default=BASE[1], help="base number of joiners (power of two)"
     )
-    parser.add_argument("--seed", type=int, default=None, help="base random seed")
-    parser.add_argument(
-        "--config",
-        metavar="FILE.json",
-        default=None,
-        help="load a serialised repro.api.RunConfig; explicit flags override it",
-    )
+    parser.add_argument("--seed", type=int, default=BASE[2], help="base random seed")
     return parser
 
 
@@ -85,29 +72,14 @@ def run(argv: list[str] | None = None) -> list[dict]:
     if unknown:
         parser.error(f"unknown figure(s): {', '.join(unknown)}")
 
-    base = RunConfig(machines=BASE[1], seed=BASE[2])
-    if args.config is not None:
-        try:
-            base = RunConfig.from_file(args.config)
-        except (OSError, ValueError) as exc:
-            parser.error(f"cannot load --config {args.config}: {exc}")
-        ignored = {
-            name: value
-            for name, value in base.to_dict().items()
-            if name not in ("machines", "seed") and value != getattr(RunConfig(), name)
-        }
-        if ignored:
-            print(
-                "note: the claims table pins its own run knobs; ignoring "
-                f"non-default --config field(s): {', '.join(sorted(ignored))}"
-            )
-    machines = args.machines if args.machines is not None else base.machines
-    seed = args.seed if args.seed is not None else base.seed
-    rows = Scoreboard(args.scale, machines, seed).rows(
+    rows = Scoreboard(args.scale, args.machines, args.seed).rows(
         claim for claim in CLAIMS if claim.figure in names
     )
-    title = f"Paper scoreboard at scale {args.scale:g}, {machines} machines, seed {seed}"
-    if (args.scale, machines, seed) != BASE:
+    title = (
+        f"Paper scoreboard at scale {args.scale:g}, "
+        f"{args.machines} machines, seed {args.seed}"
+    )
+    if (args.scale, args.machines, args.seed) != BASE:
         title += " (bounds are calibrated at scale {:g}, {} machines, seed {})".format(*BASE)
     print(format_table(rows, title=title))
     return rows

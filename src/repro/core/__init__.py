@@ -7,11 +7,12 @@ The sub-modules map one-to-one onto the paper's sections:
 * :mod:`repro.core.decision` — §4.1 (decentralised statistics, Alg. 1) and
   §4.2.1 (migration decision, Alg. 2, Thm 4.1/4.2).
 * :mod:`repro.core.migration` — §4.2.1 (locality-aware migration, Fig. 3).
-* :mod:`repro.core.groups` / :mod:`repro.core.elasticity` — §4.2.2
-  (general J, elasticity, Fig. 4/5).
 * :mod:`repro.core.epochs` — §4.3.1 (eventually-consistent protocol, Alg. 3).
 * :mod:`repro.core.operator` / :mod:`repro.core.baselines` — §5's Dynamic,
   StaticMid, StaticOpt and SHJ operators.
+
+§4.2.2 (general J by power-of-two groups, elastic expansion; Figs. 4/5) is
+not built: every operator runs a fixed fleet of a power-of-two J joiners.
 """
 
 from repro.core.baselines import (
@@ -23,11 +24,8 @@ from repro.core.decision import (
     MigrationController,
     amortized_cost_bound,
     competitive_ratio_bound,
-    generalized_ratio_bound,
 )
-from repro.core.elasticity import ExpansionPolicy, plan_expansion
 from repro.core.epochs import EpochJoinerState, JoinerPhase, ProtocolError
-from repro.core.groups import GroupedCluster, power_of_two_decomposition
 from repro.core.join_matrix import JoinMatrix, OkcanSquareScheme, mapping_spectrum
 from repro.core.mapping import (
     GridPlacement,
@@ -48,10 +46,8 @@ from repro.core.results import RunResult
 __all__ = [
     "AdaptiveJoinOperator",
     "EpochJoinerState",
-    "ExpansionPolicy",
     "GridJoinOperator",
     "GridPlacement",
-    "GroupedCluster",
     "JoinMatrix",
     "JoinerPhase",
     "Mapping",
@@ -65,14 +61,11 @@ __all__ = [
     "SymmetricHashOperator",
     "amortized_cost_bound",
     "competitive_ratio_bound",
-    "generalized_ratio_bound",
     "ilf_lower_bound",
     "mapping_spectrum",
     "optimal_mapping",
-    "plan_expansion",
     "plan_migration",
     "plan_naive_migration",
-    "power_of_two_decomposition",
     "power_of_two_mappings",
     "square_mapping",
     "theoretical_optimal_mapping",

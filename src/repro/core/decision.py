@@ -14,7 +14,7 @@ any point in time, and the amortised communication cost per input tuple
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.mapping import Mapping, optimal_mapping
 
@@ -33,18 +33,6 @@ def amortized_cost_bound(epsilon: float = 1.0) -> float:
     return 8.0 / epsilon
 
 
-def generalized_ratio_bound(epsilon: float = 1.0, machines: int = 2) -> float:
-    """Competitive ratio including the dummy-padding and grouping relaxations.
-
-    §4.2.2: padding the smaller relation multiplies the ratio by at most
-    ``1 + 1/J`` and the power-of-two group decomposition by at most another
-    factor of two, giving the paper's headline 3.75 for ε = 1.
-    """
-    padding_factor = 1.0 + 1.0 / max(machines, 2)
-    grouping_factor = 2.0
-    return competitive_ratio_bound(epsilon) * padding_factor * grouping_factor
-
-
 @dataclass
 class MigrationDecision:
     """Outcome of one controller check."""
@@ -61,8 +49,8 @@ class MigrationController:
     """Algorithm 2 bookkeeping (with the ε generalisation of Theorem 4.2).
 
     Args:
-        machines: number of joiners J (must be a power of two here; general J
-            is handled one group at a time, see :mod:`repro.core.groups`).
+        machines: number of joiners J (must be a power of two: the
+            candidate mappings are its power-of-two factorisations).
         epsilon: adaptation aggressiveness; 1.0 reproduces Algorithm 2.
         r_size: size units of one left-relation tuple.
         s_size: size units of one right-relation tuple.

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 # The accepted machine-to-cell layouts live in a dependency-free leaf so
 # RunConfig validation and GridPlacement share one authority.
@@ -34,6 +34,25 @@ from repro.api.layouts import LAYOUTS
 def is_power_of_two(value: int) -> bool:
     """True when ``value`` is a positive power of two."""
     return value >= 1 and (value & (value - 1)) == 0
+
+
+def require_power_of_two(machines: int, what: str) -> None:
+    """Raise ``ValueError`` unless ``machines`` is a power of two.
+
+    The message names ``what`` requires it and the nearest valid sizes
+    (J=12 -> "use 8 or 16"): the operator has no general-J decomposition.
+    """
+    if is_power_of_two(machines):
+        return
+    if machines < 1:
+        nearest = "1"
+    else:
+        lower = 1 << (machines.bit_length() - 1)
+        nearest = f"{lower} or {2 * lower}"
+    raise ValueError(
+        f"{what} requires a power-of-two number of joiners, "
+        f"got J={machines}; use {nearest}"
+    )
 
 
 def bit_reverse(value: int, bits: int) -> int:
@@ -90,11 +109,7 @@ class Mapping:
 
 def power_of_two_mappings(machines: int) -> list[Mapping]:
     """All ``(n, m)`` mappings with ``n·m = machines`` and both powers of two."""
-    if not is_power_of_two(machines):
-        raise ValueError(
-            f"J={machines} is not a power of two; decompose it into groups "
-            "(repro.core.groups) before choosing mappings"
-        )
+    require_power_of_two(machines, "power_of_two_mappings")
     bits = machines.bit_length() - 1
     return [Mapping(1 << a, 1 << (bits - a)) for a in range(bits + 1)]
 
@@ -105,8 +120,7 @@ def square_mapping(machines: int) -> Mapping:
     For non-square powers of two the row count gets the extra factor of two,
     e.g. J=32 -> (8, 4)... rounded toward a balanced split: (4, 8).
     """
-    if not is_power_of_two(machines):
-        raise ValueError("square_mapping requires a power-of-two machine count")
+    require_power_of_two(machines, "square_mapping")
     bits = machines.bit_length() - 1
     n = 1 << (bits // 2)
     return Mapping(n, machines // n)
@@ -156,8 +170,7 @@ class GridPlacement:
     Args:
         mapping: the grid shape.
         machine_ids: the physical machine ids used, in local-index order; by
-            default machines ``0..J-1``.  Groups (non-power-of-two clusters)
-            and elastic expansions pass explicit id lists.
+            default machines ``0..J-1``.
         layout: ``"dyadic"`` (default) uses the bit-reversal layout that makes
             one-step migrations pairwise-local (Fig. 3); ``"row_major"`` is a
             naive layout used as the non-locality-aware ablation baseline.

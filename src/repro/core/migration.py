@@ -1,4 +1,4 @@
-"""Locality-aware state migration plans (§4.2.1 Fig. 3, §4.2.2 Fig. 5).
+"""Locality-aware state migration plans (§4.2.1 Fig. 3).
 
 Every joiner's state is described by two *salt intervals*: the sub-range of
 ``[0, 1)`` of left-relation salts and of right-relation salts it must store
@@ -14,10 +14,8 @@ Under the dyadic grid placement a one-step mapping change ``(n, m) →
 (n/2, 2m)`` makes the fetched portion of the non-exchanged relation empty and
 the fetched portion of the exchanged relation exactly the partner machine's
 holdings — reproducing the pairwise exchange of Fig. 3 and its ``2·|R|/n``
-cost bound (Lemma 4.4).  The same machinery also covers elastic expansions
-(new machines start with empty assignments and fetch everything from their
-parent, Fig. 5) and the naive full-repartitioning strategy used as an
-ablation baseline.
+cost bound (Lemma 4.4).  The same machinery also covers the naive
+full-repartitioning strategy used as an ablation baseline.
 """
 
 from __future__ import annotations
@@ -130,9 +128,8 @@ class MigrationPlan:
 
     Attributes:
         old_assignments / new_assignments: machine → state responsibility
-            before and after the migration (machines absent from the old
-            placement — e.g. joiners added by an elastic expansion — simply
-            have no old assignment).
+            before and after the migration (a machine absent from the old
+            placement has no old assignment).
         transfers: every sender → receiver interval transfer.
     """
 
@@ -152,14 +149,6 @@ class MigrationPlan:
     def receivers_from(self, machine_id: int) -> set[int]:
         """Machines ``machine_id`` is expected to send state to."""
         return {t.receiver for t in self.transfers if t.sender == machine_id}
-
-    def outgoing(self, machine_id: int) -> list[TransferInstruction]:
-        """Transfers for which ``machine_id`` is the designated sender."""
-        return [t for t in self.transfers if t.sender == machine_id]
-
-    def participants(self) -> set[int]:
-        """Every machine that appears in either the old or the new placement."""
-        return set(self.old_assignments) | set(self.new_assignments)
 
     # ------------------------------------------------------- per-tuple logic
 
@@ -203,22 +192,15 @@ def _preferred_sender(
     holders: list[StateAssignment],
     receiver_old: StateAssignment | None,
     old_placements_cells: dict[int, tuple[int, int]],
-    receiver_id: int,
-    parent_of: dict[int, int] | None,
     side: str,
 ) -> StateAssignment:
     """Pick the designated sender among old holders of a needed interval.
 
-    Preference order implements the locality-aware exchange: (1) the
-    receiver's expansion parent, (2) an old holder sharing the receiver's old
-    column (for R transfers) or old row (for S transfers) — the pairwise
-    partner of Fig. 3 — and (3) the lowest machine id as a deterministic
-    fallback.
+    Preference order implements the locality-aware exchange: (1) an old
+    holder sharing the receiver's old column (for R transfers) or old row
+    (for S transfers) — the pairwise partner of Fig. 3 — and (2) the lowest
+    machine id as a deterministic fallback.
     """
-    if parent_of and receiver_id in parent_of:
-        for holder in holders:
-            if holder.machine_id == parent_of[receiver_id]:
-                return holder
     if receiver_old is not None and receiver_old.machine_id in old_placements_cells:
         receiver_cell = old_placements_cells[receiver_old.machine_id]
         for holder in holders:
@@ -235,15 +217,12 @@ def _preferred_sender(
 def plan_migration(
     old_placement: GridPlacement,
     new_placement: GridPlacement,
-    parent_of: dict[int, int] | None = None,
 ) -> MigrationPlan:
     """Build the locality-aware migration plan between two placements.
 
     Args:
         old_placement: placement in force before the migration.
         new_placement: target placement.
-        parent_of: for elastic expansions, maps each newly added machine to
-            the old machine whose state it splits off from (Fig. 5).
 
     Returns:
         A :class:`MigrationPlan` whose transfers cover, exactly once, every
@@ -269,7 +248,6 @@ def plan_migration(
                         receiver_old,
                         old_assignments,
                         old_cells,
-                        parent_of,
                     )
                 )
     return MigrationPlan(
@@ -286,7 +264,6 @@ def _cover_piece(
     receiver_old: StateAssignment | None,
     old_assignments: dict[int, StateAssignment],
     old_cells: dict[int, tuple[int, int]],
-    parent_of: dict[int, int] | None,
 ) -> list[TransferInstruction]:
     """Cover one missing interval piece with transfers from old holders."""
     remaining = [piece]
@@ -303,9 +280,7 @@ def _cover_piece(
                 f"no old holder covers {side} interval {fragment}; "
                 "old and new placements are inconsistent"
             )
-        sender = _preferred_sender(
-            holders, receiver_old, old_cells, receiver_id, parent_of, side
-        )
+        sender = _preferred_sender(holders, receiver_old, old_cells, side)
         covered = interval_intersection(sender.interval(side), fragment)
         assert covered is not None
         instructions.append(

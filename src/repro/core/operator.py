@@ -21,7 +21,7 @@ from typing import Sequence
 
 from repro.api.config import RunConfig
 from repro.core.decision import MigrationController
-from repro.core.mapping import Mapping, is_power_of_two, optimal_mapping, square_mapping
+from repro.core.mapping import Mapping, optimal_mapping, require_power_of_two, square_mapping
 from repro.core.recovery import RecoveryManager
 from repro.core.results import RunResult
 from repro.core.tasks import JoinerTask, ReshufflerTask, Topology
@@ -49,8 +49,7 @@ class GridJoinOperator:
         query: the workload (two materialised input streams + predicate).
         config: the :class:`~repro.api.config.RunConfig` of the run.  Its
             ``machines`` must be a power of two (the paper's experiments use
-            16–128; arbitrary J is handled analytically by
-            :mod:`repro.core.groups`).
+            16–128; its general-J decomposition of §4.2.2 is not built).
     """
 
     operator_name = "Grid"
@@ -58,11 +57,7 @@ class GridJoinOperator:
     adaptive = False
 
     def __init__(self, query: JoinQuery, config: RunConfig) -> None:
-        if not is_power_of_two(config.machines):
-            raise ValueError(
-                f"this operator implementation requires a power-of-two number of joiners, "
-                f"got {config.machines}; see repro.core.groups for the general-J decomposition"
-            )
+        require_power_of_two(config.machines, f"the {self.operator_name} operator")
         self.config = config
         self.query = query
         self.machines = config.machines

@@ -45,10 +45,6 @@ class ZipfSampler:
         u = self._rng.random()
         return bisect.bisect_left(self._cumulative, u) + 1
 
-    def sample_many(self, count: int) -> list[int]:
-        """Draw ``count`` values."""
-        return [self.sample() for _ in range(count)]
-
     def probability(self, value: int) -> float:
         """Probability of drawing ``value`` (1-based)."""
         if not 1 <= value <= self.n:

@@ -109,22 +109,6 @@ class FaultSpec:
                     f"restart_after must be > 0, got {self.restart_after}"
                 )
 
-    def to_dict(self) -> dict:
-        """Plain-dict form (used by RunConfig JSON round-tripping)."""
-        return {
-            "machine": self.machine,
-            "at_time": self.at_time,
-            "after_events": self.after_events,
-            "restart_after": self.restart_after,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultSpec":
-        unknown = set(data) - {"machine", "at_time", "after_events", "restart_after"}
-        if unknown:
-            raise ValueError(f"unknown FaultSpec field(s): {sorted(unknown)}")
-        return cls(**data)
-
 
 def crash(
     machine: int, at_virtual_time: float, restart_after: float | None = None
@@ -203,10 +187,6 @@ class MachineUnreachableError(RuntimeError):
 
 
 _NETWORK_FAULT_KINDS = ("drop", "duplicate", "delay", "partition")
-_NETWORK_FAULT_FIELDS = (
-    "kind", "link", "nth", "by",
-    "machines_a", "machines_b", "from_time", "until_time",
-)
 
 
 def _check_number(name: str, value, *, minimum=None, strict=False) -> None:
@@ -222,7 +202,7 @@ def _check_number(name: str, value, *, minimum=None, strict=False) -> None:
 def _check_machine_tuple(name: str, value) -> tuple:
     if not isinstance(value, tuple) or not value:
         raise ValueError(
-            f"{name} must be a non-empty sequence of machine ids, got {value!r}"
+            f"{name} must be a non-empty tuple of machine ids, got {value!r}"
         )
     for machine in value:
         if isinstance(machine, bool) or not isinstance(machine, int) or machine < 0:
@@ -265,11 +245,6 @@ class NetworkFaultSpec:
     until_time: float | None = None
 
     def __post_init__(self) -> None:
-        # Coerce JSON round-trip lists back to tuples before validating.
-        for field in ("link", "machines_a", "machines_b"):
-            value = getattr(self, field)
-            if isinstance(value, list):
-                object.__setattr__(self, field, tuple(value))
         if self.kind not in _NETWORK_FAULT_KINDS:
             raise ValueError(
                 f"network fault kind must be one of {_NETWORK_FAULT_KINDS}, "
@@ -313,7 +288,7 @@ class NetworkFaultSpec:
             )
         ):
             raise ValueError(
-                "link must be a (sender, receiver) pair of machine ids, "
+                "link must be a (sender, receiver) tuple of machine ids, "
                 f"got {link!r}"
             )
         if link[0] == link[1]:
@@ -330,32 +305,8 @@ class NetworkFaultSpec:
     def machines(self) -> tuple:
         """Every machine id the spec references (for config-range checks)."""
         if self.kind == "partition":
-            return tuple(self.machines_a) + tuple(self.machines_b)
-        return tuple(self.link)
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (used by RunConfig JSON round-tripping)."""
-        return {
-            "kind": self.kind,
-            "link": list(self.link) if self.link is not None else None,
-            "nth": self.nth,
-            "by": self.by,
-            "machines_a": (
-                list(self.machines_a) if self.machines_a is not None else None
-            ),
-            "machines_b": (
-                list(self.machines_b) if self.machines_b is not None else None
-            ),
-            "from_time": self.from_time,
-            "until_time": self.until_time,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkFaultSpec":
-        unknown = set(data) - set(_NETWORK_FAULT_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown NetworkFaultSpec field(s): {sorted(unknown)}")
-        return cls(**data)
+            return self.machines_a + self.machines_b
+        return self.link
 
 
 def drop(link, nth: int) -> NetworkFaultSpec:
@@ -384,60 +335,37 @@ def partition(machines_a, machines_b, from_time: float, until_time: float) -> Ne
     )
 
 
-def normalize_network_faults(faults) -> tuple[NetworkFaultSpec, ...]:
-    """Coerce a network-fault value into a tuple of :class:`NetworkFaultSpec`.
-
-    Accepts NetworkFaultSpec instances and plain dicts (the JSON round-trip
-    form); anything else raises with the accepted shapes listed.
-    """
-    if faults is None:
+def _spec_tuple(value, spec_type: type, name: str, helpers: str) -> tuple:
+    """Coerce ``None``, one spec or a sequence of specs into a tuple of
+    ``spec_type``; anything else raises with the helpers to use listed."""
+    if value is None:
         return ()
-    if isinstance(faults, NetworkFaultSpec):
-        faults = (faults,)
-    if not isinstance(faults, (tuple, list)):
+    if isinstance(value, spec_type):
+        return (value,)
+    kind = spec_type.__name__
+    if not isinstance(value, (tuple, list)):
         raise ValueError(
-            "network_faults must be a sequence of NetworkFaultSpec entries "
-            "(build them with drop()/duplicate()/delay()/partition()), "
-            f"got {faults!r}"
+            f"{name} must be a sequence of {kind} entries "
+            f"(build them with {helpers}), got {value!r}"
         )
-    normalized = []
-    for entry in faults:
-        if isinstance(entry, NetworkFaultSpec):
-            normalized.append(entry)
-        elif isinstance(entry, dict):
-            normalized.append(NetworkFaultSpec.from_dict(entry))
-        else:
+    for entry in value:
+        if not isinstance(entry, spec_type):
             raise ValueError(
-                "network_faults entries must be NetworkFaultSpec objects or "
-                f"dicts, got {entry!r}"
+                f"{name} entries must be {kind} objects "
+                f"(build them with {helpers}), got {entry!r}"
             )
-    return tuple(normalized)
+    return tuple(value)
+
+
+def normalize_network_faults(faults) -> tuple[NetworkFaultSpec, ...]:
+    """Coerce a network-fault value into a tuple of :class:`NetworkFaultSpec`."""
+    return _spec_tuple(
+        faults, NetworkFaultSpec, "network_faults", "drop()/duplicate()/delay()/partition()"
+    )
 
 
 def normalize_fault_schedule(schedule) -> tuple[FaultSpec, ...]:
-    """Coerce a fault-schedule value into a tuple of :class:`FaultSpec`.
-
-    Accepts FaultSpec instances and plain dicts (the JSON round-trip form);
-    anything else raises with the accepted shapes listed.
-    """
-    if schedule is None:
-        return ()
-    if isinstance(schedule, FaultSpec):
-        schedule = (schedule,)
-    if not isinstance(schedule, (tuple, list)):
-        raise ValueError(
-            "fault_schedule must be a sequence of FaultSpec entries "
-            f"(build them with crash()/crash_after_events()), got {schedule!r}"
-        )
-    normalized = []
-    for entry in schedule:
-        if isinstance(entry, FaultSpec):
-            normalized.append(entry)
-        elif isinstance(entry, dict):
-            normalized.append(FaultSpec.from_dict(entry))
-        else:
-            raise ValueError(
-                "fault_schedule entries must be FaultSpec objects or dicts, "
-                f"got {entry!r}"
-            )
-    return tuple(normalized)
+    """Coerce a fault-schedule value into a tuple of :class:`FaultSpec`."""
+    return _spec_tuple(
+        schedule, FaultSpec, "fault_schedule", "crash()/crash_after_events()"
+    )

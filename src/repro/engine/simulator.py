@@ -373,10 +373,6 @@ class Simulator:
         for task in tasks:
             self.register(task)
 
-    def machine_of(self, task_name: str) -> Machine | None:
-        """The machine hosting ``task_name`` (None for off-cluster tasks)."""
-        return self.tasks[task_name].hosted_machine
-
     def machine_rng(self, machine_id: int) -> random.Random:
         """The RNG stream owned by ``machine_id``.
 

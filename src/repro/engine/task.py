@@ -97,12 +97,6 @@ class Context:
         """Largest peak per-machine stored size observed so far (measured ILF)."""
         return self._simulator.max_machine_storage()
 
-    def cluster_current_max_stored(self) -> float:
-        """Largest current per-machine stored size."""
-        return max(
-            (machine.stored_size for machine in self._simulator.machines), default=0.0
-        )
-
     def charge(self, cost: float) -> None:
         """Charge ``cost`` units of CPU work to the hosting machine."""
         self.charged += cost

@@ -2,9 +2,9 @@
 
 Pins the contracts of ``repro.api``:
 
-* ``RunConfig`` round-trips exactly through ``to_dict``/``from_dict`` (and
-  JSON), validates eagerly (unknown fields, bad values, unknown batching
-  planes/layouts) and is immutable; ``batching`` defaults to ``"adaptive"``.
+* ``RunConfig`` validates eagerly (unknown fields, bad values, unknown
+  batching planes/layouts) and is immutable; ``batching`` defaults to
+  ``"adaptive"``.
 * Override precedence is ``session default < config < call-site``.
 * Unknown operator and predicate kinds fail with the choices listed.
 * ``import repro`` loads no NumPy, and neither a probe-engine nor a
@@ -31,7 +31,6 @@ import pytest
 import repro
 from repro.api import (
     BATCHING_PLANES,
-    FaultSpec,
     JoinSession,
     RunConfig,
     crash,
@@ -60,29 +59,6 @@ def _arrival_order(query, seed):
 # ---------------------------------------------------------------------------
 
 class TestRunConfig:
-    def test_dict_round_trip(self):
-        config = RunConfig(
-            machines=8,
-            seed=3,
-            epsilon=0.5,
-            warmup_tuples=32.0,
-            layout="row_major",
-            blocking=True,
-            memory_capacity=123.0,
-            batching="per_tuple",
-            arrival_pattern="s_first",
-            inter_arrival=0.25,
-        )
-        assert RunConfig.from_dict(config.to_dict()) == config
-
-    def test_json_round_trip(self):
-        config = RunConfig(machines=4, batching="per_tuple", memory_capacity=None)
-        assert RunConfig.from_json(config.to_json()) == config
-
-    def test_defaults_round_trip(self):
-        config = RunConfig()
-        assert RunConfig.from_dict(config.to_dict()) == config
-
     def test_with_overrides_returns_new_validated_config(self):
         config = RunConfig(machines=8)
         updated = config.with_overrides(seed=9, batching="per_tuple")
@@ -90,11 +66,11 @@ class TestRunConfig:
         assert config.seed == 0  # original untouched (frozen)
         assert config.with_overrides() is config
 
-    def test_unknown_field_rejected(self):
+    def test_unknown_field_rejected(self, eq5_query):
         with pytest.raises(ValueError, match="unknown RunConfig field.*warmup_tuple\\b"):
             RunConfig().with_overrides(warmup_tuple=3)
-        with pytest.raises(ValueError, match="unknown RunConfig field"):
-            RunConfig.from_dict({"machine_count": 8})
+        with pytest.raises(ValueError, match="unknown RunConfig field\\(s\\): machine_count;"):
+            JoinSession(eq5_query, machine_count=8)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -122,7 +98,7 @@ class TestRunConfig:
 
 
 class TestBatchingKnobs:
-    """Error paths and serialisation of the data-plane configuration."""
+    """Error paths of the data-plane configuration."""
 
     def test_adaptive_is_the_default(self):
         assert RunConfig().batching == "adaptive"
@@ -142,11 +118,6 @@ class TestBatchingKnobs:
         with pytest.raises(ValueError):
             RunConfig(batching=7)
 
-    def test_batching_json_round_trip(self):
-        config = RunConfig(machines=8, batching="per_tuple")
-        assert RunConfig.from_json(config.to_json()) == config
-        assert config.to_dict()["batching"] == "per_tuple"
-
     def test_unknown_batching_fails_at_operator_construction(self, eq5_query):
         with pytest.raises(ValueError, match="choices"):
             JoinSession(eq5_query).operator(batching="turbo")
@@ -158,29 +129,14 @@ class TestBatchingKnobs:
 
 
 class TestRecoveryKnobs:
-    """Error paths and serialisation of the fault-tolerance configuration."""
-
-    def test_fault_schedule_json_round_trip(self):
-        config = RunConfig(
-            machines=8,
-            fault_schedule=[
-                crash(3, 12.5),
-                crash_after_events(1, 400, restart_after=2.0),
-            ],
-            checkpoint_interval=50,
-        )
-        assert RunConfig.from_json(config.to_json()) == config
-        as_dict = config.to_dict()
-        assert as_dict["checkpoint_interval"] == 50
-        assert as_dict["fault_schedule"][0]["machine"] == 3
-        assert RunConfig.from_dict(as_dict) == config
+    """Error paths of the fault-tolerance configuration."""
 
     def test_schedule_normalised_to_fault_specs(self):
-        config = RunConfig(
-            machines=8, fault_schedule=[{"machine": 2, "after_events": 100}]
+        config = RunConfig(machines=8, fault_schedule=[crash_after_events(2, 100)])
+        assert config.fault_schedule == (crash_after_events(2, 100),)
+        assert RunConfig(machines=8, fault_schedule=crash(2, 1.0)).fault_schedule == (
+            crash(2, 1.0),
         )
-        assert isinstance(config.fault_schedule, tuple)
-        assert all(isinstance(f, FaultSpec) for f in config.fault_schedule)
 
     def test_fault_machine_out_of_range_lists_choices(self):
         with pytest.raises(ValueError, match="choices: 0..7"):
@@ -198,13 +154,9 @@ class TestRecoveryKnobs:
     @pytest.mark.parametrize(
         "overrides",
         [
-            {"fault_schedule": [{"machine": -1, "at_time": 1.0}]},
-            {"fault_schedule": [{"machine": 0}]},  # no anchor
-            {"fault_schedule": [{"machine": 0, "at_time": 1.0, "after_events": 5}]},
-            {"fault_schedule": [{"machine": 0, "at_time": -1.0}]},
-            {"fault_schedule": [{"machine": 0, "after_events": 0}]},
-            {"fault_schedule": [{"machine": 0, "at_time": 1.0, "restart_after": 0}]},
             {"fault_schedule": 7},
+            # Entries are FaultSpec objects: a plain dict is not a crash spec.
+            {"fault_schedule": [{"machine": 0, "at_time": 1.0}]},
             {"checkpoint_interval": 0},
             {"checkpoint_interval": -5},
             {"checkpoint_interval": 2.5},
@@ -217,7 +169,6 @@ class TestRecoveryKnobs:
     def test_checkpointing_without_faults_is_valid(self):
         config = RunConfig(machines=8, checkpoint_interval=25)
         assert config.fault_schedule == ()
-        assert RunConfig.from_dict(config.to_dict()) == config
 
 
 class TestRetiredKnobs:
@@ -242,10 +193,15 @@ class TestRetiredKnobs:
     ]
 
     @pytest.mark.parametrize("key, value", RETIRED_KEYS)
-    def test_retired_key_rejected_by_name(self, key, value):
-        payload = {**RunConfig(machines=8).to_dict(), key: value}
+    def test_retired_key_rejected_by_name(self, eq5_query, key, value):
+        """Next to every live field, the retired key is the only one named."""
+        config = RunConfig(machines=8)
+        payload = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        payload[key] = value
         with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
-            RunConfig.from_dict(payload)
+            config.with_overrides(**payload)
+        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
+            JoinSession(eq5_query, **payload)
 
     @pytest.mark.parametrize("key, value", RETIRED_KEYS)
     def test_retired_key_rejected_by_with_overrides(self, key, value):
@@ -381,22 +337,14 @@ class TestImportHygiene:
         assert "UnmergedWireSimulator" in vars(importlib.import_module("repro.testing"))
 
     def test_every_module_is_reached(self):
-        """Walking imports from the entry packages reaches every src module
-        except those still waiting to be wired into a run (or cut)."""
+        """Walking imports from the entry packages reaches every src module."""
         graph = _module_graph()
         reached = _reachable(graph, roots=("repro.api", "repro.bench", "repro.testing"))
         unreached = {
             name for name, (_, is_package) in graph.items()
             if not is_package and name not in reached
         }
-        assert unreached - PENDING_MODULES == set(), "modules no run reaches"
-        assert PENDING_MODULES - unreached == set(), (
-            "reached now: take them out of PENDING_MODULES"
-        )
-
-
-#: Modules no entry point imports yet.  They are to be wired into runs.
-PENDING_MODULES = frozenset({"repro.core.elasticity", "repro.core.groups"})
+        assert unreached == set(), "modules no run reaches"
 
 
 def _module_graph() -> dict:

@@ -10,7 +10,6 @@ from repro.core.decision import (
     MigrationController,
     amortized_cost_bound,
     competitive_ratio_bound,
-    generalized_ratio_bound,
 )
 from repro.core.mapping import Mapping, optimal_mapping
 
@@ -19,8 +18,6 @@ class TestBounds:
     def test_published_constants(self):
         assert competitive_ratio_bound(1.0) == pytest.approx(1.25)
         assert amortized_cost_bound(1.0) == pytest.approx(8.0)
-        # The paper's headline constant: 1.25 * 1.5 * 2 = 3.75.
-        assert generalized_ratio_bound(1.0, machines=2) == pytest.approx(3.75)
 
     def test_epsilon_tradeoff_monotonicity(self):
         ratios = [competitive_ratio_bound(eps) for eps in (0.1, 0.5, 1.0)]

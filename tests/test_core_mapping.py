@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import RunConfig
 from repro.core.mapping import (
     GridPlacement,
     Mapping,
@@ -14,6 +15,7 @@ from repro.core.mapping import (
     power_of_two_mappings,
     square_mapping,
 )
+from repro.core.operator import GridJoinOperator
 
 
 class TestMapping:
@@ -51,6 +53,14 @@ class TestOptimalMapping:
         assert {(m.n, m.m) for m in mappings} == {(1, 16), (2, 8), (4, 4), (8, 2), (16, 1)}
         with pytest.raises(ValueError):
             power_of_two_mappings(12)
+
+    @pytest.mark.parametrize("machines, nearest", [(12, "8 or 16"), (3, "2 or 4"), (24, "16 or 32")])
+    def test_non_power_of_two_error_names_the_nearest_sizes(self, eq5_query, machines, nearest):
+        expected = f"power-of-two number of joiners, got J={machines}; use {nearest}$"
+        with pytest.raises(ValueError, match=expected):
+            power_of_two_mappings(machines)
+        with pytest.raises(ValueError, match=expected):
+            GridJoinOperator(eq5_query, RunConfig(machines=machines))
 
     def test_optimal_matches_cardinality_ratio(self):
         assert optimal_mapping(64, 100, 6400) == Mapping(1, 64)

@@ -167,11 +167,11 @@ class TestCheckpointStore:
 # ---------------------------------------------------------------------------
 
 class TestFaultSpec:
-    def test_helpers_round_trip(self):
-        spec = crash(3, 12.5, restart_after=2.0)
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
-        spec = crash_after_events(1, 400)
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
+    def test_helpers_build_specs(self):
+        assert crash(3, 12.5, restart_after=2.0) == FaultSpec(
+            machine=3, at_time=12.5, restart_after=2.0
+        )
+        assert crash_after_events(1, 400) == FaultSpec(machine=1, after_events=400)
 
     @pytest.mark.parametrize(
         ("kwargs", "pattern"),
@@ -189,16 +189,11 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match=pattern):
             FaultSpec(**kwargs)
 
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown"):
-            FaultSpec.from_dict({"machine": 0, "at_time": 1.0, "delay": 3})
-
-    def test_normalize_accepts_dicts_and_specs(self):
-        schedule = normalize_fault_schedule(
-            [crash(1, 5.0), {"machine": 2, "after_events": 100}]
-        )
-        assert all(isinstance(f, FaultSpec) for f in schedule)
-        assert schedule[1].after_events == 100
+    def test_normalize_accepts_specs_and_rejects_dicts(self):
+        schedule = normalize_fault_schedule([crash(1, 5.0), crash_after_events(2, 100)])
+        assert schedule == (crash(1, 5.0), crash_after_events(2, 100))
+        with pytest.raises(ValueError, match="FaultSpec"):
+            normalize_fault_schedule([{"machine": 2, "after_events": 100}])
 
 
 # ---------------------------------------------------------------------------

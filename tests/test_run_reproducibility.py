@@ -15,8 +15,8 @@ The suite pins that contract across:
   operators and compared with ``events=True``, nothing ignored.
 * **No leaked state** — a different scenario run in between leaves the
   rerun unchanged (no process-global cache may feed back into a result).
-* **Entry points** — the ``JoinSession`` path and a JSON round-tripped
-  config reproduce the direct operator run.
+* **Entry points** — the ``JoinSession`` path reproduces the direct
+  operator run.
 * **Streaming** — the same chunking reproduces itself, for any seed and
   plane (Hypothesis leg).
 * **Stamped orders** — tuples are stamped in place (arrival time, epoch), so
@@ -223,22 +223,6 @@ class TestEntryPointEquivalence:
         assert_run_equivalent(
             direct, via_session, events=True, label=f"session/{plane}/{operator}"
         )
-
-    @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_json_round_tripped_config_reproduces_run(self, queries, orders, plane):
-        """A serialised config (CI breadcrumbs, ``--config file.json``) is a
-        complete description of the run."""
-        query, order = queries["band"], orders["band"]
-        config = _config(**PLANES[plane])
-        restored = RunConfig.from_json(config.to_json())
-        assert restored == config
-        original = AdaptiveJoinOperator(query, config=config).run(
-            arrival_order=order, collect_outputs=True
-        )
-        replayed = AdaptiveJoinOperator(query, config=restored).run(
-            arrival_order=order, collect_outputs=True
-        )
-        assert_run_equivalent(original, replayed, events=True, label=f"json/{plane}")
 
 
 # ---------------------------------------------------------------------------
