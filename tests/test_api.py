@@ -21,6 +21,7 @@ import dataclasses
 import importlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,9 +34,15 @@ from repro.api import (
     BATCHING_PLANES,
     JoinSession,
     RunConfig,
+    FaultSpec,
+    NetworkFaultSpec,
     crash,
     crash_after_events,
     build_operator,
+    delay,
+    drop,
+    duplicate,
+    partition,
 )
 from repro.core.baselines import OPERATORS
 from repro.core.operator import AdaptiveJoinOperator, GridJoinOperator
@@ -54,11 +61,59 @@ def _arrival_order(query, seed):
     return interleave_streams(left, right, rng)
 
 
+def _fields(config):
+    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+
+
 # ---------------------------------------------------------------------------
 # RunConfig
 # ---------------------------------------------------------------------------
 
+#: Configs that set every kind of field: scalars, ``None`` and spec sequences.
+CONFIGS = {
+    "defaults": RunConfig(),
+    "every_scalar": RunConfig(
+        machines=8,
+        seed=3,
+        epsilon=0.5,
+        warmup_tuples=32.0,
+        layout="row_major",
+        blocking=True,
+        memory_capacity=123.0,
+        batching="per_tuple",
+        arrival_pattern="s_first",
+        inter_arrival=0.25,
+    ),
+    "no_memory_cap": RunConfig(machines=4, batching="per_tuple", memory_capacity=None),
+    "crash_schedule": RunConfig(
+        machines=8,
+        fault_schedule=[crash(3, 12.5), crash_after_events(1, 400, restart_after=2.0)],
+        checkpoint_interval=50,
+    ),
+    "network_faults": RunConfig(
+        machines=8,
+        network_faults=[
+            drop((0, 1), 3),
+            duplicate((2, 5), 1),
+            delay((3, 6), 4, by=2.5),
+            partition((0, 1), (4, 5), 5.0, 9.0),
+        ],
+    ),
+}
+
+
 class TestRunConfig:
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_fields_rebuild_the_config(self, name):
+        """The fields are a complete description: normalisation (lists of
+        specs to tuples) is idempotent, so a config rebuilt from its own
+        fields, directly or through ``with_overrides``, is equal to it."""
+        config = CONFIGS[name]
+        assert RunConfig(**_fields(config)) == config
+        assert RunConfig().with_overrides(**_fields(config)) == config
+        assert isinstance(config.fault_schedule, tuple)
+        assert isinstance(config.network_faults, tuple)
+
     def test_with_overrides_returns_new_validated_config(self):
         config = RunConfig(machines=8)
         updated = config.with_overrides(seed=9, batching="per_tuple")
@@ -165,6 +220,49 @@ class TestRecoveryKnobs:
     def test_invalid_recovery_values_rejected(self, overrides):
         with pytest.raises((ValueError, TypeError)):
             RunConfig(machines=8, **overrides)
+
+    @pytest.mark.parametrize(
+        "knob, value, expected",
+        [
+            ("fault_schedule", None, ()),
+            ("fault_schedule", crash(2, 1.0), (crash(2, 1.0),)),
+            ("fault_schedule", [crash(2, 1.0), crash(3, 1.0)], (crash(2, 1.0), crash(3, 1.0))),
+            ("fault_schedule", (crash_after_events(2, 9),), (crash_after_events(2, 9),)),
+            ("network_faults", None, ()),
+            ("network_faults", drop((0, 1), 1), (drop((0, 1), 1),)),
+            ("network_faults", [drop((0, 1), 1), delay((1, 2), 1, by=1.0)],
+             (drop((0, 1), 1), delay((1, 2), 1, by=1.0))),
+            ("network_faults", (duplicate((2, 3), 4),), (duplicate((2, 3), 4),)),
+        ],
+        ids=[
+            "crashes-none", "crashes-one", "crashes-list", "crashes-tuple",
+            "network-none", "network-one", "network-list", "network-tuple",
+        ],
+    )
+    def test_fault_knobs_take_one_spec_or_a_sequence(self, knob, value, expected):
+        assert getattr(RunConfig(machines=8, **{knob: value}), knob) == expected
+
+    @pytest.mark.parametrize(
+        "knob, value, helpers",
+        [
+            ("fault_schedule", "crash", "crash()/crash_after_events()"),
+            ("fault_schedule", {"machine": 0, "at_time": 1.0}, "crash()/crash_after_events()"),
+            ("fault_schedule", [crash(0, 1.0), 42], "crash()/crash_after_events()"),
+            # A network fault is not a crash, and a crash is not a network fault.
+            ("fault_schedule", [drop((0, 1), 1)], "crash()/crash_after_events()"),
+            ("network_faults", 7, "drop()/duplicate()/delay()/partition()"),
+            ("network_faults", "drop", "drop()/duplicate()/delay()/partition()"),
+            ("network_faults", [crash(0, 1.0)], "drop()/duplicate()/delay()/partition()"),
+        ],
+        ids=[
+            "crashes-str", "crashes-dict", "crashes-mixed", "crashes-network-spec",
+            "network-int", "network-str", "network-crash-spec",
+        ],
+    )
+    def test_fault_knobs_reject_anything_else_naming_the_helpers(self, knob, value, helpers):
+        kind = FaultSpec if knob == "fault_schedule" else NetworkFaultSpec
+        with pytest.raises(ValueError, match=f"{knob}.*{kind.__name__}.*{re.escape(helpers)}"):
+            RunConfig(machines=8, **{knob: value})
 
     def test_checkpointing_without_faults_is_valid(self):
         config = RunConfig(machines=8, checkpoint_interval=25)

@@ -35,6 +35,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "non-blocking / blocking time" in out and "4 machines, seed 1" in out
 
+    def test_flags_set_machines_and_seed(self, capsys):
+        run(["thm3.2", "--machines", "4", "--seed", "2"])
+        out = capsys.readouterr().out
+        assert "4 machines, seed 2" in out
+        assert "(bounds are calibrated at scale {:g}, {} machines, seed {})".format(*BASE) in out
+        run(["thm3.2"])
+        out = capsys.readouterr().out
+        assert f"{BASE[1]} machines, seed {BASE[2]}" in out and "calibrated" not in out
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--machines", "not-a-count"), ("--seed", "x"), ("--scale", "big")]
+    )
+    def test_bad_flag_value_errors(self, flag, value):
+        with pytest.raises(SystemExit):
+            run(["fig6d", flag, value])
+
     def test_unknown_figure_errors(self):
         with pytest.raises(SystemExit):
             run(["fig99", "--scale", "0.1"])

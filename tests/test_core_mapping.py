@@ -1,10 +1,12 @@
 """Tests for (n, m)-mappings, ILF, optimal mapping search and the grid placement."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import RunConfig
+from repro.api import JoinSession, RunConfig
 from repro.core.mapping import (
     GridPlacement,
     Mapping,
@@ -61,6 +63,38 @@ class TestOptimalMapping:
             power_of_two_mappings(machines)
         with pytest.raises(ValueError, match=expected):
             GridJoinOperator(eq5_query, RunConfig(machines=machines))
+
+    @pytest.mark.parametrize(
+        "entry", ["power_of_two_mappings", "square_mapping", "operator", "session"]
+    )
+    def test_every_entry_point_rejects_a_non_power_of_two_j(self, eq5_query, entry):
+        calls = {
+            "power_of_two_mappings": lambda: power_of_two_mappings(12),
+            "square_mapping": lambda: square_mapping(12),
+            "operator": lambda: GridJoinOperator(eq5_query, RunConfig(machines=12)),
+            "session": lambda: JoinSession(eq5_query, config=RunConfig(machines=12)).run(),
+        }
+        with pytest.raises(ValueError, match="number of joiners, got J=12; use 8 or 16$"):
+            calls[entry]()
+
+    @given(st.integers(1, 1 << 20))
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_sizes_bracket_j(self, machines):
+        if is_power_of_two(machines):
+            mappings = power_of_two_mappings(machines)
+            assert len(mappings) == machines.bit_length()
+            assert all(mapping.machines == machines for mapping in mappings)
+            return
+        with pytest.raises(ValueError) as error:
+            power_of_two_mappings(machines)
+        lower, upper = map(int, re.search(r"use (\d+) or (\d+)$", str(error.value)).groups())
+        assert is_power_of_two(lower) and upper == 2 * lower
+        assert lower < machines < upper
+
+    @pytest.mark.parametrize("machines", [0, -4])
+    def test_j_below_one_names_one(self, machines):
+        with pytest.raises(ValueError, match=f"got J={machines}; use 1$"):
+            square_mapping(machines)
 
     def test_optimal_matches_cardinality_ratio(self):
         assert optimal_mapping(64, 100, 6400) == Mapping(1, 64)

@@ -108,6 +108,53 @@ class TestLocalityAwarePlan:
         )
         assert _coverage_is_exact(plan)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ((2, 2), (1, 4)),
+            ((16, 1), (8, 2)),
+            ((8, 8), (4, 16)),
+            ((1, 4), (2, 2)),
+            ((4, 16), (8, 8)),
+        ],
+        ids=lambda shape: f"{shape[0]}x{shape[1]}",
+    )
+    def test_one_step_is_a_pairwise_exchange_at_any_scale(self, old, new):
+        """Lemma 4.4 in both directions at J = 4, 16 and 64: every machine
+        fetches one interval of the side whose share grows, of length 1/n (R)
+        or 1/m (S), from the one machine it sends its own interval to."""
+        old_mapping, new_mapping = Mapping(*old), Mapping(*new)
+        plan = plan_migration(
+            GridPlacement(mapping=old_mapping), GridPlacement(mapping=new_mapping)
+        )
+        assert _coverage_is_exact(plan)
+        if new_mapping.n < old_mapping.n:
+            side, parts = "R", old_mapping.n
+        else:
+            side, parts = "S", old_mapping.m
+        assert {t.side for t in plan.transfers} == {side}
+        for machine_id in range(old_mapping.machines):
+            incoming = [t for t in plan.transfers if t.receiver == machine_id]
+            assert len(incoming) == 1
+            low, high = incoming[0].interval
+            assert high - low == pytest.approx(1.0 / parts)
+            assert plan.receivers_from(machine_id) == {incoming[0].sender}
+        count = 800 if side == "R" else 1600
+        volume = plan.expected_transfer_volume(r_count=800, s_count=1600)
+        assert volume == pytest.approx(old_mapping.machines * count / parts)
+
+    def test_custom_machine_ids_stay_within_the_placement(self):
+        ids = tuple(range(100, 116))
+        old = GridPlacement(mapping=Mapping(8, 2), machine_ids=ids)
+        new = GridPlacement(mapping=Mapping(2, 8), machine_ids=ids)
+        plan = plan_migration(old, new)
+        assert _coverage_is_exact(plan)
+        assert set(plan.old_assignments) == set(plan.new_assignments) == set(ids)
+        assert {t.sender for t in plan.transfers} | {t.receiver for t in plan.transfers} <= set(ids)
+        for machine_id in ids:
+            for sender in plan.senders_to(machine_id):
+                assert machine_id in plan.receivers_from(sender)
+
     def test_no_op_migration_has_no_transfers(self):
         placement = GridPlacement(mapping=Mapping(4, 4))
         plan = plan_migration(placement, placement)

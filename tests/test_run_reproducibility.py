@@ -16,7 +16,7 @@ The suite pins that contract across:
 * **No leaked state** — a different scenario run in between leaves the
   rerun unchanged (no process-global cache may feed back into a result).
 * **Entry points** — the ``JoinSession`` path reproduces the direct
-  operator run.
+  operator run, and so does a config rebuilt from its fields.
 * **Streaming** — the same chunking reproduces itself, for any seed and
   plane (Hypothesis leg).
 * **Stamped orders** — tuples are stamped in place (arrival time, epoch), so
@@ -33,7 +33,7 @@ ids come from a process-global counter).
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -206,7 +206,7 @@ class TestRerunMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Entry points: session facade and serialised configs
+# Entry points: session facade and rebuilt configs
 # ---------------------------------------------------------------------------
 
 
@@ -223,6 +223,22 @@ class TestEntryPointEquivalence:
         assert_run_equivalent(
             direct, via_session, events=True, label=f"session/{plane}/{operator}"
         )
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_config_rebuilt_from_its_fields_reproduces_run(self, queries, orders, plane):
+        """The 13 fields are a complete description of the run: a config
+        rebuilt field by field carries no less (and no hidden state)."""
+        query, order = queries["band"], orders["band"]
+        config = _config(**PLANES[plane])
+        rebuilt = RunConfig(**{f.name: getattr(config, f.name) for f in fields(config)})
+        assert rebuilt == config and rebuilt is not config
+        original = AdaptiveJoinOperator(query, config=config).run(
+            arrival_order=order, collect_outputs=True
+        )
+        restored = AdaptiveJoinOperator(query, config=rebuilt).run(
+            arrival_order=order, collect_outputs=True
+        )
+        assert_run_equivalent(original, restored, events=True, label=f"rebuilt/{plane}")
 
 
 # ---------------------------------------------------------------------------
