@@ -179,7 +179,6 @@ class GridJoinOperator:
         simulator = Simulator(
             num_machines=self.machines,
             cost_model=self.cost_model,
-            seed=self.seed,
             collect_outputs=collect_outputs,
         )
         if self._drains:

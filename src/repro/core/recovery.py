@@ -56,8 +56,8 @@ released to a task at most once, however many times the wire duplicated or
 retransmitted it — and its per-link sequencer state is durable across the
 receiver's crashes (it is simulator state, not machine state).  A
 retransmitted-then-crashed message is therefore either discarded by wire
-dedup (an earlier copy was already released) or redelivered exactly once
-from the outage buffer; journal replay then restores the applied state
+dedup (an earlier copy was already released) or waits, once, at the down
+machine until its restart; journal replay then restores the applied state
 without re-running the wire, so the exactly-once argument above composes
 unchanged.
 """

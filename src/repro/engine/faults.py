@@ -11,15 +11,17 @@ scenarios live in the conformance suite like any other cell.
 The crash model is **fail-stop at handler boundaries**: a crash lands
 between simulator events, so every handler either ran to completion (its
 state mutations are journaled, its sends are durably on the wire) or not at
-all.  A crashed machine loses its in-memory epoch stores and its inbox;
-traffic addressed to it is buffered and retried by the link layer (see
-``Simulator``) rather than silently dropped.
+all.  A crashed machine loses its in-memory epoch stores, and its ticks
+are suspended until the restart: traffic addressed to it keeps arriving and
+waits at the machine, never silently dropped, and the link layer gives up
+with :class:`MachineUnreachableError` if the outage outlasts its retries
+(see ``Simulator``).
 
 The module also defines the **network fault plane**: :class:`NetworkFaultSpec`
 entries carried on ``RunConfig.network_faults`` describe wire-level faults —
 dropping, duplicating, or delaying the nth original send on a directed link,
 or partitioning two machine groups for a virtual-time window.  They are
-injected below the task layer by the simulator's reliable-delivery sublayer
+injected below the task layer by the reliable-delivery sublayer
 (``ReliableWire`` in :mod:`repro.engine.network`), which masks them with
 per-link sequence numbers, receiver-side dedup/in-order release, and sender
 retransmit timers with exponential backoff.  Retry exhaustion surfaces as
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 #: Virtual time after a crash at which the coordinator detects the failure:
 #: the default restart instant, and the first link-layer retry of traffic
-#: buffered for the dead machine.
+#: waiting for the dead machine.
 ACK_TIMEOUT = 5.0
 
 #: Link-layer retries of traffic due at a crashed machine (the first

@@ -5,6 +5,11 @@ latency plus a size-proportional transfer cost, and all traffic is counted per
 category so that experiments can report routing traffic, replicated storage
 traffic and migration (adaptivity) traffic separately — the quantities behind
 Fig. 6b and the amortised-communication claims of §4.2.
+
+:class:`ReliableWire` is the reliable-delivery sublayer of the unreliable
+wire (``RunConfig.network_faults``): it frames each machine-to-machine send,
+injects the scheduled faults, retransmits lost frames and releases arrivals
+to the simulator in per-link send order.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from repro.engine.faults import RETRANSMIT_ATTEMPTS, RETRANSMIT_BASE, UnreachableLinkError
 from repro.engine.machine import CostModel
+from repro.engine.stream import PRIORITY_KINDS
 
 
 class TrafficCategory(enum.Enum):
@@ -45,7 +52,8 @@ class Link:
         last_delivery: the latest delivery time handed out so far (the FIFO
             clamp, see :meth:`deliver`).
         sequence: sends on the link so far; the simulator derives each
-            send's plane-invariant event rank from it.
+            send's plane-invariant event rank from it, and the reliable
+            wire uses it as the send's frame sequence number.
     """
 
     __slots__ = ("local", "latency", "unit_cost", "last_delivery", "sequence")
@@ -151,17 +159,41 @@ class Network:
         return {category.value: float(self.volume[category]) for category in TrafficCategory}
 
 
+class _WireFrame:
+    """One link-layer frame: a message instance in flight on the unreliable wire.
+
+    The wire never mutates the wrapped message (a routed tuple is shared
+    across fan-out destinations), so the sequence number and retransmit state
+    live on this wrapper.  ``seq`` is the link's :attr:`Link.sequence` at the
+    original send, so ``channel.rank_base + seq`` is the send-band rank the
+    receiver releases the message with — exactly a direct delivery's.
+    """
+
+    __slots__ = ("link", "seq", "channel", "message", "category", "attempts")
+
+    def __init__(self, link, seq, channel, message, category) -> None:
+        self.link = link
+        self.seq = seq
+        self.channel = channel
+        self.message = message
+        self.category = category
+        self.attempts = 0
+
+
 class ReliableWire:
     """Reliable-delivery sublayer over an unreliable (fault-injected) wire.
 
-    Holds the fault schedule (indexed for O(1) per-send lookup), the
-    per-link sequencer/dedup state, and the degradation counters.  The
-    simulator owns the event mechanics (frame arrival events, retransmit
-    timers); this object owns the *policy*: which sends fault, what the
-    receiver's expected sequence number is, and how the counters reconcile.
+    Owns the whole algorithm: the fault schedule (indexed for O(1) per-send
+    lookup), the framing of each on-cluster send, the sender's retransmit
+    timers, the receiver's dedup/in-order release, and the degradation
+    counters.  The simulator it is installed on (:attr:`simulator`, set by
+    ``Simulator.install_network_faults``) calls :meth:`send` from its send
+    points and dispatches the ``"frame"`` / ``"retransmit"`` events this
+    object schedules in its fault rank band to :meth:`arrive` /
+    :meth:`retransmit`.
 
     Sequencing model (MillWheel-style sequencer/dedup): every original send
-    on a directed link gets the next monotone sequence number; the receiver
+    on a directed link carries the link's send sequence number; the receiver
     releases frames to the task layer strictly in sequence order, buffering
     early arrivals and discarding duplicates.  Because sequence order equals
     send order, release order equals the fault-free wire's per-link FIFO
@@ -176,6 +208,7 @@ class ReliableWire:
     """
 
     def __init__(self, faults) -> None:
+        self.simulator = None
         # (link, nth) -> [specs]: per-send faults, looked up on each send.
         self._actions: dict[tuple, list] = {}
         # (frozenset_a, frozenset_b, from_time, until_time) partition windows.
@@ -192,10 +225,9 @@ class ReliableWire:
                 )
             else:
                 self._actions.setdefault((spec.link, spec.nth), []).append(spec)
-        # Per-link sequencer (sender side) and dedup/in-order state (receiver
-        # side).  `recv_next[link]` is the next sequence number the receiver
+        # Receiver-side dedup/in-order state, per (sender, receiver) machine
+        # link: `recv_next[link]` is the next sequence number the receiver
         # will release; `reorder[link]` buffers early arrivals by sequence.
-        self._send_seq: dict[tuple, int] = {}
         self.recv_next: dict[tuple, int] = {}
         self.reorder: dict[tuple, dict] = {}
         # Degradation counters: frame *instances* (a duplicate or retransmit
@@ -211,17 +243,14 @@ class ReliableWire:
         # attempts -> count: how many retransmits fired on their nth attempt.
         self.retransmit_histogram: dict[int, int] = {}
 
-    def on_send(self, link: tuple) -> tuple[int, bool, bool, float]:
-        """Assign the next sequence number and look up per-send faults.
+    def on_send(self, link: tuple, seq: int) -> tuple[bool, bool, float]:
+        """Look up the faults of the original send ``seq`` on ``link``.
 
-        Returns ``(seq, dropped, duplicated, delay_by)`` for the original
-        send; ``seq`` is 0-based, so spec ``nth`` (1-based) matches
-        ``seq + 1``.
+        Returns ``(dropped, duplicated, delay_by)``; ``seq`` is 0-based, so
+        spec ``nth`` (1-based) matches ``seq + 1``.
         """
-        seq = self._send_seq.get(link, 0)
-        self._send_seq[link] = seq + 1
         if not self._actions:
-            return seq, False, False, 0.0
+            return False, False, 0.0
         dropped = duplicated = False
         delay_by = 0.0
         for spec in self._actions.get((link, seq + 1), ()):
@@ -231,7 +260,144 @@ class ReliableWire:
                 duplicated = True
             else:
                 delay_by += spec.by
-        return seq, dropped, duplicated, delay_by
+        return dropped, duplicated, delay_by
+
+    def send(self, sender_machine: int, channel, message, category, departure: float) -> None:
+        """Frame one on-cluster send on ``channel`` and push it through the
+        fault schedule.
+
+        The frame takes the link's next send sequence number (its rank
+        follows from it), so every send on an on-cluster link must come
+        through here: the receiver releases sequence numbers without gaps.
+        A dropped or partitioned frame never charges the network — its bytes
+        were lost before crossing — and instead arms the sender's retransmit
+        timer.  A duplicated frame is charged and scheduled twice with the
+        *same* frame object: the receiver dedups on the shared sequence
+        number.
+        """
+        simulator = self.simulator
+        dest_machine = channel.task.machine_id
+        link = (sender_machine, dest_machine)
+        wire_link = channel.link
+        seq = wire_link.sequence
+        wire_link.sequence = seq + 1
+        dropped, duplicated, delay_by = self.on_send(link, seq)
+        frame = _WireFrame(link, seq, channel, message, category)
+        self.frames_sent += 1
+        if dropped or self.partitioned(sender_machine, dest_machine, departure):
+            self.frames_dropped += 1
+            self._arm_retransmit(frame, departure)
+            return
+        carry = simulator.network.carry
+        arrival = carry(wire_link, message.size, category, departure)
+        # The per-send delay is added *after* the link's FIFO clamp, so later
+        # sends can genuinely overtake the delayed frame on the wire; the
+        # receiver's in-order release restores send order.
+        simulator._schedule_fault(arrival + delay_by, "frame", dest_machine, frame)
+        if duplicated:
+            self.frames_sent += 1
+            self.frames_duplicated += 1
+            dup_arrival = carry(wire_link, message.size, category, departure)
+            # Same frame object = same sequence number: the copy that loses
+            # the race (the fault serial orders the original first at equal
+            # times) is discarded by the receiver's dedup.
+            simulator._schedule_fault(dup_arrival + delay_by, "frame", dest_machine, frame)
+
+    def _arm_retransmit(self, frame: _WireFrame, now: float) -> None:
+        """Arm the sender's retransmit timer for a lost frame.
+
+        Exponential backoff from ``RETRANSMIT_BASE``; once
+        ``RETRANSMIT_ATTEMPTS`` transmissions have been lost the link is
+        declared dead with a named error — the faulty run terminates either
+        way, never hangs.  Timers are armed only for frames known lost (a
+        deterministic-simulation shortcut: behaviourally equivalent to
+        per-frame ack timeouts without modelling the ack traffic).
+        """
+        if frame.attempts >= RETRANSMIT_ATTEMPTS:
+            raise UnreachableLinkError(frame.link, frame.attempts)
+        frame.attempts += 1
+        backoff = RETRANSMIT_BASE * (2 ** (frame.attempts - 1))
+        self.simulator._schedule_fault(now + backoff, "retransmit", frame.link[1], frame)
+
+    def retransmit(self, frame: _WireFrame, time: float) -> None:
+        """A retransmit timer fired: resend the frame unless it got through."""
+        link = frame.link
+        if frame.seq < self.recv_next.get(link, 0) or frame.seq in self.reorder.get(
+            link, ()
+        ):
+            return  # a copy already reached the receiver; the timer dissolves
+        self.frames_sent += 1
+        self.frames_retransmitted += 1
+        self.retransmit_histogram[frame.attempts] = (
+            self.retransmit_histogram.get(frame.attempts, 0) + 1
+        )
+        if self.partitioned(link[0], link[1], time):
+            # Still dark: this attempt is lost too.  Re-arming chains the
+            # backoff until the window heals or the budget raises.
+            self.frames_dropped += 1
+            self._arm_retransmit(frame, time)
+            return
+        simulator = self.simulator
+        arrival = simulator.network.transfer(
+            link[0], link[1], frame.message.size, frame.category, time
+        )
+        simulator._schedule_fault(arrival, "frame", link[1], frame)
+
+    def arrive(self, frame: _WireFrame, time: float) -> None:
+        """A frame reached its receiver: dedup, reorder-buffer or release.
+
+        Release is strictly in sequence order per link — equal to send order,
+        so the fault-free wire's per-link FIFO (which the epoch protocol
+        relies on) is preserved under any fault mix.  Dedup state is *not*
+        reset when the receiving machine crashes: the sequencer is durable
+        (MillWheel-style), so a retransmitted-then-crashed message is either
+        discarded here or still waits, once, at its receiver for the restart.
+        """
+        link = frame.link
+        self.frames_delivered += 1
+        expected = self.recv_next.get(link, 0)
+        if frame.seq < expected:
+            self.frames_deduped += 1
+            return
+        if frame.seq > expected:
+            buffer = self.reorder.setdefault(link, {})
+            if frame.seq in buffer:
+                self.frames_deduped += 1
+            else:
+                self.frames_reordered += 1
+                buffer[frame.seq] = frame
+            return
+        next_seq = expected + 1
+        self.recv_next[link] = next_seq
+        self._release(frame, time)
+        buffer = self.reorder.get(link)
+        if buffer:
+            # Cascade: the gap just closed may free buffered successors.
+            while next_seq in buffer:
+                follower = buffer.pop(next_seq)
+                next_seq += 1
+                self.recv_next[link] = next_seq
+                self._release(follower, time)
+
+    def _release(self, frame: _WireFrame, time: float) -> None:
+        """Hand a frame to the simulator's normal delivery path, in sequence order.
+
+        Priority-kind bookkeeping is done here (not at send) because only
+        now is the effective delivery instant known; the delivery removes the
+        same ``time`` again.  The frame keeps its send rank, although its
+        arrival event sits in the fault band after every delivery dated
+        ``time``: the two order alike against the only runs a machine can
+        wait for under the unreliable wire — feed runs, whose ranks lie below
+        the send band (on-cluster sends are never merged there).
+        """
+        self.frames_applied += 1
+        simulator = self.simulator
+        message = frame.message
+        channel = frame.channel
+        task = channel.task
+        if message.kind in PRIORITY_KINDS:
+            simulator._pending_priority[task.machine_id].append(time)
+        simulator._deliver(task, message, time, channel.rank_base + frame.seq)
 
     def partitioned(self, sender: int, receiver: int, now: float) -> bool:
         """True when a partition window currently severs ``sender -> receiver``."""

@@ -29,6 +29,15 @@ messages, off-cluster traffic and fault-plane events.
 :class:`repro.testing.UnmergedWireSimulator` keeps the
 one-heap-event-per-delivery wire as the reference the tests pin this against.
 
+Two fault planes plug in behind ``install_faults`` and
+``install_network_faults``.  A crash only suspends its machine's ticks:
+deliveries keep landing in its inbox and pending heap, control-plane
+messages are parked, and the restart arms the tick that takes them up (the
+parked ones first); an outage that outlasts the link-layer retry budget with
+traffic waiting fails the run with a named error.  The unreliable wire is
+:class:`~repro.engine.network.ReliableWire`, which the simulator hands every
+machine-to-machine send and the frame and retransmit events it scheduled.
+
 This yields the two quantities the paper's evaluation is built on:
 
 * **execution time** — the virtual time at which the last piece of work
@@ -42,7 +51,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import random
 import time as _time
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -51,22 +59,14 @@ from typing import Iterable
 from repro.engine.faults import (
     ACK_TIMEOUT,
     OUTAGE_RETRIES,
-    RETRANSMIT_ATTEMPTS,
-    RETRANSMIT_BASE,
     MachineUnreachableError,
     OverlappingFaultError,
-    UnreachableLinkError,
 )
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Link, Network, TrafficCategory
-from repro.engine.stream import ArrivalSchedule, StreamTuple
-from repro.engine.task import Context, Message, MessageKind, Task
-
-#: Control-plane message kinds that are not queued behind the data backlog.
-PRIORITY_KINDS = frozenset(
-    {MessageKind.MAPPING_CHANGE, MessageKind.MIGRATION_ACK, MessageKind.RESUME}
-)
+from repro.engine.stream import PRIORITY_KINDS, ArrivalSchedule
+from repro.engine.task import Context, Message, Task
 
 # Pending events are plain ``(time, rank, target, message)`` tuples so the
 # heap compares at C speed.  A delivery carries the destination Task and its
@@ -85,15 +85,14 @@ _TICK_RANK_BASE = 1 << 62
 _LINK_SPAN = 1 << 34
 _MACHINE_SPAN = 1 << 12  # > max machines + off-cluster sentinel
 
-# Fault-plane events (crash / restart / link retry) rank above machine ticks:
-# at an equal instant every ordinary event of that time completes first, so a
-# crash always lands *between* handler events (fail-stop at handler
-# boundaries, see repro.engine.faults).  Within the band, restarts order
-# before retries — a retry popping at the restart instant must see the
-# machine alive — and a per-simulator serial breaks remaining ties so heap
-# entries never compare the _FaultEvent payloads themselves.  The unreliable
-# wire's frame arrivals and retransmit timers ride the same band (offsets 3
-# and 4): they too land between handler events.
+# Fault-plane events (crash / restart / give-up check) rank above machine
+# ticks: at an equal instant every ordinary event of that time completes
+# first, so a crash always lands *between* handler events (fail-stop at
+# handler boundaries, see repro.engine.faults).  Within the band, restarts
+# order before checks, and a per-simulator serial breaks remaining ties so
+# heap entries never compare the _FaultEvent payloads themselves.  The
+# reliable wire's frame arrivals and retransmit timers ride the same band
+# (offsets 3 and 4): they too land between handler events.
 _FAULT_RANK_BASE = 1 << 63
 _FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "retry": 2, "frame": 3, "retransmit": 4}
 
@@ -171,8 +170,9 @@ class _FaultEvent:
 
     ``action`` is ``"crash"`` (carries the originating
     :class:`~repro.engine.faults.FaultSpec`), ``"restart"`` or ``"retry"``
-    for the crash plane, or ``"frame"`` / ``"retransmit"`` (carrying a
-    :class:`_WireFrame`) for the unreliable-wire plane.
+    (carries its outage's restart time and retry number) for the crash
+    plane, or ``"frame"`` / ``"retransmit"`` (carrying the reliable wire's
+    frame) for the unreliable-wire plane.
     """
 
     __slots__ = ("action", "fault")
@@ -182,39 +182,12 @@ class _FaultEvent:
         self.fault = fault
 
 
-class _WireFrame:
-    """One link-layer frame: a message instance in flight on the unreliable wire.
-
-    The reliable-delivery sublayer never mutates the wrapped message (a
-    routed tuple is shared across fan-out destinations), so the per-link
-    sequence number, original send rank and retransmit state live on this
-    wrapper instead.  ``rank`` is the send-band rank the message was assigned
-    at its original send — the receiver releases with it, so crashed-machine
-    diversion and pending-heap ordering behave exactly as a direct delivery
-    would have.
-    """
-
-    __slots__ = ("link", "seq", "task", "message", "category", "rank", "attempts")
-
-    def __init__(self, link, seq, task, message, category, rank) -> None:
-        self.link = link
-        self.seq = seq
-        self.task = task
-        self.message = message
-        self.category = category
-        self.rank = rank
-        self.attempts = 0
-
-
 class Simulator:
     """Discrete-event simulation of a shared-nothing cluster.
 
     Args:
         num_machines: number of machines in the cluster.
         cost_model: the CPU/network/storage cost model shared by all machines.
-        seed: seed of the simulation's random sources.  Every machine gets
-            its own stream, derived deterministically from
-            ``(seed, machine_id)`` — see :meth:`machine_rng`.
         collect_outputs: if True, the metrics collector retains every output
             pair (needed for correctness tests; disabled for large benchmark
             runs to bound memory).
@@ -224,7 +197,6 @@ class Simulator:
         self,
         num_machines: int,
         cost_model: CostModel | None = None,
-        seed: int = 0,
         collect_outputs: bool = False,
     ) -> None:
         self.cost_model = cost_model or CostModel()
@@ -237,16 +209,6 @@ class Simulator:
         self.machines = [Machine(machine_id=i, cost_model=self.cost_model) for i in range(num_machines)]
         self.network = Network(cost_model=self.cost_model)
         self.metrics = MetricsCollector(collect_outputs=collect_outputs)
-        self.seed = seed
-        # Per-machine RNG streams (index [machine_id + 1]; slot 0 is the
-        # shared off-cluster stream).  String seeding hashes through SHA-512,
-        # so the streams are deterministic across processes and independent
-        # of each other — each machine's draws depend only on (seed,
-        # machine_id) and its own handler sequence, never on what other
-        # machines drew in between.
-        self._machine_rngs = [random.Random(f"{seed}/off-cluster")] + [
-            random.Random(f"{seed}/{i}") for i in range(num_machines)
-        ]
         self.tasks: dict[str, Task] = {}
         self._queue: list[tuple] = []
         self._schedule_rank = itertools.count()
@@ -284,19 +246,17 @@ class Simulator:
         # addressed to the machine but not yet settled into its inbox.
         self._pending_wire: list[list] = [[] for _ in range(num_machines)]
         # Fault plane (install_faults): the recovery manager, the machines
-        # currently down, their buffered-during-outage deliveries, and the
-        # link-layer retry state.  All empty/None on fault-free runs.
+        # currently down and the control-plane messages parked for them until
+        # their restart.  All empty/None on fault-free runs.
         self._recovery = None
         self._crashed: set[int] = set()
-        self._crashed_count = 0
-        self._outage: dict[int, list] = {}
-        self._retry_attempts: dict[int, int] = {}
+        self._parked: dict[int, list] = {}
         self._after_event_faults: list = []
         self._fault_serial = itertools.count()
-        # Unreliable-wire plane (install_network_faults): the ReliableWire
-        # policy object, or None.  Every wire hook below is strictly gated on
-        # it, so fault-free runs take the exact pre-existing code paths —
-        # zero extra heap events, allocations or counter touches.
+        # Unreliable-wire plane (install_network_faults): the ReliableWire,
+        # or None.  Every wire hook below is strictly gated on it, so
+        # fault-free runs take the exact pre-existing code paths — zero extra
+        # heap events, allocations or counter touches.
         self._wire = None
         self.now = 0.0
         self.events_processed = 0
@@ -342,14 +302,15 @@ class Simulator:
     def install_network_faults(self, wire) -> None:
         """Attach the unreliable-wire plane: a :class:`~repro.engine.network.ReliableWire`.
 
-        Every on-cluster task send is then framed with a per-link sequence
-        number and routed through the wire's fault schedule (drop, duplicate,
-        delay, partition) before the receiver's dedup/in-order sublayer
-        releases it to the normal delivery path.  Frame arrivals and
-        retransmit timers are heap events in the fault rank band, so the
-        faulty run stays fully deterministic under its seed.
+        Every on-cluster task send then goes to :meth:`ReliableWire.send`,
+        which frames it, routes it through the fault schedule (drop,
+        duplicate, delay, partition) and releases it, in per-link send
+        order, to the normal delivery path.  Frame arrivals and retransmit
+        timers are heap events in the fault rank band, so the faulty run
+        stays fully deterministic under its seed.
         """
         self._wire = wire
+        wire.simulator = self
 
     # ------------------------------------------------------------------ setup
 
@@ -372,17 +333,6 @@ class Simulator:
         """Register every task in ``tasks``."""
         for task in tasks:
             self.register(task)
-
-    def machine_rng(self, machine_id: int) -> random.Random:
-        """The RNG stream owned by ``machine_id``.
-
-        Derived deterministically from ``(seed, machine_id)``; off-cluster
-        tasks (``machine_id < 0``) share one dedicated stream.  Handlers
-        reach it through :attr:`repro.engine.task.Context.rng`, so a task's
-        draws are a pure function of its own machine's handler sequence,
-        independent of how other machines' handlers interleave with it.
-        """
-        return self._machine_rngs[machine_id + 1 if machine_id >= 0 else 0]
 
     # ------------------------------------------------------------- scheduling
 
@@ -445,7 +395,7 @@ class Simulator:
         :meth:`_deliver`).  A crashed machine gets no wake-up: its restart
         arms its own tick.
         """
-        if self._crashed_count and machine_id in self._crashed:
+        if self._crashed and machine_id in self._crashed:
             return
         tick = self._tick_at[machine_id]
         if tick is not None:
@@ -547,7 +497,7 @@ class Simulator:
             # Unreliable wire installed: on-cluster sends become link-layer
             # frames (off-cluster endpoints — sources, collectors — keep the
             # ideal wire: they model ingest/egress, not the cluster fabric).
-            self._wire_send(sender_machine, channel, message, category, departure)
+            self._wire.send(sender_machine, channel, message, category, departure)
             return
         if sender_machine < 0 or dest_machine < 0:
             delivery = departure + channel.link.latency
@@ -601,7 +551,7 @@ class Simulator:
                         message,
                     ))
                 else:
-                    self._wire_send(sender_machine, channel, message, category, departure)
+                    self._wire.send(sender_machine, channel, message, category, departure)
             return
         size = message.size
         volume = self.network.volume
@@ -735,35 +685,23 @@ class Simulator:
         elif action == "restart":
             self._restart_machine(machine_id, time)
         elif action == "frame":
-            self._wire_arrive(event.fault, time)
+            self._wire.arrive(event.fault, time)
         elif action == "retransmit":
-            self._wire_retransmit(event.fault, time)
+            self._wire.retransmit(event.fault, time)
         else:
-            self._retry_machine(machine_id, time)
+            self._check_outage(machine_id, event.fault, time)
 
     def _crash_machine(self, machine_id: int, fault, time: float) -> None:
-        """Fail-stop ``machine_id``: drop its volatile state, start the outage.
+        """Fail-stop ``machine_id``: drop its volatile state, suspend its ticks.
 
-        The inbox (including members inside settled segments) moves to the
-        outage buffer for redelivery at restart; pending wire entries and open
-        channel runs stay put — the restart tick settles them — and work
-        already accepted (``busy_until``) counts as completed, per the
-        handler-boundary crash model.
+        Its inbox, pending wire entries and open channel runs stay where they
+        are — deliveries keep arriving there, and the restart's reviving tick
+        picks them all up — and work already accepted (``busy_until``) counts
+        as completed, per the handler-boundary crash model.
         """
         if machine_id in self._crashed:
             raise OverlappingFaultError(machine_id, time)
         self._crashed.add(machine_id)
-        self._crashed_count += 1
-        buffer = self._outage.setdefault(machine_id, [])
-        inbox = self._inboxes[machine_id]
-        for entry in inbox:
-            if entry.__class__ is tuple:
-                buffer.append(("d", entry[0], entry[1]))
-            else:
-                for index in range(entry.index, entry.end):
-                    buffer.append(("d", entry.task, entry.messages[index]))
-        inbox.clear()
-        self._inbox_members[machine_id] = 0
         # No tick and no wake-up for the duration of the outage (tick entries
         # still queued pop as stale); the restart arms the reviving tick.
         self._tick_at[machine_id] = None
@@ -774,213 +712,59 @@ class Simulator:
             # Coordinator detects the failure at the ack timeout and brings
             # up the blank replacement immediately.
             delay = ACK_TIMEOUT
-        self._schedule_fault(time + delay, "restart", machine_id)
-        self._retry_attempts[machine_id] = 0
-        self._schedule_fault(time + ACK_TIMEOUT, "retry", machine_id)
+        restart = time + delay
+        self._schedule_fault(restart, "restart", machine_id)
+        # Traffic waiting for the machine is retried ACK_TIMEOUT after the
+        # crash, then after twice the previous wait each time.  The first
+        # OUTAGE_RETRIES retries never give up, so only the next one is
+        # checked, and only if the outage outlasts it.
+        check = time
+        for retry in range(OUTAGE_RETRIES + 1):
+            check += ACK_TIMEOUT * 2**retry
+        if check < restart:
+            self._schedule_fault(check, "retry", machine_id, (restart, OUTAGE_RETRIES + 1))
 
     def _restart_machine(self, machine_id: int, time: float) -> None:
         """Blank replacement up: restore from the checkpoint store, replay the
-        journal, redeliver the outage buffer, resume normal ticking."""
+        journal, run the parked control-plane messages, resume ticking."""
         self._crashed.discard(machine_id)
-        self._crashed_count -= 1
-        # The reviving tick: it settles any wire traffic dated <= now and
-        # restarts the normal cycle (armed first, so sends of the handlers
-        # below find the machine's tick already scheduled).
+        # The reviving tick: it handles the traffic that waited for the
+        # machine and restarts the normal cycle (armed first, so sends of the
+        # handlers below find the machine's tick already scheduled).
         self._arm(machine_id, time)
         machine = self.machines[machine_id]
         restore_cost, _replayed = self._recovery.on_restart(machine_id, time)
         if restore_cost > 0:
             machine.occupy(time, restore_cost)
-        buffer = self._outage.get(machine_id)
-        if buffer:
-            inbox = self._inboxes[machine_id]
-            for kind, task, message in buffer:
-                if kind == "p":
-                    # Buffered control-plane messages execute first (they
-                    # never queue behind data), serialized after the restore
-                    # work via the machine's busy chain.
-                    self._execute(task, message, max(time, machine.busy_until))
-                else:
-                    inbox.append((task, message))
-                    self._inbox_members[machine_id] += 1
-            buffer.clear()
+        for task, message in self._parked.pop(machine_id, ()):
+            # Parked control-plane messages execute first (they never queue
+            # behind data), serialized after the restore work via the
+            # machine's busy chain.
+            self._execute(task, message, max(time, machine.busy_until))
 
-    def _retry_machine(self, machine_id: int, time: float) -> None:
-        """Link-layer retry timer for traffic addressed to a dead machine."""
-        if machine_id not in self._crashed:
-            return  # machine came back; the timer dissolves
-        attempts = self._retry_attempts.get(machine_id, 0) + 1
-        self._retry_attempts[machine_id] = attempts
-        # Traffic already due counts; the pending heap also holds runs sent
-        # ahead of their delivery time.
+    def _check_outage(self, machine_id: int, retry: tuple, time: float) -> None:
+        """Give-up check of an outage's link-layer retry.
+
+        ``retry`` is ``(restart, number)``: the restart time of the outage
+        that scheduled the check and the retry's number.  Traffic due at the
+        machine — in its inbox, parked, or on its pending heap — makes the
+        run fail with :class:`MachineUnreachableError`; otherwise the next
+        retry, after twice the previous wait, is checked if the outage still
+        lasts then.  A check is only scheduled before its outage's restart,
+        so it never outlives that outage (a later crash of the machine
+        starts a fresh chain).
+        """
         pending = self._pending_wire[machine_id]
-        waiting = bool(self._outage.get(machine_id)) or bool(
-            pending and pending[0][0] <= time
-        )
-        if attempts > OUTAGE_RETRIES and waiting:
-            raise MachineUnreachableError(machine_id, OUTAGE_RETRIES)
-        self._schedule_fault(time + ACK_TIMEOUT * (2 ** attempts), "retry", machine_id)
-
-    def _divert_crashed(
-        self, task: Task, message: Message, time: float, rank: int, machine_id: int
-    ) -> None:
-        """Buffer a delivery addressed to a crashed machine.
-
-        Priority kinds wait in the outage buffer (redelivered first at
-        restart); in-band kinds keep their exact ``(time, rank)`` position by
-        joining the pending heap next to the channel runs, which the
-        restart's tick settles.
-        """
-        if message.kind in PRIORITY_KINDS:
-            self._pending_priority[machine_id].remove(time)
-            self._outage[machine_id].append(("p", task, message))
-        else:
-            heapq.heappush(
-                self._pending_wire[machine_id], (time, rank, None, task, message)
-            )
-
-    # -------------------------------------------------------- unreliable wire
-
-    def _wire_send(
-        self,
-        sender_machine: int,
-        channel: Channel,
-        message: Message,
-        category: TrafficCategory,
-        departure: float,
-    ) -> None:
-        """Frame one on-cluster send and push it through the fault schedule.
-
-        The frame gets the link's next monotone sequence number and the
-        message's normal send-band rank (so its eventual release orders like
-        a direct delivery).  A dropped or partitioned frame never charges the
-        network — its bytes were lost before crossing — and instead arms the
-        sender's retransmit timer.  A duplicated frame is charged and
-        scheduled twice with the *same* frame object: the receiver dedups on
-        the shared sequence number.
-        """
-        wire = self._wire
-        dest_task = channel.task
-        dest_machine = dest_task.machine_id
-        link = (sender_machine, dest_machine)
-        seq, dropped, duplicated, delay_by = wire.on_send(link)
-        rank = _next_rank(channel)
-        frame = _WireFrame(link, seq, dest_task, message, category, rank)
-        wire.frames_sent += 1
-        if dropped or wire.partitioned(sender_machine, dest_machine, departure):
-            wire.frames_dropped += 1
-            self._wire_arm_retransmit(frame, departure)
-            return
-        carry = self.network.carry
-        arrival = carry(channel.link, message.size, category, departure)
-        # The per-send delay is added *after* the link's FIFO clamp, so later
-        # sends can genuinely overtake the delayed frame on the wire; the
-        # receiver's in-order sublayer restores release order.
-        self._schedule_fault(arrival + delay_by, "frame", dest_machine, frame)
-        if duplicated:
-            wire.frames_sent += 1
-            wire.frames_duplicated += 1
-            dup_arrival = carry(channel.link, message.size, category, departure)
-            # Same frame object = same sequence number: the copy that loses
-            # the race (the fault serial orders the original first at equal
-            # times) is discarded by the receiver's dedup.
-            self._schedule_fault(dup_arrival + delay_by, "frame", dest_machine, frame)
-
-    def _wire_arm_retransmit(self, frame: _WireFrame, now: float) -> None:
-        """Arm the sender's retransmit timer for a lost frame.
-
-        Exponential backoff from ``RETRANSMIT_BASE``; once
-        ``RETRANSMIT_ATTEMPTS`` transmissions have been lost the link is
-        declared dead with a named error — the faulty run terminates either
-        way, never hangs.  Timers are armed only for frames known lost (a
-        deterministic-simulation shortcut: behaviourally equivalent to
-        per-frame ack timeouts without modelling the ack traffic).
-        """
-        if frame.attempts >= RETRANSMIT_ATTEMPTS:
-            raise UnreachableLinkError(frame.link, frame.attempts)
-        frame.attempts += 1
-        backoff = RETRANSMIT_BASE * (2 ** (frame.attempts - 1))
-        self._schedule_fault(now + backoff, "retransmit", frame.link[1], frame)
-
-    def _wire_retransmit(self, frame: _WireFrame, time: float) -> None:
-        """A retransmit timer fired: resend the frame unless it got through."""
-        wire = self._wire
-        link = frame.link
-        if frame.seq < wire.recv_next.get(link, 0) or frame.seq in wire.reorder.get(
-            link, ()
+        if (
+            self._inboxes[machine_id]
+            or machine_id in self._parked
+            or (pending and pending[0][0] <= time)
         ):
-            return  # a copy already reached the receiver; the timer dissolves
-        wire.frames_sent += 1
-        wire.frames_retransmitted += 1
-        wire.retransmit_histogram[frame.attempts] = (
-            wire.retransmit_histogram.get(frame.attempts, 0) + 1
-        )
-        if wire.partitioned(link[0], link[1], time):
-            # Still dark: this attempt is lost too.  Re-arming chains the
-            # backoff until the window heals or the budget raises.
-            wire.frames_dropped += 1
-            self._wire_arm_retransmit(frame, time)
-            return
-        arrival = self.network.transfer(
-            link[0], link[1], frame.message.size, frame.category, time
-        )
-        self._schedule_fault(arrival, "frame", link[1], frame)
-
-    def _wire_arrive(self, frame: _WireFrame, time: float) -> None:
-        """A frame reached its receiver: dedup, reorder-buffer or release.
-
-        Release is strictly in sequence order per link — equal to send order,
-        so the fault-free wire's per-link FIFO (which the epoch protocol
-        relies on) is preserved under any fault mix.  Dedup state is *not*
-        reset when the receiving machine crashes: the sequencer is durable
-        (MillWheel-style), so a retransmitted-then-crashed message is either
-        discarded here or redelivered exactly once from the outage buffer.
-        """
-        wire = self._wire
-        link = frame.link
-        wire.frames_delivered += 1
-        expected = wire.recv_next.get(link, 0)
-        if frame.seq < expected:
-            wire.frames_deduped += 1
-            return
-        if frame.seq > expected:
-            buffer = wire.reorder.setdefault(link, {})
-            if frame.seq in buffer:
-                wire.frames_deduped += 1
-            else:
-                wire.frames_reordered += 1
-                buffer[frame.seq] = frame
-            return
-        next_seq = expected + 1
-        wire.recv_next[link] = next_seq
-        self._wire_release(frame, time)
-        buffer = wire.reorder.get(link)
-        if buffer:
-            # Cascade: the gap just closed may free buffered successors.
-            while next_seq in buffer:
-                follower = buffer.pop(next_seq)
-                next_seq += 1
-                wire.recv_next[link] = next_seq
-                self._wire_release(follower, time)
-
-    def _wire_release(self, frame: _WireFrame, time: float) -> None:
-        """Hand a frame to the normal delivery path, in sequence order.
-
-        Priority-kind bookkeeping is done here (not at send) because only
-        now is the effective delivery instant known; ``_deliver`` and
-        ``_divert_crashed`` remove the same ``time`` they always have.  The
-        frame keeps its send rank, although its arrival event sits in the
-        fault band after every delivery dated ``time``: the two order alike
-        against the only runs a machine can wait for under the unreliable
-        wire — feed runs, whose ranks lie below the send band (on-cluster
-        sends are never merged there).
-        """
-        wire = self._wire
-        wire.frames_applied += 1
-        message = frame.message
-        if message.kind in PRIORITY_KINDS:
-            self._pending_priority[frame.link[1]].append(time)
-        self._deliver(frame.task, message, time, frame.rank)
+            raise MachineUnreachableError(machine_id, OUTAGE_RETRIES)
+        restart, number = retry
+        check = time + ACK_TIMEOUT * 2**number
+        if check < restart:
+            self._schedule_fault(check, "retry", machine_id, (restart, number + 1))
 
     def _deliver(self, task: Task, message: Message, time: float, rank: int = 0) -> None:
         machine = task.hosted_machine
@@ -989,15 +773,16 @@ class Simulator:
             self._execute(task, message, time)
             return
         machine_id = machine.machine_id
-        if self._crashed_count and machine_id in self._crashed:
-            self._divert_crashed(task, message, time, rank, machine_id)
-            return
         if message.kind in PRIORITY_KINDS:
+            self._pending_priority[machine_id].remove(time)
+            if self._crashed and machine_id in self._crashed:
+                # Parked until the restart, which runs it first.
+                self._parked.setdefault(machine_id, []).append((task, message))
+                return
             # Control-plane messages skip the data backlog but still need the
             # CPU: they start once the machine finishes the handler it is
             # currently running — on the adaptive plane, the per-tuple-
             # equivalent boundary of the last drained run.
-            self._pending_priority[machine_id].remove(time)
             self._execute(task, message, machine.priority_start(time))
             waiting = self._wake_for[machine_id]
             if waiting is not None and (time, rank) < waiting:
@@ -1024,6 +809,8 @@ class Simulator:
         waiting = self._wake_for[machine_id]
         if tick is not None and (waiting is None or waiting < (time, rank)):
             return  # the tick was already scheduled when this delivery came
+        if self._crashed and machine_id in self._crashed:
+            return  # a down machine ticks again from its restart
         # The machine's first delivery since its inbox ran empty schedules
         # its tick — earlier than a wake-up still waiting for a later one.
         self._wake_for[machine_id] = None

@@ -72,6 +72,12 @@ class MessageKind(enum.Enum):
     FLUSH = "flush"                    # end-of-stream marker
 
 
+#: Control-plane message kinds that are not queued behind the data backlog.
+PRIORITY_KINDS = frozenset(
+    {MessageKind.MAPPING_CHANGE, MessageKind.MIGRATION_ACK, MessageKind.RESUME}
+)
+
+
 #: Shared read-only empty ``meta`` of every data-plane tuple message —
 #: data-plane handlers never read per-message meta.
 EMPTY_META: Any = MappingProxyType({})

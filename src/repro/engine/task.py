@@ -82,17 +82,6 @@ class Context:
         # horizon (see Simulator._drain_horizon); set for drained runs only.
         self.drain_horizon = None
 
-    @property
-    def rng(self):
-        """The deterministic random stream owned by the hosting machine.
-
-        Streams are derived from ``(seed, machine_id)`` (see
-        :meth:`repro.engine.simulator.Simulator.machine_rng`), so a task's
-        draws depend only on its own machine's handler sequence — never on
-        how handler executions of *other* machines interleave.
-        """
-        return self._simulator.machine_rng(self._task.machine_id)
-
     def cluster_peak_stored(self) -> float:
         """Largest peak per-machine stored size observed so far (measured ILF)."""
         return self._simulator.max_machine_storage()
@@ -132,18 +121,6 @@ class Context:
         same per-link transfers, same delivery order); data plane only.
         """
         self._simulator.post_fanout(self._task, channels, message, category, self)
-
-    def emit_output(self, left: StreamTuple, right: StreamTuple) -> None:
-        """Record one join result tuple.
-
-        The latency of the result follows the §5.2 definition: output time
-        minus the arrival time of the more recent of the two matching inputs.
-
-        Args:
-            left: the R-side tuple of the match.
-            right: the S-side tuple of the match.
-        """
-        self.metrics.record_output(left, right, self.now + self.charged)
 
     def emit_outputs(self, matches) -> None:
         """Record the join results of one handled tuple, emitted at one instant.

@@ -161,17 +161,9 @@ class LocalJoiner:
 
     # ----------------------------------------------------------------- probes
 
-    def probe(
-        self,
-        item: StreamTuple,
-        restrict: Callable[[StreamTuple], bool] | None = None,
-    ) -> tuple[list[StreamTuple], float]:
-        """Join ``item`` against stored tuples of the opposite relation.
-
-        Args:
-            item: the newly arrived tuple (not yet inserted).
-            restrict: optional filter over stored tuples (tuple-set selection
-                for callers not using the partitioned epoch stores).
+    def probe(self, item: StreamTuple) -> tuple[list[StreamTuple], float]:
+        """Join ``item`` (newly arrived, not yet inserted) against stored
+        tuples of the opposite relation.
 
         Returns:
             ``(matches, work_units)`` where ``matches`` are the stored tuples
@@ -181,14 +173,10 @@ class LocalJoiner:
             the *single* place the floor is applied — indexes and
             :meth:`raw_probe` report raw candidate counts.
         """
-        matches, inspected = self.raw_probe(item, restrict)
+        matches, inspected = self.raw_probe(item)
         return matches, float(max(inspected, 1))
 
-    def raw_probe(
-        self,
-        item: StreamTuple,
-        restrict: Callable[[StreamTuple], bool] | None = None,
-    ) -> tuple[list[StreamTuple], int]:
+    def raw_probe(self, item: StreamTuple) -> tuple[list[StreamTuple], int]:
         """Like :meth:`probe` but reporting the unfloored candidate count.
 
         The epoch protocol probes several tag-partitioned sub-stores per
@@ -199,10 +187,7 @@ class LocalJoiner:
         record = item.record
         key_of = self._pred_left_key if item_is_left else self._pred_right_key
         key = None if key_of is None else key_of(record)
-        matches, inspected = self._keyed_probe(item_is_left, key, record)
-        if restrict is not None and matches:
-            matches = [candidate for candidate in matches if restrict(candidate)]
-        return matches, inspected
+        return self._keyed_probe(item_is_left, key, record)
 
     # ------------------------------------------------------------ keyed probes
     #

@@ -578,7 +578,9 @@ def normal_joiner(queries):
 #: Per-tuple FLUCT_SYM cells (scale 0.4, J=16, seed 1, fluctuation k=4) as
 #: RunConfig overrides, with the ``(execution_time, heap_events,
 #: events_processed)`` each read on the unmerged wire when it was still the
-#: per-tuple plane's own.
+#: per-tuple plane's own — except the crash cell's heap events, one fewer
+#: since a crash stopped scheduling the outage retries that cannot give up
+#: (the one that popped, at the default restart, did nothing).
 _FLUCT_CELLS = {
     "plain": {},
     "blocking": {"blocking": True},
@@ -593,7 +595,7 @@ _FLUCT_CELLS = {
 _UNMERGED_LITERALS = {
     "plain": (1206.7099999999898, 29888, 14960),
     "blocking": (1432.2099999999884, 35296, 17696),
-    "crash": (1264.779999999989, 29891, 14960),
+    "crash": (1264.779999999989, 29890, 14960),
     "lossy": (1206.7599999999898, 29913, 14968),
 }
 
@@ -742,7 +744,7 @@ class _BursterTask(Task):
 def _toy_trace(simulator_class, bursts, control_times):
     """Drive competing DATA bursts + priority control messages; return the
     consumer-side handling trace and final machine busy states."""
-    simulator = simulator_class(num_machines=4, seed=0)
+    simulator = simulator_class(num_machines=4)
     log: list = []
     consumer = _RecorderTask("consumer", machine_id=1, log=log, cost=0.3)
     simulator.register(consumer)
@@ -814,7 +816,7 @@ class TestDeliveryMergingInterleavings:
         stay sorted) — and must in particular never collide with the feed
         channel bucket.  The trace must still be exactly per-tuple."""
         def run(simulator_class):
-            simulator = simulator_class(num_machines=2, seed=0)
+            simulator = simulator_class(num_machines=2)
             log: list = []
             consumer = _RecorderTask("consumer", machine_id=0, log=log, cost=0.2)
             off_cluster = _BursterTask(

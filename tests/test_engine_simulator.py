@@ -263,59 +263,9 @@ class TestReferenceWire:
         assert reference.heap_events - merged.heap_events == 10
 
 
-class Drawer(Task):
-    """Task that records one draw from its machine's RNG stream per message."""
-
-    def __init__(self, name, machine_id):
-        super().__init__(name, machine_id)
-        self.draws = []
-
-    def handle(self, message: Message, ctx: Context) -> None:
-        self.draws.append(ctx.rng.random())
-
-
 class Poisoned(Task):
     def handle(self, message: Message, ctx: Context) -> None:
         raise ValueError("poisoned handler")
-
-
-class TestMachineRngStreams:
-    def test_streams_derive_from_seed_and_machine(self):
-        first = Simulator(num_machines=3, seed=11)
-        second = Simulator(num_machines=3, seed=11)
-        for machine_id in (-1, 0, 1, 2):
-            assert (
-                first.machine_rng(machine_id).random()
-                == second.machine_rng(machine_id).random()
-            )
-        fresh = Simulator(num_machines=3, seed=11)
-        draws = {fresh.machine_rng(m).random() for m in (-1, 0, 1, 2)}
-        assert len(draws) == 4, "every machine and the off-cluster slot own a stream"
-        assert (
-            Simulator(num_machines=3, seed=12).machine_rng(1).random()
-            != Simulator(num_machines=3, seed=11).machine_rng(1).random()
-        )
-
-    def test_draws_independent_of_other_machines_handlers(self):
-        """A machine's draws are a pure function of its own handler sequence:
-        however many handlers another machine runs in between, they match."""
-
-        def machine_one_draws(noise):
-            sim = Simulator(num_machines=2, seed=3)
-            busy = sim.register(Drawer("busy", machine_id=0))
-            quiet = sim.register(Drawer("quiet", machine_id=1))
-            for index in range(noise):
-                sim.schedule(index * 0.25, "busy", _data(index))
-            for index in range(4):
-                sim.schedule(float(index), "quiet", _data(index))
-            sim.run()
-            assert len(busy.draws) == noise
-            return quiet.draws
-
-        baseline = machine_one_draws(0)
-        assert len(baseline) == 4
-        assert machine_one_draws(1) == baseline
-        assert machine_one_draws(9) == baseline
 
 
 class TestSenderOwnedRanks:

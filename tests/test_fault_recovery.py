@@ -15,6 +15,9 @@ Pins the fault-tolerant join plane's contract:
 * **Error paths** — overlapping faults, unreachable machines after retry
   exhaustion, and invalid :class:`FaultSpec` construction all fail eagerly
   with actionable messages.
+* **Give-up check** — an outage gives up on the traffic waiting for its
+  machine at the first retry past the budget, +315 vt after its own crash,
+  whatever outages the machine had before.
 
 Twin runs share ONE materialised arrival order (``StreamTuple`` ids come from
 a global counter, so independently materialised streams get different ids).
@@ -29,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.operator as operator_module
 from repro.api import (
     MachineUnreachableError,
     OverlappingFaultError,
@@ -40,6 +44,7 @@ from repro.core.baselines import StaticMidOperator
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
 from repro.engine.faults import OUTAGE_RETRIES, FaultSpec, normalize_fault_schedule
+from repro.engine.simulator import Simulator
 from repro.engine.stream import interleave_streams, make_tuples
 from repro.joins.predicates import CompositePredicate, EquiPredicate
 from repro.storage import CheckpointStore
@@ -418,6 +423,73 @@ class TestFaultErrorPaths:
         assert isinstance(error, RuntimeError)
         assert (error.machine, error.retries) == (3, OUTAGE_RETRIES)
         assert str(error) == f"machine 3 unreachable after {OUTAGE_RETRIES} retries"
+
+
+# ---------------------------------------------------------------------------
+# Give-up check: one outage, one retry chain
+# ---------------------------------------------------------------------------
+
+#: Virtual time from a crash to the first link-layer retry that can give up:
+#: the retries wait ACK_TIMEOUT (5), then twice the previous wait, and the
+#: first OUTAGE_RETRIES (5) of them never give up, so 5 * (2**6 - 1).
+GIVE_UP = 315.0
+
+
+def _unreachable_at(monkeypatch, query, schedule, plane):
+    """Run ``schedule`` to its :class:`MachineUnreachableError` for machine 3;
+    returns the virtual time the error fired at."""
+    simulators = []
+
+    class Recorded(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            simulators.append(self)
+
+    monkeypatch.setattr(operator_module, "Simulator", Recorded)
+    overrides, _ = _plane_overrides(plane)
+    with pytest.raises(MachineUnreachableError) as caught:
+        _run(
+            query,
+            _arrival_order(query),
+            checkpoint_interval=50,
+            fault_schedule=schedule,
+            **overrides,
+        )
+    assert (caught.value.machine, caught.value.retries) == (3, OUTAGE_RETRIES)
+    return simulators[-1].now
+
+
+class TestGiveUpCheck:
+    # The crashes land at t=10, early in a run that lasts ~156 vt fault-free,
+    # so traffic for machine 3 is waiting whenever the check fires.
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_second_outage_gives_up_on_its_own_clock(self, queries, monkeypatch, plane):
+        """A short first outage leaves nothing behind: the second one gives
+        up 315 vt after its own crash, not earlier on the first one's retries."""
+        schedule = [crash(3, 10.0, restart_after=6.0), crash(3, 17.0, restart_after=1000.0)]
+        assert _unreachable_at(monkeypatch, queries["equi"], schedule, plane) == 17.0 + GIVE_UP
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_outage_past_the_check_gives_up_at_it(self, queries, monkeypatch, plane):
+        schedule = [crash(3, 10.0, restart_after=GIVE_UP + 1.0)]
+        assert _unreachable_at(monkeypatch, queries["equi"], schedule, plane) == 10.0 + GIVE_UP
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_restart_at_the_check_recovers(self, queries, plane):
+        """A restart at the check's own instant comes first: the run recovers
+        to the fault-free output."""
+        order, twin = _twin(queries, "equi", plane)
+        overrides, _ = _plane_overrides(plane)
+        crashed = _run(
+            queries["equi"],
+            order,
+            checkpoint_interval=50,
+            fault_schedule=[crash(3, 10.0, restart_after=GIVE_UP)],
+            **overrides,
+        )
+        assert crashed.faults_injected == 1
+        assert sorted(crashed.outputs) == sorted(twin.outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -90,17 +90,6 @@ class TestSymmetricHashJoiner:
         joiner.remove(items[0])
         assert joiner.stored_size() == pytest.approx(3.0)
 
-    def test_restrict_filters_candidates(self):
-        predicate = EquiPredicate("k", "k")
-        joiner = SymmetricHashJoiner(predicate, "R", "S")
-        stored = _stream("S", [{"k": 1}, {"k": 1}])
-        for item in stored:
-            joiner.insert(item)
-        probe = StreamTuple(relation="R", record={"k": 1})
-        allowed = {stored[0].tuple_id}
-        matches, _ = joiner.probe(probe, restrict=lambda t: t.tuple_id in allowed)
-        assert [t.tuple_id for t in matches] == [stored[0].tuple_id]
-
 
 class TestSortedBandJoiner:
     def test_band_join_matches_reference(self, rng):
