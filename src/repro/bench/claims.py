@@ -504,9 +504,11 @@ CLAIMS: tuple[Claim, ...] = (
           lambda r: sum(1 for result in _crashed(r) if result.faults_injected != 1), 0),
     Claim("recovery", "recovery time, min over crashed runs", "recovery",
           lambda r: min(result.recovery_time for result in _crashed(r)), 20.0, at_least=True),
+    # Pickled records carry only the predicate's attribute, so the floor
+    # tracks the projected record width: 228.5 KiB measured, minus ~10 %.
     Claim("recovery", "checkpoint KiB, min over crashed runs", "recovery",
           lambda r: min(result.checkpoint_overhead for result in _crashed(r)) / 1024.0,
-          320.0, at_least=True),
+          205.0, at_least=True),
     Claim("recovery", "replayed, interval 25 / journal-only", "recovery",
           lambda r: r[25].tuples_replayed / max(r[None].tuples_replayed, 1), 0.1),
     Claim("recovery", "paced: output drift vs fault-free", "recovery-paced",

@@ -1,8 +1,12 @@
 """The evaluation queries of §5 (Table 1) plus supporting examples.
 
-Each query is represented as a :class:`JoinQuery`: two fully materialised
-input streams (the paper materialises all intermediate results before online
-processing) and the join predicate between them.
+Each query is represented as a :class:`JoinQuery`: two materialised input
+streams (the paper materialises all intermediate results before online
+processing) and the join predicate between them.  Projections are pushed below
+the join, as the paper's engine does: a record keeps only the attributes its
+predicate reads.  Filters run while the input is built, on columns the
+builder reads from :meth:`TpchDataset.rows` and then drops, and a table
+column no query reads is never built.
 
 * **EQ5** — the most expensive join of TPC-H Q5:
   ``(REGION ⋈ NATION ⋈ SUPPLIER) ⋈ LINEITEM`` on ``suppkey`` (equi-join).
@@ -71,80 +75,68 @@ class JoinQuery:
 
 
 def _supplier_side_q5(dataset: TpchDataset, region_name: str = "ASIA") -> list[Record]:
-    """Materialise (REGION ⋈ NATION ⋈ SUPPLIER) restricted to one region.
+    """(REGION ⋈ NATION ⋈ SUPPLIER) restricted to one region, as ``suppkey``s.
 
     At very small scale factors the preferred region may contain no suppliers
     at all; in that case the most populated region is used instead so the
     query's left stream is never empty.
     """
-    nations_by_key = {n["nationkey"]: n for n in dataset.table("NATION")}
-    suppliers = dataset.table("SUPPLIER")
+    region_of = dict(dataset.rows("NATION", ("nationkey", "regionkey")))
+    suppliers = list(dataset.rows("SUPPLIER", ("suppkey", "nationkey")))
 
     def side_for(region_keys: set) -> list[Record]:
-        side = []
-        for supplier in suppliers:
-            nation = nations_by_key.get(supplier["nationkey"])
-            if nation is None or nation["regionkey"] not in region_keys:
-                continue
-            record = dict(supplier)
-            record["nation_name"] = nation["name"]
-            record["regionkey"] = nation["regionkey"]
-            side.append(record)
-        return side
+        return [
+            {"suppkey": suppkey}
+            for suppkey, nationkey in suppliers
+            if region_of[nationkey] in region_keys
+        ]
 
-    preferred = {r["regionkey"] for r in dataset.table("REGION") if r["name"] == region_name}
-    side = side_for(preferred)
+    regions = list(dataset.rows("REGION", ("regionkey", "name")))
+    side = side_for({key for key, name in regions if name == region_name})
     if side:
         return side
-    candidates = [
-        side_for({region["regionkey"]}) for region in dataset.table("REGION")
-    ]
-    return max(candidates, key=len)
+    return max((side_for({key}) for key, _name in regions), key=len)
 
 
 def _supplier_side_q7(
     dataset: TpchDataset, nation_names: tuple[str, str] = ("FRANCE", "GERMANY")
 ) -> list[Record]:
-    """Materialise (SUPPLIER ⋈ NATION) restricted to the two Q7 nations.
+    """(SUPPLIER ⋈ NATION) restricted to the two Q7 nations, as ``suppkey``s.
 
     Falls back to the two most-populated nations when the preferred pair has
     no suppliers at tiny scale factors.
     """
-    nations_by_key = {n["nationkey"]: n for n in dataset.table("NATION")}
-    suppliers = dataset.table("SUPPLIER")
+    name_of = dict(dataset.rows("NATION", ("nationkey", "name")))
+    suppliers = [
+        (suppkey, name_of[nationkey])
+        for suppkey, nationkey in dataset.rows("SUPPLIER", ("suppkey", "nationkey"))
+    ]
 
     def side_for(names: tuple[str, ...]) -> list[Record]:
-        side = []
-        for supplier in suppliers:
-            nation = nations_by_key.get(supplier["nationkey"])
-            if nation is None or nation["name"] not in names:
-                continue
-            record = dict(supplier)
-            record["nation_name"] = nation["name"]
-            side.append(record)
-        return side
+        return [{"suppkey": suppkey} for suppkey, nation in suppliers if nation in names]
 
     side = side_for(nation_names)
     if side:
         return side
     counts: dict[str, int] = {}
-    for supplier in suppliers:
-        nation = nations_by_key.get(supplier["nationkey"])
-        if nation is not None:
-            counts[nation["name"]] = counts.get(nation["name"], 0) + 1
+    for _suppkey, nation in suppliers:
+        counts[nation] = counts.get(nation, 0) + 1
     top_two = tuple(sorted(counts, key=counts.get, reverse=True)[:2])
     return side_for(top_two)
 
 
+def _lineitem_keys(dataset: TpchDataset, attribute: str) -> list[Record]:
+    """Every LINEITEM row, projected to ``attribute``."""
+    return [{attribute: value} for (value,) in dataset.rows("LINEITEM", (attribute,))]
+
+
 def _make_eq5(dataset: TpchDataset) -> JoinQuery:
-    left = _supplier_side_q5(dataset)
-    right = list(dataset.table("LINEITEM"))
     return JoinQuery(
         name="EQ5",
         left_relation="RNS",
         right_relation="LINEITEM",
-        left_records=left,
-        right_records=right,
+        left_records=_supplier_side_q5(dataset),
+        right_records=_lineitem_keys(dataset, "suppkey"),
         predicate=EquiPredicate("suppkey", "suppkey"),
         left_tuple_size=1.0,
         right_tuple_size=1.0,
@@ -153,27 +145,27 @@ def _make_eq5(dataset: TpchDataset) -> JoinQuery:
 
 
 def _make_eq7(dataset: TpchDataset) -> JoinQuery:
-    left = _supplier_side_q7(dataset)
-    right = list(dataset.table("LINEITEM"))
     return JoinQuery(
         name="EQ7",
         left_relation="SN",
         right_relation="LINEITEM",
-        left_records=left,
-        right_records=right,
+        left_records=_supplier_side_q7(dataset),
+        right_records=_lineitem_keys(dataset, "suppkey"),
         predicate=EquiPredicate("suppkey", "suppkey"),
         description="(S ⋈ N) ⋈ L, the most expensive join of TPC-H Q7",
     )
 
 
 def _make_bci(dataset: TpchDataset) -> JoinQuery:
-    lineitem = dataset.table("LINEITEM")
-    left = [
-        dict(item)
-        for item in lineitem
-        if item["shipmode"] == "TRUCK" and item["quantity"] > 45
-    ]
-    right = [dict(item) for item in lineitem if item["shipmode"] != "TRUCK"]
+    left: list[Record] = []
+    right: list[Record] = []
+    for shipdate, shipmode, quantity in dataset.rows(
+        "LINEITEM", ("shipdate", "shipmode", "quantity")
+    ):
+        if shipmode != "TRUCK":
+            right.append({"shipdate": shipdate})
+        elif quantity > 45:
+            left.append({"shipdate": shipdate})
     return JoinQuery(
         name="BCI",
         left_relation="L1",
@@ -186,13 +178,16 @@ def _make_bci(dataset: TpchDataset) -> JoinQuery:
 
 
 def _make_bnci(dataset: TpchDataset) -> JoinQuery:
-    lineitem = dataset.table("LINEITEM")
-    left = [
-        dict(item)
-        for item in lineitem
-        if item["shipmode"] == "TRUCK" and item["quantity"] > 48
-    ]
-    right = [dict(item) for item in lineitem if item["shipinstruct"] == "NONE"]
+    left: list[Record] = []
+    right: list[Record] = []
+    for orderkey, shipmode, quantity, shipinstruct in dataset.rows(
+        "LINEITEM", ("orderkey", "shipmode", "quantity", "shipinstruct")
+    ):
+        # A row may enter both sides; each side gets its own record.
+        if shipmode == "TRUCK" and quantity > 48:
+            left.append({"orderkey": orderkey})
+        if shipinstruct == "NONE":
+            right.append({"orderkey": orderkey})
     return JoinQuery(
         name="BNCI",
         left_relation="L1",
@@ -206,17 +201,16 @@ def _make_bnci(dataset: TpchDataset) -> JoinQuery:
 
 def _make_fluct(dataset: TpchDataset) -> JoinQuery:
     orders = [
-        dict(order)
-        for order in dataset.table("ORDERS")
-        if order["shippriority"] not in ("5-LOW", "1-URGENT")
+        {"orderkey": orderkey}
+        for orderkey, shippriority in dataset.rows("ORDERS", ("orderkey", "shippriority"))
+        if shippriority not in ("5-LOW", "1-URGENT")
     ]
-    lineitem = list(dataset.table("LINEITEM"))
     return JoinQuery(
         name="FLUCT",
         left_relation="ORDERS",
         right_relation="LINEITEM",
         left_records=orders,
-        right_records=lineitem,
+        right_records=_lineitem_keys(dataset, "orderkey"),
         predicate=EquiPredicate("orderkey", "orderkey"),
         description="Fluct-Join: ORDERS ⋈ LINEITEM with shippriority filters (§5.4)",
     )
@@ -232,29 +226,27 @@ def _make_fluct_sym(dataset: TpchDataset) -> JoinQuery:
     comparable halves joined on ``orderkey``, which exercises exactly the same
     operator code path while allowing several ratio swings.
     """
-    lineitem = dataset.table("LINEITEM")
-    left = [dict(item) for item in lineitem if item["linenumber"] % 2 == 0]
-    right = [dict(item) for item in lineitem if item["linenumber"] % 2 == 1]
+    halves: tuple[list[Record], list[Record]] = ([], [])
+    for orderkey, linenumber in dataset.rows("LINEITEM", ("orderkey", "linenumber")):
+        halves[linenumber % 2].append({"orderkey": orderkey})
     return JoinQuery(
         name="FLUCT_SYM",
         left_relation="L_EVEN",
         right_relation="L_ODD",
-        left_records=left,
-        right_records=right,
+        left_records=halves[0],
+        right_records=halves[1],
         predicate=EquiPredicate("orderkey", "orderkey"),
         description="balanced Fluct-Join variant for the data-dynamics experiment",
     )
 
 
 def _make_theta_neq(dataset: TpchDataset) -> JoinQuery:
-    suppliers = list(dataset.table("SUPPLIER"))
-    nations = list(dataset.table("NATION"))
     return JoinQuery(
         name="THETA_NEQ",
         left_relation="SUPPLIER",
         right_relation="NATION",
-        left_records=suppliers,
-        right_records=nations,
+        left_records=dataset.table("SUPPLIER", ("nationkey",)),
+        right_records=dataset.table("NATION", ("nationkey",)),
         predicate=NotEqualPredicate("nationkey", "nationkey"),
         description="inequality join of Fig. 1a (general theta predicate)",
     )

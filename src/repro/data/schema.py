@@ -2,8 +2,8 @@
 
 Only the tables and attributes exercised by the paper's queries are modelled:
 REGION, NATION, SUPPLIER, ORDERS and LINEITEM.  Record payloads are plain
-dictionaries; the column lists below document each table and are used by the
-generator and by tests.
+dictionaries; the column lists below document each table, and a query's
+records keep only the columns its predicate reads.
 """
 
 from __future__ import annotations
@@ -24,6 +24,15 @@ LINEITEM_COLUMNS = (
     "shipmode",
     "shipinstruct",
 )
+
+#: Column names of every table, in generation order.
+COLUMNS = {
+    "REGION": REGION_COLUMNS,
+    "NATION": NATION_COLUMNS,
+    "SUPPLIER": SUPPLIER_COLUMNS,
+    "ORDERS": ORDERS_COLUMNS,
+    "LINEITEM": LINEITEM_COLUMNS,
+}
 
 #: Region names as in TPC-H.
 REGION_NAMES = ("AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST")

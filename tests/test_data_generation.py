@@ -1,16 +1,21 @@
 """Tests for the Zipf sampler, the TPC-H-like generator and the query builders."""
 
+import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import JoinSession, RunConfig
 from repro.data import schema
 from repro.data.queries import available_queries, make_query
 from repro.data.skew import SKEW_LEVELS, ZipfSampler, skew_parameter, zipf_choice
 from repro.data.tpch import generate_dataset
+from repro.engine.stream import fluctuating_order, interleave_streams, make_tuples
+from repro.testing import assert_run_equivalent
 
 
 class TestZipfSampler:
@@ -126,18 +131,32 @@ class TestQueries:
     def test_eq7_filters_two_nations(self, small_dataset):
         query = make_query("EQ7", small_dataset)
         assert query.left_records, "EQ7 supplier side must not be empty"
-        nations = {record["nation_name"] for record in query.left_records}
+        nation_of = {s["suppkey"]: s["nationkey"] for s in small_dataset.table("SUPPLIER")}
+        nations = {nation_of[record["suppkey"]] for record in query.left_records}
         # The preferred Q7 pair (FRANCE, GERMANY) is used when populated;
         # otherwise the builder falls back to the two largest nations.
         assert len(nations) <= 2
+        # The left side is exactly the suppliers of those nations.
+        assert [record["suppkey"] for record in query.left_records] == [
+            suppkey for suppkey, nation in nation_of.items() if nation in nations
+        ]
 
     def test_band_queries_have_single_side_filters_applied(self, small_dataset):
+        lineitem = small_dataset.table("LINEITEM")
         bci = make_query("BCI", small_dataset)
-        assert all(r["shipmode"] == "TRUCK" and r["quantity"] > 45 for r in bci.left_records)
-        assert all(r["shipmode"] != "TRUCK" for r in bci.right_records)
+        assert [r["shipdate"] for r in bci.left_records] == [
+            item["shipdate"]
+            for item in lineitem
+            if item["shipmode"] == "TRUCK" and item["quantity"] > 45
+        ]
+        assert [r["shipdate"] for r in bci.right_records] == [
+            item["shipdate"] for item in lineitem if item["shipmode"] != "TRUCK"
+        ]
         assert bci.predicate.kind == "band"
         bnci = make_query("BNCI", small_dataset)
-        assert all(r["shipinstruct"] == "NONE" for r in bnci.right_records)
+        assert [r["orderkey"] for r in bnci.right_records] == [
+            item["orderkey"] for item in lineitem if item["shipinstruct"] == "NONE"
+        ]
 
     def test_bci_is_more_selective_than_bnci_in_output_rate(self, small_dataset):
         """BCI (shipdate band) produces far more output per input pair than BNCI."""
@@ -157,9 +176,11 @@ class TestQueries:
 
     def test_fluct_queries(self, small_dataset):
         fluct = make_query("FLUCT", small_dataset)
-        assert all(
-            record["shippriority"] not in ("5-LOW", "1-URGENT") for record in fluct.left_records
-        )
+        assert [record["orderkey"] for record in fluct.left_records] == [
+            order["orderkey"]
+            for order in small_dataset.table("ORDERS")
+            if order["shippriority"] not in ("5-LOW", "1-URGENT")
+        ]
         sym = make_query("FLUCT_SYM", small_dataset)
         left, right = sym.cardinalities
         assert abs(left - right) <= max(left, right)  # comparable halves
@@ -167,3 +188,119 @@ class TestQueries:
     def test_theta_query_kind(self, small_dataset):
         query = make_query("THETA_NEQ", small_dataset)
         assert query.predicate.kind == "theta"
+
+
+class FullRows:
+    """A dataset view that serves every read from full rows, projected by hand.
+
+    It also records each ``(table, columns)`` pair a query builder asks for.
+    """
+
+    def __init__(self, dataset):
+        self.dataset = dataset
+        self.reads = []
+
+    def rows(self, name, columns):
+        self.reads.append((name, tuple(columns)))
+        return [tuple(row[c] for c in columns) for row in self.dataset.table(name)]
+
+    def table(self, name, columns=None):
+        columns = schema.COLUMNS[name] if columns is None else columns
+        self.reads.append((name, tuple(columns)))
+        return [{c: row[c] for c in columns} for row in self.dataset.table(name)]
+
+
+#: At (0.1, Z0, 22) neither ASIA nor FRANCE/GERMANY has a supplier, so EQ5 and
+#: EQ7 take their fallback sides.
+PROJECTION_POINTS = [(0.1, "Z0", 22), (0.5, "Z4", 7)]
+
+
+class TestProjectedRecords:
+    @pytest.mark.parametrize("point", PROJECTION_POINTS, ids=lambda p: f"{p[0]}-{p[1]}-{p[2]}")
+    @pytest.mark.parametrize("name", available_queries())
+    def test_projected_build_is_bit_identical_to_full_rows(self, name, point):
+        scale, skew, seed = point
+        projected = make_query(name, generate_dataset(scale=scale, skew=skew, seed=seed))
+        full = FullRows(generate_dataset(scale=scale, skew=skew, seed=seed))
+        reference = make_query(name, full)
+        assert projected.left_records == reference.left_records
+        assert projected.right_records == reference.right_records
+        assert projected.left_records and projected.right_records
+        predicate = projected.predicate
+        assert all(set(r) == {predicate.left_attr} for r in projected.left_records)
+        assert all(set(r) == {predicate.right_attr} for r in projected.right_records)
+        # Every column subset the builder reads replays the full table's values.
+        dataset = generate_dataset(scale=scale, skew=skew, seed=seed)
+        for table, columns in set(full.reads):
+            assert dataset.table(table, columns) == [
+                {c: row[c] for c in columns} for row in dataset.table(table)
+            ]
+
+    def test_lineitem_column_subsets_replay_the_full_table(self):
+        dataset = generate_dataset(scale=0.2, skew="Z3", seed=9)
+        full = dataset.table("LINEITEM")
+        for columns in [("suppkey",), ("shipinstruct", "orderkey"), schema.LINEITEM_COLUMNS]:
+            assert dataset.table("LINEITEM", columns) == [
+                {c: row[c] for c in columns} for row in full
+            ]
+        with pytest.raises(ValueError):
+            dataset.table("LINEITEM", ("nationkey",))
+        with pytest.raises(ValueError):
+            dataset.table("LINEITEM", ())
+
+    def test_projected_build_peaks_at_half_the_memory_of_full_rows(self):
+        def peak(build):
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def dataset():
+            return generate_dataset(scale=4, skew="Z4", seed=1)
+
+        projected = peak(lambda: make_query("EQ5", dataset()))
+        full = peak(lambda: make_query("EQ5", FullRows(dataset())))
+        assert projected <= 0.55 * full
+
+    @pytest.mark.parametrize("name", ["EQ5", "FLUCT_SYM"])
+    def test_virtual_time_cannot_see_record_width(self, name):
+        """``StreamTuple.size``, not the record, drives the cost model."""
+        dataset = generate_dataset(scale=0.4, skew="Z4", seed=3)
+        query = make_query(name, dataset)
+        rng = random.Random(3)
+        left = make_tuples(query.left_relation, query.left_records, rng, query.left_tuple_size)
+        right = make_tuples(
+            query.right_relation, query.right_records, rng, query.right_tuple_size
+        )
+        if name == "EQ5":
+            order = interleave_streams(left, right, rng)
+            suppliers = {s["suppkey"]: s for s in dataset.table("SUPPLIER")}
+            wide = [suppliers[t.record["suppkey"]] for t in left]
+            wide += dataset.table("LINEITEM")
+        else:
+            order = fluctuating_order(left, right, 4, warmup=len(left) // 50)
+            lineitem = dataset.table("LINEITEM")
+            wide = lineitem[1::2] + lineitem[0::2]
+        assert len(schema.LINEITEM_COLUMNS) == 8 == len(wide[-1])
+        # Same ids, salts and arrival order; only the payload is wider.
+        widen = {t.tuple_id: dataclasses.replace(t, record=record)
+                 for t, record in zip(left + right, wide)}
+        assert all(
+            t.record.items() <= widen[t.tuple_id].record.items() for t in left + right
+        )
+        wide_query = dataclasses.replace(
+            query,
+            left_records=[widen[t.tuple_id].record for t in left],
+            right_records=[widen[t.tuple_id].record for t in right],
+        )
+        config = RunConfig(machines=16)
+        narrow_run = JoinSession(query, config=config).run(
+            arrival_order=order, collect_outputs=True
+        )
+        wide_run = JoinSession(wide_query, config=config).run(
+            arrival_order=[widen[t.tuple_id] for t in order], collect_outputs=True
+        )
+        assert narrow_run.migrations >= 1
+        assert_run_equivalent(narrow_run, wide_run, events=True, label=name)
