@@ -25,16 +25,13 @@ from repro.api.config import ARRIVAL_PATTERNS, BATCHING_PLANES, RunConfig
 from repro.api.session import JoinSession, StreamSnapshot, build_operator
 from repro.engine.faults import (
     FaultSpec,
-    MachineUnreachableError,
     NetworkFaultSpec,
     OverlappingFaultError,
-    UnreachableLinkError,
     crash,
     crash_after_events,
     delay,
     drop,
     duplicate,
-    partition,
 )
 
 __all__ = [
@@ -42,17 +39,14 @@ __all__ = [
     "BATCHING_PLANES",
     "FaultSpec",
     "JoinSession",
-    "MachineUnreachableError",
     "NetworkFaultSpec",
     "OverlappingFaultError",
     "RunConfig",
     "StreamSnapshot",
-    "UnreachableLinkError",
     "build_operator",
     "crash",
     "crash_after_events",
     "delay",
     "drop",
     "duplicate",
-    "partition",
 ]

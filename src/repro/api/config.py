@@ -5,8 +5,8 @@ verbatim by the operator layer, the :class:`~repro.api.session.JoinSession`
 facade and the paper scoreboard's sweeps (:mod:`repro.bench.claims`).  It is
 built in code — ``RunConfig(...)`` or ``with_overrides(...)`` — and has no
 file form.  Dataset knobs (scale, skew) belong to the workload, not to the
-run.  Timing constants no run varies — failure detection and retry budgets
-(:mod:`repro.engine.faults`), the ILF sampling period
+run.  Timing constants no run varies — failure detection and the
+retransmit delay (:mod:`repro.engine.faults`), the ILF sampling period
 (:mod:`repro.core.tasks`) — are module constants, not fields.
 
 Validation happens at construction — an invalid ``batching`` or ``layout``
@@ -72,9 +72,11 @@ class RunConfig:
         fault_schedule: deterministic machine crashes to inject — a sequence
             of :class:`~repro.engine.faults.FaultSpec` entries (build them
             with :func:`~repro.engine.faults.crash` /
-            :func:`~repro.engine.faults.crash_after_events`).  Empty
-            (default) = no faults.  Requires the non-blocking protocol
-            (``blocking=False``).
+            :func:`~repro.engine.faults.crash_after_events`).  Each crashed
+            machine restarts :data:`~repro.engine.faults.ACK_TIMEOUT` after
+            its crash.  Empty (default) = no faults.  Requires the
+            non-blocking protocol (``blocking=False``).  A streaming run
+            takes event anchors only (see ``JoinSession.open_stream``).
         checkpoint_interval: journal deltas a task may accumulate before its
             next epoch-aligned durable snapshot; ``None`` (default) disables
             checkpointing unless a fault schedule is present, in which case
@@ -85,15 +87,14 @@ class RunConfig:
             sequence of :class:`~repro.engine.faults.NetworkFaultSpec`
             entries (build them with :func:`~repro.engine.faults.drop` /
             :func:`~repro.engine.faults.duplicate` /
-            :func:`~repro.engine.faults.delay` /
-            :func:`~repro.engine.faults.partition`).  Empty (default) = the
+            :func:`~repro.engine.faults.delay`).  Empty (default) = the
             ideal wire, with every run bit-identical to a build without the
             wire plane.  A non-empty schedule installs the reliable-delivery
             sublayer (per-link sequence numbers, dedup, in-order release,
-            retransmit timers) that masks the faults: the run's final output
-            multiset is identical to the fault-free twin's.  Requires the
-            non-blocking protocol (``blocking=False``); composes with
-            ``fault_schedule``.
+            one retransmit per dropped frame) that masks the faults: the
+            run's final output multiset is identical to the fault-free
+            twin's.  Requires the non-blocking protocol
+            (``blocking=False``); composes with ``fault_schedule``.
     """
 
     machines: int = 16
@@ -144,7 +145,8 @@ class RunConfig:
 
         A machine must be back up before its next crash fires.  For
         time-anchored faults the outage window is known at construction —
-        ``[at_time, at_time + (restart_after or ACK_TIMEOUT))`` — so two
+        ``[at_time, at_time + ACK_TIMEOUT]``, closed because at an equal
+        instant the simulator runs crashes before restarts — so two
         overlapping windows on one machine can be rejected here, listing the
         conflicting specs, instead of deep in the simulator mid-run.  Two
         event-anchored faults with the *same* anchor provably collide too
@@ -172,15 +174,11 @@ class RunConfig:
                 key=lambda fault: fault.at_time,
             )
             for earlier, later in zip(timed, timed[1:]):
-                restart = earlier.at_time + (
-                    earlier.restart_after
-                    if earlier.restart_after is not None
-                    else ACK_TIMEOUT
-                )
-                if later.at_time < restart:
+                restart = earlier.at_time + ACK_TIMEOUT
+                if later.at_time <= restart:
                     raise ValueError(
                         "overlapping fault_schedule entries: "
-                        f"{earlier!r} (down until t={restart}) and "
+                        f"{earlier!r} (restarts at t={restart}) and "
                         f"{later!r} crash machine {later.machine} "
                         "while it is already down"
                     )
@@ -235,7 +233,7 @@ class RunConfig:
                 )
         self._check_fault_overlaps()
         for spec in self.network_faults:
-            for machine in spec.machines():
+            for machine in spec.link:
                 if machine >= self.machines:
                     raise ValueError(
                         f"network_faults machine {machine} out of range in "

@@ -310,10 +310,22 @@ class JoinSession:
         The query supplies the *schema* (relation names, predicate, tuple
         sizes); its materialised records, if any, are not fed — only data
         passed to :meth:`push` flows through the operator.
+
+        Crashes must be event-anchored: every push runs the simulation dry,
+        so a time-anchored crash would fire during the first push, ahead of
+        tuples later pushes date before it.
         """
         if self._stream is not None:
             raise RuntimeError("a streaming run is already open; finish() it first")
         op = self.operator(query, kind=operator, config=config, **overrides)
+        for fault in op.config.fault_schedule:
+            if fault.at_time is not None:
+                raise ValueError(
+                    f"a streaming run cannot take the time-anchored {fault!r}: "
+                    "each push runs the simulation dry, so it would fire during "
+                    "the first push; anchor the crash on events with "
+                    "crash_after_events()"
+                )
         self._stream = _StreamingRun(op, collect_outputs=collect_outputs)
         self._stream_finished = False
         return self

@@ -62,7 +62,6 @@ class SymmetricHashOperator(GridJoinOperator):
 OPERATORS: dict[str, type[GridJoinOperator]] = {
     operator.operator_name: operator
     for operator in (
-        GridJoinOperator,
         AdaptiveJoinOperator,
         StaticMidOperator,
         StaticOptOperator,

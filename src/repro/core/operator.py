@@ -108,7 +108,7 @@ class GridJoinOperator:
         topology.controller_name = topology.reshuffler_names[0]
         return topology
 
-    def _build_tasks(self, topology: Topology, expected_inputs: int) -> list:
+    def _build_tasks(self, topology: Topology) -> list:
         tasks = []
         reshuffler_class = self._reshuffler_class()
         for machine_id in range(self.machines):
@@ -135,7 +135,6 @@ class GridJoinOperator:
                     controller=controller,
                     adaptive=self.adaptive,
                     blocking=self.blocking,
-                    expected_inputs=expected_inputs,
                 )
             )
             tasks.append(
@@ -164,9 +163,7 @@ class GridJoinOperator:
         )
         return left, right
 
-    def build_execution(
-        self, collect_outputs: bool = False, expected_inputs: int = 0
-    ) -> tuple[Simulator, Topology]:
+    def build_execution(self, collect_outputs: bool = False) -> tuple[Simulator, Topology]:
         """A fresh :class:`Simulator` with the topology registered, no input fed.
 
         The drain controllers (adaptive plane only), the fault plane and the
@@ -186,7 +183,7 @@ class GridJoinOperator:
                 [AdaptiveBatchController() for _ in range(self.machines)]
             )
         topology = self._build_topology()
-        tasks = self._build_tasks(topology, expected_inputs)
+        tasks = self._build_tasks(topology)
         simulator.register_all(tasks)
         if self._fault_plane:
             manager = RecoveryManager(
@@ -232,11 +229,7 @@ class GridJoinOperator:
             )
         else:
             order = list(arrival_order)
-        expected_inputs = len(order)
-
-        simulator, topology = self.build_execution(
-            collect_outputs=collect_outputs, expected_inputs=expected_inputs
-        )
+        simulator, topology = self.build_execution(collect_outputs=collect_outputs)
 
         reshuffler_names = topology.reshuffler_names
         schedule = ArrivalSchedule(items=order, inter_arrival=self.config.inter_arrival)
@@ -245,7 +238,7 @@ class GridJoinOperator:
             destination_picker=lambda _item: rng.choice(reshuffler_names),
         )
         simulator.run(max_events=max_events)
-        return self.collect_result(simulator, topology, expected_inputs)
+        return self.collect_result(simulator, topology, len(order))
 
     # --------------------------------------------------------------- results
 
@@ -317,9 +310,6 @@ class GridJoinOperator:
             recovery_time=recovery_time,
             tuples_replayed=tuples_replayed,
             checkpoint_overhead=checkpoint_overhead,
-            retransmit_histogram=(
-                dict(wire.retransmit_histogram) if wire is not None else None
-            ),
             wire_counters=wire.counters() if wire is not None else None,
         )
 

@@ -71,17 +71,13 @@ class RunResult:
             during restores (the delta-log length recovery paid for).
         checkpoint_overhead: bytes written to the durable checkpoint store
             (snapshots + delta journal) over the run.
-        retransmit_histogram: attempt number → count of retransmits sent on
-            that attempt (the backoff depth profile), next to
-            ``wire_histogram``; None without network faults.
         wire_counters: the reliable-wire counters as a plain dict; None
             without network faults (the reliable-delivery sublayer is
             installed only when a network fault schedule is present).
             ``sent``: frame instances put on the wire; ``delivered``: those
-            that arrived; ``dropped``: those the unreliable wire lost (drop
-            specs, partition windows, lost retransmit attempts);
+            that arrived; ``dropped``: original sends the drop specs lost;
             ``duplicated``: frames the wire delivered twice;
-            ``retransmitted``: retransmit attempts sent for lost frames;
+            ``retransmitted``: retransmits sent, one per dropped frame;
             ``reordered``: frames that arrived ahead of a gap and waited in
             the receiver's in-order release buffer; ``deduped``: duplicate
             arrivals discarded; ``applied``: frames released to the task
@@ -124,7 +120,6 @@ class RunResult:
     recovery_time: float = 0.0
     tuples_replayed: int = 0
     checkpoint_overhead: float = 0.0
-    retransmit_histogram: dict[int, int] | None = None
     wire_counters: dict[str, int] | None = None
 
     def summary_row(self) -> dict[str, float | int | str | bool]:

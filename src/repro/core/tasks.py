@@ -95,7 +95,6 @@ class ReshufflerTask(Task):
         adaptive: when False the mapping never changes (static operators).
         blocking: when True, models the blocking actuation protocol the paper
             argues against (§4.3): input is buffered while a migration runs.
-        expected_inputs: total number of input tuples (for progress metrics).
     """
 
     def __init__(
@@ -107,7 +106,6 @@ class ReshufflerTask(Task):
         controller: MigrationController | None = None,
         adaptive: bool = True,
         blocking: bool = False,
-        expected_inputs: int = 0,
     ) -> None:
         super().__init__(name, machine_id)
         self.topology = topology
@@ -115,7 +113,6 @@ class ReshufflerTask(Task):
         self.controller = controller
         self.adaptive = adaptive
         self.blocking = blocking
-        self.expected_inputs = expected_inputs
 
         self.epoch = 0
         self.migration_in_flight = False
@@ -441,13 +438,7 @@ class JoinerTask(Task):
     ``LocalJoiner.probe_insert`` per member.
     """
 
-    def __init__(
-        self,
-        name: str,
-        machine_id: int,
-        topology: Topology,
-        migration_rate_factor: float = 2.0,
-    ) -> None:
+    def __init__(self, name: str, machine_id: int, topology: Topology) -> None:
         super().__init__(name, machine_id)
         self.topology = topology
         store = make_local_joiner(
@@ -459,7 +450,6 @@ class JoinerTask(Task):
             num_reshufflers=len(topology.reshuffler_names) or topology.machines,
             left_relation=topology.left_relation,
         )
-        self.migration_rate_factor = migration_rate_factor
         self._ends_sent_for: int | None = None
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).

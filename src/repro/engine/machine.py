@@ -163,9 +163,3 @@ class Machine:
         if boundaries and self.drain_window_start <= time <= boundaries[-1]:
             return boundaries[bisect_left(boundaries, time)]
         return max(time, self.busy_until)
-
-    def reset_clock(self) -> None:
-        """Clear busy/idle accounting (used between benchmark repetitions)."""
-        self.busy_until = 0.0
-        self.busy_time = 0.0
-        self.drain_boundaries = None

@@ -8,8 +8,8 @@ Fig. 6b and the amortised-communication claims of §4.2.
 
 :class:`ReliableWire` is the reliable-delivery sublayer of the unreliable
 wire (``RunConfig.network_faults``): it frames each machine-to-machine send,
-injects the scheduled faults, retransmits lost frames and releases arrivals
-to the simulator in per-link send order.
+injects the scheduled drops, duplicates and delays, sends each dropped frame
+once more and releases arrivals to the simulator in per-link send order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from repro.engine.faults import RETRANSMIT_ATTEMPTS, RETRANSMIT_BASE, UnreachableLinkError
+from repro.engine.faults import RETRANSMIT_BASE
 from repro.engine.machine import CostModel
 from repro.engine.stream import PRIORITY_KINDS
 
@@ -140,12 +140,6 @@ class Network:
         """Total size units moved over the network (all categories)."""
         return float(sum(self.volume.values()))
 
-    def data_volume(self) -> float:
-        """Size units of data traffic (routing + migration), excluding control/output."""
-        return float(
-            self.volume[TrafficCategory.ROUTING] + self.volume[TrafficCategory.MIGRATION]
-        )
-
     def migration_volume(self) -> float:
         """Size units moved due to state relocation (adaptivity cost)."""
         return float(self.volume[TrafficCategory.MIGRATION])
@@ -163,13 +157,13 @@ class _WireFrame:
     """One link-layer frame: a message instance in flight on the unreliable wire.
 
     The wire never mutates the wrapped message (a routed tuple is shared
-    across fan-out destinations), so the sequence number and retransmit state
-    live on this wrapper.  ``seq`` is the link's :attr:`Link.sequence` at the
+    across fan-out destinations), so the sequence number lives on this
+    wrapper.  ``seq`` is the link's :attr:`Link.sequence` at the
     original send, so ``channel.rank_base + seq`` is the send-band rank the
     receiver releases the message with — exactly a direct delivery's.
     """
 
-    __slots__ = ("link", "seq", "channel", "message", "category", "attempts")
+    __slots__ = ("link", "seq", "channel", "message", "category")
 
     def __init__(self, link, seq, channel, message, category) -> None:
         self.link = link
@@ -177,7 +171,6 @@ class _WireFrame:
         self.channel = channel
         self.message = message
         self.category = category
-        self.attempts = 0
 
 
 class ReliableWire:
@@ -211,20 +204,8 @@ class ReliableWire:
         self.simulator = None
         # (link, nth) -> [specs]: per-send faults, looked up on each send.
         self._actions: dict[tuple, list] = {}
-        # (frozenset_a, frozenset_b, from_time, until_time) partition windows.
-        self._partitions: list[tuple] = []
         for spec in faults:
-            if spec.kind == "partition":
-                self._partitions.append(
-                    (
-                        frozenset(spec.machines_a),
-                        frozenset(spec.machines_b),
-                        spec.from_time,
-                        spec.until_time,
-                    )
-                )
-            else:
-                self._actions.setdefault((spec.link, spec.nth), []).append(spec)
+            self._actions.setdefault((spec.link, spec.nth), []).append(spec)
         # Receiver-side dedup/in-order state, per (sender, receiver) machine
         # link: `recv_next[link]` is the next sequence number the receiver
         # will release; `reorder[link]` buffers early arrivals by sequence.
@@ -240,8 +221,6 @@ class ReliableWire:
         self.frames_reordered = 0
         self.frames_deduped = 0
         self.frames_applied = 0
-        # attempts -> count: how many retransmits fired on their nth attempt.
-        self.retransmit_histogram: dict[int, int] = {}
 
     def on_send(self, link: tuple, seq: int) -> tuple[bool, bool, float]:
         """Look up the faults of the original send ``seq`` on ``link``.
@@ -269,11 +248,10 @@ class ReliableWire:
         The frame takes the link's next send sequence number (its rank
         follows from it), so every send on an on-cluster link must come
         through here: the receiver releases sequence numbers without gaps.
-        A dropped or partitioned frame never charges the network — its bytes
-        were lost before crossing — and instead arms the sender's retransmit
-        timer.  A duplicated frame is charged and scheduled twice with the
-        *same* frame object: the receiver dedups on the shared sequence
-        number.
+        A dropped frame never charges the network — its bytes were lost
+        before crossing — and instead arms the sender's retransmit timer.
+        A duplicated frame is charged and scheduled twice with the *same*
+        frame object: the receiver dedups on the shared sequence number.
         """
         simulator = self.simulator
         dest_machine = channel.task.machine_id
@@ -284,9 +262,14 @@ class ReliableWire:
         dropped, duplicated, delay_by = self.on_send(link, seq)
         frame = _WireFrame(link, seq, channel, message, category)
         self.frames_sent += 1
-        if dropped or self.partitioned(sender_machine, dest_machine, departure):
+        if dropped:
             self.frames_dropped += 1
-            self._arm_retransmit(frame, departure)
+            # Timers are armed only for frames known lost (a deterministic-
+            # simulation shortcut: behaviourally equivalent to per-frame ack
+            # timeouts without modelling the ack traffic).
+            simulator._schedule_fault(
+                departure + RETRANSMIT_BASE, "retransmit", dest_machine, frame
+            )
             return
         carry = simulator.network.carry
         arrival = carry(wire_link, message.size, category, departure)
@@ -303,40 +286,15 @@ class ReliableWire:
             # times) is discarded by the receiver's dedup.
             simulator._schedule_fault(dup_arrival + delay_by, "frame", dest_machine, frame)
 
-    def _arm_retransmit(self, frame: _WireFrame, now: float) -> None:
-        """Arm the sender's retransmit timer for a lost frame.
-
-        Exponential backoff from ``RETRANSMIT_BASE``; once
-        ``RETRANSMIT_ATTEMPTS`` transmissions have been lost the link is
-        declared dead with a named error — the faulty run terminates either
-        way, never hangs.  Timers are armed only for frames known lost (a
-        deterministic-simulation shortcut: behaviourally equivalent to
-        per-frame ack timeouts without modelling the ack traffic).
-        """
-        if frame.attempts >= RETRANSMIT_ATTEMPTS:
-            raise UnreachableLinkError(frame.link, frame.attempts)
-        frame.attempts += 1
-        backoff = RETRANSMIT_BASE * (2 ** (frame.attempts - 1))
-        self.simulator._schedule_fault(now + backoff, "retransmit", frame.link[1], frame)
-
     def retransmit(self, frame: _WireFrame, time: float) -> None:
-        """A retransmit timer fired: resend the frame unless it got through."""
-        link = frame.link
-        if frame.seq < self.recv_next.get(link, 0) or frame.seq in self.reorder.get(
-            link, ()
-        ):
-            return  # a copy already reached the receiver; the timer dissolves
+        """A retransmit timer fired: send the lost frame again.
+
+        Only an original send can be dropped, so the one retransmit always
+        arrives.
+        """
         self.frames_sent += 1
         self.frames_retransmitted += 1
-        self.retransmit_histogram[frame.attempts] = (
-            self.retransmit_histogram.get(frame.attempts, 0) + 1
-        )
-        if self.partitioned(link[0], link[1], time):
-            # Still dark: this attempt is lost too.  Re-arming chains the
-            # backoff until the window heals or the budget raises.
-            self.frames_dropped += 1
-            self._arm_retransmit(frame, time)
-            return
+        link = frame.link
         simulator = self.simulator
         arrival = simulator.network.transfer(
             link[0], link[1], frame.message.size, frame.category, time
@@ -398,19 +356,6 @@ class ReliableWire:
         if message.kind in PRIORITY_KINDS:
             simulator._pending_priority[task.machine_id].append(time)
         simulator._deliver(task, message, time, channel.rank_base + frame.seq)
-
-    def partitioned(self, sender: int, receiver: int, now: float) -> bool:
-        """True when a partition window currently severs ``sender -> receiver``."""
-        if not self._partitions:
-            return False
-        for side_a, side_b, from_time, until_time in self._partitions:
-            if not from_time <= now < until_time:
-                continue
-            if (sender in side_a and receiver in side_b) or (
-                sender in side_b and receiver in side_a
-            ):
-                return True
-        return False
 
     def counters(self) -> dict[str, int]:
         """The degradation counters as a plain dict (RunResult.wire_counters)."""

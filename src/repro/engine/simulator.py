@@ -32,9 +32,8 @@ one-heap-event-per-delivery wire as the reference the tests pin this against.
 Two fault planes plug in behind ``install_faults`` and
 ``install_network_faults``.  A crash only suspends its machine's ticks:
 deliveries keep landing in its inbox and pending heap, control-plane
-messages are parked, and the restart arms the tick that takes them up (the
-parked ones first); an outage that outlasts the link-layer retry budget with
-traffic waiting fails the run with a named error.  The unreliable wire is
+messages are parked, and the restart, ``ACK_TIMEOUT`` after the crash, arms
+the tick that takes them up (the parked ones first).  The unreliable wire is
 :class:`~repro.engine.network.ReliableWire`, which the simulator hands every
 machine-to-machine send and the frame and retransmit events it scheduled.
 
@@ -56,12 +55,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Iterable
 
-from repro.engine.faults import (
-    ACK_TIMEOUT,
-    OUTAGE_RETRIES,
-    MachineUnreachableError,
-    OverlappingFaultError,
-)
+from repro.engine.faults import ACK_TIMEOUT, OverlappingFaultError
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
 from repro.engine.network import Link, Network, TrafficCategory
@@ -85,16 +79,16 @@ _TICK_RANK_BASE = 1 << 62
 _LINK_SPAN = 1 << 34
 _MACHINE_SPAN = 1 << 12  # > max machines + off-cluster sentinel
 
-# Fault-plane events (crash / restart / give-up check) rank above machine
-# ticks: at an equal instant every ordinary event of that time completes
-# first, so a crash always lands *between* handler events (fail-stop at
-# handler boundaries, see repro.engine.faults).  Within the band, restarts
-# order before checks, and a per-simulator serial breaks remaining ties so
-# heap entries never compare the _FaultEvent payloads themselves.  The
-# reliable wire's frame arrivals and retransmit timers ride the same band
-# (offsets 3 and 4): they too land between handler events.
+# Fault-plane events (crash / restart) rank above machine ticks: at an equal
+# instant every ordinary event of that time completes first, so a crash
+# always lands *between* handler events (fail-stop at handler boundaries, see
+# repro.engine.faults).  Within the band, crashes order before restarts, and
+# a per-simulator serial breaks remaining ties so heap entries never compare
+# the _FaultEvent payloads themselves.  The reliable wire's frame arrivals
+# and retransmit timers ride the same band (offsets 2 and 3): they too land
+# between handler events.
 _FAULT_RANK_BASE = 1 << 63
-_FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "retry": 2, "frame": 3, "retransmit": 4}
+_FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "frame": 2, "retransmit": 3}
 
 
 class Channel:
@@ -168,18 +162,16 @@ class SettledSegment:
 class _FaultEvent:
     """Heap payload of one fault-plane action targeting a machine id.
 
-    ``action`` is ``"crash"`` (carries the originating
-    :class:`~repro.engine.faults.FaultSpec`), ``"restart"`` or ``"retry"``
-    (carries its outage's restart time and retry number) for the crash
-    plane, or ``"frame"`` / ``"retransmit"`` (carrying the reliable wire's
-    frame) for the unreliable-wire plane.
+    ``action`` is ``"crash"`` or ``"restart"`` for the crash plane, or
+    ``"frame"`` / ``"retransmit"`` (carrying the reliable wire's frame) for
+    the unreliable-wire plane.
     """
 
-    __slots__ = ("action", "fault")
+    __slots__ = ("action", "frame")
 
-    def __init__(self, action: str, fault=None) -> None:
+    def __init__(self, action: str, frame=None) -> None:
         self.action = action
-        self.fault = fault
+        self.frame = frame
 
 
 class Simulator:
@@ -293,9 +285,9 @@ class Simulator:
         after = []
         for fault in recovery.schedule:
             if fault.at_time is not None:
-                self._schedule_fault(fault.at_time, "crash", fault.machine, fault)
+                self._schedule_fault(fault.at_time, "crash", fault.machine)
             else:
-                after.append((fault.after_events, fault))
+                after.append((fault.after_events, fault.machine))
         after.sort(key=lambda pair: pair[0])
         self._after_event_faults = after
 
@@ -304,8 +296,8 @@ class Simulator:
 
         Every on-cluster task send then goes to :meth:`ReliableWire.send`,
         which frames it, routes it through the fault schedule (drop,
-        duplicate, delay, partition) and releases it, in per-link send
-        order, to the normal delivery path.  Frame arrivals and retransmit
+        duplicate, delay) and releases it, in per-link send order, to the
+        normal delivery path.  Frame arrivals and retransmit
         timers are heap events in the fault rank band, so the faulty run
         stays fully deterministic under its seed.
         """
@@ -668,36 +660,36 @@ class Simulator:
     # ------------------------------------------------------------ fault plane
 
     def _schedule_fault(
-        self, time: float, action: str, machine_id: int, fault=None
+        self, time: float, action: str, machine_id: int, frame=None
     ) -> None:
         rank = _FAULT_RANK_BASE + (
             (_FAULT_ACTION_OFFSETS[action] * _MACHINE_SPAN + machine_id) * (1 << 30)
             + next(self._fault_serial)
         )
         heapq.heappush(
-            self._queue, (time, rank, machine_id, _FaultEvent(action, fault))
+            self._queue, (time, rank, machine_id, _FaultEvent(action, frame))
         )
 
     def _process_fault(self, machine_id: int, event: _FaultEvent, time: float) -> None:
         action = event.action
         if action == "crash":
-            self._crash_machine(machine_id, event.fault, time)
+            self._crash_machine(machine_id, time)
         elif action == "restart":
             self._restart_machine(machine_id, time)
         elif action == "frame":
-            self._wire.arrive(event.fault, time)
-        elif action == "retransmit":
-            self._wire.retransmit(event.fault, time)
+            self._wire.arrive(event.frame, time)
         else:
-            self._check_outage(machine_id, event.fault, time)
+            self._wire.retransmit(event.frame, time)
 
-    def _crash_machine(self, machine_id: int, fault, time: float) -> None:
+    def _crash_machine(self, machine_id: int, time: float) -> None:
         """Fail-stop ``machine_id``: drop its volatile state, suspend its ticks.
 
         Its inbox, pending wire entries and open channel runs stay where they
         are — deliveries keep arriving there, and the restart's reviving tick
         picks them all up — and work already accepted (``busy_until``) counts
-        as completed, per the handler-boundary crash model.
+        as completed, per the handler-boundary crash model.  The coordinator
+        detects the failure at the ack timeout and brings up the blank
+        replacement immediately.
         """
         if machine_id in self._crashed:
             raise OverlappingFaultError(machine_id, time)
@@ -707,22 +699,7 @@ class Simulator:
         self._tick_at[machine_id] = None
         self._wake_for[machine_id] = None
         self._recovery.on_crash(machine_id, time)
-        delay = fault.restart_after
-        if delay is None:
-            # Coordinator detects the failure at the ack timeout and brings
-            # up the blank replacement immediately.
-            delay = ACK_TIMEOUT
-        restart = time + delay
-        self._schedule_fault(restart, "restart", machine_id)
-        # Traffic waiting for the machine is retried ACK_TIMEOUT after the
-        # crash, then after twice the previous wait each time.  The first
-        # OUTAGE_RETRIES retries never give up, so only the next one is
-        # checked, and only if the outage outlasts it.
-        check = time
-        for retry in range(OUTAGE_RETRIES + 1):
-            check += ACK_TIMEOUT * 2**retry
-        if check < restart:
-            self._schedule_fault(check, "retry", machine_id, (restart, OUTAGE_RETRIES + 1))
+        self._schedule_fault(time + ACK_TIMEOUT, "restart", machine_id)
 
     def _restart_machine(self, machine_id: int, time: float) -> None:
         """Blank replacement up: restore from the checkpoint store, replay the
@@ -741,30 +718,6 @@ class Simulator:
             # behind data), serialized after the restore work via the
             # machine's busy chain.
             self._execute(task, message, max(time, machine.busy_until))
-
-    def _check_outage(self, machine_id: int, retry: tuple, time: float) -> None:
-        """Give-up check of an outage's link-layer retry.
-
-        ``retry`` is ``(restart, number)``: the restart time of the outage
-        that scheduled the check and the retry's number.  Traffic due at the
-        machine — in its inbox, parked, or on its pending heap — makes the
-        run fail with :class:`MachineUnreachableError`; otherwise the next
-        retry, after twice the previous wait, is checked if the outage still
-        lasts then.  A check is only scheduled before its outage's restart,
-        so it never outlives that outage (a later crash of the machine
-        starts a fresh chain).
-        """
-        pending = self._pending_wire[machine_id]
-        if (
-            self._inboxes[machine_id]
-            or machine_id in self._parked
-            or (pending and pending[0][0] <= time)
-        ):
-            raise MachineUnreachableError(machine_id, OUTAGE_RETRIES)
-        restart, number = retry
-        check = time + ACK_TIMEOUT * 2**number
-        if check < restart:
-            self._schedule_fault(check, "retry", machine_id, (restart, number + 1))
 
     def _deliver(self, task: Task, message: Message, time: float, rank: int = 0) -> None:
         machine = task.hosted_machine
@@ -1030,8 +983,7 @@ class Simulator:
                     self._deliver(target, message, time, rank)
                 if self.events_processed >= watch:
                     while after_faults and self.events_processed >= after_faults[0][0]:
-                        fault = after_faults.pop(0)[1]
-                        self._crash_machine(fault.machine, fault, now)
+                        self._crash_machine(after_faults.pop(0)[1], now)
                     if self.events_processed >= limit:
                         raise RuntimeError(
                             f"simulation exceeded {max_events} events; "

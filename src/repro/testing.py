@@ -131,7 +131,6 @@ NETWORK_FIELDS = frozenset(
         "routing_volume",
         "migration_volume",
         "total_network_volume",
-        "retransmit_histogram",
         "wire_counters",
     }
 )
@@ -270,12 +269,6 @@ def assert_run_equivalent(
         result_a.total_network_volume,
         result_b.total_network_volume,
         "total network volume",
-    )
-    check(
-        "retransmit_histogram",
-        result_a.retransmit_histogram,
-        result_b.retransmit_histogram,
-        "retransmit_histogram",
     )
     check(
         "wire_counters",

@@ -42,7 +42,6 @@ from repro.api import (
     delay,
     drop,
     duplicate,
-    partition,
 )
 from repro.core.baselines import OPERATORS
 from repro.core.operator import AdaptiveJoinOperator, GridJoinOperator
@@ -87,7 +86,7 @@ CONFIGS = {
     "no_memory_cap": RunConfig(machines=4, batching="per_tuple", memory_capacity=None),
     "crash_schedule": RunConfig(
         machines=8,
-        fault_schedule=[crash(3, 12.5), crash_after_events(1, 400, restart_after=2.0)],
+        fault_schedule=[crash(3, 12.5), crash_after_events(1, 400)],
         checkpoint_interval=50,
     ),
     "network_faults": RunConfig(
@@ -96,7 +95,6 @@ CONFIGS = {
             drop((0, 1), 3),
             duplicate((2, 5), 1),
             delay((3, 6), 4, by=2.5),
-            partition((0, 1), (4, 5), 5.0, 9.0),
         ],
     ),
 }
@@ -250,9 +248,9 @@ class TestRecoveryKnobs:
             ("fault_schedule", [crash(0, 1.0), 42], "crash()/crash_after_events()"),
             # A network fault is not a crash, and a crash is not a network fault.
             ("fault_schedule", [drop((0, 1), 1)], "crash()/crash_after_events()"),
-            ("network_faults", 7, "drop()/duplicate()/delay()/partition()"),
-            ("network_faults", "drop", "drop()/duplicate()/delay()/partition()"),
-            ("network_faults", [crash(0, 1.0)], "drop()/duplicate()/delay()/partition()"),
+            ("network_faults", 7, "drop()/duplicate()/delay()"),
+            ("network_faults", "drop", "drop()/duplicate()/delay()"),
+            ("network_faults", [crash(0, 1.0)], "drop()/duplicate()/delay()"),
         ],
         ids=[
             "crashes-str", "crashes-dict", "crashes-mixed", "crashes-network-spec",
@@ -344,7 +342,9 @@ class TestRetiredKnobs:
 
     def test_field_counts(self):
         assert len(dataclasses.fields(RunConfig)) == 13
-        assert len(dataclasses.fields(RunResult)) == 37
+        assert len(dataclasses.fields(RunResult)) == 36
+        assert len(dataclasses.fields(FaultSpec)) == 3
+        assert len(dataclasses.fields(NetworkFaultSpec)) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ class TestRetiredKnobs:
 
 class TestRegistries:
     def test_builtins_registered(self):
-        assert set(OPERATORS) == {"Dynamic", "Grid", "SHJ", "StaticMid", "StaticOpt"}
+        assert set(OPERATORS) == {"Dynamic", "SHJ", "StaticMid", "StaticOpt"}
         assert set(JOINERS) == {"band", "equi", "theta"}
 
     def test_unknown_name_lists_choices(self, eq5_query):
@@ -655,6 +655,30 @@ class TestStreamingIngestion:
         snap = session.push(right=eq5_query.right_records[:5])
         assert snap.tuples_pushed == 5
         session.finish()
+
+    def test_streaming_rejects_time_anchored_crashes(self, eq5_query):
+        """Every push runs the simulation dry, so ``crash(3, 400.0)`` would
+        fire during the first push of 100 tuples dated 0-99, ahead of the
+        tuples later pushes date 100-399.  Opening the stream, explicitly or
+        lazily, refuses it and names the event-anchored form."""
+        knobs = dict(machines=8, inter_arrival=1.0, checkpoint_interval=50)
+        order = _arrival_order(eq5_query, seed=5)
+        session = JoinSession(eq5_query, fault_schedule=[crash(3, 400.0)], **knobs)
+        with pytest.raises(ValueError, match="crash_after_events"):
+            session.push(items=order[:100])
+        assert not session.streaming
+        with pytest.raises(ValueError, match="crash_after_events"):
+            session.open_stream()
+        with pytest.raises(ValueError, match="crash_after_events"):
+            JoinSession(eq5_query, **knobs).open_stream(
+                fault_schedule=[crash_after_events(1, 50), crash(3, 400.0)]
+            )
+        session = JoinSession(
+            eq5_query, fault_schedule=[crash_after_events(3, 400)], **knobs
+        )
+        for start in range(0, len(order), 100):
+            session.push(items=order[start:start + 100])
+        assert session.finish().faults_injected == 1
 
     def test_push_rejects_wrong_relation(self, eq5_query, bnci_query):
         session = JoinSession(eq5_query, machines=8)

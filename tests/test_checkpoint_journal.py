@@ -670,7 +670,7 @@ class TestJoinerJournalPolicy:
         operator = AdaptiveJoinOperator(
             query, config=RunConfig(machines=4, seed=5, checkpoint_interval=3)
         )
-        simulator, topology = operator.build_execution(expected_inputs=len(order))
+        simulator, topology = operator.build_execution()
         manager = simulator._recovery
         kinds = []
         real_snapshot = manager.store.snapshot

@@ -98,13 +98,6 @@ class TestMachine:
             assert machine.received_size == pytest.approx(received)
             assert machine.is_over_memory == (sum(live) > 5.0)
 
-    def test_reset_clock(self):
-        machine = Machine(machine_id=0, cost_model=CostModel())
-        machine.occupy(0.0, 3.0)
-        machine.reset_clock()
-        assert machine.busy_until == 0.0
-        assert machine.busy_time == 0.0
-
 
 class TestNetwork:
     def test_counts_volume_per_category(self):
@@ -113,7 +106,6 @@ class TestNetwork:
         network.transfer(0, 2, 5.0, TrafficCategory.MIGRATION, now=0.0)
         assert network.routing_volume() == 10.0
         assert network.migration_volume() == 5.0
-        assert network.data_volume() == 15.0
         assert network.total_volume() == 15.0
 
     def test_local_delivery_not_counted(self):

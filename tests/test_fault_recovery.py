@@ -12,12 +12,11 @@ Pins the fault-tolerant join plane's contract:
   counted in ``faults_injected``.
 * **Deterministic replay** — running the same crash schedule twice is
   bit-identical (``events=True``), so recovery itself is deterministic.
-* **Error paths** — overlapping faults, unreachable machines after retry
-  exhaustion, and invalid :class:`FaultSpec` construction all fail eagerly
-  with actionable messages.
-* **Give-up check** — an outage gives up on the traffic waiting for its
-  machine at the first retry past the budget, +315 vt after its own crash,
-  whatever outages the machine had before.
+* **Error paths** — overlapping faults and invalid :class:`FaultSpec`
+  construction fail with actionable messages.
+* **Restart timing** — every outage ends :data:`ACK_TIMEOUT` after its own
+  crash, however many outages the machine had before, so a crash schedule
+  always runs to completion.
 
 Twin runs share ONE materialised arrival order (``StreamTuple`` ids come from
 a global counter, so independently materialised streams get different ids).
@@ -32,9 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.operator as operator_module
 from repro.api import (
-    MachineUnreachableError,
     OverlappingFaultError,
     RunConfig,
     crash,
@@ -43,8 +40,8 @@ from repro.api import (
 from repro.core.baselines import StaticMidOperator
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
-from repro.engine.faults import OUTAGE_RETRIES, FaultSpec, normalize_fault_schedule
-from repro.engine.simulator import Simulator
+from repro.core.recovery import RecoveryManager
+from repro.engine.faults import ACK_TIMEOUT, FaultSpec, normalize_fault_schedule
 from repro.engine.stream import interleave_streams, make_tuples
 from repro.joins.predicates import CompositePredicate, EquiPredicate
 from repro.storage import CheckpointStore
@@ -173,9 +170,7 @@ class TestCheckpointStore:
 
 class TestFaultSpec:
     def test_helpers_build_specs(self):
-        assert crash(3, 12.5, restart_after=2.0) == FaultSpec(
-            machine=3, at_time=12.5, restart_after=2.0
-        )
+        assert crash(3, 12.5) == FaultSpec(machine=3, at_time=12.5)
         assert crash_after_events(1, 400) == FaultSpec(machine=1, after_events=400)
 
     @pytest.mark.parametrize(
@@ -187,7 +182,12 @@ class TestFaultSpec:
             ({"machine": 0, "at_time": 1.0, "after_events": 5}, "exactly one"),
             ({"machine": 0, "at_time": -0.5}, "at_time"),
             ({"machine": 0, "after_events": 0}, "after_events"),
-            ({"machine": 0, "at_time": 1.0, "restart_after": 0.0}, "restart_after"),
+            ({"machine": "3", "at_time": 1.0}, "machine"),
+            ({"machine": 0, "at_time": "1.0"}, "at_time"),
+            ({"machine": 0, "at_time": True}, "at_time"),
+            ({"machine": 0, "after_events": 2.5}, "after_events"),
+            ({"machine": 0, "after_events": True}, "after_events"),
+            ({"machine": 0, "after_events": -3}, "after_events"),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs, pattern):
@@ -325,20 +325,6 @@ class TestCrashRecovery:
         assert first.recovery_time == second.recovery_time
         assert first.tuples_replayed == second.tuples_replayed
 
-    def test_explicit_restart_after(self, queries):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batching="per_tuple")
-        crashed = _run(
-            query,
-            order,
-            checkpoint_interval=50,
-            batching="per_tuple",
-            fault_schedule=[crash_after_events(3, 500, restart_after=2.0)],
-        )
-        assert crashed.faults_injected == 1
-        assert sorted(crashed.outputs) == sorted(twin.outputs)
-
     def test_multiple_crashes_on_distinct_machines(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
@@ -369,24 +355,10 @@ class TestFaultErrorPaths:
                 batching="per_tuple",
                 checkpoint_interval=50,
                 fault_schedule=[
-                    crash_after_events(3, 500, restart_after=1e9),
+                    crash_after_events(3, 500),
                     crash_after_events(3, 501),
                 ],
             )
-
-    def test_retry_exhaustion_raises_unreachable(self, queries):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        with pytest.raises(RuntimeError, match="unreachable") as caught:
-            _run(
-                query,
-                order,
-                batching="per_tuple",
-                checkpoint_interval=50,
-                fault_schedule=[crash_after_events(3, 500, restart_after=1e9)],
-            )
-        assert caught.value.retries == OUTAGE_RETRIES
-
 
     def test_overlapping_fault_error_names_machine_and_time(self, queries):
         query = queries["equi"]
@@ -397,7 +369,7 @@ class TestFaultErrorPaths:
                 batching="per_tuple",
                 checkpoint_interval=50,
                 fault_schedule=[
-                    crash_after_events(3, 500, restart_after=1e9),
+                    crash_after_events(3, 500),
                     crash_after_events(3, 501),
                 ],
             )
@@ -409,86 +381,100 @@ class TestFaultErrorPaths:
             error
         )
 
-    def test_machine_unreachable_error_names_machine_and_retries(self, queries):
-        query = queries["equi"]
-        with pytest.raises(MachineUnreachableError) as caught:
-            _run(
-                query,
-                _arrival_order(query),
-                batching="per_tuple",
-                checkpoint_interval=50,
-                fault_schedule=[crash_after_events(3, 500, restart_after=1e9)],
-            )
-        error = caught.value
-        assert isinstance(error, RuntimeError)
-        assert (error.machine, error.retries) == (3, OUTAGE_RETRIES)
-        assert str(error) == f"machine 3 unreachable after {OUTAGE_RETRIES} retries"
-
 
 # ---------------------------------------------------------------------------
-# Give-up check: one outage, one retry chain
+# Restart timing: every outage ends ACK_TIMEOUT after its own crash
 # ---------------------------------------------------------------------------
 
-#: Virtual time from a crash to the first link-layer retry that can give up:
-#: the retries wait ACK_TIMEOUT (5), then twice the previous wait, and the
-#: first OUTAGE_RETRIES (5) of them never give up, so 5 * (2**6 - 1).
-GIVE_UP = 315.0
+@pytest.fixture()
+def outages(monkeypatch):
+    """Record every crash and restart the recovery manager sees, in order,
+    as ``(action, machine, virtual time)``."""
+    log = []
+    on_crash, on_restart = RecoveryManager.on_crash, RecoveryManager.on_restart
+
+    def recorded_crash(self, machine_id, time):
+        log.append(("crash", machine_id, time))
+        return on_crash(self, machine_id, time)
+
+    def recorded_restart(self, machine_id, time):
+        log.append(("restart", machine_id, time))
+        return on_restart(self, machine_id, time)
+
+    monkeypatch.setattr(RecoveryManager, "on_crash", recorded_crash)
+    monkeypatch.setattr(RecoveryManager, "on_restart", recorded_restart)
+    return log
 
 
-def _unreachable_at(monkeypatch, query, schedule, plane):
-    """Run ``schedule`` to its :class:`MachineUnreachableError` for machine 3;
-    returns the virtual time the error fired at."""
-    simulators = []
-
-    class Recorded(Simulator):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            simulators.append(self)
-
-    monkeypatch.setattr(operator_module, "Simulator", Recorded)
+def _crash_run(queries, plane, schedule):
+    """Run ``schedule`` on the equi query; returns ``(twin, crashed)``."""
+    order, twin = _twin(queries, "equi", plane)
     overrides, _ = _plane_overrides(plane)
-    with pytest.raises(MachineUnreachableError) as caught:
-        _run(
-            query,
-            _arrival_order(query),
-            checkpoint_interval=50,
-            fault_schedule=schedule,
-            **overrides,
-        )
-    assert (caught.value.machine, caught.value.retries) == (3, OUTAGE_RETRIES)
-    return simulators[-1].now
+    crashed = _run(
+        queries["equi"],
+        order,
+        checkpoint_interval=50,
+        fault_schedule=schedule,
+        **overrides,
+    )
+    return twin, crashed
 
 
-class TestGiveUpCheck:
-    # The crashes land at t=10, early in a run that lasts ~156 vt fault-free,
-    # so traffic for machine 3 is waiting whenever the check fires.
+class TestRestartTiming:
+    # The timed crashes land from t=10, early in a run that lasts ~156 vt
+    # fault-free, so traffic for machine 3 is waiting at every restart.
 
     @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_second_outage_gives_up_on_its_own_clock(self, queries, monkeypatch, plane):
-        """A short first outage leaves nothing behind: the second one gives
-        up 315 vt after its own crash, not earlier on the first one's retries."""
-        schedule = [crash(3, 10.0, restart_after=6.0), crash(3, 17.0, restart_after=1000.0)]
-        assert _unreachable_at(monkeypatch, queries["equi"], schedule, plane) == 17.0 + GIVE_UP
-
-    @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_outage_past_the_check_gives_up_at_it(self, queries, monkeypatch, plane):
-        schedule = [crash(3, 10.0, restart_after=GIVE_UP + 1.0)]
-        assert _unreachable_at(monkeypatch, queries["equi"], schedule, plane) == 10.0 + GIVE_UP
-
-    @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_restart_at_the_check_recovers(self, queries, plane):
-        """A restart at the check's own instant comes first: the run recovers
-        to the fault-free output."""
-        order, twin = _twin(queries, "equi", plane)
-        overrides, _ = _plane_overrides(plane)
-        crashed = _run(
-            queries["equi"],
-            order,
-            checkpoint_interval=50,
-            fault_schedule=[crash(3, 10.0, restart_after=GIVE_UP)],
-            **overrides,
-        )
+    def test_timed_crash_restarts_after_ack_timeout(self, queries, outages, plane):
+        twin, crashed = _crash_run(queries, plane, [crash(3, 10.0)])
+        assert outages == [("crash", 3, 10.0), ("restart", 3, 10.0 + ACK_TIMEOUT)]
         assert crashed.faults_injected == 1
+        assert sorted(crashed.outputs) == sorted(twin.outputs)
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_event_anchored_crash_restarts_after_ack_timeout(
+        self, queries, outages, plane
+    ):
+        _, events = _plane_overrides(plane)
+        twin, crashed = _crash_run(queries, plane, [crash_after_events(3, events)])
+        (_, machine, crashed_at), restart = outages
+        assert machine == 3
+        assert restart == ("restart", 3, crashed_at + ACK_TIMEOUT)
+        assert sorted(crashed.outputs) == sorted(twin.outputs)
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_second_outage_restarts_on_its_own_clock(self, queries, outages, plane):
+        """A first outage leaves nothing behind: the second one lasts
+        ACK_TIMEOUT from its own crash."""
+        twin, crashed = _crash_run(queries, plane, [crash(3, 10.0), crash(3, 17.0)])
+        assert outages == [
+            ("crash", 3, 10.0),
+            ("restart", 3, 10.0 + ACK_TIMEOUT),
+            ("crash", 3, 17.0),
+            ("restart", 3, 17.0 + ACK_TIMEOUT),
+        ]
+        assert crashed.faults_injected == 2
+        assert sorted(crashed.outputs) == sorted(twin.outputs)
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_crash_just_after_the_restart_recovers(self, queries, outages, plane):
+        later = 10.0 + ACK_TIMEOUT + 0.5
+        twin, crashed = _crash_run(queries, plane, [crash(3, 10.0), crash(3, later)])
+        assert [entry for entry in outages if entry[0] == "crash"] == [
+            ("crash", 3, 10.0),
+            ("crash", 3, later),
+        ]
+        assert sorted(crashed.outputs) == sorted(twin.outputs)
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_back_to_back_outages_run_to_completion(self, queries, outages, plane):
+        """Machine 3 is down for most of a 60 vt stretch: the traffic that
+        waits for it is never given up on, and the output is the twin's."""
+        schedule = [crash(3, 10.0 + step * (ACK_TIMEOUT + 0.5)) for step in range(10)]
+        twin, crashed = _crash_run(queries, plane, schedule)
+        assert crashed.faults_injected == len(schedule)
+        restarts = [time for action, _, time in outages if action == "restart"]
+        assert restarts == [fault.at_time + ACK_TIMEOUT for fault in schedule]
         assert sorted(crashed.outputs) == sorted(twin.outputs)
 
 

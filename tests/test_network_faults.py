@@ -2,12 +2,13 @@
 
 Pins the unreliable-wire plane's contract:
 
-* **Spec and config validation** — :class:`NetworkFaultSpec` shapes, the
-  JSON round trip, machine-range checks, retry knobs, and the eager
-  rejection of statically-provable overlapping crash windows.
-* **Masking** — under any drop/duplicate/delay/partition schedule the run
-  terminates and its join output multiset equals the fault-free twin's, on
-  both data planes, including cells composed with machine crashes.
+* **Spec and config validation** — :class:`NetworkFaultSpec` shapes,
+  machine-range checks, and the eager rejection of statically-provable
+  overlapping crash windows.
+* **Masking** — under any drop/duplicate/delay schedule the run terminates,
+  every dropped frame is retransmitted exactly once, and the join output
+  multiset equals the fault-free twin's, on both data planes, including
+  cells composed with machine crashes.
 * **Clean-path bit-identity** — ``network_faults=()`` leaves every run
   bit-identical to a build without the wire plane (heap events included).
 * **Determinism** — the same fault schedule under the same seed reproduces
@@ -33,18 +34,18 @@ from hypothesis import strategies as st
 
 from repro.api import (
     NetworkFaultSpec,
+    OverlappingFaultError,
     RunConfig,
-    UnreachableLinkError,
     crash,
     crash_after_events,
     delay,
     drop,
     duplicate,
-    partition,
 )
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import make_query
-from repro.engine.faults import RETRANSMIT_ATTEMPTS, normalize_network_faults
+from repro.engine.faults import ACK_TIMEOUT, RETRANSMIT_BASE, normalize_network_faults
+from repro.engine.network import ReliableWire
 from repro.engine.stream import ArrivalSchedule, interleave_streams, make_tuples
 from repro.storage import CheckpointCorruptionError, CheckpointStore
 from repro.testing import assert_run_equivalent
@@ -118,10 +119,6 @@ class TestNetworkFaultSpec:
         assert delay((3, 6), 4, by=2.5) == NetworkFaultSpec(
             kind="delay", link=(3, 6), nth=4, by=2.5
         )
-        assert partition([0, 1], [4, 5], 5.0, 9.0) == NetworkFaultSpec(
-            kind="partition", machines_a=(0, 1), machines_b=(4, 5),
-            from_time=5.0, until_time=9.0,
-        )
 
     @pytest.mark.parametrize(
         ("kwargs", "pattern"),
@@ -134,47 +131,17 @@ class TestNetworkFaultSpec:
             ({"kind": "drop", "link": (0, 1), "nth": 0}, "nth"),
             ({"kind": "drop", "link": (0, 1), "nth": True}, "nth"),
             ({"kind": "drop", "link": (0, 1), "nth": 1, "by": 2.0}, "only valid for delay"),
-            ({"kind": "drop", "link": (0, 1), "nth": 1, "machines_a": (2,)}, "not machines_a"),
             ({"kind": "delay", "link": (0, 1), "nth": 1}, "by"),
             ({"kind": "delay", "link": (0, 1), "nth": 1, "by": 0.0}, "by"),
             ({"kind": "delay", "link": (0, 1), "nth": 1, "by": -1.0}, "by"),
-            (
-                {"kind": "partition", "machines_a": (), "machines_b": (1,),
-                 "from_time": 0.0, "until_time": 1.0},
-                "machines_a",
-            ),
-            (
-                {"kind": "partition", "machines_a": (0, 1), "machines_b": (1, 2),
-                 "from_time": 0.0, "until_time": 1.0},
-                "disjoint",
-            ),
-            (
-                {"kind": "partition", "machines_a": (0, 0), "machines_b": (1,),
-                 "from_time": 0.0, "until_time": 1.0},
-                "duplicate",
-            ),
-            (
-                {"kind": "partition", "machines_a": (0,), "machines_b": (1,),
-                 "from_time": -1.0, "until_time": 1.0},
-                "from_time",
-            ),
-            (
-                {"kind": "partition", "machines_a": (0,), "machines_b": (1,),
-                 "from_time": 2.0, "until_time": 2.0},
-                "non-empty",
-            ),
-            (
-                {"kind": "partition", "machines_a": (0,), "machines_b": (1,),
-                 "from_time": 0.0, "until_time": 1.0, "link": (0, 1)},
-                "not link",
-            ),
             # A spec is built in code: lists are not coerced (the helpers are).
             ({"kind": "drop", "link": [0, 1], "nth": 1}, "link"),
-            (
-                {"kind": "partition", "machines_a": [0], "machines_b": (1,),
-                 "from_time": 0.0, "until_time": 1.0},
-                "machines_a",
-            ),
+            # The one fault model: a partition is no longer a kind.
+            ({"kind": "partition", "link": (0, 1), "nth": 1}, "kind must be one of"),
+            ({"kind": "drop", "link": (True, 1), "nth": 1}, "link"),
+            ({"kind": "drop", "link": (0, 1), "nth": "1"}, "nth"),
+            ({"kind": "delay", "link": (0, 1), "nth": 1, "by": True}, "by"),
+            ({"kind": "delay", "link": (0, 1), "nth": 1, "by": "2.0"}, "by"),
         ],
     )
     def test_invalid_specs_rejected(self, kwargs, pattern):
@@ -193,38 +160,30 @@ class TestNetworkFaultSpec:
         with pytest.raises(ValueError, match="NetworkFaultSpec"):
             normalize_network_faults([{"kind": "duplicate", "link": (2, 3), "nth": 4}])
 
-    def test_unreachable_link_error_names_link_and_attempts(self):
-        error = UnreachableLinkError((2, 6), 4)
-        assert error.link == (2, 6)
-        assert error.attempts == 4
-        assert "2->6" in str(error) and "4 retransmit attempts" in str(error)
-
 
 # ---------------------------------------------------------------------------
 # RunConfig validation (knobs, ranges, eager overlap rejection)
 # ---------------------------------------------------------------------------
 
 class TestConfigValidation:
-    def test_machine_range_checked_for_links_and_partitions(self):
+    def test_machine_range_checked_for_links(self):
         with pytest.raises(ValueError, match="out of range"):
             _config(network_faults=[drop((0, MACHINES), 1)])
         with pytest.raises(ValueError, match="out of range"):
-            _config(
-                network_faults=[partition((0,), (MACHINES + 3,), 0.0, 1.0)]
-            )
+            _config(network_faults=[delay((MACHINES + 3, 0), 1, by=1.0)])
 
     def test_network_faults_require_non_blocking(self):
         with pytest.raises(ValueError, match="non-blocking"):
             _config(blocking=True, batching="per_tuple", network_faults=[drop((0, 1), 1)])
 
     def test_overlapping_time_anchored_crashes_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="overlapping fault_schedule"):
-            _config(
-                fault_schedule=[crash(3, 10.0, restart_after=5.0), crash(3, 12.0)]
-            )
-        # The default restart instant is ACK_TIMEOUT (5.0) after the crash.
+        # The restart instant is ACK_TIMEOUT (5.0) after the crash.
         with pytest.raises(ValueError, match="overlapping fault_schedule"):
             _config(fault_schedule=[crash(3, 10.0), crash(3, 12.0)])
+        with pytest.raises(ValueError, match="overlapping fault_schedule"):
+            _config(
+                fault_schedule=[crash(3, 10.0 + ACK_TIMEOUT - 0.1), crash(3, 10.0)]
+            )
 
     def test_identical_event_anchors_rejected_eagerly(self):
         with pytest.raises(ValueError, match="same event anchor"):
@@ -232,16 +191,32 @@ class TestConfigValidation:
                 fault_schedule=[crash_after_events(3, 500), crash_after_events(3, 500)]
             )
 
+    def test_crash_at_the_restart_instant_rejected_eagerly(self, queries, monkeypatch):
+        schedule = [crash(3, 10.0), crash(3, 10.0 + ACK_TIMEOUT)]
+        with pytest.raises(ValueError, match="restarts at t=15.0"):
+            _config(fault_schedule=schedule)
+        # The eager rule mirrors the run: at an equal instant the crash pops
+        # before the restart, so the machine is still down when it fires.
+        monkeypatch.setattr(RunConfig, "_check_fault_overlaps", lambda self: None)
+        query = queries["equi"]
+        with pytest.raises(OverlappingFaultError) as caught:
+            _run(
+                query,
+                _arrival_order(query),
+                batching="per_tuple",
+                checkpoint_interval=50,
+                fault_schedule=schedule,
+            )
+        assert (caught.value.machine, caught.value.time) == (3, 10.0 + ACK_TIMEOUT)
+
     def test_non_overlapping_schedules_accepted(self):
-        _config(fault_schedule=[crash(3, 10.0, restart_after=2.0), crash(3, 13.0)])
-        _config(fault_schedule=[crash(3, 10.0, restart_after=5.0), crash(4, 12.0)])
+        # Back up just after ACK_TIMEOUT: the next crash may fire then.
+        _config(fault_schedule=[crash(3, 10.0), crash(3, 10.0 + ACK_TIMEOUT + 0.5)])
+        _config(fault_schedule=[crash(3, 10.0), crash(4, 12.0)])
         # Distinct event anchors depend on the runtime timeline: still allowed
         # at construction (the simulator keeps its runtime overlap error).
         _config(
-            fault_schedule=[
-                crash_after_events(3, 500, restart_after=1e9),
-                crash_after_events(3, 501),
-            ]
+            fault_schedule=[crash_after_events(3, 500), crash_after_events(3, 501)]
         )
 
 
@@ -258,7 +233,6 @@ class TestCleanPathBitIdentity:
         gated = _run(query, order, network_faults=(), **PLANES[plane])
         assert_run_equivalent(reference, gated, events=True, label=f"clean:{plane}")
         assert gated.wire_counters is None
-        assert gated.retransmit_histogram is None
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +253,8 @@ class TestWireMasking:
             **PLANES[plane],
         )
         assert faulty.wire_counters["dropped"] > 0, f"{kind}/{plane}: no drop fired"
-        assert faulty.wire_counters["retransmitted"] > 0
+        # One retransmit per lost frame, and it always gets through.
+        assert faulty.wire_counters["retransmitted"] == faulty.wire_counters["dropped"]
         assert sorted(faulty.outputs) == sorted(twin.outputs), f"{kind}/{plane}"
         assert faulty.output_count == twin.output_count
         _assert_counters_reconcile(faulty, f"drop:{kind}/{plane}")
@@ -316,25 +291,6 @@ class TestWireMasking:
         _assert_counters_reconcile(faulty, f"delay:{plane}")
 
     @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_partition_window_masked(self, queries, plane):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        twin = _run(query, order, **PLANES[plane])
-        window = (twin.execution_time * 0.2, twin.execution_time * 0.5)
-        faulty = _run(
-            query,
-            order,
-            network_faults=[
-                partition((0, 1, 2, 3), (4, 5, 6, 7), window[0], window[1])
-            ],
-            **PLANES[plane],
-        )
-        assert faulty.wire_counters["dropped"] > 0, f"{plane}: partition saw no traffic"
-        assert faulty.wire_counters["retransmitted"] > 0
-        assert sorted(faulty.outputs) == sorted(twin.outputs), plane
-        _assert_counters_reconcile(faulty, f"partition:{plane}")
-
-    @pytest.mark.parametrize("plane", sorted(PLANES))
     def test_mixed_schedule_masked(self, queries, plane):
         query = queries["equi"]
         order = _arrival_order(query)
@@ -342,6 +298,68 @@ class TestWireMasking:
         faulty = _run(query, order, network_faults=MIXED_FAULTS, **PLANES[plane])
         assert sorted(faulty.outputs) == sorted(twin.outputs), plane
         _assert_counters_reconcile(faulty, f"mixed:{plane}")
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_drops_across_a_cut_masked(self, queries, plane):
+        """The first send on every link from machines 0-3 to 4-7 is lost:
+        each loss costs one retransmit and the output is the twin's."""
+        query = queries["equi"]
+        order = _arrival_order(query)
+        twin = _run(query, order, **PLANES[plane])
+        cut = [drop((a, b), 1) for a in range(4) for b in range(4, MACHINES)]
+        faulty = _run(query, order, network_faults=cut, **PLANES[plane])
+        assert faulty.wire_counters["dropped"] == len(cut), plane
+        assert faulty.wire_counters["retransmitted"] == len(cut)
+        assert sorted(faulty.outputs) == sorted(twin.outputs), plane
+        _assert_counters_reconcile(faulty, f"cut:{plane}")
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_a_run_of_drops_on_one_link_masked(self, queries, plane):
+        """Forty consecutive lost sends on one link never exhaust anything:
+        the run ends with every frame delivered and the twin's output."""
+        query = queries["equi"]
+        order = _arrival_order(query)
+        twin = _run(query, order, **PLANES[plane])
+        faulty = _run(
+            query,
+            order,
+            network_faults=[drop((0, 1), nth) for nth in range(1, 41)],
+            **PLANES[plane],
+        )
+        assert faulty.wire_counters["dropped"] > 1, f"{plane}: the link saw no run"
+        assert faulty.wire_counters["retransmitted"] == faulty.wire_counters["dropped"]
+        assert sorted(faulty.outputs) == sorted(twin.outputs), plane
+        _assert_counters_reconcile(faulty, f"run-of-drops:{plane}")
+
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_lost_frame_resent_once_retransmit_base_after_its_send(
+        self, queries, monkeypatch, plane
+    ):
+        departures = {}
+        resends = []
+        send, retransmit = ReliableWire.send, ReliableWire.retransmit
+
+        def recorded_send(self, sender_machine, channel, message, category, departure):
+            link = (sender_machine, channel.task.machine_id)
+            departures[(link, channel.link.sequence)] = departure
+            send(self, sender_machine, channel, message, category, departure)
+
+        def recorded_retransmit(self, frame, time):
+            resends.append((frame.link, frame.seq, time))
+            retransmit(self, frame, time)
+
+        monkeypatch.setattr(ReliableWire, "send", recorded_send)
+        monkeypatch.setattr(ReliableWire, "retransmit", recorded_retransmit)
+        query = queries["equi"]
+        faulty = _run(
+            query,
+            _arrival_order(query),
+            network_faults=[drop((0, 1), 2)],
+            **PLANES[plane],
+        )
+        assert faulty.wire_counters["dropped"] == 1, plane
+        # nth=2 is the link's 0-based sequence number 1.
+        assert resends == [((0, 1), 1, departures[((0, 1), 1)] + RETRANSMIT_BASE)]
 
     def test_faulty_run_is_deterministic(self, queries):
         query = queries["equi"]
@@ -353,15 +371,6 @@ class TestWireMasking:
         # degradation counter must reproduce bit for bit.
         assert_run_equivalent(first, second, events=True, label="faulty-twice")
         assert first.wire_counters == second.wire_counters
-        assert first.retransmit_histogram == second.retransmit_histogram
-
-    def test_retransmit_histogram_records_backoff_depth(self, queries):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        faulty = _run(
-            query, order, network_faults=[drop((0, 1), 1)], batching="per_tuple"
-        )
-        assert faulty.retransmit_histogram == {1: 1}
 
     def test_reorder_buffers_drain_by_end_of_run(self, queries):
         # Manual plumbing mirror of operator.run, to inspect the wire state.
@@ -370,9 +379,7 @@ class TestWireMasking:
         config = _config(network_faults=MIXED_FAULTS, batching="per_tuple")
         operator = AdaptiveJoinOperator(query, config=config)
         rng = random.Random(config.seed)
-        simulator, topology = operator.build_execution(
-            collect_outputs=True, expected_inputs=len(order)
-        )
+        simulator, topology = operator.build_execution(collect_outputs=True)
         simulator.feed_schedule(
             ArrivalSchedule(items=list(order), inter_arrival=0.0),
             destination_picker=lambda _item: rng.choice(topology.reshuffler_names),
@@ -439,28 +446,6 @@ class TestCrashComposition:
         assert sorted(composed.outputs) == sorted(twin.outputs)
         assert composed.output_count == twin.output_count
         _assert_counters_reconcile(composed, "retransmit-crash")
-
-
-# ---------------------------------------------------------------------------
-# Error path: retry exhaustion is a named error, never a hang
-# ---------------------------------------------------------------------------
-
-class TestUnreachableLink:
-    def test_permanent_partition_raises_unreachable_link(self, queries):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        with pytest.raises(UnreachableLinkError, match="retransmit attempts") as info:
-            _run(
-                query,
-                order,
-                batching="per_tuple",
-                network_faults=[
-                    partition((0, 1, 2, 3), (4, 5, 6, 7), 0.0, 1e12)
-                ],
-            )
-        assert info.value.attempts == RETRANSMIT_ATTEMPTS
-        sender, receiver = info.value.link
-        assert (sender < 4) != (receiver < 4)  # the dead link crosses the cut
 
 
 # ---------------------------------------------------------------------------
@@ -597,3 +582,4 @@ class TestRandomScheduleProperty:
         assert sorted(faulty.outputs) == sorted(twin.outputs), kind
         assert faulty.output_count == twin.output_count
         _assert_counters_reconcile(faulty, f"property:{kind}")
+        assert faulty.wire_counters["retransmitted"] == faulty.wire_counters["dropped"]

@@ -47,7 +47,6 @@ from repro.api import (
     delay,
     drop,
     duplicate,
-    partition,
 )
 from repro.core.baselines import StaticMidOperator
 from repro.core.operator import AdaptiveJoinOperator
@@ -80,7 +79,7 @@ PLANES = {
 #: tests/test_fault_recovery.py).
 CRASH_EVENTS = {"per_tuple": 500, "adaptive": 200}
 
-#: Drops, duplicates and delays over several links plus a partition window.
+#: Drops, duplicates and delays over several links.
 WIRE_FAULTS = (
     drop((0, 1), 3),
     drop((2, 5), 1),
@@ -88,7 +87,6 @@ WIRE_FAULTS = (
     duplicate((3, 0), 1),
     delay((3, 6), 4, by=2.5),
     delay((5, 2), 2, by=4.0),
-    partition((0, 1), (4, 5), 8.0, 11.0),
 )
 
 

@@ -81,12 +81,12 @@ def traced(monkeypatch):
             trace["priority"] += 1
             trace["moved"] += self._tick_at[machine_id] != armed
 
-    def traced_crash(self, machine_id, fault, time):
+    def traced_crash(self, machine_id, time):
         trace["crashed_waking"] += (
             self._wake_for[machine_id] is not None
             and self.machines[machine_id].busy_until <= time
         )
-        crash_machine(self, machine_id, fault, time)
+        crash_machine(self, machine_id, time)
 
     monkeypatch.setattr(Simulator, "_tick", traced_tick)
     monkeypatch.setattr(Simulator, "_deliver", traced_deliver)
@@ -185,7 +185,7 @@ class TestWakeUpCells:
         order = _order(query)
         knobs = dict(machines=8, inter_arrival=0.5, checkpoint_interval=50)
         twin = _run(query, order, batching="adaptive", **knobs)
-        faults = [crash(machine, twin.execution_time * share, restart_after=6.0)]
+        faults = [crash(machine, twin.execution_time * share)]
         oracle = _run(query, order, batching="per_tuple", fault_schedule=faults, **knobs)
         _reset(traced)
         merged = _run(query, order, batching="adaptive", fault_schedule=faults, **knobs)
