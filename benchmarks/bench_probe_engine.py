@@ -1,8 +1,8 @@
 """Probe micro-benchmarks: local join probe throughput by flavour.
 
 Measures :meth:`LocalJoiner.probe_batch` throughput (tuples probed+inserted
-per second) for the equi, band (int keys), float band (the same keys shifted
-by one half) and composite-equi flavours.  Every flavour's matches and
+per second) for the equi, band (int keys) and float band (the same keys
+shifted by one half) flavours.  Every flavour's matches and
 charged work are checked against :func:`repro.testing.reference_probe`
 summed over the stream, and the float band must keep pace with the int band
 in the same run: both take the edge-corrected slice as the match set.  CI
@@ -26,14 +26,10 @@ if str(SRC) not in sys.path:  # pragma: no cover - direct-invocation convenience
 
 from repro.engine.stream import StreamTuple  # noqa: E402
 from repro.joins.local import make_local_joiner  # noqa: E402
-from repro.joins.predicates import (  # noqa: E402
-    BandPredicate,
-    CompositePredicate,
-    EquiPredicate,
-)
+from repro.joins.predicates import BandPredicate, EquiPredicate  # noqa: E402
 from repro.testing import reference_probe  # noqa: E402
 
-FLAVOURS = ("equi", "band", "band_float", "composite")
+FLAVOURS = ("equi", "band", "band_float")
 
 
 def _predicate(flavour):
@@ -41,12 +37,8 @@ def _predicate(flavour):
         return EquiPredicate("k", "k")
     if flavour == "band":
         return BandPredicate("v", "v", width=40)
-    if flavour == "band_float":
-        # The same keys shifted by one half: the same matches and work.
-        return BandPredicate("f", "f", width=40)
-    return CompositePredicate(
-        EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
-    )
+    # band_float: the same keys shifted by one half, the same matches and work.
+    return BandPredicate("f", "f", width=40)
 
 
 def _workload(stored, probes, keys, seed):

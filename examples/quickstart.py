@@ -16,8 +16,11 @@ Run with::
     python examples/quickstart.py
 """
 
+import random
+
 from repro import generate_dataset, make_query
-from repro.api import JoinSession, RunConfig, crash
+from repro.api import JoinSession, RunConfig, crash_after_events
+from repro.engine.stream import interleave_streams, make_tuples
 
 
 def main() -> None:
@@ -38,7 +41,7 @@ def main() -> None:
     #    Joiners take the index's word for the match set: a hash bucket is
     #    the equi match set, and a band's slice of the ordered index is cut
     #    by the predicate's own |l - r| <= w at its edges, for int and float
-    #    keys alike — only composite residuals run per pair.
+    #    keys alike — only a theta join checks its candidates per pair.
     config = RunConfig(machines=16, seed=7)
     session = JoinSession(query, config=config)
 
@@ -63,17 +66,21 @@ def main() -> None:
     #    feeds each chunk into a live, resumable simulation and reports
     #    mid-run metrics after every push — the ingestion style of an
     #    unbounded/live-stream deployment, which the materialised path
-    #    cannot express.
+    #    cannot express.  A push takes stream tuples in arrival order:
+    #    make_tuples wraps each relation's records (with its routing salts),
+    #    interleave_streams merges the two streams.
     print()
     print("streaming the same workload in 4 chunks (Dynamic):")
     streaming = JoinSession(query, config=config)
-    left, right = query.left_records, query.right_records
+    rng = random.Random(7)
+    left = make_tuples(query.left_relation, query.left_records, rng, query.left_tuple_size)
+    right = make_tuples(
+        query.right_relation, query.right_records, rng, query.right_tuple_size
+    )
+    order = interleave_streams(left, right, rng)
     chunks = 4
     for i in range(chunks):
-        snap = streaming.push(
-            left=left[i * len(left) // chunks:(i + 1) * len(left) // chunks],
-            right=right[i * len(right) // chunks:(i + 1) * len(right) // chunks],
-        )
+        snap = streaming.push(order[i * len(order) // chunks:(i + 1) * len(order) // chunks])
         print(
             f"  chunk {i + 1}: {snap.tuples_pushed:>5d} tuples in, "
             f"{snap.output_count:>6d} outputs, {snap.migrations} migration(s), "
@@ -89,13 +96,14 @@ def main() -> None:
     #    checkpointing recover it.  The recovered run produces exactly the
     #    same join output as the fault-free one above — recovery is replayed
     #    through the real migration handlers, so correctness never depends
-    #    on the crash schedule (see tests/test_fault_recovery.py).
+    #    on the crash schedule (see tests/test_fault_recovery.py).  A crash
+    #    is anchored on the simulator's event count.
     print()
-    print("crashing joiner 3 at t=40 (Dynamic, checkpointing every 50 entries):")
+    print("crashing joiner 3 after 600 events (Dynamic, checkpointing every 50 entries):")
     faulty = JoinSession(
         query,
         config=config.with_overrides(
-            fault_schedule=[crash(3, 40.0)], checkpoint_interval=50
+            fault_schedule=[crash_after_events(3, 600)], checkpoint_interval=50
         ),
     )
     result = faulty.run(operator="Dynamic")

@@ -26,7 +26,7 @@ Quickstart::
     query = make_query("EQ5", dataset)
     session = JoinSession(query, config=RunConfig(machines=16, seed=7))
     result = session.run()                      # materialised
-    session.push(left=chunk_a, right=chunk_b)   # ... or streaming
+    session.push(tuples)                        # ... or streaming
     print(result.summary_row())
 """
 

@@ -17,7 +17,7 @@ Quickstart::
     session = JoinSession(config=RunConfig(machines=16, seed=7))
     result = session.run(query)                  # materialised
 
-    session.push(left=chunk_a, right=chunk_b)    # streaming
+    session.push(tuples)                         # streaming (StreamTuples)
     final = session.finish()
 """
 
@@ -27,7 +27,6 @@ from repro.engine.faults import (
     FaultSpec,
     NetworkFaultSpec,
     OverlappingFaultError,
-    crash,
     crash_after_events,
     delay,
     drop,
@@ -44,7 +43,6 @@ __all__ = [
     "RunConfig",
     "StreamSnapshot",
     "build_operator",
-    "crash",
     "crash_after_events",
     "delay",
     "drop",

@@ -22,7 +22,6 @@ from typing import Any
 
 from repro.api.layouts import LAYOUTS
 from repro.engine.faults import (
-    ACK_TIMEOUT,
     FaultSpec,
     normalize_fault_schedule,
     normalize_network_faults,
@@ -70,13 +69,12 @@ class RunConfig:
         inter_arrival: virtual-time gap between consecutive arrivals (pacing;
             0 = joiners fully utilised).
         fault_schedule: deterministic machine crashes to inject — a sequence
-            of :class:`~repro.engine.faults.FaultSpec` entries (build them
-            with :func:`~repro.engine.faults.crash` /
+            of :class:`~repro.engine.faults.FaultSpec` entries, each anchored
+            on a simulator event count (build them with
             :func:`~repro.engine.faults.crash_after_events`).  Each crashed
             machine restarts :data:`~repro.engine.faults.ACK_TIMEOUT` after
             its crash.  Empty (default) = no faults.  Requires the
-            non-blocking protocol (``blocking=False``).  A streaming run
-            takes event anchors only (see ``JoinSession.open_stream``).
+            non-blocking protocol (``blocking=False``).
         checkpoint_interval: journal deltas a task may accumulate before its
             next epoch-aligned durable snapshot; ``None`` (default) disables
             checkpointing unless a fault schedule is present, in which case
@@ -141,47 +139,26 @@ class RunConfig:
                 )
 
     def _check_fault_overlaps(self) -> None:
-        """Reject statically-provable overlapping crash windows eagerly.
+        """Reject statically-provable overlapping crashes eagerly.
 
-        A machine must be back up before its next crash fires.  For
-        time-anchored faults the outage window is known at construction —
-        ``[at_time, at_time + ACK_TIMEOUT]``, closed because at an equal
-        instant the simulator runs crashes before restarts — so two
-        overlapping windows on one machine can be rejected here, listing the
-        conflicting specs, instead of deep in the simulator mid-run.  Two
-        event-anchored faults with the *same* anchor provably collide too
-        (the first crash fires both).  Mixed or distinct event anchors depend
-        on the run's virtual timeline and stay a runtime error.
+        A machine must be back up before its next crash fires.  Two crashes
+        of one machine at the *same* event anchor provably collide (the
+        first crash fires both), so they are rejected here, listing the
+        conflicting specs, instead of deep in the simulator mid-run.
+        Distinct anchors depend on the run's virtual timeline and stay a
+        runtime :class:`~repro.engine.faults.OverlappingFaultError`.
         """
-        by_machine: dict[int, list[FaultSpec]] = {}
+        anchors: dict[tuple[int, int], FaultSpec] = {}
         for fault in self.fault_schedule:
-            by_machine.setdefault(fault.machine, []).append(fault)
-        for faults in by_machine.values():
-            anchors: dict[int, FaultSpec] = {}
-            for fault in faults:
-                if fault.after_events is None:
-                    continue
-                other = anchors.get(fault.after_events)
-                if other is not None:
-                    raise ValueError(
-                        "overlapping fault_schedule entries: "
-                        f"{other!r} and {fault!r} crash machine "
-                        f"{fault.machine} at the same event anchor"
-                    )
-                anchors[fault.after_events] = fault
-            timed = sorted(
-                (fault for fault in faults if fault.at_time is not None),
-                key=lambda fault: fault.at_time,
-            )
-            for earlier, later in zip(timed, timed[1:]):
-                restart = earlier.at_time + ACK_TIMEOUT
-                if later.at_time <= restart:
-                    raise ValueError(
-                        "overlapping fault_schedule entries: "
-                        f"{earlier!r} (restarts at t={restart}) and "
-                        f"{later!r} crash machine {later.machine} "
-                        "while it is already down"
-                    )
+            anchor = (fault.machine, fault.after_events)
+            other = anchors.get(anchor)
+            if other is not None:
+                raise ValueError(
+                    "overlapping fault_schedule entries: "
+                    f"{other!r} and {fault!r} crash machine "
+                    f"{fault.machine} at the same event anchor"
+                )
+            anchors[anchor] = fault
 
     def __post_init__(self) -> None:
         object.__setattr__(

@@ -8,7 +8,8 @@ modes of the system:
   :class:`~repro.data.queries.JoinQuery` end to end, exactly like
   ``operator.run()`` always did, and returns a
   :class:`~repro.core.results.RunResult`;
-* **streaming** — :meth:`JoinSession.push` feeds record chunks into a live,
+* **streaming** — :meth:`JoinSession.push` feeds chunks of stream tuples
+  (built with :func:`~repro.engine.stream.make_tuples`) into a live,
   resumable simulation (opened lazily or explicitly via
   :meth:`JoinSession.open_stream`), returning a mid-run
   :class:`StreamSnapshot` after each chunk; :meth:`JoinSession.finish`
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.api.config import RunConfig
 from repro.core.mapping import Mapping
-from repro.engine.stream import StreamTuple, make_tuples
+from repro.engine.stream import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import GridJoinOperator
@@ -104,58 +105,24 @@ class _StreamingRun:
         # Destination picking mirrors GridJoinOperator.run(arrival_order=...):
         # a fresh Random(seed) used exclusively for reshuffler choice.
         self._route_rng = random.Random(operator.seed)
-        # Raw records pushed without pre-assigned salts get deterministic
-        # salts from a dedicated source (the materialised path draws salts
-        # and destinations interleaved from one rng, which an incremental
-        # feed cannot reproduce; pre-salted StreamTuples bypass this).
-        self._salt_rng = random.Random(f"repro-stream-salts-{operator.seed}")
         self._pushed = 0
         self.finished = False
 
     # ------------------------------------------------------------- ingestion
 
-    def _coerce(
-        self,
-        entries: Iterable[StreamTuple | dict],
-        relation: str,
-        tuple_size: float,
-    ) -> list[StreamTuple]:
-        items: list[StreamTuple] = []
-        records: list[dict] = []
-        for entry in entries:
-            if isinstance(entry, StreamTuple):
-                if entry.relation != relation:
-                    raise ValueError(
-                        f"pushed tuple belongs to relation {entry.relation!r}, "
-                        f"expected {relation!r}"
-                    )
-                if records:
-                    items.extend(make_tuples(relation, records, self._salt_rng, tuple_size))
-                    records = []
-                items.append(entry)
-            else:
-                records.append(entry)
-        if records:
-            items.extend(make_tuples(relation, records, self._salt_rng, tuple_size))
-        return items
-
-    def push(
-        self,
-        left: Iterable[StreamTuple | dict] = (),
-        right: Iterable[StreamTuple | dict] = (),
-        items: Sequence[StreamTuple] = (),
-        run: bool = True,
-    ) -> StreamSnapshot:
+    def push(self, items: Sequence[StreamTuple]) -> StreamSnapshot:
         if self.finished:
             raise RuntimeError("cannot push into a finished streaming session")
         query = self.operator.query
-        chunk: list[StreamTuple] = []
-        chunk.extend(self._coerce(left, query.left_relation, query.left_tuple_size))
-        chunk.extend(self._coerce(right, query.right_relation, query.right_tuple_size))
         relations = (query.left_relation, query.right_relation)
+        chunk: list[StreamTuple] = []
         for item in items:
             if not isinstance(item, StreamTuple):
-                raise TypeError("items= accepts StreamTuple objects only")
+                raise TypeError(
+                    "push() accepts StreamTuple objects only, got "
+                    f"{type(item).__name__}; wrap raw records with "
+                    "repro.engine.stream.make_tuples()"
+                )
             if item.relation not in relations:
                 raise ValueError(
                     f"pushed tuple belongs to relation {item.relation!r}, "
@@ -164,8 +131,7 @@ class _StreamingRun:
             chunk.append(item)
         for item in chunk:
             self._ingest(item)
-        if run:
-            self.simulator.run()
+        self.simulator.run()
         return self.snapshot()
 
     def _ingest(self, item: StreamTuple) -> None:
@@ -225,8 +191,8 @@ class JoinSession:
         session = JoinSession(config=RunConfig(machines=16, seed=7))
         result = session.run(query, operator="Dynamic")
 
-        session.push(left=bid_chunk, right=ask_chunk)   # streaming mode
-        snap = session.push(right=more_asks)
+        session.push(chunk)          # streaming mode: StreamTuples
+        snap = session.push(more)
         final = session.finish()
     """
 
@@ -310,43 +276,21 @@ class JoinSession:
         The query supplies the *schema* (relation names, predicate, tuple
         sizes); its materialised records, if any, are not fed — only data
         passed to :meth:`push` flows through the operator.
-
-        Crashes must be event-anchored: every push runs the simulation dry,
-        so a time-anchored crash would fire during the first push, ahead of
-        tuples later pushes date before it.
         """
         if self._stream is not None:
             raise RuntimeError("a streaming run is already open; finish() it first")
         op = self.operator(query, kind=operator, config=config, **overrides)
-        for fault in op.config.fault_schedule:
-            if fault.at_time is not None:
-                raise ValueError(
-                    f"a streaming run cannot take the time-anchored {fault!r}: "
-                    "each push runs the simulation dry, so it would fire during "
-                    "the first push; anchor the crash on events with "
-                    "crash_after_events()"
-                )
         self._stream = _StreamingRun(op, collect_outputs=collect_outputs)
         self._stream_finished = False
         return self
 
-    def push(
-        self,
-        left: Iterable[StreamTuple | dict] = (),
-        right: Iterable[StreamTuple | dict] = (),
-        *,
-        items: Sequence[StreamTuple] = (),
-        run: bool = True,
-    ) -> StreamSnapshot:
-        """Feed a chunk of input into the streaming run and advance it.
+    def push(self, items: Sequence[StreamTuple]) -> StreamSnapshot:
+        """Feed a chunk of tuples into the streaming run and advance it.
 
-        ``left`` / ``right`` accept raw records (dicts, salted and wrapped
-        automatically) or pre-built :class:`StreamTuple` objects; ``items``
-        accepts an explicitly interleaved :class:`StreamTuple` sequence.
-        Within one push, arrivals are ordered left chunk, right chunk, then
-        ``items`` — push smaller chunks (or use ``items``) to control
-        interleaving.  With ``run=False`` the chunk is only enqueued; the
-        simulation advances on the next running push or :meth:`finish`.
+        ``items`` are :class:`StreamTuple` objects of either relation, in
+        arrival order; build them from raw records with
+        :func:`~repro.engine.stream.make_tuples` (a raw record raises
+        ``TypeError``).  Each push runs the simulation dry before returning.
 
         The first push opens the stream lazily; after :meth:`finish` a new
         run must be opened explicitly via :meth:`open_stream` (a stray push
@@ -358,7 +302,7 @@ class JoinSession:
                     "the streaming run was finished; call open_stream() to start a new one"
                 )
             self.open_stream()
-        return self._stream.push(left, right, items, run=run)
+        return self._stream.push(items)
 
     def snapshot(self) -> StreamSnapshot:
         """Mid-run metrics of the open streaming run."""

@@ -1,12 +1,13 @@
 """Deterministic fault injection: crash specifications for the simulator.
 
 A fault schedule is a tuple of :class:`FaultSpec` entries carried on
-:class:`~repro.api.config.RunConfig`.  The simulator executes time-anchored
-faults as ordinary heap events (in a dedicated rank band above machine
-ticks, so equal-time ordering is plane-invariant) and event-anchored faults
-by watching its own event counter — either way, the same schedule under the
-same seed reproduces the same run bit for bit, which is what lets crash
-scenarios live in the conformance suite like any other cell.
+:class:`~repro.api.config.RunConfig`.  Every crash is anchored on an event
+count: the simulator watches its own ``events_processed`` counter and fails
+the machine as soon as the count reaches the anchor, so the same schedule
+under the same seed reproduces the same run bit for bit — which is what lets
+crash scenarios live in the conformance suite like any other cell, and what
+lets a streaming run (which runs the simulation dry on every push) take the
+same schedule as a materialised one.
 
 The crash model is **fail-stop at handler boundaries**: a crash lands
 between simulator events, so every handler either ran to completion (its
@@ -48,12 +49,8 @@ RETRANSMIT_BASE = 0.5
 class FaultSpec:
     """One injected machine crash.
 
-    Exactly one of ``at_time`` (virtual-time anchor) and ``after_events``
-    (simulator event-count anchor) must be set.
-
     Attributes:
         machine: id of the machine to crash.
-        at_time: virtual time at which the crash fires (as a heap event).
         after_events: crash as soon as the simulator has processed this many
             handler events.
 
@@ -62,37 +59,17 @@ class FaultSpec:
     """
 
     machine: int
-    at_time: float | None = None
-    after_events: int | None = None
+    after_events: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.machine, int) or isinstance(self.machine, bool):
             raise ValueError(f"fault machine must be an int, got {self.machine!r}")
         if self.machine < 0:
             raise ValueError(f"fault machine must be >= 0, got {self.machine}")
-        anchors = (self.at_time is not None) + (self.after_events is not None)
-        if anchors != 1:
-            raise ValueError(
-                "exactly one of at_time= and after_events= must be set "
-                f"(got at_time={self.at_time!r}, after_events={self.after_events!r})"
-            )
-        if self.at_time is not None:
-            if isinstance(self.at_time, bool) or not isinstance(self.at_time, (int, float)):
-                raise ValueError(f"at_time must be a number, got {self.at_time!r}")
-            if self.at_time < 0:
-                raise ValueError(f"at_time must be >= 0, got {self.at_time}")
-        if self.after_events is not None:
-            if isinstance(self.after_events, bool) or not isinstance(self.after_events, int):
-                raise ValueError(
-                    f"after_events must be an int, got {self.after_events!r}"
-                )
-            if self.after_events < 1:
-                raise ValueError(f"after_events must be >= 1, got {self.after_events}")
-
-
-def crash(machine: int, at_virtual_time: float) -> FaultSpec:
-    """Crash ``machine`` at a virtual-time instant."""
-    return FaultSpec(machine=machine, at_time=at_virtual_time)
+        if isinstance(self.after_events, bool) or not isinstance(self.after_events, int):
+            raise ValueError(f"after_events must be an int, got {self.after_events!r}")
+        if self.after_events < 1:
+            raise ValueError(f"after_events must be >= 1, got {self.after_events}")
 
 
 def crash_after_events(machine: int, events: int) -> FaultSpec:
@@ -224,5 +201,5 @@ def normalize_network_faults(faults) -> tuple[NetworkFaultSpec, ...]:
 def normalize_fault_schedule(schedule) -> tuple[FaultSpec, ...]:
     """Coerce a fault-schedule value into a tuple of :class:`FaultSpec`."""
     return _spec_tuple(
-        schedule, FaultSpec, "fault_schedule", "crash()/crash_after_events()"
+        schedule, FaultSpec, "fault_schedule", "crash_after_events()"
     )

@@ -79,16 +79,14 @@ _TICK_RANK_BASE = 1 << 62
 _LINK_SPAN = 1 << 34
 _MACHINE_SPAN = 1 << 12  # > max machines + off-cluster sentinel
 
-# Fault-plane events (crash / restart) rank above machine ticks: at an equal
-# instant every ordinary event of that time completes first, so a crash
-# always lands *between* handler events (fail-stop at handler boundaries, see
-# repro.engine.faults).  Within the band, crashes order before restarts, and
-# a per-simulator serial breaks remaining ties so heap entries never compare
-# the _FaultEvent payloads themselves.  The reliable wire's frame arrivals
-# and retransmit timers ride the same band (offsets 2 and 3): they too land
-# between handler events.
+# Fault-plane events (restarts) rank above machine ticks: at an equal
+# instant every ordinary event of that time completes first, so a restart
+# always lands *between* handler events.  A per-simulator serial breaks
+# remaining ties so heap entries never compare the _FaultEvent payloads
+# themselves.  The reliable wire's frame arrivals and retransmit timers ride
+# the same band (offsets 1 and 2): they too land between handler events.
 _FAULT_RANK_BASE = 1 << 63
-_FAULT_ACTION_OFFSETS = {"crash": 0, "restart": 1, "frame": 2, "retransmit": 3}
+_FAULT_ACTION_OFFSETS = {"restart": 0, "frame": 1, "retransmit": 2}
 
 
 class Channel:
@@ -162,9 +160,9 @@ class SettledSegment:
 class _FaultEvent:
     """Heap payload of one fault-plane action targeting a machine id.
 
-    ``action`` is ``"crash"`` or ``"restart"`` for the crash plane, or
-    ``"frame"`` / ``"retransmit"`` (carrying the reliable wire's frame) for
-    the unreliable-wire plane.
+    ``action`` is ``"restart"`` for the crash plane, or ``"frame"`` /
+    ``"retransmit"`` (carrying the reliable wire's frame) for the
+    unreliable-wire plane.
     """
 
     __slots__ = ("action", "frame")
@@ -276,20 +274,15 @@ class Simulator:
         """Attach the fault-tolerant plane: a recovery manager plus the
         crash schedule it carries (see :mod:`repro.core.recovery`).
 
-        Time-anchored crashes become heap events in the fault rank band;
-        event-anchored crashes are watched against ``events_processed`` in
-        the run loop.  Installing a manager with an empty schedule is valid —
-        it enables journaling/checkpointing without injecting any fault.
+        Crashes are watched against ``events_processed`` in the run loop.
+        Installing a manager with an empty schedule is valid — it enables
+        journaling/checkpointing without injecting any fault.
         """
         self._recovery = recovery
-        after = []
-        for fault in recovery.schedule:
-            if fault.at_time is not None:
-                self._schedule_fault(fault.at_time, "crash", fault.machine)
-            else:
-                after.append((fault.after_events, fault.machine))
-        after.sort(key=lambda pair: pair[0])
-        self._after_event_faults = after
+        self._after_event_faults = sorted(
+            ((fault.after_events, fault.machine) for fault in recovery.schedule),
+            key=lambda pair: pair[0],
+        )
 
     def install_network_faults(self, wire) -> None:
         """Attach the unreliable-wire plane: a :class:`~repro.engine.network.ReliableWire`.
@@ -457,18 +450,11 @@ class Simulator:
             send_merged(channel, arrival_time, rank, item)
 
     def schedule_data(self, time: float, destination: str, message) -> None:
-        """Schedule a data-plane message onto the feed channel's run
-        (streaming ingestion).
-
-        Priority kinds and off-cluster destinations fall back to
-        :meth:`schedule`.
-        """
+        """Schedule a data message for an on-cluster ``destination`` onto the
+        feed channel's run (streaming ingestion)."""
         task = self.tasks.get(destination)
         if task is None:
             raise KeyError(f"unknown task: {destination}")
-        if task.hosted_machine is None or message.kind in PRIORITY_KINDS:
-            self.schedule(time, destination, message)
-            return
         self._send_merged(self._channel(-1, task), time, next(self._schedule_rank), message)
 
     def post(
@@ -672,9 +658,7 @@ class Simulator:
 
     def _process_fault(self, machine_id: int, event: _FaultEvent, time: float) -> None:
         action = event.action
-        if action == "crash":
-            self._crash_machine(machine_id, time)
-        elif action == "restart":
+        if action == "restart":
             self._restart_machine(machine_id, time)
         elif action == "frame":
             self._wire.arrive(event.frame, time)

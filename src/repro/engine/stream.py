@@ -240,39 +240,38 @@ def fluctuating_order(
     """
     if fluctuation_factor <= 1:
         raise ValueError("fluctuation_factor must be > 1")
-    r_queue = list(r_tuples)
-    s_queue = list(s_tuples)
+    # ``sent_r`` / ``sent_s`` double as cursors into the two inputs.
+    n_r = len(r_tuples)
+    n_s = len(s_tuples)
     order: list[StreamTuple] = []
     sent_r = 0
     sent_s = 0
 
-    warmup = min(warmup, len(r_queue) + len(s_queue))
-    while warmup > 0 and (r_queue or s_queue):
-        if r_queue and (sent_r <= sent_s or not s_queue):
-            order.append(r_queue.pop(0))
+    for _ in range(min(warmup, n_r + n_s)):
+        if sent_r < n_r and (sent_r <= sent_s or sent_s == n_s):
+            order.append(r_tuples[sent_r])
             sent_r += 1
-        elif s_queue:
-            order.append(s_queue.pop(0))
-            sent_s += 1
-        warmup -= 1
-
-    # ``leading`` is the relation currently streaming in.
-    leading = "R"
-    while r_queue or s_queue:
-        if leading == "R":
-            if not r_queue:
-                leading = "S"
-                continue
-            order.append(r_queue.pop(0))
-            sent_r += 1
-            if sent_r >= fluctuation_factor * max(sent_s, 1) and s_queue:
-                leading = "S"
         else:
-            if not s_queue:
-                leading = "R"
-                continue
-            order.append(s_queue.pop(0))
+            order.append(s_tuples[sent_s])
             sent_s += 1
-            if sent_s >= fluctuation_factor * max(sent_r, 1) and r_queue:
-                leading = "R"
+
+    # ``leading_r``: whether the first relation is the one streaming in.
+    leading_r = True
+    while sent_r < n_r or sent_s < n_s:
+        if leading_r:
+            if sent_r == n_r:
+                leading_r = False
+                continue
+            order.append(r_tuples[sent_r])
+            sent_r += 1
+            if sent_r >= fluctuation_factor * max(sent_s, 1) and sent_s < n_s:
+                leading_r = False
+        else:
+            if sent_s == n_s:
+                leading_r = True
+                continue
+            order.append(s_tuples[sent_s])
+            sent_s += 1
+            if sent_s >= fluctuation_factor * max(sent_r, 1) and sent_r < n_r:
+                leading_r = True
     return order

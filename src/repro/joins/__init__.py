@@ -25,7 +25,6 @@ from repro.joins.local import (
 )
 from repro.joins.predicates import (
     BandPredicate,
-    CompositePredicate,
     EquiPredicate,
     JoinPredicate,
     ThetaPredicate,
@@ -33,7 +32,6 @@ from repro.joins.predicates import (
 
 __all__ = [
     "BandPredicate",
-    "CompositePredicate",
     "EquiPredicate",
     "HashIndex",
     "JoinPredicate",

@@ -20,9 +20,9 @@ hash bucket holds exactly the tuples with an equal key, and a band probe's
 slice of the ordered key list holds exactly the keys ``b`` with
 ``abs(key - b) <= width`` (:meth:`~repro.joins.index.OrderedIndex.band_bounds`).
 A probe's work is the size of that set — every stored tuple of the opposite
-relation for a theta scan — and only composite residuals still run per pair
-(theta: the whole predicate).  :func:`repro.testing.reference_probe` states
-the same contract by brute force.
+relation for a theta scan — and only a theta scan checks its candidates
+against the predicate.  :func:`repro.testing.reference_probe` states the
+same contract by brute force.
 
 :func:`make_local_joiner` looks the predicate ``kind`` up in
 :data:`JOINERS`.
@@ -68,23 +68,12 @@ class LocalJoiner:
         self._pred_left_key = predicate.left_key if kind in ("equi", "band") else None
         self._pred_right_key = predicate.right_key if kind in ("equi", "band") else None
         self._band = kind == "band"
-        self._band_width = self._resolve_band_width() if self._band else 0.0
-        # What a probe still checks per candidate, resolved once: an
-        # exact-key hash bucket and a band slice decide the primary
-        # condition, leaving the composite residuals (None: nothing at all);
-        # a scan decides nothing.
-        if kind == "band" or (kind == "equi" and predicate.exact_key):
-            self._check = predicate.residual_check()
-        else:
-            self._check = predicate.matches
+        self._band_width = predicate.width if self._band else 0.0
+        # A hash bucket and a band slice decide their predicate outright;
+        # only a scan checks its candidates (None: nothing to check).
+        self._check = predicate.matches if kind == "theta" else None
 
     # ------------------------------------------------------------ index setup
-
-    def _resolve_band_width(self) -> float:
-        width = getattr(self.predicate, "width", None)
-        if width is None:
-            width = getattr(getattr(self.predicate, "primary", None), "width", 0.0)
-        return width
 
     def _key_func(self, side: str) -> Callable[[StreamTuple], object] | None:
         if self.predicate.kind not in ("equi", "band"):
@@ -217,20 +206,15 @@ class LocalJoiner:
     ) -> tuple[list[StreamTuple], int]:
         """:meth:`raw_probe` with the inputs of :meth:`probe_plan` pre-resolved."""
         opposite_index = self._right_index if item_is_left else self._left_index
-        check = self._check
         if self._band:
             # A fresh list holding exactly the band's matches.
-            candidates, inspected = opposite_index.probe_band(key, self._band_width)
-            if check is None or not candidates:
-                return candidates, inspected
-        else:
-            # The key's hash bucket, or every stored tuple for a scan (key
-            # None) — both live sequences that never leave the index.
-            candidates, inspected = opposite_index.probe(key)
-            if not candidates:
-                return [], inspected
-            if check is None:
-                return list(candidates), inspected
+            return opposite_index.probe_band(key, self._band_width)
+        # The key's hash bucket, or every stored tuple for a scan (key None)
+        # — both live sequences that never leave the index.
+        candidates, inspected = opposite_index.probe(key)
+        check = self._check
+        if check is None:
+            return list(candidates), inspected
         if item_is_left:
             return [c for c in candidates if check(record, c.record)], inspected
         return [c for c in candidates if check(c.record, record)], inspected
@@ -349,7 +333,6 @@ class SymmetricHashJoiner(LocalJoiner):
             raise ValueError("SymmetricHashJoiner requires an equi-join predicate")
         super().__init__(predicate, left_relation, right_relation)
 
-
     def probe_insert(
         self,
         item: StreamTuple,
@@ -357,9 +340,9 @@ class SymmetricHashJoiner(LocalJoiner):
         counted: Sequence[LocalJoiner] = (),
     ) -> tuple[list[StreamTuple], float]:
         """:meth:`LocalJoiner.probe_insert` over hash buckets: the opposite
-        bucket of this joiner and of each of ``others`` is walked in place
-        (no probe call or candidate copy per joiner), and each of
-        ``counted`` adds its bucket's size."""
+        bucket of this joiner and of each of ``others`` is taken whole (no
+        probe call per joiner), and each of ``counted`` adds its bucket's
+        size."""
         record = item.record
         relation = item.relation
         if relation == self.left_relation:
@@ -370,19 +353,12 @@ class SymmetricHashJoiner(LocalJoiner):
                 self._check_relation(relation)
             is_left = False
             key = self._pred_right_key(record)
-        check = self._check
         matches: list[StreamTuple] = []
-        inspected = 0
         for store in (self, *others) if others else (self,):
             bucket = (store._right_index if is_left else store._left_index).bucket_for(key)
             if bucket:
-                inspected += len(bucket)
-                if check is None:
-                    matches += bucket
-                elif is_left:
-                    matches += [c for c in bucket if check(record, c.record)]
-                else:
-                    matches += [c for c in bucket if check(c.record, record)]
+                matches += bucket
+        inspected = len(matches)
         for store in counted:
             inspected += (store._right_index if is_left else store._left_index).count_key(key)
         (self._left_index if is_left else self._right_index).insert_keyed(key, item)
@@ -392,8 +368,7 @@ class SymmetricHashJoiner(LocalJoiner):
 class SortedBandJoiner(LocalJoiner):
     """Sort/merge-flavoured local join with ordered indexes; for band predicates.
 
-    The band ``width`` is resolved once at construction (see
-    ``LocalJoiner._resolve_band_width``), not per probe.
+    The band ``width`` is read once at construction, not per probe.
     """
 
     def __init__(

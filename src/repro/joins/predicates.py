@@ -12,14 +12,12 @@ A predicate therefore exposes three things:
 * ``matches(left, right)`` — the truth value of the condition,
 * ``kind`` — ``"equi"``, ``"band"`` or ``"theta"``, advertising which index
   type can serve it,
-* key extractors for the indexed kinds,
-* ``exact_key`` / ``residual_matches`` — whether an exact-key hash probe
-  already decides the primary condition, and the residual part (if any) that
-  still has to run per candidate pair once the index decided the primary.
-  The local joiner uses this to skip re-validating equality for hash
-  candidates (the bucket key *is* the predicate) and the band condition for
-  band slices (the ordered index cuts them by the predicate's own
-  expression), while still applying composite residual filters.
+* key extractors for the indexed kinds.
+
+An index decides an indexed kind outright — a hash bucket holds exactly the
+equal keys, an ordered slice exactly the band — so the local joiner calls
+``matches`` per candidate only on theta scans.  Every filter of a query runs
+when the query is built (:mod:`repro.data.queries`), never per pair.
 
 The brute-force evaluation of a predicate over every pair lives in
 :mod:`repro.testing` (``reference_join``, ``reference_probe``).
@@ -28,7 +26,7 @@ The brute-force evaluation of a predicate over every pair lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 Record = dict[str, Any]
 
@@ -38,42 +36,6 @@ class JoinPredicate:
 
     #: one of "equi", "band", "theta"
     kind: str = "theta"
-
-    @property
-    def exact_key(self) -> bool:
-        """Whether an exact-key hash probe fully decides the primary condition.
-
-        When True, every candidate returned from the matching hash bucket is
-        guaranteed to satisfy the primary predicate (key equality *is* bucket
-        membership), so only :meth:`residual_matches` needs to run per pair.
-        """
-        return False
-
-    @property
-    def has_residual(self) -> bool:
-        """Whether :meth:`residual_matches` is non-trivial for this predicate."""
-        return True
-
-    def residual_matches(self, left: Record, right: Record) -> bool:
-        """The part of the condition an index-decided probe does *not* guarantee.
-
-        Defaults to the full condition; predicates whose primary condition an
-        index can decide (equi buckets, exact band windows) override it with
-        their residual-only check (or a constant True).
-        """
-        return self.matches(left, right)
-
-    def residual_check(self) -> Callable[[Record, Record], bool] | None:
-        """The leanest per-candidate check for exact-key index candidates.
-
-        Returns ``None`` when bucket membership alone decides the predicate
-        (no per-pair work at all), otherwise a callable evaluating just the
-        residual part.  Resolved once per joiner at construction, not per
-        probe.
-        """
-        if not self.has_residual:
-            return None
-        return self.residual_matches
 
     def matches(self, left: Record, right: Record) -> bool:
         """Whether the pair ``(left, right)`` satisfies the join condition."""
@@ -100,17 +62,6 @@ class EquiPredicate(JoinPredicate):
     right_attr: str
     kind: str = field(default="equi", init=False)
 
-    @property
-    def exact_key(self) -> bool:
-        return True
-
-    @property
-    def has_residual(self) -> bool:
-        return False
-
-    def residual_matches(self, left: Record, right: Record) -> bool:
-        return True
-
     def matches(self, left: Record, right: Record) -> bool:
         return left[self.left_attr] == right[self.right_attr]
 
@@ -132,20 +83,13 @@ class BandPredicate(JoinPredicate):
     cuts the match set out of its sorted key list by evaluating this very
     expression at the slice edges
     (:meth:`~repro.joins.index.OrderedIndex.band_bounds`), so a band probe
-    needs no residual.
+    needs no per-pair check.
     """
 
     left_attr: str
     right_attr: str
     width: float = 1.0
     kind: str = field(default="band", init=False)
-
-    @property
-    def has_residual(self) -> bool:
-        return False
-
-    def residual_matches(self, left: Record, right: Record) -> bool:
-        return True
 
     def matches(self, left: Record, right: Record) -> bool:
         return abs(left[self.left_attr] - right[self.right_attr]) <= self.width
@@ -188,75 +132,3 @@ class NotEqualPredicate(JoinPredicate):
 
     def describe(self) -> str:
         return f"{self.left_attr} != {self.right_attr}"
-
-
-@dataclass
-class CompositePredicate(JoinPredicate):
-    """Conjunction of a *primary* (indexable) predicate and residual conditions.
-
-    The evaluation queries of §5 combine an equi or band condition with extra
-    per-pair filters (e.g. ``L1.shipmode = 'TRUCK' AND L2.shipmode != 'TRUCK'``).
-    The primary predicate drives index selection; the residual conditions are
-    applied to every candidate pair the index produces.
-    """
-
-    primary: JoinPredicate
-    residuals: Sequence[Callable[[Record, Record], bool]] = ()
-    name: str | None = None
-
-    def __post_init__(self) -> None:
-        self.kind = self.primary.kind
-
-    @property
-    def exact_key(self) -> bool:
-        return self.primary.exact_key
-
-    @property
-    def has_residual(self) -> bool:
-        return bool(self.residuals) or self.primary.has_residual
-
-    def residual_matches(self, left: Record, right: Record) -> bool:
-        if self.primary.has_residual and not self.primary.residual_matches(left, right):
-            return False
-        for residual in self.residuals:
-            if not residual(left, right):
-                return False
-        return True
-
-    def residual_check(self) -> Callable[[Record, Record], bool] | None:
-        if self.primary.has_residual:
-            return self.residual_matches
-        residuals = tuple(self.residuals)
-        if not residuals:
-            return None
-        if len(residuals) == 1:
-            return residuals[0]
-
-        def check(left: Record, right: Record) -> bool:
-            for residual in residuals:
-                if not residual(left, right):
-                    return False
-            return True
-
-        return check
-
-    def matches(self, left: Record, right: Record) -> bool:
-        if not self.primary.matches(left, right):
-            return False
-        for residual in self.residuals:
-            if not residual(left, right):
-                return False
-        return True
-
-    def left_key(self, left: Record) -> Any:
-        return self.primary.left_key(left)
-
-    def right_key(self, right: Record) -> Any:
-        return self.primary.right_key(right)
-
-    def describe(self) -> str:
-        if self.name:
-            return self.name
-        extra = f" AND {len(self.residuals)} residual(s)" if self.residuals else ""
-        return self.primary.describe() + extra
-

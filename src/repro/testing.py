@@ -87,22 +87,23 @@ def reference_probe(
 
     ``matches`` are the stored tuples of the opposite relation satisfying
     ``predicate.matches`` with ``item`` (in ``stored`` order); ``work``
-    counts those satisfying the *primary* condition — the hash bucket of an
-    equi join, the band of a band join, every opposite tuple of a theta
-    scan — floored at 1.  ``left_relation`` orients each pair.
+    counts the candidates an index inspects — the matches of an equi or band
+    join (its hash bucket or band), every opposite tuple of a theta scan —
+    floored at 1.  ``left_relation`` orients each pair.
     """
     item_is_left = item.relation == left_relation
-    primary = getattr(predicate, "primary", predicate)
+    scan = predicate.kind == "theta"
     matches = []
     work = 0
     for other in stored:
         if other.relation == item.relation:
             continue
         left, right = (item, other) if item_is_left else (other, item)
-        if predicate.kind == "theta" or primary.matches(left.record, right.record):
-            work += 1
-        if predicate.matches(left.record, right.record):
+        matched = predicate.matches(left.record, right.record)
+        if matched:
             matches.append(other)
+        if matched or scan:
+            work += 1
     return matches, float(max(work, 1))
 
 #: Timing fields the ``timing=False`` coarse switch skips as a group.

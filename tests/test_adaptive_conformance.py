@@ -9,7 +9,7 @@ time, average latency, charged probe work and network volumes — while
 processing the workload in fewer, larger simulator events.
 
 The suite sweeps the scenario matrix: predicate kind (equi / band /
-composite-residual) x arrival pacing (bursty / paced / fluctuating) x
+theta scan) x arrival pacing (bursty / paced / fluctuating) x
 with/without migrations (Dynamic vs StaticMid) x ingestion mode
 (materialised / streaming in arbitrary chunkings), asserting exact
 equivalence on every cell via :func:`repro.testing.assert_run_equivalent`, plus
@@ -51,7 +51,7 @@ from repro.engine.stream import (
     make_tuples,
 )
 from repro.engine.task import Message, MessageKind, Task
-from repro.joins.predicates import BandPredicate, CompositePredicate, EquiPredicate
+from repro.joins.predicates import BandPredicate, EquiPredicate, ThetaPredicate
 
 MACHINES = 8
 SEED = 5
@@ -67,22 +67,23 @@ PACINGS = {
 }
 
 
-def _composite_query(rng: random.Random) -> JoinQuery:
-    """A composite predicate (equi hash path + residual re-validation)."""
+def _theta_query(rng: random.Random) -> JoinQuery:
+    """A theta predicate (scan path, every candidate checked per pair)."""
     # Imbalanced cardinalities so the Dynamic operator migrates away from the
     # square start mapping mid-stream.
     left = [{"k": rng.randrange(12), "v": rng.randrange(40)} for _ in range(40)]
     right = [{"k": rng.randrange(12), "v": rng.randrange(40)} for _ in range(360)]
     return JoinQuery(
-        name="COMPOSITE",
+        name="THETA",
         left_relation="R",
         right_relation="S",
         left_records=left,
         right_records=right,
-        predicate=CompositePredicate(
-            EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
+        predicate=ThetaPredicate(
+            lambda l, r: l["k"] == r["k"] and (l["v"] + r["v"]) % 2 == 0,
+            name="k = k AND v parity",
         ),
-        description="equi join with a parity residual (conformance scenarios)",
+        description="equality plus parity as a theta scan (conformance scenarios)",
     )
 
 
@@ -91,7 +92,7 @@ def queries(small_dataset):
     return {
         "equi": make_query("EQ5", small_dataset),
         "band": make_query("BNCI", small_dataset),
-        "composite": _composite_query(random.Random(17)),
+        "theta": _theta_query(random.Random(17)),
     }
 
 
@@ -127,7 +128,7 @@ def _run_pair(operator_class, query, order, **shared):
 
 
 class TestMaterialisedConformance:
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     @pytest.mark.parametrize("pacing", sorted(PACINGS))
     @pytest.mark.parametrize("operator", sorted(OPERATORS))
     def test_bit_identical_to_per_tuple_plane(self, queries, predicate, pacing, operator):
@@ -166,7 +167,7 @@ class TestMaterialisedConformance:
         assert reference.spilled, "scenario must exercise the spill path"
         assert_run_equivalent(reference, adaptive, label="spill")
 
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     def test_adaptive_outputs_equal_reference_join(self, queries, predicate):
         """Both planes produce exactly the brute-force join, as a multiset."""
         query = queries[predicate]
@@ -229,7 +230,7 @@ class TestDrainedRunsMatchPerMemberHandling:
     factors, output timestamps or probe-work accounting shows up here.
     """
 
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     @pytest.mark.parametrize("operator", sorted(OPERATORS))
     def test_joiner_runs_match_per_member_handling(
         self, queries, predicate, operator, monkeypatch
@@ -267,7 +268,7 @@ class TestDrainedRunsMatchPerMemberHandling:
         assert batched.migrations >= 1, "scenario must migrate"
         assert_run_equivalent(twin, batched, events=True, label="joiner-twin/skew")
 
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     def test_static_reshuffler_runs_match_per_member_routing(
         self, queries, predicate, monkeypatch
     ):
@@ -629,7 +630,7 @@ def fluct_run():
 class TestDeliveryMergingConformance:
     """The merged wire must be invisible in every observable quantity."""
 
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     def test_merged_adaptive_equals_per_tuple_oracle(
         self, queries, predicate, monkeypatch
     ):
@@ -842,7 +843,7 @@ class TestDeliveryMergingInterleavings:
 class TestRunsMatchTheReference:
     """Every predicate and operator against the brute-force join."""
 
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     @pytest.mark.parametrize("operator", sorted(OPERATORS))
     def test_materialised_matches_reference(self, queries, predicate, operator):
         query = queries[predicate]
@@ -855,7 +856,7 @@ class TestRunsMatchTheReference:
         if operator == "migrating":
             assert result.migrations >= 1, f"{label}: scenario must migrate"
 
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     @pytest.mark.parametrize("operator", sorted(OPERATORS))
     def test_fluctuating_matches_reference(self, queries, predicate, operator):
         """The §5.4 fluctuation pattern (cardinality-ratio swings) against the
@@ -870,7 +871,7 @@ class TestRunsMatchTheReference:
         if operator == "migrating":
             assert result.migrations >= 1, f"{label}: scenario must migrate"
 
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     @pytest.mark.parametrize("operator", sorted(OPERATORS))
     def test_streaming_matches_reference(self, queries, predicate, operator):
         query = queries[predicate]
@@ -889,8 +890,9 @@ _HYP_PREDICATES = {
     "band_float": lambda: BandPredicate("k", "k", width=0.75),
     # Int keys with an integral float width.
     "band_int": lambda: BandPredicate("k", "k", width=2.0),
-    "composite": lambda: CompositePredicate(
-        EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
+    "theta": lambda: ThetaPredicate(
+        lambda l, r: l["k"] == r["k"] and (l["v"] + r["v"]) % 2 == 0,
+        name="k = k AND v parity",
     ),
 }
 

@@ -36,7 +36,6 @@ from repro.api import (
     RunConfig,
     FaultSpec,
     NetworkFaultSpec,
-    crash,
     crash_after_events,
     build_operator,
     delay,
@@ -86,7 +85,7 @@ CONFIGS = {
     "no_memory_cap": RunConfig(machines=4, batching="per_tuple", memory_capacity=None),
     "crash_schedule": RunConfig(
         machines=8,
-        fault_schedule=[crash(3, 12.5), crash_after_events(1, 400)],
+        fault_schedule=[crash_after_events(3, 250), crash_after_events(1, 400)],
         checkpoint_interval=50,
     ),
     "network_faults": RunConfig(
@@ -187,13 +186,13 @@ class TestRecoveryKnobs:
     def test_schedule_normalised_to_fault_specs(self):
         config = RunConfig(machines=8, fault_schedule=[crash_after_events(2, 100)])
         assert config.fault_schedule == (crash_after_events(2, 100),)
-        assert RunConfig(machines=8, fault_schedule=crash(2, 1.0)).fault_schedule == (
-            crash(2, 1.0),
-        )
+        assert RunConfig(
+            machines=8, fault_schedule=crash_after_events(2, 10)
+        ).fault_schedule == (crash_after_events(2, 10),)
 
     def test_fault_machine_out_of_range_lists_choices(self):
         with pytest.raises(ValueError, match="choices: 0..7"):
-            RunConfig(machines=8, fault_schedule=[crash(8, 1.0)])
+            RunConfig(machines=8, fault_schedule=[crash_after_events(8, 1)])
 
     def test_faults_rejected_on_blocking_protocol(self):
         with pytest.raises(ValueError, match="non-blocking"):
@@ -201,7 +200,7 @@ class TestRecoveryKnobs:
                 machines=8,
                 blocking=True,
                 batching="per_tuple",
-                fault_schedule=[crash(0, 1.0)],
+                fault_schedule=[crash_after_events(0, 1)],
             )
 
     @pytest.mark.parametrize(
@@ -209,7 +208,7 @@ class TestRecoveryKnobs:
         [
             {"fault_schedule": 7},
             # Entries are FaultSpec objects: a plain dict is not a crash spec.
-            {"fault_schedule": [{"machine": 0, "at_time": 1.0}]},
+            {"fault_schedule": [{"machine": 0, "after_events": 1}]},
             {"checkpoint_interval": 0},
             {"checkpoint_interval": -5},
             {"checkpoint_interval": 2.5},
@@ -223,8 +222,9 @@ class TestRecoveryKnobs:
         "knob, value, expected",
         [
             ("fault_schedule", None, ()),
-            ("fault_schedule", crash(2, 1.0), (crash(2, 1.0),)),
-            ("fault_schedule", [crash(2, 1.0), crash(3, 1.0)], (crash(2, 1.0), crash(3, 1.0))),
+            ("fault_schedule", crash_after_events(2, 1), (crash_after_events(2, 1),)),
+            ("fault_schedule", [crash_after_events(2, 1), crash_after_events(3, 1)],
+             (crash_after_events(2, 1), crash_after_events(3, 1))),
             ("fault_schedule", (crash_after_events(2, 9),), (crash_after_events(2, 9),)),
             ("network_faults", None, ()),
             ("network_faults", drop((0, 1), 1), (drop((0, 1), 1),)),
@@ -243,14 +243,14 @@ class TestRecoveryKnobs:
     @pytest.mark.parametrize(
         "knob, value, helpers",
         [
-            ("fault_schedule", "crash", "crash()/crash_after_events()"),
-            ("fault_schedule", {"machine": 0, "at_time": 1.0}, "crash()/crash_after_events()"),
-            ("fault_schedule", [crash(0, 1.0), 42], "crash()/crash_after_events()"),
+            ("fault_schedule", "crash", "crash_after_events()"),
+            ("fault_schedule", {"machine": 0, "after_events": 1}, "crash_after_events()"),
+            ("fault_schedule", [crash_after_events(0, 1), 42], "crash_after_events()"),
             # A network fault is not a crash, and a crash is not a network fault.
-            ("fault_schedule", [drop((0, 1), 1)], "crash()/crash_after_events()"),
+            ("fault_schedule", [drop((0, 1), 1)], "crash_after_events()"),
             ("network_faults", 7, "drop()/duplicate()/delay()"),
             ("network_faults", "drop", "drop()/duplicate()/delay()"),
-            ("network_faults", [crash(0, 1.0)], "drop()/duplicate()/delay()"),
+            ("network_faults", [crash_after_events(0, 1)], "drop()/duplicate()/delay()"),
         ],
         ids=[
             "crashes-str", "crashes-dict", "crashes-mixed", "crashes-network-spec",
@@ -343,7 +343,7 @@ class TestRetiredKnobs:
     def test_field_counts(self):
         assert len(dataclasses.fields(RunConfig)) == 13
         assert len(dataclasses.fields(RunResult)) == 36
-        assert len(dataclasses.fields(FaultSpec)) == 3
+        assert len(dataclasses.fields(FaultSpec)) == 2
         assert len(dataclasses.fields(NetworkFaultSpec)) == 4
 
 
@@ -612,19 +612,20 @@ class TestStreamingIngestion:
         assert streamed.migrations == materialised.migrations
         assert streamed.final_mapping == materialised.final_mapping
 
-    def test_push_raw_records_and_snapshots(self, small_dataset):
+    def test_push_chunks_and_snapshots(self, small_dataset):
         query = make_query("EQ5", small_dataset)
         session = JoinSession(query, machines=8, seed=3)
-        half_left = len(query.left_records) // 2
-        half_right = len(query.right_records) // 2
+        rng = random.Random(3)
+        left = make_tuples(query.left_relation, query.left_records, rng, query.left_tuple_size)
+        right = make_tuples(
+            query.right_relation, query.right_records, rng, query.right_tuple_size
+        )
+        half_left = len(left) // 2
+        half_right = len(right) // 2
 
-        snap1 = session.push(
-            left=query.left_records[:half_left], right=query.right_records[:half_right]
-        )
+        snap1 = session.push(left[:half_left] + right[:half_right])
         assert snap1.tuples_pushed == half_left + half_right
-        snap2 = session.push(
-            left=query.left_records[half_left:], right=query.right_records[half_right:]
-        )
+        snap2 = session.push(left[half_left:] + right[half_right:])
         assert snap2.tuples_pushed == len(query.left_records) + len(query.right_records)
         assert snap2.output_count >= snap1.output_count
         assert session.snapshot().tuples_pushed == snap2.tuples_pushed
@@ -639,40 +640,31 @@ class TestStreamingIngestion:
 
     def test_streaming_lifecycle_errors(self, eq5_query):
         session = JoinSession(eq5_query, machines=8, seed=3)
+        chunk = [
+            item
+            for item in _arrival_order(eq5_query, seed=3)
+            if item.relation == eq5_query.right_relation
+        ][:5]
         with pytest.raises(RuntimeError, match="no streaming run"):
             session.finish()
         with pytest.raises(RuntimeError, match="no streaming run"):
             session.snapshot()
-        session.push(right=eq5_query.right_records[:5])
+        session.push(chunk)
         with pytest.raises(RuntimeError, match="already open"):
             session.open_stream()
         session.finish()
         # a stray push after finish() must not silently start a fresh run
         with pytest.raises(RuntimeError, match="open_stream"):
-            session.push(right=eq5_query.right_records[:5])
+            session.push(chunk)
         # the session is reusable, but only through an explicit open_stream()
         session.open_stream()
-        snap = session.push(right=eq5_query.right_records[:5])
+        snap = session.push(chunk)
         assert snap.tuples_pushed == 5
         session.finish()
 
-    def test_streaming_rejects_time_anchored_crashes(self, eq5_query):
-        """Every push runs the simulation dry, so ``crash(3, 400.0)`` would
-        fire during the first push of 100 tuples dated 0-99, ahead of the
-        tuples later pushes date 100-399.  Opening the stream, explicitly or
-        lazily, refuses it and names the event-anchored form."""
+    def test_streaming_takes_event_anchored_crashes(self, eq5_query):
         knobs = dict(machines=8, inter_arrival=1.0, checkpoint_interval=50)
         order = _arrival_order(eq5_query, seed=5)
-        session = JoinSession(eq5_query, fault_schedule=[crash(3, 400.0)], **knobs)
-        with pytest.raises(ValueError, match="crash_after_events"):
-            session.push(items=order[:100])
-        assert not session.streaming
-        with pytest.raises(ValueError, match="crash_after_events"):
-            session.open_stream()
-        with pytest.raises(ValueError, match="crash_after_events"):
-            JoinSession(eq5_query, **knobs).open_stream(
-                fault_schedule=[crash_after_events(1, 50), crash(3, 400.0)]
-            )
         session = JoinSession(
             eq5_query, fault_schedule=[crash_after_events(3, 400)], **knobs
         )
@@ -683,14 +675,49 @@ class TestStreamingIngestion:
     def test_push_rejects_wrong_relation(self, eq5_query, bnci_query):
         session = JoinSession(eq5_query, machines=8)
         order = _arrival_order(eq5_query, seed=5)
-        right_tuple = next(t for t in order if t.relation == eq5_query.right_relation)
-        with pytest.raises(ValueError, match="relation"):
-            session.push(left=[right_tuple])
-        # items= must reject foreign relations too (they would otherwise be
-        # silently routed as right-side input).
+        # A foreign relation would otherwise be silently routed as
+        # right-side input.
         foreign = _arrival_order(bnci_query, seed=5)[0]
         with pytest.raises(ValueError, match="relation"):
-            session.push(items=[foreign])
+            session.push(order[:3] + [foreign])
+        assert session.snapshot().tuples_pushed == 0
+        session.finish()
+
+    def test_push_feeds_on_cluster_reshufflers_data_only(self, eq5_query, monkeypatch):
+        """``schedule_data`` merges onto a machine's feed channel, so every
+        tuple a push hands it is DATA bound for an on-cluster reshuffler."""
+        from repro.engine.simulator import Simulator
+        from repro.engine.stream import MessageKind
+
+        fed = []
+        original = Simulator.schedule_data
+
+        def spy(simulator, time, destination, message):
+            task = simulator.tasks[destination]
+            fed.append((destination, task.hosted_machine, message.kind))
+            original(simulator, time, destination, message)
+
+        monkeypatch.setattr(Simulator, "schedule_data", spy)
+        session = JoinSession(eq5_query, machines=8)
+        order = _arrival_order(eq5_query, seed=5)
+        for start in range(0, 300, 60):
+            session.push(order[start:start + 60])
+        reshufflers = set(session._stream.topology.reshuffler_names)
+        session.finish()
+        assert len(fed) == 300
+        assert {destination for destination, _, _ in fed} <= reshufflers
+        assert all(machine is not None for _, machine, _ in fed)
+        assert {kind for _, _, kind in fed} == {MessageKind.DATA}
+
+    def test_push_rejects_raw_records_naming_make_tuples(self, eq5_query):
+        session = JoinSession(eq5_query, machines=8)
+        order = _arrival_order(eq5_query, seed=5)
+        with pytest.raises(TypeError, match="make_tuples"):
+            session.push([eq5_query.left_records[0]])
+        with pytest.raises(TypeError, match="make_tuples"):
+            session.push(order[:3] + [eq5_query.right_records[0]])
+        # A rejected chunk ingests nothing.
+        assert session.snapshot().tuples_pushed == 0
         session.finish()
 
     def test_session_requires_a_query(self):

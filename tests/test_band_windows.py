@@ -42,7 +42,6 @@ from repro.joins.index import OrderedIndex
 from repro.joins.local import make_local_joiner
 from repro.joins.predicates import (
     BandPredicate,
-    CompositePredicate,
     EquiPredicate,
     ThetaPredicate,
 )
@@ -101,14 +100,14 @@ def band_cases(draw, min_size=0, max_size=40):
     width = draw(WIDTHS[draw(st.sampled_from(sorted(WIDTHS)))])
     spec = draw(
         st.lists(
-            st.tuples(st.booleans(), keys, st.integers(0, 3)),
+            st.tuples(st.booleans(), keys),
             min_size=min_size,
             max_size=max_size,
         )
     )
     items = [
-        StreamTuple(relation="R" if is_left else "S", record={"v": key, "k": k})
-        for is_left, key, k in spec
+        StreamTuple(relation="R" if is_left else "S", record={"v": key})
+        for is_left, key in spec
     ]
     return width, items
 
@@ -116,7 +115,7 @@ def band_cases(draw, min_size=0, max_size=40):
 def _case(width, *stream):
     """A fixed ``band_cases`` draw: ``(relation, key)`` pairs in arrival order."""
     return width, [
-        StreamTuple(relation=relation, record={"v": key, "k": 0})
+        StreamTuple(relation=relation, record={"v": key})
         for relation, key in stream
     ]
 
@@ -142,11 +141,8 @@ EDGE_CASES = (
 )
 
 
-def _predicate(width, composite):
-    band = BandPredicate("v", "v", width=width)
-    if composite:
-        return CompositePredicate(band, residuals=[lambda l, r: l["k"] != r["k"]])
-    return band
+def _predicate(width):
+    return BandPredicate("v", "v", width=width)
 
 
 def _ids(matches):
@@ -162,16 +158,16 @@ def _reference(predicate, stored, item):
 
 
 class TestBandWindowsMatchTheReference:
-    @given(case=band_cases(), composite=st.booleans(), batch_size=st.integers(1, 9))
-    @example(case=EDGE_CASES[0], composite=False, batch_size=2)
-    @example(case=EDGE_CASES[1], composite=False, batch_size=2)
-    @example(case=EDGE_CASES[2], composite=False, batch_size=2)
-    @example(case=EDGE_CASES[3], composite=False, batch_size=4)
-    @example(case=EDGE_CASES[4], composite=False, batch_size=1)
+    @given(case=band_cases(), batch_size=st.integers(1, 9))
+    @example(case=EDGE_CASES[0], batch_size=2)
+    @example(case=EDGE_CASES[1], batch_size=2)
+    @example(case=EDGE_CASES[2], batch_size=2)
+    @example(case=EDGE_CASES[3], batch_size=4)
+    @example(case=EDGE_CASES[4], batch_size=1)
     @settings(max_examples=300, deadline=None)
-    def test_probe_batch(self, case, composite, batch_size):
+    def test_probe_batch(self, case, batch_size):
         width, items = case
-        predicate = _predicate(width, composite)
+        predicate = _predicate(width)
         joiner = make_local_joiner(predicate, "R", "S")
         got = []
         for position in range(0, len(items), batch_size):
@@ -182,16 +178,16 @@ class TestBandWindowsMatchTheReference:
             assert _ids(matches) == _ids(want_matches)
             assert work == want_work
 
-    @given(case=band_cases(), composite=st.booleans())
-    @example(case=EDGE_CASES[0], composite=True)
-    @example(case=EDGE_CASES[1], composite=True)
-    @example(case=EDGE_CASES[2], composite=True)
-    @example(case=EDGE_CASES[3], composite=True)
-    @example(case=EDGE_CASES[4], composite=True)
+    @given(case=band_cases())
+    @example(case=EDGE_CASES[0])
+    @example(case=EDGE_CASES[1])
+    @example(case=EDGE_CASES[2])
+    @example(case=EDGE_CASES[3])
+    @example(case=EDGE_CASES[4])
     @settings(max_examples=300, deadline=None)
-    def test_per_tuple_raw_probe(self, case, composite):
+    def test_per_tuple_raw_probe(self, case):
         width, items = case
-        predicate = _predicate(width, composite)
+        predicate = _predicate(width)
         joiner = make_local_joiner(predicate, "R", "S")
         for index, item in enumerate(items):
             matches, inspected = joiner.raw_probe(item)
@@ -203,19 +199,18 @@ class TestBandWindowsMatchTheReference:
 
     @given(
         case=band_cases(min_size=24, max_size=60),
-        composite=st.booleans(),
         salts=st.randoms(use_true_random=False),
         steps=st.lists(st.sampled_from(["delta", "mu", "delta_prime", "batch"]),
                        min_size=1, max_size=30),
     )
     @settings(max_examples=150, deadline=None)
-    def test_migration_partition_probes(self, case, composite, salts, steps):
+    def test_migration_partition_probes(self, case, salts, steps):
         """The Δ, Δ' and µ paths probe the tag partitions through the keyed
         probe body: every action of a migrating joiner holds the brute-force
         matches of the partitions its protocol step selects, and is charged
         the brute-force count over the whole state once per protocol probe."""
         width, items = case
-        predicate = _predicate(width, composite)
+        predicate = _predicate(width)
         for item in items:
             item.salt = salts.random()
         plan = plan_migration(

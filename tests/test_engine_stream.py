@@ -196,7 +196,63 @@ class TestSalts:
         assert [t.salt for t in a] == [t.salt for t in b]
 
 
+def _queue_fluctuating_order(r_tuples, s_tuples, factor, warmup):
+    """The fluctuation pattern of §5.4 restated on two queues: emit the head
+    of the leading queue until it is ``factor`` times the trailing count,
+    then swap; ``warmup`` alternating tuples come first."""
+    r_queue, s_queue = list(r_tuples), list(s_tuples)
+    order, sent = [], {"R": 0, "S": 0}
+    queues = {"R": r_queue, "S": s_queue}
+
+    def emit(relation):
+        order.append(queues[relation].pop(0))
+        sent[relation] += 1
+
+    for _ in range(min(warmup, len(r_queue) + len(s_queue))):
+        emit("R" if r_queue and (sent["R"] <= sent["S"] or not s_queue) else "S")
+    leading = "R"
+    while r_queue or s_queue:
+        trailing = "S" if leading == "R" else "R"
+        if not queues[leading]:
+            leading = trailing
+            continue
+        emit(leading)
+        if sent[leading] >= factor * max(sent[trailing], 1) and queues[trailing]:
+            leading = trailing
+    return order
+
+
 class TestFluctuatingOrder:
+    @pytest.mark.parametrize(
+        ("n_r", "n_s", "factor", "warmup"),
+        [
+            (40, 40, 2, 10),
+            (200, 50, 4, 20),
+            (7, 90, 3, 0),
+            (0, 25, 2, 5),
+            (30, 0, 1.5, 100),
+            (55, 48, 7.3, 56),
+        ],
+    )
+    def test_equals_the_queue_formulation(self, rng, n_r, n_s, factor, warmup):
+        left = _tuples("R", n_r, rng)
+        right = _tuples("S", n_s, rng)
+        order = fluctuating_order(left, right, fluctuation_factor=factor, warmup=warmup)
+        assert order == _queue_fluctuating_order(left, right, factor, warmup)
+
+    @given(
+        n_r=st.integers(0, 60),
+        n_s=st.integers(0, 60),
+        factor=st.sampled_from([1.5, 2, 3, 4, 7.3]),
+        warmup=st.integers(0, 130),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_any_shape_equals_the_queue_formulation(self, n_r, n_s, factor, warmup):
+        left = [StreamTuple(relation="R", record={"i": i}) for i in range(n_r)]
+        right = [StreamTuple(relation="S", record={"i": i}) for i in range(n_s)]
+        order = fluctuating_order(left, right, fluctuation_factor=factor, warmup=warmup)
+        assert order == _queue_fluctuating_order(left, right, factor, warmup)
+
     def test_contains_every_tuple_exactly_once(self, rng):
         left = _tuples("R", 40, rng)
         right = _tuples("S", 40, rng)

@@ -7,7 +7,7 @@ Pins the fault-tolerant join plane's contract:
   bit-identical to the reference down to heap events, on both data planes.
 * **Crash twins** — a run with a crash in its fault schedule must recover to
   the *same join output multiset* as its fault-free twin over the same
-  arrival order, across predicate kinds (equi / band / composite) and data
+  arrival order, across predicate kinds (equi / band / theta) and data
   planes (per-tuple / adaptive), with ``recovery_time > 0`` and the crash
   counted in ``faults_injected``.
 * **Deterministic replay** — running the same crash schedule twice is
@@ -34,16 +34,15 @@ from hypothesis import strategies as st
 from repro.api import (
     OverlappingFaultError,
     RunConfig,
-    crash,
     crash_after_events,
 )
 from repro.core.baselines import StaticMidOperator
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
-from repro.core.recovery import RecoveryManager
 from repro.engine.faults import ACK_TIMEOUT, FaultSpec, normalize_fault_schedule
+from repro.engine.simulator import Simulator
 from repro.engine.stream import interleave_streams, make_tuples
-from repro.joins.predicates import CompositePredicate, EquiPredicate
+from repro.joins.predicates import ThetaPredicate
 from repro.storage import CheckpointStore
 from repro.testing import assert_run_equivalent
 
@@ -51,19 +50,20 @@ MACHINES = 8
 SEED = 5
 
 
-def _composite_query(rng: random.Random) -> JoinQuery:
+def _theta_query(rng: random.Random) -> JoinQuery:
     left = [{"k": rng.randrange(12), "v": rng.randrange(40)} for _ in range(40)]
     right = [{"k": rng.randrange(12), "v": rng.randrange(40)} for _ in range(360)]
     return JoinQuery(
-        name="COMPOSITE",
+        name="THETA",
         left_relation="R",
         right_relation="S",
         left_records=left,
         right_records=right,
-        predicate=CompositePredicate(
-            EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
+        predicate=ThetaPredicate(
+            lambda l, r: l["k"] == r["k"] and (l["v"] + r["v"]) % 2 == 0,
+            name="k = k AND v parity",
         ),
-        description="equi join with a parity residual (recovery scenarios)",
+        description="equality plus parity as a theta scan (recovery scenarios)",
     )
 
 
@@ -72,7 +72,7 @@ def queries(small_dataset):
     return {
         "equi": make_query("EQ5", small_dataset),
         "band": make_query("BNCI", small_dataset),
-        "composite": _composite_query(random.Random(17)),
+        "theta": _theta_query(random.Random(17)),
     }
 
 
@@ -170,21 +170,15 @@ class TestCheckpointStore:
 
 class TestFaultSpec:
     def test_helpers_build_specs(self):
-        assert crash(3, 12.5) == FaultSpec(machine=3, at_time=12.5)
         assert crash_after_events(1, 400) == FaultSpec(machine=1, after_events=400)
 
     @pytest.mark.parametrize(
         ("kwargs", "pattern"),
         [
-            ({"machine": -1, "at_time": 1.0}, "machine"),
-            ({"machine": True, "at_time": 1.0}, "machine"),
-            ({"machine": 0}, "exactly one"),
-            ({"machine": 0, "at_time": 1.0, "after_events": 5}, "exactly one"),
-            ({"machine": 0, "at_time": -0.5}, "at_time"),
+            ({"machine": -1, "after_events": 1}, "machine"),
+            ({"machine": True, "after_events": 1}, "machine"),
             ({"machine": 0, "after_events": 0}, "after_events"),
-            ({"machine": "3", "at_time": 1.0}, "machine"),
-            ({"machine": 0, "at_time": "1.0"}, "at_time"),
-            ({"machine": 0, "at_time": True}, "at_time"),
+            ({"machine": "3", "after_events": 1}, "machine"),
             ({"machine": 0, "after_events": 2.5}, "after_events"),
             ({"machine": 0, "after_events": True}, "after_events"),
             ({"machine": 0, "after_events": -3}, "after_events"),
@@ -195,8 +189,8 @@ class TestFaultSpec:
             FaultSpec(**kwargs)
 
     def test_normalize_accepts_specs_and_rejects_dicts(self):
-        schedule = normalize_fault_schedule([crash(1, 5.0), crash_after_events(2, 100)])
-        assert schedule == (crash(1, 5.0), crash_after_events(2, 100))
+        schedule = normalize_fault_schedule([crash_after_events(1, 50), crash_after_events(2, 100)])
+        assert schedule == (crash_after_events(1, 50), crash_after_events(2, 100))
         with pytest.raises(ValueError, match="FaultSpec"):
             normalize_fault_schedule([{"machine": 2, "after_events": 100}])
 
@@ -228,7 +222,7 @@ class TestCheckpointingBitIdentity:
 
 class TestCrashRecovery:
     @pytest.mark.parametrize("plane", sorted(PLANES))
-    @pytest.mark.parametrize("kind", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("kind", ["equi", "band", "theta"])
     def test_crashed_run_recovers_to_fault_free_output(self, queries, kind, plane):
         query = queries[kind]
         order = _arrival_order(query)
@@ -248,21 +242,6 @@ class TestCrashRecovery:
         assert sorted(crashed.outputs) == sorted(twin.outputs), f"{kind}/{plane}"
         assert crashed.output_count == twin.output_count
 
-    def test_virtual_time_anchored_crash(self, queries):
-        query = queries["equi"]
-        order = _arrival_order(query)
-        twin = _run(query, order, checkpoint_interval=50, batching="per_tuple")
-        crashed = _run(
-            query,
-            order,
-            checkpoint_interval=50,
-            batching="per_tuple",
-            fault_schedule=[crash(3, twin.execution_time * 0.4)],
-        )
-        assert crashed.faults_injected == 1
-        assert crashed.recovery_time > 0.0
-        assert sorted(crashed.outputs) == sorted(twin.outputs)
-
     def test_controller_machine_crash(self, queries):
         query = queries["equi"]
         order = _arrival_order(query)
@@ -272,7 +251,7 @@ class TestCrashRecovery:
             order,
             checkpoint_interval=50,
             batching="per_tuple",
-            fault_schedule=[crash(0, twin.execution_time * 0.4)],
+            fault_schedule=[crash_after_events(0, twin.events_processed * 2 // 5)],
         )
         assert crashed.faults_injected == 1
         assert sorted(crashed.outputs) == sorted(twin.outputs)
@@ -388,22 +367,27 @@ class TestFaultErrorPaths:
 
 @pytest.fixture()
 def outages(monkeypatch):
-    """Record every crash and restart the recovery manager sees, in order,
-    as ``(action, machine, virtual time)``."""
+    """Record every crash and restart the simulator runs, in order, as
+    ``(action, machine, virtual time, events processed)``."""
     log = []
-    on_crash, on_restart = RecoveryManager.on_crash, RecoveryManager.on_restart
+    crash_machine, restart_machine = Simulator._crash_machine, Simulator._restart_machine
 
     def recorded_crash(self, machine_id, time):
-        log.append(("crash", machine_id, time))
-        return on_crash(self, machine_id, time)
+        log.append(("crash", machine_id, time, self.events_processed))
+        return crash_machine(self, machine_id, time)
 
     def recorded_restart(self, machine_id, time):
-        log.append(("restart", machine_id, time))
-        return on_restart(self, machine_id, time)
+        restart_machine(self, machine_id, time)
+        log.append(("restart", machine_id, time, self.events_processed))
 
-    monkeypatch.setattr(RecoveryManager, "on_crash", recorded_crash)
-    monkeypatch.setattr(RecoveryManager, "on_restart", recorded_restart)
+    monkeypatch.setattr(Simulator, "_crash_machine", recorded_crash)
+    monkeypatch.setattr(Simulator, "_restart_machine", recorded_restart)
     return log
+
+
+def _timeline(outages):
+    """``outages`` without the event counts: ``(action, machine, time)``."""
+    return [(action, machine, time) for action, machine, time, _ in outages]
 
 
 def _crash_run(queries, plane, schedule):
@@ -420,16 +404,26 @@ def _crash_run(queries, plane, schedule):
     return twin, crashed
 
 
-class TestRestartTiming:
-    # The timed crashes land from t=10, early in a run that lasts ~156 vt
-    # fault-free, so traffic for machine 3 is waiting at every restart.
+def _chained_schedule(queries, plane, outages, count, gap, first=None):
+    """``count`` crashes of machine 3, the first at event ``first`` (default:
+    the plane's anchor) and each later one ``gap`` events after the restart
+    before it — found by rerunning the schedule so far and reading that
+    restart's event count."""
+    if first is None:
+        _, first = _plane_overrides(plane)
+    schedule = [crash_after_events(3, first)]
+    while len(schedule) < count:
+        outages.clear()
+        _crash_run(queries, plane, schedule)
+        restarted_at = outages[-1][3]
+        schedule.append(crash_after_events(3, restarted_at + gap))
+    outages.clear()
+    return schedule
 
-    @pytest.mark.parametrize("plane", sorted(PLANES))
-    def test_timed_crash_restarts_after_ack_timeout(self, queries, outages, plane):
-        twin, crashed = _crash_run(queries, plane, [crash(3, 10.0)])
-        assert outages == [("crash", 3, 10.0), ("restart", 3, 10.0 + ACK_TIMEOUT)]
-        assert crashed.faults_injected == 1
-        assert sorted(crashed.outputs) == sorted(twin.outputs)
+
+class TestRestartTiming:
+    # The crashes land in a run that lasts ~156 vt fault-free, so traffic
+    # for machine 3 is waiting at every restart.
 
     @pytest.mark.parametrize("plane", sorted(PLANES))
     def test_event_anchored_crash_restarts_after_ack_timeout(
@@ -437,44 +431,51 @@ class TestRestartTiming:
     ):
         _, events = _plane_overrides(plane)
         twin, crashed = _crash_run(queries, plane, [crash_after_events(3, events)])
-        (_, machine, crashed_at), restart = outages
+        (_, machine, crashed_at), restart = _timeline(outages)
         assert machine == 3
         assert restart == ("restart", 3, crashed_at + ACK_TIMEOUT)
+        assert crashed.faults_injected == 1
         assert sorted(crashed.outputs) == sorted(twin.outputs)
 
     @pytest.mark.parametrize("plane", sorted(PLANES))
     def test_second_outage_restarts_on_its_own_clock(self, queries, outages, plane):
         """A first outage leaves nothing behind: the second one lasts
         ACK_TIMEOUT from its own crash."""
-        twin, crashed = _crash_run(queries, plane, [crash(3, 10.0), crash(3, 17.0)])
-        assert outages == [
-            ("crash", 3, 10.0),
-            ("restart", 3, 10.0 + ACK_TIMEOUT),
-            ("crash", 3, 17.0),
-            ("restart", 3, 17.0 + ACK_TIMEOUT),
+        schedule = _chained_schedule(queries, plane, outages, count=2, gap=20)
+        twin, crashed = _crash_run(queries, plane, schedule)
+        (_, _, first), _, (_, _, second), _ = _timeline(outages)
+        assert second > first + ACK_TIMEOUT
+        assert _timeline(outages) == [
+            ("crash", 3, first),
+            ("restart", 3, first + ACK_TIMEOUT),
+            ("crash", 3, second),
+            ("restart", 3, second + ACK_TIMEOUT),
         ]
         assert crashed.faults_injected == 2
         assert sorted(crashed.outputs) == sorted(twin.outputs)
 
     @pytest.mark.parametrize("plane", sorted(PLANES))
     def test_crash_just_after_the_restart_recovers(self, queries, outages, plane):
-        later = 10.0 + ACK_TIMEOUT + 0.5
-        twin, crashed = _crash_run(queries, plane, [crash(3, 10.0), crash(3, later)])
-        assert [entry for entry in outages if entry[0] == "crash"] == [
-            ("crash", 3, 10.0),
-            ("crash", 3, later),
-        ]
+        """The second crash fires on the first event after the restart."""
+        schedule = _chained_schedule(queries, plane, outages, count=2, gap=1)
+        twin, crashed = _crash_run(queries, plane, schedule)
+        crash_events = [entry[3] for entry in outages if entry[0] == "crash"]
+        restart_events = [entry[3] for entry in outages if entry[0] == "restart"]
+        assert crash_events[1] == restart_events[0] + 1
+        assert crashed.faults_injected == 2
         assert sorted(crashed.outputs) == sorted(twin.outputs)
 
     @pytest.mark.parametrize("plane", sorted(PLANES))
     def test_back_to_back_outages_run_to_completion(self, queries, outages, plane):
-        """Machine 3 is down for most of a 60 vt stretch: the traffic that
-        waits for it is never given up on, and the output is the twin's."""
-        schedule = [crash(3, 10.0 + step * (ACK_TIMEOUT + 0.5)) for step in range(10)]
+        """Machine 3 crashes at event 10 and again right after each restart,
+        down for the first 50 vt: the traffic that waits for it is
+        never given up on, and the output is the twin's."""
+        schedule = _chained_schedule(queries, plane, outages, count=10, gap=1, first=10)
         twin, crashed = _crash_run(queries, plane, schedule)
         assert crashed.faults_injected == len(schedule)
-        restarts = [time for action, _, time in outages if action == "restart"]
-        assert restarts == [fault.at_time + ACK_TIMEOUT for fault in schedule]
+        crashes = [time for action, _, time, _ in outages if action == "crash"]
+        restarts = [time for action, _, time, _ in outages if action == "restart"]
+        assert restarts == [time + ACK_TIMEOUT for time in crashes]
         assert sorted(crashed.outputs) == sorted(twin.outputs)
 
 
@@ -503,7 +504,7 @@ class TestArbitraryCrashPointProperty:
     @given(
         machine=st.integers(min_value=0, max_value=MACHINES - 1),
         fraction=st.floats(min_value=0.05, max_value=1.2),
-        kind=st.sampled_from(["equi", "band", "composite"]),
+        kind=st.sampled_from(["equi", "band", "theta"]),
         plane=st.sampled_from(sorted(PLANES)),
     )
     def test_crash_anywhere_recovers(self, queries, machine, fraction, kind, plane):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.joins.predicates import (
     BandPredicate,
-    CompositePredicate,
     EquiPredicate,
     NotEqualPredicate,
     ThetaPredicate,
@@ -47,7 +46,7 @@ class TestBandPredicate:
         assert predicate.matches({"x": x}, {"y": y}) == flipped.matches({"x": y}, {"y": x})
 
 
-class TestThetaAndComposite:
+class TestThetaPredicates:
     def test_theta_callable(self):
         predicate = ThetaPredicate(lambda l, r: l["a"] < r["b"], name="a < b")
         assert predicate.matches({"a": 1}, {"b": 2})
@@ -59,64 +58,6 @@ class TestThetaAndComposite:
         predicate = NotEqualPredicate("a", "a")
         assert predicate.matches({"a": 1}, {"a": 2})
         assert not predicate.matches({"a": 1}, {"a": 1})
-
-    def test_composite_inherits_kind_and_filters(self):
-        predicate = CompositePredicate(
-            primary=EquiPredicate("k", "k"),
-            residuals=[lambda l, r: l["v"] > 10],
-        )
-        assert predicate.kind == "equi"
-        assert predicate.matches({"k": 1, "v": 11}, {"k": 1})
-        assert not predicate.matches({"k": 1, "v": 5}, {"k": 1})
-        assert not predicate.matches({"k": 1, "v": 11}, {"k": 2})
-        assert predicate.left_key({"k": 4, "v": 0}) == 4
-
-    def test_composite_describe(self):
-        predicate = CompositePredicate(EquiPredicate("k", "k"), [lambda l, r: True])
-        assert "residual" in predicate.describe()
-        named = CompositePredicate(EquiPredicate("k", "k"), name="custom")
-        assert named.describe() == "custom"
-
-
-class TestExactKeyContract:
-    def test_equi_is_exact_key_with_no_residual(self):
-        predicate = EquiPredicate("a", "b")
-        assert predicate.exact_key
-        assert not predicate.has_residual
-        assert predicate.residual_check() is None
-        assert predicate.residual_matches({"a": 1}, {"b": 99})
-
-    def test_band_and_theta_are_not_exact_key(self):
-        assert not BandPredicate("x", "y", width=1).exact_key
-        assert not ThetaPredicate(lambda l, r: True).exact_key
-        assert not NotEqualPredicate("a", "a").exact_key
-
-    def test_composite_exact_key_runs_residuals_only(self):
-        predicate = CompositePredicate(
-            EquiPredicate("k", "k"), residuals=[lambda l, r: l["v"] > 10]
-        )
-        assert predicate.exact_key
-        assert predicate.has_residual
-        check = predicate.residual_check()
-        # The residual check skips the (index-guaranteed) key equality.
-        assert check({"k": 1, "v": 11}, {"k": 999})
-        assert not check({"k": 1, "v": 5}, {"k": 1})
-
-    def test_composite_without_residuals_is_exact_hit(self):
-        predicate = CompositePredicate(EquiPredicate("k", "k"))
-        assert predicate.exact_key
-        assert not predicate.has_residual
-        assert predicate.residual_check() is None
-
-    def test_composite_multiple_residuals_combined(self):
-        predicate = CompositePredicate(
-            EquiPredicate("k", "k"),
-            residuals=[lambda l, r: l["v"] > 0, lambda l, r: r["w"] < 5],
-        )
-        check = predicate.residual_check()
-        assert check({"k": 1, "v": 1}, {"k": 1, "w": 0})
-        assert not check({"k": 1, "v": 0}, {"k": 1, "w": 0})
-        assert not check({"k": 1, "v": 1}, {"k": 1, "w": 9})
 
 
 class TestReferenceJoin:
@@ -135,7 +76,7 @@ class TestReferenceJoin:
 
 class TestReferenceProbe:
     """The closed-form probe oracle: matches by ``predicate.matches``, work
-    by the primary condition, floored at 1."""
+    by the candidates the index inspects, floored at 1."""
 
     def _stored(self):
         return [
@@ -145,13 +86,13 @@ class TestReferenceProbe:
             )
         ]
 
-    def test_work_counts_the_primary_condition(self):
+    def test_work_counts_the_index_candidates(self):
         item = StreamTuple(relation="R", record={"k": 1, "v": 0})
-        composite = CompositePredicate(
-            BandPredicate("k", "k", width=1), residuals=[lambda l, r: l["v"] == r["v"]]
-        )
-        matches, work = reference_probe(composite, self._stored(), item, left_relation="R")
-        assert [m.record for m in matches] == [{"k": 1, "v": 0}, {"k": 2, "v": 0}]
+        band = BandPredicate("k", "k", width=1)
+        matches, work = reference_probe(band, self._stored(), item, left_relation="R")
+        assert [m.record for m in matches] == [
+            {"k": 1, "v": 0}, {"k": 1, "v": 1}, {"k": 2, "v": 0},
+        ]
         assert work == 3.0  # the band holds three S tuples; the R tuple is no partner
         _, work = reference_probe(
             EquiPredicate("k", "k"), self._stored(), item, left_relation="R"

@@ -9,7 +9,7 @@ Pins the contract of ``MatchGroup`` / ``LatencyLedger`` / ``record_outputs``:
   ``collect_outputs=True`` still yields oriented ``(left_id, right_id)`` pairs;
 * **differential** — both data planes are the same simulation with output
   multisets equal to the brute-force join on migrating equi / band /
-  composite joins whose Δ, Δ' and µ emission paths all fire, and under a
+  theta joins whose Δ, Δ' and µ emission paths all fire, and under a
   crash too;
 * **allocation** — a dense run holds O(probes) ledger entries, not
   O(outputs), and the collector keeps no Python object per join result.
@@ -29,7 +29,7 @@ from repro.core.epochs import EpochJoinerState
 from repro.data.queries import JoinQuery
 from repro.engine.metrics import LatencyLedger, MatchGroup, MetricsCollector
 from repro.engine.stream import StreamTuple, interleave_streams, make_tuples
-from repro.joins.predicates import BandPredicate, CompositePredicate, EquiPredicate
+from repro.joins.predicates import BandPredicate, EquiPredicate, ThetaPredicate
 from repro.testing import assert_run_equivalent, reference_outputs
 
 
@@ -184,8 +184,9 @@ PLANES = {
 PREDICATES = {
     "equi": lambda: EquiPredicate("k", "k"),
     "band": lambda: BandPredicate("k", "k", width=1),
-    "composite": lambda: CompositePredicate(
-        EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
+    "theta": lambda: ThetaPredicate(
+        lambda l, r: l["k"] == r["k"] and (l["v"] + r["v"]) % 2 == 0,
+        name="k = k AND v parity",
     ),
 }
 

@@ -2,7 +2,7 @@
 
 :func:`repro.testing.reference_probe` states what probing a tuple must
 return: the stored opposite tuples satisfying ``predicate.matches``, and as
-work the number satisfying its primary condition, floored at 1.
+work the number of candidates its index inspects, floored at 1.
 ``LocalJoiner.probe_batch`` must produce, per member, exactly those matches
 and that work across every predicate kind — including intra-batch self-join
 pairs, for any batch partitioning — and the epoch state machine must charge
@@ -24,7 +24,6 @@ from repro.engine.stream import StreamTuple
 from repro.joins.local import make_local_joiner
 from repro.joins.predicates import (
     BandPredicate,
-    CompositePredicate,
     EquiPredicate,
     NotEqualPredicate,
     ThetaPredicate,
@@ -41,22 +40,26 @@ def _predicate(name):
         return ThetaPredicate(lambda l, r: l["v"] < r["v"], name="l.v < r.v")
     if name == "notequal":
         return NotEqualPredicate("k", "k")
-    if name == "composite-equi":
-        return CompositePredicate(
-            EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
-        )
-    if name == "composite-band":
-        return CompositePredicate(
-            BandPredicate("v", "v", width=3), residuals=[lambda l, r: l["k"] != r["k"]]
-        )
     if name == "band-float":
         # Tenths are inexact floats: differences round onto either side of
         # the band edge.
         return BandPredicate("f", "f", width=0.3)
-    if name == "composite-band-float":
-        return CompositePredicate(
-            BandPredicate("f", "f", width=0.3),
-            residuals=[lambda l, r: l["k"] != r["k"]],
+    # Multi-condition joins are theta predicates: a scan checks every
+    # stored candidate against the whole condition.
+    if name == "theta-equi-parity":
+        return ThetaPredicate(
+            lambda l, r: l["k"] == r["k"] and (l["v"] + r["v"]) % 2 == 0,
+            name="l.k = r.k and l.v + r.v even",
+        )
+    if name == "theta-band":
+        return ThetaPredicate(
+            lambda l, r: abs(l["v"] - r["v"]) <= 3 and l["k"] != r["k"],
+            name="|l.v - r.v| <= 3 and l.k != r.k",
+        )
+    if name == "theta-band-float":
+        return ThetaPredicate(
+            lambda l, r: abs(l["f"] - r["f"]) <= 0.3 and l["k"] != r["k"],
+            name="|l.f - r.f| <= 0.3 and l.k != r.k",
         )
     raise ValueError(name)
 
@@ -66,11 +69,21 @@ PREDICATE_NAMES = [
     "band",
     "theta",
     "notequal",
-    "composite-equi",
-    "composite-band",
     "band-float",
-    "composite-band-float",
+    "theta-equi-parity",
+    "theta-band",
+    "theta-band-float",
 ]
+
+
+def _predicate_copy(predicate):
+    return type(predicate)(
+        **{
+            name: getattr(predicate, name)
+            for name in predicate.__dataclass_fields__
+            if predicate.__dataclass_fields__[name].init
+        }
+    )
 
 
 def _mixed_stream(rng, count, keys=5, values=12):
@@ -168,6 +181,73 @@ class TestProbeBatchDifferential:
         joiner = make_local_joiner(EquiPredicate("k", "k"), "R", "S")
         with pytest.raises(KeyError):
             joiner.probe_batch([StreamTuple(relation="T", record={"k": 1, "v": 0})])
+
+
+class TestCandidateChecks:
+    """A hash bucket and a band slice are the match set outright; only a
+    theta scan checks its candidates against the predicate."""
+
+    @staticmethod
+    def _refuse_matches(predicate):
+        def matches(left, right):
+            raise AssertionError("an index probe called predicate.matches")
+
+        checked = _predicate_copy(predicate)
+        checked.matches = matches
+        return checked
+
+    @pytest.mark.parametrize("name", ["equi", "band", "band-float"])
+    def test_index_probes_never_call_the_predicate(self, name):
+        predicate = _predicate(name)
+        joiner = make_local_joiner(self._refuse_matches(predicate), "R", "S")
+        items = _mixed_stream(random.Random(23), 150)
+        _assert_reference(
+            predicate, _drive(joiner, items, (1, 5, 9), random.Random(4))
+        )
+        # The per-tuple probe-then-insert path too.
+        twin = make_local_joiner(self._refuse_matches(predicate), "R", "S")
+        per_tuple = []
+        for item in items:
+            per_tuple.append((item, twin.probe(item)))
+            twin.insert(item)
+        _assert_reference(predicate, per_tuple)
+
+    def test_hash_probe_insert_takes_whole_buckets(self):
+        """``SymmetricHashJoiner.probe_insert`` returns every tuple of the
+        opposite buckets of itself and ``others``, unchecked, and charges
+        their size plus the ``counted`` buckets' size."""
+        predicate = _predicate("equi")
+        refusing = self._refuse_matches(predicate)
+        own, other, counted = (make_local_joiner(refusing, "R", "S") for _ in range(3))
+        rng = random.Random(31)
+        for item in _mixed_stream(rng, 90):
+            (other if rng.random() < 0.5 else counted).insert(item)
+        probed = list(other.stored("R")) + list(other.stored("S"))
+        everything = probed + list(counted.stored("R")) + list(counted.stored("S"))
+        for item in _mixed_stream(rng, 60):
+            matches, work = own.probe_insert(item, (other,), (counted,))
+            want_matches, _ = reference_probe(predicate, probed, item, left_relation="R")
+            _, want_work = reference_probe(predicate, everything, item, left_relation="R")
+            assert _ids(matches) == _ids(want_matches)
+            assert work == want_work
+            probed.append(item)
+            everything.append(item)
+
+    def test_theta_scan_checks_each_candidate_once(self):
+        calls = []
+
+        def condition(left, right):
+            calls.append((left["v"], right["v"]))
+            return left["v"] < right["v"]
+
+        joiner = make_local_joiner(ThetaPredicate(condition), "R", "S")
+        items = _mixed_stream(random.Random(8), 120)
+        stored = {"R": 0, "S": 0}
+        expected_calls = 0
+        for item, _ in _drive(joiner, items, (1, 4, 11), random.Random(6)):
+            expected_calls += stored["S" if item.relation == "R" else "R"]
+            stored[item.relation] += 1
+        assert len(calls) == expected_calls
 
 
 def _stored_ids(joiner):

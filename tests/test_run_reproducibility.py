@@ -10,7 +10,7 @@ order.  The ledger's bit-identity claims (``virt_throughput``,
 The suite pins that contract across:
 
 * **Reruns** — the scenario matrix predicate kind (equi / band /
-  composite-residual) x operator (migrating Dynamic / static) x data plane
+  theta scan) x operator (migrating Dynamic / static) x data plane
   (per-tuple / adaptive draining, bursty and paced), each run twice from fresh
   operators and compared with ``events=True``, nothing ignored.
 * **No leaked state** — a different scenario run in between leaves the
@@ -22,8 +22,8 @@ The suite pins that contract across:
 * **Stamped orders** — tuples are stamped in place (arrival time, epoch), so
   one order list pushed through consecutive sessions must reproduce a run
   over pristine copies every time.
-* **Faults** — crashed runs (time- and event-anchored, with and without a
-  durable journal) and unreliable-wire runs reproduce bit for bit and still
+* **Faults** — crashed runs (at a fixed event anchor or one taken from the
+  fault-free twin's event count, with and without a durable journal) and unreliable-wire runs reproduce bit for bit and still
   recover the fault-free twin's output multiset.
 
 Runs that are compared share ONE materialised arrival order (``StreamTuple``
@@ -42,7 +42,6 @@ from hypothesis import strategies as st
 from repro.api import (
     JoinSession,
     RunConfig,
-    crash,
     crash_after_events,
     delay,
     drop,
@@ -52,7 +51,7 @@ from repro.core.baselines import StaticMidOperator
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery, make_query
 from repro.engine.stream import interleave_streams, make_tuples
-from repro.joins.predicates import CompositePredicate, EquiPredicate
+from repro.joins.predicates import ThetaPredicate
 from repro.testing import assert_run_equivalent
 
 MACHINES = 8
@@ -90,20 +89,21 @@ WIRE_FAULTS = (
 )
 
 
-def _composite_query(rng: random.Random) -> JoinQuery:
-    """A composite predicate (equi hash path + residual re-validation)."""
+def _theta_query(rng: random.Random) -> JoinQuery:
+    """A theta predicate (scan path, every candidate checked per pair)."""
     left = [{"k": rng.randrange(12), "v": rng.randrange(40)} for _ in range(40)]
     right = [{"k": rng.randrange(12), "v": rng.randrange(40)} for _ in range(360)]
     return JoinQuery(
-        name="COMPOSITE",
+        name="THETA",
         left_relation="R",
         right_relation="S",
         left_records=left,
         right_records=right,
-        predicate=CompositePredicate(
-            EquiPredicate("k", "k"), residuals=[lambda l, r: (l["v"] + r["v"]) % 2 == 0]
+        predicate=ThetaPredicate(
+            lambda l, r: l["k"] == r["k"] and (l["v"] + r["v"]) % 2 == 0,
+            name="k = k AND v parity",
         ),
-        description="equi join with a parity residual (reproducibility scenarios)",
+        description="equality plus parity as a theta scan (reproducibility scenarios)",
     )
 
 
@@ -112,7 +112,7 @@ def queries(small_dataset):
     return {
         "equi": make_query("EQ5", small_dataset),
         "band": make_query("BNCI", small_dataset),
-        "composite": _composite_query(random.Random(17)),
+        "theta": _theta_query(random.Random(17)),
     }
 
 
@@ -171,7 +171,7 @@ def _chunking(total, seed):
 
 
 class TestRerunMatrix:
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     @pytest.mark.parametrize("plane", sorted(PLANES))
     @pytest.mark.parametrize("operator", sorted(OPERATORS))
     def test_rerun_is_bit_identical(self, queries, orders, predicate, plane, operator):
@@ -184,7 +184,7 @@ class TestRerunMatrix:
         if operator == "migrating":
             assert first.migrations >= 1, f"{label}: scenario must migrate"
 
-    @pytest.mark.parametrize("predicate", ["equi", "band", "composite"])
+    @pytest.mark.parametrize("predicate", ["equi", "band", "theta"])
     @pytest.mark.parametrize("plane", sorted(PLANES))
     def test_interleaved_scenario_leaves_rerun_unchanged(
         self, queries, orders, predicate, plane
@@ -340,9 +340,9 @@ class TestStampedOrderReuse:
 
 
 def _crash_overrides(anchor, plane, twin):
-    if anchor == "time":
+    if anchor == "twin_share":
         return {
-            "fault_schedule": [crash(3, twin.execution_time * 0.4)],
+            "fault_schedule": [crash_after_events(3, twin.events_processed * 2 // 5)],
             "checkpoint_interval": 8,
         }
     schedule = [crash_after_events(3, CRASH_EVENTS[plane])]
@@ -352,7 +352,7 @@ def _crash_overrides(anchor, plane, twin):
 
 
 class TestFaultReproducibility:
-    @pytest.mark.parametrize("anchor", ["time", "events", "events_unjournaled"])
+    @pytest.mark.parametrize("anchor", ["twin_share", "events", "events_unjournaled"])
     @pytest.mark.parametrize("plane", sorted(CRASH_EVENTS))
     def test_crashed_rerun_is_bit_identical(self, queries, orders, plane, anchor):
         query, order = queries["equi"], orders["equi"]

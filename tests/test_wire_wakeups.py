@@ -25,7 +25,7 @@ import random
 import pytest
 
 import repro.core.operator as operator_module
-from repro.api import RunConfig, crash
+from repro.api import RunConfig, crash_after_events
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import make_query
 from repro.engine.machine import CostModel
@@ -54,8 +54,9 @@ def _run(query, order, **overrides):
 @pytest.fixture()
 def traced(monkeypatch):
     """Record every tick that handled a message as ``(machine, tick time)``,
-    and every priority delivery / crash that met a wake-up still ahead."""
-    trace = {"ticks": [], "priority": 0, "moved": 0, "crashed_waking": 0}
+    every handler event as ``(events processed, time)``, and every priority
+    delivery / crash that met a wake-up still ahead."""
+    trace = {"ticks": [], "events": [], "priority": 0, "moved": 0, "crashed_waking": 0}
     tick = Simulator._tick
     deliver = Simulator._deliver
     crash_machine = Simulator._crash_machine
@@ -65,6 +66,7 @@ def traced(monkeypatch):
         tick(self, machine_id, time)
         if self.events_processed != before:
             trace["ticks"].append((machine_id, time))
+            trace["events"].append((self.events_processed, time))
 
     def traced_deliver(self, task, message, time, rank=0):
         machine_id = task.machine_id
@@ -76,7 +78,10 @@ def traced(monkeypatch):
             and (time, rank) < self._wake_for[machine_id]
         )
         armed = self._tick_at[machine_id] if ahead else None
+        before = self.events_processed
         deliver(self, task, message, time, rank)
+        if self.events_processed != before:
+            trace["events"].append((self.events_processed, time))
         if ahead:
             trace["priority"] += 1
             trace["moved"] += self._tick_at[machine_id] != armed
@@ -96,7 +101,13 @@ def traced(monkeypatch):
 
 def _reset(traced):
     """Count ticks and wake-ups from the next run on only."""
-    traced.update(ticks=[], priority=0, moved=0, crashed_waking=0)
+    traced.update(ticks=[], events=[], priority=0, moved=0, crashed_waking=0)
+
+
+def _anchor_at(traced, time):
+    """The event anchor of a crash right after the traced run's last
+    handler event dated no later than ``time``."""
+    return max(count for count, at in traced["events"] if at <= time)
 
 
 def _unmerged(monkeypatch):
@@ -184,9 +195,18 @@ class TestWakeUpCells:
         query = make_query("EQ5", small_dataset)
         order = _order(query)
         knobs = dict(machines=8, inter_arrival=0.5, checkpoint_interval=50)
+        # Each plane's fault-free twin gives the event count at which a
+        # crash lands right after the same instant on that plane.
+        _reset(traced)
         twin = _run(query, order, batching="adaptive", **knobs)
-        faults = [crash(machine, twin.execution_time * share)]
-        oracle = _run(query, order, batching="per_tuple", fault_schedule=faults, **knobs)
+        instant = twin.execution_time * share
+        faults = [crash_after_events(machine, _anchor_at(traced, instant))]
+        _reset(traced)
+        _run(query, order, batching="per_tuple", **knobs)
+        oracle_faults = [crash_after_events(machine, _anchor_at(traced, instant))]
+        oracle = _run(
+            query, order, batching="per_tuple", fault_schedule=oracle_faults, **knobs
+        )
         _reset(traced)
         merged = _run(query, order, batching="adaptive", fault_schedule=faults, **knobs)
         assert merged.faults_injected == 1
