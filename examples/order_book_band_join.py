@@ -53,9 +53,9 @@ def main() -> None:
     print(query.summary())
     print()
 
-    session = JoinSession(query, config=RunConfig(machines=16, seed=11))
-    dynamic = session.run(operator="Dynamic")
-    static = session.run(operator="StaticMid")
+    config = RunConfig(machines=16, seed=11)
+    dynamic = JoinSession(query, operator="Dynamic", config=config).run()
+    static = JoinSession(query, operator="StaticMid", config=config).run()
 
     print(f"{'operator':<12} {'exec time':>10} {'max ILF':>9} {'matches':>9} {'mapping':>9}")
     for result in (dynamic, static):

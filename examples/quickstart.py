@@ -8,14 +8,16 @@ under heavy key skew — and then re-runs the winner in *streaming* mode,
 pushing the input in chunks through the same session facade.
 
 Everything goes through :mod:`repro.api`: one validated
-:class:`~repro.api.RunConfig` carries every knob, and one
-:class:`~repro.api.JoinSession` runs every operator kind.
+:class:`~repro.api.RunConfig` carries every knob, and a
+:class:`~repro.api.JoinSession` runs one query with one operator kind under
+one config.
 
 Run with::
 
     python examples/quickstart.py
 """
 
+import dataclasses
 import random
 
 from repro import generate_dataset, make_query
@@ -31,25 +33,23 @@ def main() -> None:
     print(query.summary())
     print()
 
-    # 2. One config, one session; the operator kind is a per-run choice.
-    #    The default data plane drains inbox backlogs in batches at
-    #    reference semantics: batching="per_tuple" would change wall-clock
-    #    and simulator event counts, but not a single reported number
-    #    (results and virtual times are bit-identical — see
-    #    tests/test_adaptive_conformance.py).
+    # 2. One config, one session per operator kind.  The default data
+    #    plane drains inbox backlogs in batches at reference semantics:
+    #    batching="per_tuple" would change wall-clock and simulator event
+    #    counts, but not a single reported number (results and virtual
+    #    times are bit-identical — see tests/test_adaptive_conformance.py).
     #
     #    Joiners take the index's word for the match set: a hash bucket is
     #    the equi match set, and a band's slice of the ordered index is cut
     #    by the predicate's own |l - r| <= w at its edges, for int and float
     #    keys alike — only a theta join checks its candidates per pair.
     config = RunConfig(machines=16, seed=7)
-    session = JoinSession(query, config=config)
 
     header = f"{'operator':<12} {'exec time':>10} {'throughput':>11} {'max ILF':>9} {'storage':>9} {'migrations':>11} {'mapping':>9}"
     print(header)
     print("-" * len(header))
     for kind in ("SHJ", "StaticMid", "Dynamic", "StaticOpt"):
-        result = session.run(operator=kind)
+        result = JoinSession(query, operator=kind, config=config).run()
         print(
             f"{result.operator:<12} {result.execution_time:>10.1f} {result.throughput:>11.2f} "
             f"{result.max_ilf:>9.1f} {result.total_storage:>9.1f} {result.migrations:>11d} "
@@ -102,11 +102,11 @@ def main() -> None:
     print("crashing joiner 3 after 600 events (Dynamic, checkpointing every 50 entries):")
     faulty = JoinSession(
         query,
-        config=config.with_overrides(
-            fault_schedule=[crash_after_events(3, 600)], checkpoint_interval=50
+        config=dataclasses.replace(
+            config, fault_schedule=[crash_after_events(3, 600)], checkpoint_interval=50
         ),
     )
-    result = faulty.run(operator="Dynamic")
+    result = faulty.run()
     print(
         f"  {result.faults_injected} crash(es), recovery time "
         f"{result.recovery_time:.1f}, {result.tuples_replayed} tuples replayed, "

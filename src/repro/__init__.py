@@ -15,8 +15,8 @@ dataflow operator together with every substrate its evaluation depends on:
   §3-§5, the sweeps that measure them, and the CLI that prints it,
 * :mod:`repro.api`     — the public session API: typed
   :class:`~repro.api.RunConfig`, the :class:`~repro.api.JoinSession` facade
-  (materialised and streaming ingestion) and
-  :func:`~repro.api.build_operator`.
+  (one query, one operator kind and one config; materialised and streaming
+  ingestion) and :func:`~repro.api.build_operator`.
 
 Quickstart::
 
@@ -26,8 +26,9 @@ Quickstart::
     query = make_query("EQ5", dataset)
     session = JoinSession(query, config=RunConfig(machines=16, seed=7))
     result = session.run()                      # materialised
-    session.push(tuples)                        # ... or streaming
     print(result.summary_row())
+    session.push(tuples)                        # ... or streaming StreamTuples
+    final = session.finish()
 """
 
 from repro.api import (

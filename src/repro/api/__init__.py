@@ -2,11 +2,12 @@
 
 One coherent front door over the operator stack:
 
-* :class:`RunConfig` — frozen, validated, serialisable configuration; the
-  13 knobs of a run.
-* :class:`JoinSession` — the facade: materialised ``run()`` plus the
-  incremental ``push()`` / ``finish()`` streaming mode with mid-run
-  :class:`StreamSnapshot` observability.
+* :class:`RunConfig` — frozen, validated configuration; the 13 knobs of a
+  run.
+* :class:`JoinSession` — the facade over one query, one operator kind and
+  one config: materialised ``run()`` plus the incremental ``push()`` /
+  ``finish()`` streaming mode with mid-run :class:`StreamSnapshot`
+  observability.
 * :func:`build_operator` — the one way to build an operator:
   ``build_operator(kind, query, config)``.
 
@@ -14,8 +15,8 @@ Quickstart::
 
     from repro.api import JoinSession, RunConfig
 
-    session = JoinSession(config=RunConfig(machines=16, seed=7))
-    result = session.run(query)                  # materialised
+    session = JoinSession(query, config=RunConfig(machines=16, seed=7))
+    result = session.run()                       # materialised
 
     session.push(tuples)                         # streaming (StreamTuples)
     final = session.finish()

@@ -3,11 +3,13 @@
 :class:`RunConfig` is one frozen, eagerly validated dataclass, shared
 verbatim by the operator layer, the :class:`~repro.api.session.JoinSession`
 facade and the paper scoreboard's sweeps (:mod:`repro.bench.claims`).  It is
-built in code — ``RunConfig(...)`` or ``with_overrides(...)`` — and has no
-file form.  Dataset knobs (scale, skew) belong to the workload, not to the
-run.  Timing constants no run varies — failure detection and the
-retransmit delay (:mod:`repro.engine.faults`), the ILF sampling period
-(:mod:`repro.core.tasks`) — are module constants, not fields.
+built in code — ``RunConfig(...)``, or ``dataclasses.replace(config, ...)``
+for a variant — and has no file form; a misspelt or retired knob fails by
+name as the constructor's ``TypeError``.  Dataset knobs (scale, skew)
+belong to the workload, not to the run.  Timing constants no run varies —
+failure detection and the retransmit delay (:mod:`repro.engine.faults`),
+the ILF sampling period (:mod:`repro.core.tasks`) — are module constants,
+not fields.
 
 Validation happens at construction — an invalid ``batching`` or ``layout``
 fails immediately with the valid choices listed, instead of deep inside
@@ -16,9 +18,7 @@ operator / ``GridPlacement`` construction mid-run.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Any
 
 from repro.api.layouts import LAYOUTS
 from repro.engine.faults import (
@@ -232,27 +232,4 @@ class RunConfig:
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval must be >= 1 or None, got {self.checkpoint_interval}"
-            )
-
-    # -------------------------------------------------------------- overrides
-
-    def with_overrides(self, **overrides: Any) -> "RunConfig":
-        """A copy with ``overrides`` applied (and re-validated).
-
-        Unknown keys raise immediately with the accepted field names listed —
-        a typo can never silently fall through to an untyped kwargs dict.
-        """
-        if not overrides:
-            return self
-        self._check_keys(overrides)
-        return dataclasses.replace(self, **overrides)
-
-    @classmethod
-    def _check_keys(cls, mapping: dict[str, Any]) -> None:
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(mapping) - fields)
-        if unknown:
-            raise ValueError(
-                f"unknown RunConfig field(s): {', '.join(unknown)}; "
-                f"accepted: {', '.join(sorted(fields))}"
             )

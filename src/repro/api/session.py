@@ -1,8 +1,8 @@
 """The session facade: one front door for materialised and streaming runs.
 
-A :class:`JoinSession` binds a :class:`~repro.api.config.RunConfig` (plus an
-operator kind and an optional default workload) and exposes the two ingestion
-modes of the system:
+A :class:`JoinSession` is one workload, one operator kind and one
+:class:`~repro.api.config.RunConfig`, fixed at construction, and exposes the
+two ingestion modes of the system:
 
 * **materialised** — :meth:`JoinSession.run` executes a
   :class:`~repro.data.queries.JoinQuery` end to end, exactly like
@@ -20,18 +20,16 @@ modes of the system:
   mode the materialised bench layer cannot express: the input need never be
   materialised up front, and progress can be observed between chunks.
 
-Override precedence is ``session default < per-run config < call-site``: the
-session's config is the default, a ``config=`` passed to a run method
-replaces it wholesale, and keyword overrides are applied last.  The
-operator itself is built by :func:`build_operator`, the one way to build
-one.
+A different query, operator kind or config is a different session; a
+config variant is ``dataclasses.replace(config, ...)``.  The operator itself
+is built by :func:`build_operator`, the one way to build one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.api.config import RunConfig
 from repro.core.mapping import Mapping
@@ -175,21 +173,24 @@ class _StreamingRun:
 
 
 class JoinSession:
-    """Configured entry point for running the operator on workloads.
+    """One query, one operator kind and one config, run materialised or streamed.
+
+    The operator is built here, so an unknown kind or an invalid machine
+    count fails at construction.
 
     Args:
-        query: optional default workload, used when a run method is not given
-            one explicitly (and as the schema of the streaming mode).
-        operator: default operator kind (a key of
+        query: the workload.  The streaming mode uses only its schema
+            (relation names, predicate, tuple sizes): just the tuples passed
+            to :meth:`push` flow through the operator.
+        operator: operator kind (a key of
             :data:`repro.core.baselines.OPERATORS`).
-        config: the session's default :class:`RunConfig`.
-        **defaults: keyword overrides applied to ``config`` (constructor
-            call-site beats the config object, mirroring run-time precedence).
+        config: the :class:`RunConfig` of every run; ``None`` is
+            ``RunConfig()``.
 
     Example::
 
-        session = JoinSession(config=RunConfig(machines=16, seed=7))
-        result = session.run(query, operator="Dynamic")
+        session = JoinSession(query, config=RunConfig(machines=16, seed=7))
+        result = session.run()
 
         session.push(chunk)          # streaming mode: StreamTuples
         snap = session.push(more)
@@ -198,58 +199,28 @@ class JoinSession:
 
     def __init__(
         self,
-        query: "JoinQuery | None" = None,
+        query: "JoinQuery",
         *,
         operator: str = "Dynamic",
         config: RunConfig | None = None,
-        **defaults: Any,
     ) -> None:
-        self.query = query
-        self.operator_kind = operator
-        self.config = (config or RunConfig()).with_overrides(**defaults)
+        self._operator = build_operator(
+            operator, query, config if config is not None else RunConfig()
+        )
         self._stream: _StreamingRun | None = None
         self._stream_finished = False
-
-    # -------------------------------------------------------------- plumbing
-
-    def _resolve_query(self, query: "JoinQuery | None") -> "JoinQuery":
-        resolved = query if query is not None else self.query
-        if resolved is None:
-            raise ValueError("no query: pass one to the call or to JoinSession(...)")
-        return resolved
-
-    def operator(
-        self,
-        query: "JoinQuery | None" = None,
-        *,
-        kind: str | None = None,
-        config: RunConfig | None = None,
-        **overrides: Any,
-    ) -> "GridJoinOperator":
-        """Construct (without running) an operator under this session's config."""
-        base = self.config if config is None else config
-        return build_operator(
-            kind or self.operator_kind,
-            self._resolve_query(query),
-            base.with_overrides(**overrides),
-        )
 
     # ------------------------------------------------------ materialised mode
 
     def run(
         self,
-        query: "JoinQuery | None" = None,
         *,
-        operator: str | None = None,
-        config: RunConfig | None = None,
         arrival_order: Sequence[StreamTuple] | None = None,
         collect_outputs: bool = False,
         max_events: int | None = None,
-        **overrides: Any,
     ) -> "RunResult":
-        """Run one materialised workload end to end and return its result."""
-        op = self.operator(query, kind=operator, config=config, **overrides)
-        return op.run(
+        """Run the workload end to end in a fresh simulation and return its result."""
+        return self._operator.run(
             arrival_order=arrival_order,
             collect_outputs=collect_outputs,
             max_events=max_events,
@@ -257,30 +228,12 @@ class JoinSession:
 
     # --------------------------------------------------------- streaming mode
 
-    @property
-    def streaming(self) -> bool:
-        """Whether a streaming run is currently open."""
-        return self._stream is not None
-
-    def open_stream(
-        self,
-        query: "JoinQuery | None" = None,
-        *,
-        operator: str | None = None,
-        config: RunConfig | None = None,
-        collect_outputs: bool = False,
-        **overrides: Any,
-    ) -> "JoinSession":
-        """Open the incremental ingestion mode (idempotent via :meth:`push`).
-
-        The query supplies the *schema* (relation names, predicate, tuple
-        sizes); its materialised records, if any, are not fed — only data
-        passed to :meth:`push` flows through the operator.
-        """
+    def open_stream(self, *, collect_outputs: bool = False) -> "JoinSession":
+        """Open the incremental ingestion mode (the first :meth:`push` opens
+        it too, without collecting outputs)."""
         if self._stream is not None:
             raise RuntimeError("a streaming run is already open; finish() it first")
-        op = self.operator(query, kind=operator, config=config, **overrides)
-        self._stream = _StreamingRun(op, collect_outputs=collect_outputs)
+        self._stream = _StreamingRun(self._operator, collect_outputs=collect_outputs)
         self._stream_finished = False
         return self
 

@@ -99,8 +99,6 @@ class GridJoinOperator:
             left_relation=self.query.left_relation,
             right_relation=self.query.right_relation,
             predicate=self.query.predicate,
-            left_size=self.query.left_tuple_size,
-            right_size=self.query.right_tuple_size,
             layout=self.layout,
         )
         topology.joiner_names = [f"joiner-{i}" for i in range(self.machines)]

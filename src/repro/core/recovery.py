@@ -34,8 +34,8 @@ The fault-tolerant plane has three moving parts:
   :mod:`repro.engine.faults`) — so replay restores state without duplicating
   effects, giving exactly-once output semantics.
 
-Recovery is framed as an **involuntary migration**: the crash log records the
-dead machine's :class:`~repro.core.migration.StateAssignment` under the
+Recovery is framed as an **involuntary migration**: the restarted machine
+takes back its :class:`~repro.core.migration.StateAssignment` under the
 mapping in force — precisely the state intervals a voluntary migration plan
 would have relocated — and the restore replays the relocation from the
 durable journal instead of from peer machines.
@@ -66,7 +66,6 @@ from __future__ import annotations
 
 from repro.core.epochs import EpochJoinerState, JoinerPhase
 from repro.core.mapping import Mapping
-from repro.core.migration import assignments_for
 from repro.storage.checkpoint_store import ExtendedSnapshot
 
 
@@ -221,10 +220,6 @@ class RecoveryManager:
         self.recovery_time = 0.0
         self.tuples_replayed = 0
         self._crash_times: dict[int, float] = {}
-        #: One entry per crash, framing the recovery as an involuntary
-        #: migration: the dead machine's state assignment under the mapping
-        #: in force is exactly what a voluntary plan would have relocated.
-        self.fault_log: list[dict] = []
 
     # -------------------------------------------------------------- journals
 
@@ -244,18 +239,6 @@ class RecoveryManager:
         # The write-behind delta buffers must be durable before restore reads
         # them (group commit at crash time).
         self.store.flush()
-        controller = self.simulator.tasks[self.topology.controller_name]
-        mapping = controller.mapping
-        assignment = assignments_for(self.topology.placement(mapping)).get(machine_id)
-        self.fault_log.append(
-            {
-                "machine": machine_id,
-                "time": time,
-                "mapping": (mapping.n, mapping.m),
-                "r_interval": None if assignment is None else assignment.r_interval,
-                "s_interval": None if assignment is None else assignment.s_interval,
-            }
-        )
         machine = self.simulator.machines[machine_id]
         machine.stored_size = 0.0
         machine.clear_drain_window()

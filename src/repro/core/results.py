@@ -40,8 +40,8 @@ class RunResult:
             the batch-size trace showing how the controller sized runs under
             the workload's backlog.
         heap_events: events popped from the simulator's global heap —
-            machine ticks (superseded wake-ups included), control messages,
-            off-cluster deliveries, fault-plane events.  The quantity the
+            machine ticks (superseded wake-ups included), control messages
+            and fault-plane events.  The quantity the
             merged wire collapses; contrast with ``events_processed``
             (handler invocations), which receiver draining collapses.
         wire_histogram: merged delivery-run length → count per FIFO link,

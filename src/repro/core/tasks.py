@@ -46,8 +46,6 @@ class Topology:
     left_relation: str
     right_relation: str
     predicate: JoinPredicate
-    left_size: float = 1.0
-    right_size: float = 1.0
     layout: str = "dyadic"
     joiner_names: list[str] = field(default_factory=list)
     reshuffler_names: list[str] = field(default_factory=list)
@@ -185,7 +183,7 @@ class ReshufflerTask(Task):
         per-tuple plane exactly.
         """
         machine = ctx.machine
-        reshuffle_cost = machine.cost_model.reshuffle_cost if machine else 0.0
+        reshuffle_cost = machine.cost_model.reshuffle_cost
         record_input = ctx.metrics.record_input_processed
         left_relation = self.topology.left_relation
         is_controller = self.is_controller
@@ -250,7 +248,7 @@ class ReshufflerTask(Task):
         return count
 
     def _handle_source(self, item: StreamTuple, ctx: Context) -> None:
-        ctx.charge(ctx.machine.cost_model.reshuffle_cost if ctx.machine else 0.0)
+        ctx.charge(ctx.machine.cost_model.reshuffle_cost)
         if self.blocking and self.buffering:
             self._buffer.append(item)
             return
@@ -368,7 +366,7 @@ class ReshufflerTask(Task):
         self.buffering = False
         pending, self._buffer = self._buffer, []
         for item in pending:
-            ctx.charge(ctx.machine.cost_model.reshuffle_cost if ctx.machine else 0.0)
+            ctx.charge(ctx.machine.cost_model.reshuffle_cost)
             self._process_tuple(item, ctx)
 
     # ---------------------------------------------------------------- routing
@@ -691,10 +689,8 @@ class JoinerTask(Task):
         if self._journal is not None:
             self._journal.log(("final",))
         result = self.state.finalize()
-        machine = ctx.machine
-        if machine is not None:
-            for item in result.discarded:
-                machine.remove_stored(item.size)
+        for item in result.discarded:
+            ctx.machine.remove_stored(item.size)
         ctx.charge(0.01 * max(1, len(result.discarded)))
         ctx.send(
             self.topology.controller_name,
@@ -711,10 +707,9 @@ class JoinerTask(Task):
     def _send_migrations(
         self, migrations: list[tuple[int, StreamTuple]], ctx: Context
     ) -> None:
-        cost_model = ctx.machine.cost_model if ctx.machine else None
+        reshuffle_cost = ctx.machine.cost_model.reshuffle_cost
         for destination, item in migrations:
-            if cost_model is not None:
-                ctx.charge(cost_model.reshuffle_cost)
+            ctx.charge(reshuffle_cost)
             ctx.send(
                 self.topology.joiner(destination),
                 Message(
@@ -736,24 +731,23 @@ class JoinerTask(Task):
         charge_receive: bool = True,
     ) -> None:
         machine = ctx.machine
-        cost_model = machine.cost_model if machine else None
+        cost_model = machine.cost_model
         if actions.probe_work:
             ctx.metrics.record_probe_work(actions.probe_work)
-        if cost_model is not None:
-            factor = machine.storage_factor()
-            cost = 0.0
-            if charge_receive:
-                # Migrated tuples are processed faster than new input tuples
-                # (§4.3.2 processes them at twice the rate); the cost model's
-                # migration_cost encodes that ratio.
-                cost += cost_model.migration_cost if migrated else cost_model.receive_cost
-            if actions.stored:
-                cost += cost_model.store_cost * factor
-            cost += actions.probe_work * cost_model.probe_cost * factor
-            cost += len(actions.matches) * cost_model.match_cost
-            ctx.charge(cost)
-            if actions.stored and item is not None:
-                machine.add_stored(item.size)
+        factor = machine.storage_factor()
+        cost = 0.0
+        if charge_receive:
+            # Migrated tuples are processed faster than new input tuples
+            # (§4.3.2 processes them at twice the rate); the cost model's
+            # migration_cost encodes that ratio.
+            cost += cost_model.migration_cost if migrated else cost_model.receive_cost
+        if actions.stored:
+            cost += cost_model.store_cost * factor
+        cost += actions.probe_work * cost_model.probe_cost * factor
+        cost += len(actions.matches) * cost_model.match_cost
+        ctx.charge(cost)
+        if actions.stored and item is not None:
+            machine.add_stored(item.size)
         if actions.matches:
             ctx.emit_outputs(actions.matches)
         if actions.migrate_to:

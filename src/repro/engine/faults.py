@@ -170,12 +170,8 @@ def delay(link, nth: int, by: float) -> NetworkFaultSpec:
 
 
 def _spec_tuple(value, spec_type: type, name: str, helpers: str) -> tuple:
-    """Coerce ``None``, one spec or a sequence of specs into a tuple of
-    ``spec_type``; anything else raises with the helpers to use listed."""
-    if value is None:
-        return ()
-    if isinstance(value, spec_type):
-        return (value,)
+    """Coerce a list or tuple of specs into a tuple of ``spec_type``;
+    anything else raises with the helpers to use listed."""
     kind = spec_type.__name__
     if not isinstance(value, (tuple, list)):
         raise ValueError(

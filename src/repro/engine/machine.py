@@ -138,8 +138,9 @@ class Machine:
         replace any previous record — by the time a later run executes, every
         event dated inside the earlier window has already left the queue.
         ``start`` bounds the window from below: a later event dated *before*
-        the run (possible only across streaming pushes, which restart the
-        virtual clock at zero) must not be mapped into it.
+        the run must not be mapped into it.  That happens only across
+        streaming pushes: a push dates its arrivals ``pushed × inter_arrival``,
+        which falls before the clock whenever the previous drain ran past it.
         """
         self.drain_window_start = start
         self.drain_boundaries = boundaries

@@ -40,9 +40,8 @@ class TrafficCategory(enum.Enum):
 class Link:
     """One directed link between two machines: the record every send on it touches.
 
-    Links from or to an off-cluster endpoint (machine ``-1``) exist too, for
-    their send sequence only: such traffic models ingest and egress, not the
-    cluster fabric, so it pays the plain latency without clamp or counters.
+    The feed's channels (sender machine ``-1``) carry a link too, which no
+    send touches: the feed dates and ranks its arrivals itself.
 
     Attributes:
         local: sender and receiver are the same machine.  Local messages

@@ -3,13 +3,14 @@
 The simulator owns the cluster (machines + network), the task registry and a
 priority queue of pending events.  Two kinds of events exist:
 
-* **deliveries** — a message arrives at a task.  For tasks hosted on a
-  machine the message is appended to the machine's FIFO inbox (a machine
-  handles one message at a time); off-cluster tasks (sources, collectors)
-  handle it immediately.  Small control-plane messages (mapping changes,
-  migration acks, resume signals) bypass the data backlog, reflecting the
-  dedicated control channel of real deployments; data-plane ordering per link
-  is still FIFO, which the epoch protocol relies on.
+* **deliveries** — a message arrives at a task.  Every task lives on a
+  machine, and the message is appended to that machine's FIFO inbox (a
+  machine handles one message at a time).  The source feed is the one
+  sender outside the cluster; it is not a task.  Small control-plane
+  messages (mapping changes, migration acks, resume signals) bypass the
+  data backlog, reflecting the dedicated control channel of real
+  deployments; data-plane ordering per link is still FIFO, which the epoch
+  protocol relies on.
 * **machine ticks** — a machine becomes free and handles the next message in
   its inbox.  The handler's CPU charge extends the machine's busy time and
   any messages it sends are scheduled after the work completes plus network
@@ -25,7 +26,7 @@ the settle pass and hands that member straight to its handler: it is the
 pending minimum, the next delivery in ``(time, rank)`` order, so the handler
 sees exactly what the settle-then-pop sequence would have given it (see
 ``Simulator._tick``).  The global heap holds ticks, priority control
-messages, off-cluster traffic and fault-plane events.
+messages and fault-plane events.
 :class:`repro.testing.UnmergedWireSimulator` keeps the
 one-heap-event-per-delivery wire as the reference the tests pin this against.
 
@@ -77,7 +78,7 @@ from repro.engine.task import Context, Message, Task
 _SEND_RANK_BASE = 1 << 59
 _TICK_RANK_BASE = 1 << 62
 _LINK_SPAN = 1 << 34
-_MACHINE_SPAN = 1 << 12  # > max machines + off-cluster sentinel
+_MACHINE_SPAN = 1 << 12  # > max machines + the feed's sender slot
 
 # Fault-plane events (restarts) rank above machine ticks: at an equal
 # instant every ordinary event of that time completes first, so a restart
@@ -203,15 +204,15 @@ class Simulator:
         self._queue: list[tuple] = []
         self._schedule_rank = itertools.count()
         # Wire channels, owned by the *sender* machine (index [sender_machine
-        # + 1], slot 0 for off-cluster senders and the feed) and keyed by
+        # + 1], slot 0 for the feed) and keyed by
         # destination task.  A channel's link sequence is the sender's own,
         # so a send's rank depends only on its own link's traffic.
         self._channels: list[dict[Task, Channel]] = [
             {} for _ in range(num_machines + 1)
         ]
-        # One handler Context per task, reused by every handler of the task
-        # (no handler keeps its context past returning); a task without one
-        # has not started yet (see _context).
+        # One handler Context per task, built at registration and reused by
+        # every handler of the task (no handler keeps its context past
+        # returning).
         self._contexts: dict[Task, Context] = {}
         self._inboxes: list[deque] = [deque() for _ in range(num_machines)]
         # Members queued per inbox — a settled segment counts every member it
@@ -300,18 +301,18 @@ class Simulator:
     # ------------------------------------------------------------------ setup
 
     def register(self, task: Task) -> Task:
-        """Add ``task`` to the topology.  Task names must be unique."""
+        """Add ``task`` to the topology, on one of the cluster's machines.
+        Task names must be unique."""
         if task.name in self.tasks:
             raise ValueError(f"duplicate task name: {task.name}")
-        if task.machine_id >= len(self.machines):
+        if not 0 <= task.machine_id < len(self.machines):
             raise ValueError(
-                f"task {task.name} placed on machine {task.machine_id} "
-                f"but the cluster has only {len(self.machines)} machines"
+                f"task {task.name} placed on machine {task.machine_id}; "
+                f"choices: 0..{len(self.machines) - 1}"
             )
-        task.hosted_machine = (
-            self.machines[task.machine_id] if task.machine_id >= 0 else None
-        )
+        task.hosted_machine = self.machines[task.machine_id]
         self.tasks[task.name] = task
+        self._contexts[task] = Context(self, task)
         return task
 
     def register_all(self, tasks: Iterable[Task]) -> None:
@@ -326,7 +327,7 @@ class Simulator:
         task = self.tasks.get(destination)
         if task is None:
             raise KeyError(f"unknown task: {destination}")
-        if message.kind in PRIORITY_KINDS and task.machine_id >= 0:
+        if message.kind in PRIORITY_KINDS:
             self._pending_priority[task.machine_id].append(time)
         heapq.heappush(self._queue, (time, next(self._schedule_rank), task, message))
 
@@ -469,30 +470,20 @@ class Simulator:
         departure = ctx.now + ctx.charged
         sender_machine = sender_task.machine_id
         channel = self._channel(sender_machine, self.tasks[destination])
-        dest_task = channel.task
-        dest_machine = dest_task.machine_id
-        if self._wire is not None and sender_machine >= 0 and dest_machine >= 0:
-            # Unreliable wire installed: on-cluster sends become link-layer
-            # frames (off-cluster endpoints — sources, collectors — keep the
-            # ideal wire: they model ingest/egress, not the cluster fabric).
+        if self._wire is not None:
+            # Unreliable wire installed: every send becomes a link-layer frame.
             self._wire.send(sender_machine, channel, message, category, departure)
             return
-        if sender_machine < 0 or dest_machine < 0:
-            delivery = departure + channel.link.latency
-        else:
-            delivery = self.network.carry(channel.link, message.size, category, departure)
+        delivery = self.network.carry(channel.link, message.size, category, departure)
         rank = _next_rank(channel)
         if message.kind in PRIORITY_KINDS:
-            if dest_machine >= 0:
-                self._pending_priority[dest_machine].append(delivery)
-        elif sender_machine >= 0 and dest_machine >= 0:
+            # Priority kinds execute at delivery rather than queueing, so they
+            # go onto the global heap, not into the channel's run.
+            dest_task = channel.task
+            self._pending_priority[dest_task.machine_id].append(delivery)
+            heapq.heappush(self._queue, (delivery, rank, dest_task, message))
+        else:
             self._send_merged(channel, delivery, rank, message)
-            return
-        # Priority kinds execute at delivery rather than queueing, and
-        # off-cluster endpoints skip the link-FIFO clamp (as in post_fanout),
-        # so an open channel's key arrays could lose the sortedness _settle's
-        # bisects rely on: both go onto the global heap.
-        heapq.heappush(self._queue, (delivery, rank, dest_task, message))
 
     def post_fanout(
         self,
@@ -513,23 +504,11 @@ class Simulator:
         """
         departure = ctx.now + ctx.charged
         sender_machine = sender_task.machine_id
-        queue = self._queue
-        heappush = heapq.heappush
         if self._wire is not None:
-            # Unreliable wire installed: each on-cluster replica becomes its
-            # own link-layer frame (fan-out is data plane, non-priority);
-            # off-cluster replicas keep the ideal wire.
+            # Unreliable wire installed: each replica becomes its own
+            # link-layer frame (fan-out is data plane, non-priority).
             for channel in channels:
-                dest_task = channel.task
-                if sender_machine < 0 or dest_task.machine_id < 0:
-                    heappush(queue, (
-                        departure + channel.link.latency,
-                        _next_rank(channel),
-                        dest_task,
-                        message,
-                    ))
-                else:
-                    self._wire.send(sender_machine, channel, message, category, departure)
+                self._wire.send(sender_machine, channel, message, category, departure)
             return
         size = message.size
         volume = self.network.volume
@@ -540,10 +519,6 @@ class Simulator:
             sequence = link.sequence
             link.sequence = sequence + 1
             rank = channel.rank_base + sequence
-            dest_task = channel.task
-            if sender_machine < 0 or dest_task.machine_id < 0:
-                heappush(queue, (departure + link.latency, rank, dest_task, message))
-                continue
             if not link.local:
                 sent += 1
                 carried += size
@@ -566,24 +541,19 @@ class Simulator:
         """``task``'s handler context, reset to logical time ``start``.
 
         One context per task serves all of its handlers (handlers never run
-        nested, and none keeps its context); the first one also runs the
-        task's :meth:`~repro.engine.task.Task.on_start` hook.
+        nested, and none keeps its context).
         """
-        ctx = self._contexts.get(task)
-        if ctx is None:
-            ctx = self._contexts[task] = Context(self, task, start)
-            task.on_start(ctx)
-        else:
-            ctx.now = start
-            ctx.charged = 0.0
+        ctx = self._contexts[task]
+        ctx.now = start
+        ctx.charged = 0.0
         return ctx
 
     def _execute(self, task: Task, message: Message, start: float) -> None:
         """Run one handler at logical time ``start`` and account its work."""
         ctx = self._context(task, start)
         task.handle(message, ctx)
-        machine = task.hosted_machine
-        if machine is not None and ctx.charged > 0:
+        if ctx.charged > 0:
+            machine = task.hosted_machine
             machine.occupy(start, ctx.charged)
             machine.clear_drain_window()
         self.events_processed += 1
@@ -705,10 +675,6 @@ class Simulator:
 
     def _deliver(self, task: Task, message: Message, time: float, rank: int = 0) -> None:
         machine = task.hosted_machine
-        if machine is None:
-            # Off-cluster tasks are handled at delivery time.
-            self._execute(task, message, time)
-            return
         machine_id = machine.machine_id
         if message.kind in PRIORITY_KINDS:
             self._pending_priority[machine_id].remove(time)
@@ -907,12 +873,9 @@ class Simulator:
                 # _settle's wire_histogram write: this is the hottest tick.
                 histogram = self.metrics.drain_histogram
                 histogram[1] = histogram.get(1, 0) + 1
-                ctx = self._contexts.get(task)
-                if ctx is None:
-                    ctx = self._context(task, start)
-                else:  # _context's reset, inlined
-                    ctx.now = start
-                    ctx.charged = 0.0
+                ctx = self._contexts[task]  # _context, inlined
+                ctx.now = start
+                ctx.charged = 0.0
                 task.handle_drained(message, inbox, 1, key, ctx)
                 machine.drain_boundaries = None
                 self.events_processed += 1

@@ -1,10 +1,10 @@
 """Task (actor) abstraction and message types.
 
 The operator of Fig. 1c is composed of *reshuffler* tasks and *joiner* tasks,
-one of each per machine, plus the data sources feeding the operator and a
-collector consuming its output.  Tasks communicate exclusively through
-messages; the engine delivers messages in virtual-time order and charges the
-processing cost to the hosting machine.
+one of each per machine, fed by one source (the simulator's feed, which is
+not a task).  Tasks communicate exclusively through messages; the engine
+delivers messages in virtual-time order and charges the processing cost to
+the hosting machine.
 
 Concrete task implementations live next to the operators that use them
 (``repro.core.operator`` and ``repro.core.baselines``); this module provides
@@ -66,14 +66,14 @@ class Context:
         "drain_boundaries", "drain_horizon",
     )
 
-    def __init__(self, simulator: "Simulator", task: "Task", now: float) -> None:
+    def __init__(self, simulator: "Simulator", task: "Task") -> None:
         self._simulator = simulator
         self._task = task
         #: The run-wide :class:`repro.engine.metrics.MetricsCollector`.
         self.metrics = simulator.metrics
-        #: The machine hosting the current task (None for off-cluster tasks).
+        #: The :class:`~repro.engine.machine.Machine` hosting the task.
         self.machine = task.hosted_machine
-        self.now = now
+        self.now = 0.0
         self.charged = 0.0
         # Member-completion times of a drained run (adaptive data plane);
         # allocated by the simulator before Task.handle_drained runs.
@@ -154,15 +154,14 @@ class Task:
 
     Attributes:
         name: globally unique task name.
-        machine_id: machine hosting the task (``-1`` for off-cluster tasks
-            such as sources and collectors, which are not charged CPU time).
+        machine_id: the cluster machine hosting the task, ``0..J-1``.
     """
 
-    def __init__(self, name: str, machine_id: int = -1) -> None:
+    def __init__(self, name: str, machine_id: int) -> None:
         self.name = name
         self.machine_id = machine_id
         # The hosting Machine object, resolved once at registration by the
-        # simulator (None for off-cluster tasks); avoids per-message lookups.
+        # simulator; avoids per-message lookups.
         self.hosted_machine = None
 
     def handle(self, message: Message, ctx: Context) -> None:
@@ -223,9 +222,6 @@ class Task:
             ctx.boundary()
             count += 1
         return count
-
-    def on_start(self, ctx: Context) -> None:
-        """Hook invoked once before the first message is delivered."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} on machine {self.machine_id}>"

@@ -811,29 +811,6 @@ class TestDeliveryMergingInterleavings:
         assert merged_busy == plain_busy
         assert merged_events <= plain_events
 
-    def test_off_cluster_senders_bypass_merging(self):
-        """Sends from off-cluster tasks (machine_id -1) skip the link-FIFO
-        clamp, so they must not join open channel runs (whose key arrays must
-        stay sorted) — and must in particular never collide with the feed
-        channel bucket.  The trace must still be exactly per-tuple."""
-        def run(simulator_class):
-            simulator = simulator_class(num_machines=2)
-            log: list = []
-            consumer = _RecorderTask("consumer", machine_id=0, log=log, cost=0.2)
-            off_cluster = _BursterTask(
-                "feeder",
-                machine_id=-1,
-                burst=[("consumer", tag, 0.0) for tag in range(6)],
-            )
-            simulator.register(consumer)
-            simulator.register(off_cluster)
-            simulator.schedule(
-                0.0, "feeder", Message(kind=MessageKind.FLUSH, sender="__test__")
-            )
-            simulator.run()
-            return log
-        assert run(Simulator) == run(UnmergedWireSimulator)
-
 
 # ---------------------------------------------------------------------------
 # Absolute ground truth: outputs equal the brute-force join

@@ -5,7 +5,8 @@ Pins the contracts of ``repro.api``:
 * ``RunConfig`` validates eagerly (unknown fields, bad values, unknown
   batching planes/layouts) and is immutable; ``batching`` defaults to
   ``"adaptive"``.
-* Override precedence is ``session default < config < call-site``.
+* A session is one query, one operator kind and one config: no call of
+  ``repro.api`` takes loose keyword knobs.
 * Unknown operator and predicate kinds fail with the choices listed.
 * ``import repro`` loads no NumPy, and neither a probe-engine nor a
   batch-controller registry remains: one probe engine and one batched data
@@ -19,6 +20,7 @@ Pins the contracts of ``repro.api``:
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import random
 import re
@@ -48,6 +50,7 @@ from repro.core.results import RunResult
 from repro.data.queries import make_query
 from repro.engine.stream import interleave_streams, make_tuples
 from repro.joins.local import JOINERS, make_local_joiner
+from repro.testing import assert_run_equivalent
 
 
 def _arrival_order(query, seed):
@@ -104,24 +107,29 @@ class TestRunConfig:
     def test_fields_rebuild_the_config(self, name):
         """The fields are a complete description: normalisation (lists of
         specs to tuples) is idempotent, so a config rebuilt from its own
-        fields, directly or through ``with_overrides``, is equal to it."""
+        fields, directly or through ``dataclasses.replace``, is equal to it."""
         config = CONFIGS[name]
         assert RunConfig(**_fields(config)) == config
-        assert RunConfig().with_overrides(**_fields(config)) == config
+        assert dataclasses.replace(RunConfig(), **_fields(config)) == config
         assert isinstance(config.fault_schedule, tuple)
         assert isinstance(config.network_faults, tuple)
 
-    def test_with_overrides_returns_new_validated_config(self):
+    def test_replace_returns_new_validated_config(self):
+        """A config variant is ``dataclasses.replace``: a new, re-validated
+        config, the original untouched."""
         config = RunConfig(machines=8)
-        updated = config.with_overrides(seed=9, batching="per_tuple")
+        updated = dataclasses.replace(config, seed=9, batching="per_tuple")
         assert (updated.machines, updated.seed, updated.batching) == (8, 9, "per_tuple")
-        assert config.seed == 0  # original untouched (frozen)
-        assert config.with_overrides() is config
+        assert config.seed == 0
+        with pytest.raises(ValueError, match="machines must be >= 1"):
+            dataclasses.replace(config, machines=0)
 
     def test_unknown_field_rejected(self, eq5_query):
-        with pytest.raises(ValueError, match="unknown RunConfig field.*warmup_tuple\\b"):
-            RunConfig().with_overrides(warmup_tuple=3)
-        with pytest.raises(ValueError, match="unknown RunConfig field\\(s\\): machine_count;"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'warmup_tuple'"):
+            RunConfig(warmup_tuple=3)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'warmup_tuple'"):
+            dataclasses.replace(RunConfig(), warmup_tuple=3)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'machine_count'"):
             JoinSession(eq5_query, machine_count=8)
 
     @pytest.mark.parametrize(
@@ -170,10 +178,6 @@ class TestBatchingKnobs:
         with pytest.raises(ValueError):
             RunConfig(batching=7)
 
-    def test_unknown_batching_fails_at_operator_construction(self, eq5_query):
-        with pytest.raises(ValueError, match="choices"):
-            JoinSession(eq5_query).operator(batching="turbo")
-
     def test_default_plane_flows_through_session(self, eq5_query):
         result = JoinSession(eq5_query, config=RunConfig(machines=8, seed=3)).run()
         assert result.batch_histogram
@@ -186,9 +190,6 @@ class TestRecoveryKnobs:
     def test_schedule_normalised_to_fault_specs(self):
         config = RunConfig(machines=8, fault_schedule=[crash_after_events(2, 100)])
         assert config.fault_schedule == (crash_after_events(2, 100),)
-        assert RunConfig(
-            machines=8, fault_schedule=crash_after_events(2, 10)
-        ).fault_schedule == (crash_after_events(2, 10),)
 
     def test_fault_machine_out_of_range_lists_choices(self):
         with pytest.raises(ValueError, match="choices: 0..7"):
@@ -221,39 +222,38 @@ class TestRecoveryKnobs:
     @pytest.mark.parametrize(
         "knob, value, expected",
         [
-            ("fault_schedule", None, ()),
-            ("fault_schedule", crash_after_events(2, 1), (crash_after_events(2, 1),)),
             ("fault_schedule", [crash_after_events(2, 1), crash_after_events(3, 1)],
              (crash_after_events(2, 1), crash_after_events(3, 1))),
             ("fault_schedule", (crash_after_events(2, 9),), (crash_after_events(2, 9),)),
-            ("network_faults", None, ()),
-            ("network_faults", drop((0, 1), 1), (drop((0, 1), 1),)),
             ("network_faults", [drop((0, 1), 1), delay((1, 2), 1, by=1.0)],
              (drop((0, 1), 1), delay((1, 2), 1, by=1.0))),
             ("network_faults", (duplicate((2, 3), 4),), (duplicate((2, 3), 4),)),
         ],
-        ids=[
-            "crashes-none", "crashes-one", "crashes-list", "crashes-tuple",
-            "network-none", "network-one", "network-list", "network-tuple",
-        ],
+        ids=["crashes-list", "crashes-tuple", "network-list", "network-tuple"],
     )
-    def test_fault_knobs_take_one_spec_or_a_sequence(self, knob, value, expected):
+    def test_fault_knobs_take_a_list_or_tuple(self, knob, value, expected):
         assert getattr(RunConfig(machines=8, **{knob: value}), knob) == expected
 
     @pytest.mark.parametrize(
         "knob, value, helpers",
         [
+            # One form per input: no None, no bare spec.
+            ("fault_schedule", None, "crash_after_events()"),
+            ("fault_schedule", crash_after_events(2, 1), "crash_after_events()"),
             ("fault_schedule", "crash", "crash_after_events()"),
             ("fault_schedule", {"machine": 0, "after_events": 1}, "crash_after_events()"),
             ("fault_schedule", [crash_after_events(0, 1), 42], "crash_after_events()"),
             # A network fault is not a crash, and a crash is not a network fault.
             ("fault_schedule", [drop((0, 1), 1)], "crash_after_events()"),
+            ("network_faults", None, "drop()/duplicate()/delay()"),
+            ("network_faults", drop((0, 1), 1), "drop()/duplicate()/delay()"),
             ("network_faults", 7, "drop()/duplicate()/delay()"),
             ("network_faults", "drop", "drop()/duplicate()/delay()"),
             ("network_faults", [crash_after_events(0, 1)], "drop()/duplicate()/delay()"),
         ],
         ids=[
-            "crashes-str", "crashes-dict", "crashes-mixed", "crashes-network-spec",
+            "crashes-none", "crashes-one", "crashes-str", "crashes-dict",
+            "crashes-mixed", "crashes-network-spec", "network-none", "network-one",
             "network-int", "network-str", "network-crash-spec",
         ],
     )
@@ -289,32 +289,26 @@ class TestRetiredKnobs:
     ]
 
     @pytest.mark.parametrize("key, value", RETIRED_KEYS)
-    def test_retired_key_rejected_by_name(self, eq5_query, key, value):
+    def test_retired_key_rejected_by_name(self, key, value):
         """Next to every live field, the retired key is the only one named."""
         config = RunConfig(machines=8)
         payload = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
         payload[key] = value
-        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
-            config.with_overrides(**payload)
-        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
-            JoinSession(eq5_query, **payload)
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            RunConfig(**payload)
 
     @pytest.mark.parametrize("key, value", RETIRED_KEYS)
-    def test_retired_key_rejected_by_with_overrides(self, key, value):
-        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
-            RunConfig(machines=8).with_overrides(**{key: value})
-        with pytest.raises(TypeError, match=key):
-            RunConfig(machines=8, **{key: value})
+    def test_retired_key_rejected_by_replace(self, key, value):
+        """A config variant cannot smuggle a retired knob in either."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            dataclasses.replace(RunConfig(machines=8), **{key: value})
 
     @pytest.mark.parametrize("key, value", RETIRED_KEYS)
     def test_retired_key_rejected_at_call_site(self, eq5_query, key, value):
-        """Session construction and per-run overrides reach the same check —
-        a stale script fails loudly instead of running a different setup."""
-        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
-            JoinSession(eq5_query, machines=8, **{key: value})
-        session = JoinSession(eq5_query, config=RunConfig(machines=8))
-        with pytest.raises(ValueError, match=f"unknown RunConfig field\\(s\\): {key};"):
-            session.operator(**{key: value})
+        """A session takes no knobs of its own, so a stale script fails
+        loudly instead of running a different setup."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{key}'"):
+            JoinSession(eq5_query, **{key: value})
 
     @pytest.mark.parametrize(
         "name",
@@ -363,8 +357,9 @@ class TestRegistries:
             make_local_joiner(SimpleNamespace(kind="similarity"), "R", "S")
 
     def test_unknown_operator_kind_through_session(self, eq5_query):
-        with pytest.raises(ValueError, match="unknown operator"):
-            JoinSession(eq5_query, machines=8).run(operator="Turbo")
+        """The session builds its operator at construction."""
+        with pytest.raises(ValueError, match="unknown operator 'Turbo'.*Dynamic"):
+            JoinSession(eq5_query, operator="Turbo")
 
 
 class TestImportHygiene:
@@ -513,46 +508,48 @@ def _reachable(graph, roots) -> set:
 # ---------------------------------------------------------------------------
 
 class TestEagerValidation:
-    def test_invalid_batching_fails_at_construction(self, eq5_query):
-        with pytest.raises(ValueError, match="batching.*simd"):
-            JoinSession(eq5_query, machines=8).operator(batching="simd")
-
-    def test_invalid_layout_fails_at_construction(self, eq5_query):
-        with pytest.raises(ValueError, match="dyadic"):
-            JoinSession(eq5_query, machines=8).operator(layout="diagonal")
-
-    def test_unknown_knob_fails_at_construction(self, eq5_query):
-        with pytest.raises(ValueError, match="unknown RunConfig field"):
-            JoinSession(eq5_query, machines=8).operator(warmup_tuple=3)
-
     def test_non_power_of_two_machines_rejected(self, eq5_query):
         with pytest.raises(ValueError, match="power-of-two"):
             GridJoinOperator(eq5_query, config=RunConfig(machines=6))
+        with pytest.raises(ValueError, match="power-of-two"):
+            JoinSession(eq5_query, config=RunConfig(machines=6))
 
 
 # ---------------------------------------------------------------------------
-# Override precedence: session default < config < call-site
+# One shape of session: one query, one operator kind, one config
 # ---------------------------------------------------------------------------
 
-class TestOverridePrecedence:
-    def test_constructor_kwargs_beat_config(self, eq5_query):
-        session = JoinSession(eq5_query, config=RunConfig(machines=8, seed=1), seed=2)
-        assert session.config.machines == 8
-        assert session.config.seed == 2
+class TestSessionShape:
+    def test_api_takes_no_loose_keywords(self):
+        """No function of ``repro.api`` has a ``**kwargs`` parameter, the
+        session's calls take exactly their documented keywords, and the
+        override layers are gone."""
+        for module in ("repro.api.config", "repro.api.session"):
+            tree = ast.parse(Path(importlib.import_module(module).__file__).read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    assert node.args.kwarg is None, f"{module}.{node.name}"
+        keywords = {
+            "__init__": ["operator", "config"],
+            "run": ["arrival_order", "collect_outputs", "max_events"],
+            "open_stream": ["collect_outputs"],
+        }
+        for name, expected in keywords.items():
+            parameters = inspect.signature(getattr(JoinSession, name)).parameters
+            assert [
+                p.name for p in parameters.values() if p.kind is p.KEYWORD_ONLY
+            ] == expected, name
+        for name in ("operator", "streaming", "_resolve_query"):
+            assert not hasattr(JoinSession, name), name
+        for name in ("with_overrides", "_check_keys"):
+            assert not hasattr(RunConfig, name), name
 
-    def test_call_site_beats_session_default(self, eq5_query):
-        session = JoinSession(eq5_query, config=RunConfig(machines=8, seed=1))
-        operator = session.operator(seed=7, batching="per_tuple")
-        assert operator.seed == 7
-        assert operator.config.batching == "per_tuple"
-        assert operator.machines == 8  # untouched session default
-
-    def test_per_run_config_replaces_session_default(self, eq5_query):
-        session = JoinSession(eq5_query, config=RunConfig(machines=8, seed=1))
-        operator = session.operator(config=RunConfig(machines=4, seed=3), seed=9)
-        # per-run config replaces the session's; call-site seed wins over both
-        assert operator.machines == 4
-        assert operator.seed == 9
+    def test_session_runs_its_operator_under_its_config(self, eq5_query):
+        result = JoinSession(
+            eq5_query, operator="StaticMid", config=RunConfig(machines=4, seed=3)
+        ).run()
+        assert (result.operator, result.machines) == ("StaticMid", 4)
+        assert result.output_count > 0
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +565,7 @@ class TestLegacyRemoval:
             GridJoinOperator(eq5_query, config, cost_model=None)
         with pytest.raises(TypeError):
             GridJoinOperator(eq5_query, config, adaptive=True)
-        with pytest.raises(ValueError, match="unknown RunConfig field.*cost_model"):
+        with pytest.raises(TypeError, match="cost_model"):
             JoinSession(eq5_query, cost_model=None)
 
     def test_config_path_does_not_warn(self, eq5_query, recwarn):
@@ -581,40 +578,80 @@ class TestLegacyRemoval:
 # Streaming ingestion: push()/finish() vs the materialised path
 # ---------------------------------------------------------------------------
 
+def _materialised_and_streamed(query, config, order, chunk):
+    """One materialised run of ``order`` and one pushed in ``chunk``-sized
+    chunks, both collecting outputs."""
+    materialised = JoinSession(query, config=config).run(
+        arrival_order=order, collect_outputs=True
+    )
+    session = JoinSession(query, config=config)
+    session.open_stream(collect_outputs=True)
+    for start in range(0, len(order), chunk):
+        session.push(items=order[start:start + chunk])
+    return materialised, session.finish()
+
+
 class TestStreamingIngestion:
     @pytest.mark.parametrize("batching", ["per_tuple", "adaptive"])
-    def test_eq5_streaming_matches_materialised(self, small_dataset, batching):
+    @pytest.mark.parametrize("inter_arrival", [0.0, 0.3])
+    @pytest.mark.parametrize("chunk", [97, None], ids=["chunked", "one-chunk"])
+    def test_eq5_streaming_matches_materialised(
+        self, small_dataset, batching, inter_arrival, chunk
+    ):
         """Acceptance pin: identical final join results on EQ5 on both planes.
 
         Streaming ingest routes every tuple as the materialised feed does;
-        chunked simulation drains do shift virtual-time micro-timing, so
-        wall/virtual times are not compared — results, migrations and the
-        final mapping are.
+        chunked simulation drains do shift virtual-time micro-timing, so a
+        chunked run (97 tuples, deliberately not a divisor of the run cap)
+        pins results, migrations and the final mapping.  One
+        chunk is the materialised run itself, down to its timings, traffic
+        and heap events: the feed and the push path are one ingest.
         """
         query = make_query("EQ5", small_dataset)
         order = _arrival_order(query, seed=5)
-        config = RunConfig(machines=8, seed=5, warmup_tuples=16.0, batching=batching)
-
-        materialised = JoinSession(query, config=config).run(
-            arrival_order=order, collect_outputs=True
+        config = RunConfig(
+            machines=8,
+            seed=5,
+            warmup_tuples=16.0,
+            batching=batching,
+            inter_arrival=inter_arrival,
         )
 
-        session = JoinSession(query, config=config)
-        session.open_stream(collect_outputs=True)
-        chunk = 97  # deliberately not a divisor of the run cap
-        for start in range(0, len(order), chunk):
-            session.push(items=order[start:start + chunk])
-        streamed = session.finish()
+        materialised, streamed = _materialised_and_streamed(
+            query, config, order, chunk or len(order)
+        )
 
         assert streamed.outputs is not None and materialised.outputs is not None
         assert sorted(streamed.outputs) == sorted(materialised.outputs)
         assert streamed.output_count == materialised.output_count
         assert streamed.migrations == materialised.migrations
         assert streamed.final_mapping == materialised.final_mapping
+        if chunk is None:
+            assert_run_equivalent(
+                materialised, streamed, timing=True, network=True, events=True
+            )
+
+    @pytest.mark.parametrize("batching", ["per_tuple", "adaptive"])
+    @pytest.mark.parametrize("inter_arrival", [0.0, 0.3])
+    def test_bnci_one_push_is_the_materialised_run(
+        self, bnci_query, batching, inter_arrival
+    ):
+        """The one-chunk pin on the band join's ordered-index path."""
+        order = _arrival_order(bnci_query, seed=5)
+        config = RunConfig(
+            machines=8, seed=5, batching=batching, inter_arrival=inter_arrival
+        )
+        materialised, streamed = _materialised_and_streamed(
+            bnci_query, config, order, len(order)
+        )
+        assert_run_equivalent(
+            materialised, streamed, timing=True, network=True, events=True
+        )
 
     def test_push_chunks_and_snapshots(self, small_dataset):
         query = make_query("EQ5", small_dataset)
-        session = JoinSession(query, machines=8, seed=3)
+        config = RunConfig(machines=8, seed=3)
+        session = JoinSession(query, config=config)
         rng = random.Random(3)
         left = make_tuples(query.left_relation, query.left_records, rng, query.left_tuple_size)
         right = make_tuples(
@@ -635,11 +672,11 @@ class TestStreamingIngestion:
         assert result.output_count > 0
         # A full materialised run of the same workload produces the same
         # number of joins regardless of ingestion mode and interleaving.
-        reference = JoinSession(query, machines=8, seed=3).run()
+        reference = JoinSession(query, config=config).run()
         assert result.output_count == reference.output_count
 
     def test_streaming_lifecycle_errors(self, eq5_query):
-        session = JoinSession(eq5_query, machines=8, seed=3)
+        session = JoinSession(eq5_query, config=RunConfig(machines=8, seed=3))
         chunk = [
             item
             for item in _arrival_order(eq5_query, seed=3)
@@ -663,17 +700,20 @@ class TestStreamingIngestion:
         session.finish()
 
     def test_streaming_takes_event_anchored_crashes(self, eq5_query):
-        knobs = dict(machines=8, inter_arrival=1.0, checkpoint_interval=50)
-        order = _arrival_order(eq5_query, seed=5)
-        session = JoinSession(
-            eq5_query, fault_schedule=[crash_after_events(3, 400)], **knobs
+        config = RunConfig(
+            machines=8,
+            inter_arrival=1.0,
+            checkpoint_interval=50,
+            fault_schedule=[crash_after_events(3, 400)],
         )
+        order = _arrival_order(eq5_query, seed=5)
+        session = JoinSession(eq5_query, config=config)
         for start in range(0, len(order), 100):
             session.push(items=order[start:start + 100])
         assert session.finish().faults_injected == 1
 
     def test_push_rejects_wrong_relation(self, eq5_query, bnci_query):
-        session = JoinSession(eq5_query, machines=8)
+        session = JoinSession(eq5_query, config=RunConfig(machines=8))
         order = _arrival_order(eq5_query, seed=5)
         # A foreign relation would otherwise be silently routed as
         # right-side input.
@@ -698,7 +738,7 @@ class TestStreamingIngestion:
             original(simulator, time, destination, message)
 
         monkeypatch.setattr(Simulator, "schedule_data", spy)
-        session = JoinSession(eq5_query, machines=8)
+        session = JoinSession(eq5_query, config=RunConfig(machines=8))
         order = _arrival_order(eq5_query, seed=5)
         for start in range(0, 300, 60):
             session.push(order[start:start + 60])
@@ -710,7 +750,7 @@ class TestStreamingIngestion:
         assert {kind for _, _, kind in fed} == {MessageKind.DATA}
 
     def test_push_rejects_raw_records_naming_make_tuples(self, eq5_query):
-        session = JoinSession(eq5_query, machines=8)
+        session = JoinSession(eq5_query, config=RunConfig(machines=8))
         order = _arrival_order(eq5_query, seed=5)
         with pytest.raises(TypeError, match="make_tuples"):
             session.push([eq5_query.left_records[0]])
@@ -721,5 +761,5 @@ class TestStreamingIngestion:
         session.finish()
 
     def test_session_requires_a_query(self):
-        with pytest.raises(ValueError, match="no query"):
-            JoinSession(machines=8).run()
+        with pytest.raises(TypeError, match="query"):
+            JoinSession(config=RunConfig(machines=8))

@@ -30,7 +30,7 @@ from repro.testing import (
 class Recorder(Task):
     """Task that records (logical time, payload) for every message."""
 
-    def __init__(self, name, machine_id=-1, cost=0.0):
+    def __init__(self, name, machine_id=0, cost=0.0):
         super().__init__(name, machine_id)
         self.cost = cost
         self.log = []
@@ -43,7 +43,7 @@ class Recorder(Task):
 class Forwarder(Task):
     """Task that forwards every payload to a destination."""
 
-    def __init__(self, name, destination, machine_id=-1, cost=0.0):
+    def __init__(self, name, destination, machine_id=0, cost=0.0):
         super().__init__(name, machine_id)
         self.destination = destination
         self.cost = cost
@@ -65,7 +65,7 @@ def _data(payload, kind=MessageKind.DATA, size=1.0):
 class TestScheduling:
     def test_events_processed_in_time_order(self):
         sim = Simulator(num_machines=1)
-        task = sim.register(Recorder("r", machine_id=-1))
+        task = sim.register(Recorder("r"))
         sim.schedule(5.0, "r", _data("late"))
         sim.schedule(1.0, "r", _data("early"))
         sim.run()
@@ -84,8 +84,15 @@ class TestScheduling:
 
     def test_task_on_unknown_machine_rejected(self):
         sim = Simulator(num_machines=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="choices: 0..0"):
             sim.register(Recorder("a", machine_id=5))
+
+    def test_task_off_the_cluster_rejected(self):
+        """Every task lives on a machine: no off-cluster placement."""
+        sim = Simulator(num_machines=4)
+        with pytest.raises(ValueError, match="machine -1; choices: 0..3"):
+            sim.register(Recorder("a", machine_id=-1))
+        assert sim.tasks == {}
 
 
 class TestMachineQueueing:

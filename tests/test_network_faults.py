@@ -146,11 +146,14 @@ class TestNetworkFaultSpec:
         with pytest.raises(ValueError, match=pattern):
             NetworkFaultSpec(**kwargs)
 
-    def test_normalize_accepts_specs_and_none(self):
+    def test_normalize_accepts_spec_sequences_only(self):
         faults = normalize_network_faults([drop((0, 1), 1), duplicate((2, 3), 4)])
         assert faults == (drop((0, 1), 1), duplicate((2, 3), 4))
-        assert normalize_network_faults(None) == ()
-        assert normalize_network_faults(drop((0, 1), 1)) == (drop((0, 1), 1),)
+        assert normalize_network_faults(()) == ()
+        with pytest.raises(ValueError, match="NetworkFaultSpec"):
+            normalize_network_faults(None)
+        with pytest.raises(ValueError, match="NetworkFaultSpec"):
+            normalize_network_faults(drop((0, 1), 1))
         with pytest.raises(ValueError, match="NetworkFaultSpec"):
             normalize_network_faults("drop")
         with pytest.raises(ValueError, match="NetworkFaultSpec"):

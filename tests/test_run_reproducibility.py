@@ -214,10 +214,10 @@ class TestEntryPointEquivalence:
     def test_session_run_matches_operator_run(self, queries, orders, plane, operator):
         query, order = queries["equi"], orders["equi"]
         direct = _run(OPERATORS[operator], query, order, **PLANES[plane])
-        session = JoinSession(query, config=_config(**PLANES[plane]))
-        via_session = session.run(
-            operator=SESSION_NAMES[operator], arrival_order=order, collect_outputs=True
+        session = JoinSession(
+            query, operator=SESSION_NAMES[operator], config=_config(**PLANES[plane])
         )
+        via_session = session.run(arrival_order=order, collect_outputs=True)
         assert_run_equivalent(
             direct, via_session, events=True, label=f"session/{plane}/{operator}"
         )
