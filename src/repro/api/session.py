@@ -113,8 +113,8 @@ class _StreamingRun:
             raise RuntimeError("cannot push into a finished streaming session")
         query = self.operator.query
         relations = (query.left_relation, query.right_relation)
-        chunk: list[StreamTuple] = []
-        for item in items:
+        chunk = list(items)
+        for item in chunk:
             if not isinstance(item, StreamTuple):
                 raise TypeError(
                     "push() accepts StreamTuple objects only, got "
@@ -126,20 +126,25 @@ class _StreamingRun:
                     f"pushed tuple belongs to relation {item.relation!r}, "
                     f"expected one of {relations}"
                 )
-            chunk.append(item)
-        for item in chunk:
-            self._ingest(item)
+        self._ingest(chunk)
         self.simulator.run()
         return self.snapshot()
 
-    def _ingest(self, item: StreamTuple) -> None:
-        arrival_time = self._pushed * self.inter_arrival
-        item.arrival_time = arrival_time
-        self._pushed += 1
-        destination = self._route_rng.choice(self.topology.reshuffler_names)
-        # The tuple is its own message.  schedule_data merges consecutive
-        # same-destination ingest messages into the feed channel's run.
-        self.simulator.schedule_data(arrival_time, destination, item)
+    def _ingest(self, chunk: list[StreamTuple]) -> None:
+        """Stamp and send every tuple of a validated chunk, in order."""
+        inter_arrival = self.inter_arrival
+        choice = self._route_rng.choice
+        reshufflers = self.topology.reshuffler_names
+        schedule_data = self.simulator.schedule_data
+        pushed = self._pushed
+        for item in chunk:
+            arrival_time = pushed * inter_arrival
+            item.arrival_time = arrival_time
+            pushed += 1
+            # The tuple is its own message.  schedule_data merges consecutive
+            # same-destination ingest messages into the feed channel's run.
+            schedule_data(arrival_time, choice(reshufflers), item)
+        self._pushed = pushed
 
     # ----------------------------------------------------------- observation
 

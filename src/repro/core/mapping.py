@@ -126,6 +126,11 @@ def square_mapping(machines: int) -> Mapping:
     return Mapping(n, machines // n)
 
 
+#: ``power_of_two_mappings(J)`` per J, for :func:`optimal_mapping`: the
+#: controller asks for ILF* on every tuple it samples.
+_CANDIDATES: dict[int, tuple[Mapping, ...]] = {}
+
+
 def optimal_mapping(
     machines: int,
     r_count: float,
@@ -138,7 +143,9 @@ def optimal_mapping(
     Ties are broken toward the more balanced (smaller ``|n - m|``) mapping so
     the choice is deterministic.
     """
-    candidates = power_of_two_mappings(machines)
+    candidates = _CANDIDATES.get(machines)
+    if candidates is None:
+        candidates = _CANDIDATES[machines] = tuple(power_of_two_mappings(machines))
     return min(
         candidates,
         key=lambda mapping: (

@@ -48,7 +48,7 @@ the involuntary one), while timings and the migration sequence may diverge;
 replaying the same crashed run twice is bit-identical.
 
 Handlers journal on the thread that drives the simulator, through the
-checkpoint store's single SQLite connection behind its store-wide lock.
+checkpoint store's single SQLite connection.
 
 Composition with the unreliable wire (``RunConfig.network_faults``): the
 reliable-delivery sublayer dedups *below* the task layer — a message is
@@ -81,8 +81,8 @@ class JoinerJournal:
         self.manager = manager
         self.task_name = task_name
         #: Deltas logged since the previous snapshot (what ``store.log``
-        #: returned last), kept here so the per-handler snapshot check takes
-        #: no store lock.
+        #: returned last), kept here so the per-handler snapshot check makes
+        #: no store call.
         self._since_snapshot = 0
         #: True while every one of them was a ``"data"`` entry.
         self._inserts_only = True

@@ -181,8 +181,32 @@ class ReshufflerTask(Task):
         so the mapping/epoch/in-flight state any member observes — and the
         point in the stream where a control message takes effect — match the
         per-tuple plane exactly.
+
+        A run of one (``limit`` 1: a paced machine's usual tick, see
+        ``Simulator._tick``) takes the loop body once, written out without
+        the hoisted lookups.
         """
         machine = ctx.machine
+        if limit == 1:
+            item = first.payload
+            ctx.charged = machine.cost_model.reshuffle_cost
+            is_left = item.relation == self.topology.left_relation
+            self._seen += 1
+            ctx.metrics.record_input_processed(ctx.now)
+            if self.controller is not None:
+                self._controller_duties(item, is_left, ctx)
+            self._route(item, is_left, ctx)
+            charged = ctx.charged
+            end = ctx.now + charged
+            machine.busy_until = end
+            machine.busy_time += charged
+            ctx.now = end
+            ctx.charged = 0.0
+            if ctx.drain_boundaries is not None:
+                ctx.drain_boundaries.append(end)
+            if self._journal is not None:
+                self._journal.maybe_snapshot(self)
+            return 1
         reshuffle_cost = machine.cost_model.reshuffle_cost
         record_input = ctx.metrics.record_input_processed
         left_relation = self.topology.left_relation
@@ -543,15 +567,18 @@ class JoinerTask(Task):
         deferred metrics record is exact.
 
         A run of one (``limit`` 1: a paced machine's usual tick, see
-        ``Simulator._tick``) pulls nothing, and in the NORMAL phase its one
+        ``Simulator._tick``) pulls nothing: in the NORMAL phase its one
         member goes straight to :meth:`EpochJoinerState.handle_current` —
-        one ``probe_insert`` — before the same charge loop.
+        one ``probe_insert`` — and the charge loop's arithmetic follows,
+        written out for the one member.
         """
         if key is self._MU_DRAIN_KEY:
             # µ runs: per-member handling through the base-class loop —
             # bit-identical to per-tuple delivery (handle + boundary per
             # member), saving only simulator events.
             return Task.handle_drained(self, first, inbox, limit, key, ctx)
+        if limit == 1:
+            return self._handle_one(first.payload, ctx)
         items = [first.payload]
         data_kind = _DATA
         while len(items) < limit and inbox:
@@ -640,6 +667,45 @@ class JoinerTask(Task):
         if probe_total:
             ctx.metrics.record_probe_work(probe_total)
         return len(items)
+
+    def _handle_one(self, item: StreamTuple, ctx: Context) -> int:
+        """:meth:`handle_drained` for a run of one: the same journaling,
+        probe and per-member charge arithmetic as its loop, for one member."""
+        journal = self._journal
+        if journal is not None:
+            journal.log(("data", item))
+        state = self.state
+        if state.phase is _NORMAL:
+            # The drain key is the current epoch in the NORMAL phase.
+            matches, work = state.handle_current(item)
+        else:
+            ((matches, work),) = state.handle_data_batch([item])
+        if journal is not None:
+            journal.maybe_snapshot(self)
+        machine = ctx.machine
+        cost_model = machine.cost_model
+        factor = 1.0 if cost_model.memory_capacity is None else machine.storage_factor()
+        cost = 0.0
+        cost += cost_model.receive_cost
+        cost += cost_model.store_cost * factor
+        cost += work * cost_model.probe_cost * factor
+        cost += len(matches) * cost_model.match_cost
+        size = item.size
+        machine.stored_size = stored = machine.stored_size + size
+        machine.received_size += size
+        if stored > machine.peak_stored_size:
+            machine.peak_stored_size = stored
+        end = ctx.now + cost
+        if matches:
+            ctx.metrics.record_outputs(matches, end)
+        machine.busy_until = end
+        machine.busy_time += cost
+        ctx.now = end
+        ctx.charged = 0.0
+        if ctx.drain_boundaries is not None:
+            ctx.drain_boundaries.append(end)
+        ctx.metrics.record_probe_work(work)
+        return 1
 
     def _handle_signal(self, message: Message, ctx: Context) -> None:
         epoch = message.meta["epoch"]

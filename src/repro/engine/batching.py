@@ -52,7 +52,11 @@ class AdaptiveBatchController:
     cap = DEFAULT_BATCH_MAX
 
     def __init__(self) -> None:
-        self._size = 1
+        #: The ramp: the size the last call returned.  A tick with nothing
+        #: else queued resets it to 1 directly — the state
+        #: ``next_batch_size(1)`` leaves — without the call (see
+        #: ``Simulator._tick``).
+        self.size = 1
 
     def next_batch_size(self, backlog: int) -> int:
         """Upper bound on the next drained run, given ``backlog`` queued messages.
@@ -61,11 +65,11 @@ class AdaptiveBatchController:
         simulation order, so the ramp stays reproducible.
         """
         if backlog <= 1:
-            self._size = 1
+            self.size = 1
             return 1
         target = min(self.cap, backlog)
-        if self._size < target:
-            self._size = min(target, max(2, self._size * 2))
+        if self.size < target:
+            self.size = min(target, max(2, self.size * 2))
         else:
-            self._size = target
-        return self._size
+            self.size = target
+        return self.size

@@ -160,6 +160,10 @@ class _WireFrame:
     wrapper.  ``seq`` is the link's :attr:`Link.sequence` at the
     original send, so ``channel.rank_base + seq`` is the send-band rank the
     receiver releases the message with — exactly a direct delivery's.
+
+    A frame is also the global-heap payload of its own arrival event (a
+    duplicated frame is pushed twice): the simulator's run loop recognises
+    it by class and hands it to :meth:`ReliableWire.arrive`.
     """
 
     __slots__ = ("link", "seq", "channel", "message", "category")
@@ -180,9 +184,12 @@ class ReliableWire:
     timers, the receiver's dedup/in-order release, and the degradation
     counters.  The simulator it is installed on (:attr:`simulator`, set by
     ``Simulator.install_network_faults``) calls :meth:`send` from its send
-    points and dispatches the ``"frame"`` / ``"retransmit"`` events this
-    object schedules in its fault rank band to :meth:`arrive` /
-    :meth:`retransmit`.
+    points.  Each frame instance in flight is its own global-heap payload in
+    the fault rank band, which the simulator hands to :meth:`arrive` when it
+    pops; a retransmit timer is a ``"retransmit"`` fault event, handed to
+    :meth:`retransmit`.  A send with no fault scheduled skips the fault
+    lookup (:meth:`on_send`), and an in-order arrival on a link with nothing
+    buffered goes straight to the simulator's delivery path.
 
     Sequencing model (MillWheel-style sequencer/dedup): every original send
     on a directed link carries the link's send sequence number; the receiver
@@ -225,10 +232,9 @@ class ReliableWire:
         """Look up the faults of the original send ``seq`` on ``link``.
 
         Returns ``(dropped, duplicated, delay_by)``; ``seq`` is 0-based, so
-        spec ``nth`` (1-based) matches ``seq + 1``.
+        spec ``nth`` (1-based) matches ``seq + 1``.  :meth:`send` calls it
+        only for a send that has a fault scheduled.
         """
-        if not self._actions:
-            return False, False, 0.0
         dropped = duplicated = False
         delay_by = 0.0
         for spec in self._actions.get((link, seq + 1), ()):
@@ -258,9 +264,14 @@ class ReliableWire:
         wire_link = channel.link
         seq = wire_link.sequence
         wire_link.sequence = seq + 1
-        dropped, duplicated, delay_by = self.on_send(link, seq)
         frame = _WireFrame(link, seq, channel, message, category)
         self.frames_sent += 1
+        if (link, seq + 1) not in self._actions:
+            # No fault scheduled for this send: it crosses the wire once.
+            arrival = simulator.network.carry(wire_link, message.size, category, departure)
+            simulator._schedule_frame(arrival, dest_machine, frame)
+            return
+        dropped, duplicated, delay_by = self.on_send(link, seq)
         if dropped:
             self.frames_dropped += 1
             # Timers are armed only for frames known lost (a deterministic-
@@ -275,7 +286,7 @@ class ReliableWire:
         # The per-send delay is added *after* the link's FIFO clamp, so later
         # sends can genuinely overtake the delayed frame on the wire; the
         # receiver's in-order release restores send order.
-        simulator._schedule_fault(arrival + delay_by, "frame", dest_machine, frame)
+        simulator._schedule_frame(arrival + delay_by, dest_machine, frame)
         if duplicated:
             self.frames_sent += 1
             self.frames_duplicated += 1
@@ -283,7 +294,7 @@ class ReliableWire:
             # Same frame object = same sequence number: the copy that loses
             # the race (the fault serial orders the original first at equal
             # times) is discarded by the receiver's dedup.
-            simulator._schedule_fault(dup_arrival + delay_by, "frame", dest_machine, frame)
+            simulator._schedule_frame(dup_arrival + delay_by, dest_machine, frame)
 
     def retransmit(self, frame: _WireFrame, time: float) -> None:
         """A retransmit timer fired: send the lost frame again.
@@ -298,7 +309,7 @@ class ReliableWire:
         arrival = simulator.network.transfer(
             link[0], link[1], frame.message.size, frame.category, time
         )
-        simulator._schedule_fault(arrival, "frame", link[1], frame)
+        simulator._schedule_frame(arrival, link[1], frame)
 
     def arrive(self, frame: _WireFrame, time: float) -> None:
         """A frame reached its receiver: dedup, reorder-buffer or release.
@@ -312,29 +323,45 @@ class ReliableWire:
         """
         link = frame.link
         self.frames_delivered += 1
+        seq = frame.seq
         expected = self.recv_next.get(link, 0)
-        if frame.seq < expected:
+        reorder = self.reorder
+        if seq == expected and link not in reorder:
+            # In order with nothing buffered behind it (a drained buffer is
+            # deleted): straight to the delivery path — _release, inlined.
+            self.recv_next[link] = seq + 1
+            self.frames_applied += 1
+            simulator = self.simulator
+            message = frame.message
+            channel = frame.channel
+            task = channel.task
+            if message.kind in PRIORITY_KINDS:
+                simulator._pending_priority[task.machine_id].append(time)
+            simulator._deliver(task, message, time, channel.rank_base + seq)
+            return
+        if seq < expected:
             self.frames_deduped += 1
             return
-        if frame.seq > expected:
-            buffer = self.reorder.setdefault(link, {})
-            if frame.seq in buffer:
+        if seq > expected:
+            buffer = reorder.setdefault(link, {})
+            if seq in buffer:
                 self.frames_deduped += 1
             else:
                 self.frames_reordered += 1
-                buffer[frame.seq] = frame
+                buffer[seq] = frame
             return
+        # In order, and the gap it closes may free buffered successors.
         next_seq = expected + 1
         self.recv_next[link] = next_seq
         self._release(frame, time)
-        buffer = self.reorder.get(link)
-        if buffer:
-            # Cascade: the gap just closed may free buffered successors.
-            while next_seq in buffer:
-                follower = buffer.pop(next_seq)
-                next_seq += 1
-                self.recv_next[link] = next_seq
-                self._release(follower, time)
+        buffer = reorder[link]
+        while next_seq in buffer:
+            follower = buffer.pop(next_seq)
+            next_seq += 1
+            self.recv_next[link] = next_seq
+            self._release(follower, time)
+        if not buffer:
+            del reorder[link]
 
     def _release(self, frame: _WireFrame, time: float) -> None:
         """Hand a frame to the simulator's normal delivery path, in sequence order.

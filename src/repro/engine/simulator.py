@@ -59,7 +59,7 @@ from typing import Iterable
 from repro.engine.faults import ACK_TIMEOUT, OverlappingFaultError
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
-from repro.engine.network import Link, Network, TrafficCategory
+from repro.engine.network import Link, Network, TrafficCategory, _WireFrame
 from repro.engine.stream import PRIORITY_KINDS, ArrivalSchedule
 from repro.engine.task import Context, Message, Task
 
@@ -83,11 +83,15 @@ _MACHINE_SPAN = 1 << 12  # > max machines + the feed's sender slot
 # Fault-plane events (restarts) rank above machine ticks: at an equal
 # instant every ordinary event of that time completes first, so a restart
 # always lands *between* handler events.  A per-simulator serial breaks
-# remaining ties so heap entries never compare the _FaultEvent payloads
-# themselves.  The reliable wire's frame arrivals and retransmit timers ride
-# the same band (offsets 1 and 2): they too land between handler events.
+# remaining ties so heap entries never compare their payloads themselves.
+# The reliable wire's frame arrivals and retransmit timers ride the same
+# band (offsets 1 and 2): they too land between handler events.
 _FAULT_RANK_BASE = 1 << 63
+_FAULT_SERIAL_SPAN = 1 << 30
 _FAULT_ACTION_OFFSETS = {"restart": 0, "frame": 1, "retransmit": 2}
+_FRAME_RANK_BASE = (
+    _FAULT_RANK_BASE + _FAULT_ACTION_OFFSETS["frame"] * _MACHINE_SPAN * _FAULT_SERIAL_SPAN
+)
 
 
 class Channel:
@@ -161,9 +165,11 @@ class SettledSegment:
 class _FaultEvent:
     """Heap payload of one fault-plane action targeting a machine id.
 
-    ``action`` is ``"restart"`` for the crash plane, or ``"frame"`` /
-    ``"retransmit"`` (carrying the reliable wire's frame) for the
-    unreliable-wire plane.
+    ``action`` is ``"restart"`` for the crash plane, or ``"retransmit"``
+    (carrying the reliable wire's lost frame) for the unreliable-wire plane.
+    A frame arrival needs no event object: the
+    :class:`~repro.engine.network._WireFrame` is its own heap payload (see
+    ``Simulator._schedule_frame``).
     """
 
     __slots__ = ("action", "frame")
@@ -223,8 +229,9 @@ class Simulator:
         # machine idles or is down) and, for a wake-up armed ahead of the
         # pending delivery it waits for, that delivery's pending-heap entry
         # (see _wake).  A tick entry popping at any other time is stale and
-        # does nothing.  ``_queued_ticks`` holds the times of each machine's
-        # tick entries still in the heap, so re-arming at one reuses it.
+        # at most queues the valid tick (see _arm).  ``_queued_ticks`` holds
+        # the times of each machine's tick entries still in the heap, so
+        # re-arming at one reuses it.
         self._tick_at: list[float | None] = [None] * num_machines
         self._wake_for: list[tuple | None] = [None] * num_machines
         self._queued_ticks: list[set[float]] = [set() for _ in range(num_machines)]
@@ -358,10 +365,17 @@ class Simulator:
 
     def _arm(self, machine_id: int, at: float) -> None:
         """Make ``at`` the machine's one valid tick, reusing a tick entry
-        already queued at that time."""
+        already queued at that time.
+
+        While an earlier tick entry of the machine is queued the push is
+        deferred: that entry pops first, finds itself stale and queues the
+        valid tick then (see :meth:`_tick`).  A wake-up that priority
+        handlers push later and later therefore costs one heap entry, not
+        one per move.
+        """
         self._tick_at[machine_id] = at
         queued = self._queued_ticks[machine_id]
-        if at not in queued:
+        if at not in queued and not (queued and min(queued) < at):
             queued.add(at)
             heapq.heappush(self._queue, (at, _TICK_RANK_BASE + machine_id, machine_id, None))
 
@@ -456,7 +470,8 @@ class Simulator:
         task = self.tasks.get(destination)
         if task is None:
             raise KeyError(f"unknown task: {destination}")
-        self._send_merged(self._channel(-1, task), time, next(self._schedule_rank), message)
+        channel = self._channels[0].get(task) or self._channel(-1, task)
+        self._send_merged(channel, time, next(self._schedule_rank), message)
 
     def post(
         self,
@@ -619,19 +634,23 @@ class Simulator:
         self, time: float, action: str, machine_id: int, frame=None
     ) -> None:
         rank = _FAULT_RANK_BASE + (
-            (_FAULT_ACTION_OFFSETS[action] * _MACHINE_SPAN + machine_id) * (1 << 30)
+            (_FAULT_ACTION_OFFSETS[action] * _MACHINE_SPAN + machine_id) * _FAULT_SERIAL_SPAN
             + next(self._fault_serial)
         )
         heapq.heappush(
             self._queue, (time, rank, machine_id, _FaultEvent(action, frame))
         )
 
+    def _schedule_frame(self, time: float, machine_id: int, frame: _WireFrame) -> None:
+        """Schedule the arrival of a reliable-wire ``frame`` at ``machine_id``:
+        ``_schedule_fault(time, "frame", ...)``'s rank, with the frame itself
+        as the heap payload."""
+        rank = _FRAME_RANK_BASE + machine_id * _FAULT_SERIAL_SPAN + next(self._fault_serial)
+        heapq.heappush(self._queue, (time, rank, machine_id, frame))
+
     def _process_fault(self, machine_id: int, event: _FaultEvent, time: float) -> None:
-        action = event.action
-        if action == "restart":
+        if event.action == "restart":
             self._restart_machine(machine_id, time)
-        elif action == "frame":
-            self._wire.arrive(event.frame, time)
         else:
             self._wire.retransmit(event.frame, time)
 
@@ -787,9 +806,16 @@ class Simulator:
     def _tick(self, machine_id: int, time: float) -> None:
         queued = self._queued_ticks[machine_id]
         queued.discard(time)
-        if time != self._tick_at[machine_id]:
+        valid = self._tick_at[machine_id]
+        if time != valid:
             # Stale: superseded by another tick of the machine, or the
-            # machine went down after arming it.
+            # machine went down after arming it.  An arm deferred behind
+            # this entry (see _arm) queues the valid tick now.
+            if valid is not None and valid not in queued:
+                queued.add(valid)
+                heapq.heappush(
+                    self._queue, (valid, _TICK_RANK_BASE + machine_id, machine_id, None)
+                )
             return
         self._wake_for[machine_id] = None
         pending = self._pending_wire[machine_id]
@@ -860,7 +886,12 @@ class Simulator:
             # Backlog estimate for the drain controller: this member plus
             # every member still queued (inside settled segments too) —
             # identical to the unmerged wire's per-member inbox length.
-            limit = controllers[machine_id].next_batch_size(1 + members[machine_id])
+            behind = members[machine_id]
+            if behind:
+                limit = controllers[machine_id].next_batch_size(1 + behind)
+            else:
+                # Nothing else queued: next_batch_size(1)'s collapse, inlined.
+                controllers[machine_id].size = limit = 1
             if limit > 1 and inbox:
                 self._execute_drained(
                     task, message, inbox, limit, key, start, time, machine_id
@@ -895,7 +926,7 @@ class Simulator:
             return
         # _arm, inlined.
         self._tick_at[machine_id] = at
-        if at not in queued:
+        if at not in queued and not (queued and min(queued) < at):
             queued.add(at)
             heapq.heappush(self._queue, (at, _TICK_RANK_BASE + machine_id, machine_id, None))
 
@@ -915,6 +946,7 @@ class Simulator:
         # The one per-event check: the event count at which the next
         # event-anchored crash fires or the max_events guard trips.
         watch = min(after_faults[0][0], limit) if after_faults else limit
+        arrive = self._wire.arrive if self._wire is not None else None
         wall_start = _time.perf_counter()
         try:
             while queue:
@@ -924,6 +956,8 @@ class Simulator:
                     now = time
                 if message is None:
                     tick(target, time)
+                elif message.__class__ is _WireFrame:
+                    arrive(message, time)
                 elif message.__class__ is _FaultEvent:
                     self._process_fault(target, message, time)
                 else:

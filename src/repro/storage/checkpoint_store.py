@@ -41,9 +41,8 @@ covers every journaled entry once the store is closed.
 
 Connection model: the simulator runs every handler on the thread that
 drives it, so the store opens one SQLite connection at construction and
-every journaling, snapshot and recovery call goes through it.  One
-store-wide lock serialises the buffer/counter bookkeeping and each database
-transaction.
+every journaling, snapshot and recovery call goes through it, one call at a
+time; the store takes no lock.
 
 Journaling charges **zero virtual time** and touches neither the event heap
 nor the rng, so a fault-free run with checkpointing enabled is bit-identical
@@ -78,7 +77,6 @@ import os
 import pickle
 import sqlite3
 import tempfile
-import threading
 import zlib
 from collections import defaultdict
 from typing import Any, NamedTuple
@@ -158,7 +156,7 @@ def _resolve_snapshot(rows: dict, seq: int) -> tuple[Any, int] | None:
 
 
 class _TaskJournal:
-    """One task's in-memory journal bookkeeping (guarded by the store lock)."""
+    """One task's in-memory journal bookkeeping."""
 
     __slots__ = ("buffer", "next_seq", "since_snapshot", "retained")
 
@@ -192,9 +190,8 @@ class CheckpointStore:
             self._owns_file = False
         self.path = path
         self.flush_every = max(1, int(flush_every))
-        self._lock = threading.Lock()
-        # WAL plus a group-commit-friendly sync level; the busy timeout is a
-        # belt-and-braces guard (the store lock already serialises writes).
+        # WAL plus a group-commit-friendly sync level; the busy timeout lets
+        # a second connection to the file (a test's, say) wait out a commit.
         conn = self._conn = sqlite3.connect(path)
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
@@ -222,15 +219,15 @@ class CheckpointStore:
         The entry *object* is buffered and pickled when its block is flushed,
         so it must not be mutated afterwards (see the module docstring).
         """
-        with self._lock:
-            journal = self._journals[task]
-            journal.buffer.append(entry)
-            journal.next_seq += 1
-            if len(journal.buffer) >= self.flush_every:
-                self._flush_task_locked(task, journal)
-            self.delta_entries += 1
-            journal.since_snapshot += 1
-            return journal.since_snapshot
+        journal = self._journals[task]
+        buffer = journal.buffer
+        buffer.append(entry)
+        journal.next_seq += 1
+        self.delta_entries += 1
+        since = journal.since_snapshot = journal.since_snapshot + 1
+        if len(buffer) >= self.flush_every:
+            self._flush_task(task, journal)
+        return since
 
     def snapshot(self, task: str, state: Any, extends: bool = False) -> None:
         """Write a snapshot row for ``task`` and prune its journal.
@@ -248,52 +245,50 @@ class CheckpointStore:
         retained with the full snapshots they extend and every block back to
         the older base; everything older is pruned.
         """
-        with self._lock:
-            journal = self._journals[task]
-            self._flush_task_locked(task, journal)
-            seq = journal.next_seq
-            retained = journal.retained
-            rewrites_newest = bool(retained) and retained[-1][0] == seq
-            if extends:
-                if rewrites_newest:
-                    # Nothing logged since the previous snapshot: that row
-                    # already stands for exactly this state.
-                    return
-                base = retained[-1][1] if retained else None
-            else:
-                base = seq
-            payload = pickle.dumps((base, state), protocol=pickle.HIGHEST_PROTOCOL)
+        journal = self._journals[task]
+        self._flush_task(task, journal)
+        seq = journal.next_seq
+        retained = journal.retained
+        rewrites_newest = bool(retained) and retained[-1][0] == seq
+        if extends:
             if rewrites_newest:
-                retained.pop()
-            retained.append((seq, base))
-            del retained[:-2]
-            keep = {row_seq for row_seq, _ in retained}
-            keep.update(row_base for _, row_base in retained if row_base is not None)
-            conn = self._conn
-            conn.execute(
-                "INSERT OR REPLACE INTO snapshots (task, seq, payload, checksum)"
-                " VALUES (?, ?, ?, ?)",
-                (task, seq, payload, zlib.crc32(payload)),
-            )
-            conn.execute(
-                "DELETE FROM snapshots WHERE task = ? AND seq NOT IN"
-                f" ({', '.join('?' * len(keep))})",
-                (task, *keep),
-            )
-            conn.execute(
-                "DELETE FROM deltas WHERE task = ? AND seq < ?",
-                (task, retained[0][1] or 0),
-            )
-            conn.commit()
-            self.bytes_written += len(payload)
-            self.snapshots_taken += 1
-            journal.since_snapshot = 0
+                # Nothing logged since the previous snapshot: that row
+                # already stands for exactly this state.
+                return
+            base = retained[-1][1] if retained else None
+        else:
+            base = seq
+        payload = pickle.dumps((base, state), protocol=pickle.HIGHEST_PROTOCOL)
+        if rewrites_newest:
+            retained.pop()
+        retained.append((seq, base))
+        del retained[:-2]
+        keep = {row_seq for row_seq, _ in retained}
+        keep.update(row_base for _, row_base in retained if row_base is not None)
+        conn = self._conn
+        conn.execute(
+            "INSERT OR REPLACE INTO snapshots (task, seq, payload, checksum)"
+            " VALUES (?, ?, ?, ?)",
+            (task, seq, payload, zlib.crc32(payload)),
+        )
+        conn.execute(
+            "DELETE FROM snapshots WHERE task = ? AND seq NOT IN"
+            f" ({', '.join('?' * len(keep))})",
+            (task, *keep),
+        )
+        conn.execute(
+            "DELETE FROM deltas WHERE task = ? AND seq < ?",
+            (task, retained[0][1] or 0),
+        )
+        conn.commit()
+        self.bytes_written += len(payload)
+        self.snapshots_taken += 1
+        journal.since_snapshot = 0
 
     def delta_count(self, task: str) -> int:
         """Deltas logged for ``task`` since its last snapshot."""
-        with self._lock:
-            journal = self._journals.get(task)
-            return 0 if journal is None else journal.since_snapshot
+        journal = self._journals.get(task)
+        return 0 if journal is None else journal.since_snapshot
 
     # --------------------------------------------------------------- recovery
 
@@ -313,86 +308,85 @@ class CheckpointStore:
         with intact blocks after it — raises
         :class:`CheckpointCorruptionError`.
         """
-        with self._lock:
-            journal = self._journals.get(task)
-            if journal is not None:
-                self._flush_task_locked(task, journal)
-            conn = self._conn
-            rows = {
-                seq: (payload, checksum)
-                for seq, payload, checksum in conn.execute(
-                    "SELECT seq, payload, checksum FROM snapshots WHERE task = ?"
-                    " ORDER BY seq DESC",
-                    (task,),
+        journal = self._journals.get(task)
+        if journal is not None:
+            self._flush_task(task, journal)
+        conn = self._conn
+        rows = {
+            seq: (payload, checksum)
+            for seq, payload, checksum in conn.execute(
+                "SELECT seq, payload, checksum FROM snapshots WHERE task = ?"
+                " ORDER BY seq DESC",
+                (task,),
+            )
+        }
+        snapshot = None
+        snapshot_seq = fold_from = 0
+        skipped = []
+        for seq in rows:  # newest first
+            resolved = _resolve_snapshot(rows, seq)
+            if resolved is not None:
+                snapshot, fold_from = resolved
+                snapshot_seq = seq
+                break
+            skipped.append(seq)
+        else:
+            if rows:
+                raise CheckpointCorruptionError(
+                    task,
+                    f"none of the {len(rows)} stored snapshot row(s) has an "
+                    "intact chain (checksum failures)",
                 )
-            }
-            snapshot = None
-            snapshot_seq = fold_from = 0
-            skipped = []
-            for seq in rows:  # newest first
-                resolved = _resolve_snapshot(rows, seq)
-                if resolved is not None:
-                    snapshot, fold_from = resolved
-                    snapshot_seq = seq
-                    break
-                skipped.append(seq)
-            else:
-                if rows:
+        blocks = conn.execute(
+            "SELECT seq, payload, checksum FROM deltas WHERE task = ?"
+            " AND seq >= ? ORDER BY seq",
+            (task, fold_from),
+        ).fetchall()
+        tail: list[Any] = []
+        for index, (seq, payload, checksum) in enumerate(blocks):
+            entries = _decode(payload, checksum)
+            if entries is _CORRUPT:
+                if seq < snapshot_seq:
                     raise CheckpointCorruptionError(
                         task,
-                        f"none of the {len(rows)} stored snapshot row(s) has an "
-                        "intact chain (checksum failures)",
+                        f"journal block at seq {seq} failed its checksum and is "
+                        f"folded into the snapshot at seq {snapshot_seq}",
                     )
-            blocks = conn.execute(
-                "SELECT seq, payload, checksum FROM deltas WHERE task = ?"
-                " AND seq >= ? ORDER BY seq",
-                (task, fold_from),
-            ).fetchall()
-            tail: list[Any] = []
-            for index, (seq, payload, checksum) in enumerate(blocks):
-                entries = _decode(payload, checksum)
-                if entries is _CORRUPT:
-                    if seq < snapshot_seq:
-                        raise CheckpointCorruptionError(
-                            task,
-                            f"journal block at seq {seq} failed its checksum and is "
-                            f"folded into the snapshot at seq {snapshot_seq}",
-                        )
-                    if any(
-                        zlib.crc32(later_payload) == later_checksum
-                        for _seq, later_payload, later_checksum in blocks[index + 1:]
-                    ):
-                        raise CheckpointCorruptionError(
-                            task,
-                            f"journal block at seq {seq} failed its checksum with "
-                            "intact blocks after it (not a torn tail)",
-                        )
-                    # Torn tail: the corrupt block and everything after it
-                    # were never durably applied; replay stops here.
-                    _log.warning(
-                        "checkpoint journal of task %r: block at seq %d failed its "
-                        "checksum at the journal tail (torn write) and was "
-                        "truncated; replaying %d entries",
-                        task, seq, len(tail),
+                if any(
+                    zlib.crc32(later_payload) == later_checksum
+                    for _seq, later_payload, later_checksum in blocks[index + 1:]
+                ):
+                    raise CheckpointCorruptionError(
+                        task,
+                        f"journal block at seq {seq} failed its checksum with "
+                        "intact blocks after it (not a torn tail)",
                     )
-                    break
-                if seq < snapshot_seq:
-                    snapshot.folded.extend(entries)
-                else:
-                    tail.extend(entries)
-            if skipped:
+                # Torn tail: the corrupt block and everything after it
+                # were never durably applied; replay stops here.
                 _log.warning(
-                    "checkpoint journal of task %r: snapshot row(s) at seq %s failed "
-                    "verification; fell back to the snapshot at seq %d, replaying "
-                    "%d entries",
-                    task, ", ".join(map(str, skipped)), snapshot_seq, len(tail),
+                    "checkpoint journal of task %r: block at seq %d failed its "
+                    "checksum at the journal tail (torn write) and was "
+                    "truncated; replaying %d entries",
+                    task, seq, len(tail),
                 )
-            return snapshot, tail
+                break
+            if seq < snapshot_seq:
+                snapshot.folded.extend(entries)
+            else:
+                tail.extend(entries)
+        if skipped:
+            _log.warning(
+                "checkpoint journal of task %r: snapshot row(s) at seq %s failed "
+                "verification; fell back to the snapshot at seq %d, replaying "
+                "%d entries",
+                task, ", ".join(map(str, skipped)), snapshot_seq, len(tail),
+            )
+        return snapshot, tail
 
     # --------------------------------------------------------------- plumbing
 
-    def _flush_task_locked(self, task: str, journal: _TaskJournal) -> None:
-        """Write one task's buffer as one block; the caller holds the lock."""
+    def _flush_task(self, task: str, journal: _TaskJournal) -> None:
+        """Write one task's buffer as one block."""
         buffer = journal.buffer
         if buffer:
             payload = pickle.dumps(buffer, protocol=pickle.HIGHEST_PROTOCOL)
@@ -406,14 +400,13 @@ class CheckpointStore:
             self.bytes_written += len(payload)
             journal.buffer = []
 
-    def _flush_all_locked(self) -> None:
+    def _flush_all(self) -> None:
         for task, journal in self._journals.items():
-            self._flush_task_locked(task, journal)
+            self._flush_task(task, journal)
 
     def flush(self) -> None:
         """Force every buffered delta to the database (pre-recovery barrier)."""
-        with self._lock:
-            self._flush_all_locked()
+        self._flush_all()
 
     def close(self) -> None:
         """Flush what is still buffered, close the connection and remove the
@@ -421,23 +414,22 @@ class CheckpointStore:
 
         The final flush makes ``bytes_written`` cover every journaled entry.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
+        if self._closed:
+            return
+        self._closed = True
+        try:
+            self._flush_all()
+        finally:
             try:
-                self._flush_all_locked()
-            finally:
-                try:
-                    self._conn.close()
-                except sqlite3.Error:  # pragma: no cover - best-effort close
-                    pass
-                if self._owns_file:
-                    for suffix in ("", "-wal", "-shm"):
-                        try:
-                            os.unlink(self.path + suffix)
-                        except OSError:
-                            pass
+                self._conn.close()
+            except sqlite3.Error:  # pragma: no cover - best-effort close
+                pass
+            if self._owns_file:
+                for suffix in ("", "-wal", "-shm"):
+                    try:
+                        os.unlink(self.path + suffix)
+                    except OSError:
+                        pass
 
     def __del__(self) -> None:  # pragma: no cover - best-effort cleanup
         try:

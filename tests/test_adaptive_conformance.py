@@ -31,7 +31,7 @@ from collections import Counter
 
 import pytest
 from repro.testing import UnmergedWireSimulator, assert_run_equivalent, reference_outputs
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.operator as operator_module
@@ -792,6 +792,11 @@ class TestDeliveryMergingInterleavings:
         ),
         control_times=st.lists(st.integers(0, 40), min_size=0, max_size=5),
     )
+    # Two MAPPING_CHANGEs at 2.75 push a wake-up from 2.81 past 3.05: each
+    # re-arm used to queue a tick entry of its own (7 heap events against
+    # the unmerged wire's 6) until a later arm waited behind an earlier
+    # queued entry.
+    @example(bursts=[(10, [(0, 0.05)])], control_times=[11, 11])
     @settings(max_examples=60, deadline=None)
     def test_control_never_crosses_the_merge_horizon(self, bursts, control_times):
         """Arbitrary interleavings of competing DATA bursts and priority

@@ -19,10 +19,13 @@ Pins, layer by layer, what the block-framed journal must keep true:
 * **Immutability pin** — every journaled entry pickles to the same bytes at
   ``log()`` time and at flush time, which is what makes deferred pickling
   sound.
+* **Reduction pin** — ``StreamTuple``'s spelled-out reduction pickles blocks
+  and snapshots to the bytes the default ``object.__reduce_ex__`` gives.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import pickle
 import random
@@ -37,7 +40,7 @@ from repro.api import JoinSession, RunConfig, crash_after_events
 from repro.core import recovery
 from repro.core.operator import AdaptiveJoinOperator
 from repro.data.queries import JoinQuery
-from repro.engine.stream import make_tuples
+from repro.engine.stream import StreamTuple, make_tuples
 from repro.joins.predicates import BandPredicate, EquiPredicate
 from repro.storage import CheckpointCorruptionError, CheckpointStore, ExtendedSnapshot
 from repro.storage import checkpoint_store
@@ -807,7 +810,7 @@ def test_entries_pickle_identically_at_log_time_and_at_flush_time(monkeypatch, s
     at_log_time: dict[str, list[bytes]] = {}
     compared = {"entries": 0, "kinds": set()}
     real_log = CheckpointStore.log
-    real_flush = CheckpointStore._flush_task_locked
+    real_flush = CheckpointStore._flush_task
 
     def log(self, task, entry):
         at_log_time.setdefault(task, []).append(pickle.dumps(entry))
@@ -821,7 +824,7 @@ def test_entries_pickle_identically_at_log_time_and_at_flush_time(monkeypatch, s
         return real_flush(self, task, journal)
 
     monkeypatch.setattr(CheckpointStore, "log", log)
-    monkeypatch.setattr(CheckpointStore, "_flush_task_locked", flush)
+    monkeypatch.setattr(CheckpointStore, "_flush_task", flush)
     config = RunConfig(
         machines=MACHINES,
         seed=5,
@@ -845,3 +848,58 @@ def test_entries_pickle_identically_at_log_time_and_at_flush_time(monkeypatch, s
     assert_run_equivalent(*results, events=True)
     assert compared["entries"] > 2 * len(order)
     assert {"data", "mu", "signal", "end", "final", "rmap"} <= compared["kinds"]
+
+
+# ---------------------------------------------------------------------------
+# (f) reduction pin: StreamTuple pickles to the default reduction's bytes
+# ---------------------------------------------------------------------------
+
+def _default_reduction_dumps(obj) -> bytes:
+    """``pickle.dumps`` at the store's protocol, with every ``StreamTuple``
+    reduced by ``object.__reduce_ex__`` instead of its own reduction."""
+    protocol = pickle.HIGHEST_PROTOCOL
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=protocol)
+    pickler.dispatch_table = {
+        StreamTuple: lambda item: object.__reduce_ex__(item, protocol)
+    }
+    pickler.dump(obj)
+    return buffer.getvalue()
+
+
+def test_stream_tuples_pickle_to_the_default_reductions_bytes(tmp_path):
+    """A journal block of ``("data", StreamTuple)`` entries and a full
+    snapshot are written with exactly the bytes the default reduction gives,
+    and load back as equal tuples.  A new ``StreamTuple`` field that the
+    reduction misses fails here, not only in the scoreboard's checkpoint
+    rows."""
+    rng = random.Random(11)
+    left = make_tuples("R", [{"k": rng.randrange(9), "id": i} for i in range(40)], rng)
+    right = make_tuples("S", [{"k": rng.randrange(9)} for _ in range(24)], rng, size=2.0)
+    for epoch, item in enumerate(left + right):
+        item.arrival_time = epoch * 0.75
+        item.epoch = epoch % 3
+    block = _entries(*(left + right))
+    state = {
+        "epoch": 2,
+        "ends": {1, 3},
+        "early": [],
+        "ends_sent_for": None,
+        "relations": {"R": list(left), "S": list(right)},
+    }
+    store = CheckpointStore(path=str(tmp_path / "journal.sqlite"), flush_every=len(block))
+    conn = sqlite3.connect(store.path)
+    try:
+        for entry in block:
+            store.log("j0", entry)  # the last one flushes the block
+        (delta_payload,) = conn.execute("SELECT payload FROM deltas").fetchone()
+        store.snapshot("j0", state)  # full: prunes the block it covers
+        (snapshot_payload,) = conn.execute("SELECT payload FROM snapshots").fetchone()
+    finally:
+        conn.close()
+    assert delta_payload == _default_reduction_dumps(block)
+    assert snapshot_payload == _default_reduction_dumps((len(block), state))
+    assert pickle.loads(delta_payload) == block
+    assert pickle.loads(snapshot_payload) == (len(block), state)
+    assert store.load("j0") == (state, [])
+    store.close()

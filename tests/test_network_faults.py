@@ -15,6 +15,9 @@ Pins the unreliable-wire plane's contract:
   the run bit for bit, degradation counters included.
 * **Counter reconciliation** — ``sent == delivered + dropped`` and
   ``applied == delivered - deduped``, with empty reorder buffers at the end.
+* **Literal pins** — a faulty chunked-push run reproduces its recorded
+  times, events, counters and journal bytes, and an overtaken frame is
+  released in sequence order on one link.
 * **Checkpoint integrity** — checksummed snapshot/delta rows: torn tails
   truncate, corrupt newest snapshots fall back to the previous intact one,
   and unmaskable corruption raises :class:`CheckpointCorruptionError`.
@@ -33,6 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import (
+    JoinSession,
     NetworkFaultSpec,
     RunConfig,
     crash_after_events,
@@ -41,10 +45,19 @@ from repro.api import (
     duplicate,
 )
 from repro.core.operator import AdaptiveJoinOperator
+from repro.data import generate_dataset
 from repro.data.queries import make_query
 from repro.engine.faults import RETRANSMIT_BASE, normalize_network_faults
 from repro.engine.network import ReliableWire
-from repro.engine.stream import ArrivalSchedule, interleave_streams, make_tuples
+from repro.engine.simulator import Simulator
+from repro.engine.stream import (
+    ArrivalSchedule,
+    StreamTuple,
+    fresh_tuple_ids,
+    interleave_streams,
+    make_tuples,
+)
+from repro.engine.task import Message, MessageKind, Task
 from repro.storage import CheckpointCorruptionError, CheckpointStore
 from repro.testing import assert_run_equivalent
 
@@ -558,3 +571,121 @@ class TestRandomScheduleProperty:
         assert faulty.output_count == twin.output_count
         _assert_counters_reconcile(faulty, f"property:{kind}")
         assert faulty.wire_counters["retransmitted"] == faulty.wire_counters["dropped"]
+
+
+# ---------------------------------------------------------------------------
+# Literal pins of the faulty streaming plane
+# ---------------------------------------------------------------------------
+
+PINNED_MACHINES = 16
+
+
+def _pinned_faulty_stream():
+    """A small chunked ``push()`` EQ5 run at J=16 under every fault plane:
+    two event-anchored crashes, a drop, a delay and a duplicate on every
+    link, and a checkpoint interval.  Tuple ids are numbered from 0, so the
+    journal's bytes do not depend on what ran before in the process."""
+    query = make_query("EQ5", generate_dataset(scale=0.4, skew="Z0", seed=42))
+    faults = []
+    for sender in range(PINNED_MACHINES):
+        for receiver in range(PINNED_MACHINES):
+            if sender != receiver:
+                link = (sender, receiver)
+                faults += [drop(link, 2), delay(link, 3, by=30.0), duplicate(link, 5)]
+    with fresh_tuple_ids():
+        order = _arrival_order(query)
+        config = RunConfig(
+            machines=PINNED_MACHINES,
+            seed=SEED,
+            warmup_tuples=16,
+            batching="adaptive",
+            inter_arrival=0.75,
+            checkpoint_interval=40,
+            fault_schedule=(
+                crash_after_events(8, len(order) // 4),
+                crash_after_events(1, len(order) // 2),
+            ),
+            network_faults=tuple(faults),
+        )
+        session = JoinSession(query, config=config)
+        session.open_stream()
+        for start in range(0, len(order), 64):
+            session.push(order[start:start + 64])
+        return session.finish()
+
+
+class TestFaultyPlaneLiterals:
+    def test_faulty_stream_reproduces_its_literals(self):
+        """Every byte, rank, virtual time and counter of the faulty plane as
+        literals, so a change to its per-tuple path (frame scheduling and
+        release, journal pickling, the run of one) that moves any of them
+        fails here."""
+        result = _pinned_faulty_stream()
+        assert result.faults_injected == 2 and result.migrations == 1
+        assert result.execution_time == 1806.33
+        assert result.heap_events == 8674
+        assert result.events_processed == 5090
+        assert result.output_count == 446
+        assert result.wire_counters == {
+            "sent": 3335,
+            "delivered": 3095,
+            "dropped": 240,
+            "duplicated": 238,
+            "retransmitted": 240,
+            "reordered": 26,
+            "deduped": 238,
+            "applied": 2857,
+        }
+        assert result.checkpoint_overhead == 238699.0
+        assert result.tuples_replayed == 17
+
+    @pytest.mark.parametrize("delayed", [False, True])
+    def test_overtaken_frame_is_released_in_sequence_order(self, delayed):
+        """One link, six sends a tenth of a unit apart.  With the second
+        frame delayed by a quarter unit, the next two overtake it, wait in
+        the reorder buffer and follow it out the moment it lands; every
+        other frame takes the in-order path.  Either way the receiver
+        handles the messages in send order, and no buffer is left."""
+        simulator = Simulator(num_machines=2)
+        handled = []
+        simulator.register(_LinkReceiver("receiver", 1, handled))
+        simulator.register(_LinkSender("sender", 0, tags=range(6)))
+        wire = ReliableWire(
+            normalize_network_faults([delay((0, 1), 2, by=0.25)] if delayed else [])
+        )
+        simulator.install_network_faults(wire)
+        simulator.schedule(0.0, "sender", Message(kind=MessageKind.FLUSH, sender="test"))
+        simulator.run()
+        assert [tag for tag, _time in handled] == list(range(6))
+        assert wire.frames_applied == 6 and wire.reorder == {}
+        times = [time for _tag, time in handled]
+        if delayed:
+            assert wire.frames_reordered == 2
+            assert times[0] < times[1] == times[2] == times[3] < times[4] < times[5]
+        else:
+            assert wire.frames_reordered == 0
+            assert times == sorted(set(times))
+
+
+class _LinkSender(Task):
+    """Sends one tuple per tag to ``receiver``, a tenth of a unit apart."""
+
+    def __init__(self, name, machine_id, tags):
+        super().__init__(name, machine_id)
+        self.tags = tags
+
+    def handle(self, message, ctx):
+        for tag in self.tags:
+            ctx.charge(0.1)
+            ctx.send("receiver", StreamTuple(relation="R", record={"tag": tag}))
+
+
+class _LinkReceiver(Task):
+    """Records each handled tag with its delivery-driven start time."""
+
+    def __init__(self, name, machine_id, handled):
+        super().__init__(name, machine_id)
+        self.handled = handled
+
+    def handle(self, message, ctx):
+        self.handled.append((message.payload.record["tag"], ctx.now))
