@@ -415,7 +415,7 @@ class ReshufflerTask(Task):
             channels = self._fanout[key] = ctx.channels(
                 [joiner(machine_id) for machine_id in self._destinations(key)]
             )
-        ctx.send_fanout(channels, item, category=TrafficCategory.ROUTING)
+        ctx.simulator.post_fanout(self, channels, item, TrafficCategory.ROUTING, ctx)
 
     def _destinations(self, key: tuple[bool, int]) -> tuple[int, ...]:
         """Machines of the row (left side) or column (right side) partition

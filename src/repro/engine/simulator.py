@@ -48,6 +48,7 @@ This yields the two quantities the paper's evaluation is built on:
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import math
@@ -456,13 +457,18 @@ class Simulator:
         tasks = self.tasks
         schedule_rank = self._schedule_rank
         channel_get = self._channels[0].get
-        send_merged = self._send_merged
         for arrival_time, item in schedule.arrivals():
             item.arrival_time = arrival_time
             task = tasks[destination_picker(item)]
             rank = next(schedule_rank)
             channel = channel_get(task) or self._channel(-1, task)
-            send_merged(channel, arrival_time, rank, item)
+            if channel.open:
+                # The channel append of _send_merged, inlined.
+                channel.times.append(arrival_time)
+                channel.ranks.append(rank)
+                channel.messages.append(item)
+            else:
+                self._open_run(channel, arrival_time, rank, item)
 
     def schedule_data(self, time: float, destination: str, message) -> None:
         """Schedule a data message for an on-cluster ``destination`` onto the
@@ -769,6 +775,14 @@ class Simulator:
             task = channel.task
             index = channel.start
             count = len(times)
+            if index + 1 == count:
+                # The run's last member: the popped entry is the pending
+                # minimum and inside the bound, so it settles alone.
+                inbox.append((task, channel.messages[index]))
+                settled += 1
+                channel.open = False
+                wire_histogram[count] = wire_histogram.get(count, 0) + 1
+                continue
             # Settle-bound cut: members dated <= the tick time.  Within a run
             # both times and ranks are strictly increasing, so the segment
             # boundaries are binary searches instead of per-member compares.
@@ -935,6 +949,15 @@ class Simulator:
 
         Completion time is the larger of the last event's time and the
         busiest machine's final ``busy_until``.
+
+        The loop runs with the cyclic garbage collector paused: a run makes
+        no reference cycles (reference counting frees everything it drops,
+        retired epoch sub-stores included), so a collection inside the loop
+        could only walk the live heap and reclaim nothing.  The caller's
+        collector state is restored on every exit — the queue drained, the
+        ``max_events`` guard tripped or a handler raised.  A closure over
+        ``self`` stored on something ``self`` owns breaks this contract;
+        ``tests/test_gc_pause.py`` catches it.
         """
         queue = self._queue
         heappop = heapq.heappop
@@ -947,6 +970,8 @@ class Simulator:
         # event-anchored crash fires or the max_events guard trips.
         watch = min(after_faults[0][0], limit) if after_faults else limit
         arrive = self._wire.arrive if self._wire is not None else None
+        collecting = gc.isenabled()
+        gc.disable()
         wall_start = _time.perf_counter()
         try:
             while queue:
@@ -977,6 +1002,8 @@ class Simulator:
             self.heap_events = heap_events
             self.now = now
             self.wall_time += _time.perf_counter() - wall_start
+            if collecting:
+                gc.enable()
         finish = self.now
         for machine in self.machines:
             finish = max(finish, machine.busy_until)

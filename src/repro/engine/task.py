@@ -62,12 +62,15 @@ class Context:
     """
 
     __slots__ = (
-        "_simulator", "_task", "metrics", "machine", "now", "charged",
+        "simulator", "_task", "metrics", "machine", "now", "charged",
         "drain_boundaries", "drain_horizon",
     )
 
     def __init__(self, simulator: "Simulator", task: "Task") -> None:
-        self._simulator = simulator
+        #: The :class:`~repro.engine.simulator.Simulator` running the task;
+        #: the reshuffler's routing fan-out posts to it directly
+        #: (:meth:`~repro.engine.simulator.Simulator.post_fanout`).
+        self.simulator = simulator
         self._task = task
         #: The run-wide :class:`repro.engine.metrics.MetricsCollector`.
         self.metrics = simulator.metrics
@@ -84,7 +87,7 @@ class Context:
 
     def cluster_peak_stored(self) -> float:
         """Largest peak per-machine stored size observed so far (measured ILF)."""
-        return self._simulator.max_machine_storage()
+        return self.simulator.max_machine_storage()
 
     def charge(self, cost: float) -> None:
         """Charge ``cost`` units of CPU work to the hosting machine."""
@@ -97,30 +100,17 @@ class Context:
         category: TrafficCategory = TrafficCategory.ROUTING,
     ) -> None:
         """Send ``message`` to the task named ``destination``."""
-        self._simulator.post(self._task, destination, message, category, self)
+        self.simulator.post(self._task, destination, message, category, self)
 
     def channels(self, destinations) -> list:
         """The wire channels from this task's machine to the task names in
-        ``destinations``, for :meth:`send_fanout`.
+        ``destinations``, for
+        :meth:`~repro.engine.simulator.Simulator.post_fanout`.
 
         A channel lives as long as the simulation, so callers may cache the
         list (see :meth:`repro.engine.simulator.Simulator.channels`).
         """
-        return self._simulator.channels(self._task, destinations)
-
-    def send_fanout(
-        self,
-        channels,
-        message: Message,
-        category: TrafficCategory = TrafficCategory.ROUTING,
-    ) -> None:
-        """Send one data message over every channel in ``channels`` (see
-        :meth:`channels`).
-
-        Identical to calling :meth:`send` per destination (same departures,
-        same per-link transfers, same delivery order); data plane only.
-        """
-        self._simulator.post_fanout(self._task, channels, message, category, self)
+        return self.simulator.channels(self._task, destinations)
 
     def emit_outputs(self, matches) -> None:
         """Record the join results of one handled tuple, emitted at one instant.

@@ -76,11 +76,15 @@ class LocalJoiner:
     # ------------------------------------------------------------ index setup
 
     def _key_func(self, side: str) -> Callable[[StreamTuple], object] | None:
+        # The lambda closes over the predicate's key function, never over
+        # ``self``: the index it is stored on belongs to this joiner, and a
+        # closure over ``self`` would make every joiner a reference cycle
+        # that only the cyclic collector frees (see ARCHITECTURE.md, "A run
+        # makes no reference cycles").
         if self.predicate.kind not in ("equi", "band"):
             return None
-        if side == "left":
-            return lambda item: self.predicate.left_key(item.record)
-        return lambda item: self.predicate.right_key(item.record)
+        key = self.predicate.left_key if side == "left" else self.predicate.right_key
+        return lambda item: key(item.record)
 
     def fresh(self) -> "LocalJoiner":
         """An empty joiner with the same predicate and relations.
