@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.api.config import RunConfig
 from repro.core.mapping import Mapping
-from repro.engine.stream import StreamTuple
+from repro.engine.stream import StreamTuple, reshuffler_picker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import GridJoinOperator
@@ -102,7 +102,9 @@ class _StreamingRun:
         self.inter_arrival = operator.config.inter_arrival
         # Destination picking mirrors GridJoinOperator.run(arrival_order=...):
         # a fresh Random(seed) used exclusively for reshuffler choice.
-        self._route_rng = random.Random(operator.seed)
+        self._pick = reshuffler_picker(
+            random.Random(operator.seed), self.topology.reshuffler_names
+        )
         self._pushed = 0
         self.finished = False
 
@@ -133,8 +135,7 @@ class _StreamingRun:
     def _ingest(self, chunk: list[StreamTuple]) -> None:
         """Stamp and send every tuple of a validated chunk, in order."""
         inter_arrival = self.inter_arrival
-        choice = self._route_rng.choice
-        reshufflers = self.topology.reshuffler_names
+        pick = self._pick
         schedule_data = self.simulator.schedule_data
         pushed = self._pushed
         for item in chunk:
@@ -143,7 +144,7 @@ class _StreamingRun:
             pushed += 1
             # The tuple is its own message.  schedule_data merges consecutive
             # same-destination ingest messages into the feed channel's run.
-            schedule_data(arrival_time, choice(reshufflers), item)
+            schedule_data(arrival_time, pick(), item)
         self._pushed = pushed
 
     # ----------------------------------------------------------- observation

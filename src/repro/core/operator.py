@@ -30,7 +30,13 @@ from repro.engine.batching import AdaptiveBatchController
 from repro.engine.machine import CostModel
 from repro.engine.network import ReliableWire
 from repro.engine.simulator import Simulator
-from repro.engine.stream import ArrivalSchedule, StreamTuple, interleave_streams, make_tuples
+from repro.engine.stream import (
+    ArrivalSchedule,
+    StreamTuple,
+    interleave_streams,
+    make_tuples,
+    reshuffler_picker,
+)
 from repro.storage.checkpoint_store import CheckpointStore
 
 
@@ -229,11 +235,9 @@ class GridJoinOperator:
             order = list(arrival_order)
         simulator, topology = self.build_execution(collect_outputs=collect_outputs)
 
-        reshuffler_names = topology.reshuffler_names
         schedule = ArrivalSchedule(items=order, inter_arrival=self.config.inter_arrival)
         simulator.feed_schedule(
-            schedule,
-            destination_picker=lambda _item: rng.choice(reshuffler_names),
+            schedule, destination_picker=reshuffler_picker(rng, topology.reshuffler_names)
         )
         simulator.run(max_events=max_events)
         return self.collect_result(simulator, topology, len(order))

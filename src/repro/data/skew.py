@@ -24,6 +24,10 @@ class ZipfSampler:
         n: number of distinct values.
         z: Zipf skew parameter (0 = uniform).
         rng: randomness source; a fresh seeded one is created if omitted.
+
+    Attributes:
+        cumulative: the cumulative distribution over ``1..n``; value ``i`` is
+            ``bisect_left(cumulative, u) + 1`` for a uniform ``u`` in ``[0, 1)``.
     """
 
     def __init__(self, n: int, z: float, rng: random.Random | None = None) -> None:
@@ -36,21 +40,21 @@ class ZipfSampler:
         self._rng = rng or random.Random(0)
         weights = [1.0 / (i ** z) for i in range(1, n + 1)]
         total = sum(weights)
-        self._cumulative = list(itertools.accumulate(w / total for w in weights))
+        self.cumulative = list(itertools.accumulate(w / total for w in weights))
         # Guard against floating point undershoot at the tail.
-        self._cumulative[-1] = 1.0
+        self.cumulative[-1] = 1.0
 
     def sample(self) -> int:
         """Draw one value in ``1..n``."""
         u = self._rng.random()
-        return bisect.bisect_left(self._cumulative, u) + 1
+        return bisect.bisect_left(self.cumulative, u) + 1
 
     def probability(self, value: int) -> float:
         """Probability of drawing ``value`` (1-based)."""
         if not 1 <= value <= self.n:
             return 0.0
-        low = self._cumulative[value - 2] if value >= 2 else 0.0
-        return self._cumulative[value - 1] - low
+        low = self.cumulative[value - 2] if value >= 2 else 0.0
+        return self.cumulative[value - 1] - low
 
 
 def zipf_choice(values: Sequence, z: float, rng: random.Random) -> object:

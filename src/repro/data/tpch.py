@@ -7,39 +7,30 @@ suppliers/orders receive most of the lineitems, which is precisely what breaks
 content-sensitive (hash) partitioning in Table 2 while leaving the
 content-insensitive operator unaffected.
 
-Tables are built on demand, one column subset at a time.  All draws come from
-one seeded RNG in a fixed order (SUPPLIER, then ORDERS, then LINEITEM, row by
-row, column by column), so a table is replayed from the RNG state at its start
-and a column nobody asked for is drawn but never stored: the values that are
-built are bit-identical to those of a full generation.
+Tables are built on demand, one column subset at a time, under one draw
+contract: every value comes from one seeded RNG in a fixed order (SUPPLIER,
+then ORDERS, then LINEITEM, row by row, column by column), and each draw
+consumes exactly the 32-bit words of the stdlib method it stands for
+(``randrange``, ``randint`` and ``choice`` are ``Random._randbelow``'s
+``getrandbits`` redraw loop inline; ``uniform`` and a Zipf key are one
+``random()``).  A column nobody reads still makes its draw, so a table is
+replayed from the RNG state at its start, bit-identical to a full generation
+by the stdlib methods (``tests/test_data_generation.py`` checks it).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.data import schema
 from repro.data.skew import ZipfSampler, skew_parameter
 
 Record = dict[str, object]
-
-#: Tables whose rows draw from the dataset's RNG, in draw order.
-_DRAW_ORDER = ("SUPPLIER", "ORDERS", "LINEITEM")
-
-#: Columns computed from the row number alone, without a draw.
-_DERIVED = {
-    "SUPPLIER": ("suppkey", "name"),
-    "ORDERS": ("orderkey",),
-    "LINEITEM": ("linenumber",),
-}
-
-#: One column's value source: each call yields the next row's value.
-_Draw = Callable[[], object]
 
 
 @dataclass
@@ -73,8 +64,7 @@ class TpchDataset:
     def rows(self, name: str, columns: Sequence[str]) -> Iterator[tuple]:
         """Rows of table ``name`` as value tuples in ``columns`` order, lazily.
 
-        Columns left out are drawn (so later values stay the same) but not
-        built.
+        Columns left out are drawn (so later values stay the same), not built.
 
         Raises:
             KeyError: for an unknown table.
@@ -85,12 +75,14 @@ class TpchDataset:
             raise ValueError(f"table {name} has no column(s) {sorted(unknown)}")
         if not columns:
             raise ValueError(f"read at least one column of {name}")
-        if name not in _DRAW_ORDER:
+        if name not in _ROW_LOOPS:
             return (tuple(row[c] for c in columns) for row in _static_rows(name))
         rng = random.Random()
         rng.setstate(self._start_state(name))
-        draws = self._draws(name, rng, frozenset(columns))
-        return _replay(draws, columns, self.cardinality(name))
+        drawn = _ROW_LOOPS[name](self, rng, frozenset(columns))
+        keep = [schema.COLUMNS[name].index(column) for column in columns]
+        pick = itemgetter(*keep)
+        return zip(map(pick, drawn)) if len(keep) == 1 else map(pick, drawn)
 
     def cardinality(self, name: str) -> int:
         """Row count of table ``name``."""
@@ -99,89 +91,97 @@ class TpchDataset:
     def _start_state(self, name: str) -> tuple:
         """RNG state just before table ``name``'s first draw."""
         if name not in self._states:
-            position = _DRAW_ORDER.index(name)
-            rng = random.Random(self.seed)
-            if position:
-                previous = _DRAW_ORDER[position - 1]
+            rng, tables = random.Random(self.seed), list(_ROW_LOOPS)
+            if name != tables[0]:
+                previous = tables[tables.index(name) - 1]
                 rng.setstate(self._start_state(previous))
-                draws = self._draws(previous, rng, frozenset()).values()
-                for _ in range(self.cardinality(previous)):
-                    for draw in draws:
-                        draw()
+                deque(_ROW_LOOPS[previous](self, rng, frozenset()), maxlen=0)
             self._states[name] = rng.getstate()
         return self._states[name]
 
-    def _draws(self, name: str, rng: random.Random, wanted: frozenset) -> dict[str, _Draw]:
-        """Value sources of table ``name``'s columns, in its draw order.
 
-        A Zipf or uniform column that is not ``wanted`` draws one bare
-        ``random()``; any other draw runs unchanged, because how many raw
-        draws it takes depends on the value.  A column derived from the row
-        number draws nothing, so it is left out unless it is ``wanted``.
-        """
-        if name == "SUPPLIER":
-            draws = {
-                "suppkey": _row_numbers(),
-                "name": map("Supplier#{:06d}".format, itertools.count(1)).__next__,
-                "nationkey": partial(rng.randrange, len(schema.NATION_NAMES)),
-                "acctbal": _uniform(rng, -999.99, 9999.99, "acctbal" in wanted),
-            }
-        elif name == "ORDERS":
-            draws = {
-                "orderkey": _row_numbers(),
-                "custkey": partial(rng.randrange, 1, max(2, self.cardinality("ORDERS") // 10)),
-                "orderstatus": partial(rng.choice, ("O", "F", "P")),
-                "totalprice": _uniform(rng, 900.0, 500000.0, "totalprice" in wanted),
-                "shippriority": partial(rng.choice, schema.ORDER_PRIORITIES),
-            }
-        else:
-            draws = {
-                "orderkey": self._zipf(rng, "ORDERS", "orderkey" in wanted),
-                "suppkey": self._zipf(rng, "SUPPLIER", "suppkey" in wanted),
-                "linenumber": _row_numbers(),
-                "quantity": partial(rng.randint, 1, 50),
-                "extendedprice": _uniform(rng, 900.0, 100000.0, "extendedprice" in wanted),
-                "shipdate": partial(rng.randint, 1, schema.SHIP_DATE_RANGE),
-                "shipmode": partial(rng.choice, schema.SHIP_MODES),
-                "shipinstruct": partial(rng.choice, schema.SHIP_INSTRUCTIONS),
-            }
-        return {
-            column: draw
-            for column, draw in draws.items()
-            if column in wanted or column not in _DERIVED[name]
-        }
-
-    def _zipf(self, rng: random.Random, referenced: str, wanted: bool) -> _Draw:
-        """A foreign key into ``referenced``, Zipf-skewed over its rows."""
-        if not wanted:
-            return rng.random
-        return ZipfSampler(self.cardinality(referenced), self.skew, rng).sample
+def _supplier_rows(data: TpchDataset, rng: random.Random, wanted: frozenset) -> Iterator[tuple]:
+    """``nationkey = randrange(25)``, ``acctbal = round(uniform(-999.99, 9999.99), 2)``."""
+    random_, getrandbits = rng.random, rng.getrandbits
+    nations = len(schema.NATION_NAMES)
+    nation_bits = nations.bit_length()
+    low, span, priced = -999.99, 9999.99 - -999.99, "acctbal" in wanted
+    for suppkey in range(1, data.cardinality("SUPPLIER") + 1):
+        nationkey = getrandbits(nation_bits)
+        while nationkey >= nations:
+            nationkey = getrandbits(nation_bits)
+        acctbal = random_()
+        if priced:
+            acctbal = round(low + span * acctbal, 2)
+        yield suppkey, f"Supplier#{suppkey:06d}", nationkey, acctbal
 
 
-def _uniform(rng: random.Random, low: float, high: float, wanted: bool) -> _Draw:
-    """A uniform amount rounded to cents; one ``random()`` either way."""
-    if not wanted:
-        return rng.random
-    return lambda: round(rng.uniform(low, high), 2)
+def _order_rows(data: TpchDataset, rng: random.Random, wanted: frozenset) -> Iterator[tuple]:
+    """``custkey = randrange(1, max(2, |ORDERS| // 10))``, ``orderstatus = choice("OFP")``,
+    ``totalprice = round(uniform(900, 500000), 2)``, ``shippriority = choice(...)``."""
+    random_, getrandbits, count = rng.random, rng.getrandbits, data.cardinality("ORDERS")
+    statuses, priorities = "OFP", schema.ORDER_PRIORITIES
+    customers, n_statuses, n_priorities = max(2, count // 10) - 1, len(statuses), len(priorities)
+    customer_bits, status_bits = customers.bit_length(), n_statuses.bit_length()
+    priority_bits = n_priorities.bit_length()
+    low, span, priced = 900.0, 500000.0 - 900.0, "totalprice" in wanted
+    for orderkey in range(1, count + 1):
+        custkey = getrandbits(customer_bits)
+        while custkey >= customers:
+            custkey = getrandbits(customer_bits)
+        status = getrandbits(status_bits)
+        while status >= n_statuses:
+            status = getrandbits(status_bits)
+        totalprice = random_()
+        if priced:
+            totalprice = round(low + span * totalprice, 2)
+        priority = getrandbits(priority_bits)
+        while priority >= n_priorities:
+            priority = getrandbits(priority_bits)
+        yield orderkey, custkey + 1, statuses[status], totalprice, priorities[priority]
 
 
-def _row_numbers() -> _Draw:
-    """1, 2, 3, ... on successive calls."""
-    return itertools.count(1).__next__
+def _lineitem_rows(data: TpchDataset, rng: random.Random, wanted: frozenset) -> Iterator[tuple]:
+    """Zipf ``orderkey`` and ``suppkey``, ``quantity = randint(1, 50)``, ``extendedprice =
+    round(uniform(900, 100000), 2)``, ``shipdate = randint(1, 60)``, two ``choice``s."""
+    random_, getrandbits, rows = rng.random, rng.getrandbits, data.cardinality
+    orders = "orderkey" in wanted and ZipfSampler(rows("ORDERS"), data.skew).cumulative
+    suppliers = "suppkey" in wanted and ZipfSampler(rows("SUPPLIER"), data.skew).cumulative
+    dates, modes, instructs = schema.SHIP_DATE_RANGE, schema.SHIP_MODES, schema.SHIP_INSTRUCTIONS
+    quantity_bits, date_bits = (50).bit_length(), dates.bit_length()
+    n_modes, n_instructs = len(modes), len(instructs)
+    mode_bits, instruct_bits = n_modes.bit_length(), n_instructs.bit_length()
+    low, span, priced = 900.0, 100000.0 - 900.0, "extendedprice" in wanted
+    for linenumber in range(1, rows("LINEITEM") + 1):
+        orderkey = random_()
+        if orders:
+            orderkey = bisect_left(orders, orderkey) + 1
+        suppkey = random_()
+        if suppliers:
+            suppkey = bisect_left(suppliers, suppkey) + 1
+        quantity = getrandbits(quantity_bits)
+        while quantity >= 50:
+            quantity = getrandbits(quantity_bits)
+        extendedprice = random_()
+        if priced:
+            extendedprice = round(low + span * extendedprice, 2)
+        shipdate = getrandbits(date_bits)
+        while shipdate >= dates:
+            shipdate = getrandbits(date_bits)
+        mode = getrandbits(mode_bits)
+        while mode >= n_modes:
+            mode = getrandbits(mode_bits)
+        instruct = getrandbits(instruct_bits)
+        while instruct >= n_instructs:
+            instruct = getrandbits(instruct_bits)
+        yield (orderkey, suppkey, linenumber, quantity + 1, extendedprice, shipdate + 1,
+               modes[mode], instructs[instruct])
 
 
-def _replay(draws: dict[str, _Draw], columns: Sequence[str], count: int) -> Iterator[tuple]:
-    """Run every draw of ``count`` rows; yield each row's ``columns`` values."""
-    calls = list(draws.values())
-    keep = [list(draws).index(column) for column in columns]
-    if len(keep) == 1:
-        (only,) = keep
-        for _ in range(count):
-            yield ([draw() for draw in calls][only],)
-    else:
-        pick = itemgetter(*keep)
-        for _ in range(count):
-            yield pick([draw() for draw in calls])
+#: The row loop of each table that draws from the dataset's RNG, in draw
+#: order.  A loop yields every column in schema order; an unread Zipf or
+#: uniform column keeps its raw ``random()`` in its place, never built.
+_ROW_LOOPS = {"SUPPLIER": _supplier_rows, "ORDERS": _order_rows, "LINEITEM": _lineitem_rows}
 
 
 def _static_rows(name: str) -> list[Record]:

@@ -32,7 +32,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 _tuple_ids = itertools.count()
 
@@ -185,9 +185,10 @@ class ArrivalSchedule:
 
 def assign_salts(tuples: Iterable[StreamTuple], rng: random.Random) -> list[StreamTuple]:
     """Assign fresh uniform salts to ``tuples`` (in place) and return them as a list."""
+    random_ = rng.random
     result = []
     for item in tuples:
-        item.salt = rng.random()
+        item.salt = random_()
         result.append(item)
     return result
 
@@ -216,7 +217,15 @@ def interleave_streams(
         if rng is None:
             raise ValueError("pattern='uniform' requires an rng")
         combined = list(r_tuples) + list(s_tuples)
-        rng.shuffle(combined)
+        # ``rng.shuffle(combined)``, each swap index drawn by its inline
+        # ``_randbelow``: the same words, the same order, one C call a draw.
+        getrandbits = rng.getrandbits
+        for bound in range(len(combined), 1, -1):
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            combined[bound - 1], combined[j] = combined[j], combined[bound - 1]
         return combined
     if pattern == "r_first":
         return list(r_tuples) + list(s_tuples)
@@ -231,6 +240,27 @@ def interleave_streams(
                 combined.append(s_item)
         return combined
     raise ValueError(f"unknown interleaving pattern: {pattern!r}")
+
+
+def reshuffler_picker(rng: random.Random, names: Sequence[str]) -> Callable[..., str]:
+    """A callable returning ``rng.choice(names)``; any argument is ignored.
+
+    The pick is ``Random._randbelow``'s redraw loop written inline, so it
+    consumes exactly the words ``choice`` would: with J a power of two about
+    half the draws are redrawn, and J=1 still draws.  The materialised feed
+    and a streaming session's ingest share it, so both route identically.
+    """
+    getrandbits = rng.getrandbits
+    count = len(names)
+    bits = count.bit_length()
+
+    def pick(_item: object = None) -> str:
+        index = getrandbits(bits)
+        while index >= count:
+            index = getrandbits(bits)
+        return names[index]
+
+    return pick
 
 
 def make_tuples(

@@ -1,9 +1,12 @@
 """Tests for the Zipf sampler, the TPC-H-like generator and the query builders."""
 
 import dataclasses
+import itertools
 import random
 import tracemalloc
 from collections import Counter
+from collections.abc import Iterator
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from repro.api import JoinSession, RunConfig
 from repro.data import schema
 from repro.data.queries import available_queries, make_query
 from repro.data.skew import SKEW_LEVELS, ZipfSampler, skew_parameter, zipf_choice
+from repro.data import tpch
 from repro.data.tpch import generate_dataset
 from repro.engine.stream import fluctuating_order, interleave_streams, make_tuples
 from repro.testing import assert_run_equivalent
@@ -304,3 +308,100 @@ class TestProjectedRecords:
         )
         assert narrow_run.migrations >= 1
         assert_run_equivalent(narrow_run, wide_run, events=True, label=name)
+
+
+def _stdlib_draws(dataset, name, rng):
+    """One stdlib call per column of table ``name``, in its draw order.
+
+    This is the closure form the generator's row loops replaced, kept as
+    their oracle: every column is built, so every draw is the stdlib's own.
+    """
+    if name == "SUPPLIER":
+        return [
+            itertools.count(1).__next__,
+            map("Supplier#{:06d}".format, itertools.count(1)).__next__,
+            partial(rng.randrange, len(schema.NATION_NAMES)),
+            lambda: round(rng.uniform(-999.99, 9999.99), 2),
+        ]
+    if name == "ORDERS":
+        return [
+            itertools.count(1).__next__,
+            partial(rng.randrange, 1, max(2, dataset.cardinality("ORDERS") // 10)),
+            partial(rng.choice, ("O", "F", "P")),
+            lambda: round(rng.uniform(900.0, 500000.0), 2),
+            partial(rng.choice, schema.ORDER_PRIORITIES),
+        ]
+    return [
+        ZipfSampler(dataset.cardinality("ORDERS"), dataset.skew, rng).sample,
+        ZipfSampler(dataset.cardinality("SUPPLIER"), dataset.skew, rng).sample,
+        itertools.count(1).__next__,
+        partial(rng.randint, 1, 50),
+        lambda: round(rng.uniform(900.0, 100000.0), 2),
+        partial(rng.randint, 1, schema.SHIP_DATE_RANGE),
+        partial(rng.choice, schema.SHIP_MODES),
+        partial(rng.choice, schema.SHIP_INSTRUCTIONS),
+    ]
+
+
+def _stdlib_generation(dataset):
+    """Full tables by the stdlib calls, and the RNG state around each table."""
+    rng = random.Random(dataset.seed)
+    tables, states = {}, {}
+    for name in ("SUPPLIER", "ORDERS", "LINEITEM"):
+        before = rng.getstate()
+        draws = _stdlib_draws(dataset, name, rng)
+        rows = [tuple(draw() for draw in draws) for _ in range(dataset.cardinality(name))]
+        tables[name] = rows
+        states[name] = (before, rng.getstate())
+    return tables, states
+
+
+#: (scale, skew, seed).  At 0.03 ORDERS has its 50-row minimum, so ``custkey``
+#: ranges over 4 values and half its draws are redrawn.
+REPLAY_POINTS = [(0.03, "Z0", 5), (0.3, "Z4", 2), (1.1, "Z2", 9)]
+
+
+class TestStdlibReplay:
+    """The row loops draw what the stdlib methods would, word for word."""
+
+    @pytest.mark.parametrize("point", REPLAY_POINTS, ids=lambda p: f"{p[0]}-{p[1]}-{p[2]}")
+    @pytest.mark.parametrize("name", ["SUPPLIER", "ORDERS", "LINEITEM"])
+    def test_every_column_subset_replays_the_stdlib(self, name, point):
+        scale, skew, seed = point
+        dataset = generate_dataset(scale=scale, skew=skew, seed=seed)
+        tables, states = _stdlib_generation(dataset)
+        before, after = states[name]
+        assert dataset._start_state(name) == before
+        all_columns = schema.COLUMNS[name]
+        for columns in [(column,) for column in all_columns] + [all_columns]:
+            keep = [all_columns.index(column) for column in columns]
+            expected = [tuple(row[i] for i in keep) for row in tables[name]]
+            assert list(dataset.rows(name, columns)) == expected, columns
+            # The same loop, driven by hand, leaves the RNG where the
+            # stdlib calls left it, whichever columns are read.
+            rng = random.Random()
+            rng.setstate(before)
+            drawn = [tuple(row[i] for i in keep)
+                     for row in tpch._ROW_LOOPS[name](dataset, rng, frozenset(columns))]
+            assert drawn == expected, columns
+            assert rng.getstate() == after, columns
+
+
+class TestLazyRows:
+    def test_rows_is_an_iterator(self):
+        dataset = generate_dataset(scale=0.2, skew="Z4", seed=1)
+        for name, column in [("SUPPLIER", "suppkey"), ("ORDERS", "orderkey"),
+                             ("LINEITEM", "suppkey")]:
+            assert isinstance(dataset.rows(name, (column,)), Iterator)
+
+    def test_first_row_builds_no_table(self):
+        def peak(read):
+            dataset = generate_dataset(scale=40, skew="Z4", seed=1)
+            tracemalloc.start()
+            try:
+                read(dataset.rows("LINEITEM", ("suppkey",)))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(next) <= 0.05 * peak(list)

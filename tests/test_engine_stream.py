@@ -1,6 +1,7 @@
 """Tests for stream tuples, salts, interleavings and fluctuating orders."""
 
 import gc
+import hashlib
 import pickle
 import random
 from dataclasses import fields
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.api import RunConfig
 from repro.core.operator import AdaptiveJoinOperator
+from repro.data import generate_dataset, make_query
 from repro.engine.simulator import Simulator
 from repro.engine.stream import (
     ArrivalSchedule,
@@ -21,6 +23,7 @@ from repro.engine.stream import (
     fluctuating_order,
     interleave_streams,
     make_tuples,
+    reshuffler_picker,
 )
 
 
@@ -194,6 +197,59 @@ class TestSalts:
         a = make_tuples("R", [{"k": i} for i in range(10)], random.Random(3))
         b = make_tuples("R", [{"k": i} for i in range(10)], random.Random(3))
         assert [t.salt for t in a] == [t.salt for t in b]
+
+
+class TestStdlibDraws:
+    """The inline draws return what the stdlib methods would and leave the
+    RNG in the same state: the same values from the same 32-bit words."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 17, 1000])
+    def test_uniform_interleaving_is_random_shuffle(self, count):
+        left = _tuples("R", count // 2, random.Random(1))
+        right = _tuples("S", count - count // 2, random.Random(2))
+        rng, oracle = random.Random(count), random.Random(count)
+        expected = left + right
+        oracle.shuffle(expected)
+        order = interleave_streams(left, right, rng)
+        assert [t.tuple_id for t in order] == [t.tuple_id for t in expected]
+        assert rng.getstate() == oracle.getstate()
+
+    def test_salts_are_random_random(self):
+        records = [{"k": i} for i in range(500)]
+        rng, oracle = random.Random(3), random.Random(3)
+        salts = [t.salt for t in make_tuples("R", records, rng)]
+        assert salts == [oracle.random() for _ in records]
+        assert rng.getstate() == oracle.getstate()
+
+    @pytest.mark.parametrize("machines", [1, 2, 16, 64])
+    def test_reshuffler_picker_is_random_choice(self, machines):
+        names = [f"reshuffler-{i}" for i in range(machines)]
+        rng, oracle = random.Random(machines), random.Random(machines)
+        pick = reshuffler_picker(rng, names)
+        # The feed passes the tuple, a streaming session's ingest nothing.
+        picks = [pick(index) if index % 2 else pick() for index in range(2000)]
+        assert picks == [oracle.choice(names) for _ in range(2000)]
+        assert rng.getstate() == oracle.getstate()
+
+    #: SHA-256 of the (relation, record, salt) arrival order at (0.3, Z4, 3),
+    #: recorded when the generator still drew through ``randrange``,
+    #: ``choice`` and ``shuffle``: faster draws must not re-baseline inputs.
+    PINNED = {
+        "EQ5": "8b7bfe040e5b5e81827bd76c4066cadb0650d53039eb2f94c17eec82288e841a",
+        "FLUCT_SYM": "76e45db8c30b1178a753fae62f7082ea27485d81b81ce296c993f0e30e64f140",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_arrival_order_is_pinned(self, name):
+        query = make_query(name, generate_dataset(scale=0.3, skew="Z4", seed=3))
+        rng = random.Random(3)
+        left = make_tuples(query.left_relation, query.left_records, rng)
+        right = make_tuples(query.right_relation, query.right_records, rng)
+        text = "\n".join(
+            f"{t.relation}|{sorted(t.record.items())}|{t.salt.hex()}"
+            for t in interleave_streams(left, right, rng)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[name]
 
 
 def _queue_fluctuating_order(r_tuples, s_tuples, factor, warmup):
