@@ -10,6 +10,7 @@ of Algorithm 3.  The joiners run a local non-blocking join wrapped in the
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 from repro.core.decision import MigrationController
@@ -28,6 +29,7 @@ from repro.joins.predicates import JoinPredicate
 _DATA = MessageKind.DATA
 _MIGRATION = MessageKind.MIGRATION
 _NORMAL = JoinerPhase.NORMAL
+_ROUTING = TrafficCategory.ROUTING
 
 #: The controller records an ILF sample every this many of its own tuples.
 SAMPLE_EVERY = 200
@@ -118,10 +120,11 @@ class ReshufflerTask(Task):
         self.buffering = False
         self._buffer: list[StreamTuple] = []
         self._seen = 0
-        # (side, partition) -> wire channels of its fan-out, valid while
-        # ``_fanout_mapping`` is the mapping in force.
-        self._fanout: dict[tuple[bool, int], list] = {}
-        self._fanout_mapping: Mapping | None = None
+        # The fan-out table of ``_table_mapping``: per side (left, right), a
+        # list indexed by partition whose entries are the wire channels of
+        # that row or column, resolved on first use (None until then).
+        self._table: tuple[list, list] = ([], [])
+        self._table_mapping: Mapping | None = None
 
     #: Recovery journal (fault-tolerant plane only; see repro.core.recovery).
     #: Protocol-critical transitions are journaled as deltas so a restored
@@ -208,11 +211,21 @@ class ReshufflerTask(Task):
                 self._journal.maybe_snapshot(self)
             return 1
         reshuffle_cost = machine.cost_model.reshuffle_cost
-        record_input = ctx.metrics.record_input_processed
+        metrics = ctx.metrics
+        progress_times = metrics.progress_times
         left_relation = self.topology.left_relation
         is_controller = self.is_controller
-        route = self._route
         boundaries = ctx.drain_boundaries
+        # Neither the mapping nor the epoch can change inside a run (both
+        # change only through MAPPING_CHANGE, a control message behind the
+        # horizon), so the fan-out table and the epoch tag are read once.
+        route = None if self._table_routed else self._route
+        left_table, right_table = self._fanout_tables()
+        rows, cols = len(left_table), len(right_table)
+        resolve = self._resolve
+        epoch = self.epoch
+        post_fanout = ctx.simulator.post_fanout
+        routing = _ROUTING
         horizon_fn = ctx.drain_horizon if self.adaptive else None
         # Only the controller can create new control-plane messages while
         # this run executes (its own members may trigger a migration); for
@@ -230,10 +243,27 @@ class ReshufflerTask(Task):
             ctx.charged = reshuffle_cost
             is_left = item.relation == left_relation
             self._seen += 1
-            record_input(ctx.now)
+            # MetricsCollector.record_input_processed, inlined.
+            metrics.processed_inputs += 1
+            progress_times.append(ctx.now)
             if is_controller:
                 self._controller_duties(item, is_left, ctx)
-            route(item, is_left, ctx)
+            if route is not None:
+                route(item, is_left, ctx)
+            else:
+                # _route inlined: stamp the epoch, clamp the salt's
+                # partition (StreamTuple.partition) and fan out through the
+                # table.
+                item.epoch = epoch
+                if is_left:
+                    table, parts = left_table, rows
+                else:
+                    table, parts = right_table, cols
+                partition = int(item.salt * parts)
+                if partition >= parts:
+                    partition = parts - 1
+                channels = table[partition] or resolve(is_left, partition, ctx)
+                post_fanout(self, channels, item, routing, ctx)
             # Inline Context.boundary: commit the member's charge to the busy
             # chain with exactly the per-tuple occupy arithmetic.
             end = ctx.now + ctx.charged
@@ -395,27 +425,44 @@ class ReshufflerTask(Task):
 
     # ---------------------------------------------------------------- routing
 
+    #: Whether :meth:`_route` is the grid's content-insensitive routing,
+    #: which :meth:`handle_drained` runs inline from the fan-out table.
+    _table_routed = True
+
     def _route(self, item: StreamTuple, is_left: bool, ctx: Context) -> None:
         # Tag with the current epoch in place: this is the tuple's single
         # delivery to a reshuffler and it has not been fanned out yet, so no
         # joiner (and no journal entry) can hold it.
         item.epoch = self.epoch
-        mapping = self.mapping
-        key = (is_left, item.partition(mapping.n if is_left else mapping.m))
         # The tuple is its own DATA message, shared by every destination of
-        # the fan-out (receivers never mutate messages).  Each (side,
-        # partition) resolves its grid placement into wire channels once for
-        # as long as the mapping is in force.
-        if self._fanout_mapping is not mapping:
-            self._fanout_mapping = mapping
-            self._fanout.clear()
-        channels = self._fanout.get(key)
-        if channels is None:
-            joiner = self.topology.joiner
-            channels = self._fanout[key] = ctx.channels(
-                [joiner(machine_id) for machine_id in self._destinations(key)]
-            )
-        ctx.simulator.post_fanout(self, channels, item, TrafficCategory.ROUTING, ctx)
+        # the fan-out (receivers never mutate messages).
+        table = self._fanout_tables()[0 if is_left else 1]
+        partition = item.partition(len(table))
+        channels = table[partition] or self._resolve(is_left, partition, ctx)
+        ctx.simulator.post_fanout(self, channels, item, _ROUTING, ctx)
+
+    def _fanout_tables(self) -> tuple[list, list]:
+        """The fan-out table of the mapping in force: per side (left, right),
+        the wire channels of each row or column partition, indexed by
+        partition (None until :meth:`_resolve` fills an entry).  A mapping
+        change starts an empty table, so each partition resolves its grid
+        placement into channels once for as long as its mapping is in force.
+        """
+        mapping = self.mapping
+        if self._table_mapping is not mapping:
+            self._table_mapping = mapping
+            self._table = ([None] * mapping.n, [None] * mapping.m)
+        return self._table
+
+    def _resolve(self, is_left: bool, partition: int, ctx: Context) -> list:
+        """Fill and return the table entry of one side's ``partition``: the
+        channels to the joiners of :meth:`_destinations`."""
+        joiner = self.topology.joiner
+        channels = ctx.channels(
+            [joiner(machine_id) for machine_id in self._destinations((is_left, partition))]
+        )
+        self._fanout_tables()[0 if is_left else 1][partition] = channels
+        return channels
 
     def _destinations(self, key: tuple[bool, int]) -> tuple[int, ...]:
         """Machines of the row (left side) or column (right side) partition
@@ -427,28 +474,58 @@ class ReshufflerTask(Task):
         return placement.machines_for_col(partition)
 
 
+def route_hash(key) -> int:
+    """The SHJ routing hash of a join key, the same in every process.
+
+    ``hash()`` of a ``str`` or ``bytes`` is salted per interpreter
+    (``PYTHONHASHSEED``), so text is digested with CRC-32 instead, and a
+    tuple or frozenset key by CRC-32 over its members' routing hashes.
+    Every other key — numbers above all — keeps ``hash()``, which is
+    process-independent for them.
+    """
+    if key.__class__ is int:
+        return hash(key)
+    if isinstance(key, str):
+        return zlib.crc32(key.encode("utf-8", "surrogatepass"))
+    if isinstance(key, bytes):
+        return zlib.crc32(key)
+    if isinstance(key, (tuple, frozenset)):
+        digests = [route_hash(member) for member in key]
+        if isinstance(key, frozenset):
+            digests.sort()
+        return zlib.crc32(
+            b"".join(digest.to_bytes(8, "little", signed=True) for digest in digests)
+        )
+    return hash(key)
+
+
 class HashReshufflerTask(ReshufflerTask):
     """Content-sensitive routing used by the parallel symmetric hash join (SHJ).
 
     Tuples are partitioned on the join key: each tuple goes to exactly one
-    joiner, chosen by hashing its key.  This is the classic equi-join
-    partitioning the paper compares against — efficient without skew, but a
-    few overloaded joiners absorb most of the input once the key distribution
-    is skewed.
+    joiner, chosen by hashing its key with :func:`route_hash`, so a run
+    routes alike under every ``PYTHONHASHSEED``.  This is the classic
+    equi-join partitioning the paper compares against — efficient without
+    skew, but a few overloaded joiners absorb most of the input once the key
+    distribution is skewed.  The predicate kind is checked once, here.
     """
 
-    def _route(self, item: StreamTuple, is_left: bool, ctx: Context) -> None:
-        predicate = self.topology.predicate
-        if predicate.kind != "equi":
+    _table_routed = False
+
+    def __init__(self, name: str, machine_id: int, topology: Topology, **kwargs) -> None:
+        if topology.predicate.kind != "equi":
             raise ValueError("the SHJ operator only supports equi-join predicates")
-        key = (
-            predicate.left_key(item.record) if is_left else predicate.right_key(item.record)
-        )
-        machine_id = hash(key) % self.topology.machines
+        super().__init__(name, machine_id, topology, **kwargs)
+        predicate = topology.predicate
+        self._left_key = predicate.left_key
+        self._right_key = predicate.right_key
+
+    def _route(self, item: StreamTuple, is_left: bool, ctx: Context) -> None:
+        record = item.record
+        key = self._left_key(record) if is_left else self._right_key(record)
+        machine_id = route_hash(key) % self.topology.machines
         item.epoch = self.epoch  # in place, as in ReshufflerTask._route
-        ctx.send(
-            self.topology.joiner(machine_id), item, category=TrafficCategory.ROUTING
-        )
+        ctx.send(self.topology.joiner(machine_id), item, category=_ROUTING)
 
 
 class JoinerTask(Task):
@@ -457,7 +534,8 @@ class JoinerTask(Task):
     Drained runs of data tuples go through
     ``EpochJoinerState.handle_data_batch`` (a NORMAL-phase run of one
     straight through ``EpochJoinerState.handle_current``) →
-    ``LocalJoiner.probe_insert`` per member.
+    ``LocalJoiner.probe_insert`` per member, or, for a Δ' run during a
+    migration, one ``LocalJoiner.probe_batch`` over the epoch partitions.
     """
 
     def __init__(self, name: str, machine_id: int, topology: Topology) -> None:
@@ -588,24 +666,26 @@ class JoinerTask(Task):
             # whole eligibility check.
             if head.__class__ is tuple:
                 task, message = head
-                if (
-                    task is not self
-                    or message.kind is not data_kind
-                    or message.payload.epoch != key
-                ):
+                if task is not self or message.kind is not data_kind:
+                    break
+                item = message.payload
+                if item.epoch != key:
                     break
                 inbox.popleft()
-                items.append(message.payload)
+                items.append(item)
             else:
                 if head.task is not self:
                     break
                 message = head.messages[head.index]
-                if message.kind is not data_kind or message.payload.epoch != key:
+                if message.kind is not data_kind:
+                    break
+                item = message.payload
+                if item.epoch != key:
                     break
                 head.index += 1
                 if head.index == head.end:
                     inbox.popleft()
-                items.append(message.payload)
+                items.append(item)
         journal = self._journal
         if journal is not None:
             for item in items:
@@ -637,31 +717,46 @@ class JoinerTask(Task):
         # commit (Context.boundary + Machine.occupy) and the storage
         # accounting (Machine.add_stored) are inlined: ``now`` walks the busy
         # chain with exactly the per-tuple float arithmetic (member start ==
-        # busy_until, end = start + member cost).
+        # busy_until, end = start + member cost).  The machine's counters
+        # are carried in locals, with the same additions in the same order,
+        # and written back after the run (``stored_size`` also before each
+        # storage_factor call, the one read inside the run).
         now = ctx.now
+        stored = machine.stored_size
+        received = machine.received_size
+        peak = machine.peak_stored_size
+        busy = machine.busy_time
         for item, (matches, work) in zip(items, probed):
             probe_total += work
             # Same arithmetic and accumulation order as _apply for a stored
             # tuple (every drained member is stored).
-            factor = 1.0 if unbounded else storage_factor()
+            if unbounded:
+                factor = 1.0
+            else:
+                machine.stored_size = stored
+                factor = storage_factor()
             cost = 0.0
             cost += receive_cost
             cost += store_cost * factor
             cost += work * probe_cost * factor
             cost += len(matches) * match_cost
             size = item.size
-            machine.stored_size = stored = machine.stored_size + size
-            machine.received_size += size
-            if stored > machine.peak_stored_size:
-                machine.peak_stored_size = stored
+            stored += size
+            received += size
+            if stored > peak:
+                peak = stored
             end = now + cost
             if matches:
                 record_outputs(matches, end)
-            machine.busy_until = end
-            machine.busy_time += cost
+            busy += cost
             now = end
             if boundaries is not None:
                 boundaries.append(end)
+        machine.stored_size = stored
+        machine.received_size = received
+        machine.peak_stored_size = peak
+        machine.busy_until = now
+        machine.busy_time = busy
         ctx.now = now
         ctx.charged = 0.0
         if probe_total:

@@ -108,8 +108,10 @@ class Machine:
     def add_stored(self, size: float) -> None:
         """Account for ``size`` units of newly stored tuple data.
 
-        NOTE: ``JoinerTask.handle_drained`` inlines this arithmetic in its
-        member loop (adaptive data plane hot path) — keep the two in sync.
+        NOTE: inlined in ``JoinerTask.handle_drained``'s member loop (with the
+        counters carried in locals across the run) and in
+        ``JoinerTask._handle_one`` (adaptive data plane hot paths) — keep
+        the three in sync.
         """
         self.stored_size += size
         self.received_size += size

@@ -25,6 +25,14 @@ from repro.engine.stream import StreamTuple
 
 _arrival_of = attrgetter("arrival_time")
 
+#: Veltkamp's splitting constant for binary64 (2**27 + 1): it splits a float
+#: into two halves of at most 26 significant bits (see LatencyLedger.mean).
+_SPLITTER = 134217729.0
+#: A 26-bit half times a count below 2**26 is exact in binary64.
+_CHUNK_BITS = 26
+_CHUNK = float(1 << _CHUNK_BITS)
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+
 
 class MatchGroup:
     """Every join result one probing tuple produced, as one object.
@@ -104,17 +112,53 @@ class LatencyLedger:
     def mean(self) -> float:
         """Mean latency (0 when empty), exactly rounded.
 
-        One *single* :func:`math.fsum` pass over every value: fsum returns
-        the correctly rounded sum of its input multiset, so the mean depends
-        neither on the order groups were recorded in (joiners on different
-        machines interleave differently across data planes)
-        nor on how values are split between runs and singles.  A sum of
-        per-group partial sums would be neither.
+        One *single* :func:`math.fsum` pass: fsum returns the correctly
+        rounded sum of its input multiset, so the mean depends neither on
+        the order groups were recorded in (joiners on different machines
+        interleave differently across data planes) nor on how values are
+        split between runs and singles.  A sum of per-group partial sums
+        would be neither.
+
+        A run is not expanded into its ``count`` copies.  Its value is split
+        (Veltkamp) into two halves of at most 26 significant bits each, and
+        the count into chunks below 2**26, so every ``half * chunk`` is
+        exact and the terms fed to fsum sum to exactly ``value * count``:
+        the result is bit for bit fsum over the expansion.  A value too
+        large to split (or not finite) falls back to the expansion itself,
+        which also raises fsum's own overflow error.
         """
         count = len(self)
         if not count:
             return 0.0
-        return math.fsum(self) / count
+        total = math.fsum(
+            chain(self.values, _exact_terms(self.run_values, self.run_counts))
+        )
+        if not math.isfinite(total):
+            total = math.fsum(self)
+        return total / count
+
+
+def _exact_terms(run_values, run_counts):
+    """Floats summing exactly to ``value * count`` for every run, yielded
+    lazily (see :meth:`LatencyLedger.mean`)."""
+    for value, repeats in zip(run_values, run_counts):
+        if repeats == 1:
+            yield value
+            continue
+        scaled = value * _SPLITTER
+        high = scaled - (scaled - value)
+        low = value - high
+        while True:
+            chunk = repeats & _CHUNK_MASK
+            if chunk:
+                yield high * chunk
+                if low:
+                    yield low * chunk
+            repeats >>= _CHUNK_BITS
+            if not repeats:
+                break
+            high *= _CHUNK
+            low *= _CHUNK
 
 
 @dataclass
@@ -211,7 +255,10 @@ class MetricsCollector:
         histogram[size] = histogram.get(size, 0) + 1
 
     def record_input_processed(self, now: float) -> None:
-        """Count an input tuple having been routed by a reshuffler."""
+        """Count an input tuple having been routed by a reshuffler.
+
+        NOTE: ``ReshufflerTask.handle_drained`` inlines this in its member
+        loop — keep the two in sync."""
         self.processed_inputs += 1
         self.progress_times.append(now)
 

@@ -96,6 +96,19 @@ class JoinIndex:
         for item in items:
             self.insert(item)
 
+    def absorb(self, other: "JoinIndex") -> None:
+        """Move every tuple of ``other`` — an index of the same kind and key —
+        into this one, leaving ``other`` empty.
+
+        The result is :meth:`bulk_insert` of ``list(other.items())``.
+        """
+        self.bulk_insert(list(other.items()))
+        other.clear()
+
+    def clear(self) -> None:
+        """Empty the index, as if freshly built with the same key function."""
+        self.__init__(self._key_func)
+
     def remove(self, item: StreamTuple) -> bool:
         """Remove ``item``; returns True if it was present."""
         raise NotImplementedError
@@ -131,6 +144,7 @@ class HashIndex(JoinIndex):
         self.insert_keyed(self._key_func(item), item)
 
     def insert_keyed(self, key: Any, item: StreamTuple) -> None:
+        # NOTE: LocalJoiner._hash_probe_batch inlines this — keep in sync.
         buckets = self._buckets
         bucket = buckets.get(key)
         if bucket is None:
@@ -149,6 +163,50 @@ class HashIndex(JoinIndex):
         insert_keyed = self.insert_keyed
         for item in items:
             insert_keyed(key_func(item), item)
+
+    def absorb(self, other: "JoinIndex") -> None:
+        """:meth:`JoinIndex.absorb` in one pass over ``other``'s buckets,
+        extracting no key.
+
+        A bulk insert appends ``other``'s new keys after this index's, in
+        ``other``'s order, and extends a shared key's bucket by ``other``'s:
+        the pass does exactly that, taking a new key's bucket over whole and
+        concatenating a shared one.  The total size repeats the bulk
+        insert's additions, one tuple at a time in ``other``'s item order.
+        :attr:`newest_arrival` becomes the larger of the two bounds, which is
+        the bulk insert's value unless ``other`` had a tuple removed (never
+        the case for finalize's partitions).  ``other``'s list buckets move
+        over as they are, hence it is cleared.
+        """
+        theirs = other._buckets
+        if not theirs:
+            return
+        mine = self._buckets
+        total = self._total_size
+        for key, added in theirs.items():
+            bucket = mine.get(key)
+            if added.__class__ is list:
+                for item in added:
+                    total += item.size
+                if bucket is None:
+                    mine[key] = added
+                elif bucket.__class__ is list:
+                    bucket += added
+                else:
+                    mine[key] = [bucket, *added]
+            else:
+                total += added.size
+                if bucket is None:
+                    mine[key] = added
+                elif bucket.__class__ is list:
+                    bucket.append(added)
+                else:
+                    mine[key] = [bucket, added]
+        self._total_size = total
+        self._count += other._count
+        if other.newest_arrival > self.newest_arrival:
+            self.newest_arrival = other.newest_arrival
+        other.clear()
 
     def remove(self, item: StreamTuple) -> bool:
         key = self._key_func(item)

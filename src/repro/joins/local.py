@@ -68,6 +68,7 @@ class LocalJoiner:
         self._pred_left_key = predicate.left_key if kind in ("equi", "band") else None
         self._pred_right_key = predicate.right_key if kind in ("equi", "band") else None
         self._band = kind == "band"
+        self._hashed = kind == "equi"
         self._band_width = predicate.width if self._band else 0.0
         # A hash bucket and a band slice decide their predicate outright;
         # only a scan checks its candidates (None: nothing to check).
@@ -121,9 +122,13 @@ class LocalJoiner:
         self._indexes[relation].bulk_insert(items)
 
     def absorb(self, other: "LocalJoiner") -> None:
-        """Merge every tuple stored in ``other`` into this joiner."""
+        """Move every tuple stored in ``other`` into this joiner, leaving
+        ``other`` empty: per relation, the same state as :meth:`bulk_insert`
+        of ``list(other.stored(relation))`` (see :meth:`JoinIndex.absorb`;
+        a hash index merges its buckets in one pass and keeps the larger
+        ``newest_arrival`` bound)."""
         for relation in (self.left_relation, self.right_relation):
-            self._indexes[relation].bulk_insert(list(other.stored(relation)))
+            self._indexes[relation].absorb(other._indexes[relation])
 
     def remove(self, item: StreamTuple) -> bool:
         """Remove ``item`` from storage; returns True if it was stored."""
@@ -316,9 +321,105 @@ class LocalJoiner:
             Work accounting is identical to the per-member sequence: raw
             candidate counts (pre-batch + earlier intra-batch candidates),
             floored at 1 per member.
+
+        Over hash indexes a run of several members goes through
+        :meth:`_hash_probe_batch`, one loop over the bucket dicts; a run of
+        one (a paced machine's usual tick) takes :meth:`probe_insert`, which
+        has no loop set-up to pay for.
         """
+        if self._hashed and len(items) > 1:
+            return self._hash_probe_batch(items, others, counted)
         probe_insert = self.probe_insert
         return [probe_insert(item, others, counted) for item in items]
+
+    def _hash_probe_batch(
+        self,
+        items: Sequence[StreamTuple],
+        others: Sequence["LocalJoiner"],
+        counted: Sequence["LocalJoiner"],
+    ) -> list[tuple[list[StreamTuple], float]]:
+        """:meth:`probe_batch` of an equi joiner as one loop.
+
+        Per member: the opposite buckets of this joiner and of each of
+        ``others`` are concatenated into its matches, each of ``counted``
+        adds its opposite bucket's size, and the member is stored in this
+        joiner — :meth:`SymmetricHashJoiner.probe_insert` and
+        :meth:`HashIndex.insert_keyed` written out, with the bucket dicts
+        and the index counters held in locals for the run.
+        """
+        left_relation = self.left_relation
+        right_relation = self.right_relation
+        left_key = self._pred_left_key
+        right_key = self._pred_right_key
+        left_index = self._left_index
+        right_index = self._right_index
+        stores = (self, *others)
+        # A left member probes right buckets, a right member left ones.
+        left_probes = [store._right_index._buckets for store in stores]
+        right_probes = [store._left_index._buckets for store in stores]
+        left_counts = [store._right_index._buckets for store in counted]
+        right_counts = [store._left_index._buckets for store in counted]
+        left_buckets = left_index._buckets
+        right_buckets = right_index._buckets
+        left_stored = left_index._count
+        left_total = left_index._total_size
+        left_newest = left_index.newest_arrival
+        right_stored = right_index._count
+        right_total = right_index._total_size
+        right_newest = right_index.newest_arrival
+        results = []
+        append = results.append
+        try:
+            for item in items:
+                relation = item.relation
+                is_left = relation == left_relation
+                if is_left:
+                    key = left_key(item.record)
+                    probes, counts, own = left_probes, left_counts, left_buckets
+                else:
+                    if relation != right_relation:
+                        self._check_relation(relation)
+                    key = right_key(item.record)
+                    probes, counts, own = right_probes, right_counts, right_buckets
+                matches: list[StreamTuple] = []
+                for buckets in probes:
+                    bucket = buckets.get(key)
+                    if bucket is not None:
+                        if bucket.__class__ is list:
+                            matches += bucket
+                        else:
+                            matches.append(bucket)
+                inspected = len(matches)
+                for buckets in counts:
+                    bucket = buckets.get(key)
+                    if bucket is not None:
+                        inspected += len(bucket) if bucket.__class__ is list else 1
+                bucket = own.get(key)
+                if bucket is None:
+                    own[key] = item
+                elif bucket.__class__ is list:
+                    bucket.append(item)
+                else:
+                    own[key] = [bucket, item]
+                if is_left:
+                    left_stored += 1
+                    left_total += item.size
+                    if item.arrival_time > left_newest:
+                        left_newest = item.arrival_time
+                else:
+                    right_stored += 1
+                    right_total += item.size
+                    if item.arrival_time > right_newest:
+                        right_newest = item.arrival_time
+                append((matches, float(inspected) if inspected > 0 else 1.0))
+        finally:
+            left_index._count = left_stored
+            left_index._total_size = left_total
+            left_index.newest_arrival = left_newest
+            right_index._count = right_stored
+            right_index._total_size = right_total
+            right_index.newest_arrival = right_newest
+        return results
 
     # -------------------------------------------------------------- reporting
 
@@ -346,7 +447,8 @@ class SymmetricHashJoiner(LocalJoiner):
         """:meth:`LocalJoiner.probe_insert` over hash buckets: the opposite
         bucket of this joiner and of each of ``others`` is taken whole (no
         probe call per joiner), and each of ``counted`` adds its bucket's
-        size."""
+        size.  :meth:`LocalJoiner._hash_probe_batch` runs this body per
+        member of a batch — keep the two in sync."""
         record = item.record
         relation = item.relation
         if relation == self.left_relation:
