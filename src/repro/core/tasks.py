@@ -211,21 +211,11 @@ class ReshufflerTask(Task):
                 self._journal.maybe_snapshot(self)
             return 1
         reshuffle_cost = machine.cost_model.reshuffle_cost
-        metrics = ctx.metrics
-        progress_times = metrics.progress_times
+        record_input = ctx.metrics.record_input_processed
         left_relation = self.topology.left_relation
         is_controller = self.is_controller
+        route = self._route
         boundaries = ctx.drain_boundaries
-        # Neither the mapping nor the epoch can change inside a run (both
-        # change only through MAPPING_CHANGE, a control message behind the
-        # horizon), so the fan-out table and the epoch tag are read once.
-        route = None if self._table_routed else self._route
-        left_table, right_table = self._fanout_tables()
-        rows, cols = len(left_table), len(right_table)
-        resolve = self._resolve
-        epoch = self.epoch
-        post_fanout = ctx.simulator.post_fanout
-        routing = _ROUTING
         horizon_fn = ctx.drain_horizon if self.adaptive else None
         # Only the controller can create new control-plane messages while
         # this run executes (its own members may trigger a migration); for
@@ -243,27 +233,10 @@ class ReshufflerTask(Task):
             ctx.charged = reshuffle_cost
             is_left = item.relation == left_relation
             self._seen += 1
-            # MetricsCollector.record_input_processed, inlined.
-            metrics.processed_inputs += 1
-            progress_times.append(ctx.now)
+            record_input(ctx.now)
             if is_controller:
                 self._controller_duties(item, is_left, ctx)
-            if route is not None:
-                route(item, is_left, ctx)
-            else:
-                # _route inlined: stamp the epoch, clamp the salt's
-                # partition (StreamTuple.partition) and fan out through the
-                # table.
-                item.epoch = epoch
-                if is_left:
-                    table, parts = left_table, rows
-                else:
-                    table, parts = right_table, cols
-                partition = int(item.salt * parts)
-                if partition >= parts:
-                    partition = parts - 1
-                channels = table[partition] or resolve(is_left, partition, ctx)
-                post_fanout(self, channels, item, routing, ctx)
+            route(item, is_left, ctx)
             # Inline Context.boundary: commit the member's charge to the busy
             # chain with exactly the per-tuple occupy arithmetic.
             end = ctx.now + ctx.charged
@@ -425,10 +398,6 @@ class ReshufflerTask(Task):
 
     # ---------------------------------------------------------------- routing
 
-    #: Whether :meth:`_route` is the grid's content-insensitive routing,
-    #: which :meth:`handle_drained` runs inline from the fan-out table.
-    _table_routed = True
-
     def _route(self, item: StreamTuple, is_left: bool, ctx: Context) -> None:
         # Tag with the current epoch in place: this is the tuple's single
         # delivery to a reshuffler and it has not been fanned out yet, so no
@@ -475,13 +444,17 @@ class ReshufflerTask(Task):
 
 
 def route_hash(key) -> int:
-    """The SHJ routing hash of a join key, the same in every process.
+    """The SHJ routing hash of a join key.
 
     ``hash()`` of a ``str`` or ``bytes`` is salted per interpreter
-    (``PYTHONHASHSEED``), so text is digested with CRC-32 instead, and a
-    tuple or frozenset key by CRC-32 over its members' routing hashes.
-    Every other key — numbers above all — keeps ``hash()``, which is
-    process-independent for them.
+    (``PYTHONHASHSEED``), so text is digested with CRC-32 instead, and every
+    tuple or frozenset key — all-number ones too — by CRC-32 over its
+    members' routing hashes.  Every other key keeps ``hash()``.  So keys
+    that are ``str``, ``bytes``, numbers other than NaN, or tuples and
+    frozensets of these route the same in every process; any other key
+    type does only as far as its ``hash()`` does (``date``/``datetime``
+    hashes are salted like text, and ``None``'s and NaN's depend on the
+    object's address before Python 3.12).
     """
     if key.__class__ is int:
         return hash(key)
@@ -509,8 +482,6 @@ class HashReshufflerTask(ReshufflerTask):
     skew, but a few overloaded joiners absorb most of the input once the key
     distribution is skewed.  The predicate kind is checked once, here.
     """
-
-    _table_routed = False
 
     def __init__(self, name: str, machine_id: int, topology: Topology, **kwargs) -> None:
         if topology.predicate.kind != "equi":
@@ -666,26 +637,24 @@ class JoinerTask(Task):
             # whole eligibility check.
             if head.__class__ is tuple:
                 task, message = head
-                if task is not self or message.kind is not data_kind:
-                    break
-                item = message.payload
-                if item.epoch != key:
+                if (
+                    task is not self
+                    or message.kind is not data_kind
+                    or message.payload.epoch != key
+                ):
                     break
                 inbox.popleft()
-                items.append(item)
+                items.append(message.payload)
             else:
                 if head.task is not self:
                     break
                 message = head.messages[head.index]
-                if message.kind is not data_kind:
-                    break
-                item = message.payload
-                if item.epoch != key:
+                if message.kind is not data_kind or message.payload.epoch != key:
                     break
                 head.index += 1
                 if head.index == head.end:
                     inbox.popleft()
-                items.append(item)
+                items.append(message.payload)
         journal = self._journal
         if journal is not None:
             for item in items:
@@ -717,46 +686,31 @@ class JoinerTask(Task):
         # commit (Context.boundary + Machine.occupy) and the storage
         # accounting (Machine.add_stored) are inlined: ``now`` walks the busy
         # chain with exactly the per-tuple float arithmetic (member start ==
-        # busy_until, end = start + member cost).  The machine's counters
-        # are carried in locals, with the same additions in the same order,
-        # and written back after the run (``stored_size`` also before each
-        # storage_factor call, the one read inside the run).
+        # busy_until, end = start + member cost).
         now = ctx.now
-        stored = machine.stored_size
-        received = machine.received_size
-        peak = machine.peak_stored_size
-        busy = machine.busy_time
         for item, (matches, work) in zip(items, probed):
             probe_total += work
             # Same arithmetic and accumulation order as _apply for a stored
             # tuple (every drained member is stored).
-            if unbounded:
-                factor = 1.0
-            else:
-                machine.stored_size = stored
-                factor = storage_factor()
+            factor = 1.0 if unbounded else storage_factor()
             cost = 0.0
             cost += receive_cost
             cost += store_cost * factor
             cost += work * probe_cost * factor
             cost += len(matches) * match_cost
             size = item.size
-            stored += size
-            received += size
-            if stored > peak:
-                peak = stored
+            machine.stored_size = stored = machine.stored_size + size
+            machine.received_size += size
+            if stored > machine.peak_stored_size:
+                machine.peak_stored_size = stored
             end = now + cost
             if matches:
                 record_outputs(matches, end)
-            busy += cost
+            machine.busy_until = end
+            machine.busy_time += cost
             now = end
             if boundaries is not None:
                 boundaries.append(end)
-        machine.stored_size = stored
-        machine.received_size = received
-        machine.peak_stored_size = peak
-        machine.busy_until = now
-        machine.busy_time = busy
         ctx.now = now
         ctx.charged = 0.0
         if probe_total:

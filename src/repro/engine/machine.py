@@ -108,8 +108,7 @@ class Machine:
     def add_stored(self, size: float) -> None:
         """Account for ``size`` units of newly stored tuple data.
 
-        NOTE: inlined in ``JoinerTask.handle_drained``'s member loop (with the
-        counters carried in locals across the run) and in
+        NOTE: inlined in ``JoinerTask.handle_drained``'s member loop and in
         ``JoinerTask._handle_one`` (adaptive data plane hot paths) — keep
         the three in sync.
         """

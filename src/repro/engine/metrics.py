@@ -255,10 +255,7 @@ class MetricsCollector:
         histogram[size] = histogram.get(size, 0) + 1
 
     def record_input_processed(self, now: float) -> None:
-        """Count an input tuple having been routed by a reshuffler.
-
-        NOTE: ``ReshufflerTask.handle_drained`` inlines this in its member
-        loop — keep the two in sync."""
+        """Count an input tuple having been routed by a reshuffler."""
         self.processed_inputs += 1
         self.progress_times.append(now)
 

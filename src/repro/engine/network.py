@@ -74,9 +74,6 @@ class Link:
         is load-bearing for the merged wire too: a channel's delivery times
         never decrease, so its open run's parallel arrays stay sorted for the
         simulator's bisect-based settling.
-
-        NOTE: ``Simulator.post_fanout`` inlines these lines — keep the two
-        in sync.
         """
         delivery = now + self.latency + self.unit_cost * size
         if delivery < self.last_delivery:

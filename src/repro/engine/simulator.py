@@ -257,9 +257,6 @@ class Simulator:
         # fault-free runs take the exact pre-existing code paths — zero extra
         # heap events, allocations or counter touches.
         self._wire = None
-        # post_fanout opens channel runs inline, unless a subclass replaces
-        # _open_run (the unmerged reference wire of repro.testing does).
-        self._inline_open = type(self)._open_run is Simulator._open_run
         self.now = 0.0
         self.events_processed = 0
         self.heap_events = 0
@@ -398,9 +395,6 @@ class Simulator:
         only through a priority handler, which re-computes the wake-up (see
         :meth:`_deliver`).  A crashed machine gets no wake-up: its restart
         arms its own tick.
-
-        NOTE: :meth:`post_fanout` tests the armed-tick return before calling
-        — keep the two in sync.
         """
         if self._crashed and machine_id in self._crashed:
             return
@@ -426,10 +420,7 @@ class Simulator:
 
     def _open_run(self, channel: Channel, time: float, rank: int, message) -> None:
         """Open ``channel``'s next run with its first member: straight onto
-        the receiver's pending heap, waking the receiver for it.
-
-        NOTE: :meth:`post_fanout` inlines this body unless a subclass
-        replaces the method (``_inline_open``) — keep the two in sync."""
+        the receiver's pending heap, waking the receiver for it."""
         channel.times = [time]
         channel.ranks = [rank]
         channel.messages = [message]
@@ -529,16 +520,14 @@ class Simulator:
         :meth:`post` once per destination — the shared departure time,
         sender machine and per-link transfers are identical, and the traffic
         counters add up send by send in the same order — with the per-send
-        bookkeeping hoisted out of the loop, and :meth:`Link.deliver`'s FIFO
-        clamp and :meth:`_open_run` written out in it (a subclass that
-        replaces ``_open_run`` still gets its own called).  Data plane only:
-        non-priority kinds.
+        bookkeeping hoisted out of the loop.  Data plane only: non-priority
+        kinds.
         """
         departure = ctx.now + ctx.charged
+        sender_machine = sender_task.machine_id
         if self._wire is not None:
             # Unreliable wire installed: each replica becomes its own
             # link-layer frame (fan-out is data plane, non-priority).
-            sender_machine = sender_task.machine_id
             for channel in channels:
                 self._wire.send(sender_machine, channel, message, category, departure)
             return
@@ -546,10 +535,6 @@ class Simulator:
         volume = self.network.volume
         carried = volume.get(category, 0.0)
         sent = 0
-        open_run = None if self._inline_open else self._open_run
-        pending_wire = self._pending_wire
-        tick_at = self._tick_at
-        wake_for = self._wake_for
         for channel in channels:
             link = channel.link
             sequence = link.sequence
@@ -558,34 +543,15 @@ class Simulator:
             if not link.local:
                 sent += 1
                 carried += size
-            # Link.deliver, inlined.
-            delivery = departure + link.latency + link.unit_cost * size
-            if delivery < link.last_delivery:
-                delivery = link.last_delivery
-            link.last_delivery = delivery
+            delivery = link.deliver(departure, size)
             if channel.open:
                 # The hottest send path: the channel append of _send_merged,
                 # inlined.
                 channel.times.append(delivery)
                 channel.ranks.append(rank)
                 channel.messages.append(message)
-            elif open_run is None:
-                # _open_run, inlined.
-                channel.times = [delivery]
-                channel.ranks = [rank]
-                channel.messages = [message]
-                channel.start = 0
-                channel.open = True
-                machine_id = channel.task.machine_id
-                entry = (delivery, rank, channel)
-                heapq.heappush(pending_wire[machine_id], entry)
-                # _wake's first return, checked before the call: a receiver
-                # whose tick is armed and waits for no delivery needs none.
-                # On a saturated run that is nearly every receiver.
-                if tick_at[machine_id] is None or wake_for[machine_id] is not None:
-                    self._wake(machine_id, entry)
             else:
-                open_run(channel, delivery, rank, message)
+                self._open_run(channel, delivery, rank, message)
         if sent:
             self.network.messages[category] += sent
             volume[category] = carried

@@ -154,10 +154,7 @@ class StreamTuple:
         )
 
     def partition(self, parts: int) -> int:
-        """Partition index of this tuple when its relation is split ``parts`` ways.
-
-        NOTE: ``ReshufflerTask.handle_drained`` inlines this clamp — keep
-        the two in sync."""
+        """Partition index of this tuple when its relation is split ``parts`` ways."""
         index = int(self.salt * parts)
         # Guard against salt == 1.0 - epsilon rounding up at large ``parts``.
         return min(index, parts - 1)

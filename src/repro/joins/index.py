@@ -173,10 +173,12 @@ class HashIndex(JoinIndex):
         the pass does exactly that, taking a new key's bucket over whole and
         concatenating a shared one.  The total size repeats the bulk
         insert's additions, one tuple at a time in ``other``'s item order.
-        :attr:`newest_arrival` becomes the larger of the two bounds, which is
-        the bulk insert's value unless ``other`` had a tuple removed (never
-        the case for finalize's partitions).  ``other``'s list buckets move
-        over as they are, hence it is cleared.
+        A new key's bucket left with one tuple by removals is stored as the
+        bare tuple, the shape a bulk insert gives it.  :attr:`newest_arrival`
+        becomes the larger of the two bounds, which is the bulk insert's
+        value unless ``other`` had a tuple removed (never the case for
+        finalize's partitions).  ``other``'s list buckets move over as they
+        are, hence it is cleared.
         """
         theirs = other._buckets
         if not theirs:
@@ -189,7 +191,7 @@ class HashIndex(JoinIndex):
                 for item in added:
                     total += item.size
                 if bucket is None:
-                    mine[key] = added
+                    mine[key] = added if len(added) > 1 else added[0]
                 elif bucket.__class__ is list:
                     bucket += added
                 else:

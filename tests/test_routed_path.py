@@ -1,8 +1,8 @@
 """The saturated routed path, pinned against the forms it replaced.
 
 * The reshuffler's fan-out table resolves every side and partition to the
-  joiners of ``_destinations`` — through ``_route`` and through the drained
-  loop's inline salt clamp — at J = 1, 16 and 64.
+  joiners of ``_destinations`` — through ``_route`` and through the
+  drained loop — at J = 1, 16 and 64.
 * The hash joiner's one-loop ``probe_batch`` equals the per-member
   ``probe_insert`` sequence, spread state (``others``/``counted``) included.
 * ``LocalJoiner.absorb`` (finalize's partition merge) equals a bulk insert
@@ -111,8 +111,8 @@ class TestFanoutTable:
 
     @pytest.mark.parametrize("machines", [1, 16, 64])
     def test_drained_loop_routes_like_route(self, machines):
-        """The drained loop's inline clamp and table lookup give every
-        member the destinations ``_route`` gives it."""
+        """The drained loop gives every member the destinations ``_route``
+        gives it."""
         for mapping in _mappings(machines):
             simulator, task, sent = _reshuffler(machines, mapping)
             items = _probe_tuples(mapping)
@@ -266,6 +266,20 @@ class TestAbsorb:
         merged.absorb(source)
         assert merged._left_index.newest_arrival == 9.0
         assert [item.arrival_time for item in merged.stored("R")] == [5.0, 7.0]
+
+    def test_hash_absorb_stores_a_one_tuple_list_bucket_bare(self):
+        """A removal can leave ``other`` a list bucket of one tuple; the
+        merge stores it as the bare tuple, as a bulk insert would."""
+        kept = _item(("R", 1, 1.0, 5))
+        merged, bulk = _hash_joiner([kept]), _hash_joiner([kept])
+        first, second = _item(("R", 2, 1.0, 6)), _item(("R", 2, 1.0, 7))
+        source = _hash_joiner([first, second])
+        assert source.remove(first)
+        assert source._left_index._buckets[2].__class__ is list
+        bulk.bulk_insert("R", list(source.stored("R")))
+        merged.absorb(source)
+        assert merged._left_index._buckets[2] is second
+        assert _hash_state(merged) == _hash_state(bulk)
 
     @pytest.mark.parametrize(
         "predicate",
