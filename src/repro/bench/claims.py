@@ -112,9 +112,10 @@ def _resize_left(query: JoinQuery, target: int, seed: int) -> JoinQuery:
     records (the paper grows the smaller input to move the optimal mapping)."""
     rng = random.Random(seed)
     source = query.left_records
-    records = [dict(record) for record in source[:target]]
+    # Records are read-only rows, so a replica shares its source record.
+    records = source[:target]
     while len(records) < target:
-        records.append(dict(rng.choice(source)))
+        records.append(rng.choice(source))
     return replace(query, left_records=records)
 
 
@@ -505,7 +506,9 @@ CLAIMS: tuple[Claim, ...] = (
     Claim("recovery", "recovery time, min over crashed runs", "recovery",
           lambda r: min(result.recovery_time for result in _crashed(r)), 20.0, at_least=True),
     # Pickled records carry only the predicate's attribute, so the floor
-    # tracks the projected record width: 228.5 KiB measured, minus ~10 %.
+    # tracks the projected record width: 228.5 KiB measured with one-key
+    # dict records, 233.4 KiB with rows (a row pickles 1 B above such a
+    # dict, plus its type's name once per journal block); the floor stays.
     Claim("recovery", "checkpoint KiB, min over crashed runs", "recovery",
           lambda r: min(result.checkpoint_overhead for result in _crashed(r)) / 1024.0,
           205.0, at_least=True),

@@ -232,7 +232,8 @@ class GridJoinOperator:
                 left, right, rng, pattern=self.config.arrival_pattern
             )
         else:
-            order = list(arrival_order)
+            # Read, never written: a list is fed as it is, not copied.
+            order = arrival_order if isinstance(arrival_order, list) else list(arrival_order)
         simulator, topology = self.build_execution(collect_outputs=collect_outputs)
 
         schedule = ArrivalSchedule(items=order, inter_arrival=self.config.inter_arrival)

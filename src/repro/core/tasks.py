@@ -10,6 +10,7 @@ of Algorithm 3.  The joiners run a local non-blocking join wrapped in the
 
 from __future__ import annotations
 
+import datetime
 import zlib
 from dataclasses import dataclass, field
 
@@ -444,17 +445,19 @@ class ReshufflerTask(Task):
 
 
 def route_hash(key) -> int:
-    """The SHJ routing hash of a join key.
+    """The SHJ routing hash of a join key, the same in every process.
 
     ``hash()`` of a ``str`` or ``bytes`` is salted per interpreter
     (``PYTHONHASHSEED``), so text is digested with CRC-32 instead, and every
     tuple or frozenset key — all-number ones too — by CRC-32 over its
-    members' routing hashes.  Every other key keeps ``hash()``.  So keys
-    that are ``str``, ``bytes``, numbers other than NaN, or tuples and
+    members' routing hashes.  A naive ``date``, ``datetime`` or ``time``
+    hashes its bytes with the same salt, so it is digested from its fields
+    (an aware ``datetime`` from its UTC instant, as equality compares it);
+    ``None`` and a float NaN hash by address before Python 3.12, so each is
+    one constant.  Keys that compare equal digest alike.  So keys that are
+    ``str``, ``bytes``, numbers, ``None``, dates and times, or tuples and
     frozensets of these route the same in every process; any other key
-    type does only as far as its ``hash()`` does (``date``/``datetime``
-    hashes are salted like text, and ``None``'s and NaN's depend on the
-    object's address before Python 3.12).
+    type keeps ``hash()`` and does only as far as its ``hash()`` does.
     """
     if key.__class__ is int:
         return hash(key)
@@ -469,6 +472,17 @@ def route_hash(key) -> int:
         return zlib.crc32(
             b"".join(digest.to_bytes(8, "little", signed=True) for digest in digests)
         )
+    if key is None or (key.__class__ is float and key != key):
+        return zlib.crc32(repr(key).encode())
+    if isinstance(key, datetime.datetime):
+        offset = key.utcoffset()
+        if offset is not None:
+            key = (key - offset).replace(tzinfo=None)
+        return route_hash((key.toordinal(), key.hour, key.minute, key.second, key.microsecond))
+    if isinstance(key, datetime.date):
+        return route_hash(key.toordinal())
+    if isinstance(key, datetime.time) and key.utcoffset() is None:
+        return route_hash((key.hour, key.minute, key.second, key.microsecond))
     return hash(key)
 
 

@@ -4,9 +4,14 @@ Each query is represented as a :class:`JoinQuery`: two materialised input
 streams (the paper materialises all intermediate results before online
 processing) and the join predicate between them.  Projections are pushed below
 the join, as the paper's engine does: a record keeps only the attributes its
-predicate reads.  Filters run while the input is built, on columns the
-builder reads from :meth:`TpchDataset.rows` and then drops, and a table
-column no query reads is never built.
+predicate reads, as a read-only row of one slotted type per projection
+(:func:`repro.data.rows.row_type`), not a dict.  Filters run while the input
+is built, on columns the builder reads from :meth:`TpchDataset.rows` and then
+drops, and a table column no query reads is never built.  The builders run
+with the cyclic collector paused
+(:func:`~repro.engine.collector.paused_collector`): a row is tracked by the
+collector where a dict of atomic values is not, and a query's rows make no
+cycles for a collection to find.
 
 * **EQ5** — the most expensive join of TPC-H Q5:
   ``(REGION ⋈ NATION ⋈ SUPPLIER) ⋈ LINEITEM`` on ``suppkey`` (equi-join).
@@ -26,7 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.data.rows import row_type
 from repro.data.tpch import Record, TpchDataset
+from repro.engine.collector import paused_collector
 from repro.joins.predicates import (
     BandPredicate,
     EquiPredicate,
@@ -83,10 +90,11 @@ def _supplier_side_q5(dataset: TpchDataset, region_name: str = "ASIA") -> list[R
     """
     region_of = dict(dataset.rows("NATION", ("nationkey", "regionkey")))
     suppliers = list(dataset.rows("SUPPLIER", ("suppkey", "nationkey")))
+    row = row_type(("suppkey",))
 
     def side_for(region_keys: set) -> list[Record]:
         return [
-            {"suppkey": suppkey}
+            row(suppkey)
             for suppkey, nationkey in suppliers
             if region_of[nationkey] in region_keys
         ]
@@ -112,8 +120,10 @@ def _supplier_side_q7(
         for suppkey, nationkey in dataset.rows("SUPPLIER", ("suppkey", "nationkey"))
     ]
 
+    row = row_type(("suppkey",))
+
     def side_for(names: tuple[str, ...]) -> list[Record]:
-        return [{"suppkey": suppkey} for suppkey, nation in suppliers if nation in names]
+        return [row(suppkey) for suppkey, nation in suppliers if nation in names]
 
     side = side_for(nation_names)
     if side:
@@ -127,7 +137,7 @@ def _supplier_side_q7(
 
 def _lineitem_keys(dataset: TpchDataset, attribute: str) -> list[Record]:
     """Every LINEITEM row, projected to ``attribute``."""
-    return [{attribute: value} for (value,) in dataset.rows("LINEITEM", (attribute,))]
+    return dataset.table("LINEITEM", (attribute,))
 
 
 def _make_eq5(dataset: TpchDataset) -> JoinQuery:
@@ -159,13 +169,14 @@ def _make_eq7(dataset: TpchDataset) -> JoinQuery:
 def _make_bci(dataset: TpchDataset) -> JoinQuery:
     left: list[Record] = []
     right: list[Record] = []
+    row = row_type(("shipdate",))
     for shipdate, shipmode, quantity in dataset.rows(
         "LINEITEM", ("shipdate", "shipmode", "quantity")
     ):
         if shipmode != "TRUCK":
-            right.append({"shipdate": shipdate})
+            right.append(row(shipdate))
         elif quantity > 45:
-            left.append({"shipdate": shipdate})
+            left.append(row(shipdate))
     return JoinQuery(
         name="BCI",
         left_relation="L1",
@@ -180,14 +191,15 @@ def _make_bci(dataset: TpchDataset) -> JoinQuery:
 def _make_bnci(dataset: TpchDataset) -> JoinQuery:
     left: list[Record] = []
     right: list[Record] = []
+    row = row_type(("orderkey",))
     for orderkey, shipmode, quantity, shipinstruct in dataset.rows(
         "LINEITEM", ("orderkey", "shipmode", "quantity", "shipinstruct")
     ):
         # A row may enter both sides; each side gets its own record.
         if shipmode == "TRUCK" and quantity > 48:
-            left.append({"orderkey": orderkey})
+            left.append(row(orderkey))
         if shipinstruct == "NONE":
-            right.append({"orderkey": orderkey})
+            right.append(row(orderkey))
     return JoinQuery(
         name="BNCI",
         left_relation="L1",
@@ -200,8 +212,9 @@ def _make_bnci(dataset: TpchDataset) -> JoinQuery:
 
 
 def _make_fluct(dataset: TpchDataset) -> JoinQuery:
+    row = row_type(("orderkey",))
     orders = [
-        {"orderkey": orderkey}
+        row(orderkey)
         for orderkey, shippriority in dataset.rows("ORDERS", ("orderkey", "shippriority"))
         if shippriority not in ("5-LOW", "1-URGENT")
     ]
@@ -227,8 +240,9 @@ def _make_fluct_sym(dataset: TpchDataset) -> JoinQuery:
     operator code path while allowing several ratio swings.
     """
     halves: tuple[list[Record], list[Record]] = ([], [])
+    row = row_type(("orderkey",))
     for orderkey, linenumber in dataset.rows("LINEITEM", ("orderkey", "linenumber")):
-        halves[linenumber % 2].append({"orderkey": orderkey})
+        halves[linenumber % 2].append(row(orderkey))
     return JoinQuery(
         name="FLUCT_SYM",
         left_relation="L_EVEN",
@@ -269,7 +283,7 @@ def available_queries() -> list[str]:
 
 
 def make_query(name: str, dataset: TpchDataset) -> JoinQuery:
-    """Build query ``name`` over ``dataset``.
+    """Build query ``name`` over ``dataset``, with the collector paused.
 
     Raises:
         ValueError: if the query name is unknown.
@@ -280,4 +294,5 @@ def make_query(name: str, dataset: TpchDataset) -> JoinQuery:
         raise ValueError(
             f"unknown query {name!r}; available: {', '.join(available_queries())}"
         ) from exc
-    return builder(dataset)
+    with paused_collector():
+        return builder(dataset)

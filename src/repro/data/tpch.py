@@ -23,14 +23,17 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import starmap
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.data import schema
+from repro.data.rows import row_type
 from repro.data.skew import ZipfSampler, skew_parameter
 
-Record = dict[str, object]
+Record = Mapping[str, object]
 
 
 @dataclass
@@ -51,15 +54,17 @@ class TpchDataset:
     def table(self, name: str, columns: Sequence[str] | None = None) -> list[Record]:
         """Records of table ``name``, holding only ``columns`` (all by default).
 
-        Every call generates the rows afresh; nothing is cached but the RNG
-        state at the start of each table.
+        Each record is a read-only row of ``row_type(columns)``
+        (:mod:`repro.data.rows`).  Every call generates the rows afresh;
+        nothing is cached but the RNG state at the start of each table.
 
         Raises:
             KeyError: for an unknown table.
             ValueError: for no column, or one the table does not have.
         """
         columns = schema.COLUMNS[name] if columns is None else tuple(columns)
-        return [dict(zip(columns, values)) for values in self.rows(name, columns)]
+        values = self.rows(name, columns)
+        return list(starmap(row_type(columns), values))
 
     def rows(self, name: str, columns: Sequence[str]) -> Iterator[tuple]:
         """Rows of table ``name`` as value tuples in ``columns`` order, lazily.

@@ -48,7 +48,6 @@ This yields the two quantities the paper's evaluation is built on:
 
 from __future__ import annotations
 
-import gc
 import heapq
 import itertools
 import math
@@ -57,6 +56,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Iterable
 
+from repro.engine.collector import paused_collector
 from repro.engine.faults import ACK_TIMEOUT, OverlappingFaultError
 from repro.engine.machine import CostModel, Machine
 from repro.engine.metrics import MetricsCollector
@@ -970,40 +970,37 @@ class Simulator:
         # event-anchored crash fires or the max_events guard trips.
         watch = min(after_faults[0][0], limit) if after_faults else limit
         arrive = self._wire.arrive if self._wire is not None else None
-        collecting = gc.isenabled()
-        gc.disable()
-        wall_start = _time.perf_counter()
-        try:
-            while queue:
-                time, rank, target, message = heappop(queue)
-                heap_events += 1
-                if time > now:
-                    now = time
-                if message is None:
-                    tick(target, time)
-                elif message.__class__ is _WireFrame:
-                    arrive(message, time)
-                elif message.__class__ is _FaultEvent:
-                    self._process_fault(target, message, time)
-                else:
-                    self._deliver(target, message, time, rank)
-                if self.events_processed >= watch:
-                    while after_faults and self.events_processed >= after_faults[0][0]:
-                        self._crash_machine(after_faults.pop(0)[1], now)
-                    if self.events_processed >= limit:
-                        raise RuntimeError(
-                            f"simulation exceeded {max_events} events; "
-                            "possible signalling loop"
-                        )
-                    watch = min(after_faults[0][0], limit) if after_faults else limit
-        finally:
-            # Written back even when a handler raises, so the counters stay
-            # consistent with events_processed on error paths.
-            self.heap_events = heap_events
-            self.now = now
-            self.wall_time += _time.perf_counter() - wall_start
-            if collecting:
-                gc.enable()
+        with paused_collector():
+            wall_start = _time.perf_counter()
+            try:
+                while queue:
+                    time, rank, target, message = heappop(queue)
+                    heap_events += 1
+                    if time > now:
+                        now = time
+                    if message is None:
+                        tick(target, time)
+                    elif message.__class__ is _WireFrame:
+                        arrive(message, time)
+                    elif message.__class__ is _FaultEvent:
+                        self._process_fault(target, message, time)
+                    else:
+                        self._deliver(target, message, time, rank)
+                    if self.events_processed >= watch:
+                        while after_faults and self.events_processed >= after_faults[0][0]:
+                            self._crash_machine(after_faults.pop(0)[1], now)
+                        if self.events_processed >= limit:
+                            raise RuntimeError(
+                                f"simulation exceeded {max_events} events; "
+                                "possible signalling loop"
+                            )
+                        watch = min(after_faults[0][0], limit) if after_faults else limit
+            finally:
+                # Written back even when a handler raises, so the counters stay
+                # consistent with events_processed on error paths.
+                self.heap_events = heap_events
+                self.now = now
+                self.wall_time += _time.perf_counter() - wall_start
         finish = self.now
         for machine in self.machines:
             finish = max(finish, machine.busy_until)

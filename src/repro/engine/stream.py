@@ -1,11 +1,13 @@
 """Stream tuples and arrival schedules.
 
 A :class:`StreamTuple` is the unit of data flowing through the operator.  It
-carries the relation name, the record payload (a plain dict), a stable
-``salt`` drawn uniformly in ``[0, 1)`` when the tuple enters the system, and
-two bookkeeping fields stamped in place by the engine: the feed (or a
-streaming session's ingest) stamps ``arrival_time``, and the reshuffler that
-routes the tuple stamps ``epoch``.
+carries the relation name, the record payload (a read-only
+:class:`~collections.abc.Mapping`: a generated query's records are slotted
+rows of :func:`repro.data.rows.row_type`, and a caller's dicts work alike),
+a stable ``salt`` drawn uniformly in ``[0, 1)`` when the tuple enters the
+system, and two bookkeeping fields stamped in place by the engine: the feed
+(or a streaming session's ingest) stamps ``arrival_time``, and the
+reshuffler that routes the tuple stamps ``epoch``.
 
 On the data plane a tuple is its own message: it speaks the
 :class:`~repro.engine.task.Message` protocol (``kind`` DATA, no sender, an
@@ -30,9 +32,12 @@ import copyreg
 import enum
 import itertools
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Sequence
+
+from repro.engine.collector import paused_collector
 
 _tuple_ids = itertools.count()
 
@@ -90,7 +95,9 @@ class StreamTuple:
 
     Attributes:
         relation: logical relation name, e.g. ``"R"`` or ``"LINEITEM_1"``.
-        record: the attribute payload.
+        record: the attribute payload, a mapping of attribute names to
+            values that is never written (a generated query's records are
+            read-only rows, :mod:`repro.data.rows`).
         salt: uniform random value in ``[0, 1)`` used for content-insensitive
             partition assignment; assigned once, never changed.
         size: size of the tuple in abstract storage units (the paper's
@@ -107,7 +114,7 @@ class StreamTuple:
     """
 
     relation: str
-    record: dict[str, Any]
+    record: Mapping[str, Any]
     salt: float = 0.0
     size: float = 1.0
     tuple_id: int = field(default_factory=lambda: next(_tuple_ids))
@@ -178,9 +185,16 @@ class ArrivalSchedule:
         return len(self.items)
 
     def arrivals(self) -> Iterator[tuple[float, StreamTuple]]:
-        """Yield ``(arrival_time, tuple)`` pairs."""
-        for index, item in enumerate(self.items):
-            yield index * self.inter_arrival, item
+        """An iterator of ``(arrival_time, tuple)`` pairs, in arrival order.
+
+        A saturated feed (no gap) stamps every tuple with one shared zero,
+        the value ``index * gap`` has for every index, rather than a fresh
+        float per tuple.
+        """
+        gap = self.inter_arrival
+        if gap == 0:
+            return zip(itertools.repeat(0 * gap), self.items)
+        return ((index * gap, item) for index, item in enumerate(self.items))
 
 
 def assign_salts(tuples: Iterable[StreamTuple], rng: random.Random) -> list[StreamTuple]:
@@ -265,13 +279,19 @@ def reshuffler_picker(rng: random.Random, names: Sequence[str]) -> Callable[...,
 
 def make_tuples(
     relation: str,
-    records: Iterable[dict[str, Any]],
+    records: Iterable[Mapping[str, Any]],
     rng: random.Random,
     size: float = 1.0,
 ) -> list[StreamTuple]:
-    """Wrap raw records into :class:`StreamTuple` objects with fresh salts."""
-    tuples = [StreamTuple(relation=relation, record=record, size=size) for record in records]
-    return assign_salts(tuples, rng)
+    """Wrap raw records into :class:`StreamTuple` objects with fresh salts.
+
+    Runs with the cyclic collector paused: the tuples make no cycles.
+    """
+    with paused_collector():
+        tuples = [
+            StreamTuple(relation=relation, record=record, size=size) for record in records
+        ]
+        return assign_salts(tuples, rng)
 
 
 def fluctuating_order(

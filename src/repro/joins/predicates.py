@@ -14,6 +14,14 @@ A predicate therefore exposes three things:
   type can serve it,
 * key extractors for the indexed kinds.
 
+A record is any :class:`~collections.abc.Mapping` of attribute names to
+values: a dict, or a read-only row of :func:`repro.data.rows.row_type`,
+which every generated query holds.  A key extractor reads a dict by key and
+any other record by the attribute of that name (a row's fields are its
+slots), falling back to the key when there is no such attribute: one C call
+either way, so the extraction every probe and insert makes enters no Python
+frame beyond the extractor's own.
+
 An index decides an indexed kind outright — a hash bucket holds exactly the
 equal keys, an ordered slice exactly the band — so the local joiner calls
 ``matches`` per candidate only on theta scans.  Every filter of a query runs
@@ -25,10 +33,11 @@ The brute-force evaluation of a predicate over every pair lives in
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-Record = dict[str, Any]
+Record = Mapping[str, Any]
 
 
 class JoinPredicate:
@@ -54,8 +63,35 @@ class JoinPredicate:
         return type(self).__name__
 
 
+class _AttributeKeys(JoinPredicate):
+    """Key extractors of an indexed predicate on ``left_attr`` and ``right_attr``.
+
+    A dict is read by key; a row (or any record with an attribute of that
+    name) by attribute, and any other record by key.
+    """
+
+    left_attr: str
+    right_attr: str
+
+    def left_key(self, left: Record) -> Any:
+        if left.__class__ is dict:
+            return left[self.left_attr]
+        try:
+            return getattr(left, self.left_attr)
+        except AttributeError:
+            return left[self.left_attr]
+
+    def right_key(self, right: Record) -> Any:
+        if right.__class__ is dict:
+            return right[self.right_attr]
+        try:
+            return getattr(right, self.right_attr)
+        except AttributeError:
+            return right[self.right_attr]
+
+
 @dataclass
-class EquiPredicate(JoinPredicate):
+class EquiPredicate(_AttributeKeys):
     """Equality predicate ``left[left_attr] == right[right_attr]``."""
 
     left_attr: str
@@ -65,18 +101,12 @@ class EquiPredicate(JoinPredicate):
     def matches(self, left: Record, right: Record) -> bool:
         return left[self.left_attr] == right[self.right_attr]
 
-    def left_key(self, left: Record) -> Any:
-        return left[self.left_attr]
-
-    def right_key(self, right: Record) -> Any:
-        return right[self.right_attr]
-
     def describe(self) -> str:
         return f"{self.left_attr} = {self.right_attr}"
 
 
 @dataclass
-class BandPredicate(JoinPredicate):
+class BandPredicate(_AttributeKeys):
     """Band predicate ``|left[left_attr] - right[right_attr]| <= width``.
 
     An ordered index decides the condition for int and float keys alike: it
@@ -93,12 +123,6 @@ class BandPredicate(JoinPredicate):
 
     def matches(self, left: Record, right: Record) -> bool:
         return abs(left[self.left_attr] - right[self.right_attr]) <= self.width
-
-    def left_key(self, left: Record) -> Any:
-        return left[self.left_attr]
-
-    def right_key(self, right: Record) -> Any:
-        return right[self.right_attr]
 
     def describe(self) -> str:
         return f"|{self.left_attr} - {self.right_attr}| <= {self.width}"

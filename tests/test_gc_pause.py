@@ -15,7 +15,10 @@ owns (a joiner's index holding a key function that reads
 ``self.predicate``, say) fails it.  :class:`TestCollectorStateIsRestored`
 pins the second: the loop runs paused, and the caller's state — enabled or
 disabled — survives a drained queue, every ``push()`` and ``finish()``, the
-``max_events`` guard and a handler that raises.
+``max_events`` guard and a handler that raises.  Set-up shares the pause
+(``repro.engine.collector.paused_collector``): ``make_query`` builds its
+rows and ``make_tuples`` its tuples with the collector off, and both give
+the caller's state back, also when they raise.
 """
 
 from __future__ import annotations
@@ -300,3 +303,56 @@ class TestCollectorStateIsRestored:
                 simulator.run()
             assert gc.isenabled() is enabled
         assert seen == [False]
+
+    def test_make_query_builds_paused(self, small_dataset, enabled):
+        seen = []
+
+        class Watched:
+            """The dataset, noting the collector's state at every read."""
+
+            def rows(self, name, columns):
+                seen.append(gc.isenabled())
+                return small_dataset.rows(name, columns)
+
+            def table(self, name, columns=None):
+                seen.append(gc.isenabled())
+                return small_dataset.table(name, columns)
+
+        with _collector(enabled):
+            query = make_query("EQ5", Watched())
+            assert gc.isenabled() is enabled
+        assert seen and not any(seen)
+        assert query.left_records == make_query("EQ5", small_dataset).left_records
+
+    def test_make_query_that_raises(self, enabled):
+        class Broken:
+            def rows(self, name, columns):
+                raise LookupError(name)
+
+        with _collector(enabled):
+            with pytest.raises(LookupError, match="NATION"):
+                make_query("EQ5", Broken())
+            assert gc.isenabled() is enabled
+
+    def test_make_tuples_wraps_paused(self, enabled):
+        seen = []
+
+        def records():
+            for key in range(3):
+                seen.append(gc.isenabled())
+                yield {"k": key}
+
+        with _collector(enabled):
+            tuples = make_tuples("R", records(), random.Random(1))
+            assert gc.isenabled() is enabled
+        assert seen == [False] * 3 and [t.record["k"] for t in tuples] == [0, 1, 2]
+
+    def test_make_tuples_that_raises(self, enabled):
+        def records():
+            yield {"k": 0}
+            raise LookupError("no more records")
+
+        with _collector(enabled):
+            with pytest.raises(LookupError, match="no more records"):
+                make_tuples("R", records(), random.Random(1))
+            assert gc.isenabled() is enabled

@@ -11,11 +11,13 @@
 * ``LatencyLedger.mean`` equals fsum over the expanded runs, bit for bit.
 """
 
+import datetime
 import math
 import os
 import pickle
 import subprocess
 import sys
+import zlib
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -312,13 +314,17 @@ class TestAbsorb:
 
 
 _SHJ_CHILD = """
-import pickle, random, sys
+import datetime, pickle, random, sys
 from repro import EquiPredicate, JoinQuery, JoinSession, RunConfig
 from repro.engine.stream import interleave_streams, make_tuples
 
 rng = random.Random(5)
-left = [{"k": f"key-{rng.randrange(60)}"} for _ in range(400)]
-right = [{"k": f"key-{rng.randrange(60)}"} for _ in range(400)]
+key = {
+    "str": lambda n: f"key-{n}",
+    "date": lambda n: datetime.date(2020, 1, 1) + datetime.timedelta(days=n),
+}[sys.argv[1]]
+left = [{"k": key(rng.randrange(60))} for _ in range(400)]
+right = [{"k": key(rng.randrange(60))} for _ in range(400)]
 query = JoinQuery("STR", "R", "S", left, right, EquiPredicate("k", "k"))
 order = interleave_streams(
     make_tuples("R", left, rng), make_tuples("S", right, rng), rng
@@ -329,10 +335,10 @@ sys.stdout.buffer.write(pickle.dumps(result))
 """
 
 
-def _shj_run(hash_seed: str):
+def _shj_run(hash_seed: str, keys: str = "str"):
     src = Path(repro.__file__).resolve().parents[1]
     child = subprocess.run(
-        [sys.executable, "-c", _SHJ_CHILD],
+        [sys.executable, "-c", _SHJ_CHILD, keys],
         env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
         capture_output=True,
         check=True,
@@ -347,6 +353,12 @@ class TestShjRouting:
         first, second = _shj_run("1"), _shj_run("2")
         assert_run_equivalent(first, second, timing=True, network=True, events=True)
 
+    def test_date_keys_route_alike_under_every_hash_seed(self):
+        """The same join on ``date`` keys, whose ``hash()`` is salted like
+        text: ``route_hash`` digests them, so the two runs are one."""
+        first, second = _shj_run("1", "date"), _shj_run("2", "date")
+        assert_run_equivalent(first, second, timing=True, network=True, events=True)
+
     def test_route_hash(self):
         assert route_hash(12345) == hash(12345)
         assert route_hash(2.5) == hash(2.5)
@@ -356,6 +368,20 @@ class TestShjRouting:
         assert route_hash(("a", 1)) != route_hash(("b", 1))
         assert route_hash(frozenset({"a", "b"})) == route_hash(frozenset({"b", "a"}))
         assert 0 <= route_hash(("a", ("b", 2))) < 2**32
+
+    def test_route_hash_is_a_digest_of_none_nan_and_dates(self):
+        """Keys whose ``hash()`` is salted or address-based digest to fixed
+        values, and keys that compare equal digest alike."""
+        assert route_hash(None) == zlib.crc32(b"None")
+        assert route_hash(float("nan")) == route_hash(float("nan")) == zlib.crc32(b"nan")
+        assert route_hash(datetime.date(2020, 1, 2)) == datetime.date(2020, 1, 2).toordinal()
+        noon = datetime.datetime(2020, 1, 2, 12, 30, 1, 7)
+        assert route_hash(noon) == route_hash((737426, 12, 30, 1, 7))
+        assert route_hash(noon.replace(fold=1)) == route_hash(noon)
+        assert route_hash(noon.time()) == route_hash((12, 30, 1, 7))
+        utc = noon.replace(tzinfo=datetime.timezone.utc)
+        plus_two = utc.astimezone(datetime.timezone(datetime.timedelta(hours=2)))
+        assert plus_two == utc and route_hash(plus_two) == route_hash(utc) == route_hash(noon)
 
     def test_non_equi_predicate_rejected_at_construction(self):
         topology = Topology(
