@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
@@ -303,13 +304,16 @@ class MetricsCollector:
         handling order, which differs between the data planes; sorted, the
         k-th point is the time by which k inputs were processed, the same on
         both planes.  It is downsampled to at most ~``max_points`` evenly spaced points so
-        results stay small on large runs.
+        results stay small on large runs.  The sampled points are read
+        without a sorted copy of the whole series (see
+        :func:`_order_statistics`).
         """
         total = max(total_inputs, 1)
-        times = sorted(self.progress_times)
+        times = self.progress_times
         step = max(1, len(times) // max_points)
         return [
-            ((index + 1) / total, times[index]) for index in range(0, len(times), step)
+            ((index + 1) / total, value)
+            for index, value in _order_statistics(times, range(0, len(times), step))
         ]
 
     def ilf_fraction_series(self, total_inputs: int) -> list[tuple[float, float]]:
@@ -349,3 +353,47 @@ class MetricsCollector:
     def migration_count(self) -> int:
         """Number of mapping changes triggered during the run."""
         return len(self.migrations)
+
+
+#: Sorted-run length and window width of :func:`_order_statistics`.
+_RUN_LENGTH = 16384
+_WINDOW = 1024
+
+
+def _order_statistics(values: array, ranks: range):
+    """Yield ``(rank, value)`` for each of the ascending ``ranks`` of
+    ``sorted(values)``, holding only one window of the values as floats.
+
+    ``sorted`` over the whole array would box every value (32 B each, the
+    largest allocation of a result's collection on a saturated run).
+    Instead the array is cut into sorted runs kept as arrays, and the
+    sorted order is produced window by window: a window takes, from every
+    run, the members up to the smallest of the runs' next-``_WINDOW``-th
+    members, so every member left behind is larger than every member taken.
+    """
+    runs = [
+        array("d", sorted(values[start : start + _RUN_LENGTH]))
+        for start in range(0, len(values), _RUN_LENGTH)
+    ]
+    cursors = [0] * len(runs)
+    targets = iter(ranks)
+    rank = next(targets, None)
+    offset = 0
+    while rank is not None:
+        bound = min(
+            run[min(cursor + _WINDOW, len(run)) - 1]
+            for run, cursor in zip(runs, cursors)
+            if cursor < len(run)
+        )
+        window = array("d")
+        for index, run in enumerate(runs):
+            cursor = cursors[index]
+            stop = bisect_right(run, bound, cursor)
+            window += run[cursor:stop]
+            cursors[index] = stop
+        members = sorted(window)
+        end = offset + len(members)
+        while rank is not None and rank < end:
+            yield rank, members[rank - offset]
+            rank = next(targets, None)
+        offset = end

@@ -115,20 +115,23 @@ class Channel:
     latency, and the link itself is FIFO), so the members still settle into
     the inbox in exact per-tuple ``(time, rank)`` order (see
     ``Simulator._settle``).  Once the receiver has settled the last member
-    the run closes (``open`` is False) and the next send opens a fresh one.
+    the run closes: the channel drops its three arrays (``messages is None``
+    marks a closed channel), so a run's bookkeeping lives no longer than its
+    unsettled members, and the next send opens a fresh one.  A
+    :class:`SettledSegment` cut from the run keeps its ``messages`` list
+    alive until that segment is consumed.
     """
 
-    __slots__ = ("task", "link", "rank_base", "times", "ranks", "messages", "start", "open")
+    __slots__ = ("task", "link", "rank_base", "times", "ranks", "messages", "start")
 
     def __init__(self, task: Task, link: Link, rank_base: int) -> None:
         self.task = task
         self.link = link
         self.rank_base = rank_base
-        self.times: list[float] = []
-        self.ranks: list[int] = []
-        self.messages: list = []
+        self.times: list[float] | None = None
+        self.ranks: list[int] | None = None
+        self.messages: list | None = None
         self.start = 0
-        self.open = False
 
 
 def _next_rank(channel: Channel) -> int:
@@ -140,18 +143,28 @@ def _next_rank(channel: Channel) -> int:
 
 
 class SettledSegment:
-    """A settled multi-member slice of a :class:`Channel`'s run — one inbox entry.
+    """Consecutive inbox members of one task — one inbox entry.
 
-    The settle pass used to append one ``(task, message)`` tuple per member;
-    a segment instead hands the run's message list to the consumer with a
-    ``[index, end)`` cursor window — no per-member allocation on the settle
-    path.  Inbox entries are therefore either ``(task, message)`` tuples or
+    A segment hands its consumer a message list with an ``[index, end)``
+    cursor window.  Inbox entries are either ``(task, message)`` singles or
     segments (``entry.__class__ is tuple`` distinguishes them); consumers
     (the tick loop and every ``Task.handle_drained`` implementation) take the
     member at ``index``, advance it in place, and drop the segment once
-    ``index`` reaches ``end``.  Per-tuple inbox order is preserved because
-    the settle pass cuts segments exactly at the ``(time, rank)`` boundaries
-    where per-member appends would have interleaved other deliveries.
+    ``index`` reaches ``end``.  A segment's list is one of two kinds:
+
+    * a **view** of a :class:`Channel`'s run — a multi-member settle cut —
+      whose list the run keeps appending to while it is open (so ``end`` stays
+      below the list's length), and
+    * a **batch** it owns: same-task members queued one after another at
+      the inbox tail (see :func:`_enqueue`), or the last cut of a run, whose
+      list the channel released when the run closed.  Its ``end`` is the
+      list's length, and later same-task members extend it in place.
+
+    A backlogged member therefore costs one list slot, not a
+    ``(task, message)`` tuple.  Per-tuple inbox order is preserved because
+    the settle pass cuts runs exactly at the ``(time, rank)`` boundaries where
+    per-member appends would have interleaved other deliveries, and only
+    members that follow each other in that order share a segment.
     """
 
     __slots__ = ("task", "messages", "index", "end")
@@ -161,6 +174,37 @@ class SettledSegment:
         self.messages = messages
         self.index = index
         self.end = end
+
+
+def _enqueue(inbox: deque, task: Task, messages, index: int, end: int) -> None:
+    """Queue ``task``'s members ``messages[index:end]`` at the tail of ``inbox``.
+
+    The inbox's one append rule.  When the tail entry is the same task's
+    and is not the inbox head, the members join it: a ``(task, message)``
+    single becomes a batch :class:`SettledSegment` on the second member, and
+    a batch grows in place.  The head never grows, so a segment stops
+    growing once a consumer reaches it and its consumed prefix is freed
+    with it.  Otherwise the members become one new entry: a single, or a
+    view segment over ``messages``.  ``messages`` is any sequence when
+    ``end - index`` is 1 (a pending single passes its own heap entry).
+    """
+    if len(inbox) > 1:
+        tail = inbox[-1]
+        if tail.__class__ is tuple and tail[0] is task:
+            tail = inbox[-1] = SettledSegment(task, [tail[1]], 0, 1)
+        if tail.__class__ is not tuple and tail.task is task:
+            batch = tail.messages
+            if tail.end == len(batch):
+                if end - index == 1:
+                    batch.append(messages[index])
+                else:
+                    batch += messages[index:end]
+                tail.end = len(batch)
+                return
+    if end - index == 1:
+        inbox.append((task, messages[index]))
+    else:
+        inbox.append(SettledSegment(task, messages, index, end))
 
 
 class _FaultEvent:
@@ -425,7 +469,6 @@ class Simulator:
         channel.ranks = [rank]
         channel.messages = [message]
         channel.start = 0
-        channel.open = True
         machine_id = channel.task.machine_id
         entry = (time, rank, channel)
         heapq.heappush(self._pending_wire[machine_id], entry)
@@ -433,10 +476,11 @@ class Simulator:
 
     def _send_merged(self, channel: Channel, time: float, rank: int, message) -> None:
         """Append one send to ``channel``'s open run, opening one if needed."""
-        if channel.open:
+        messages = channel.messages
+        if messages is not None:
             channel.times.append(time)
             channel.ranks.append(rank)
-            channel.messages.append(message)
+            messages.append(message)
         else:
             self._open_run(channel, time, rank, message)
 
@@ -462,11 +506,12 @@ class Simulator:
             task = tasks[destination_picker(item)]
             rank = next(schedule_rank)
             channel = channel_get(task) or self._channel(-1, task)
-            if channel.open:
+            messages = channel.messages
+            if messages is not None:
                 # The channel append of _send_merged, inlined.
                 channel.times.append(arrival_time)
                 channel.ranks.append(rank)
-                channel.messages.append(item)
+                messages.append(item)
             else:
                 self._open_run(channel, arrival_time, rank, item)
 
@@ -544,12 +589,13 @@ class Simulator:
                 sent += 1
                 carried += size
             delivery = link.deliver(departure, size)
-            if channel.open:
+            messages = channel.messages
+            if messages is not None:
                 # The hottest send path: the channel append of _send_merged,
                 # inlined.
                 channel.times.append(delivery)
                 channel.ranks.append(rank)
-                channel.messages.append(message)
+                messages.append(message)
             else:
                 self._open_run(channel, delivery, rank, message)
         if sent:
@@ -731,7 +777,7 @@ class Simulator:
             # settle after it, so otherwise it joins the inbox directly.)
             heapq.heappush(pending, (time, rank, None, task, message))
         else:
-            self._inboxes[machine_id].append((task, message))
+            _enqueue(self._inboxes[machine_id], task, (message,), 0, 1)
             self._inbox_members[machine_id] += 1
         tick = self._tick_at[machine_id]
         waiting = self._wake_for[machine_id]
@@ -762,60 +808,56 @@ class Simulator:
         inbox = self._inboxes[machine_id]
         heappop = heapq.heappop
         heappush = heapq.heappush
-        wire_histogram = self.metrics.wire_histogram
         settled = 0
         while pending and pending[0][0] <= time:
             entry = heappop(pending)
             channel = entry[2]
             if channel is None:
-                inbox.append((entry[3], entry[4]))
+                # A single parked by _deliver: its message is entry[4].
+                _enqueue(inbox, entry[3], entry, 4, 5)
                 settled += 1
                 continue
             times = channel.times
-            task = channel.task
             index = channel.start
             count = len(times)
-            if index + 1 == count:
-                # The run's last member: the popped entry is the pending
-                # minimum and inside the bound, so it settles alone.
-                inbox.append((task, channel.messages[index]))
-                settled += 1
-                channel.open = False
-                wire_histogram[count] = wire_histogram.get(count, 0) + 1
-                continue
-            # Settle-bound cut: members dated <= the tick time.  Within a run
-            # both times and ranks are strictly increasing, so the segment
-            # boundaries are binary searches instead of per-member compares.
-            end = bisect_right(times, time, index, count)
-            if pending:
-                # A competing pending delivery may cut the segment short: only
-                # members strictly below the head's (time, rank) key settle now.
-                head = pending[0]
-                head_time = head[0]
-                if head_time <= time:
-                    below = bisect_left(times, head_time, index, end)
-                    ties_end = bisect_right(times, head_time, below, end)
-                    end = (
-                        bisect_left(channel.ranks, head[1], below, ties_end)
-                        if ties_end > below
-                        else below
-                    )
+            end = index + 1  # a run's last member settles alone, unsearched
+            if end < count:
+                # Settle-bound cut: members dated <= the tick time.  Within
+                # a run both times and ranks are strictly increasing, so the
+                # segment boundaries are binary searches instead of
+                # per-member compares.
+                end = bisect_right(times, time, index, count)
+                if pending:
+                    # A competing pending delivery may cut the segment short:
+                    # only members strictly below the head's (time, rank) key
+                    # settle now.
+                    head = pending[0]
+                    head_time = head[0]
+                    if head_time <= time:
+                        below = bisect_left(times, head_time, index, end)
+                        ties_end = bisect_right(times, head_time, below, end)
+                        end = (
+                            bisect_left(channel.ranks, head[1], below, ties_end)
+                            if ties_end > below
+                            else below
+                        )
             # The popped entry was the pending minimum and is inside the
             # bound, so at least one member always settles (progress).
-            if end - index == 1:
-                inbox.append((task, channel.messages[index]))
-            else:
-                inbox.append(SettledSegment(task, channel.messages, index, end))
+            _enqueue(inbox, channel.task, channel.messages, index, end)
             settled += end - index
-            channel.start = end
             if end < count:
+                channel.start = end
                 heappush(pending, (times[end], channel.ranks[end], channel))
             else:
-                # Exhausted: close the run (the next send on the channel
-                # opens a fresh one) and record its final length.
-                channel.open = False
-                wire_histogram[count] = wire_histogram.get(count, 0) + 1
+                self._close_run(channel, count)
         self._inbox_members[machine_id] += settled
+
+    def _close_run(self, channel: Channel, count: int) -> None:
+        """``channel``'s run of ``count`` members is exhausted: release its
+        arrays (the next send opens a fresh run) and record its length."""
+        channel.times = channel.ranks = channel.messages = None
+        histogram = self.metrics.wire_histogram
+        histogram[count] = histogram.get(count, 0) + 1
 
     def _tick(self, machine_id: int, time: float) -> None:
         queued = self._queued_ticks[machine_id]
@@ -868,11 +910,8 @@ class Simulator:
                                 pending, (times[end], channel.ranks[end], channel)
                             )
                         else:
-                            # Exhausted: close the run, as _settle does.
                             heapq.heappop(pending)
-                            channel.open = False
-                            histogram = self.metrics.wire_histogram
-                            histogram[count] = histogram.get(count, 0) + 1
+                            self._close_run(channel, count)
             if task is None:
                 self._settle(machine_id, time)
         if task is None:

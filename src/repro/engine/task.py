@@ -180,9 +180,12 @@ class Task:
         so per-member charges land on the machine's busy chain exactly as
         per-tuple handling would, MUST only pull inbox heads belonging to
         this task whose :meth:`drain_key` equals ``key``, and return the
-        member count.  Inbox entries are either ``(task, message)`` tuples or
-        ``SettledSegment`` cursor windows over a merged delivery run (see the
-        simulator module); implementations must consume both shapes.  The
+        member count.  Inbox entries are either ``(task, message)`` singles
+        or ``SettledSegment`` cursor windows of one task's consecutive
+        members — a view of a merged delivery run, or a batch of members
+        queued one after another (see the simulator module's ``_enqueue``);
+        implementations must consume both shapes, taking a segment's member
+        at ``index`` and popping it once ``index`` reaches ``end``.  The
         default processes members through :meth:`handle` one by one —
         bit-identical to per-tuple delivery, saving only simulator events;
         subclasses may batch the member work itself (see ``JoinerTask``) or

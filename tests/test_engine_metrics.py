@@ -1,5 +1,7 @@
 """Tests for the metrics collector."""
 
+import random
+
 import pytest
 
 from repro.engine.metrics import MetricsCollector
@@ -82,3 +84,21 @@ class TestMigrationEvents:
         metrics.start_migration(1, 5.0, (4, 4), (2, 8))
         metrics.complete_migration(99, 9.0)
         assert metrics.migrations[0].completed_at is None
+
+
+class TestProgressSeries:
+    @pytest.mark.parametrize("count", [0, 1, 199, 201, 16384, 40000])
+    @pytest.mark.parametrize("values", ["spread", "ties"])
+    def test_points_are_the_sorted_series_order_statistics(self, count, values):
+        """The sampled points equal those of a full sorted copy, across
+        several sorted runs and windows and with long runs of equal times."""
+        rng = random.Random(count)
+        metrics = MetricsCollector()
+        for _ in range(count):
+            metrics.record_input_processed(
+                rng.random() * 500.0 if values == "spread" else float(rng.randrange(3))
+            )
+        times = sorted(metrics.progress_times)
+        step = max(1, count // 200)
+        expected = [((index + 1) / 1000, times[index]) for index in range(0, count, step)]
+        assert metrics.progress_fraction_series(1000) == expected

@@ -42,14 +42,24 @@ def test_one_object_per_input_tuple(monkeypatch, eq5_query):
     input, and the feed hands the reshufflers exactly the input objects."""
     seen = {}
     real_run = Simulator.run
+    real_feed = Simulator.feed_schedule
 
     def run(self, *args, **kwargs):
         finish = real_run(self, *args, **kwargs)
         seen["live"] = _live_stream_tuples()  # while the run's state is alive
-        seen["simulator"] = self
         return finish
 
+    def feed_schedule(self, *args, **kwargs):
+        real_feed(self, *args, **kwargs)
+        # The fed runs, before the run settles (and releases) them.
+        seen["fed"] = [
+            message
+            for channel in self._channels[0].values()
+            for message in channel.messages
+        ]
+
     monkeypatch.setattr(Simulator, "run", run)
+    monkeypatch.setattr(Simulator, "feed_schedule", feed_schedule)
     baseline = len(_live_stream_tuples())
     rng = random.Random(5)
     order = interleave_streams(
@@ -64,11 +74,7 @@ def test_one_object_per_input_tuple(monkeypatch, eq5_query):
     inputs = {id(item) for item in order}
     assert inputs <= {id(item) for item in seen["live"]}
     # The merged feed: one run per reshuffler channel covers the schedule.
-    fed = [
-        message
-        for channel in seen["simulator"]._channels[0].values()
-        for message in channel.messages
-    ]
+    fed = seen["fed"]
     assert len(fed) == len(order)
     assert {id(message) for message in fed} == inputs
 
