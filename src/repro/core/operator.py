@@ -31,6 +31,7 @@ from repro.engine.machine import CostModel
 from repro.engine.network import ReliableWire
 from repro.engine.simulator import Simulator
 from repro.engine.stream import (
+    SALT_RESOLUTION,
     ArrivalSchedule,
     StreamTuple,
     interleave_streams,
@@ -55,7 +56,9 @@ class GridJoinOperator:
         query: the workload (two materialised input streams + predicate).
         config: the :class:`~repro.api.config.RunConfig` of the run.  Its
             ``machines`` must be a power of two (the paper's experiments use
-            16–128; its general-J decomposition of §4.2.2 is not built).
+            16–128; its general-J decomposition of §4.2.2 is not built) and
+            at most :data:`~repro.engine.stream.SALT_RESOLUTION`, the number
+            of steps of a generated salt's grid.
     """
 
     operator_name = "Grid"
@@ -64,6 +67,12 @@ class GridJoinOperator:
 
     def __init__(self, query: JoinQuery, config: RunConfig) -> None:
         require_power_of_two(config.machines, f"the {self.operator_name} operator")
+        if config.machines > SALT_RESOLUTION:
+            raise ValueError(
+                f"the {self.operator_name} operator routes on salts of resolution "
+                f"1/{SALT_RESOLUTION}, so it runs at most {SALT_RESOLUTION} joiners, "
+                f"got J={config.machines}"
+            )
         self.config = config
         self.query = query
         self.machines = config.machines

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
@@ -305,8 +305,8 @@ class MetricsCollector:
         k-th point is the time by which k inputs were processed, the same on
         both planes.  It is downsampled to at most ~``max_points`` evenly spaced points so
         results stay small on large runs.  The sampled points are read
-        without a sorted copy of the whole series (see
-        :func:`_order_statistics`).
+        without a sorted copy of the whole series: the call reorders
+        ``progress_times`` in place (see :func:`_order_statistics`).
         """
         total = max(total_inputs, 1)
         times = self.progress_times
@@ -355,45 +355,58 @@ class MetricsCollector:
         return len(self.migrations)
 
 
-#: Sorted-run length and window width of :func:`_order_statistics`.
+#: Sorted-run length of :func:`_order_statistics`, and about the most
+#: members one of its windows holds.
 _RUN_LENGTH = 16384
-_WINDOW = 1024
+_WINDOW = 8192
 
 
 def _order_statistics(values: array, ranks: range):
     """Yield ``(rank, value)`` for each of the ascending ``ranks`` of
-    ``sorted(values)``, holding only one window of the values as floats.
+    ``sorted(values)``, holding only one run or one window of the values as
+    floats.
 
     ``sorted`` over the whole array would box every value (32 B each, the
-    largest allocation of a result's collection on a saturated run).
-    Instead the array is cut into sorted runs kept as arrays, and the
-    sorted order is produced window by window: a window takes, from every
-    run, the members up to the smallest of the runs' next-``_WINDOW``-th
-    members, so every member left behind is larger than every member taken.
+    largest allocation of a result's collection on a saturated run), and a
+    sorted copy would be a second per-input array.  Instead every
+    ``_RUN_LENGTH`` run of ``values`` is sorted in place (the array keeps
+    its values, in another order), and the sorted order is produced window
+    by window over views of the runs: a window takes, from every run, the
+    members up to the smallest of the runs' next-``step``-th members (``step``
+    splits ``_WINDOW`` among the runs), so every member left behind is larger
+    than every member taken.  Members equal to that bound are only counted,
+    so a long run of equal times takes no room.
     """
-    runs = [
-        array("d", sorted(values[start : start + _RUN_LENGTH]))
-        for start in range(0, len(values), _RUN_LENGTH)
-    ]
+    view = memoryview(values)
+    runs = []
+    for start in range(0, len(values), _RUN_LENGTH):
+        run = view[start : start + _RUN_LENGTH]
+        run[:] = array("d", sorted(run))
+        runs.append(run)
+    step = max(1, _WINDOW // max(len(runs), 1))
     cursors = [0] * len(runs)
     targets = iter(ranks)
     rank = next(targets, None)
     offset = 0
     while rank is not None:
         bound = min(
-            run[min(cursor + _WINDOW, len(run)) - 1]
+            run[min(cursor + step, len(run)) - 1]
             for run, cursor in zip(runs, cursors)
             if cursor < len(run)
         )
         window = array("d")
+        ties = 0
         for index, run in enumerate(runs):
             cursor = cursors[index]
-            stop = bisect_right(run, bound, cursor)
-            window += run[cursor:stop]
+            below = bisect_left(run, bound, cursor)
+            stop = bisect_right(run, bound, below)
+            window.frombytes(run[cursor:below].cast("B"))
+            ties += stop - below
             cursors[index] = stop
         members = sorted(window)
-        end = offset + len(members)
+        tied = offset + len(members)
+        end = tied + ties
         while rank is not None and rank < end:
-            yield rank, members[rank - offset]
+            yield rank, members[rank - offset] if rank < tied else bound
             rank = next(targets, None)
         offset = end

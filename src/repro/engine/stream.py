@@ -4,10 +4,14 @@ A :class:`StreamTuple` is the unit of data flowing through the operator.  It
 carries the relation name, the record payload (a read-only
 :class:`~collections.abc.Mapping`: a generated query's records are slotted
 rows of :func:`repro.data.rows.row_type`, and a caller's dicts work alike),
-a stable ``salt`` drawn uniformly in ``[0, 1)`` when the tuple enters the
-system, and two bookkeeping fields stamped in place by the engine: the feed
-(or a streaming session's ingest) stamps ``arrival_time``, and the
-reshuffler that routes the tuple stamps ``epoch``.
+a stable ``salt`` in ``[0, 1)`` fixed when the tuple enters the system, and
+two bookkeeping fields stamped in place by the engine: the feed (or a
+streaming session's ingest) stamps ``arrival_time``, and the reshuffler that
+routes the tuple stamps ``epoch``.
+
+A tuple's size is its type's: ``StreamTuple(..., size=...)`` builds an
+instance of :func:`tuple_type` of the size (``StreamTuple`` itself for the
+default ``1.0``), and an instance holds only its six other fields as slots.
 
 On the data plane a tuple is its own message: it speaks the
 :class:`~repro.engine.task.Message` protocol (``kind`` DATA, no sender, an
@@ -23,6 +27,17 @@ and an ``S`` tuple to column partition ``floor(salt * m)``.  Because
 ``floor(salt * n)`` refines dyadically as ``n`` doubles and coarsens as ``n``
 halves, partition assignments stay consistent across migrations, which is what
 makes the locality-aware migration of §4.2.1 possible.
+
+With ``n`` and ``m`` powers of two no larger than the fleet, a salt matters
+only to ``log2(J)`` bits, and migration moves salt intervals whose endpoints
+lie on a ``1/n`` grid.  So a generated salt (:func:`assign_salts`) is the
+uniform draw ``r`` rounded down to the grid of :data:`SALT_RESOLUTION` steps,
+``floor(r * 4096) / 4096``: for every power of two ``n <= 4096``,
+``floor(salt * n) == floor(r * n)``, and the salt lies in a ``1/n``-grid
+interval exactly when ``r`` does, so every partition, fan-out and migration
+is the one the full draw gives.  The grid's 4,096 floats are shared by every
+tuple, and the grid operators reject fleets above :data:`SALT_RESOLUTION`
+joiners.  A salt passed in by a caller keeps its full precision.
 """
 
 from __future__ import annotations
@@ -30,10 +45,12 @@ from __future__ import annotations
 import contextlib
 import copyreg
 import enum
+import functools
 import itertools
+import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -89,7 +106,15 @@ PRIORITY_KINDS = frozenset(
 EMPTY_META: Any = MappingProxyType({})
 
 
-@dataclass(slots=True)
+#: Steps of the grid generated salts lie on: every grid operator's row and
+#: column counts divide it (see the module docstring).
+SALT_RESOLUTION = 4096
+
+#: The shared salt floats ``k / SALT_RESOLUTION``, indexed by ``k``.
+_SALT_GRID = tuple(k / SALT_RESOLUTION for k in range(SALT_RESOLUTION))
+
+
+@dataclass(init=False)
 class StreamTuple:
     """A single tuple of one of the two input streams, and its own message.
 
@@ -98,8 +123,9 @@ class StreamTuple:
         record: the attribute payload, a mapping of attribute names to
             values that is never written (a generated query's records are
             read-only rows, :mod:`repro.data.rows`).
-        salt: uniform random value in ``[0, 1)`` used for content-insensitive
-            partition assignment; assigned once, never changed.
+        salt: value in ``[0, 1)`` used for content-insensitive partition
+            assignment; assigned once, never changed.  A generated salt lies
+            on the :data:`SALT_RESOLUTION` grid.
         size: size of the tuple in abstract storage units (the paper's
             ``size_R`` / ``size_S``); also the message's network size.
         tuple_id: unique id, used for output verification in tests.
@@ -109,21 +135,49 @@ class StreamTuple:
             tuple — while handling its single delivery, before the fan-out,
             so no joiner ever holds a tuple whose tag can still change.
 
-    The message protocol (``kind``, ``sender``, ``meta``, ``payload``) is
-    plain class attributes: not fields, not slots, never pickled.
+    ``size`` is a class attribute of the tuple's type, :func:`tuple_type` of
+    the size, which the constructor picks: ``StreamTuple`` itself for the
+    default ``1.0``.  The other six fields are the instance's slots.  The
+    message protocol (``kind``, ``sender``, ``meta``, ``payload``) is plain
+    class attributes: not fields, not slots, never pickled.
     """
+
+    __slots__ = ("relation", "record", "salt", "tuple_id", "arrival_time", "epoch")
 
     relation: str
     record: Mapping[str, Any]
-    salt: float = 0.0
+    salt: float
     size: float = 1.0
-    tuple_id: int = field(default_factory=lambda: next(_tuple_ids))
-    arrival_time: float = 0.0
-    epoch: int = 0
+    tuple_id: int
+    arrival_time: float
+    epoch: int
 
     kind = MessageKind.DATA
     sender = None
     meta = EMPTY_META
+
+    def __init__(
+        self,
+        relation: str,
+        record: Mapping[str, Any],
+        salt: float = 0.0,
+        size: float = 1.0,
+        tuple_id: int | None = None,
+        arrival_time: float = 0.0,
+        epoch: int = 0,
+    ) -> None:
+        kind = tuple_type(size)
+        if type(self) is not kind:
+            _set_type(self, kind)
+        _fill(
+            self,
+            relation,
+            record,
+            salt,
+            next(_tuple_ids) if tuple_id is None else tuple_id,
+            arrival_time,
+            epoch,
+        )
 
     @property
     def payload(self) -> "StreamTuple":
@@ -131,19 +185,19 @@ class StreamTuple:
         return self
 
     def __reduce_ex__(self, protocol):
-        """Exactly what ``object.__reduce_ex__`` returns, built directly.
+        """The default reduction of a class with all seven fields as slots.
 
-        The default reduction of a slotted class walks the slot names through
-        ``copyreg`` on every tuple; the checkpoint journal pickles one tuple
-        per logged delta, so this spelled-out copy pickles each journal block
-        about 1.35x faster to the very same bytes (pinned in
-        ``tests/test_checkpoint_journal.py``).  A new field must be added here.
+        Whatever its type, a tuple reduces to the base class and its seven
+        fields, so a checkpoint journal's bytes are the ones the seven-slot
+        dataclass gave (pinned in ``tests/test_engine_stream.py`` and
+        ``tests/test_checkpoint_journal.py``); :meth:`__setstate__` picks
+        the type back.  It is spelled out, not derived from the fields: the
+        journal pickles one tuple per logged delta.  A new field must be
+        added here.
         """
-        if protocol < 2:
-            return object.__reduce_ex__(self, protocol)
         return (
             copyreg.__newobj__,
-            (self.__class__,),
+            (StreamTuple,),
             (
                 None,
                 {
@@ -160,11 +214,58 @@ class StreamTuple:
             None,
         )
 
+    def __setstate__(self, state) -> None:
+        StreamTuple.__init__(self, **state[1])
+
     def partition(self, parts: int) -> int:
         """Partition index of this tuple when its relation is split ``parts`` ways."""
         index = int(self.salt * parts)
         # Guard against salt == 1.0 - epsilon rounding up at large ``parts``.
         return min(index, parts - 1)
+
+
+#: Sets an instance's type past a subclass's ``__class__`` attribute.
+_set_type = object.__dict__["__class__"].__set__
+
+
+def _fill(item, relation, record, salt, tuple_id, arrival_time, epoch):
+    """Write ``item``'s six slots and return it: the one place a tuple's
+    slots are set, for the constructor and :func:`make_tuples` alike."""
+    item.relation = relation
+    item.record = record
+    item.salt = salt
+    item.tuple_id = tuple_id
+    item.arrival_time = arrival_time
+    item.epoch = epoch
+    return item
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def tuple_type(size: float) -> type[StreamTuple]:
+    """The :class:`StreamTuple` type whose instances have ``size``, built
+    once per size: ``StreamTuple`` itself for the float ``1.0``, otherwise a
+    subclass that adds no slot (an int size and its float are two sizes, as
+    they pickle apart).
+
+    Every tuple of a query whose relations have one size is of one type, so
+    the engine's attribute reads see one layout whichever relation a tuple
+    belongs to.  A subclass's ``__class__`` attribute reads ``StreamTuple``,
+    so its instances compare, print, copy and pickle as the base class's
+    (``type()`` still gives the subclass).
+    """
+    if type(size) is float and size == StreamTuple.size:
+        return StreamTuple
+    return type(
+        "StreamTuple",
+        (StreamTuple,),
+        {
+            "__slots__": (),
+            "__module__": __name__,
+            "__qualname__": StreamTuple.__qualname__,
+            "__class__": StreamTuple,
+            "size": size,
+        },
+    )
 
 
 @dataclass
@@ -198,11 +299,18 @@ class ArrivalSchedule:
 
 
 def assign_salts(tuples: Iterable[StreamTuple], rng: random.Random) -> list[StreamTuple]:
-    """Assign fresh uniform salts to ``tuples`` (in place) and return them as a list."""
+    """Assign fresh salts to ``tuples`` (in place) and return them as a list.
+
+    Each salt is one ``rng.random()`` draw rounded down to the shared
+    :data:`SALT_RESOLUTION` grid (see the module docstring).  ``math.floor``
+    rounds it: on CPython 3.11 it takes about half the time ``int`` does.
+    """
     random_ = rng.random
+    grid = _SALT_GRID
+    floor = math.floor
     result = []
     for item in tuples:
-        item.salt = random_()
+        item.salt = grid[floor(random_() * SALT_RESOLUTION)]
         result.append(item)
     return result
 
@@ -285,12 +393,19 @@ def make_tuples(
 ) -> list[StreamTuple]:
     """Wrap raw records into :class:`StreamTuple` objects with fresh salts.
 
-    Runs with the cyclic collector paused: the tuples make no cycles.
+    Builds what ``StreamTuple(relation=relation, record=record, size=size)``
+    builds, but looks the size's type up once per call and fills a bare
+    instance of it, skipping the constructor's per-tuple lookup and keyword
+    parsing: about 220 ns a tuple instead of the constructor's ~700
+    (CPython 3.11, 130k tuples, collector paused; the seven-slot dataclass's
+    constructor took ~480).  Runs with the cyclic collector paused: the
+    tuples make no cycles.
     """
+    kind = tuple_type(size)
+    new = object.__new__
+    ids = _tuple_ids
     with paused_collector():
-        tuples = [
-            StreamTuple(relation=relation, record=record, size=size) for record in records
-        ]
+        tuples = [_fill(new(kind), relation, record, 0.0, next(ids), 0.0, 0) for record in records]
         return assign_salts(tuples, rng)
 
 

@@ -72,16 +72,12 @@ checksum is ever deserialised.
 
 from __future__ import annotations
 
-import logging
 import os
 import pickle
-import sqlite3
 import tempfile
 import zlib
 from collections import defaultdict
 from typing import Any, NamedTuple
-
-_log = logging.getLogger(__name__)
 
 #: What :func:`_decode` returns for a row that failed verification.
 _CORRUPT = object()
@@ -116,6 +112,17 @@ class ExtendedSnapshot(NamedTuple):
     base: Any
     header: Any
     folded: list
+
+
+def _warn(message: str, *args: Any) -> None:
+    """Log a masked-corruption warning on this module's logger.
+
+    ``logging`` (like ``sqlite3``) is imported where it is used, so a run
+    that never opens a store loads neither.
+    """
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args)
 
 
 def _decode(payload: bytes, checksum: int) -> Any:
@@ -190,12 +197,17 @@ class CheckpointStore:
             self._owns_file = False
         self.path = path
         self.flush_every = max(1, int(flush_every))
+        import sqlite3
+
         # WAL plus a group-commit-friendly sync level; the busy timeout lets
         # a second connection to the file (a test's, say) wait out a commit.
+        # The store only writes until a recovery reads it back, so its page
+        # cache is capped at 256 KiB (negative: KiB, not pages).
         conn = self._conn = sqlite3.connect(path)
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute("PRAGMA busy_timeout=10000")
+        conn.execute("PRAGMA cache_size=-256")
         for table in ("snapshots", "deltas"):
             conn.execute(
                 f"CREATE TABLE IF NOT EXISTS {table} ("
@@ -363,7 +375,7 @@ class CheckpointStore:
                     )
                 # Torn tail: the corrupt block and everything after it
                 # were never durably applied; replay stops here.
-                _log.warning(
+                _warn(
                     "checkpoint journal of task %r: block at seq %d failed its "
                     "checksum at the journal tail (torn write) and was "
                     "truncated; replaying %d entries",
@@ -375,7 +387,7 @@ class CheckpointStore:
             else:
                 tail.extend(entries)
         if skipped:
-            _log.warning(
+            _warn(
                 "checkpoint journal of task %r: snapshot row(s) at seq %s failed "
                 "verification; fell back to the snapshot at seq %d, replaying "
                 "%d entries",
@@ -420,6 +432,8 @@ class CheckpointStore:
         try:
             self._flush_all()
         finally:
+            import sqlite3
+
             try:
                 self._conn.close()
             except sqlite3.Error:  # pragma: no cover - best-effort close

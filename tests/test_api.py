@@ -26,6 +26,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -376,6 +377,37 @@ class TestImportHygiene:
             check=True,
         )
         assert probe.stdout.strip() == "False"
+
+    def test_fault_free_run_leaves_sqlite_and_logging_unloaded(self):
+        """The checkpoint store imports ``sqlite3`` and ``logging`` when a
+        store opens or warns: a run without checkpoints loads neither, and a
+        checkpointed run that crashes still recovers."""
+        child = textwrap.dedent(
+            """
+            import sys
+            from repro import JoinSession, RunConfig, generate_dataset, make_query
+            from repro.api import crash_after_events
+
+            query = make_query("EQ5", generate_dataset(scale=0.05, skew="Z4", seed=1))
+            plain = JoinSession(query, config=RunConfig(machines=4, seed=1)).run()
+            print("sqlite3" in sys.modules, "logging" in sys.modules)
+            crashed = JoinSession(query, config=RunConfig(
+                machines=4, seed=1, checkpoint_interval=20,
+                fault_schedule=[crash_after_events(2, plain.events_processed // 2)],
+            )).run()
+            print("sqlite3" in sys.modules, crashed.faults_injected,
+                  crashed.output_count == plain.output_count)
+            """
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        probe = subprocess.run(
+            [sys.executable, "-c", child],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert probe.stdout.split("\n")[:2] == ["False False", "True 1 True"]
 
     @pytest.mark.parametrize("module", ["repro", "repro.api", "repro.joins.local"])
     def test_no_probe_engine_registry(self, module):

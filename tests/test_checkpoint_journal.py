@@ -20,17 +20,19 @@ Pins, layer by layer, what the block-framed journal must keep true:
   ``log()`` time and at flush time, which is what makes deferred pickling
   sound.
 * **Reduction pin** — ``StreamTuple``'s spelled-out reduction pickles blocks
-  and snapshots to the bytes the default ``object.__reduce_ex__`` gives.
+  and snapshots to the bytes the default ``object.__reduce_ex__`` gave the
+  seven-slot class it replaced.
 """
 
 from __future__ import annotations
 
+import copyreg
 import io
 import logging
 import pickle
 import random
 import sqlite3
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -854,16 +856,23 @@ def test_entries_pickle_identically_at_log_time_and_at_flush_time(monkeypatch, s
 # (f) reduction pin: StreamTuple pickles to the default reduction's bytes
 # ---------------------------------------------------------------------------
 
+class _DefaultReductionPickler(pickle.Pickler):
+    """Reduces every ``StreamTuple`` as ``object.__reduce_ex__`` reduced the
+    seven-slot dataclass it was: ``copyreg.__newobj__`` of the class, then
+    ``(None, slot state)`` over every dataclass field, in field order."""
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, StreamTuple):
+            return NotImplemented
+        state = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        return copyreg.__newobj__, (StreamTuple,), (None, state), None, None
+
+
 def _default_reduction_dumps(obj) -> bytes:
     """``pickle.dumps`` at the store's protocol, with every ``StreamTuple``
-    reduced by ``object.__reduce_ex__`` instead of its own reduction."""
-    protocol = pickle.HIGHEST_PROTOCOL
+    reduced by the default reduction instead of its own."""
     buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=protocol)
-    pickler.dispatch_table = {
-        StreamTuple: lambda item: object.__reduce_ex__(item, protocol)
-    }
-    pickler.dump(obj)
+    _DefaultReductionPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
     return buffer.getvalue()
 
 

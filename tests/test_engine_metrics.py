@@ -1,6 +1,7 @@
 """Tests for the metrics collector."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -87,18 +88,49 @@ class TestMigrationEvents:
 
 
 class TestProgressSeries:
-    @pytest.mark.parametrize("count", [0, 1, 199, 201, 16384, 40000])
+    @pytest.mark.parametrize("count", [0, 1, 199, 201, 16384, 16385, 40000, 40001])
     @pytest.mark.parametrize("values", ["spread", "ties"])
     def test_points_are_the_sorted_series_order_statistics(self, count, values):
         """The sampled points equal those of a full sorted copy, across
-        several sorted runs and windows and with long runs of equal times."""
+        several sorted runs and windows and with long runs of equal times,
+        on every call: the runs sorted in place by one call, and times
+        recorded after it, read the same as a fresh series."""
         rng = random.Random(count)
         metrics = MetricsCollector()
-        for _ in range(count):
-            metrics.record_input_processed(
-                rng.random() * 500.0 if values == "spread" else float(rng.randrange(3))
-            )
-        times = sorted(metrics.progress_times)
-        step = max(1, count // 200)
-        expected = [((index + 1) / 1000, times[index]) for index in range(0, count, step)]
-        assert metrics.progress_fraction_series(1000) == expected
+
+        def record(times):
+            for _ in range(times):
+                metrics.record_input_processed(
+                    rng.random() * 500.0 if values == "spread" else float(rng.randrange(3))
+                )
+
+        def expected():
+            times = sorted(metrics.progress_times)
+            step = max(1, len(times) // 200)
+            return [((index + 1) / 1000, times[index]) for index in range(0, len(times), step)]
+
+        record(count)
+        oracle = expected()
+        assert metrics.progress_fraction_series(1000) == oracle
+        assert metrics.progress_fraction_series(1000) == oracle
+        record(count // 3 + 1)
+        assert metrics.progress_fraction_series(1000) == expected()
+
+    @pytest.mark.parametrize("values", ["spread", "ties"])
+    def test_series_takes_no_second_per_input_array(self, values):
+        """Collecting the series holds at most about one run of the times as
+        floats, well under a copy of the 8 B-per-input array, also when most
+        times tie."""
+        rng = random.Random(9)
+        metrics = MetricsCollector()
+        metrics.progress_times.extend(
+            rng.random() * 500.0 if values == "spread" else float(rng.randrange(3))
+            for _ in range(300_000)
+        )
+        tracemalloc.start()
+        try:
+            metrics.progress_fraction_series(300_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(metrics.progress_times) / 2
