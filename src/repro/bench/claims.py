@@ -508,7 +508,9 @@ CLAIMS: tuple[Claim, ...] = (
     # Pickled records carry only the predicate's attribute, so the floor
     # tracks the projected record width: 228.5 KiB measured with one-key
     # dict records, 233.4 KiB with rows (a row pickles 1 B above such a
-    # dict, plus its type's name once per journal block); the floor stays.
+    # dict, plus its type's name once per journal block), 226.0 KiB with one
+    # shared row per distinct value (a block pickles a row once and refers
+    # back to it after); the floor stays.
     Claim("recovery", "checkpoint KiB, min over crashed runs", "recovery",
           lambda r: min(result.checkpoint_overhead for result in _crashed(r)) / 1024.0,
           205.0, at_least=True),

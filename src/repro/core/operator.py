@@ -22,7 +22,6 @@ from typing import Sequence
 from repro.api.config import RunConfig
 from repro.core.decision import MigrationController
 from repro.core.mapping import Mapping, optimal_mapping, require_power_of_two, square_mapping
-from repro.core.recovery import RecoveryManager
 from repro.core.results import RunResult
 from repro.core.tasks import JoinerTask, ReshufflerTask, Topology
 from repro.data.queries import JoinQuery
@@ -38,7 +37,6 @@ from repro.engine.stream import (
     make_tuples,
     reshuffler_picker,
 )
-from repro.storage.checkpoint_store import CheckpointStore
 
 
 class GridJoinOperator:
@@ -199,6 +197,11 @@ class GridJoinOperator:
         tasks = self._build_tasks(topology)
         simulator.register_all(tasks)
         if self._fault_plane:
+            # Loaded here, not at module level: recovery and its store (and
+            # through them ``pickle``) cost a fault-free run's import nothing.
+            from repro.core.recovery import RecoveryManager
+            from repro.storage.checkpoint_store import CheckpointStore
+
             manager = RecoveryManager(
                 simulator=simulator,
                 topology=topology,

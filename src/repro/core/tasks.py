@@ -330,17 +330,19 @@ class ReshufflerTask(Task):
         ctx.metrics.start_migration(
             next_epoch, ctx.now, (old_mapping.n, old_mapping.m), (new_mapping.n, new_mapping.m)
         )
-        meta = {
-            "epoch": next_epoch,
-            "new_mapping": (new_mapping.n, new_mapping.m),
-            "old_mapping": (old_mapping.n, old_mapping.m),
-        }
+        # One message for every reshuffler: no handler writes a message it
+        # receives, so the fan-out shares one object and one meta dict.
+        change = Message(
+            kind=MessageKind.MAPPING_CHANGE,
+            sender=self.name,
+            meta={
+                "epoch": next_epoch,
+                "new_mapping": (new_mapping.n, new_mapping.m),
+                "old_mapping": (old_mapping.n, old_mapping.m),
+            },
+        )
         for reshuffler in self.topology.reshuffler_names:
-            ctx.send(
-                reshuffler,
-                Message(kind=MessageKind.MAPPING_CHANGE, sender=self.name, meta=dict(meta)),
-                category=TrafficCategory.CONTROL,
-            )
+            ctx.send(reshuffler, change, category=TrafficCategory.CONTROL)
 
     def _handle_mapping_change(self, message: Message, ctx: Context) -> None:
         new_mapping = Mapping(*message.meta["new_mapping"])
@@ -356,21 +358,20 @@ class ReshufflerTask(Task):
             )
         if self.blocking:
             self.buffering = True
+        # One signal for every joiner (at J=64, 64 per reshuffler): shared
+        # as the controller shares its mapping change.
+        signal = Message(
+            kind=MessageKind.EPOCH_SIGNAL,
+            sender=self.name,
+            epoch=epoch,
+            meta={
+                "epoch": epoch,
+                "new_mapping": (new_mapping.n, new_mapping.m),
+                "old_mapping": (old_mapping.n, old_mapping.m),
+            },
+        )
         for machine_id in range(self.topology.machines):
-            ctx.send(
-                self.topology.joiner(machine_id),
-                Message(
-                    kind=MessageKind.EPOCH_SIGNAL,
-                    sender=self.name,
-                    epoch=epoch,
-                    meta={
-                        "epoch": epoch,
-                        "new_mapping": (new_mapping.n, new_mapping.m),
-                        "old_mapping": (old_mapping.n, old_mapping.m),
-                    },
-                ),
-                category=TrafficCategory.CONTROL,
-            )
+            ctx.send(self.topology.joiner(machine_id), signal, category=TrafficCategory.CONTROL)
 
     def _handle_ack(self, message: Message, ctx: Context) -> None:
         if not self.is_controller:

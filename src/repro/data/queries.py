@@ -5,10 +5,13 @@ streams (the paper materialises all intermediate results before online
 processing) and the join predicate between them.  Projections are pushed below
 the join, as the paper's engine does: a record keeps only the attributes its
 predicate reads, as a read-only row of one slotted type per projection
-(:func:`repro.data.rows.row_type`), not a dict.  Filters run while the input
-is built, on columns the builder reads from :meth:`TpchDataset.rows` and then
-drops, and a table column no query reads is never built.  The builders run
-with the cyclic collector paused
+(:func:`repro.data.rows.row_type`), not a dict.  Each builder draws its rows
+from one :class:`~repro.data.rows.RowPool`, so a query holds one row object
+per distinct key value: equal records are the same row, on one side or on
+both (a record is never written, so sharing it changes no result).  Filters
+run while the input is built, on columns the builder reads from
+:meth:`TpchDataset.rows` and then drops, and a table column no query reads is
+never built.  The builders run with the cyclic collector paused
 (:func:`~repro.engine.collector.paused_collector`): a row is tracked by the
 collector where a dict of atomic values is not, and a query's rows make no
 cycles for a collection to find.
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.data.rows import row_type
+from repro.data.rows import RowPool
 from repro.data.tpch import Record, TpchDataset
 from repro.engine.collector import paused_collector
 from repro.joins.predicates import (
@@ -45,6 +48,10 @@ from repro.joins.predicates import (
 @dataclass
 class JoinQuery:
     """A two-stream join workload.
+
+    The records are read-only mappings that no run writes.  A
+    :func:`make_query` input holds one row object per distinct value, so one
+    object may appear many times, on one side or on both.
 
     Attributes:
         name: query identifier (EQ5, EQ7, BCI, BNCI, FLUCT, THETA_NEQ).
@@ -81,7 +88,9 @@ class JoinQuery:
         )
 
 
-def _supplier_side_q5(dataset: TpchDataset, region_name: str = "ASIA") -> list[Record]:
+def _supplier_side_q5(
+    dataset: TpchDataset, pool: RowPool, region_name: str = "ASIA"
+) -> list[Record]:
     """(REGION ⋈ NATION ⋈ SUPPLIER) restricted to one region, as ``suppkey``s.
 
     At very small scale factors the preferred region may contain no suppliers
@@ -90,11 +99,10 @@ def _supplier_side_q5(dataset: TpchDataset, region_name: str = "ASIA") -> list[R
     """
     region_of = dict(dataset.rows("NATION", ("nationkey", "regionkey")))
     suppliers = list(dataset.rows("SUPPLIER", ("suppkey", "nationkey")))
-    row = row_type(("suppkey",))
 
     def side_for(region_keys: set) -> list[Record]:
         return [
-            row(suppkey)
+            pool[suppkey]
             for suppkey, nationkey in suppliers
             if region_of[nationkey] in region_keys
         ]
@@ -107,7 +115,9 @@ def _supplier_side_q5(dataset: TpchDataset, region_name: str = "ASIA") -> list[R
 
 
 def _supplier_side_q7(
-    dataset: TpchDataset, nation_names: tuple[str, str] = ("FRANCE", "GERMANY")
+    dataset: TpchDataset,
+    pool: RowPool,
+    nation_names: tuple[str, str] = ("FRANCE", "GERMANY"),
 ) -> list[Record]:
     """(SUPPLIER ⋈ NATION) restricted to the two Q7 nations, as ``suppkey``s.
 
@@ -120,10 +130,8 @@ def _supplier_side_q7(
         for suppkey, nationkey in dataset.rows("SUPPLIER", ("suppkey", "nationkey"))
     ]
 
-    row = row_type(("suppkey",))
-
     def side_for(names: tuple[str, ...]) -> list[Record]:
-        return [row(suppkey) for suppkey, nation in suppliers if nation in names]
+        return [pool[suppkey] for suppkey, nation in suppliers if nation in names]
 
     side = side_for(nation_names)
     if side:
@@ -135,18 +143,19 @@ def _supplier_side_q7(
     return side_for(top_two)
 
 
-def _lineitem_keys(dataset: TpchDataset, attribute: str) -> list[Record]:
-    """Every LINEITEM row, projected to ``attribute``."""
-    return dataset.table("LINEITEM", (attribute,))
+def _lineitem_keys(dataset: TpchDataset, pool: RowPool) -> list[Record]:
+    """Every LINEITEM row, projected to ``pool``'s one attribute."""
+    return dataset.table("LINEITEM", pool.fields, pool=pool)
 
 
 def _make_eq5(dataset: TpchDataset) -> JoinQuery:
+    pool = RowPool(("suppkey",))
     return JoinQuery(
         name="EQ5",
         left_relation="RNS",
         right_relation="LINEITEM",
-        left_records=_supplier_side_q5(dataset),
-        right_records=_lineitem_keys(dataset, "suppkey"),
+        left_records=_supplier_side_q5(dataset, pool),
+        right_records=_lineitem_keys(dataset, pool),
         predicate=EquiPredicate("suppkey", "suppkey"),
         left_tuple_size=1.0,
         right_tuple_size=1.0,
@@ -155,12 +164,13 @@ def _make_eq5(dataset: TpchDataset) -> JoinQuery:
 
 
 def _make_eq7(dataset: TpchDataset) -> JoinQuery:
+    pool = RowPool(("suppkey",))
     return JoinQuery(
         name="EQ7",
         left_relation="SN",
         right_relation="LINEITEM",
-        left_records=_supplier_side_q7(dataset),
-        right_records=_lineitem_keys(dataset, "suppkey"),
+        left_records=_supplier_side_q7(dataset, pool),
+        right_records=_lineitem_keys(dataset, pool),
         predicate=EquiPredicate("suppkey", "suppkey"),
         description="(S ⋈ N) ⋈ L, the most expensive join of TPC-H Q7",
     )
@@ -169,14 +179,14 @@ def _make_eq7(dataset: TpchDataset) -> JoinQuery:
 def _make_bci(dataset: TpchDataset) -> JoinQuery:
     left: list[Record] = []
     right: list[Record] = []
-    row = row_type(("shipdate",))
+    pool = RowPool(("shipdate",))
     for shipdate, shipmode, quantity in dataset.rows(
         "LINEITEM", ("shipdate", "shipmode", "quantity")
     ):
         if shipmode != "TRUCK":
-            right.append(row(shipdate))
+            right.append(pool[shipdate])
         elif quantity > 45:
-            left.append(row(shipdate))
+            left.append(pool[shipdate])
     return JoinQuery(
         name="BCI",
         left_relation="L1",
@@ -191,15 +201,15 @@ def _make_bci(dataset: TpchDataset) -> JoinQuery:
 def _make_bnci(dataset: TpchDataset) -> JoinQuery:
     left: list[Record] = []
     right: list[Record] = []
-    row = row_type(("orderkey",))
+    pool = RowPool(("orderkey",))
     for orderkey, shipmode, quantity, shipinstruct in dataset.rows(
         "LINEITEM", ("orderkey", "shipmode", "quantity", "shipinstruct")
     ):
-        # A row may enter both sides; each side gets its own record.
+        # A row may enter both sides, as one shared record.
         if shipmode == "TRUCK" and quantity > 48:
-            left.append(row(orderkey))
+            left.append(pool[orderkey])
         if shipinstruct == "NONE":
-            right.append(row(orderkey))
+            right.append(pool[orderkey])
     return JoinQuery(
         name="BNCI",
         left_relation="L1",
@@ -212,9 +222,9 @@ def _make_bnci(dataset: TpchDataset) -> JoinQuery:
 
 
 def _make_fluct(dataset: TpchDataset) -> JoinQuery:
-    row = row_type(("orderkey",))
+    pool = RowPool(("orderkey",))
     orders = [
-        row(orderkey)
+        pool[orderkey]
         for orderkey, shippriority in dataset.rows("ORDERS", ("orderkey", "shippriority"))
         if shippriority not in ("5-LOW", "1-URGENT")
     ]
@@ -223,7 +233,7 @@ def _make_fluct(dataset: TpchDataset) -> JoinQuery:
         left_relation="ORDERS",
         right_relation="LINEITEM",
         left_records=orders,
-        right_records=_lineitem_keys(dataset, "orderkey"),
+        right_records=_lineitem_keys(dataset, pool),
         predicate=EquiPredicate("orderkey", "orderkey"),
         description="Fluct-Join: ORDERS ⋈ LINEITEM with shippriority filters (§5.4)",
     )
@@ -240,9 +250,9 @@ def _make_fluct_sym(dataset: TpchDataset) -> JoinQuery:
     operator code path while allowing several ratio swings.
     """
     halves: tuple[list[Record], list[Record]] = ([], [])
-    row = row_type(("orderkey",))
+    pool = RowPool(("orderkey",))
     for orderkey, linenumber in dataset.rows("LINEITEM", ("orderkey", "linenumber")):
-        halves[linenumber % 2].append(row(orderkey))
+        halves[linenumber % 2].append(pool[orderkey])
     return JoinQuery(
         name="FLUCT_SYM",
         left_relation="L_EVEN",
@@ -255,12 +265,13 @@ def _make_fluct_sym(dataset: TpchDataset) -> JoinQuery:
 
 
 def _make_theta_neq(dataset: TpchDataset) -> JoinQuery:
+    pool = RowPool(("nationkey",))
     return JoinQuery(
         name="THETA_NEQ",
         left_relation="SUPPLIER",
         right_relation="NATION",
-        left_records=dataset.table("SUPPLIER", ("nationkey",)),
-        right_records=dataset.table("NATION", ("nationkey",)),
+        left_records=dataset.table("SUPPLIER", pool.fields, pool=pool),
+        right_records=dataset.table("NATION", pool.fields, pool=pool),
         predicate=NotEqualPredicate("nationkey", "nationkey"),
         description="inequality join of Fig. 1a (general theta predicate)",
     )

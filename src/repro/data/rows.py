@@ -7,6 +7,13 @@ in a 40 B object.  :func:`row_type` builds that class once per field tuple,
 and every record :func:`repro.data.queries.make_query` and
 :meth:`repro.data.tpch.TpchDataset.table` build is one of its rows.
 
+Those builders hand out one row object per distinct value tuple: a
+:class:`RowPool` builds a row the first time its values are looked up and
+returns that same row for every later equal lookup, so a query whose 132,000
+LINEITEM records hold 2,200 distinct ``suppkey`` values holds 2,200 rows (and
+their 2,200 key ints), and one row object may stand for many records, on one
+side of a query or on both.  Sharing is safe because a row is never written.
+
 A row is a read-only :class:`collections.abc.Mapping`: ``row["suppkey"]``,
 ``dict(row)``, ``.items()`` and ``row == {"suppkey": 5}`` behave as for the
 dict it replaces, a field it does not have is a ``KeyError``, and neither
@@ -75,6 +82,31 @@ class _RowTypes:
 
 
 row_types = _RowTypes()
+
+
+class RowPool(dict):
+    """The shared rows of one row type, keyed by value.
+
+    ``pool[value]`` for a one-field type, ``pool[values]`` (the value tuple,
+    in field order) for a wider one, is the one row holding those values: a
+    missing key builds it once (``__missing__``), and a key already seen is
+    a plain dict lookup with no Python call, so a builder pays for a row per
+    distinct value, not per record.  A pool is meant to live as long as one
+    build (one query, one table) and then be dropped; the rows it handed out
+    stay alive in the records that hold them.
+    """
+
+    __slots__ = ("fields", "_build")
+
+    def __init__(self, fields: tuple[str, ...]) -> None:
+        super().__init__()
+        row = row_type(fields)
+        self.fields = fields
+        self._build = row if len(fields) == 1 else lambda values: row(*values)
+
+    def __missing__(self, key: Any) -> Row:
+        row = self[key] = self._build(key)
+        return row
 
 
 @functools.cache

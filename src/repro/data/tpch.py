@@ -25,12 +25,11 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import starmap
 from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.data import schema
-from repro.data.rows import row_type
+from repro.data.rows import RowPool
 from repro.data.skew import ZipfSampler, skew_parameter
 
 Record = Mapping[str, object]
@@ -51,20 +50,30 @@ class TpchDataset:
     seed: int = 0
     _states: dict[str, tuple] = field(default_factory=dict, repr=False, compare=False)
 
-    def table(self, name: str, columns: Sequence[str] | None = None) -> list[Record]:
+    def table(
+        self, name: str, columns: Sequence[str] | None = None, *, pool: RowPool | None = None
+    ) -> list[Record]:
         """Records of table ``name``, holding only ``columns`` (all by default).
 
         Each record is a read-only row of ``row_type(columns)``
-        (:mod:`repro.data.rows`).  Every call generates the rows afresh;
-        nothing is cached but the RNG state at the start of each table.
+        (:mod:`repro.data.rows`), one row object per distinct value tuple:
+        equal records are the same row.  Rows come from ``pool`` when given
+        (a :class:`~repro.data.rows.RowPool` of these columns, so two tables
+        can share rows), else from a pool of this call's own.  Every call
+        generates the values afresh; nothing is cached but the RNG state at
+        the start of each table.
 
         Raises:
             KeyError: for an unknown table.
-            ValueError: for no column, or one the table does not have.
+            ValueError: for no column, one the table does not have, or a
+                ``pool`` of other columns.
         """
         columns = schema.COLUMNS[name] if columns is None else tuple(columns)
-        values = self.rows(name, columns)
-        return list(starmap(row_type(columns), values))
+        if pool is None:
+            pool = RowPool(columns)
+        elif pool.fields != columns:
+            raise ValueError(f"a pool of {pool.fields} cannot build rows of {columns}")
+        return list(map(pool.__getitem__, self._values(name, columns)))
 
     def rows(self, name: str, columns: Sequence[str]) -> Iterator[tuple]:
         """Rows of table ``name`` as value tuples in ``columns`` order, lazily.
@@ -75,19 +84,28 @@ class TpchDataset:
             KeyError: for an unknown table.
             ValueError: for no column, or one the table does not have.
         """
+        values = self._values(name, columns)
+        return zip(values) if len(columns) == 1 else values
+
+    def _values(self, name: str, columns: Sequence[str]) -> Iterator:
+        """:meth:`rows`, but a one-column read yields bare values, not
+        1-tuples (the key a :class:`~repro.data.rows.RowPool` of one field
+        takes)."""
         unknown = set(columns) - set(schema.COLUMNS[name])
         if unknown:
             raise ValueError(f"table {name} has no column(s) {sorted(unknown)}")
         if not columns:
             raise ValueError(f"read at least one column of {name}")
         if name not in _ROW_LOOPS:
-            return (tuple(row[c] for c in columns) for row in _static_rows(name))
+            static = _static_rows(name)
+            if len(columns) == 1:
+                return (row[columns[0]] for row in static)
+            return (tuple(row[c] for c in columns) for row in static)
         rng = random.Random()
         rng.setstate(self._start_state(name))
         drawn = _ROW_LOOPS[name](self, rng, frozenset(columns))
         keep = [schema.COLUMNS[name].index(column) for column in columns]
-        pick = itemgetter(*keep)
-        return zip(map(pick, drawn)) if len(keep) == 1 else map(pick, drawn)
+        return map(itemgetter(*keep), drawn)
 
     def cardinality(self, name: str) -> int:
         """Row count of table ``name``."""

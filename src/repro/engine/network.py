@@ -176,6 +176,10 @@ class _WireFrame:
         self.category = category
 
 
+#: The fault table of a link with no fault scheduled.
+_NO_FAULTS: dict = {}
+
+
 class ReliableWire:
     """Reliable-delivery sublayer over an unreliable (fault-injected) wire.
 
@@ -208,10 +212,12 @@ class ReliableWire:
 
     def __init__(self, faults) -> None:
         self.simulator = None
-        # (link, nth) -> [specs]: per-send faults, looked up on each send.
-        self._actions: dict[tuple, list] = {}
+        # link -> {nth: specs}: per-send faults, looked up on each send by
+        # link, then by the send's number, with no key tuple built per send.
+        self._actions: dict[tuple, dict[int, tuple]] = {}
         for spec in faults:
-            self._actions.setdefault((spec.link, spec.nth), []).append(spec)
+            by_nth = self._actions.setdefault(spec.link, {})
+            by_nth[spec.nth] = by_nth.get(spec.nth, ()) + (spec,)
         # Receiver-side dedup/in-order state, per (sender, receiver) machine
         # link: `recv_next[link]` is the next sequence number the receiver
         # will release; `reorder[link]` buffers early arrivals by sequence.
@@ -237,7 +243,7 @@ class ReliableWire:
         """
         dropped = duplicated = False
         delay_by = 0.0
-        for spec in self._actions.get((link, seq + 1), ()):
+        for spec in self._actions.get(link, _NO_FAULTS).get(seq + 1, ()):
             if spec.kind == "drop":
                 dropped = True
             elif spec.kind == "duplicate":
@@ -266,7 +272,7 @@ class ReliableWire:
         wire_link.sequence = seq + 1
         frame = _WireFrame(link, seq, channel, message, category)
         self.frames_sent += 1
-        if (link, seq + 1) not in self._actions:
+        if seq + 1 not in self._actions.get(link, _NO_FAULTS):
             # No fault scheduled for this send: it crosses the wire once.
             arrival = simulator.network.carry(wire_link, message.size, category, departure)
             simulator._schedule_frame(arrival, dest_machine, frame)

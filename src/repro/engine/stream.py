@@ -114,6 +114,12 @@ SALT_RESOLUTION = 4096
 _SALT_GRID = tuple(k / SALT_RESOLUTION for k in range(SALT_RESOLUTION))
 
 
+#: The default tuple size, the one float object the constructor's signature
+#: defaults to: a call that leaves ``size`` out is known to build a
+#: ``StreamTuple`` by identity, without :func:`tuple_type`'s cached lookup.
+_DEFAULT_SIZE = 1.0
+
+
 @dataclass(init=False)
 class StreamTuple:
     """A single tuple of one of the two input streams, and its own message.
@@ -147,7 +153,7 @@ class StreamTuple:
     relation: str
     record: Mapping[str, Any]
     salt: float
-    size: float = 1.0
+    size: float = _DEFAULT_SIZE
     tuple_id: int
     arrival_time: float
     epoch: int
@@ -161,12 +167,12 @@ class StreamTuple:
         relation: str,
         record: Mapping[str, Any],
         salt: float = 0.0,
-        size: float = 1.0,
+        size: float = _DEFAULT_SIZE,
         tuple_id: int | None = None,
         arrival_time: float = 0.0,
         epoch: int = 0,
     ) -> None:
-        kind = tuple_type(size)
+        kind = StreamTuple if size is _DEFAULT_SIZE else tuple_type(size)
         if type(self) is not kind:
             _set_type(self, kind)
         _fill(
@@ -396,10 +402,9 @@ def make_tuples(
     Builds what ``StreamTuple(relation=relation, record=record, size=size)``
     builds, but looks the size's type up once per call and fills a bare
     instance of it, skipping the constructor's per-tuple lookup and keyword
-    parsing: about 220 ns a tuple instead of the constructor's ~700
-    (CPython 3.11, 130k tuples, collector paused; the seven-slot dataclass's
-    constructor took ~480).  Runs with the cyclic collector paused: the
-    tuples make no cycles.
+    parsing: about 220 ns a tuple instead of the keyword constructor's ~530
+    (CPython 3.11, 130k tuples, collector paused).  Runs with the cyclic
+    collector paused: the tuples make no cycles.
     """
     kind = tuple_type(size)
     new = object.__new__

@@ -380,7 +380,9 @@ class TestImportHygiene:
 
     def test_fault_free_run_leaves_sqlite_and_logging_unloaded(self):
         """The checkpoint store imports ``sqlite3`` and ``logging`` when a
-        store opens or warns: a run without checkpoints loads neither, and a
+        store opens or warns, and the operator imports the recovery plane
+        (its manager, its store and through them ``pickle``) when a run
+        has one: a run without checkpoints loads none of them, and a
         checkpointed run that crashes still recovers."""
         child = textwrap.dedent(
             """
@@ -391,6 +393,8 @@ class TestImportHygiene:
             query = make_query("EQ5", generate_dataset(scale=0.05, skew="Z4", seed=1))
             plain = JoinSession(query, config=RunConfig(machines=4, seed=1)).run()
             print("sqlite3" in sys.modules, "logging" in sys.modules)
+            print(*(name in sys.modules for name in (
+                "repro.core.recovery", "repro.storage.checkpoint_store", "pickle")))
             crashed = JoinSession(query, config=RunConfig(
                 machines=4, seed=1, checkpoint_interval=20,
                 fault_schedule=[crash_after_events(2, plain.events_processed // 2)],
@@ -407,7 +411,7 @@ class TestImportHygiene:
             text=True,
             check=True,
         )
-        assert probe.stdout.split("\n")[:2] == ["False False", "True 1 True"]
+        assert probe.stdout.split("\n")[:3] == ["False False", "False False False", "True 1 True"]
 
     @pytest.mark.parametrize("module", ["repro", "repro.api", "repro.joins.local"])
     def test_no_probe_engine_registry(self, module):

@@ -208,7 +208,7 @@ class FullRows:
         self.reads.append((name, tuple(columns)))
         return [tuple(row[c] for c in columns) for row in self.dataset.table(name)]
 
-    def table(self, name, columns=None):
+    def table(self, name, columns=None, *, pool=None):
         columns = schema.COLUMNS[name] if columns is None else columns
         self.reads.append((name, tuple(columns)))
         return [{c: row[c] for c in columns} for row in self.dataset.table(name)]

@@ -175,7 +175,16 @@ class TestStreamTuple:
             )
         assert made == built
         assert [type(item) for item in made] == [tuple_type(size)] * 5
-        assert all(type(item.size) is type(size) for item in made)
+        assert [type(item) for item in built] == [tuple_type(size)] * 5
+        assert all(type(item.size) is type(size) for item in made + built)
+
+    def test_default_size_fast_path_builds_the_base_type(self):
+        """Leaving ``size`` out skips the type lookup; an equal size passed
+        as another float object, or as an int, still goes through it."""
+        assert type(StreamTuple("R", {})) is StreamTuple
+        assert type(StreamTuple("R", {}, size=float("1.0"))) is StreamTuple
+        assert type(StreamTuple("R", {}, size=1)) is tuple_type(1)
+        assert type(tuple_type(2.5)("R", {})) is StreamTuple
 
     def test_constructor_requires_relation_and_record(self):
         with pytest.raises(TypeError, match="relation"):

@@ -314,9 +314,9 @@ class TestCollectorStateIsRestored:
                 seen.append(gc.isenabled())
                 return small_dataset.rows(name, columns)
 
-            def table(self, name, columns=None):
+            def table(self, name, columns=None, *, pool=None):
                 seen.append(gc.isenabled())
-                return small_dataset.table(name, columns)
+                return small_dataset.table(name, columns, pool=pool)
 
         with _collector(enabled):
             query = make_query("EQ5", Watched())

@@ -2,6 +2,7 @@
 competitive ratio, migration costs and the performance shapes of §5."""
 
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core.operator import AdaptiveJoinOperator, theoretical_optimal_mappin
 from repro.data.queries import make_query
 from repro.data.tpch import generate_dataset
 from repro.engine.stream import fluctuating_order, make_tuples
+from repro.engine.task import Context, MessageKind
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +65,31 @@ class TestAdaptation:
         naive = AdaptiveJoinOperator(query, config=RunConfig(machines=16, seed=2, layout="row_major")).run()
         if smart.migrations and naive.migrations:
             assert smart.migration_volume <= naive.migration_volume
+
+
+class TestControlFanOut:
+    def test_a_mapping_change_sends_one_message_object_per_sender(
+        self, monkeypatch, midsize_dataset
+    ):
+        """The controller sends one MAPPING_CHANGE object to every
+        reshuffler, and each reshuffler one EPOCH_SIGNAL object to every
+        joiner, not one message (and meta dict) per destination."""
+        sent = defaultdict(list)
+        send = Context.send
+
+        def recording_send(ctx, destination, message, *args, **kwargs):
+            if message.kind in (MessageKind.MAPPING_CHANGE, MessageKind.EPOCH_SIGNAL):
+                sent[message.kind, message.sender, message.meta["epoch"]].append(message)
+            send(ctx, destination, message, *args, **kwargs)
+
+        monkeypatch.setattr(Context, "send", recording_send)
+        query = make_query("EQ5", midsize_dataset)
+        result = AdaptiveJoinOperator(query, config=RunConfig(machines=16, seed=2)).run()
+        assert result.migrations >= 1
+        kinds = {kind for kind, _sender, _epoch in sent}
+        assert kinds == {MessageKind.MAPPING_CHANGE, MessageKind.EPOCH_SIGNAL}
+        for messages in sent.values():
+            assert len(messages) == 16 and all(m is messages[0] for m in messages)
 
 
 class TestSkewResilience:

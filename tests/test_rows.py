@@ -1,10 +1,11 @@
 """The row contract: a generated record is a slotted, read-only Mapping.
 
 :func:`repro.data.rows.row_type` builds one type per projection, and every
-record ``make_query`` and ``TpchDataset.table`` build is one of its rows.
-A row must behave as the dict it replaces wherever a caller reads it (item
-access, ``dict()``, ``items()``, equality, pickling), cost a fraction of its
-memory, and read through a predicate's key extractor exactly as a dict does.
+record ``make_query`` and ``TpchDataset.table`` build is one of its rows,
+one row object per distinct value.  A row must behave as the dict it
+replaces wherever a caller reads it (item access, ``dict()``, ``items()``,
+equality, pickling), cost a fraction of its memory, and read through a
+predicate's key extractor exactly as a dict does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import pytest
 import repro
 from repro.data import generate_dataset, make_query
 from repro.data.queries import available_queries
-from repro.data.rows import Row, row_type
+from repro.data.rows import Row, RowPool, row_type
 from repro.joins.predicates import BandPredicate, EquiPredicate
 
 SUPPKEY = row_type(("suppkey",))
@@ -139,10 +140,41 @@ class TestGeneratedRecords:
         assert {type(row) for row in lineitem} == {row_type(("suppkey", "shipdate"))}
         assert all(type(row).__slots__ == tuple(row) for row in small_dataset.table("NATION"))
 
-    def test_records_take_at_most_64_bytes_each(self):
+    @pytest.mark.parametrize("name", available_queries())
+    def test_every_query_holds_one_row_per_distinct_value(self, name, small_dataset):
+        """Equal records are one row object, within a side and across the
+        two sides, so a query holds as many rows as distinct values."""
+        query = make_query(name, small_dataset)
+        records = query.left_records + query.right_records
+        first: dict = {}
+        for record in records:
+            assert first.setdefault((type(record), tuple(record.values())), record) is record
+        assert len({id(record) for record in records}) == len(first) < len(records)
+
+    @pytest.mark.parametrize("columns", [("suppkey",), ("suppkey", "shipdate"), None])
+    def test_tables_hold_one_row_per_distinct_value(self, columns, small_dataset):
+        table = small_dataset.table("LINEITEM", columns)
+        first: dict = {}
+        for row in table:
+            assert first.setdefault(tuple(row.values()), row) is row
+        assert len({id(row) for row in table}) == len(first)
+
+    def test_tables_share_rows_through_one_pool(self, small_dataset):
+        pool = RowPool(("nationkey",))
+        suppliers = small_dataset.table("SUPPLIER", ("nationkey",), pool=pool)
+        nations = small_dataset.table("NATION", ("nationkey",), pool=pool)
+        assert {id(row) for row in suppliers} <= {id(row) for row in nations}
+        assert len(pool) == len(nations) == 25
+        with pytest.raises(ValueError, match="pool"):
+            small_dataset.table("NATION", ("regionkey",), pool=pool)
+
+    def test_records_take_at_most_4_bytes_each(self):
         """tracemalloc over EQ5's records at scale 1: a one-key dict takes
-        184 B, a one-field row 40 B.  The first build fills the dataset's
-        RNG-state cache, so the second holds only the query."""
+        184 B, a one-field row 40 B, and a query holds one row per distinct
+        ``suppkey`` (100 for 6,019 records, across both sides), so ~1 B a
+        record.  The first
+        build fills the dataset's RNG-state cache, so the second holds only
+        the query."""
         dataset = generate_dataset(scale=1, skew="Z4", seed=1)
         make_query("EQ5", dataset)
         tracemalloc.start()
@@ -155,7 +187,7 @@ class TestGeneratedRecords:
         lists = sys.getsizeof(query.left_records) + sys.getsizeof(query.right_records)
         count = sum(query.cardinalities)
         assert count > 6000
-        assert (held - lists) / count <= 64
+        assert (held - lists) / count <= 4
 
 
 class TestKeyExtraction:
